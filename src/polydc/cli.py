@@ -65,6 +65,11 @@ def parse_rational(value, where: str) -> Fraction:
     raise ProblemFormatError(f"{where}: expected a rational, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; `bool` subclasses `int` but true/false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_vector(values, dimension: int, where: str) -> Vector:
     if not isinstance(values, list):
         raise ProblemFormatError(f"{where}: expected a list of rationals")
@@ -185,7 +190,7 @@ def parse_problem(text: str) -> DcProblem:
         if key not in doc:
             raise ProblemFormatError(f"top level: missing key '{key}'")
     dimension = doc["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(dimension) or dimension < 1:
         raise ProblemFormatError("dimension: expected a positive integer")
     C = _parse_set(doc["C"], dimension, "C")
     g = _parse_function(doc["g"], dimension, "g")
@@ -299,7 +304,19 @@ def _parse_rule(text: str) -> dca.SelectionRule:
                 raise ProblemFormatError(
                     f"table entry #{k}: expected 'active' and 'choose'"
                 )
-            table[frozenset(entry["active"])] = entry["choose"]
+            active, choose = entry["active"], entry["choose"]
+            if not isinstance(active, list) or not all(
+                _is_int(j) and j >= 0 for j in active
+            ):
+                raise ProblemFormatError(
+                    f"table entry #{k}.active: expected a list of "
+                    f"nonnegative integers, got {active!r}"
+                )
+            if not _is_int(choose):
+                raise ProblemFormatError(
+                    f"table entry #{k}.choose: expected an integer, got {choose!r}"
+                )
+            table[frozenset(active)] = choose
         return dca.ByActiveSetTable(table)
     if text.startswith("script:"):
         doc = _load_json(text[len("script:"):])

@@ -1,20 +1,37 @@
 """Exact rational linear algebra and a deterministic simplex LP solver.
 
-Every decision procedure in this package bottoms out here.  All numbers are
-`fractions.Fraction` (arbitrary precision, always in lowest terms); there is
-no floating point anywhere, so "satisfies a constraint" always means exact
-equality or inequality of rationals.
+Every decision procedure in this package bottoms out here.  Data and
+results are `fractions.Fraction` (arbitrary precision, lowest terms); there
+is no floating point anywhere, so "satisfies a constraint" always means
+exact equality or inequality of rationals.
 
-The solver is a two-phase simplex on a dense tableau with Bland's
-anti-cycling rule (lowest-index entering column, lowest-index tie break on
-the ratio test).  That makes every outcome a pure function of the input,
-which the rest of the package relies on: selection maps in the DCA module
-must be deterministic, and reports must be byte-identical across runs.
+`lp_solve` works on Python integers from the input rows to the basic
+solution:
+
+* Each row is scaled by the lcm of its denominators.  The equalities are
+  brought to reduced row echelon form without fractions, and every
+  inequality is rewritten as an integer row over the free coordinates,
+  which are split into nonnegative pairs.
+* Each inequality row `a.z <= b` gets a slack with coefficient 1.  A row
+  with b >= 0 starts with its slack basic; only a row with b < 0 is negated
+  and gets an artificial, and phase 1 runs only if there is one.
+* The simplex tableau keeps one common denominator `det > 0` (initially
+  1): entries are `det * B^-1 [A | b]`, integers because each is a minor
+  of the integer system.  A pivot updates every row with one exact integer
+  division by the old `det` (Bareiss 1968); no gcd is taken.
+* Fractions appear again only when the basic solution is read off.
+
+Pivots follow Bland's anti-cycling rule (lowest-index entering column,
+lowest basic index on ratio ties, ratios compared by cross-multiplication).
+That makes every outcome a pure function of the input, which the rest of
+the package relies on: selection maps in the DCA module must be
+deterministic, and reports must be byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,13 +46,19 @@ ONE = Fraction(1)
 
 def frac(value) -> Fraction:
     """Coerce ints/strings/Fractions to Fraction, rejecting floats."""
+    if type(value) is Fraction:
+        return value  # immutable: no copy needed
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
     return Fraction(value)
 
 
 def vector(values: Iterable) -> Vector:
-    return tuple(frac(v) for v in values)
+    # tuple() of a list, not of a generator: CPython builds a tuple from a
+    # generator at a guessed size and shrinks it, and every such tuple, once
+    # freed, stays on its size's free list (up to 2,000 per size), so memory
+    # would grow with the number of LPs built.
+    return tuple([frac(v) for v in values])
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -185,7 +208,7 @@ class LinearProgram:
 
 
 def _normalize_rows(rows) -> tuple[Row, ...]:
-    return tuple((vector(coeffs), frac(rhs)) for coeffs, rhs in rows)
+    return tuple([(vector(coeffs), frac(rhs)) for coeffs, rhs in rows])  # see vector
 
 
 class LpStatus(Enum):
@@ -210,6 +233,60 @@ INFEASIBLE = LpOutcome(LpStatus.INFEASIBLE)
 UNBOUNDED = LpOutcome(LpStatus.UNBOUNDED)
 
 
+def _integer_multiple(values: Sequence[Fraction]) -> list[int]:
+    """`values` times the lcm of their denominators: integers, same signs."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _bareiss(line: list[int], pivot_row: list[int], col: int, det: int) -> list[int]:
+    """`line` after a fraction-free pivot on p = pivot_row[col]:
+    (line * p - line[col] * pivot_row) // det.  The division is exact when
+    det is the previous pivot, as every entry is then a minor of the
+    integer matrix (Bareiss 1968)."""
+    p = pivot_row[col]
+    factor = line[col]
+    if factor == 0:
+        return line if p == det else [x * p // det for x in line]
+    return [(x * p - factor * y) // det for x, y in zip(line, pivot_row)]
+
+
+def _rref(
+    rows: Sequence[Sequence[Fraction]], width: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination over the first `width` columns.
+
+    Each row is scaled to integers first.  Returns (matrix, pivots, det)
+    with matrix = det * RREF in integers and det > 0: row k has det in
+    column pivots[k] and every other row a 0 there, and the rows from
+    len(pivots) on are zero in the first `width` columns.
+    """
+    matrix = [_integer_multiple(row) for row in rows]
+    pivots: list[int] = []
+    det = 1
+    for col in range(width):
+        top = len(pivots)
+        if top == len(matrix):
+            break
+        pivot = next(
+            (r for r in range(top, len(matrix)) if matrix[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
+        pivot_row = matrix[top]
+        matrix = [
+            line if r == top else _bareiss(line, pivot_row, col, det)
+            for r, line in enumerate(matrix)
+        ]
+        det = pivot_row[col]
+        pivots.append(col)
+    if det < 0:
+        matrix = [[-x for x in line] for line in matrix]
+        det = -det
+    return matrix, pivots, det
+
+
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     """Linearly independent spanning set of the row space (RREF rows).
 
@@ -222,252 +299,205 @@ def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     for r in rows:
         if len(r) != width:
             raise ValueError("rows of unequal length")
-    matrix = [list(r) for r in rows]
-    basis: list[Vector] = []
-    pivot_row = 0
-    for col in range(width):
-        pivot = next(
-            (r for r in range(pivot_row, len(matrix)) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
-        row = matrix[pivot_row]
-        inv = ONE / row[col]
-        matrix[pivot_row] = [x * inv for x in row]
-        for r in range(len(matrix)):
-            if r != pivot_row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    x - factor * y for x, y in zip(matrix[r], matrix[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == len(matrix):
-            break
-    for r in range(pivot_row):
-        basis.append(tuple(matrix[r]))
-    return basis
+    matrix, pivots, det = _rref(rows, width)
+    return [tuple(Fraction(x, det) for x in line) for line in matrix[: len(pivots)]]
 
 
 def _eliminate_equalities(equalities: Sequence[Row], dimension: int):
-    """Solve A x = b by Gaussian elimination.
+    """Integer Gauss-Jordan form of A x = b, or None when it is inconsistent.
 
-    Returns None when inconsistent, otherwise (x0, null_basis) with the
-    solution set {x0 + sum_k z_k * null_basis[k]}.
+    Returns (pivots, solved, det): the solutions are the x whose coordinates
+    outside `pivots` are free and det * x[pivots[r]] = solved[r][-1] minus
+    the sum of solved[r][j] * x[j] over those free coordinates j.
     """
-    matrix = [list(coeffs) + [rhs] for coeffs, rhs in equalities]
-    pivots: list[int] = []  # pivot column per reduced row
-    pivot_row = 0
-    for col in range(dimension):
-        pivot = next(
-            (r for r in range(pivot_row, len(matrix)) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
-        inv = ONE / matrix[pivot_row][col]
-        matrix[pivot_row] = [x * inv for x in matrix[pivot_row]]
-        for r in range(len(matrix)):
-            if r != pivot_row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    x - factor * y for x, y in zip(matrix[r], matrix[pivot_row])
-                ]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(matrix):
-            break
-    for r in range(pivot_row, len(matrix)):
-        if matrix[r][dimension] != 0:
-            return None  # 0 = nonzero
-    free_cols = [c for c in range(dimension) if c not in pivots]
-    x0 = [ZERO] * dimension
-    for r, col in enumerate(pivots):
-        x0[col] = matrix[r][dimension]
-    null_basis = []
-    for fc in free_cols:
-        direction = [ZERO] * dimension
-        direction[fc] = ONE
-        for r, col in enumerate(pivots):
-            direction[col] = -matrix[r][fc]
-        null_basis.append(tuple(direction))
-    return tuple(x0), null_basis
-
-
-def _bland_simplex(tableau, basis, costs, n_cols, artificial_start):
-    """Minimize over the standard-form tableau in place; Bland's rule.
-
-    `tableau` rows have length n_cols + 1 (rhs last).  Columns at index >=
-    artificial_start never enter the basis.  Returns "optimal" or
-    "unbounded"; on return the reduced-cost row logic is left to callers.
-    """
-    m = len(tableau)
-    # reduced costs z_j = c_j - c_B . T[:, j]; objective offset tracked too
-    reduced = list(costs) + [ZERO]
-    for r in range(m):
-        cb = costs[basis[r]]
-        if cb != 0:
-            row = tableau[r]
-            for j in range(n_cols + 1):
-                if row[j] != 0:
-                    reduced[j] -= cb * row[j]
-    while True:
-        entering = next(
-            (
-                j
-                for j in range(min(n_cols, artificial_start))
-                if reduced[j] < 0
-            ),
-            None,
-        )
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best_ratio = None
-        for r in range(m):
-            coeff = tableau[r][entering]
-            if coeff > 0:
-                ratio = tableau[r][n_cols] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving is None:
-            return "unbounded"
-        _pivot(tableau, reduced, basis, leaving, entering, n_cols)
-
-
-def _pivot(tableau, reduced, basis, row, col, n_cols):
-    pivot_row = tableau[row]
-    inv = ONE / pivot_row[col]
-    if inv != 1:
-        tableau[row] = pivot_row = [x * inv for x in pivot_row]
-    for r in range(len(tableau)):
-        if r != row:
-            factor = tableau[r][col]
-            if factor != 0:
-                tableau[r] = [
-                    x - factor * y for x, y in zip(tableau[r], pivot_row)
-                ]
-    factor = reduced[col]
-    if factor != 0:
-        for j in range(n_cols + 1):
-            reduced[j] -= factor * pivot_row[j]
-    basis[row] = col
-
-
-def _solve_standard_form(rows, rhs, costs):
-    """min costs . y  s.t.  rows y = rhs, y >= 0, via two-phase simplex.
-
-    Returns (status, y) with status in {"optimal", "infeasible", "unbounded"}.
-    """
-    m = len(rows)
-    n = len(costs)
-    # sign-normalize so rhs >= 0, then add one artificial per row
-    tableau = []
-    for r in range(m):
-        row = list(rows[r])
-        b = rhs[r]
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tableau.append(row + [ZERO] * m + [b])
-    for r in range(m):
-        tableau[r][n + r] = ONE
-    basis = [n + r for r in range(m)]
-    phase1_costs = [ZERO] * n + [ONE] * m
-    _bland_simplex(tableau, basis, phase1_costs, n + m, n + m)
-    infeasibility = sum(
-        (tableau[r][n + m] for r in range(m) if basis[r] >= n), ZERO
+    matrix, pivots, det = _rref(
+        [coeffs + (rhs,) for coeffs, rhs in equalities], dimension
     )
-    if infeasibility != 0:
-        return "infeasible", None
-    # drive artificials out of the basis; drop redundant rows
-    keep = []
-    for r in range(m):
-        if basis[r] < n:
-            keep.append(r)
-            continue
-        entering = next((j for j in range(n) if tableau[r][j] != 0), None)
-        if entering is None:
-            continue  # redundant constraint
-        _pivot(tableau, [ZERO] * (n + m + 1), basis, r, entering, n + m)
-        keep.append(r)
-    tableau = [tableau[r][:n] + [tableau[r][n + m]] for r in keep]
-    basis = [basis[r] for r in keep]
-    status = _bland_simplex(tableau, basis, list(costs), n, n)
-    if status == "unbounded":
-        return "unbounded", None
-    y = [ZERO] * n
-    for r, col in enumerate(basis):
-        y[col] = tableau[r][n]
-    return "optimal", y
+    if any(line[dimension] != 0 for line in matrix[len(pivots):]):
+        return None  # 0 = nonzero
+    return pivots, matrix[: len(pivots)], det
+
+
+class _Tableau:
+    """Integer simplex tableau `rows = det * B^-1 [A | b]` (rhs last).
+
+    `det` is the common denominator of every entry and stays positive;
+    `reduced` is the reduced-cost row scaled by the same `det` (its last
+    entry is -det times the objective value), or None when no objective is
+    being minimized.  Artificial variables are basic under indices >= the
+    column count and have no stored column: they never enter.
+    """
+
+    __slots__ = ("rows", "basis", "det", "reduced")
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
+        self.det = 1
+        self.reduced: Optional[list[int]] = None
+
+    def pivot(self, row: int, col: int) -> None:
+        """Bareiss pivot on p = rows[row][col]: every other row, the reduced
+        row included, is updated by `_bareiss`; then det = p.  A negative p,
+        possible only while driving an artificial out, is absorbed by
+        negating everything."""
+        pivot_row = self.rows[row]
+        det = self.det
+        self.rows = [
+            line if i == row else _bareiss(line, pivot_row, col, det)
+            for i, line in enumerate(self.rows)
+        ]
+        if self.reduced is not None:
+            self.reduced = _bareiss(self.reduced, pivot_row, col, det)
+        self.basis[row] = col
+        self.det = pivot_row[col]
+        if self.det < 0:
+            self.det = -self.det
+            self.rows = [[-x for x in line] for line in self.rows]
+            if self.reduced is not None:
+                self.reduced = [-x for x in self.reduced]
+
+    def minimize(self, n: int) -> bool:
+        """Bland's rule over columns < n: False if unbounded, else True.
+
+        Entering: lowest column with a negative reduced cost.  Leaving: the
+        least ratio rhs / coefficient over positive coefficients, compared by
+        cross-multiplication, ties to the lowest basic index.
+        """
+        while True:
+            reduced = self.reduced
+            col = next((j for j in range(n) if reduced[j] < 0), None)
+            if col is None:
+                return True
+            row = None
+            for i, line in enumerate(self.rows):
+                coeff = line[col]
+                if coeff > 0:
+                    if row is not None:
+                        lhs = line[-1] * best_coeff
+                        rhs = best_rhs * coeff
+                        if lhs > rhs or (
+                            lhs == rhs and self.basis[i] > self.basis[row]
+                        ):
+                            continue
+                    row, best_rhs, best_coeff = i, line[-1], coeff
+            if row is None:
+                return False
+            self.pivot(row, col)
+
+    def drive_out_artificials(self, n: int) -> None:
+        """Pivot each basic artificial (at value 0) out on its first nonzero
+        column < n.  One exists: every row has its own slack column, so
+        [A | slacks] has full row rank and no row can vanish there."""
+        self.reduced = None
+        for r in range(len(self.rows)):
+            if self.basis[r] >= n:
+                self.pivot(r, next(j for j in range(n) if self.rows[r][j] != 0))
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Exact optimum of `lp` with a basic optimal point, deterministically.
 
     Equalities are eliminated by substitution first; the remaining free
-    variables are split into nonnegative pairs for the simplex.
+    variables are split into nonnegative pairs for the simplex, which runs
+    on an integer tableau from the slack basis (see the module docstring).
     """
     eliminated = _eliminate_equalities(lp.equalities, lp.dimension)
     if eliminated is None:
         return INFEASIBLE
-    x0, null_basis = eliminated
-    f = len(null_basis)
+    pivots, solved, det = eliminated
+    free = [j for j in range(lp.dimension) if j not in pivots]
+    f = len(free)
+    kept = free + [lp.dimension]  # the free coordinates and the rhs
 
-    projected = []  # (coeffs over z, rhs)
-    for coeffs, rhs in lp.inequalities:
-        reduced_rhs = rhs - dot(coeffs, x0)
-        reduced_row = tuple(dot(coeffs, direction) for direction in null_basis)
-        if all(c == 0 for c in reduced_row):
-            if reduced_rhs < 0:
-                return INFEASIBLE
-            continue
-        projected.append((reduced_row, reduced_rhs))
+    def substitute(coeffs, rhs) -> list[int]:
+        """`coeffs . x <= rhs` over the free coordinates, rhs last, times a
+        positive integer."""
+        a = _integer_multiple(coeffs + (rhs,))
+        row = [det * a[j] for j in kept]
+        for p, equation in zip(pivots, solved):
+            if a[p] != 0:
+                row = [x - a[p] * equation[j] for x, j in zip(row, kept)]
+        return row
 
-    constant = dot(lp.objective, x0)
+    def lift(numerators, denominator) -> Vector:
+        """The solution of the equalities whose free coordinates are
+        numerators / denominator."""
+        point = [ZERO] * lp.dimension
+        for j, numerator in zip(free, numerators):
+            point[j] = Fraction(numerator, denominator)
+        for p, equation in zip(pivots, solved):
+            numerator = equation[-1] * denominator - sum(
+                equation[j] * z for j, z in zip(free, numerators)
+            )
+            point[p] = Fraction(numerator, det * denominator)
+        return tuple(point)
+
+    projected = []  # (index, row over z, rhs) of the rows involving z
+    tight = set()
+    for i, (coeffs, rhs) in enumerate(lp.inequalities):
+        *row, b = substitute(coeffs, rhs)
+        if any(row):
+            projected.append((i, row, b))
+        elif b < 0:
+            return INFEASIBLE
+        elif b == 0:
+            tight.add(i)
+
     if f == 0:
-        return _optimal_outcome(lp, x0, constant)
+        return _optimal_outcome(lp, lift((), 1), tight)
 
-    reduced_objective = tuple(dot(lp.objective, d) for d in null_basis)
     m = len(projected)
-    # variables: z+ (f), z- (f), slack (m)
-    rows = []
-    rhs = []
-    for row, b in projected:
-        rows.append(list(row) + [-c for c in row] + [ZERO] * m)
-        rhs.append(b)
-    for i in range(m):
-        rows[i][2 * f + i] = ONE
-    costs = (
-        list(reduced_objective)
-        + [-c for c in reduced_objective]
-        + [ZERO] * m
-    )
-    status, y = _solve_standard_form(rows, rhs, costs)
-    if status == "infeasible":
-        return INFEASIBLE
-    if status == "unbounded":
+    # columns: z+ (f), z- (f), one slack per row (n in all), then the rhs
+    n = 2 * f + m
+    rows, basis = [], []
+    for k, (_, row, b) in enumerate(projected):
+        line = row + [-c for c in row] + [0] * m + [b]
+        line[2 * f + k] = 1
+        if b < 0:
+            rows.append([-x for x in line])
+            basis.append(n + k)  # artificial
+        else:
+            rows.append(line)
+            basis.append(2 * f + k)  # slack
+    tableau = _Tableau(rows, basis)
+
+    artificial = [line for line, col in zip(rows, basis) if col >= n]
+    if artificial:
+        # phase 1: minimize the sum of the artificials
+        tableau.reduced = [-sum(column) for column in zip(*artificial)]
+        tableau.minimize(n)
+        if tableau.reduced[n] != 0:
+            return INFEASIBLE
+        tableau.drive_out_artificials(n)
+
+    *cost, _ = substitute(lp.objective, ZERO)
+    costs = cost + [-c for c in cost] + [0] * m
+    reduced = [tableau.det * c for c in costs] + [0]
+    for line, col in zip(tableau.rows, tableau.basis):
+        if costs[col] != 0:
+            reduced = [x - costs[col] * y for x, y in zip(reduced, line)]
+    tableau.reduced = reduced
+    if not tableau.minimize(n):
         return UNBOUNDED
-    z = [y[k] - y[f + k] for k in range(f)]
-    point = list(x0)
-    for k, direction in enumerate(null_basis):
-        if z[k] != 0:
-            point = [p + z[k] * d for p, d in zip(point, direction)]
-    return _optimal_outcome(lp, tuple(point), dot(lp.objective, point))
+
+    z = [0] * f  # numerators over tableau.det
+    loose = set()  # rows whose slack is basic and positive
+    for line, col in zip(tableau.rows, tableau.basis):
+        if col < f:
+            z[col] += line[n]
+        elif col < 2 * f:
+            z[col - f] -= line[n]
+        elif line[n] != 0:
+            loose.add(col - 2 * f)
+    tight.update(i for k, (i, _, _) in enumerate(projected) if k not in loose)
+    return _optimal_outcome(lp, lift(z, tableau.det), tight)
 
 
-def _optimal_outcome(lp: LinearProgram, point: Vector, value: Fraction) -> LpOutcome:
-    tight = frozenset(
-        i
-        for i, (coeffs, rhs) in enumerate(lp.inequalities)
-        if dot(coeffs, point) == rhs
+def _optimal_outcome(lp: LinearProgram, point: Vector, tight: set[int]) -> LpOutcome:
+    return LpOutcome(
+        LpStatus.OPTIMAL, dot(lp.objective, point), point, frozenset(tight)
     )
-    return LpOutcome(LpStatus.OPTIMAL, value, point, tight)
 
 
 def lp_feasible(

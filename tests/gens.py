@@ -108,26 +108,42 @@ def vertex_enumeration_minimum(lp: LinearProgram):
 # random generators (all integer/rational data, deterministic under a seed)
 
 
-def random_bounded_lp(rng: random.Random) -> LinearProgram:
-    """Feasibility is not guaranteed; boundedness is, via a full box."""
+def random_bounded_lp(rng: random.Random, fractional: bool = False) -> LinearProgram:
+    """Feasibility is not guaranteed; boundedness is, via a full box.
+
+    Data are integers by default.  With `fractional`, each row (each box
+    pair, the equality and the objective) draws its own denominator
+    q <= 50 and its entries are multiples of 1/q in the same ranges.
+    """
+
+    def denominator():
+        return rng.randint(2, 50) if fractional else 1
+
+    def draw(lo, hi, q):
+        return Fraction(rng.randint(lo * q, hi * q), q)
+
     n = rng.randint(1, 4)
     inequalities = []
     for i in range(n):
-        lo = rng.randint(-4, 2)
-        hi = lo + rng.randint(0, 5)
+        q = denominator()
+        lo = draw(-4, 2, q)
+        hi = lo + draw(0, 5, q)
         e = [Fraction(0)] * n
         e[i] = Fraction(1)
-        inequalities.append((tuple(e), Fraction(hi)))
-        inequalities.append((tuple(-c for c in e), Fraction(-lo)))
+        inequalities.append((tuple(e), hi))
+        inequalities.append((tuple(-c for c in e), -lo))
     for _ in range(rng.randint(0, 10 - 2 * n)):
-        row = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-        inequalities.append((row, Fraction(rng.randint(-4, 6))))
+        q = denominator()
+        row = tuple(draw(-3, 3, q) for _ in range(n))
+        inequalities.append((row, draw(-4, 6, q)))
     equalities = []
     if n >= 2 and rng.random() < 0.3:
-        row = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+        q = denominator()
+        row = [draw(-2, 2, q) for _ in range(n)]
         if any(c != 0 for c in row):
-            equalities.append((tuple(row), Fraction(rng.randint(-2, 2))))
-    objective = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            equalities.append((tuple(row), draw(-2, 2, q)))
+    q = denominator()
+    objective = tuple(draw(-3, 3, q) for _ in range(n))
     return LinearProgram(
         objective=objective,
         equalities=tuple(equalities),

@@ -81,6 +81,12 @@ class TestParsing:
         with pytest.raises(ProblemFormatError, match="g.pieces"):
             parse_problem(json.dumps(doc))
 
+    def test_boolean_dimension_is_rejected(self):
+        doc = json.loads(INTERVAL_DOC)
+        doc["dimension"] = True
+        with pytest.raises(ProblemFormatError, match="^dimension"):
+            parse_problem(json.dumps(doc))
+
     def test_standing_assumption_checked_at_load(self):
         doc = {
             "dimension": 1,
@@ -257,6 +263,31 @@ class TestCommands:
         assert code == 2
         assert "no table entry" in capsys.readouterr().err
 
+    def test_malformed_table_entries_exit_2(self, problem_file, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        for entry, location in (
+            ({"active": "12", "choose": 1}, "table entry #1.active"),
+            ({"active": [1, True], "choose": 1}, "table entry #1.active"),
+            ({"active": [-1], "choose": 1}, "table entry #1.active"),
+            ({"active": [1], "choose": "1"}, "table entry #1.choose"),
+            ({"active": [1], "choose": True}, "table entry #1.choose"),
+        ):
+            entries = [{"active": [1], "choose": 1}, entry]
+            table.write_text(json.dumps({"entries": entries}), "utf-8")
+            code = main(
+                [
+                    "dca",
+                    "--problem",
+                    problem_file,
+                    "--x0",
+                    "2",
+                    "--rule",
+                    f"table:{table}",
+                ]
+            )
+            assert code == 2
+            assert location in capsys.readouterr().err
+
     def test_verify_rejects_higher_dimensions(self, tmp_path, capsys):
         doc = {
             "dimension": 3,
@@ -279,6 +310,31 @@ class TestCommands:
 
 class TestBundledProblems:
     """The sample documents shipped in problems/ stay valid and meaningful."""
+
+    def test_module_entry_point(self, capsys):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import polydc
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        args = ["structure", "--problem", "problems/interval.json"]
+        src = pathlib.Path(polydc.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-m", "polydc", *args],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert main(["structure", "--problem", str(root / args[2])]) == 0
+        assert run.stdout == capsys.readouterr().out
 
     def _load(self, name):
         import pathlib

@@ -40,6 +40,38 @@ class TestLpSolve:
         assert out.value == Fraction(-2)
         assert out.point == vec(-2)
         assert out.tight_inequalities == frozenset({0})
+        # mixed-sign rhs: x <= 3 starts on its slack, -x <= -1 on an
+        # artificial, so phase 1 runs before the endpoint is found
+        for objective, endpoint, tight in ((vec(1), 1, {1}), (vec(-1), 3, {0})):
+            lp = LinearProgram(
+                objective=objective,
+                equalities=(),
+                inequalities=((vec(1), Fraction(3)), (vec(-1), Fraction(-1))),
+                dimension=1,
+            )
+            out = lp_solve(lp)
+            assert out.status is LpStatus.OPTIMAL
+            assert out.point == vec(endpoint)
+            assert out.tight_inequalities == frozenset(tight)
+        # the interval [1, 1] with a redundant negative-rhs row: phase 1
+        # ends with an artificial basic at 0 whose row has a negative first
+        # entry, so driving it out pivots on a negative integer
+        for objective in (vec(1), vec(-1)):
+            lp = LinearProgram(
+                objective=objective,
+                equalities=(),
+                inequalities=(
+                    (vec(1), Fraction(1)),
+                    (vec(Fraction(-1, 2)), Fraction(-1, 2)),
+                    (vec(Fraction(-1, 3)), Fraction(-1, 3)),
+                ),
+                dimension=1,
+            )
+            out = lp_solve(lp)
+            assert out.status is LpStatus.OPTIMAL
+            assert out.point == vec(1)
+            assert out.value == objective[0]
+            assert out.tight_inequalities == frozenset({0, 1, 2})
 
     def test_contradictory_bounds(self):
         lp = LinearProgram(
@@ -47,6 +79,19 @@ class TestLpSolve:
             equalities=(),
             inequalities=((vec(1), Fraction(0)), (vec(-1), Fraction(-1))),
             dimension=1,
+        )
+        assert lp_solve(lp).status is LpStatus.INFEASIBLE
+        # no single row is contradictory; only phase 1 finds that
+        # x >= 1/3 and y >= 1/4 leave no room for x + y <= 1/2
+        lp = LinearProgram(
+            objective=vec(1, 1),
+            equalities=(),
+            inequalities=(
+                (vec(1, 1), Fraction(1, 2)),
+                (vec(-1, 0), Fraction(-1, 3)),
+                (vec(0, -1), Fraction(-1, 4)),
+            ),
+            dimension=2,
         )
         assert lp_solve(lp).status is LpStatus.INFEASIBLE
 
@@ -144,14 +189,15 @@ class TestLpSolve:
             assert lp_solve(lp) == lp_solve(lp)
 
     def test_oracle_equivalence_small(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            lp = gens.random_bounded_lp(rng)
-            status, value = gens.vertex_enumeration_minimum(lp)
-            out = lp_solve(lp)
-            assert out.status.value == status
-            if status == "optimal":
-                assert out.value == value
+        for fractional in (False, True):
+            rng = random.Random(13)
+            for _ in range(40):
+                lp = gens.random_bounded_lp(rng, fractional)
+                status, value = gens.vertex_enumeration_minimum(lp)
+                out = lp_solve(lp)
+                assert out.status.value == status
+                if status == "optimal":
+                    assert out.value == value
 
     def test_degenerate_cycling_guard(self):
         # classic degenerate instance; Bland's rule must terminate
@@ -176,35 +222,36 @@ class TestLpSolve:
 
 class TestCertificate:
     def test_multipliers_prove_optimality(self):
-        rng = random.Random(17)
-        checked = 0
-        while checked < 30:
-            lp = gens.random_bounded_lp(rng)
-            out = lp_solve(lp)
-            if not out.is_optimal:
-                continue
-            mu, lam = optimality_certificate(lp, out)
-            assert all(l >= 0 for l in lam)
-            # complementary slackness: multipliers vanish off the tight set
-            for i, l in enumerate(lam):
-                if i not in out.tight_inequalities:
-                    assert l == 0
-            # stationarity
-            for d in range(lp.dimension):
-                total = lp.objective[d]
-                total += sum(
-                    m * lp.equalities[e][0][d] for e, m in enumerate(mu)
-                )
-                total += sum(
-                    l * lp.inequalities[i][0][d] for i, l in enumerate(lam)
-                )
-                assert total == 0
-            # dual value equals primal value
-            dual = -sum(
-                m * lp.equalities[e][1] for e, m in enumerate(mu)
-            ) - sum(l * lp.inequalities[i][1] for i, l in enumerate(lam))
-            assert dual == out.value
-            checked += 1
+        for fractional in (False, True):
+            rng = random.Random(17)
+            checked = 0
+            while checked < 30:
+                lp = gens.random_bounded_lp(rng, fractional)
+                out = lp_solve(lp)
+                if not out.is_optimal:
+                    continue
+                mu, lam = optimality_certificate(lp, out)
+                assert all(l >= 0 for l in lam)
+                # complementary slackness: multipliers vanish off the tight set
+                for i, l in enumerate(lam):
+                    if i not in out.tight_inequalities:
+                        assert l == 0
+                # stationarity
+                for d in range(lp.dimension):
+                    total = lp.objective[d]
+                    total += sum(
+                        m * lp.equalities[e][0][d] for e, m in enumerate(mu)
+                    )
+                    total += sum(
+                        l * lp.inequalities[i][0][d] for i, l in enumerate(lam)
+                    )
+                    assert total == 0
+                # dual value equals primal value
+                dual = -sum(
+                    m * lp.equalities[e][1] for e, m in enumerate(mu)
+                ) - sum(l * lp.inequalities[i][1] for i, l in enumerate(lam))
+                assert dual == out.value
+                checked += 1
 
 
 class TestFeasible:
