@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactlp import ExtendedRational, Vector
+from .exactlp import Vector
 from .model import (
     DcProblem,
     MaxAffine,
@@ -90,14 +90,6 @@ def parse_csv_vector(text: str, dimension: int) -> Vector:
             f"{dimension}"
         )
     return tuple(parse_rational(p, f"coordinate {k}") for k, p in enumerate(parts))
-
-
-def fmt_rational(value: Fraction) -> str:
-    return str(value)
-
-
-def fmt_extended(value: ExtendedRational) -> str:
-    return str(value)
 
 
 def fmt_vector(v: Sequence[Fraction]) -> list[str]:
@@ -201,10 +193,10 @@ def parse_problem(text: str) -> DcProblem:
 def _set_document(s: PolyhedralSet) -> dict:
     return {
         "eq": [
-            {"a": fmt_vector(a), "y": fmt_rational(y)} for a, y in s.equalities
+            {"a": fmt_vector(a), "y": str(y)} for a, y in s.equalities
         ],
         "ineq": [
-            {"a": fmt_vector(a), "b": fmt_rational(b)} for a, b in s.inequalities
+            {"a": fmt_vector(a), "b": str(b)} for a, b in s.inequalities
         ],
     }
 
@@ -212,7 +204,7 @@ def _set_document(s: PolyhedralSet) -> dict:
 def _function_document(f: MaxAffine) -> dict:
     return {
         "pieces": [
-            {"u": fmt_vector(u), "alpha": fmt_rational(alpha)}
+            {"u": fmt_vector(u), "alpha": str(alpha)}
             for u, alpha in f.pieces
         ],
         "domain": None if f.domain.is_whole_space else _set_document(f.domain),
@@ -241,12 +233,12 @@ def emit_report(report: dict) -> str:
 def _structure_report(result: SolutionStructure) -> dict:
     return {
         "command": "structure",
-        "alpha_bar": fmt_extended(result.alpha_bar),
+        "alpha_bar": str(result.alpha_bar),
         "J_star": sorted(result.J_star),
         "global_pieces": [
             {
                 "j": r.piece,
-                "alpha": fmt_extended(r.value),
+                "alpha": str(r.value),
                 "face": None if r.face is None else _set_document(r.face),
                 "witness": None if r.witness is None else fmt_vector(r.witness),
             }
@@ -265,7 +257,7 @@ def _structure_report(result: SolutionStructure) -> dict:
             {
                 "pieces": list(c.pieces),
                 "representative": fmt_vector(c.representative),
-                "f": fmt_rational(c.value),
+                "f": str(c.value),
             }
             for c in result.components
         ],
@@ -393,7 +385,7 @@ def _cmd_dca(args) -> int:
             {
                 "x": fmt_vector(it.x),
                 "xi": fmt_vector(it.xi),
-                "f": fmt_rational(it.value),
+                "f": str(it.value),
             }
             for it in trace.iterates
         ],
@@ -421,15 +413,15 @@ def _cmd_dual(args) -> int:
         report = {
             "command": "dual",
             "xi": fmt_vector(xi),
-            "dual_value": fmt_extended(dual_objective(prob, xi)),
+            "dual_value": str(dual_objective(prob, xi)),
         }
     else:
         result = toland_singer_check(prob)
         report = {
             "command": "dual",
-            "primal_value": fmt_extended(result.primal_value),
+            "primal_value": str(result.primal_value),
             "candidates": [
-                {"xi": fmt_vector(xi), "value": fmt_extended(value)}
+                {"xi": fmt_vector(xi), "value": str(value)}
                 for xi, value in result.candidates
             ],
             "attained_at": (
@@ -448,7 +440,7 @@ def _cmd_verify(args) -> int:
     result = grid_cross_check(prob, step)
     report = {
         "command": "verify",
-        "grid_step": fmt_rational(result.step),
+        "grid_step": str(result.step),
         "points_in_set": result.points_in_set,
         "pieces_checked": result.pieces_checked,
         "failures": [

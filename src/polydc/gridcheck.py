@@ -65,7 +65,6 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
         raise PolydcError("grid cross-checks support dimension 1 and 2 only")
 
     try:
-        structure.check_structure_hypotheses(prob)
         pieces = structure.local_pieces(prob)
         pieces_checked = True
     except structure.HypothesisNotMet:

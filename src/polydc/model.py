@@ -91,8 +91,9 @@ class PolyhedralSet:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        eqs = tuple((vector(a), frac(y)) for a, y in self.equalities)
-        ineqs = tuple((vector(a), frac(b)) for a, b in self.inequalities)
+        # tuples from lists, not generators: see exactlp.vector
+        eqs = tuple([(vector(a), frac(y)) for a, y in self.equalities])
+        ineqs = tuple([(vector(a), frac(b)) for a, b in self.inequalities])
         for a, _ in itertools.chain(eqs, ineqs):
             if len(a) != self.dimension:
                 raise DimensionMismatch(
@@ -259,10 +260,11 @@ class ConvexBody:
     lineality: tuple[Vector, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(vector(p) for p in self.points))
-        object.__setattr__(self, "rays", tuple(vector(r) for r in self.rays))
+        # tuples from lists, not generators: see exactlp.vector
+        object.__setattr__(self, "points", tuple([vector(p) for p in self.points]))
+        object.__setattr__(self, "rays", tuple([vector(r) for r in self.rays]))
         object.__setattr__(
-            self, "lineality", tuple(vector(l) for l in self.lineality)
+            self, "lineality", tuple([vector(l) for l in self.lineality])
         )
         for gen in itertools.chain(self.points, self.rays, self.lineality):
             if len(gen) != self.dimension:
@@ -410,7 +412,8 @@ class MaxAffine:
     domain: PolyhedralSet
 
     def __post_init__(self):
-        pieces = tuple((vector(u), frac(alpha)) for u, alpha in self.pieces)
+        # a tuple from a list, not a generator: see exactlp.vector
+        pieces = tuple([(vector(u), frac(alpha)) for u, alpha in self.pieces])
         if not pieces:
             raise ValueError("a max-affine function needs at least one piece")
         if len(set(pieces)) != len(pieces):
@@ -512,9 +515,6 @@ class MaxAffine:
         if outcome.status is LpStatus.UNBOUNDED:
             return PLUS_INF
         return ExtendedRational.finite(-outcome.value)
-
-    def restrict_to(self, C: PolyhedralSet) -> "MaxAffine":
-        return restrict_sum(self, C)
 
 
 def restrict_sum(g: MaxAffine, C: PolyhedralSet) -> MaxAffine:

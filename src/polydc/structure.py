@@ -13,7 +13,10 @@ Both constructions require dom(g) and int(dom(h)) to contain C; the checks
 name the violated constraint.  Decisions about semi-closed sets (emptiness,
 containment, adjacency of closures) are made exactly by maximizing the
 margin of the strict rows with an LP; a semi-closed system has a point iff
-the margin is positive.
+the margin is positive.  Containment P ⊆ Q asks, per live branch of P,
+whether a member of P violates a closed row of Q; a row that is already in
+the branch's own system (a row of C, of dom g, or of a face shared by both
+J1 sets) holds at every member, so only the other rows of Q cost an LP.
 """
 
 from __future__ import annotations
@@ -198,7 +201,7 @@ def global_solutions(
     results = [solve_linearization(prob, j, shifted=True) for j in prob.h.indices]
     alpha_bar = min(r.value for r in results)
     J_star = frozenset(r.piece for r in results if r.value == alpha_bar)
-    pieces = tuple(r for r in results if r.piece in J_star)
+    pieces = tuple([r for r in results if r.piece in J_star])  # see exactlp.vector
     return alpha_bar, J_star, pieces
 
 
@@ -228,7 +231,8 @@ def build_piece(
     Nonemptiness is decided anchor by anchor: the piece has a member with
     anchor j0 active iff the j0 branch's strict rows admit positive margin.
     """
-    branches = tuple(_branch_for(h, closed_part, J1, j0) for j0 in sorted(J1))
+    # a tuple from a list, not a generator: see exactlp.vector
+    branches = tuple([_branch_for(h, closed_part, J1, j0) for j0 in sorted(J1)])
     witnesses = []
     for branch in branches:
         w = _strict_witness(
@@ -250,31 +254,33 @@ def build_piece(
 
 
 def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
-    """Exact containment of member sets of two semi-closed pieces."""
+    """Exact containment of member sets of two semi-closed pieces.
+
+    A member of P satisfies every row of its branch's system, so a closed
+    row of Q that is already a row of that system cannot be violated and
+    needs no LP; each remaining row of Q is tested once.
+    """
     n = P.dimension
     live = {anchor for anchor, _ in P.branch_witnesses}
     for branch in P.branches:
         if branch.anchor not in live:
             continue
         # a member of P violating a closed constraint of Q
-        for a, y in Q.closed_part.equalities:
-            for violation in ((a, y), (vneg(a), -y)):  # a.x < y or a.x > y
-                if (
-                    _strict_witness(
-                        branch.equalities,
-                        branch.weak,
-                        branch.strict + (violation,),
-                        n,
-                    )
-                    is not None
-                ):
-                    return False
-        for a, b in Q.closed_part.inequalities:
+        own_equalities = set(branch.equalities)
+        own_weak = set(branch.weak)
+        violations = []
+        for a, y in dict.fromkeys(Q.closed_part.equalities):
+            if (a, y) not in own_equalities:
+                violations += [(a, y), (vneg(a), -y)]  # a.x < y or a.x > y
+        for a, b in dict.fromkeys(Q.closed_part.inequalities):
+            if (a, b) not in own_weak:
+                violations.append((vneg(a), -b))
+        for violation in violations:
             if (
                 _strict_witness(
                     branch.equalities,
                     branch.weak,
-                    branch.strict + ((vneg(a), -b),),
+                    branch.strict + (violation,),
                     n,
                 )
                 is not None
@@ -316,6 +322,9 @@ def local_pieces(
 
     Every nonempty subset J1 of h's piece indices is tried; pieces whose
     member sets are provably equal are merged, keeping the smallest J1.
+    Equality is containment both ways, and each containment LP tests one
+    row of the other piece's closed part that the branch does not already
+    impose, so faces shared by the two J1 sets cost nothing.
     Under the containment hypotheses the union of the returned pieces is
     exactly the local solution set.
     """

@@ -1,8 +1,10 @@
 """Solution-set decomposition: linearizations, pieces, components, paths."""
 
 import itertools
+import pathlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -14,10 +16,14 @@ from polydc import (
     PolyhedralSet,
     is_stationary,
 )
-from polydc.exactlp import ExtendedRational, dot
+from polydc import exactlp, model, structure
+from polydc.cli import parse_problem
+from polydc.exactlp import ExtendedRational, dot, vneg, vsub
 from polydc.structure import (
     EnumerationCapExceeded,
     HypothesisNotMet,
+    _piece_subset,
+    _strict_witness,
     build_piece,
     components,
     global_solutions,
@@ -223,6 +229,142 @@ class TestLocalPieces:
             else:
                 assert value > alpha_bar.as_fraction()
             x += step
+
+
+def _full_row_piece_subset(P, Q):
+    """Reference containment test: one strict-margin LP per closed row of
+    Q, duplicates and rows P already imposes included."""
+    n = P.dimension
+    live = {anchor for anchor, _ in P.branch_witnesses}
+    for branch in P.branches:
+        if branch.anchor not in live:
+            continue
+
+        def meets(extra_weak=(), extra_strict=()):
+            return (
+                _strict_witness(
+                    branch.equalities,
+                    branch.weak + tuple(extra_weak),
+                    branch.strict + tuple(extra_strict),
+                    n,
+                )
+                is not None
+            )
+
+        for a, y in Q.closed_part.equalities:
+            if meets(extra_strict=[(a, y)]) or meets(extra_strict=[(vneg(a), -y)]):
+                return False
+        for a, b in Q.closed_part.inequalities:
+            if meets(extra_strict=[(vneg(a), -b)]):
+                return False
+        for j_extra in sorted(P.J1 - Q.J1):
+            v_extra, beta_extra = P.h.piece(j_extra)
+            rows = [
+                (vsub(P.h.piece(j)[0], v_extra), beta_extra - P.h.piece(j)[1])
+                for j in P.h.indices
+                if j != j_extra
+            ]
+            if meets(extra_weak=rows):
+                return False
+    return True
+
+
+def _lattice_pieces(prob):
+    """Every nonempty build_piece result over the J1 lattice, in the order
+    local_pieces tries them (by size, then lexicographic)."""
+    omega = {
+        j: solve_linearization(prob, j, shifted=False) for j in prob.h.indices
+    }
+    out = []
+    for size in range(1, len(prob.h.pieces) + 1):
+        for combo in itertools.combinations(prob.h.indices, size):
+            if any(omega[j].face is None for j in combo):
+                continue
+            faces = [omega[j].face for j in combo]
+            closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
+            piece = build_piece(prob.h, closed_part, frozenset(combo))
+            if piece is not None:
+                out.append(piece)
+    return out
+
+
+class TestPieceContainment:
+    """The containment test skips rows a branch already imposes; the
+    reference tests every row.  Both must decide every pair alike."""
+
+    def _instances(self):
+        rng = random.Random(60221)
+        dc = [gens.random_dc_instance(rng, n_max=2) for _ in range(30)]
+        grid = [gens.random_grid_instance(rng) for _ in range(30)]
+        return dc + grid
+
+    def test_agrees_with_full_row_reference(self):
+        decisions = {True: 0, False: 0}
+        for prob in self._instances():
+            lattice = _lattice_pieces(prob)
+            subset = {}
+            for (i, P), (k, Q) in itertools.permutations(enumerate(lattice), 2):
+                subset[i, k] = _full_row_piece_subset(P, Q)
+                assert _piece_subset(P, Q) == subset[i, k], (prob, P.J1, Q.J1)
+                decisions[subset[i, k]] += 1
+            # merge equal member sets, keeping the first of each class
+            merged = []
+            for i in range(len(lattice)):
+                if not any(subset[i, k] and subset[k, i] for k in merged):
+                    merged.append(i)
+            expected = sorted(
+                [(lattice[i].J1, lattice[i].closed_part, lattice[i].witness)
+                 for i in merged],
+                key=lambda entry: sorted(entry[0]),
+            )
+            assert [
+                (p.J1, p.closed_part, p.witness) for p in local_pieces(prob)
+            ] == expected
+        # both verdicts occur, so neither side can pass by answering one way
+        assert decisions[True] > 0 and decisions[False] > 0
+
+    def test_hand_built_pieces_with_equality_rows(self):
+        # Q's equality x = 1 is a weak row of P = [0, 1], not an equality
+        # of P, so it is still tested: P has members with x < 1, and
+        # S = [1, 2] has members with x > 1
+        h = MaxAffine.constant(0, 1)
+        one = frozenset({1})
+        at_one = ((vec(1), F(1)),)
+        P = build_piece(h, PolyhedralSet.box([F(0)], [F(1)]), one)
+        S = build_piece(h, PolyhedralSet.box([F(1)], [F(2)]), one)
+        Q = build_piece(h, PolyhedralSet(1, equalities=at_one), one)
+        R = build_piece(h, PolyhedralSet(1, at_one, at_one), one)
+        cases = [
+            (P, Q, False),
+            (S, Q, False),
+            (Q, P, True),
+            (Q, S, True),
+            (P, R, False),
+            (R, P, True),
+            (Q, R, True),
+            (R, Q, True),
+        ]
+        for A, B, verdict in cases:
+            assert _full_row_piece_subset(A, B) is verdict
+            assert _piece_subset(A, B) is verdict
+
+    def test_interval_lp_budget(self, monkeypatch):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        prob = parse_problem(
+            (root / "problems" / "interval.json").read_text(encoding="utf-8")
+        )
+        calls = []
+        original = exactlp.lp_solve
+
+        def counting(lp):
+            calls.append(lp)
+            return original(lp)
+
+        for module in (exactlp, model, structure):
+            monkeypatch.setattr(module, "lp_solve", counting)
+        assert [sorted(p.J1) for p in local_pieces(prob)] == [[1], [2], [3]]
+        # the full-row containment test needed 45 LPs here
+        assert len(calls) <= 22
 
 
 class TestComponents:
