@@ -69,11 +69,13 @@ def toland_singer_check(prob: DcProblem, max_iter: int = 200) -> DualReport:
         scored.append((xi, value))
 
     attained = None
-    # prefer gradients active at a global solution witness
+    # prefer gradients active at a global solution witness; every piece
+    # gradient of h is a candidate, so its value is already scored
+    values = dict(scored)
     for witness in witnesses:
         for j in sorted(prob.h.active_indices(witness)):
             xi = prob.h.piece(j)[0]
-            if dual_objective(prob, xi) == alpha_bar:
+            if values[xi] == alpha_bar:
                 attained = xi
                 break
         if attained is not None:

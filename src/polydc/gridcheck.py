@@ -77,9 +77,11 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
         if any(o != 0 for o in offs)
     ]
     failures = []
+    count = 0
     for point in _grid_points(prob, step):
         if not prob.C.contains(point):
             continue
+        count += 1
         if not (
             prob.g.domain.contains(point) and prob.h.domain.contains(point)
         ):
@@ -129,9 +131,6 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
                         f"membership={in_union}",
                     )
                 )
-    count = sum(
-        1 for point in _grid_points(prob, step) if prob.C.contains(point)
-    )
     return GridReport(
         step=step,
         points_in_set=count,

@@ -122,11 +122,30 @@ class PolyhedralSet:
     def is_whole_space(self) -> bool:
         return not self.equalities and not self.inequalities
 
+    def tight_rows(self, x: Sequence) -> Optional[list[Vector]]:
+        """Normals of the inequalities tight at x, or None when x is outside.
+
+        One pass over the rows: every equality and inequality row is
+        evaluated once.
+        """
+        return self._tight_rows(_check_dimension(x, self.dimension))
+
+    def _tight_rows(self, x: Vector) -> Optional[list[Vector]]:
+        """`tight_rows` of a point already coerced by `_check_dimension`."""
+        for a, y in self.equalities:
+            if dot(a, x) != y:
+                return None
+        tight = []
+        for a, b in self.inequalities:
+            value = dot(a, x)
+            if value > b:
+                return None
+            if value == b:
+                tight.append(a)
+        return tight
+
     def contains(self, x: Sequence) -> bool:
-        x = _check_dimension(x, self.dimension)
-        return all(dot(a, x) == y for a, y in self.equalities) and all(
-            dot(a, x) <= b for a, b in self.inequalities
-        )
+        return self.tight_rows(x) is not None
 
     def is_interior_point(self, x: Sequence) -> bool:
         """Exact test for membership in the topological interior.
@@ -134,12 +153,18 @@ class PolyhedralSet:
         A nonzero equality row forces an empty interior; otherwise x is
         interior iff it satisfies every inequality strictly.
         """
-        x = _check_dimension(x, self.dimension)
-        if not self.contains(x):
+        return self._is_interior(self.tight_rows(x))
+
+    def _is_interior(self, tight: Optional[Sequence[Vector]]) -> bool:
+        """Interiority of a point from its `tight_rows` result."""
+        if tight is None or tight:
             return False
-        if any(any(c != 0 for c in a) for a, _ in self.equalities):
-            return False
-        return all(dot(a, x) < b for a, b in self.inequalities)
+        return not any(any(c != 0 for c in a) for a, _ in self.equalities)
+
+    def _lineality(self) -> tuple[Vector, ...]:
+        """Basis of the span of the equality rows (the normal cone's
+        lineality space at every member point)."""
+        return tuple(row_space_basis([a for a, _ in self.equalities]))
 
     def feasible_point(self) -> Optional[Vector]:
         return lp_feasible(self.equalities, self.inequalities, self.dimension)
@@ -163,16 +188,14 @@ class PolyhedralSet:
         space is spanned by the equality rows (the orthogonal complement of
         the kernel of the equality matrix).
         """
-        x = _check_dimension(x, self.dimension)
-        if not self.contains(x):
+        tight = self.tight_rows(x)
+        if tight is None:
             raise OutsideDomain("normal cone requested at a point outside the set")
-        rays = tuple(a for a, b in self.inequalities if dot(a, x) == b)
-        lineality = tuple(row_space_basis([a for a, _ in self.equalities]))
         return ConvexBody(
             dimension=self.dimension,
             points=(zero_vector(self.dimension),),
-            rays=rays,
-            lineality=lineality,
+            rays=tight,
+            lineality=self._lineality(),
         )
 
     def support_value(self, direction: Sequence) -> ExtendedRational:
@@ -471,9 +494,15 @@ class MaxAffine:
         x = _check_dimension(x, self.dimension)
         if not self.domain.contains(x):
             raise OutsideDomain("active set requested outside the domain")
+        return frozenset(j + 1 for j in self._active_positions(x))
+
+    def _active_positions(self, x: Vector) -> list[int]:
+        """0-based positions, ascending, of the pieces attaining the max at
+        a point already checked to lie in the domain; one pass over the
+        pieces."""
         values = [dot(u, x) + alpha for u, alpha in self.pieces]
         top = max(values)
-        return frozenset(j + 1 for j, v in enumerate(values) if v == top)
+        return [j for j, v in enumerate(values) if v == top]
 
     def subdifferential(self, x: Sequence) -> ConvexBody:
         """conv of active piece gradients plus the domain's normal cone.
@@ -481,13 +510,15 @@ class MaxAffine:
         At interior points of the domain the normal-cone part is {0} and
         the result is exactly the hull of the active gradients.
         """
-        active = self.active_indices(x)
-        cone = self.domain.normal_cone(x)
+        x = _check_dimension(x, self.dimension)
+        tight = self.domain._tight_rows(x)
+        if tight is None:
+            raise OutsideDomain("active set requested outside the domain")
         return ConvexBody(
             dimension=self.dimension,
-            points=tuple(self.pieces[j - 1][0] for j in sorted(active)),
-            rays=cone.rays,
-            lineality=cone.lineality,
+            points=[self.pieces[j][0] for j in self._active_positions(x)],
+            rays=tight,
+            lineality=self.domain._lineality(),
         )
 
     def conjugate_value(self, xi: Sequence) -> ExtendedRational:

@@ -9,7 +9,11 @@ Three nested conditions are decided exactly at a feasible point x:
                without that interiority the classifier refuses to assert
                local optimality (stationarity failing still means "no").
 
-All set comparisons reduce to rational LPs over generator weights.
+All three are decided on one pair of subdifferentials, built once per
+point by `_subdifferentials`; `classify`, `is_critical`, `is_stationary`
+and `is_local_solution` (which returns `classify`'s verdict) share that
+one path.  All set comparisons reduce to rational LPs over generator
+weights.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import ConvexBody, DcProblem, Vector
+from .model import ConvexBody, DcProblem, Vector, _check_dimension
 
 
 class LocalStatus(Enum):
@@ -71,29 +75,63 @@ def subdifferential_g_plus_indicator(prob: DcProblem, x: Sequence) -> ConvexBody
     return prob.g.subdifferential(x).minkowski_sum(prob.C.normal_cone(x))
 
 
+def _tight_rows(prob: DcProblem, x: Vector) -> tuple:
+    """Tight inequality normals of dom g, dom h and C at a coerced x, in
+    that order; None for a set that x lies outside."""
+    return (
+        prob.g.domain._tight_rows(x),
+        prob.h.domain._tight_rows(x),
+        prob.C._tight_rows(x),
+    )
+
+
+def _subdifferentials(
+    prob: DcProblem, x: Vector, tight: tuple
+) -> tuple[ConvexBody, ConvexBody]:
+    """The subdifferentials of h and of g + indicator(C) at a point of
+    dom g ∩ dom h ∩ C, given `_tight_rows(prob, x)`.
+
+    The second one, the subdifferential of g plus the normal cone of C, is
+    written down directly with its generators in the order
+    `ConvexBody.minkowski_sum` gives them: active gradients of g, tight
+    rows of dom g then of C, lineality of dom g then of C.  Every LP posed
+    on the pair is therefore the one the sum would pose.
+    """
+    tight_g, tight_h, tight_C = tight
+    g, h = prob.g, prob.h
+    dh = ConvexBody(
+        prob.dimension,
+        points=[h.pieces[j][0] for j in h._active_positions(x)],
+        rays=tight_h,
+        lineality=h.domain._lineality(),
+    )
+    dgc = ConvexBody(
+        prob.dimension,
+        points=[g.pieces[j][0] for j in g._active_positions(x)],
+        rays=tight_g + tight_C,
+        lineality=g.domain._lineality() + prob.C._lineality(),
+    )
+    return dh, dgc
+
+
 def is_critical(prob: DcProblem, x: Sequence) -> bool:
     x = prob.require_classifiable(x)
-    witness = bodies_intersect(
-        subdifferential_h(prob, x), subdifferential_g_plus_indicator(prob, x)
-    )
-    return witness is not None
+    dh, dgc = _subdifferentials(prob, x, _tight_rows(prob, x))
+    return dh.intersection_witness(dgc) is not None
 
 
 def is_stationary(prob: DcProblem, x: Sequence) -> bool:
     x = prob.require_classifiable(x)
-    return body_in_body(
-        subdifferential_h(prob, x), subdifferential_g_plus_indicator(prob, x)
-    )
+    dh, dgc = _subdifferentials(prob, x, _tight_rows(prob, x))
+    return dh.issubset(dgc)
 
 
 def is_local_solution(prob: DcProblem, x: Sequence) -> LocalStatus:
-    x = prob.require_classifiable(x)
-    stationary = is_stationary(prob, x)
-    if not stationary:
-        return LocalStatus.NO
-    if prob.h.domain.is_interior_point(x):
-        return LocalStatus.YES
-    return LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+    """The `local` verdict of `classify`; raises at an infeasible point."""
+    result = classify(prob, x)
+    if not result.feasible:
+        prob.require_classifiable(x)  # raises, naming the set x is outside
+    return result.local
 
 
 def classify(
@@ -103,6 +141,10 @@ def classify(
 ) -> Classification:
     """Aggregate classification of one point.
 
+    x is coerced once, every row of C, dom g and dom h and every piece of
+    g and h is evaluated once, and critical and stationary are decided on
+    the one pair of subdifferentials this gives.
+
     With compute_global the global solution value is obtained from the
     solution-set decomposition and compared with f(x); a point achieving
     the optimal value is upgraded to local=YES even when the interiority
@@ -111,16 +153,13 @@ def classify(
     """
     from . import structure  # deferred: structure sits above this module
 
-    feasible = (
-        prob.C.contains(x)
-        and prob.g.domain.contains(x)
-        and prob.h.domain.contains(x)
-    )
+    x = _check_dimension(x, prob.dimension)
+    tight = _tight_rows(prob, x)
     flags = HypothesisFlags(
-        interior_dom_g=prob.g.domain.is_interior_point(x),
-        interior_dom_h=prob.h.domain.is_interior_point(x),
+        interior_dom_g=prob.g.domain._is_interior(tight[0]),
+        interior_dom_h=prob.h.domain._is_interior(tight[1]),
     )
-    if not feasible:
+    if any(rows is None for rows in tight):
         global_ = GlobalStatus.NO if compute_global else GlobalStatus.NOT_COMPUTED
         return Classification(
             feasible=False,
@@ -130,8 +169,9 @@ def classify(
             global_=global_,
             hypothesis_flags=flags,
         )
-    critical = is_critical(prob, x)
-    stationary = is_stationary(prob, x) if critical else False
+    dh, dgc = _subdifferentials(prob, x, tight)
+    critical = dh.intersection_witness(dgc) is not None
+    stationary = critical and dh.issubset(dgc)
     if not stationary:
         local = LocalStatus.NO
     elif flags.interior_dom_h:

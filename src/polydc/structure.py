@@ -2,7 +2,8 @@
 
 Fixing one affine piece h_j of h and minimizing (g + indicator(C)) - h_j is
 a convex program; its value alpha_j and optimal face S^j are computed by a
-single epigraph LP per piece.  The smallest alpha_j is the optimal value of
+single epigraph LP per piece, which `solution_structure` solves once for
+both constructions below.  The smallest alpha_j is the optimal value of
 the DC program and the union of the minimizing faces is the global solution
 set.  The local solution set is a finite union of semi-closed pieces, one
 per subset J1 of piece indices: a closed polyhedron (the intersection of the
@@ -75,6 +76,10 @@ class LinearizationResult:
     witness: Optional[Vector]
 
 
+# the unshifted and the shifted result of one piece of h
+_Pair = tuple[LinearizationResult, LinearizationResult]
+
+
 @dataclass(frozen=True)
 class _Branch:
     """One anchor's system for a semi-closed piece: the anchor piece is a
@@ -132,17 +137,18 @@ class SemiClosedPiece:
         return self.closed_part.dimension
 
 
-def solve_linearization(
-    prob: DcProblem, j: int, shifted: bool = True
-) -> LinearizationResult:
-    """Minimize (g + indicator(C))(x) - v_j.x (- beta_j when shifted).
+def _linearize(prob: DcProblem, j: int) -> _Pair:
+    """The unshifted and the shifted result for piece j, from one LP.
 
-    The optimal face is written down without projection by substituting the
-    epigraph variable: at any optimum t equals g(x), so the face is cut out
-    by u_i.x + alpha_i <= v_j.x + shift + value for every piece i of g.
+    Minimizes (g + indicator(C))(x) - v_j.x; the shifted value subtracts
+    beta_j as well.  The LP, the optimal face and the witness do not depend
+    on the shift, so both results share them.  The optimal face is written
+    down without projection by substituting the epigraph variable: at any
+    optimum t equals g(x), so the face is cut out by
+    u_i.x + alpha_i <= v_j.x + value for every piece i of g, where value is
+    the unshifted one.
     """
     v, beta = prob.h.piece(j)
-    shift = beta if shifted else ZERO
     n = prob.dimension
     equalities = [(a + (ZERO,), y) for a, y in prob.C.equalities]
     equalities += [(a + (ZERO,), y) for a, y in prob.g.domain.equalities]
@@ -163,19 +169,34 @@ def solve_linearization(
             "linearized subproblem infeasible despite the standing assumption"
         )
     if outcome.status is LpStatus.UNBOUNDED:
-        return LinearizationResult(j, shifted, MINUS_INF, None, None)
-    value = outcome.value - shift
+        return (
+            LinearizationResult(j, False, MINUS_INF, None, None),
+            LinearizationResult(j, True, MINUS_INF, None, None),
+        )
     face_rows = list(prob.C.inequalities) + list(prob.g.domain.inequalities)
     for u, alpha in prob.g.pieces:
-        face_rows.append((vsub(u, v), shift + value - alpha))
+        face_rows.append((vsub(u, v), outcome.value - alpha))
     face = PolyhedralSet(
         n,
         equalities=prob.C.equalities + prob.g.domain.equalities,
         inequalities=tuple(face_rows),
     )
-    return LinearizationResult(
-        j, shifted, ExtendedRational.finite(value), face, outcome.point[:n]
+    witness = outcome.point[:n]
+    return (
+        LinearizationResult(
+            j, False, ExtendedRational.finite(outcome.value), face, witness
+        ),
+        LinearizationResult(
+            j, True, ExtendedRational.finite(outcome.value - beta), face, witness
+        ),
     )
+
+
+def solve_linearization(
+    prob: DcProblem, j: int, shifted: bool = True
+) -> LinearizationResult:
+    """Minimize (g + indicator(C))(x) - v_j.x (- beta_j when shifted)."""
+    return _linearize(prob, j)[shifted]
 
 
 def check_structure_hypotheses(prob: DcProblem) -> None:
@@ -189,16 +210,27 @@ def check_structure_hypotheses(prob: DcProblem) -> None:
         )
 
 
+def _linearize_all(prob: DcProblem) -> tuple[_Pair, ...]:
+    # a tuple from a list, not a generator: see exactlp.vector
+    return tuple([_linearize(prob, j) for j in prob.h.indices])
+
+
 def global_solutions(
     prob: DcProblem,
+    linearized: Optional[Sequence[_Pair]] = None,
 ) -> tuple[ExtendedRational, frozenset[int], tuple[LinearizationResult, ...]]:
     """Optimal value, minimizing piece indices, and their optimal faces.
 
     When some linearized subproblem is unbounded the DC program is
     unbounded: the value is -inf and the solution set is empty.
+    `linearized`, the `_linearize` pairs of every piece of h, comes from a
+    caller that has checked the hypotheses already; without it both the
+    check and the LPs run here.
     """
-    check_structure_hypotheses(prob)
-    results = [solve_linearization(prob, j, shifted=True) for j in prob.h.indices]
+    if linearized is None:
+        check_structure_hypotheses(prob)
+        linearized = _linearize_all(prob)
+    results = [shifted for _, shifted in linearized]
     alpha_bar = min(r.value for r in results)
     J_star = frozenset(r.piece for r in results if r.value == alpha_bar)
     pieces = tuple([r for r in results if r.piece in J_star])  # see exactlp.vector
@@ -316,7 +348,9 @@ def _same_member_set(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
 
 
 def local_pieces(
-    prob: DcProblem, cap: int = DEFAULT_ENUMERATION_CAP
+    prob: DcProblem,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    linearized: Optional[Sequence[_Pair]] = None,
 ) -> tuple[SemiClosedPiece, ...]:
     """All nonempty semi-closed pieces of the local solution set.
 
@@ -326,17 +360,19 @@ def local_pieces(
     row of the other piece's closed part that the branch does not already
     impose, so faces shared by the two J1 sets cost nothing.
     Under the containment hypotheses the union of the returned pieces is
-    exactly the local solution set.
+    exactly the local solution set.  `linearized` is as in
+    `global_solutions`.
     """
-    check_structure_hypotheses(prob)
+    if linearized is None:
+        check_structure_hypotheses(prob)
     q = len(prob.h.pieces)
     if q > cap:
         raise EnumerationCapExceeded(
             f"h has {q} pieces; subset enumeration is capped at {cap}"
         )
-    omega = {
-        j: solve_linearization(prob, j, shifted=False) for j in prob.h.indices
-    }
+    if linearized is None:
+        linearized = _linearize_all(prob)
+    omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
     kept: list[SemiClosedPiece] = []
     for size in range(1, q + 1):
         for combo in itertools.combinations(prob.h.indices, size):
@@ -570,7 +606,9 @@ class SolutionStructure:
 def solution_structure(
     prob: DcProblem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SolutionStructure:
-    alpha_bar, J_star, global_pieces = global_solutions(prob)
-    pieces = local_pieces(prob, cap=cap)
+    check_structure_hypotheses(prob)
+    linearized = _linearize_all(prob)
+    alpha_bar, J_star, global_pieces = global_solutions(prob, linearized)
+    pieces = local_pieces(prob, cap, linearized)
     comps = components(prob, pieces)
     return SolutionStructure(alpha_bar, J_star, global_pieces, pieces, comps)

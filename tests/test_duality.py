@@ -14,6 +14,7 @@ from polydc import (
     run,
     toland_singer_check,
 )
+from polydc import duality
 from polydc.exactlp import ExtendedRational, dot
 
 import gens
@@ -101,6 +102,22 @@ class TestTolandSinger:
             report = toland_singer_check(prob)
             for _, value in report.candidates:
                 assert value >= report.primal_value
+
+
+    def test_each_candidate_is_scored_once(self, interval_problem, monkeypatch):
+        scored = []
+        original = duality.dual_objective
+
+        def counting(prob, xi):
+            scored.append(xi)
+            return original(prob, xi)
+
+        monkeypatch.setattr(duality, "dual_objective", counting)
+        rng = random.Random(61)
+        for prob in [interval_problem] + [gens.random_dc_instance(rng) for _ in range(6)]:
+            scored.clear()
+            report = toland_singer_check(prob)
+            assert scored == [xi for xi, _ in report.candidates]
 
 
 class TestConjugateIdentities:

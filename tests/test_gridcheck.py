@@ -12,6 +12,7 @@ from polydc import (
     PolyhedralSet,
     grid_cross_check,
 )
+from polydc import gridcheck
 
 import gens
 from gens import vec
@@ -24,6 +25,19 @@ def test_interval_problem_checks_out(interval_problem):
     assert report.ok
     assert report.pieces_checked
     assert report.points_in_set == 41
+
+
+def test_grid_is_walked_once(interval_problem, monkeypatch):
+    walks = []
+    original = gridcheck._grid_points
+
+    def counting(prob, step):
+        walks.append(step)
+        return original(prob, step)
+
+    monkeypatch.setattr(gridcheck, "_grid_points", counting)
+    report = grid_cross_check(interval_problem, F(1, 8))
+    assert (report.points_in_set, len(walks)) == (41, 1)
 
 
 def test_random_grid_instances_check_out():

@@ -170,6 +170,22 @@ class TestMembershipAndInterior:
         line = PolyhedralSet(2, equalities=((vec(1, 0), F(0)),))
         assert not line.is_interior_point(vec(0, 1))
 
+    def test_tight_rows(self):
+        C = interval_set()
+        assert C.tight_rows(vec(0)) == []
+        assert C.tight_rows([3]) == [vec(1)]
+        assert C.tight_rows(vec(4)) is None
+        segment = PolyhedralSet(
+            2,
+            equalities=((vec(1, 1), F(0)),),
+            inequalities=((vec(1, 0), F(1)), (vec(-1, 0), F(1)), (vec(0, 1), F(1))),
+        )
+        # both rows tight at (-1, 1) in the order given; off the line: None
+        assert segment.tight_rows(vec(-1, 1)) == [vec(-1, 0), vec(0, 1)]
+        assert segment.tight_rows(vec(0, 1)) is None
+        with pytest.raises(DimensionMismatch):
+            C.tight_rows(vec(0, 0))
+
 
 class TestContainsSet:
     def test_whole_line_strictly_contains_interval(self):

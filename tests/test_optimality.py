@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from polydc import (
+    Classification,
     ConvexBody,
     DcProblem,
     GlobalStatus,
+    HypothesisFlags,
     LocalStatus,
     MaxAffine,
     OutsideDomain,
@@ -21,7 +23,8 @@ from polydc import (
     is_local_solution,
     is_stationary,
 )
-from polydc.exactlp import row_space_basis
+from polydc import exactlp, model
+from polydc.exactlp import dot, row_space_basis
 from polydc.optimality import subdifferential_g_plus_indicator, subdifferential_h
 
 import gens
@@ -230,3 +233,218 @@ class TestTwoRouteEquivalence:
         # replacing the lineality by the raw equality row changes nothing
         basis = row_space_basis([vec(1, 0)])
         assert basis == [vec(1, 0)]
+
+
+def _reference_classify(prob, x):
+    """`classify` along the route it took before it was one pass: each set
+    and function evaluated row by row and piece by piece on its own,
+    subdifferential of g plus normal cone of C by `minkowski_sum`."""
+    n = prob.dimension
+    x = tuple(F(c) for c in x)
+
+    def member(S):
+        return all(dot(a, x) == y for a, y in S.equalities) and all(
+            dot(a, x) <= b for a, b in S.inequalities
+        )
+
+    def interior(S):
+        return (
+            member(S)
+            and not any(any(c != 0 for c in a) for a, _ in S.equalities)
+            and all(dot(a, x) < b for a, b in S.inequalities)
+        )
+
+    def normal_cone(S):
+        return ConvexBody(
+            n,
+            points=(tuple([F(0)] * n),),
+            rays=tuple(a for a, b in S.inequalities if dot(a, x) == b),
+            lineality=tuple(row_space_basis([a for a, _ in S.equalities])),
+        )
+
+    def subdifferential(f):
+        cone = normal_cone(f.domain)
+        return ConvexBody(
+            n,
+            points=tuple(f.pieces[j - 1][0] for j in sorted(f.active_indices(x))),
+            rays=cone.rays,
+            lineality=cone.lineality,
+        )
+
+    flags = HypothesisFlags(interior(prob.g.domain), interior(prob.h.domain))
+    if not (member(prob.C) and member(prob.g.domain) and member(prob.h.domain)):
+        return Classification(
+            False, False, False, LocalStatus.NO, GlobalStatus.NOT_COMPUTED, flags
+        )
+    dh = subdifferential(prob.h)
+    dgc = subdifferential(prob.g).minkowski_sum(normal_cone(prob.C))
+    critical = dh.intersection_witness(dgc) is not None
+    stationary = critical and dh.issubset(dgc)
+    if not stationary:
+        local = LocalStatus.NO
+    elif flags.interior_dom_h:
+        local = LocalStatus.YES
+    else:
+        local = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+    return Classification(
+        True, critical, stationary, local, GlobalStatus.NOT_COMPUTED, flags
+    )
+
+
+def _probes(prob):
+    """Points of C's bounding box at quarter steps, one step beyond it on
+    each side: interior, boundary and outside points."""
+    lo, hi = prob.C.bounding_box()
+    axes = [
+        [l + F(k, 4) * (u - l) for k in range(-1, 6)] for l, u in zip(lo, hi)
+    ]
+    return list(itertools.product(*axes))
+
+
+def _with_domains(rng, prob):
+    """`prob` with inequality and equality rows in dom g, dom h and C.
+
+    Each row passes through a probe point, so some probes sit on its
+    boundary; dom g and C keep the centre of C's box, so they meet.
+    """
+    n = prob.dimension
+    probes = _probes(prob)
+    lo, hi = prob.C.bounding_box()
+    centre = tuple((l + u) / 2 for l, u in zip(lo, hi))
+
+    def halfspace():
+        a = tuple(F(rng.randint(-1, 1)) for _ in range(n))
+        b = dot(a, rng.choice(probes))
+        if dot(a, centre) > b:
+            a, b = tuple(-c for c in a), -b
+        return a, b
+
+    def equality():
+        a = tuple(F(rng.randint(-1, 1)) for _ in range(n))
+        return a, dot(a, centre)
+
+    def domain():
+        rows = [halfspace() for _ in range(rng.randint(0, 2))]
+        eqs = [equality()] if n == 2 and rng.random() < 0.3 else []
+        return PolyhedralSet(n, equalities=tuple(eqs), inequalities=tuple(rows))
+
+    C = prob.C.intersect(domain())
+    return DcProblem(
+        g=MaxAffine(prob.g.pieces, domain()),
+        h=MaxAffine(prob.h.pieces, domain()),
+        C=C,
+    )
+
+
+def _hand_instances():
+    # 1-D: dom h = [-1, 5/2] ends inside C = [-2, 3]; dom g = (-oo, 4]
+    h = MaxAffine(
+        ((vec(-1), F(-1)), (vec(0), F(0)), (vec(1), F(-1))),
+        PolyhedralSet(1, inequalities=((vec(-1), F(1)), (vec(1), F(5, 2)))),
+    )
+    g = MaxAffine(
+        ((vec(0), F(0)), (vec(1), F(-2))),
+        PolyhedralSet(1, inequalities=((vec(1), F(4)),)),
+    )
+    C = PolyhedralSet.box([F(-2)], [F(3)])
+    yield DcProblem(g=g, h=h, C=C)
+    # 1-D with an equality row: C = {1}
+    yield DcProblem(
+        g=g, h=h, C=PolyhedralSet(1, equalities=((vec(1), F(1)),))
+    )
+    # 2-D: C is the segment x1 + x2 = 0, |x1| <= 1; dom h cuts it at
+    # x1 = 1/2 and carries the equality row of C; dom g is x1 - x2 <= 3
+    segment = PolyhedralSet(
+        2,
+        equalities=((vec(1, 1), F(0)),),
+        inequalities=((vec(1, 0), F(1)), (vec(-1, 0), F(1))),
+    )
+    h2 = MaxAffine(
+        ((vec(0, 1), F(0)), (vec(0, -1), F(0)), (vec(1, 0), F(-1, 2))),
+        PolyhedralSet(
+            2,
+            equalities=((vec(1, 1), F(0)),),
+            inequalities=((vec(1, 0), F(1, 2)),),
+        ),
+    )
+    g2 = MaxAffine(
+        ((vec(1, 0), F(0)), (vec(-1, 1), F(0))),
+        PolyhedralSet(2, inequalities=((vec(1, -1), F(3)),)),
+    )
+    yield DcProblem(g=g2, h=h2, C=segment)
+    # the same with a full-dimensional dom h, so local=YES can occur
+    h2_full = MaxAffine(h2.pieces, PolyhedralSet.whole_space(2))
+    yield DcProblem(g=g2, h=h2_full, C=segment)
+    # dom g and C with different equality rows: both lineality spaces
+    # enter the subdifferential of g + indicator(C) at the origin
+    diagonal = PolyhedralSet(2, equalities=((vec(1, -1), F(0)),))
+    yield DcProblem(g=MaxAffine(g2.pieces, diagonal), h=h2_full, C=segment)
+
+
+class TestOnePassClassifier:
+    """`classify` evaluates each row and piece once and builds one pair of
+    subdifferentials; it must give the verdicts of the old route and pose
+    exactly its LPs."""
+
+    def _instances(self):
+        rng = random.Random(53)
+        plain = [gens.random_dc_instance(rng, n_max=2) for _ in range(30)]
+        shaped = [
+            _with_domains(rng, gens.random_dc_instance(rng, n_max=2))
+            for _ in range(30)
+        ]
+        return plain + shaped + list(_hand_instances())
+
+    def test_agrees_with_reference_and_poses_the_same_lps(self, monkeypatch):
+        posed = []
+        original = exactlp.lp_solve
+
+        def recording(lp):
+            posed.append(lp)
+            return original(lp)
+
+        for module in (exactlp, model):
+            monkeypatch.setattr(module, "lp_solve", recording)
+        seen = set()
+        instances = self._instances()
+        assert len(instances) >= 50
+        for prob in instances:
+            for x in _probes(prob):
+                posed.clear()
+                expected = _reference_classify(prob, x)
+                reference_lps = list(posed)
+                posed.clear()
+                assert classify(prob, x) == expected, (prob, x)
+                assert posed == reference_lps, (prob, x)
+                seen.add(
+                    (
+                        expected.feasible,
+                        expected.critical,
+                        expected.stationary,
+                        expected.local,
+                        expected.hypothesis_flags.interior_dom_h,
+                    )
+                )
+        no, yes = LocalStatus.NO, LocalStatus.YES
+        unknown = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+        for verdict in [
+            (False, False, False, no, False),  # outside
+            (True, False, False, no, True),
+            (True, True, False, no, True),
+            (True, True, True, yes, True),
+            (True, True, True, unknown, False),  # on the boundary of dom h
+        ]:
+            assert verdict in seen
+
+    def test_single_verdicts_agree_with_classify(self):
+        for prob in list(_hand_instances()) + self._instances()[:10]:
+            for x in _probes(prob):
+                c = classify(prob, x)
+                if not c.feasible:
+                    for single in (is_critical, is_stationary, is_local_solution):
+                        with pytest.raises(OutsideDomain):
+                            single(prob, x)
+                    continue
+                assert is_critical(prob, x) == c.critical
+                assert is_stationary(prob, x) == c.stationary
+                assert is_local_solution(prob, x) is c.local

@@ -138,6 +138,17 @@ class TestGlobalSolutions:
         with pytest.raises(HypothesisNotMet, match="interior of dom\\(h\\)"):
             global_solutions(prob)
 
+    def test_hypothesis_violation_is_named_by_every_entry_point(self):
+        h = MaxAffine.from_pieces(
+            [(vec(0), F(0))], 1, domain=PolyhedralSet.box([F(-2)], [F(3)])
+        )
+        prob = DcProblem(
+            g=MaxAffine.constant(0, 1), h=h, C=PolyhedralSet.box([F(-2)], [F(3)])
+        )
+        for entry in (global_solutions, local_pieces, solution_structure):
+            with pytest.raises(HypothesisNotMet, match="interior of dom\\(h\\)"):
+                entry(prob)
+
     def test_objective_constant_on_faces(self, interval_problem):
         alpha_bar, _, pieces = global_solutions(interval_problem)
         for r in pieces:
@@ -365,6 +376,59 @@ class TestPieceContainment:
         assert [sorted(p.J1) for p in local_pieces(prob)] == [[1], [2], [3]]
         # the full-row containment test needed 45 LPs here
         assert len(calls) <= 22
+
+
+class TestOneCheckOneLinearization:
+    """solution_structure checks the hypotheses once and solves one epigraph
+    LP per piece of h for both the global and the local part."""
+
+    def _counting(self, monkeypatch):
+        counts = {"checks": 0, "linearizations": 0}
+        check, solve = structure.check_structure_hypotheses, structure.lp_solve
+
+        def counting_check(prob):
+            counts["checks"] += 1
+            return check(prob)
+
+        def counting_solve(lp):  # structure poses only the epigraph LPs
+            counts["linearizations"] += 1
+            return solve(lp)
+
+        monkeypatch.setattr(structure, "check_structure_hypotheses", counting_check)
+        monkeypatch.setattr(structure, "lp_solve", counting_solve)
+        return counts
+
+    def test_solution_structure_shares_check_and_lps(
+        self, interval_problem, monkeypatch
+    ):
+        counts = self._counting(monkeypatch)
+        result = solution_structure(interval_problem)
+        assert counts == {"checks": 1, "linearizations": 3}
+        assert (result.alpha_bar, result.J_star, result.global_pieces) == (
+            global_solutions(interval_problem)
+        )
+        assert result.local_pieces == local_pieces(interval_problem)
+
+    def test_separate_calls_check_and_solve_on_their_own(
+        self, interval_problem, monkeypatch
+    ):
+        counts = self._counting(monkeypatch)
+        global_solutions(interval_problem)
+        assert counts == {"checks": 1, "linearizations": 3}
+        local_pieces(interval_problem)
+        assert counts == {"checks": 2, "linearizations": 6}
+
+    def test_both_results_of_a_piece_share_face_and_witness(self):
+        rng = random.Random(59)
+        for _ in range(10):
+            prob = gens.random_dc_instance(rng, n_max=2)
+            for j in prob.h.indices:
+                shifted = solve_linearization(prob, j, shifted=True)
+                plain = solve_linearization(prob, j, shifted=False)
+                beta = prob.h.piece(j)[1]
+                assert plain.value.as_fraction() == shifted.value.as_fraction() + beta
+                assert (plain.face, plain.witness) == (shifted.face, shifted.witness)
+                assert (plain.shifted, shifted.shifted) == (False, True)
 
 
 class TestComponents:
