@@ -34,7 +34,7 @@ from .model import (
     PolydcError,
     PolyhedralSet,
 )
-from .optimality import GlobalStatus, classify
+from .optimality import classify
 from .structure import SolutionStructure, solution_structure
 from .duality import dual_objective, toland_singer_check
 from .gridcheck import grid_cross_check

@@ -18,20 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .exactlp import (
-    LinearProgram,
-    LpStatus,
-    Row,
-    Vector,
-    ZERO,
-    ONE,
-    dot,
-    lp_solve,
-    vector,
-    vneg,
-    vsub,
-    zero_vector,
-)
+from .exactlp import LpStatus, Vector, dot, lp_solve, vector
 from .model import (
     DcProblem,
     InternalCheckFailed,
@@ -131,47 +118,20 @@ def select_subgradient(
     return rule.choose(h, x, step)
 
 
-def _coordinate_extreme(face_rows, equalities, fixed, n, coordinate, sign):
-    """LP outcome for min (sign=+1) or max (sign=-1) of one coordinate."""
-    objective = list(zero_vector(n))
-    objective[coordinate] = ONE if sign > 0 else -ONE
-    return lp_solve(
-        LinearProgram(
-            objective=tuple(objective),
-            equalities=tuple(equalities + fixed),
-            inequalities=tuple(face_rows),
-            dimension=n,
-        )
-    )
-
-
 def solve_subproblem(
     g: MaxAffine, C: PolyhedralSet, xi: Sequence
 ) -> tuple[Vector, Fraction]:
     """Canonical minimizer and value of g(x) - xi.x over C ∩ dom(g).
 
-    The minimizer is the lexicographically smallest point of the optimal
-    face, found by fixing coordinates one at a time.  On an unbounded face
-    a coordinate without a minimum is pinned to 0 when feasible, else to
-    its maximum, keeping the choice a function of the face alone.
+    One epigraph LP: its tableau goes on to walk the optimal face to the
+    lexicographically smallest point (`lp_solve` with `lexmin`).  On an
+    unbounded face a coordinate without a minimum is pinned to 0 when
+    feasible, else to its maximum, keeping the choice a function of the
+    face alone.
     Raises SubproblemUnboundedError when the objective is unbounded below.
     """
     xi = _check_dimension(xi, g.dimension, "subgradient")
-    n = g.dimension
-    equalities = [(a + (ZERO,), y) for a, y in C.equalities]
-    equalities += [(a + (ZERO,), y) for a, y in g.domain.equalities]
-    inequalities = [(a + (ZERO,), b) for a, b in C.inequalities]
-    inequalities += [(a + (ZERO,), b) for a, b in g.domain.inequalities]
-    for u, alpha in g.pieces:
-        inequalities.append((u + (-ONE,), -alpha))
-    outcome = lp_solve(
-        LinearProgram(
-            objective=vneg(xi) + (ONE,),  # minimize t - xi.x
-            equalities=tuple(equalities),
-            inequalities=tuple(inequalities),
-            dimension=n + 1,
-        )
-    )
+    outcome = lp_solve(g.epigraph_lp(xi, C), lexmin=g.dimension)
     if outcome.status is LpStatus.INFEASIBLE:
         raise InternalCheckFailed(
             "subproblem infeasible despite the standing assumption"
@@ -180,32 +140,7 @@ def solve_subproblem(
         raise SubproblemUnboundedError(
             "the convex subproblem g - xi.x is unbounded below on C"
         )
-    value = outcome.value
-    # optimal face in x-space: g(x) <= xi.x + value, piece by piece; then
-    # walk the coordinates to the lexicographic minimum
-    face_eqs = list(C.equalities) + list(g.domain.equalities)
-    face_rows = list(C.inequalities) + list(g.domain.inequalities)
-    for u, alpha in g.pieces:
-        face_rows.append((vsub(u, xi), value - alpha))
-    fixed: list[Row] = []
-    point = []
-    for coordinate in range(n):
-        lo = _coordinate_extreme(face_rows, face_eqs, fixed, n, coordinate, +1)
-        if lo.status is LpStatus.OPTIMAL:
-            m = lo.value
-        else:
-            hi = _coordinate_extreme(
-                face_rows, face_eqs, fixed, n, coordinate, -1
-            )
-            if hi.status is LpStatus.OPTIMAL and -hi.value < 0:
-                m = -hi.value  # coordinate tops out below zero
-            else:
-                m = ZERO
-        row = list(zero_vector(n))
-        row[coordinate] = ONE
-        fixed.append((tuple(row), m))
-        point.append(m)
-    return tuple(point), value
+    return outcome.point[: g.dimension], outcome.value
 
 
 class TerminationKind(Enum):
@@ -379,15 +314,13 @@ def _is_subproblem_minimizer(prob: DcProblem, xi: Vector, x_next: Vector) -> boo
         prob.C.normal_cone(x_next)
     )
     by_subdifferential = body.contains(xi)
-    # route 2: x_next attains the subproblem optimum
-    try:
-        _, value = solve_subproblem(prob.g, prob.C, xi)
-    except SubproblemUnboundedError:
-        by_optimality = False
-    else:
-        by_optimality = (
-            prob.g.finite_value(x_next) - dot(xi, x_next) == value
-        )
+    # route 2: x_next attains the subproblem optimum (feasible, as x_next
+    # lies in C and dom(g))
+    outcome = lp_solve(prob.g.epigraph_lp(xi, prob.C))
+    by_optimality = (
+        outcome.is_optimal
+        and prob.g.finite_value(x_next) - dot(xi, x_next) == outcome.value
+    )
     if by_subdifferential != by_optimality:
         raise InternalCheckFailed(
             "subdifferential and LP-optimality tests disagree on a DCA step"

@@ -21,6 +21,16 @@ solution:
   division by the old `det` (Bareiss 1968); no gcd is taken.
 * Fractions appear again only when the basic solution is read off.
 
+A solved tableau can be continued instead of rebuilt.  `lp_solve(lp,
+lexmin=k)` restricts it to the optimal face by fixing every nonbasic column
+of nonzero reduced cost at 0, then loads each of the first k coordinates in
+turn as the objective, minimizes it over the columns still allowed and
+fixes again: the lexicographic simplex of Dantzig, Orden and Wolfe (1955).
+A coordinate that has no minimum on the face is pinned with one new
+primitive, `_Tableau.add_equality`: the row is written in the current basis
+(`det * a - sum of a[basis[i]] * rows[i]`), made basic on a new artificial,
+and phase 1 over the allowed columns drives that artificial to 0 and out.
+
 Pivots follow Bland's anti-cycling rule (lowest-index entering column,
 lowest basic index on ratio ties, ratios compared by cross-multiplication).
 That makes every outcome a pure function of the input, which the rest of
@@ -67,16 +77,8 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
 
 
 def vneg(a: Vector) -> Vector:
@@ -325,7 +327,8 @@ class _Tableau:
     `reduced` is the reduced-cost row scaled by the same `det` (its last
     entry is -det times the objective value), or None when no objective is
     being minimized.  Artificial variables are basic under indices >= the
-    column count and have no stored column: they never enter.
+    column count and have no stored column: they never enter, so one that
+    has left the basis stays at 0.
     """
 
     __slots__ = ("rows", "basis", "det", "reduced")
@@ -357,8 +360,19 @@ class _Tableau:
             if self.reduced is not None:
                 self.reduced = [-x for x in self.reduced]
 
-    def minimize(self, n: int) -> bool:
-        """Bland's rule over columns < n: False if unbounded, else True.
+    def load(self, costs: list[int]) -> None:
+        """Make `costs`, one integer per column (and one more, ignored, in
+        the place of the rhs), the objective to minimize."""
+        reduced = [self.det * c for c in costs]
+        reduced[-1] = 0
+        for line, col in zip(self.rows, self.basis):
+            if costs[col] != 0:
+                reduced = [x - costs[col] * y for x, y in zip(reduced, line)]
+        self.reduced = reduced
+
+    def minimize(self, columns: Iterable[int]) -> bool:
+        """Bland's rule over `columns` (ascending): False if unbounded,
+        else True.
 
         Entering: lowest column with a negative reduced cost.  Leaving: the
         least ratio rhs / coefficient over positive coefficients, compared by
@@ -366,7 +380,7 @@ class _Tableau:
         """
         while True:
             reduced = self.reduced
-            col = next((j for j in range(n) if reduced[j] < 0), None)
+            col = next((j for j in columns if reduced[j] < 0), None)
             if col is None:
                 return True
             row = None
@@ -385,23 +399,74 @@ class _Tableau:
                 return False
             self.pivot(row, col)
 
-    def drive_out_artificials(self, n: int) -> None:
+    def drive_out_artificials(self, columns: Sequence[int]) -> None:
         """Pivot each basic artificial (at value 0) out on its first nonzero
-        column < n.  One exists: every row has its own slack column, so
-        [A | slacks] has full row rank and no row can vanish there."""
+        entry among `columns`.  One exists: either `columns` are all the
+        columns and every original row has its own slack, or the row was
+        added by `add_equality` and is not implied on the face."""
         self.reduced = None
+        width = len(self.rows[0]) - 1
         for r in range(len(self.rows)):
-            if self.basis[r] >= n:
-                self.pivot(r, next(j for j in range(n) if self.rows[r][j] != 0))
+            if self.basis[r] >= width:
+                self.pivot(r, next(j for j in columns if self.rows[r][j] != 0))
+
+    def add_equality(self, line: list[int], columns: Sequence[int]) -> None:
+        """Add the row `line[:-1] . y = line[-1]` to the solved tableau.
+
+        The new row `det * line - sum of line[basis[i]] * rows[i]` is zero
+        in every basic column; it is basic on a new artificial (negated if
+        its rhs is negative, so the artificial starts nonnegative).  Phase 1
+        over `columns` then brings the artificial to 0, which it must reach,
+        and drives it out.
+        """
+        row = [self.det * x for x in line]
+        for r, col in zip(self.rows, self.basis):
+            if line[col] != 0:
+                row = [x - line[col] * y for x, y in zip(row, r)]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        self.rows.append(row)
+        self.basis.append(len(row) - 1 + len(self.rows))  # past every column
+        self.reduced = [-x for x in row]  # minimize the artificial
+        self.minimize(columns)
+        if self.reduced[-1] != 0:
+            raise ArithmeticError("added row misses the face it should cut")
+        self.drive_out_artificials(columns)
+
+    def lexmin_step(self, line: list[int], columns: list[int]) -> list[int]:
+        """Cut the face (the columns allowed to enter) down to where
+        `c . y` is least, for `line = c + [b]` with `c . y - b` a positive
+        multiple of one coordinate x_k; return the columns still allowed.
+
+        A finite minimum, or a finite maximum below 0 when the minimum is
+        unbounded, is fixed by dropping every column whose reduced cost is
+        nonzero.  Otherwise x_k = 0 lies on the face and is added as a row.
+        """
+        self.load(line)
+        if not self.minimize(columns):
+            self.reduced = [-x for x in self.reduced]  # maximize from here
+            if not (
+                self.minimize(columns) and self.reduced[-1] < line[-1] * self.det
+            ):
+                self.add_equality(line, columns)
+                return columns
+        return [j for j in columns if self.reduced[j] == 0]
 
 
-def lp_solve(lp: LinearProgram) -> LpOutcome:
-    """Exact optimum of `lp` with a basic optimal point, deterministically.
+def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
+    """Exact optimum of `lp` with an optimal point, deterministically.
 
     Equalities are eliminated by substitution first; the remaining free
     variables are split into nonnegative pairs for the simplex, which runs
     on an integer tableau from the slack basis (see the module docstring).
+    The point is basic.  With `lexmin=k` the same tableau goes on to walk
+    the optimal face instead: the value is unchanged, and the point's first
+    k coordinates are the lexicographic minimum of the face, where a
+    coordinate unbounded below is pinned to its maximum if that is finite
+    and negative, else to 0.
     """
+    if not 0 <= lexmin <= lp.dimension:
+        raise ValueError(f"lexmin={lexmin} in an LP of dimension {lp.dimension}")
     eliminated = _eliminate_equalities(lp.equalities, lp.dimension)
     if eliminated is None:
         return INFEASIBLE
@@ -444,7 +509,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         elif b == 0:
             tight.add(i)
 
-    if f == 0:
+    if f == 0:  # the equalities fix the point
         return _optimal_outcome(lp, lift((), 1), tight)
 
     m = len(projected)
@@ -466,20 +531,26 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     if artificial:
         # phase 1: minimize the sum of the artificials
         tableau.reduced = [-sum(column) for column in zip(*artificial)]
-        tableau.minimize(n)
+        tableau.minimize(range(n))
         if tableau.reduced[n] != 0:
             return INFEASIBLE
-        tableau.drive_out_artificials(n)
+        tableau.drive_out_artificials(range(n))
 
-    *cost, _ = substitute(lp.objective, ZERO)
-    costs = cost + [-c for c in cost] + [0] * m
-    reduced = [tableau.det * c for c in costs] + [0]
-    for line, col in zip(tableau.rows, tableau.basis):
-        if costs[col] != 0:
-            reduced = [x - costs[col] * y for x, y in zip(reduced, line)]
-    tableau.reduced = reduced
-    if not tableau.minimize(n):
+    def split(coeffs) -> list[int]:
+        """`coeffs . x <= 0` as `c . y <= b` over the columns, c + [b]."""
+        *cost, b = substitute(coeffs, ZERO)
+        return cost + [-c for c in cost] + [0] * m + [b]
+
+    tableau.load(split(lp.objective))
+    if not tableau.minimize(range(n)):
         return UNBOUNDED
+    if lexmin:
+        # the optimal face: the columns of zero reduced cost, the others at 0
+        columns = [j for j in range(n) if tableau.reduced[j] == 0]
+        for k in range(lexmin):
+            unit = [ZERO] * lp.dimension
+            unit[k] = ONE
+            columns = tableau.lexmin_step(split(tuple(unit)), columns)
 
     z = [0] * f  # numerators over tableau.det
     loose = set()  # rows whose slack is basic and positive

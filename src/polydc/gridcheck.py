@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exactlp import Vector, frac
 from .model import DcProblem, PolydcError

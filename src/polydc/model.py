@@ -36,7 +36,6 @@ from .exactlp import (
     frac,
     lp_feasible,
     lp_solve,
-    max_slack,
     row_space_basis,
     vector,
     vneg,
@@ -295,11 +294,6 @@ class ConvexBody:
                     f"generator of length {len(gen)} in dimension {self.dimension}"
                 )
 
-    @classmethod
-    def singleton(cls, point: Sequence) -> "ConvexBody":
-        point = vector(point)
-        return cls(dimension=len(point), points=(point,))
-
     @property
     def is_empty(self) -> bool:
         return not self.points
@@ -521,26 +515,33 @@ class MaxAffine:
             lineality=self.domain._lineality(),
         )
 
-    def conjugate_value(self, xi: Sequence) -> ExtendedRational:
-        """sup of xi.x - f(x), evaluated by one epigraph LP.
+    def epigraph_lp(
+        self, xi: Vector, C: Optional[PolyhedralSet] = None
+    ) -> LinearProgram:
+        """The LP of min f(x) - xi.x over dom(f) (intersected with C).
 
-        Variables (x, t) with t >= every piece and x in the domain;
-        +inf when the LP is unbounded.  Raises on an empty domain.
+        Variables (x, t): minimize t - xi.x subject to the rows of C, then
+        those of dom(f), then t >= u.x + alpha for every piece; at an
+        optimum t = f(x), so the optimal face projects one to one onto the
+        minimizers.
         """
-        xi = _check_dimension(xi, self.dimension, "dual vector")
-        n = self.dimension
-        equalities = [(a + (ZERO,), y) for a, y in self.domain.equalities]
-        inequalities = [(a + (ZERO,), b) for a, b in self.domain.inequalities]
+        sets = (self.domain,) if C is None else (C, self.domain)
+        equalities = [(a + (ZERO,), y) for S in sets for a, y in S.equalities]
+        inequalities = [(a + (ZERO,), b) for S in sets for a, b in S.inequalities]
         for u, alpha in self.pieces:
             inequalities.append((u + (-ONE,), -alpha))
-        outcome = lp_solve(
-            LinearProgram(
-                objective=vneg(xi) + (ONE,),  # minimize t - xi.x
-                equalities=tuple(equalities),
-                inequalities=tuple(inequalities),
-                dimension=n + 1,
-            )
+        return LinearProgram(
+            objective=vneg(xi) + (ONE,),  # minimize t - xi.x
+            equalities=tuple(equalities),
+            inequalities=tuple(inequalities),
+            dimension=self.dimension + 1,
         )
+
+    def conjugate_value(self, xi: Sequence) -> ExtendedRational:
+        """sup of xi.x - f(x), evaluated by one epigraph LP: +inf when the
+        LP is unbounded.  Raises on an empty domain."""
+        xi = _check_dimension(xi, self.dimension, "dual vector")
+        outcome = lp_solve(self.epigraph_lp(xi))
         if outcome.status is LpStatus.INFEASIBLE:
             raise ImproperFunction("conjugate of a function with empty domain")
         if outcome.status is LpStatus.UNBOUNDED:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import ConvexBody, DcProblem, Vector, _check_dimension
 
@@ -53,26 +53,6 @@ class Classification:
     local: LocalStatus
     global_: GlobalStatus
     hypothesis_flags: HypothesisFlags
-
-
-def body_in_body(P: ConvexBody, Q: ConvexBody) -> bool:
-    """Decide P subset of Q exactly (generator containment LPs)."""
-    return P.issubset(Q)
-
-
-def bodies_intersect(P: ConvexBody, Q: ConvexBody) -> Optional[Vector]:
-    """A witness point of P ∩ Q, or None when disjoint."""
-    return P.intersection_witness(Q)
-
-
-def subdifferential_h(prob: DcProblem, x: Sequence) -> ConvexBody:
-    return prob.h.subdifferential(x)
-
-
-def subdifferential_g_plus_indicator(prob: DcProblem, x: Sequence) -> ConvexBody:
-    """Subdifferential of g + indicator(C): the sum of the subdifferential
-    of g and the normal cone of C, built by generator concatenation."""
-    return prob.g.subdifferential(x).minkowski_sum(prob.C.normal_cone(x))
 
 
 def _tight_rows(prob: DcProblem, x: Vector) -> tuple:

@@ -30,13 +30,10 @@ from typing import Optional, Sequence
 
 from .exactlp import (
     ExtendedRational,
-    LinearProgram,
     LpStatus,
     MINUS_INF,
     Row,
     Vector,
-    ZERO,
-    ONE,
     lp_solve,
     max_slack,
     midpoint,
@@ -150,20 +147,7 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
     """
     v, beta = prob.h.piece(j)
     n = prob.dimension
-    equalities = [(a + (ZERO,), y) for a, y in prob.C.equalities]
-    equalities += [(a + (ZERO,), y) for a, y in prob.g.domain.equalities]
-    inequalities = [(a + (ZERO,), b) for a, b in prob.C.inequalities]
-    inequalities += [(a + (ZERO,), b) for a, b in prob.g.domain.inequalities]
-    for u, alpha in prob.g.pieces:
-        inequalities.append((u + (-ONE,), -alpha))
-    outcome = lp_solve(
-        LinearProgram(
-            objective=vneg(v) + (ONE,),  # minimize t - v.x
-            equalities=tuple(equalities),
-            inequalities=tuple(inequalities),
-            dimension=n + 1,
-        )
-    )
+    outcome = lp_solve(prob.g.epigraph_lp(v, prob.C))
     if outcome.status is LpStatus.INFEASIBLE:
         raise InternalCheckFailed(
             "linearized subproblem infeasible despite the standing assumption"

@@ -1,5 +1,6 @@
 """DCA runs: selection rules, canonical subproblem solutions, cycles."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import pytest
 from polydc import (
     ByActiveSetTable,
     DcProblem,
+    EmptyIntersection,
+    LinearProgram,
+    LpStatus,
     MaxAffine,
     MaxIndexActive,
     MinIndexActive,
@@ -16,17 +20,22 @@ from polydc import (
     Scripted,
     TerminationKind,
     is_critical,
+    lp_feasible,
+    lp_solve,
     run,
     select_subgradient,
     solve_subproblem,
     validate_trace,
 )
-from polydc.dca import InvalidSelection
+from polydc import dca, exactlp, model
+from polydc.dca import InvalidSelection, SubproblemUnboundedError
+from polydc.model import InternalCheckFailed
 
 import gens
 from gens import vec
 
 F = Fraction
+ZERO, ONE = F(0), F(1)
 
 
 class TestSelectSubgradient:
@@ -289,3 +298,253 @@ class TestValidateTrace:
             xs = list(trace.points)
             xis = [it.xi for it in trace.iterates]
             assert validate_trace(prob, xs, xis).valid
+
+
+# ---------------------------------------------------------------------------
+# the coordinate walk that solve_subproblem replaced, kept as a reference
+
+
+def _coordinate_extreme(face_rows, equalities, fixed, n, coordinate, sign):
+    objective = [ZERO] * n
+    objective[coordinate] = ONE if sign > 0 else -ONE
+    return lp_solve(
+        LinearProgram(
+            objective=tuple(objective),
+            equalities=tuple(equalities + fixed),
+            inequalities=tuple(face_rows),
+            dimension=n,
+        )
+    )
+
+
+def reference_subproblem(g, C, xi, branches=None):
+    """solve_subproblem by one epigraph LP and then up to two fresh LPs per
+    coordinate.  Appends to `branches` the rule each coordinate took: "min"
+    (finite minimum), "max<0" (pinned to a negative maximum), "max>=0" or
+    "unbounded" (pinned to 0)."""
+    n = g.dimension
+    xi = tuple(F(c) for c in xi)
+    equalities = [(a + (ZERO,), y) for a, y in C.equalities]
+    equalities += [(a + (ZERO,), y) for a, y in g.domain.equalities]
+    inequalities = [(a + (ZERO,), b) for a, b in C.inequalities]
+    inequalities += [(a + (ZERO,), b) for a, b in g.domain.inequalities]
+    for u, alpha in g.pieces:
+        inequalities.append((u + (-ONE,), -alpha))
+    outcome = lp_solve(
+        LinearProgram(
+            objective=tuple(-c for c in xi) + (ONE,),
+            equalities=tuple(equalities),
+            inequalities=tuple(inequalities),
+            dimension=n + 1,
+        )
+    )
+    if outcome.status is LpStatus.INFEASIBLE:
+        raise InternalCheckFailed("reference subproblem infeasible")
+    if outcome.status is LpStatus.UNBOUNDED:
+        raise SubproblemUnboundedError("reference subproblem unbounded")
+    value = outcome.value
+    face_eqs = list(C.equalities) + list(g.domain.equalities)
+    face_rows = list(C.inequalities) + list(g.domain.inequalities)
+    for u, alpha in g.pieces:
+        face_rows.append((tuple(a - b for a, b in zip(u, xi)), value - alpha))
+    fixed, point = [], []
+    for coordinate in range(n):
+        lo = _coordinate_extreme(face_rows, face_eqs, fixed, n, coordinate, +1)
+        if lo.status is LpStatus.OPTIMAL:
+            m, branch = lo.value, "min"
+        else:
+            hi = _coordinate_extreme(face_rows, face_eqs, fixed, n, coordinate, -1)
+            if hi.status is LpStatus.OPTIMAL and -hi.value < 0:
+                m, branch = -hi.value, "max<0"
+            else:
+                m = ZERO
+                branch = "max>=0" if hi.status is LpStatus.OPTIMAL else "unbounded"
+        if branches is not None:
+            branches.append(branch)
+        row = [ZERO] * n
+        row[coordinate] = ONE
+        fixed.append((tuple(row), m))
+        point.append(m)
+    return tuple(point), value
+
+
+def _random_rows(rng, n, count):
+    rows = []
+    while len(rows) < count:
+        a = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+        if any(a):
+            rows.append((a, F(rng.randint(-3, 3))))
+    return tuple(rows)
+
+
+def _hand_instances():
+    """(g, h, C) cases for every pinning branch, with equality rows in C and
+    dom g and inequality rows in dom g."""
+    zero1, zero2 = MaxAffine.constant(0, 1), MaxAffine.constant(0, 2)
+    h1 = MaxAffine.from_pieces([(vec(1), F(0)), (vec(-1), F(0))], 1)
+    h2 = MaxAffine.from_pieces(
+        [(vec(1, 0), F(0)), (vec(0, 1), F(0)), (vec(-1, -1), F(1))], 2
+    )
+    cases = [
+        (zero1, h1, PolyhedralSet.whole_space(1)),  # unbounded both ways
+        (zero1, h1, PolyhedralSet(1, inequalities=((vec(1), F(-5)),))),
+        (zero1, h1, PolyhedralSet(1, inequalities=((vec(1), F(5)),))),
+        (zero1, h1, PolyhedralSet(1, inequalities=((vec(1), F(0)),))),
+        # x1 free, then x2 in [1, 3]: a bounded coordinate after a pin
+        (
+            zero2,
+            h2,
+            PolyhedralSet(2, inequalities=((vec(0, -1), F(-1)), (vec(0, 1), F(3)))),
+        ),
+        # x1 <= x2 - 1 <= -3: x1 tops out at -3, which leaves x2 = -2
+        (
+            zero2,
+            h2,
+            PolyhedralSet(2, inequalities=((vec(1, -1), F(-1)), (vec(0, 1), F(-2)))),
+        ),
+        # a line x1 + 2 x2 = 3 (an equality row in C)
+        (zero2, h2, PolyhedralSet(2, equalities=((vec(1, 2), F(3)),))),
+        # the same line, with x2 >= 1 written into dom g
+        (
+            MaxAffine.from_pieces(
+                [(vec(0, 0), F(0))],
+                2,
+                domain=PolyhedralSet(
+                    2,
+                    equalities=((vec(1, 2), F(3)),),
+                    inequalities=((vec(0, -1), F(-1)),),
+                ),
+            ),
+            h2,
+            PolyhedralSet.whole_space(2),
+        ),
+        # g = |x1 - x2| on a half-plane: an unbounded optimal face
+        (
+            MaxAffine.from_pieces([(vec(1, -1), F(0)), (vec(-1, 1), F(0))], 2),
+            h2,
+            PolyhedralSet(2, inequalities=((vec(1, 1), F(2)),)),
+        ),
+        # dom g a wedge in 3-D, C a slab
+        (
+            MaxAffine.from_pieces(
+                [(vec(1, 0, 0), F(0)), (vec(0, 1, 0), F(1))],
+                3,
+                domain=PolyhedralSet(
+                    3, inequalities=((vec(1, 1, 0), F(1)), (vec(-1, 1, 0), F(1)))
+                ),
+            ),
+            MaxAffine.from_pieces([(vec(0, 0, 1), F(0)), (vec(0, 0, -1), F(0))], 3),
+            PolyhedralSet(
+                3, inequalities=((vec(0, 0, 1), F(2)), (vec(0, 0, -1), F(2)))
+            ),
+        ),
+    ]
+    return [DcProblem(g=g, h=h, C=C) for g, h, C in cases]
+
+
+def _subproblem_instances():
+    """40 random box instances, 40 with their C or dom g reshaped (whole
+    space, a half-space, equality rows, dom g inequality rows), and the hand
+    cases."""
+    rng = random.Random(71)
+    boxes = [gens.random_dc_instance(rng) for _ in range(40)]
+    reshaped = []
+    while len(reshaped) < 40:
+        prob = gens.random_dc_instance(rng)
+        n = prob.dimension
+        shape = len(reshaped) % 4
+        C, domain = prob.C, PolyhedralSet.whole_space(n)
+        if shape == 0:
+            C = PolyhedralSet.whole_space(n)
+        elif shape == 1:
+            C = PolyhedralSet(n, inequalities=_random_rows(rng, n, 1))
+        elif shape == 2:
+            C = PolyhedralSet(
+                n,
+                equalities=_random_rows(rng, n, 1),
+                inequalities=C.inequalities[: 2 * rng.randint(0, n)],
+            )
+        else:
+            C = rng.choice((C, PolyhedralSet.whole_space(n)))
+            domain = PolyhedralSet(
+                n,
+                equalities=_random_rows(rng, n, rng.randint(0, 1)),
+                inequalities=_random_rows(rng, n, rng.randint(1, 3)),
+            )
+        g = MaxAffine(pieces=prob.g.pieces, domain=domain)
+        try:
+            reshaped.append(DcProblem(g=g, h=prob.h, C=C))
+        except EmptyIntersection:
+            continue
+    return boxes + reshaped + _hand_instances()
+
+
+def _subgradients(rng, prob):
+    """h's gradients, zero and a few small random integer vectors."""
+    n = prob.dimension
+    xis = [u for u, _ in prob.h.pieces] + [(ZERO,) * n]
+    xis += [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(3)]
+    return xis
+
+
+def _outcome(solve, g, C, xi):
+    try:
+        return solve(g, C, xi)
+    except SubproblemUnboundedError:
+        return "unbounded"
+
+
+class TestOneTableauSubproblem:
+    """solve_subproblem continues the epigraph LP's tableau to the
+    lexicographic minimum; the reference walks it with fresh LPs."""
+
+    def test_agrees_with_the_coordinate_walk(self, monkeypatch):
+        calls = []
+        original = exactlp.lp_solve
+
+        def counting(lp, **kwargs):
+            calls.append(lp)
+            return original(lp, **kwargs)
+
+        instances = _subproblem_instances()
+        assert len(instances) >= 60
+        rng = random.Random(73)
+        branches, after_pin, unbounded = set(), False, set()
+        for prob in instances:
+            for xi in _subgradients(rng, prob):
+                walked = []
+                expected = _outcome(
+                    functools.partial(reference_subproblem, branches=walked),
+                    prob.g,
+                    prob.C,
+                    xi,
+                )
+                for module in (exactlp, model, dca):
+                    monkeypatch.setattr(module, "lp_solve", counting)
+                del calls[:]
+                got = _outcome(solve_subproblem, prob.g, prob.C, xi)
+                monkeypatch.undo()
+                assert len(calls) == 1
+                assert got == expected
+                unbounded.add(got == "unbounded")
+                branches.update(walked)
+                pins = [b in ("max>=0", "unbounded") for b in walked]
+                after_pin |= any(
+                    b == "min" and any(pins[:k]) for k, b in enumerate(walked)
+                )
+        assert unbounded == {True, False}
+        assert branches == {"min", "max<0", "max>=0", "unbounded"}
+        assert after_pin
+
+    def test_runs_agree_with_the_coordinate_walk(self, monkeypatch):
+        for prob in _subproblem_instances():
+            x0 = lp_feasible(
+                prob.g.domain.equalities + prob.C.equalities,
+                prob.g.domain.inequalities + prob.C.inequalities,
+                prob.dimension,
+            )
+            for rule in (MinIndexActive(), MaxIndexActive()):
+                trace = run(prob, x0, rule, max_iter=50)
+                monkeypatch.setattr(dca, "solve_subproblem", reference_subproblem)
+                assert run(prob, x0, rule, max_iter=50) == trace
+                monkeypatch.undo()

@@ -17,6 +17,7 @@ from polydc import (
     optimality_certificate,
     row_space_basis,
 )
+from polydc import exactlp
 from polydc.exactlp import dot
 
 import gens
@@ -218,6 +219,158 @@ class TestLpSolve:
         out = lp_solve(lp)
         assert out.status is LpStatus.OPTIMAL
         assert out.value == Fraction(-1, 20)
+
+
+def walk_from_scratch(lp, k):
+    """(status, value, first k coordinates of the lexicographic minimum of
+    the optimal face), the face walked with up to two fresh LPs per
+    coordinate; a coordinate unbounded below goes to its maximum when that
+    is finite and negative, else to 0."""
+    out = lp_solve(lp)
+    if not out.is_optimal:
+        return out.status, None, None
+    n = lp.dimension
+    equalities = list(lp.equalities) + [(lp.objective, out.value)]
+    point = []
+    for c in range(k):
+        unit = [Fraction(0)] * n
+        unit[c] = Fraction(1)
+        lo = lp_solve(LinearProgram(unit, equalities, lp.inequalities, n))
+        if lo.is_optimal:
+            m = lo.value
+        else:
+            minus = [-u for u in unit]
+            hi = lp_solve(LinearProgram(minus, equalities, lp.inequalities, n))
+            m = -hi.value if hi.is_optimal and hi.value > 0 else Fraction(0)
+        equalities.append((unit, m))
+        point.append(m)
+    return out.status, out.value, tuple(point)
+
+
+def optimal_point_is_unique(lp, value):
+    equalities = list(lp.equalities) + [(lp.objective, value)]
+    for c in range(lp.dimension):
+        unit = [Fraction(int(j == c)) for j in range(lp.dimension)]
+        lo = lp_solve(LinearProgram(unit, equalities, lp.inequalities, lp.dimension))
+        minus = [-u for u in unit]
+        hi = lp_solve(LinearProgram(minus, equalities, lp.inequalities, lp.dimension))
+        if not (lo.is_optimal and hi.is_optimal and lo.value == -hi.value):
+            return False
+    return True
+
+
+def lexmin_cases(rng, fractional):
+    """random_bounded_lp, its objective sometimes replaced by 0 or by a
+    constraint row (a degenerate optimal face), and sometimes with the box
+    rows of some coordinates dropped (a face unbounded in them)."""
+    lp = gens.random_bounded_lp(rng, fractional)
+    n = lp.dimension
+    objective = lp.objective
+    shape = rng.randrange(4)
+    if shape == 1:
+        objective = (Fraction(0),) * n
+    elif shape == 2:
+        objective = rng.choice(lp.inequalities)[0]
+    inequalities = lp.inequalities
+    if rng.random() < 0.3:
+        dropped = {rng.randrange(n) for _ in range(n)}
+        inequalities = [
+            row
+            for i, row in enumerate(inequalities)
+            if i >= 2 * n or i // 2 not in dropped
+        ]
+        if rng.random() < 0.5:
+            objective = (Fraction(0),) * n
+    return LinearProgram(objective, lp.equalities, tuple(inequalities), n)
+
+
+class TestLexmin:
+    """lp_solve(lp, lexmin=k) continues the solved tableau along the optimal
+    face; the reference walks the face with fresh LPs."""
+
+    def test_agrees_with_a_walk_from_scratch(self):
+        unique_seen = statuses = 0
+        seen = set()
+        for fractional in (False, True):
+            rng = random.Random(17)
+            for _ in range(120):
+                lp = lexmin_cases(rng, fractional)
+                plain = lp_solve(lp)
+                for k in range(lp.dimension + 1):
+                    out = lp_solve(lp, lexmin=k)
+                    assert out.status is plain.status
+                    seen.add(out.status)
+                    if not out.is_optimal:
+                        continue
+                    assert (out.status, out.value, out.point[:k]) == walk_from_scratch(
+                        lp, k
+                    )
+                    assert out.value == plain.value == dot(lp.objective, out.point)
+                    tight = {
+                        i
+                        for i, (row, rhs) in enumerate(lp.inequalities)
+                        if dot(row, out.point) == rhs
+                    }
+                    assert tight == set(out.tight_inequalities)
+                if plain.is_optimal and optimal_point_is_unique(lp, plain.value):
+                    unique_seen += 1
+                    assert lp_solve(lp, lexmin=lp.dimension) == plain
+        assert seen == set(LpStatus)
+        assert unique_seen >= 50
+
+    def test_equalities_fix_every_coordinate(self):
+        # f = 0: no free coordinate is left for the tableau
+        lp = LinearProgram(
+            objective=vec(1, -1),
+            equalities=((vec(1, 1), Fraction(1)), (vec(1, -1), Fraction(0))),
+            inequalities=((vec(1, 0), Fraction(5)), (vec(0, 1), Fraction(1, 2))),
+            dimension=2,
+        )
+        for k in range(3):
+            out = lp_solve(lp, lexmin=k)
+            assert out == lp_solve(lp)
+            assert out.point == vec(Fraction(1, 2), Fraction(1, 2))
+            assert out.tight_inequalities == frozenset({1})
+
+    def test_added_row_with_negative_rhs_runs_phase_one(self, monkeypatch):
+        # x1 + x2 >= 1, x1 <= 5, objective 0: x1 has no minimum and its
+        # maximum 5 is reached first, so pinning x1 = 0 adds a row whose
+        # rhs is negative there; phase 1 must pivot.  Then x2 >= 1 - 0.
+        lp = LinearProgram(
+            objective=vec(0, 0),
+            equalities=(),
+            inequalities=((vec(-1, -1), Fraction(-1)), (vec(1, 0), Fraction(5))),
+            dimension=2,
+        )
+        added, pivots = [], []
+        add_equality, pivot = exactlp._Tableau.add_equality, exactlp._Tableau.pivot
+
+        def recording_add(tableau, line, columns):
+            rhs = tableau.det * line[-1] - sum(
+                line[col] * row[-1] for row, col in zip(tableau.rows, tableau.basis)
+            )
+            before = len(pivots)
+            add_equality(tableau, line, columns)
+            added.append((rhs, len(pivots) - before))
+
+        def recording_pivot(tableau, row, col):
+            pivots.append(col)
+            pivot(tableau, row, col)
+
+        monkeypatch.setattr(exactlp._Tableau, "add_equality", recording_add)
+        monkeypatch.setattr(exactlp._Tableau, "pivot", recording_pivot)
+        out = lp_solve(lp, lexmin=2)
+        assert out.point == vec(0, 1)
+        assert out.tight_inequalities == frozenset({0})
+        assert len(added) == 1
+        rhs, phase_one_pivots = added[0]
+        assert rhs < 0 and phase_one_pivots >= 1
+        monkeypatch.undo()
+        assert walk_from_scratch(lp, 2) == (LpStatus.OPTIMAL, 0, vec(0, 1))
+
+    def test_lexmin_is_checked(self):
+        with pytest.raises(ValueError):
+            lp_solve(interval_lp(vec(1)), lexmin=2)
 
 
 class TestCertificate:

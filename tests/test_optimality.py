@@ -16,8 +16,6 @@ from polydc import (
     MaxAffine,
     OutsideDomain,
     PolyhedralSet,
-    bodies_intersect,
-    body_in_body,
     classify,
     is_critical,
     is_local_solution,
@@ -25,7 +23,6 @@ from polydc import (
 )
 from polydc import exactlp, model
 from polydc.exactlp import dot, row_space_basis
-from polydc.optimality import subdifferential_g_plus_indicator, subdifferential_h
 
 import gens
 from gens import vec
@@ -37,24 +34,26 @@ class TestBodyOperations:
     def test_hull_containment_on_a_line(self):
         P = ConvexBody(1, points=(vec(0), vec(1)))
         Q = ConvexBody(1, points=(vec(-1), vec(0), vec(1)))
-        assert body_in_body(P, Q)
+        assert P.issubset(Q)
 
     def test_halfline_reaches_the_segment(self):
         P = ConvexBody(1, points=(vec(0), vec(1)))
         Q = ConvexBody(1, points=(vec(0),), rays=(vec(1),))
-        assert body_in_body(P, Q)
-        assert not body_in_body(ConvexBody(1, points=(vec(-1), vec(0))), Q)
+        assert P.issubset(Q)
+        assert not ConvexBody(1, points=(vec(-1), vec(0))).issubset(Q)
 
     def test_intersection_witnesses(self):
         P = ConvexBody(1, points=(vec(0), vec(1)))
-        assert bodies_intersect(P, ConvexBody(1, points=(vec(1), vec(2)))) == vec(1)
-        assert bodies_intersect(P, ConvexBody(1, points=(vec(2), vec(3)))) is None
+        assert P.intersection_witness(ConvexBody(1, points=(vec(1), vec(2)))) == vec(1)
+        assert P.intersection_witness(ConvexBody(1, points=(vec(2), vec(3)))) is None
 
     def test_critical_but_not_stationary_witness(self, abs_problem):
-        dh = subdifferential_h(abs_problem, vec(0))
-        dgc = subdifferential_g_plus_indicator(abs_problem, vec(0))
-        assert bodies_intersect(dh, dgc) == vec(0)
-        assert not body_in_body(dh, dgc)
+        dh = abs_problem.h.subdifferential(vec(0))
+        dgc = abs_problem.g.subdifferential(vec(0)).minkowski_sum(
+            abs_problem.C.normal_cone(vec(0))
+        )
+        assert dh.intersection_witness(dgc) == vec(0)
+        assert not dh.issubset(dgc)
 
 
 class TestCritical:
@@ -212,7 +211,7 @@ class TestTwoRouteEquivalence:
             ]
             for x in probes:
                 dh, dgc = self._direct_bodies(prob, x)
-                assert body_in_body(dh, dgc) == is_stationary(prob, x)
+                assert dh.issubset(dgc) == is_stationary(prob, x)
 
     def test_equality_rows_as_lineality(self):
         # constraint set: the segment {x1 = 0} x [-1, 1], so the normal
