@@ -100,6 +100,18 @@ def fmt_vector(v: Sequence[Fraction]) -> list[str]:
 # problem documents
 
 
+def _row_list(node: dict, key: str, where: str) -> list:
+    """The rows under `key`: a list, or none when the key is absent or null."""
+    rows = node.get(key)
+    if rows is None:
+        return []
+    if not isinstance(rows, list):
+        raise ProblemFormatError(
+            f"{where}.{key}: expected a list of rows or null, got {rows!r}"
+        )
+    return rows
+
+
 def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
     if node is None:
         return PolyhedralSet.whole_space(dimension)
@@ -111,7 +123,7 @@ def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
             f"{where}: unknown keys {sorted(unknown)}; expected 'eq'/'ineq'"
         )
     equalities = []
-    for k, row in enumerate(node.get("eq", []) or []):
+    for k, row in enumerate(_row_list(node, "eq", where)):
         spot = f"{where}.eq[{k}]"
         if not isinstance(row, dict) or "a" not in row or "y" not in row:
             raise ProblemFormatError(f"{spot}: expected {{\"a\": [...], \"y\": r}}")
@@ -122,7 +134,7 @@ def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
             )
         )
     inequalities = []
-    for k, row in enumerate(node.get("ineq", []) or []):
+    for k, row in enumerate(_row_list(node, "ineq", where)):
         spot = f"{where}.ineq[{k}]"
         if not isinstance(row, dict) or "a" not in row or "b" not in row:
             raise ProblemFormatError(f"{spot}: expected {{\"a\": [...], \"b\": r}}")
@@ -178,9 +190,16 @@ def parse_problem(text: str) -> DcProblem:
         ) from None
     if not isinstance(doc, dict):
         raise ProblemFormatError("top level: expected an object")
-    for key in ("dimension", "C", "g", "h"):
+    keys = ("dimension", "C", "g", "h")
+    for key in keys:
         if key not in doc:
             raise ProblemFormatError(f"top level: missing key '{key}'")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ProblemFormatError(
+            f"top level: unknown keys {sorted(unknown)}; expected "
+            "'dimension'/'C'/'g'/'h'"
+        )
     dimension = doc["dimension"]
     if not _is_int(dimension) or dimension < 1:
         raise ProblemFormatError("dimension: expected a positive integer")

@@ -127,7 +127,8 @@ def solve_subproblem(
     lexicographically smallest point (`lp_solve` with `lexmin`).  On an
     unbounded face a coordinate without a minimum is pinned to 0 when
     feasible, else to its maximum, keeping the choice a function of the
-    face alone.
+    face alone.  When C is the whole space the LP shares g's prepared start
+    (`MaxAffine.epigraph_lp`): `run` solves over g + indicator(C) that way.
     Raises SubproblemUnboundedError when the objective is unbounded below.
     """
     xi = _check_dimension(xi, g.dimension, "subgradient")
@@ -197,6 +198,10 @@ def run(
     closes the run: period 1 is a fixed point, larger periods are cycles.
     Scripted rules are step-dependent; they run until the script or the
     iteration budget is exhausted.
+
+    x0 is checked and evaluated in full.  Every later iterate is the point
+    of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to the
+    LP value plus xi.x, so only h is evaluated there.
     """
     x = _check_dimension(x0, prob.dimension)
     if not prob.g.domain.contains(x):
@@ -204,9 +209,12 @@ def run(
     if not prob.C.contains(x):
         raise OutsideDomain("x0 is outside the constraint set C")
 
+    g_plus = prob.g_plus_indicator
+    everywhere = PolyhedralSet.whole_space(prob.dimension)
     iterates: list[Iterate] = []
     seen: dict[Vector, int] = {}
     step = 0
+    g_value = None  # (g + indicator(C))(x) from the step that produced x
     while True:
         if not prob.h.domain.contains(x):
             # no subgradient of h here; the offending point is the output
@@ -220,7 +228,10 @@ def run(
         except IndexError:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
-        value = prob.finite_objective(x)
+        if g_value is None:
+            value = prob.finite_objective(x)
+        else:  # x is in dom(h): one pass over h's pieces is h(x)
+            value = g_value - max(dot(u, x) + alpha for u, alpha in prob.h.pieces)
         iterates.append(Iterate(x, xi, value))
         if len(iterates) >= 2 and iterates[-2].value < value:
             raise InternalCheckFailed(
@@ -242,13 +253,14 @@ def run(
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
         try:
-            x_next, _ = solve_subproblem(prob.g, prob.C, xi)
+            x, sub_value = solve_subproblem(g_plus, everywhere, xi)
         except SubproblemUnboundedError:
             termination = Termination(
                 TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
             )
             break
-        x = x_next
+        # x lies in C ∩ dom(g), and at the LP's optimum t = g(x)
+        g_value = sub_value + dot(xi, x)
         step += 1
     return DcaTrace(iterates=tuple(iterates), termination=termination)
 
@@ -316,7 +328,7 @@ def _is_subproblem_minimizer(prob: DcProblem, xi: Vector, x_next: Vector) -> boo
     by_subdifferential = body.contains(xi)
     # route 2: x_next attains the subproblem optimum (feasible, as x_next
     # lies in C and dom(g))
-    outcome = lp_solve(prob.g.epigraph_lp(xi, prob.C))
+    outcome = lp_solve(prob.g_plus_indicator.epigraph_lp(xi))
     by_optimality = (
         outcome.is_optimal
         and prob.g.finite_value(x_next) - dot(xi, x_next) == outcome.value

@@ -19,7 +19,19 @@ solution:
   1): entries are `det * B^-1 [A | b]`, integers because each is a minor
   of the integer system.  A pivot updates every row with one exact integer
   division by the old `det` (Bareiss 1968); no gcd is taken.
-* Fractions appear again only when the basic solution is read off.
+* Fractions appear again only when the basic solution is read off.  The
+  optimal value is read from the tableau: the last entry of the reduced
+  row over `det`, with the objective's scale and the constant of the
+  substitution undone.
+
+All of this up to the end of phase 1 depends on the rows alone.  It is the
+rows' prepared start, built on the first solve over them and only read
+after that: every LP that `LinearProgram.with_objective` makes over the
+same rows loads its objective into a copy of the start's tableau and runs
+phase 2 from there.  The start is the one a from-scratch solve reaches, so
+every outcome equals the from-scratch one.  Each max-affine function keeps
+one such set of epigraph rows (`MaxAffine.epigraph_lp`), so DCA steps,
+linearizations and conjugate values over it re-solve only the objective.
 
 A solved tableau can be continued instead of rebuilt.  `lp_solve(lp,
 lexmin=k)` restricts it to the optimal face by fixing every nonbasic column
@@ -42,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -187,26 +199,71 @@ MINUS_INF = ExtendedRational(-1, None)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize <objective, x> subject to equality and `row . x <= rhs` rows."""
+    """minimize <objective, x> subject to equality and `row . x <= rhs` rows.
+
+    The rows are held with their prepared start (see `lp_solve`), which
+    every LP made by `with_objective` shares.
+    """
 
     objective: Vector
     equalities: tuple[Row, ...]
     inequalities: tuple[Row, ...]
     dimension: int
+    _rows: Optional["_Rows"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        rows = self._rows
+        if rows is None or not rows.holds(self):
+            rows = _Rows(self.equalities, self.inequalities, self.dimension)
+            object.__setattr__(self, "_rows", rows)
+            object.__setattr__(self, "equalities", rows.equalities)
+            object.__setattr__(self, "inequalities", rows.inequalities)
         object.__setattr__(self, "objective", vector(self.objective))
-        object.__setattr__(self, "equalities", _normalize_rows(self.equalities))
-        object.__setattr__(self, "inequalities", _normalize_rows(self.inequalities))
-        for coeffs, _ in itertools.chain(self.equalities, self.inequalities):
-            if len(coeffs) != self.dimension:
-                raise ValueError(
-                    f"row of length {len(coeffs)} in LP of dimension {self.dimension}"
-                )
         if len(self.objective) != self.dimension:
             raise ValueError("objective length does not match dimension")
+
+    def with_objective(self, objective: Sequence) -> "LinearProgram":
+        """The LP over the same rows that minimizes `objective`; it shares
+        this LP's prepared start, so only its own phase 2 is solved."""
+        return LinearProgram(
+            objective, self.equalities, self.inequalities, self.dimension, self._rows
+        )
+
+
+class _Rows:
+    """The normalized rows of an LP and their prepared start, which
+    `start` builds on first use; after that it is only read.  Two threads
+    that ask at once may both build it and keep equal starts."""
+
+    __slots__ = ("equalities", "inequalities", "dimension", "_start")
+
+    def __init__(self, equalities, inequalities, dimension: int):
+        if dimension < 1:
+            raise ValueError("dimension must be positive")
+        self.equalities = _normalize_rows(equalities)
+        self.inequalities = _normalize_rows(inequalities)
+        self.dimension = dimension
+        for coeffs, _ in itertools.chain(self.equalities, self.inequalities):
+            if len(coeffs) != dimension:
+                raise ValueError(
+                    f"row of length {len(coeffs)} in LP of dimension {dimension}"
+                )
+
+    def holds(self, lp: "LinearProgram") -> bool:
+        """Whether these are `lp`'s rows, the very same tuples."""
+        return (
+            lp.equalities is self.equalities
+            and lp.inequalities is self.inequalities
+            and lp.dimension == self.dimension
+        )
+
+    def start(self) -> Optional["_Start"]:
+        """The prepared start, or None when the rows have no solution."""
+        try:
+            return self._start
+        except AttributeError:
+            self._start = _prepare(self.equalities, self.inequalities, self.dimension)
+            return self._start
 
 
 def _normalize_rows(rows) -> tuple[Row, ...]:
@@ -339,6 +396,14 @@ class _Tableau:
         self.det = 1
         self.reduced: Optional[list[int]] = None
 
+    def copy(self) -> "_Tableau":
+        """A tableau that continues from this state and leaves it as it is.
+        No method changes a row in place, so the rows are shared."""
+        clone = _Tableau(list(self.rows), list(self.basis))
+        clone.det = self.det
+        clone.reduced = self.reduced
+        return clone
+
     def pivot(self, row: int, col: int) -> None:
         """Bareiss pivot on p = rows[row][col]: every other row, the reduced
         row included, is updated by `_bareiss`; then det = p.  A negative p,
@@ -453,70 +518,146 @@ class _Tableau:
         return [j for j in columns if self.reduced[j] == 0]
 
 
-def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
-    """Exact optimum of `lp` with an optimal point, deterministically.
+class _Start:
+    """Everything `lp_solve` does before it reads the objective.
 
-    Equalities are eliminated by substitution first; the remaining free
-    variables are split into nonnegative pairs for the simplex, which runs
-    on an integer tableau from the slack basis (see the module docstring).
-    The point is basic.  With `lexmin=k` the same tableau goes on to walk
-    the optimal face instead: the value is unchanged, and the point's first
-    k coordinates are the lexicographic minimum of the face, where a
-    coordinate unbounded below is pinned to its maximum if that is finite
-    and negative, else to 0.
+    The rows are scaled to integers and the equalities eliminated (`pivots`,
+    `solved` and `det` as `_eliminate_equalities` returns them); every
+    inequality is substituted into an integer row over the `free`
+    coordinates, and phase 1 finds a feasible basis of those rows.  `tight`
+    holds the inequalities that substitution leaves as 0 <= 0 and `projected`
+    the indices of the others, one slack column each.  `tableau` is None
+    when the equalities fix the point.  A solve works on a copy of the
+    tableau, so the start is only read once it is built.
     """
-    if not 0 <= lexmin <= lp.dimension:
-        raise ValueError(f"lexmin={lexmin} in an LP of dimension {lp.dimension}")
-    eliminated = _eliminate_equalities(lp.equalities, lp.dimension)
-    if eliminated is None:
-        return INFEASIBLE
-    pivots, solved, det = eliminated
-    free = [j for j in range(lp.dimension) if j not in pivots]
-    f = len(free)
-    kept = free + [lp.dimension]  # the free coordinates and the rhs
 
-    def substitute(coeffs, rhs) -> list[int]:
+    __slots__ = (
+        "dimension", "pivots", "solved", "det", "free", "kept",
+        "projected", "tight", "tableau",
+    )
+
+    def __init__(self, dimension, pivots, solved, det):
+        self.dimension = dimension
+        self.pivots = pivots
+        self.solved = solved
+        self.det = det
+        self.free = [j for j in range(dimension) if j not in pivots]
+        self.kept = self.free + [dimension]  # the free coordinates and the rhs
+        self.projected: list[int] = []
+        self.tight: set[int] = set()
+        self.tableau: Optional[_Tableau] = None
+
+    def substitute(self, coeffs: Vector, rhs: Fraction) -> list[int]:
         """`coeffs . x <= rhs` over the free coordinates, rhs last, times a
-        positive integer."""
+        positive integer: `det` times the lcm of the row's denominators."""
         a = _integer_multiple(coeffs + (rhs,))
-        row = [det * a[j] for j in kept]
-        for p, equation in zip(pivots, solved):
+        kept = self.kept
+        row = [self.det * a[j] for j in kept]
+        for p, equation in zip(self.pivots, self.solved):
             if a[p] != 0:
                 row = [x - a[p] * equation[j] for x, j in zip(row, kept)]
         return row
 
-    def lift(numerators, denominator) -> Vector:
+    def lift(self, numerators, denominator) -> Vector:
         """The solution of the equalities whose free coordinates are
         numerators / denominator."""
-        point = [ZERO] * lp.dimension
-        for j, numerator in zip(free, numerators):
+        point = [ZERO] * self.dimension
+        for j, numerator in zip(self.free, numerators):
             point[j] = Fraction(numerator, denominator)
-        for p, equation in zip(pivots, solved):
+        for p, equation in zip(self.pivots, self.solved):
             numerator = equation[-1] * denominator - sum(
-                equation[j] * z for j, z in zip(free, numerators)
+                equation[j] * z for j, z in zip(self.free, numerators)
             )
-            point[p] = Fraction(numerator, det * denominator)
+            point[p] = Fraction(numerator, self.det * denominator)
         return tuple(point)
 
-    projected = []  # (index, row over z, rhs) of the rows involving z
-    tight = set()
-    for i, (coeffs, rhs) in enumerate(lp.inequalities):
-        *row, b = substitute(coeffs, rhs)
-        if any(row):
-            projected.append((i, row, b))
-        elif b < 0:
-            return INFEASIBLE
-        elif b == 0:
-            tight.add(i)
+    def split(self, coeffs: Vector) -> list[int]:
+        """`coeffs . x <= 0` as `c . y <= b` over the tableau's columns,
+        c + [b]."""
+        *cost, b = self.substitute(coeffs, ZERO)
+        return cost + [-c for c in cost] + [0] * len(self.projected) + [b]
 
-    if f == 0:  # the equalities fix the point
-        return _optimal_outcome(lp, lift((), 1), tight)
+    def solve(self, objective: Vector, lexmin: int) -> LpOutcome:
+        """Phase 2 for `objective` on a copy of the tableau, then the lexmin
+        walk and the point.
+
+        The value is read from the tableau: with s the lcm of the
+        objective's denominators, det_e = `self.det` and (c, b) =
+        `split(objective)`, every solution x of the equalities has
+        det_e * s * objective.x = c . y - b, and phase 2 ends with
+        c . y = -reduced[-1] / det.
+        """
+        scale = math.lcm(*(v.denominator for v in objective))
+        line = self.split(objective)
+        if self.tableau is None:  # the equalities fix the point
+            value = Fraction(-line[-1], self.det * scale)
+            return LpOutcome(
+                LpStatus.OPTIMAL, value, self.lift((), 1), frozenset(self.tight)
+            )
+        tableau = self.tableau.copy()
+        f = len(self.free)
+        n = 2 * f + len(self.projected)
+        tableau.load(line)
+        if not tableau.minimize(range(n)):
+            return UNBOUNDED
+        value = Fraction(
+            -tableau.reduced[-1] - line[-1] * tableau.det,
+            tableau.det * self.det * scale,
+        )
+        if lexmin:
+            # the optimal face: the columns of zero reduced cost, the others at 0
+            columns = [j for j in range(n) if tableau.reduced[j] == 0]
+            for k in range(lexmin):
+                unit = [ZERO] * self.dimension
+                unit[k] = ONE
+                columns = tableau.lexmin_step(self.split(tuple(unit)), columns)
+
+        z = [0] * f  # numerators over tableau.det
+        loose = set()  # rows whose slack is basic and positive
+        for row, col in zip(tableau.rows, tableau.basis):
+            if col < f:
+                z[col] += row[n]
+            elif col < 2 * f:
+                z[col - f] -= row[n]
+            elif row[n] != 0:
+                loose.add(col - 2 * f)
+        tight = self.tight.union(
+            i for k, i in enumerate(self.projected) if k not in loose
+        )
+        return LpOutcome(
+            LpStatus.OPTIMAL, value, self.lift(z, tableau.det), frozenset(tight)
+        )
+
+
+def _prepare(
+    equalities: Sequence[Row], inequalities: Sequence[Row], dimension: int
+) -> Optional[_Start]:
+    """The start of every LP over these rows, or None when they have no
+    solution."""
+    eliminated = _eliminate_equalities(equalities, dimension)
+    if eliminated is None:
+        return None
+    start = _Start(dimension, *eliminated)
+    projected = []  # rows over z and their rhs
+    for i, (coeffs, rhs) in enumerate(inequalities):
+        *row, b = start.substitute(coeffs, rhs)
+        if any(row):
+            start.projected.append(i)
+            projected.append((row, b))
+        elif b < 0:
+            return None
+        elif b == 0:
+            start.tight.add(i)
+
+    f = len(start.free)
+    if f == 0:
+        return start
 
     m = len(projected)
     # columns: z+ (f), z- (f), one slack per row (n in all), then the rhs
     n = 2 * f + m
     rows, basis = [], []
-    for k, (_, row, b) in enumerate(projected):
+    for k, (row, b) in enumerate(projected):
         line = row + [-c for c in row] + [0] * m + [b]
         line[2 * f + k] = 1
         if b < 0:
@@ -533,42 +674,33 @@ def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
         tableau.reduced = [-sum(column) for column in zip(*artificial)]
         tableau.minimize(range(n))
         if tableau.reduced[n] != 0:
-            return INFEASIBLE
+            return None
         tableau.drive_out_artificials(range(n))
-
-    def split(coeffs) -> list[int]:
-        """`coeffs . x <= 0` as `c . y <= b` over the columns, c + [b]."""
-        *cost, b = substitute(coeffs, ZERO)
-        return cost + [-c for c in cost] + [0] * m + [b]
-
-    tableau.load(split(lp.objective))
-    if not tableau.minimize(range(n)):
-        return UNBOUNDED
-    if lexmin:
-        # the optimal face: the columns of zero reduced cost, the others at 0
-        columns = [j for j in range(n) if tableau.reduced[j] == 0]
-        for k in range(lexmin):
-            unit = [ZERO] * lp.dimension
-            unit[k] = ONE
-            columns = tableau.lexmin_step(split(tuple(unit)), columns)
-
-    z = [0] * f  # numerators over tableau.det
-    loose = set()  # rows whose slack is basic and positive
-    for line, col in zip(tableau.rows, tableau.basis):
-        if col < f:
-            z[col] += line[n]
-        elif col < 2 * f:
-            z[col - f] -= line[n]
-        elif line[n] != 0:
-            loose.add(col - 2 * f)
-    tight.update(i for k, (i, _, _) in enumerate(projected) if k not in loose)
-    return _optimal_outcome(lp, lift(z, tableau.det), tight)
+    start.tableau = tableau
+    return start
 
 
-def _optimal_outcome(lp: LinearProgram, point: Vector, tight: set[int]) -> LpOutcome:
-    return LpOutcome(
-        LpStatus.OPTIMAL, dot(lp.objective, point), point, frozenset(tight)
-    )
+def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
+    """Exact optimum of `lp` with an optimal point, deterministically.
+
+    Equalities are eliminated by substitution first; the remaining free
+    variables are split into nonnegative pairs for the simplex, which runs
+    on an integer tableau from the slack basis (see the module docstring).
+    All of that up to the end of phase 1 is the rows' prepared start, built
+    on the first solve over them and shared by every LP made from `lp` by
+    `with_objective`; each solve continues a copy of it.  The point is
+    basic.  With `lexmin=k` the same tableau goes on to walk the optimal
+    face instead: the value is unchanged, and the point's first k
+    coordinates are the lexicographic minimum of the face, where a
+    coordinate unbounded below is pinned to its maximum if that is finite
+    and negative, else to 0.
+    """
+    if not 0 <= lexmin <= lp.dimension:
+        raise ValueError(f"lexmin={lexmin} in an LP of dimension {lp.dimension}")
+    start = lp._rows.start()
+    if start is None:
+        return INFEASIBLE
+    return start.solve(lp.objective, lexmin)
 
 
 def lp_feasible(

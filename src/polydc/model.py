@@ -523,15 +523,26 @@ class MaxAffine:
         Variables (x, t): minimize t - xi.x subject to the rows of C, then
         those of dom(f), then t >= u.x + alpha for every piece; at an
         optimum t = f(x), so the optimal face projects one to one onto the
-        minimizers.
+        minimizers.  When C adds no rows, every such LP shares the rows of
+        `_epigraph`, and with them one prepared start.
         """
-        sets = (self.domain,) if C is None else (C, self.domain)
+        objective = vneg(xi) + (ONE,)  # minimize t - xi.x
+        if C is None or C.is_whole_space:
+            return self._epigraph.with_objective(objective)
+        return self._epigraph_over((C, self.domain), objective)
+
+    @cached_property
+    def _epigraph(self) -> LinearProgram:
+        """The epigraph rows over dom(f), built once per function."""
+        return self._epigraph_over((self.domain,), zero_vector(self.dimension + 1))
+
+    def _epigraph_over(self, sets, objective: Vector) -> LinearProgram:
         equalities = [(a + (ZERO,), y) for S in sets for a, y in S.equalities]
         inequalities = [(a + (ZERO,), b) for S in sets for a, b in S.inequalities]
         for u, alpha in self.pieces:
             inequalities.append((u + (-ONE,), -alpha))
         return LinearProgram(
-            objective=vneg(xi) + (ONE,),  # minimize t - xi.x
+            objective=objective,
             equalities=tuple(equalities),
             inequalities=tuple(inequalities),
             dimension=self.dimension + 1,
@@ -550,8 +561,12 @@ class MaxAffine:
 
 
 def restrict_sum(g: MaxAffine, C: PolyhedralSet) -> MaxAffine:
-    """g + indicator of C: same pieces, domain intersected with C."""
-    domain = g.domain.intersect(C)
+    """g + indicator of C: same pieces, domain C ∩ dom(g).
+
+    The rows of C come first, so the result's `epigraph_lp(xi)` is
+    `g.epigraph_lp(xi, C)`.
+    """
+    domain = C.intersect(g.domain)
     if domain.is_empty():
         raise EmptyIntersection(
             "standing assumption violated: dom(g) and C do not intersect"

@@ -147,7 +147,7 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
     """
     v, beta = prob.h.piece(j)
     n = prob.dimension
-    outcome = lp_solve(prob.g.epigraph_lp(v, prob.C))
+    outcome = lp_solve(prob.g_plus_indicator.epigraph_lp(v))
     if outcome.status is LpStatus.INFEASIBLE:
         raise InternalCheckFailed(
             "linearized subproblem infeasible despite the standing assumption"

@@ -288,6 +288,41 @@ class TestCommands:
             assert code == 2
             assert location in capsys.readouterr().err
 
+    def test_row_lists_that_are_not_lists_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        cases = []
+        for value in (5, True, False, 0, {}, "", "[]"):
+            doc = json.loads(INTERVAL_DOC)
+            doc["C"]["eq"] = value
+            cases.append((doc, "C.eq"))
+            doc = json.loads(INTERVAL_DOC)
+            doc["g"]["domain"] = {"ineq": value}
+            cases.append((doc, "g.domain.ineq"))
+        for doc, location in cases:
+            path.write_text(json.dumps(doc), "utf-8")
+            code = main(["structure", "--problem", str(path)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"error: {location}: expected a list" in err
+            assert "Traceback" not in err
+
+    def test_absent_or_null_row_lists_mean_no_rows(self):
+        doc = json.loads(INTERVAL_DOC)
+        doc["C"] = {"eq": None, "ineq": doc["C"]["ineq"]}
+        doc["h"]["domain"] = {"ineq": None}
+        doc["g"]["domain"] = {}
+        prob = parse_problem(json.dumps(doc))
+        assert prob == parse_problem(INTERVAL_DOC)
+
+    def test_unknown_top_level_keys_exit_2(self, tmp_path, capsys):
+        doc = json.loads(INTERVAL_DOC)
+        doc["extra"] = 1
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        code = main(["structure", "--problem", str(path)])
+        assert code == 2
+        assert "top level: unknown keys ['extra']" in capsys.readouterr().err
+
     def test_verify_rejects_higher_dimensions(self, tmp_path, capsys):
         doc = {
             "dimension": 3,

@@ -8,8 +8,10 @@ import pytest
 
 from polydc import (
     ByActiveSetTable,
+    DcaTrace,
     DcProblem,
     EmptyIntersection,
+    Iterate,
     LinearProgram,
     LpStatus,
     MaxAffine,
@@ -18,6 +20,7 @@ from polydc import (
     OutsideDomain,
     PolyhedralSet,
     Scripted,
+    Termination,
     TerminationKind,
     is_critical,
     lp_feasible,
@@ -25,9 +28,10 @@ from polydc import (
     run,
     select_subgradient,
     solve_subproblem,
+    toland_singer_check,
     validate_trace,
 )
-from polydc import dca, exactlp, model
+from polydc import dca, exactlp, model, structure
 from polydc.dca import InvalidSelection, SubproblemUnboundedError
 from polydc.model import InternalCheckFailed
 
@@ -548,3 +552,167 @@ class TestOneTableauSubproblem:
                 monkeypatch.setattr(dca, "solve_subproblem", reference_subproblem)
                 assert run(prob, x0, rule, max_iter=50) == trace
                 monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# epigraph LPs over one function share one prepared start
+
+
+def reference_run(prob, x0, rule, max_iter=1000):
+    """`run` with every iterate evaluated by `finite_objective` and every
+    subproblem posed over g and C, each LP built from scratch."""
+    x = tuple(F(c) for c in x0)
+    iterates, seen, step = [], {}, 0
+    while True:
+        if not prob.h.domain.contains(x):
+            termination = Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step)
+            break
+        try:
+            xi = rule.choose(prob.h, x, step)
+        except IndexError:
+            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
+            break
+        iterates.append(Iterate(x, xi, prob.finite_objective(x)))
+        if rule.deterministic:
+            first = seen.get(x)
+            if first is not None:
+                period = step - first
+                kind = (
+                    TerminationKind.FIXED_POINT if period == 1 else TerminationKind.CYCLE
+                )
+                termination = Termination(kind, step=first, period=period)
+                break
+            seen[x] = step
+        if step >= max_iter:
+            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
+            break
+        try:
+            x, _ = reference_subproblem(prob.g, prob.C, xi)
+        except SubproblemUnboundedError:
+            termination = Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step)
+            break
+        step += 1
+    return DcaTrace(iterates=tuple(iterates), termination=termination)
+
+
+def _fresh(lp):
+    return LinearProgram(lp.objective, lp.equalities, lp.inequalities, lp.dimension)
+
+
+def _equality_problem():
+    """C: a line x1 + x2 = 1/2 in a box; dom g: two rows containing C."""
+    C = PolyhedralSet(
+        2,
+        equalities=((vec(1, 1), F(1, 2)),),
+        inequalities=PolyhedralSet.box(vec(-1, -1), vec(2, 1)).inequalities,
+    )
+    g = MaxAffine.from_pieces(
+        [(vec(1, 0), F(0)), (vec(-1, 1), F(1, 2)), (vec(0, -2), F(-1))],
+        2,
+        domain=PolyhedralSet(
+            2, inequalities=((vec(1, 0), F(3)), (vec(1, -1), F(4)))
+        ),
+    )
+    h = MaxAffine.from_pieces(
+        [(vec(0, 1), F(0)), (vec(0, -1), F(0)), (vec(1, 1), F(-1, 2))], 2
+    )
+    return DcProblem(g=g, h=h, C=C)
+
+
+class TestSharedEpigraphStart:
+    def test_epigraph_lps_match_fresh_lps(self):
+        rng = random.Random(79)
+        solves = 0
+        statuses = set()
+        for prob in _subproblem_instances() + [_equality_problem()]:
+            g_plus = prob.g_plus_indicator
+            xis = _subgradients(rng, prob)
+            # g + indicator(C) poses exactly the rows of g over C
+            for xi in xis[:2]:
+                assert g_plus.epigraph_lp(xi) == prob.g.epigraph_lp(xi, prob.C)
+            posed = [
+                (f, xi, k)
+                for f in (g_plus, prob.h)
+                for xi in xis
+                for k in range(prob.dimension + 2)
+            ]
+            rng.shuffle(posed)
+            for f, xi, k in posed:
+                lp = f.epigraph_lp(xi)
+                assert lp._rows is f._epigraph._rows
+                out = lp_solve(lp, lexmin=k)
+                assert out == lp_solve(_fresh(lp), lexmin=k)
+                statuses.add(out.status)
+                solves += 1
+        assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+        assert solves >= 3000
+
+    def test_equality_elimination_runs_once_per_epigraph_system(self, monkeypatch):
+        prob = _equality_problem()
+        g_rows = prob.g.epigraph_lp(vec(0, 0), prob.C)
+        assert g_rows.equalities and prob.g.domain.inequalities
+        systems = {
+            (lp.equalities, lp.inequalities)
+            for lp in (g_rows, prob.h.epigraph_lp(vec(0, 0)))
+        }
+        epigraph_solves, eliminations = [], []
+        current = []
+        solve, eliminate = exactlp.lp_solve, exactlp._eliminate_equalities
+
+        def counting_solve(lp, **kwargs):
+            rows = (lp.equalities, lp.inequalities)
+            current.append(rows in systems)
+            if current[-1]:
+                epigraph_solves.append(rows)
+            try:
+                return solve(lp, **kwargs)
+            finally:
+                current.pop()
+
+        def counting_eliminate(equalities, dimension):
+            if current and current[-1]:
+                eliminations.append(equalities)
+            return eliminate(equalities, dimension)
+
+        for module in (exactlp, model, dca, structure):
+            monkeypatch.setattr(module, "lp_solve", counting_solve)
+        monkeypatch.setattr(exactlp, "_eliminate_equalities", counting_eliminate)
+        x0 = vec(F(1, 4), F(1, 4))
+        for x, rule in (
+            (x0, MinIndexActive()),
+            (x0, MaxIndexActive()),
+            (vec(1, F(-1, 2)), MinIndexActive()),
+            (vec(F(-1, 2), 1), MaxIndexActive()),
+        ):
+            run(prob, x, rule)
+        report = toland_singer_check(prob)
+        monkeypatch.undo()
+        assert report.attained_at is not None
+        assert len(set(epigraph_solves)) == 2
+        assert len(epigraph_solves) >= 15
+        assert len(eliminations) == 2
+
+    def test_runs_match_a_reference_that_evaluates_every_iterate(self):
+        rng = random.Random(83)
+        kinds = set()
+        for prob in _subproblem_instances() + [_equality_problem()]:
+            n = prob.dimension
+            starts = [
+                lp_feasible(
+                    prob.g.domain.equalities + prob.C.equalities,
+                    prob.g.domain.inequalities + prob.C.inequalities,
+                    n,
+                )
+            ]
+            for _ in range(2):
+                objective = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+                point = lp_solve(prob.g.epigraph_lp(objective, prob.C)).point
+                if point is not None:
+                    starts.append(point[:n])
+            for x0 in starts:
+                for rule in (MinIndexActive(), MaxIndexActive()):
+                    trace = run(prob, x0, rule, max_iter=50)
+                    assert trace == reference_run(prob, x0, rule, max_iter=50)
+                    kinds.add(trace.termination.kind)
+        assert TerminationKind.FIXED_POINT in kinds
+        assert TerminationKind.SUBPROBLEM_UNBOUNDED in kinds

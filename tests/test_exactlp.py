@@ -1,6 +1,9 @@
 """Exact LP solver: golden cases, invariants, and the brute-force oracle."""
 
+import dataclasses
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -371,6 +374,164 @@ class TestLexmin:
     def test_lexmin_is_checked(self):
         with pytest.raises(ValueError):
             lp_solve(interval_lp(vec(1)), lexmin=2)
+
+
+def objectives_for(rng, lp):
+    """Objectives to pose over one LP's rows: its own, zero, +-each row,
+    and small random vectors, some with denominators."""
+    n = lp.dimension
+    objectives = [lp.objective, (Fraction(0),) * n]
+    for row, _ in lp.inequalities[:4] + lp.equalities:
+        objectives += [row, tuple(-c for c in row)]
+    for _ in range(4):
+        q = rng.choice((1, 1, 3, 7))
+        objectives.append(
+            tuple(Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(n))
+        )
+    return objectives
+
+
+def start_state(lp):
+    """A copy of everything the prepared start of `lp`'s rows holds."""
+    start = lp._rows.start()
+    if start is None:
+        return None
+    tableau = start.tableau
+    return (
+        list(start.pivots),
+        [list(row) for row in start.solved],
+        start.det,
+        list(start.projected),
+        set(start.tight),
+        None
+        if tableau is None
+        else ([list(row) for row in tableau.rows], list(tableau.basis), tableau.det),
+    )
+
+
+class TestPreparedStart:
+    """Every LP over one set of rows continues the rows' prepared start;
+    each outcome must be the one a freshly built LP gives."""
+
+    def test_value_is_the_objective_at_the_point(self):
+        seen = set()
+        for fractional in (False, True):
+            rng = random.Random(23)
+            for _ in range(150):
+                lp = lexmin_cases(rng, fractional)
+                for k in (0, lp.dimension):
+                    out = lp_solve(lp, lexmin=k)
+                    seen.add(out.status)
+                    if out.is_optimal:
+                        assert out.value == dot(lp.objective, out.point)
+        assert seen == set(LpStatus)
+        # the equalities fix the point and the objective has denominators
+        lp = LinearProgram(
+            objective=vec(Fraction(1, 3), Fraction(-5, 7)),
+            equalities=((vec(2, 1), Fraction(1)), (vec(1, -3), Fraction(1, 2))),
+            inequalities=(),
+            dimension=2,
+        )
+        out = lp_solve(lp)
+        assert out.value == dot(lp.objective, out.point)
+
+    def test_shared_rows_give_fresh_outcomes(self):
+        shared_solves = 0
+        seen = set()
+        for fractional in (False, True):
+            rng = random.Random(29)
+            for _ in range(60):
+                base = lexmin_cases(rng, fractional)
+                n = base.dimension
+                before = start_state(base)
+                posed = [
+                    (objective, k)
+                    for objective in objectives_for(rng, base)
+                    for k in range(n + 1)
+                ]
+                rng.shuffle(posed)
+                for objective, k in posed:
+                    shared = base.with_objective(objective)
+                    assert shared._rows is base._rows
+                    fresh = LinearProgram(
+                        objective, base.equalities, base.inequalities, n
+                    )
+                    assert fresh._rows is not base._rows
+                    out = lp_solve(shared, lexmin=k)
+                    assert out == lp_solve(fresh, lexmin=k)
+                    seen.add(out.status)
+                    shared_solves += 1
+                assert start_state(base) == before
+        assert seen == set(LpStatus)
+        assert shared_solves >= 2000
+
+    def test_rows_are_prepared_once(self, monkeypatch):
+        rng = random.Random(31)
+        lp = None
+        while lp is None or not lp_solve(lp).is_optimal or not lp.equalities:
+            lp = gens.random_bounded_lp(rng)
+        lp = LinearProgram(lp.objective, lp.equalities, lp.inequalities, lp.dimension)
+        calls = []
+        original = exactlp._eliminate_equalities
+
+        def counting(equalities, dimension):
+            calls.append(equalities)
+            return original(equalities, dimension)
+
+        monkeypatch.setattr(exactlp, "_eliminate_equalities", counting)
+        shared = lp.with_objective(lp.objective)
+        for objective in objectives_for(rng, lp):
+            lp_solve(lp.with_objective(objective), lexmin=lp.dimension)
+        lp_solve(shared)
+        assert len(calls) == 1
+        lp_solve(LinearProgram(lp.objective, lp.equalities, lp.inequalities, lp.dimension))
+        assert len(calls) == 2
+
+    def test_rows_of_another_lp_are_not_shared(self):
+        # dataclasses.replace passes the old rows' start along with new rows
+        lp = interval_lp(vec(1))
+        assert lp_solve(lp).value == -2
+        moved = dataclasses.replace(
+            lp, inequalities=((vec(-1), Fraction(-4)), (vec(1), Fraction(9)))
+        )
+        assert moved._rows is not lp._rows
+        assert lp_solve(moved).value == 4
+
+    def test_threads_share_starts_built_on_first_use(self):
+        # six threads, switching every 10 us, all asking for the same
+        # unbuilt starts: each outcome must still be the fresh one
+        rng = random.Random(37)
+        cases = []
+        for fractional in (False, True):
+            for _ in range(8):
+                base = lexmin_cases(rng, fractional)
+                n = base.dimension
+                for objective in objectives_for(rng, base)[:6]:
+                    fresh = LinearProgram(
+                        objective, base.equalities, base.inequalities, n
+                    )
+                    cases.append((base, objective, n, lp_solve(fresh, lexmin=n)))
+        mismatches, finished = [], []
+
+        def solve_all():
+            for base, objective, n, expected in cases:
+                if lp_solve(base.with_objective(objective), lexmin=n) != expected:
+                    mismatches.append(objective)
+            finished.append(True)
+
+        threads = [threading.Thread(target=solve_all) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(finished) == len(threads)
+        assert mismatches == []
 
 
 class TestCertificate:
