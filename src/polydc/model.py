@@ -18,7 +18,7 @@ of g and h are numbered when writing a problem down.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -581,6 +581,7 @@ class DcProblem:
     g: MaxAffine
     h: MaxAffine
     C: PolyhedralSet
+    _domain: PolyhedralSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.g.dimension == self.h.dimension == self.C.dimension):
@@ -588,14 +589,12 @@ class DcProblem:
                 "g, h and C must share one dimension, got "
                 f"{self.g.dimension}, {self.h.dimension}, {self.C.dimension}"
             )
-        if lp_feasible(
-            self.g.domain.equalities + self.C.equalities,
-            self.g.domain.inequalities + self.C.inequalities,
-            self.C.dimension,
-        ) is None:
+        domain = self.C.intersect(self.g.domain)
+        if domain.is_empty():
             raise EmptyIntersection(
                 "standing assumption violated: dom(g) ∩ C is empty"
             )
+        object.__setattr__(self, "_domain", domain)
 
     @property
     def dimension(self) -> int:
@@ -603,8 +602,10 @@ class DcProblem:
 
     @cached_property
     def g_plus_indicator(self) -> MaxAffine:
-        """g + indicator of C as one max-affine function."""
-        return restrict_sum(self.g, self.C)
+        """g + indicator of C as one max-affine function: `restrict_sum`
+        over the domain the load check found nonempty, so its LP is posed
+        once per problem."""
+        return MaxAffine(pieces=self.g.pieces, domain=self._domain)
 
     def objective_value(self, x: Sequence) -> ExtendedRational:
         """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""
@@ -617,14 +618,3 @@ class DcProblem:
                 "objective is not finite at this point"
             )
         return value.as_fraction()
-
-    def require_classifiable(self, x: Sequence) -> Vector:
-        """Check x in dom(g) ∩ dom(h) ∩ C, naming the failing set."""
-        x = _check_dimension(x, self.dimension)
-        if not self.g.domain.contains(x):
-            raise OutsideDomain("point is outside dom(g)")
-        if not self.h.domain.contains(x):
-            raise OutsideDomain("point is outside dom(h)")
-        if not self.C.contains(x):
-            raise OutsideDomain("point is outside the constraint set C")
-        return x

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import ConvexBody, DcProblem, Vector, _check_dimension
+from .model import ConvexBody, DcProblem, OutsideDomain, Vector, _check_dimension
 
 
 class LocalStatus(Enum):
@@ -65,6 +65,21 @@ def _tight_rows(prob: DcProblem, x: Vector) -> tuple:
     )
 
 
+_OUTSIDE = ("dom(g)", "dom(h)", "the constraint set C")  # in `_tight_rows` order
+
+
+def _classifiable(prob: DcProblem, x: Sequence) -> tuple[Vector, tuple]:
+    """x coerced and its `_tight_rows`, each row evaluated once; raises
+    OutsideDomain naming the first of dom g, dom h and C that x is
+    outside."""
+    x = _check_dimension(x, prob.dimension)
+    tight = _tight_rows(prob, x)
+    for rows, name in zip(tight, _OUTSIDE):
+        if rows is None:
+            raise OutsideDomain(f"point is outside {name}")
+    return x, tight
+
+
 def _subdifferentials(
     prob: DcProblem, x: Vector, tight: tuple
 ) -> tuple[ConvexBody, ConvexBody]:
@@ -95,14 +110,14 @@ def _subdifferentials(
 
 
 def is_critical(prob: DcProblem, x: Sequence) -> bool:
-    x = prob.require_classifiable(x)
-    dh, dgc = _subdifferentials(prob, x, _tight_rows(prob, x))
+    x, tight = _classifiable(prob, x)
+    dh, dgc = _subdifferentials(prob, x, tight)
     return dh.intersection_witness(dgc) is not None
 
 
 def is_stationary(prob: DcProblem, x: Sequence) -> bool:
-    x = prob.require_classifiable(x)
-    dh, dgc = _subdifferentials(prob, x, _tight_rows(prob, x))
+    x, tight = _classifiable(prob, x)
+    dh, dgc = _subdifferentials(prob, x, tight)
     return dh.issubset(dgc)
 
 
@@ -110,7 +125,7 @@ def is_local_solution(prob: DcProblem, x: Sequence) -> LocalStatus:
     """The `local` verdict of `classify`; raises at an infeasible point."""
     result = classify(prob, x)
     if not result.feasible:
-        prob.require_classifiable(x)  # raises, naming the set x is outside
+        _classifiable(prob, x)  # raises, naming the set x is outside
     return result.local
 
 

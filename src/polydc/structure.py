@@ -14,16 +14,34 @@ Both constructions require dom(g) and int(dom(h)) to contain C; the checks
 name the violated constraint.  Decisions about semi-closed sets (emptiness,
 containment, adjacency of closures) are made exactly by maximizing the
 margin of the strict rows with an LP; a semi-closed system has a point iff
-the margin is positive.  Containment P ⊆ Q asks, per live branch of P,
-whether a member of P violates a closed row of Q; a row that is already in
-the branch's own system (a row of C, of dom g, or of a face shared by both
-J1 sets) holds at every member, so only the other rows of Q cost an LP.
+the margin is positive.  Each LP is posed as small as the proof allows:
+
+* Repeated rows dropped.  Every face repeats the rows of C and dom g,
+  and the closed part adds C again.  A repeated row cuts out nothing
+  more, and unless it could change a pivot (see `_lp_rows`) it is
+  dropped: from a piece's system once, when the piece is built, and from
+  the joined system of two branches once per adjacency LP.  Every LP
+  pivots as over the whole system, so every witness is the one the whole
+  system gives.
+* Anchors ruled out by alpha.  A branch anchored at j0 asks for a member
+  where h_j0 is a maximizer of h.  On the closed part of J1, every x has
+  g(x) - v_j.x equal to the unshifted value of j for each j in J1, so
+  h_j(x) - h_k(x) = alpha_k - alpha_j with alpha the shifted values; an
+  anchor that does not attain the least alpha over J1 is below another
+  piece of J1 everywhere, and `local_pieces` poses no LP for it.
+* Active pieces read from live anchors.  A member of P where a piece j
+  outside Q.J1 is active is exactly a point of P's branch anchored at j,
+  so P ⊆ Q fails at once when such a branch is live.  Otherwise
+  containment asks, per live branch of P, whether a member of P violates
+  a closed row of Q; a row that is already in the branch's own system (a
+  row of C, of dom g, or of a face shared by both J1 sets) holds at every
+  member, so only the other rows of Q cost an LP.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Sequence
@@ -111,6 +129,10 @@ class SemiClosedPiece:
 
     The semi-closed piece is convex; its members are exactly the points of
     the closed part where every excluded piece of h is strictly inactive.
+    `rows` is the closed part without the repeated rows that cannot change
+    a pivot (see `_lp_rows`), the system that the branches and `contains`
+    work on; `branches` holds one branch per anchor tried, and
+    `branch_witnesses` the live ones.
     """
 
     J1: frozenset[int]
@@ -120,10 +142,11 @@ class SemiClosedPiece:
     witness: Vector
     branches: tuple[_Branch, ...]
     branch_witnesses: tuple[tuple[int, Vector], ...]
+    rows: PolyhedralSet = field(compare=False, repr=False)
 
     def contains(self, x: Sequence) -> bool:
-        x = _check_dimension(x, self.closed_part.dimension)
-        if not self.closed_part.contains(x):
+        x = _check_dimension(x, self.dimension)
+        if not self.rows.contains(x):
             return False
         if not self.h.domain.contains(x):
             return False
@@ -221,6 +244,36 @@ def global_solutions(
     return alpha_bar, J_star, pieces
 
 
+def _lp_rows(
+    equalities: Sequence[Row], inequalities: Sequence[Row]
+) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+    """The system in its order, without the repeated rows that cannot
+    change a pivot of `lp_solve`.
+
+    A repeated equality only adds a zero row to the elimination.  Without
+    equalities, an inequality with rhs >= 0 starts with its slack basic;
+    a later copy ties with the first in every ratio test it could win and
+    loses on Bland's lowest-index rule, so it never leaves the basis.
+    Both are dropped: an LP over the result pivots as over the whole
+    system and gives the same point.  A repeated inequality with rhs < 0
+    gets an artificial of its own that weighs in phase 1, and with
+    equalities a row's rhs after substitution may be negative, so those
+    repeats are kept.
+    """
+    kept_equalities = tuple(dict.fromkeys(equalities))
+    if equalities:
+        return kept_equalities, tuple(inequalities)
+    seen = set()
+    kept = []
+    for row in inequalities:
+        if row[1] < 0:
+            kept.append(row)
+        elif row not in seen:
+            seen.add(row)
+            kept.append(row)
+    return kept_equalities, tuple(kept)
+
+
 def _branch_for(
     h: MaxAffine, closed_part: PolyhedralSet, J1: frozenset[int], anchor: int
 ) -> _Branch:
@@ -240,15 +293,27 @@ def _branch_for(
 
 
 def build_piece(
-    h: MaxAffine, closed_part: PolyhedralSet, J1: frozenset[int]
+    h: MaxAffine,
+    closed_part: PolyhedralSet,
+    J1: frozenset[int],
+    anchors: Optional[Sequence[int]] = None,
 ) -> Optional[SemiClosedPiece]:
     """Assemble the semi-closed piece for J1, or None when it has no members.
 
     Nonemptiness is decided anchor by anchor: the piece has a member with
     anchor j0 active iff the j0 branch's strict rows admit positive margin.
+    Every anchor of J1 is tried unless `anchors` names those that can be
+    live, in ascending order; the others have no members and get no LP.
+    The repeated rows that cannot change a pivot are dropped once, here.
     """
+    rows = PolyhedralSet(
+        closed_part.dimension,
+        *_lp_rows(closed_part.equalities, closed_part.inequalities),
+    )
+    if anchors is None:
+        anchors = sorted(J1)
     # a tuple from a list, not a generator: see exactlp.vector
-    branches = tuple([_branch_for(h, closed_part, J1, j0) for j0 in sorted(J1)])
+    branches = tuple([_branch_for(h, rows, J1, j0) for j0 in anchors])
     witnesses = []
     for branch in branches:
         w = _strict_witness(
@@ -266,30 +331,37 @@ def build_piece(
         witness=witnesses[0][1],
         branches=branches,
         branch_witnesses=tuple(witnesses),
+        rows=rows,
     )
 
 
 def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     """Exact containment of member sets of two semi-closed pieces.
 
-    A member of P satisfies every row of its branch's system, so a closed
+    A member of P where a piece j outside Q.J1 is active is a point of P's
+    branch anchored at j, so such a member exists iff that branch is live.
+    Otherwise P ⊆ Q iff no member of P violates a closed row of Q.  A
+    member of P satisfies every row of its branch's system, so a closed
     row of Q that is already a row of that system cannot be violated and
     needs no LP; each remaining row of Q is tested once.
     """
     n = P.dimension
     live = {anchor for anchor, _ in P.branch_witnesses}
+    if live & (P.J1 - Q.J1):
+        return False
     for branch in P.branches:
         if branch.anchor not in live:
             continue
         # a member of P violating a closed constraint of Q
         own_equalities = set(branch.equalities)
-        own_weak = set(branch.weak)
+        settled = set(branch.weak)  # rows every member satisfies, or tested
         violations = []
-        for a, y in dict.fromkeys(Q.closed_part.equalities):
+        for a, y in Q.rows.equalities:
             if (a, y) not in own_equalities:
                 violations += [(a, y), (vneg(a), -y)]  # a.x < y or a.x > y
-        for a, b in dict.fromkeys(Q.closed_part.inequalities):
-            if (a, b) not in own_weak:
+        for a, b in Q.rows.inequalities:
+            if (a, b) not in settled:
+                settled.add((a, b))
                 violations.append((vneg(a), -b))
         for violation in violations:
             if (
@@ -297,25 +369,6 @@ def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
                     branch.equalities,
                     branch.weak,
                     branch.strict + (violation,),
-                    n,
-                )
-                is not None
-            ):
-                return False
-        # a member of P where a piece outside Q.J1 is active
-        for j_extra in sorted(P.J1 - Q.J1):
-            v_extra, beta_extra = P.h.piece(j_extra)
-            rows = []
-            for j in P.h.indices:
-                if j == j_extra:
-                    continue
-                vj, betaj = P.h.piece(j)
-                rows.append((vsub(vj, v_extra), beta_extra - betaj))
-            if (
-                _strict_witness(
-                    branch.equalities,
-                    branch.weak + tuple(rows),
-                    branch.strict,
                     n,
                 )
                 is not None
@@ -338,11 +391,12 @@ def local_pieces(
 ) -> tuple[SemiClosedPiece, ...]:
     """All nonempty semi-closed pieces of the local solution set.
 
-    Every nonempty subset J1 of h's piece indices is tried; pieces whose
-    member sets are provably equal are merged, keeping the smallest J1.
-    Equality is containment both ways, and each containment LP tests one
-    row of the other piece's closed part that the branch does not already
-    impose, so faces shared by the two J1 sets cost nothing.
+    Every nonempty subset J1 of h's piece indices is tried, with one LP
+    per anchor of least alpha over J1 (see the module docstring); pieces
+    whose member sets are provably equal are merged, keeping the smallest
+    J1.  Equality is containment both ways, and each containment LP tests
+    one row of the other piece's closed part that the branch does not
+    already impose, so faces shared by the two J1 sets cost nothing.
     Under the containment hypotheses the union of the returned pieces is
     exactly the local solution set.  `linearized` is as in
     `global_solutions`.
@@ -357,6 +411,7 @@ def local_pieces(
     if linearized is None:
         linearized = _linearize_all(prob)
     omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
+    alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     kept: list[SemiClosedPiece] = []
     for size in range(1, q + 1):
         for combo in itertools.combinations(prob.h.indices, size):
@@ -365,7 +420,9 @@ def local_pieces(
             if any(face is None for face in faces):
                 continue
             closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
-            piece = build_piece(prob.h, closed_part, J1)
+            least = min(alpha[j] for j in combo)  # finite: every face exists
+            anchors = [j for j in combo if alpha[j] == least]
+            piece = build_piece(prob.h, closed_part, J1, anchors)
             if piece is not None:
                 kept.append(piece)
     # merge duplicates, keeping the smallest J1 of each equivalence class
@@ -397,8 +454,10 @@ def _closure_meets(
             if other_branch.anchor not in live_other:
                 continue
             witness = _strict_witness(
-                closed.equalities + other_branch.equalities,
-                closed.weak + other_branch.weak,
+                *_lp_rows(
+                    closed.equalities + other_branch.equalities,
+                    closed.weak + other_branch.weak,
+                ),
                 other_branch.strict,
                 n,
             )

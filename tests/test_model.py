@@ -7,6 +7,7 @@ import pytest
 
 from polydc import (
     ConvexBody,
+    DcProblem,
     DimensionMismatch,
     EmptyIntersection,
     ImproperFunction,
@@ -17,6 +18,7 @@ from polydc import (
     contains_set,
     restrict_sum,
 )
+from polydc import exactlp
 from polydc.exactlp import ExtendedRational, dot
 
 import gens
@@ -235,6 +237,58 @@ class TestRestrictSum:
         )
         with pytest.raises(EmptyIntersection):
             restrict_sum(g, PolyhedralSet(1, inequalities=((vec(1), F(-6)),)))
+
+
+class TestLoadCheck:
+    """dom(g) ∩ C is decided once per problem, at load; g + indicator(C)
+    is built over that domain without testing it again."""
+
+    def _g(self):
+        # dom g = [-1, +inf) meets C = [-2, 3]
+        return MaxAffine.from_pieces(
+            [(vec(0), F(0)), (vec(1), F(-1))],
+            1,
+            domain=PolyhedralSet(1, inequalities=((vec(-1), F(1)),)),
+        )
+
+    def test_one_feasibility_lp_per_problem(self, monkeypatch):
+        posed = []
+        original = exactlp.lp_solve
+
+        def counting(lp, lexmin=0):
+            posed.append(lp)
+            return original(lp, lexmin)
+
+        monkeypatch.setattr(exactlp, "lp_solve", counting)
+        g = self._g()
+        prob = DcProblem(g=g, h=MaxAffine.constant(0, 1), C=interval_set())
+        f = prob.g_plus_indicator
+        assert f.pieces == g.pieces
+        assert f.domain.inequalities == (
+            interval_set().inequalities + g.domain.inequalities
+        )
+        assert f.value(vec(2)) == ExtendedRational.finite(1)
+        assert f.value(vec(-2)) == PLUS_INF
+        assert len(posed) == 1
+
+    def test_empty_intersection_message(self):
+        with pytest.raises(
+            EmptyIntersection,
+            match="^standing assumption violated: dom\\(g\\) ∩ C is empty$",
+        ):
+            DcProblem(
+                g=self._g(),
+                h=MaxAffine.constant(0, 1),
+                C=PolyhedralSet.box([F(-3)], [F(-2)]),
+            )
+
+    def test_dimension_checked_first(self):
+        with pytest.raises(DimensionMismatch, match="share one dimension"):
+            DcProblem(
+                g=self._g(),
+                h=MaxAffine.constant(0, 2),
+                C=interval_set(),
+            )
 
 
 class TestConjugate:

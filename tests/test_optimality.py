@@ -69,6 +69,53 @@ class TestCritical:
             is_critical(interval_problem, vec(10))
 
 
+class TestPreconditions:
+    """is_critical, is_stationary and is_local_solution evaluate each row of
+    dom g, dom h and C once and name the first of them x lies outside."""
+
+    def _problem(self):
+        # dom g = (-oo, 4], dom h = [-1, 5/2], C = [-2, 2]
+        g = MaxAffine(
+            ((vec(0), F(0)),),
+            PolyhedralSet(1, inequalities=((vec(1), F(4)),)),
+        )
+        h = MaxAffine(
+            ((vec(-1), F(-1)), (vec(0), F(0))),
+            PolyhedralSet(1, inequalities=((vec(-1), F(1)), (vec(1), F(5, 2)))),
+        )
+        return DcProblem(g=g, h=h, C=PolyhedralSet.box([F(-2)], [F(2)]))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (F(5), "point is outside dom(g)"),  # outside all three
+            (F(3), "point is outside dom(h)"),  # outside dom h and C
+            (F(9, 4), "point is outside the constraint set C"),
+        ],
+    )
+    def test_message_names_first_failing_set(self, x, message):
+        prob = self._problem()
+        for single in (is_critical, is_stationary, is_local_solution):
+            with pytest.raises(OutsideDomain) as info:
+                single(prob, vec(x))
+            assert str(info.value) == message
+
+    def test_each_row_set_evaluated_once(self, monkeypatch):
+        calls = []
+        original = model.PolyhedralSet._tight_rows
+
+        def counting(self, x):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(model.PolyhedralSet, "_tight_rows", counting)
+        prob = self._problem()
+        for single in (is_critical, is_stationary):
+            calls.clear()
+            assert single(prob, vec(0))
+            assert calls == [prob.g.domain, prob.h.domain, prob.C]
+
+
 class TestStationary:
     def test_interval_probes(self, interval_problem):
         assert is_stationary(interval_problem, vec(0))

@@ -378,6 +378,186 @@ class TestPieceContainment:
         assert len(calls) <= 22
 
 
+def _reference_build_piece(h, closed_part, J1):
+    """build_piece as it was before repeated rows were dropped and anchors
+    ruled out by alpha: one branch per anchor of J1, over every row of the
+    closed part as given."""
+    branches = []
+    for anchor in sorted(J1):
+        v0, beta0 = h.piece(anchor)
+        weak, strict = list(closed_part.inequalities), []
+        for j in h.indices:
+            if j != anchor:
+                vj, betaj = h.piece(j)
+                row = (vsub(vj, v0), beta0 - betaj)
+                (weak if j in J1 else strict).append(row)
+        branches.append(
+            structure._Branch(
+                anchor, closed_part.equalities, tuple(weak), tuple(strict)
+            )
+        )
+    witnesses = []
+    for branch in branches:
+        w = _strict_witness(
+            branch.equalities, branch.weak, branch.strict, closed_part.dimension
+        )
+        if w is not None:
+            witnesses.append((branch.anchor, w))
+    if not witnesses:
+        return None
+    return structure.SemiClosedPiece(
+        J1=J1,
+        closed_part=closed_part,
+        excluded=frozenset(h.indices) - J1,
+        h=h,
+        witness=witnesses[0][1],
+        branches=tuple(branches),
+        branch_witnesses=tuple(witnesses),
+        rows=closed_part,
+    )
+
+
+def _reference_local_pieces(prob):
+    """local_pieces with the reference pieces, merged by the full-row
+    containment test and its LP per active piece outside Q.J1."""
+    omega = {
+        j: solve_linearization(prob, j, shifted=False) for j in prob.h.indices
+    }
+    kept = []
+    for size in range(1, len(prob.h.pieces) + 1):
+        for combo in itertools.combinations(prob.h.indices, size):
+            if any(omega[j].face is None for j in combo):
+                continue
+            faces = [omega[j].face for j in combo]
+            closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
+            piece = _reference_build_piece(prob.h, closed_part, frozenset(combo))
+            if piece is not None:
+                kept.append(piece)
+    representatives = []
+    for P in kept:
+        if not any(
+            Q.contains(P.witness)
+            and P.contains(Q.witness)
+            and _full_row_piece_subset(P, Q)
+            and _full_row_piece_subset(Q, P)
+            for Q in representatives
+        ):
+            representatives.append(P)
+    return sorted(representatives, key=lambda p: sorted(p.J1))
+
+
+def _reference_closure_meets(closing, other):
+    """A point of cl(closing) ∩ other from the two branches' systems joined
+    as they are, repeated rows included."""
+    live = {anchor for anchor, _ in closing.branch_witnesses}
+    live_other = {anchor for anchor, _ in other.branch_witnesses}
+    for branch in closing.branches:
+        if branch.anchor not in live:
+            continue
+        closed = branch.weakened()
+        for other_branch in other.branches:
+            if other_branch.anchor not in live_other:
+                continue
+            witness = _strict_witness(
+                closed.equalities + other_branch.equalities,
+                closed.weak + other_branch.weak,
+                other_branch.strict,
+                closing.dimension,
+            )
+            if witness is not None:
+                return witness
+    return None
+
+
+def _reference_adjacency(pieces):
+    edges = {}
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        witness = _reference_closure_meets(pieces[i], pieces[j])
+        if witness is None:
+            witness = _reference_closure_meets(pieces[j], pieces[i])
+        if witness is not None:
+            edges[(i, j)] = witness
+    return edges
+
+
+def _shaped_instance(rng):
+    """A random instance with dom g rows, a bounded dom h and, in the
+    plane, an equality row in C; the structure hypotheses hold."""
+    base = gens.random_dc_instance(rng, n_max=2)
+    n = base.dimension
+    lo, hi = base.C.bounding_box()
+    equalities = ()
+    if n == 2 and rng.random() < 0.6:
+        a = (F(rng.randint(-2, 2)), F(rng.randint(1, 2)))
+        centre = tuple((l + u) / 2 for l, u in zip(lo, hi))
+        equalities = ((a, dot(a, centre)),)
+    C = PolyhedralSet(n, equalities, base.C.inequalities)
+    dom_g = PolyhedralSet.box(
+        [l - rng.randint(0, 1) for l in lo], [u + rng.randint(0, 2) for u in hi]
+    )
+    dom_h = PolyhedralSet.box([l - 1 for l in lo], [u + 1 for u in hi])
+    return DcProblem(
+        g=MaxAffine(base.g.pieces, dom_g), h=MaxAffine(base.h.pieces, dom_h), C=C
+    )
+
+
+class TestSmallerSemiClosedLps:
+    """local_pieces drops the repeated rows that cannot change a pivot,
+    poses no LP for an anchor that does not attain the least alpha, and
+    none for a piece outside Q.J1 being active in P; the pieces, their
+    witnesses and the adjacency witnesses must be those of the reference,
+    which does none of this."""
+
+    def _instances(self):
+        rng = random.Random(80)
+        plain = [gens.random_dc_instance(rng, n_max=2) for _ in range(20)]
+        grid = [gens.random_grid_instance(rng) for _ in range(12)]
+        shaped = [_shaped_instance(rng) for _ in range(12)]
+        # in three dimensions: C repeats the row x1 <= -2 in every closed
+        # part, and dropping a copy of it, which has its own phase-1
+        # artificial, would move the witness of the piece J1 = {1}
+        steered = gens.random_dc_instance(random.Random(37), n_max=3)
+        return plain + grid + shaped + [steered]
+
+    def test_agrees_with_reference(self, monkeypatch):
+        saw = {"merged": False, "edge": False, "equality": False}
+        for prob in self._instances():
+            expected = _reference_local_pieces(prob)
+            pieces = local_pieces(prob)
+
+            def summary(ps):
+                return [
+                    (p.J1, p.closed_part, p.witness, p.branch_witnesses)
+                    for p in ps
+                ]
+
+            assert summary(pieces) == summary(expected), prob
+            edges = structure._adjacency(pieces)
+            assert edges == _reference_adjacency(expected), prob
+            with monkeypatch.context() as patch:
+                patch.setattr(structure, "_adjacency", _reference_adjacency)
+                expected_components = components(prob, expected)
+            assert components(prob, pieces) == expected_components, prob
+            saw["merged"] |= len(pieces) < len(_lattice_pieces(prob))
+            saw["edge"] |= bool(edges)
+            saw["equality"] |= bool(prob.C.equalities) and bool(pieces)
+        assert all(saw.values()), saw
+
+    def test_interval_lp_count(self, interval_problem, monkeypatch):
+        linearized = structure._linearize_all(interval_problem)
+        calls = []
+        original = exactlp.lp_solve
+
+        def counting(lp):
+            calls.append(lp)
+            return original(lp)
+
+        monkeypatch.setattr(exactlp, "lp_solve", counting)
+        pieces = local_pieces(interval_problem, linearized=linearized)
+        assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
+        assert len(calls) <= 9  # 16 with every anchor, row and active piece
+
+
 class TestOneCheckOneLinearization:
     """solution_structure checks the hypotheses once and solves one epigraph
     LP per piece of h for both the global and the local part."""
