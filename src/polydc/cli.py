@@ -100,6 +100,10 @@ def fmt_vector(v: Sequence[Fraction]) -> list[str]:
 # problem documents
 
 
+# the (vector key, scalar key) of each kind of row in a document
+_ROW_KEYS = {"eq": ("a", "y"), "ineq": ("a", "b"), "pieces": ("u", "alpha")}
+
+
 def _row_list(node: dict, key: str, where: str) -> list:
     """The rows under `key`: a list, or none when the key is absent or null."""
     rows = node.get(key)
@@ -112,6 +116,31 @@ def _row_list(node: dict, key: str, where: str) -> list:
     return rows
 
 
+def _parse_rows(rows: list, key: str, dimension: int, where: str) -> tuple:
+    """(vector, rational) pairs from the rows of kind `key` at `where`."""
+    vector_key, scalar_key = _ROW_KEYS[key]
+    parsed = []
+    for k, row in enumerate(rows):
+        spot = f"{where}.{key}[{k}]"
+        if not isinstance(row, dict) or vector_key not in row or scalar_key not in row:
+            raise ProblemFormatError(
+                f"{spot}: expected {{\"{vector_key}\": [...], \"{scalar_key}\": r}}"
+            )
+        parsed.append(
+            (
+                parse_vector(row[vector_key], dimension, f"{spot}.{vector_key}"),
+                parse_rational(row[scalar_key], f"{spot}.{scalar_key}"),
+            )
+        )
+    return tuple(parsed)
+
+
+def _rows_document(rows, key: str) -> list:
+    """The rows of kind `key` as document rows; inverse of `_parse_rows`."""
+    vector_key, scalar_key = _ROW_KEYS[key]
+    return [{vector_key: fmt_vector(a), scalar_key: str(b)} for a, b in rows]
+
+
 def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
     if node is None:
         return PolyhedralSet.whole_space(dimension)
@@ -122,31 +151,11 @@ def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
         raise ProblemFormatError(
             f"{where}: unknown keys {sorted(unknown)}; expected 'eq'/'ineq'"
         )
-    equalities = []
-    for k, row in enumerate(_row_list(node, "eq", where)):
-        spot = f"{where}.eq[{k}]"
-        if not isinstance(row, dict) or "a" not in row or "y" not in row:
-            raise ProblemFormatError(f"{spot}: expected {{\"a\": [...], \"y\": r}}")
-        equalities.append(
-            (
-                parse_vector(row["a"], dimension, f"{spot}.a"),
-                parse_rational(row["y"], f"{spot}.y"),
-            )
-        )
-    inequalities = []
-    for k, row in enumerate(_row_list(node, "ineq", where)):
-        spot = f"{where}.ineq[{k}]"
-        if not isinstance(row, dict) or "a" not in row or "b" not in row:
-            raise ProblemFormatError(f"{spot}: expected {{\"a\": [...], \"b\": r}}")
-        inequalities.append(
-            (
-                parse_vector(row["a"], dimension, f"{spot}.a"),
-                parse_rational(row["b"], f"{spot}.b"),
-            )
-        )
-    return PolyhedralSet(
-        dimension, equalities=tuple(equalities), inequalities=tuple(inequalities)
+    equalities, inequalities = (
+        _parse_rows(_row_list(node, key, where), key, dimension, where)
+        for key in ("eq", "ineq")
     )
+    return PolyhedralSet(dimension, equalities=equalities, inequalities=inequalities)
 
 
 def _parse_function(node, dimension: int, where: str) -> MaxAffine:
@@ -160,22 +169,10 @@ def _parse_function(node, dimension: int, where: str) -> MaxAffine:
     raw = node["pieces"]
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError(f"{where}.pieces: expected a nonempty list")
-    pieces = []
-    for k, piece in enumerate(raw):
-        spot = f"{where}.pieces[{k}]"
-        if not isinstance(piece, dict) or "u" not in piece or "alpha" not in piece:
-            raise ProblemFormatError(
-                f"{spot}: expected {{\"u\": [...], \"alpha\": r}}"
-            )
-        pieces.append(
-            (
-                parse_vector(piece["u"], dimension, f"{spot}.u"),
-                parse_rational(piece["alpha"], f"{spot}.alpha"),
-            )
-        )
+    pieces = _parse_rows(raw, "pieces", dimension, where)
     domain = _parse_set(node.get("domain"), dimension, f"{where}.domain")
     try:
-        return MaxAffine(pieces=tuple(pieces), domain=domain)
+        return MaxAffine(pieces=pieces, domain=domain)
     except ValueError as exc:
         raise ProblemFormatError(f"{where}: {exc}") from None
 
@@ -211,21 +208,14 @@ def parse_problem(text: str) -> DcProblem:
 
 def _set_document(s: PolyhedralSet) -> dict:
     return {
-        "eq": [
-            {"a": fmt_vector(a), "y": str(y)} for a, y in s.equalities
-        ],
-        "ineq": [
-            {"a": fmt_vector(a), "b": str(b)} for a, b in s.inequalities
-        ],
+        "eq": _rows_document(s.equalities, "eq"),
+        "ineq": _rows_document(s.inequalities, "ineq"),
     }
 
 
 def _function_document(f: MaxAffine) -> dict:
     return {
-        "pieces": [
-            {"u": fmt_vector(u), "alpha": str(alpha)}
-            for u, alpha in f.pieces
-        ],
+        "pieces": _rows_document(f.pieces, "pieces"),
         "domain": None if f.domain.is_whole_space else _set_document(f.domain),
     }
 
@@ -369,8 +359,7 @@ def _load_json(path: str):
 # commands
 
 
-def _cmd_classify(args) -> int:
-    prob = _load_problem(args.problem)
+def _cmd_classify(prob: DcProblem, args) -> tuple[dict, int]:
     point = parse_csv_vector(args.point, prob.dimension)
     result = classify(prob, point, compute_global=args.compute_global)
     report = {
@@ -386,12 +375,10 @@ def _cmd_classify(args) -> int:
             "interior_dom_h": result.hypothesis_flags.interior_dom_h,
         },
     }
-    sys.stdout.write(emit_report(report))
-    return 0
+    return report, 0
 
 
-def _cmd_dca(args) -> int:
-    prob = _load_problem(args.problem)
+def _cmd_dca(prob: DcProblem, args) -> tuple[dict, int]:
     x0 = parse_csv_vector(args.x0, prob.dimension)
     rule = _parse_rule(args.rule)
     trace = dca.run(prob, x0, rule, max_iter=args.max_iter)
@@ -414,19 +401,14 @@ def _cmd_dca(args) -> int:
             "period": trace.termination.period,
         },
     }
-    sys.stdout.write(emit_report(report))
-    return 0
+    return report, 0
 
 
-def _cmd_structure(args) -> int:
-    prob = _load_problem(args.problem)
-    result = solution_structure(prob)
-    sys.stdout.write(emit_report(_structure_report(result)))
-    return 0
+def _cmd_structure(prob: DcProblem, args) -> tuple[dict, int]:
+    return _structure_report(solution_structure(prob)), 0
 
 
-def _cmd_dual(args) -> int:
-    prob = _load_problem(args.problem)
+def _cmd_dual(prob: DcProblem, args) -> tuple[dict, int]:
     if args.xi is not None:
         xi = parse_csv_vector(args.xi, prob.dimension)
         report = {
@@ -449,12 +431,10 @@ def _cmd_dual(args) -> int:
                 else fmt_vector(result.attained_at)
             ),
         }
-    sys.stdout.write(emit_report(report))
-    return 0
+    return report, 0
 
 
-def _cmd_verify(args) -> int:
-    prob = _load_problem(args.problem)
+def _cmd_verify(prob: DcProblem, args) -> tuple[dict, int]:
     step = parse_rational(args.grid_step, "--grid-step")
     result = grid_cross_check(prob, step)
     report = {
@@ -468,8 +448,7 @@ def _cmd_verify(args) -> int:
         ],
         "ok": result.ok,
     }
-    sys.stdout.write(emit_report(report))
-    return 0 if result.ok else 1
+    return report, 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,10 +504,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(_load_problem(args.problem), args)
     except PolydcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(emit_report(report))
+    return code
 
 
 if __name__ == "__main__":

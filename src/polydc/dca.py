@@ -199,14 +199,15 @@ def run(
     Scripted rules are step-dependent; they run until the script or the
     iteration budget is exhausted.
 
-    x0 is checked and evaluated in full.  Every later iterate is the point
-    of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to the
-    LP value plus xi.x, so only h is evaluated there.
+    x0 is checked and g is evaluated there.  Every later iterate is the
+    point of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to
+    the LP value plus xi.x, so only h is evaluated there.
     """
     x = _check_dimension(x0, prob.dimension)
-    if not prob.g.domain.contains(x):
+    at_g = prob.g._at(x)
+    if at_g is None:
         raise OutsideDomain("x0 is outside dom(g)")
-    if not prob.C.contains(x):
+    if prob.C._tight_rows(x) is None:
         raise OutsideDomain("x0 is outside the constraint set C")
 
     g_plus = prob.g_plus_indicator
@@ -214,9 +215,10 @@ def run(
     iterates: list[Iterate] = []
     seen: dict[Vector, int] = {}
     step = 0
-    g_value = None  # (g + indicator(C))(x) from the step that produced x
+    g_value = at_g[0]  # (g + indicator(C))(x)
     while True:
-        if not prob.h.domain.contains(x):
+        at_h = prob.h._at(x)
+        if at_h is None:
             # no subgradient of h here; the offending point is the output
             # of step `step` and is not recorded as an iterate
             termination = Termination(
@@ -228,10 +230,7 @@ def run(
         except IndexError:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
-        if g_value is None:
-            value = prob.finite_objective(x)
-        else:  # x is in dom(h): one pass over h's pieces is h(x)
-            value = g_value - max(dot(u, x) + alpha for u, alpha in prob.h.pieces)
+        value = g_value - at_h[0]
         iterates.append(Iterate(x, xi, value))
         if len(iterates) >= 2 and iterates[-2].value < value:
             raise InternalCheckFailed(
@@ -300,9 +299,10 @@ def validate_trace(
     for k, x in enumerate(xs):
         subgradient_ok = None
         if k < len(xis):
-            subgradient_ok = prob.h.domain.contains(x) and prob.h.subdifferential(
-                x
-            ).contains(xis[k])
+            at = prob.h._at(x)
+            subgradient_ok = at is not None and (
+                prob.h._subdifferential(at).contains(xis[k])
+            )
         minimizer_ok = None
         if k + 1 < len(xs) and k < len(xis):
             minimizer_ok = _is_subproblem_minimizer(prob, xis[k], xs[k + 1])
@@ -319,19 +319,19 @@ def validate_trace(
 
 
 def _is_subproblem_minimizer(prob: DcProblem, xi: Vector, x_next: Vector) -> bool:
-    if not (prob.g.domain.contains(x_next) and prob.C.contains(x_next)):
+    at = prob.g._at(x_next)
+    tight_C = prob.C._tight_rows(x_next)
+    if at is None or tight_C is None:
         return False
     # route 1: xi lies in the subdifferential of g + indicator(C) at x_next
-    body = prob.g.subdifferential(x_next).minkowski_sum(
-        prob.C.normal_cone(x_next)
-    )
+    body = prob.g._subdifferential(at, tight_C, prob.C._lineality())
     by_subdifferential = body.contains(xi)
     # route 2: x_next attains the subproblem optimum (feasible, as x_next
     # lies in C and dom(g))
     outcome = lp_solve(prob.g_plus_indicator.epigraph_lp(xi))
     by_optimality = (
         outcome.is_optimal
-        and prob.g.finite_value(x_next) - dot(xi, x_next) == outcome.value
+        and at[0] - dot(xi, x_next) == outcome.value
     )
     if by_subdifferential != by_optimality:
         raise InternalCheckFailed(

@@ -52,6 +52,7 @@ deterministic, and reports must be byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -105,12 +106,14 @@ def midpoint(a: Vector, b: Vector) -> Vector:
     return tuple((x + y) / 2 for x, y in zip(a, b))
 
 
+@functools.total_ordering
 class ExtendedRational:
     """A rational number extended with +infinity and -infinity.
 
-    Ordering is total.  Subtraction follows the convention
-    (+inf) - (+inf) = +inf used by DC objective values; the symmetric case
-    (-inf) - (-inf) never arises for proper data and raises.
+    Ordering is total; `<=`, `>` and `>=` come from `__lt__` and `__eq__`.
+    Subtraction follows the convention (+inf) - (+inf) = +inf used by DC
+    objective values; the symmetric case (-inf) - (-inf) never arises for
+    proper data and raises.
     """
 
     __slots__ = ("sign", "value")
@@ -148,15 +151,6 @@ class ExtendedRational:
 
     def __lt__(self, other):
         return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
 
     def __sub__(self, other: "ExtendedRational") -> "ExtendedRational":
         if self.sign == 0 and other.sign == 0:
@@ -464,25 +458,36 @@ class _Tableau:
                 return False
             self.pivot(row, col)
 
-    def drive_out_artificials(self, columns: Sequence[int]) -> None:
-        """Pivot each basic artificial (at value 0) out on its first nonzero
-        entry among `columns`.  One exists: either `columns` are all the
-        columns and every original row has its own slack, or the row was
-        added by `add_equality` and is not implied on the face."""
+    def phase_one(self, columns: Sequence[int]) -> bool:
+        """Phase 1 over `columns`: minimize the sum of the basic artificials.
+        False when it stays positive (the rows have no solution); else each
+        artificial, now at 0, is pivoted out on its first nonzero entry
+        among `columns` and the result is True.  That entry exists: either
+        `columns` are all the columns and every original row has its own
+        slack, or the row was added by `add_equality` and is not implied on
+        the face."""
+        width = len(self.rows[0]) - 1 if self.rows else 0
+        artificial = [line for line, col in zip(self.rows, self.basis) if col >= width]
+        if not artificial:
+            return True
+        self.reduced = [-sum(column) for column in zip(*artificial)]
+        self.minimize(columns)
+        if self.reduced[-1] != 0:
+            return False
         self.reduced = None
-        width = len(self.rows[0]) - 1
         for r in range(len(self.rows)):
             if self.basis[r] >= width:
                 self.pivot(r, next(j for j in columns if self.rows[r][j] != 0))
+        return True
 
     def add_equality(self, line: list[int], columns: Sequence[int]) -> None:
         """Add the row `line[:-1] . y = line[-1]` to the solved tableau.
 
         The new row `det * line - sum of line[basis[i]] * rows[i]` is zero
         in every basic column; it is basic on a new artificial (negated if
-        its rhs is negative, so the artificial starts nonnegative).  Phase 1
-        over `columns` then brings the artificial to 0, which it must reach,
-        and drives it out.
+        its rhs is negative, so the artificial starts nonnegative).
+        `phase_one` over `columns` then brings the artificial to 0, which it
+        must reach, and drives it out.
         """
         row = [self.det * x for x in line]
         for r, col in zip(self.rows, self.basis):
@@ -492,11 +497,8 @@ class _Tableau:
             row = [-x for x in row]
         self.rows.append(row)
         self.basis.append(len(row) - 1 + len(self.rows))  # past every column
-        self.reduced = [-x for x in row]  # minimize the artificial
-        self.minimize(columns)
-        if self.reduced[-1] != 0:
+        if not self.phase_one(columns):
             raise ArithmeticError("added row misses the face it should cut")
-        self.drive_out_artificials(columns)
 
     def lexmin_step(self, line: list[int], columns: list[int]) -> list[int]:
         """Cut the face (the columns allowed to enter) down to where
@@ -667,15 +669,8 @@ def _prepare(
             rows.append(line)
             basis.append(2 * f + k)  # slack
     tableau = _Tableau(rows, basis)
-
-    artificial = [line for line, col in zip(rows, basis) if col >= n]
-    if artificial:
-        # phase 1: minimize the sum of the artificials
-        tableau.reduced = [-sum(column) for column in zip(*artificial)]
-        tableau.minimize(range(n))
-        if tableau.reduced[n] != 0:
-            return None
-        tableau.drive_out_artificials(range(n))
+    if not tableau.phase_one(range(n)):
+        return None
     start.tableau = tableau
     return start
 

@@ -78,14 +78,13 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
     failures = []
     count = 0
     for point in _grid_points(prob, step):
-        if not prob.C.contains(point):
+        tight = prob.C.tight_rows(point)  # the rows of C, once per point
+        if tight is None:
             continue
         count += 1
-        if not (
-            prob.g.domain.contains(point) and prob.h.domain.contains(point)
-        ):
-            continue
         result = classify(prob, point)
+        if not result.feasible:  # outside dom(g) or dom(h)
+            continue
         if result.local is LocalStatus.YES and not result.stationary:
             failures.append(GridFailure(point, "chain", "local but not stationary"))
         if result.stationary and not result.critical:
@@ -110,7 +109,7 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
                         )
                     )
                     break
-        if prob.C.is_interior_point(point) and not result.stationary:
+        if prob.C._is_interior(tight) and not result.stationary:
             if not any(nb_value < value for _, nb_value in neighbor_values):
                 failures.append(
                     GridFailure(

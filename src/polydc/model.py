@@ -272,6 +272,38 @@ def contains_set(
     return containment_violation(outer, inner, strictly) is None
 
 
+def _weights(target: Vector, *parts) -> Optional[Vector]:
+    """Generator weights that reach `target`, or None when there are none.
+
+    Each part is (sign, points, rays, lineality) with sign 1 or -1.  One
+    feasibility LP over one weight per generator, parts and their
+    generators in the order given: per coordinate, the sum of sign *
+    weight * generator equals `target`; then, for each part with points,
+    its point weights sum to 1; then every point and ray weight is
+    nonnegative.
+    """
+    columns = []  # sign * generator, one per weight
+    convex, nonnegative = [], []
+    for sign, points, rays, lineality in parts:
+        if points:
+            convex.append(range(len(columns), len(columns) + len(points)))
+        nonnegative += range(len(columns), len(columns) + len(points) + len(rays))
+        columns += [g if sign > 0 else vneg(g) for g in points + rays + lineality]
+    width = len(columns)
+    equalities = [
+        (tuple([g[d] for g in columns]), target[d]) for d in range(len(target))
+    ]
+    for span in convex:
+        row = [ONE if k in span else ZERO for k in range(width)]
+        equalities.append((tuple(row), ONE))
+    inequalities = []
+    for k in nonnegative:
+        row = [ZERO] * width
+        row[k] = -ONE
+        inequalities.append((tuple(row), ZERO))
+    return lp_feasible(equalities, inequalities, width)
+
+
 @dataclass(frozen=True)
 class ConvexBody:
     """conv(points) + cone(rays) + span(lineality); empty iff no points."""
@@ -298,36 +330,11 @@ class ConvexBody:
     def is_empty(self) -> bool:
         return not self.points
 
-    def _weight_system(self, target: Vector, include_points: bool):
-        """Equality/inequality rows for generator weights reaching `target`."""
-        gens = (list(self.points) if include_points else []) + list(
-            self.rays
-        ) + list(self.lineality)
-        n_pts = len(self.points) if include_points else 0
-        n_nonneg = n_pts + len(self.rays)
-        width = len(gens)
-        equalities = []
-        for d in range(self.dimension):
-            equalities.append(
-                (tuple(g[d] for g in gens), target[d])
-            )
-        if include_points:
-            equalities.append(
-                (tuple([ONE] * n_pts + [ZERO] * (width - n_pts)), ONE)
-            )
-        inequalities = []
-        for k in range(n_nonneg):
-            row = [ZERO] * width
-            row[k] = -ONE
-            inequalities.append((tuple(row), ZERO))
-        return equalities, inequalities, width
-
     def contains(self, x: Sequence) -> bool:
         x = _check_dimension(x, self.dimension)
         if self.is_empty:
             return False
-        equalities, inequalities, width = self._weight_system(x, True)
-        return lp_feasible(equalities, inequalities, width) is not None
+        return _weights(x, (1, self.points, self.rays, self.lineality)) is not None
 
     def recession_contains(self, direction: Sequence) -> bool:
         direction = _check_dimension(direction, self.dimension, "direction")
@@ -335,8 +342,7 @@ class ConvexBody:
             return True
         if not self.rays and not self.lineality:
             return False
-        equalities, inequalities, width = self._weight_system(direction, False)
-        return lp_feasible(equalities, inequalities, width) is not None
+        return _weights(direction, (1, (), self.rays, self.lineality)) is not None
 
     def issubset(self, other: "ConvexBody") -> bool:
         """Exact containment: point generators lie in `other`, ray and
@@ -362,38 +368,15 @@ class ConvexBody:
             raise DimensionMismatch("bodies of different dimensions")
         if self.is_empty or other.is_empty:
             return None
-        mine = (list(self.points), list(self.rays), list(self.lineality))
-        theirs = (list(other.points), list(other.rays), list(other.lineality))
-        gens = [g for group in mine for g in group]
-        gens += [g for group in theirs for g in group]
-        width = len(gens)
-        off = sum(len(group) for group in mine)
-        equalities = []
-        for d in range(self.dimension):
-            row = [g[d] for g in gens[:off]] + [-g[d] for g in gens[off:]]
-            equalities.append((tuple(row), ZERO))
-        row = [ZERO] * width
-        for k in range(len(self.points)):
-            row[k] = ONE
-        equalities.append((tuple(row), ONE))
-        row = [ZERO] * width
-        for k in range(len(other.points)):
-            row[off + k] = ONE
-        equalities.append((tuple(row), ONE))
-        inequalities = []
-        nonneg = list(range(len(self.points) + len(self.rays)))
-        nonneg += [
-            off + k for k in range(len(other.points) + len(other.rays))
-        ]
-        for k in nonneg:
-            row = [ZERO] * width
-            row[k] = -ONE
-            inequalities.append((tuple(row), ZERO))
-        weights = lp_feasible(equalities, inequalities, width)
+        weights = _weights(
+            zero_vector(self.dimension),
+            (1, self.points, self.rays, self.lineality),
+            (-1, other.points, other.rays, other.lineality),
+        )
         if weights is None:
             return None
         point = list(zero_vector(self.dimension))
-        for w, g in zip(weights[:off], gens[:off]):
+        for w, g in zip(weights, self.points + self.rays + self.lineality):
             if w != 0:
                 point = [p + w * c for p, c in zip(point, g)]
         return tuple(point)
@@ -469,34 +452,38 @@ class MaxAffine:
             raise IndexError(f"piece index {j} outside 1..{len(self.pieces)}")
         return self.pieces[j - 1]
 
+    def _at(self, x: Vector) -> Optional[tuple[Fraction, list[int], list[Vector]]]:
+        """f(x), the 0-based positions (ascending) of the pieces attaining
+        it and the domain rows tight at x, for an x already coerced by
+        `_check_dimension`; None outside the domain.  Every row of the
+        domain and every piece is evaluated once: this is the one place a
+        max-affine function is evaluated at a point."""
+        tight = self.domain._tight_rows(x)
+        if tight is None:
+            return None
+        values = [dot(u, x) + alpha for u, alpha in self.pieces]
+        top = max(values)
+        return top, [j for j, v in enumerate(values) if v == top], tight
+
+    def _at_member(self, x: Sequence, message: str):
+        """`_at` of x coerced; raises OutsideDomain(message) outside the
+        domain."""
+        at = self._at(_check_dimension(x, self.dimension))
+        if at is None:
+            raise OutsideDomain(message)
+        return at
+
     def value(self, x: Sequence) -> ExtendedRational:
-        x = _check_dimension(x, self.dimension)
-        if not self.domain.contains(x):
-            return PLUS_INF
-        return ExtendedRational.finite(
-            max(dot(u, x) + alpha for u, alpha in self.pieces)
-        )
+        at = self._at(_check_dimension(x, self.dimension))
+        return PLUS_INF if at is None else ExtendedRational.finite(at[0])
 
     def finite_value(self, x: Sequence) -> Fraction:
-        x = _check_dimension(x, self.dimension)
-        if not self.domain.contains(x):
-            raise OutsideDomain("point outside the function's domain")
-        return max(dot(u, x) + alpha for u, alpha in self.pieces)
+        return self._at_member(x, "point outside the function's domain")[0]
 
     def active_indices(self, x: Sequence) -> frozenset[int]:
         """1-based indices of the pieces attaining the max at x."""
-        x = _check_dimension(x, self.dimension)
-        if not self.domain.contains(x):
-            raise OutsideDomain("active set requested outside the domain")
-        return frozenset(j + 1 for j in self._active_positions(x))
-
-    def _active_positions(self, x: Vector) -> list[int]:
-        """0-based positions, ascending, of the pieces attaining the max at
-        a point already checked to lie in the domain; one pass over the
-        pieces."""
-        values = [dot(u, x) + alpha for u, alpha in self.pieces]
-        top = max(values)
-        return [j for j, v in enumerate(values) if v == top]
+        at = self._at_member(x, "active set requested outside the domain")
+        return frozenset(j + 1 for j in at[1])
 
     def subdifferential(self, x: Sequence) -> ConvexBody:
         """conv of active piece gradients plus the domain's normal cone.
@@ -504,15 +491,24 @@ class MaxAffine:
         At interior points of the domain the normal-cone part is {0} and
         the result is exactly the hull of the active gradients.
         """
-        x = _check_dimension(x, self.dimension)
-        tight = self.domain._tight_rows(x)
-        if tight is None:
-            raise OutsideDomain("active set requested outside the domain")
+        return self._subdifferential(
+            self._at_member(x, "active set requested outside the domain")
+        )
+
+    def _subdifferential(
+        self, at, rays: Sequence[Vector] = (), lineality: tuple[Vector, ...] = ()
+    ) -> ConvexBody:
+        """The subdifferential at the point `at` describes, plus the cone
+        spanned by `rays` and `lineality`: the normal cone of C there gives
+        that of f + indicator(C).  Generators in order: active gradients;
+        tight rows of the domain, then `rays`; the domain's lineality, then
+        `lineality`."""
+        _, active, tight = at
         return ConvexBody(
             dimension=self.dimension,
-            points=[self.pieces[j][0] for j in self._active_positions(x)],
-            rays=tight,
-            lineality=self.domain._lineality(),
+            points=[self.pieces[j][0] for j in active],
+            rays=tight + list(rays),
+            lineality=self.domain._lineality() + lineality,
         )
 
     def epigraph_lp(

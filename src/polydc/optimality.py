@@ -10,9 +10,9 @@ Three nested conditions are decided exactly at a feasible point x:
                local optimality (stationarity failing still means "no").
 
 All three are decided on one pair of subdifferentials, built once per
-point by `_subdifferentials`; `classify`, `is_critical`, `is_stationary`
-and `is_local_solution` (which returns `classify`'s verdict) share that
-one path.  All set comparisons reduce to rational LPs over generator
+point by `_subdifferentials` from one evaluation of g, h and C (`_evaluate`);
+`classify`, `is_critical`, `is_stationary` and `is_local_solution` (which
+returns `classify`'s verdict) share that one path.  All set comparisons reduce to rational LPs over generator
 weights.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import ConvexBody, DcProblem, OutsideDomain, Vector, _check_dimension
+from .model import ConvexBody, DcProblem, OutsideDomain, _check_dimension
 
 
 class LocalStatus(Enum):
@@ -55,69 +55,46 @@ class Classification:
     hypothesis_flags: HypothesisFlags
 
 
-def _tight_rows(prob: DcProblem, x: Vector) -> tuple:
-    """Tight inequality normals of dom g, dom h and C at a coerced x, in
-    that order; None for a set that x lies outside."""
-    return (
-        prob.g.domain._tight_rows(x),
-        prob.h.domain._tight_rows(x),
-        prob.C._tight_rows(x),
-    )
-
-
-_OUTSIDE = ("dom(g)", "dom(h)", "the constraint set C")  # in `_tight_rows` order
-
-
-def _classifiable(prob: DcProblem, x: Sequence) -> tuple[Vector, tuple]:
-    """x coerced and its `_tight_rows`, each row evaluated once; raises
-    OutsideDomain naming the first of dom g, dom h and C that x is
+def _evaluate(prob: DcProblem, x: Sequence) -> tuple:
+    """`MaxAffine._at` of g and of h and the tight rows of C at x, in that
+    order, each row and piece evaluated once; None for a set that x lies
     outside."""
     x = _check_dimension(x, prob.dimension)
-    tight = _tight_rows(prob, x)
-    for rows, name in zip(tight, _OUTSIDE):
-        if rows is None:
-            raise OutsideDomain(f"point is outside {name}")
-    return x, tight
+    return prob.g._at(x), prob.h._at(x), prob.C._tight_rows(x)
 
 
-def _subdifferentials(
-    prob: DcProblem, x: Vector, tight: tuple
-) -> tuple[ConvexBody, ConvexBody]:
+_OUTSIDE = ("dom(g)", "dom(h)", "the constraint set C")  # in `_evaluate` order
+
+
+def _subdifferentials(prob: DcProblem, at: tuple) -> tuple[ConvexBody, ConvexBody]:
     """The subdifferentials of h and of g + indicator(C) at a point of
-    dom g ∩ dom h ∩ C, given `_tight_rows(prob, x)`.
+    dom g ∩ dom h ∩ C, from its `_evaluate` result.  The second one is
+    that of g plus the normal cone of C, with its generators in the order
+    `ConvexBody.minkowski_sum` gives them, so every LP posed on the pair is
+    the one the sum would pose."""
+    at_g, at_h, tight_C = at
+    return prob.h._subdifferential(at_h), prob.g._subdifferential(
+        at_g, tight_C, prob.C._lineality()
+    )
 
-    The second one, the subdifferential of g plus the normal cone of C, is
-    written down directly with its generators in the order
-    `ConvexBody.minkowski_sum` gives them: active gradients of g, tight
-    rows of dom g then of C, lineality of dom g then of C.  Every LP posed
-    on the pair is therefore the one the sum would pose.
-    """
-    tight_g, tight_h, tight_C = tight
-    g, h = prob.g, prob.h
-    dh = ConvexBody(
-        prob.dimension,
-        points=[h.pieces[j][0] for j in h._active_positions(x)],
-        rays=tight_h,
-        lineality=h.domain._lineality(),
-    )
-    dgc = ConvexBody(
-        prob.dimension,
-        points=[g.pieces[j][0] for j in g._active_positions(x)],
-        rays=tight_g + tight_C,
-        lineality=g.domain._lineality() + prob.C._lineality(),
-    )
-    return dh, dgc
+
+def _classifiable(prob: DcProblem, x: Sequence) -> tuple[ConvexBody, ConvexBody]:
+    """`_subdifferentials` at x; raises OutsideDomain naming the first of
+    dom g, dom h and C that x is outside."""
+    at = _evaluate(prob, x)
+    for part, name in zip(at, _OUTSIDE):
+        if part is None:
+            raise OutsideDomain(f"point is outside {name}")
+    return _subdifferentials(prob, at)
 
 
 def is_critical(prob: DcProblem, x: Sequence) -> bool:
-    x, tight = _classifiable(prob, x)
-    dh, dgc = _subdifferentials(prob, x, tight)
+    dh, dgc = _classifiable(prob, x)
     return dh.intersection_witness(dgc) is not None
 
 
 def is_stationary(prob: DcProblem, x: Sequence) -> bool:
-    x, tight = _classifiable(prob, x)
-    dh, dgc = _subdifferentials(prob, x, tight)
+    dh, dgc = _classifiable(prob, x)
     return dh.issubset(dgc)
 
 
@@ -148,13 +125,13 @@ def classify(
     """
     from . import structure  # deferred: structure sits above this module
 
-    x = _check_dimension(x, prob.dimension)
-    tight = _tight_rows(prob, x)
-    flags = HypothesisFlags(
-        interior_dom_g=prob.g.domain._is_interior(tight[0]),
-        interior_dom_h=prob.h.domain._is_interior(tight[1]),
+    at = _evaluate(prob, x)
+    at_g, at_h, _ = at
+    flags = HypothesisFlags(  # `_is_interior` of the tight rows, or of None
+        interior_dom_g=prob.g.domain._is_interior(at_g and at_g[2]),
+        interior_dom_h=prob.h.domain._is_interior(at_h and at_h[2]),
     )
-    if any(rows is None for rows in tight):
+    if any(part is None for part in at):
         global_ = GlobalStatus.NO if compute_global else GlobalStatus.NOT_COMPUTED
         return Classification(
             feasible=False,
@@ -164,7 +141,7 @@ def classify(
             global_=global_,
             hypothesis_flags=flags,
         )
-    dh, dgc = _subdifferentials(prob, x, tight)
+    dh, dgc = _subdifferentials(prob, at)
     critical = dh.intersection_witness(dgc) is not None
     stationary = critical and dh.issubset(dgc)
     if not stationary:

@@ -146,11 +146,10 @@ class SemiClosedPiece:
 
     def contains(self, x: Sequence) -> bool:
         x = _check_dimension(x, self.dimension)
-        if not self.rows.contains(x):
+        if self.rows._tight_rows(x) is None:
             return False
-        if not self.h.domain.contains(x):
-            return False
-        return self.h.active_indices(x) <= self.J1
+        at = self.h._at(x)
+        return at is not None and all(j + 1 in self.J1 for j in at[1])
 
     @property
     def dimension(self) -> int:
@@ -492,20 +491,27 @@ def _adjacency(
     return edges
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _walk(
+    edges: dict[tuple[int, int], Vector], sources: Sequence[int]
+) -> dict[int, Optional[tuple[int, Vector]]]:
+    """Breadth-first search of the adjacency graph `edges` from `sources`.
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+    Maps every piece reached, in the order reached, to the piece it was
+    reached from and the witness of that edge (None for a source); each
+    piece's neighbours are taken in the order of `edges`.
+    """
+    neighbors: dict[int, list[tuple[int, Vector]]] = {}
+    for (i, j), witness in edges.items():
+        neighbors.setdefault(i, []).append((j, witness))
+        neighbors.setdefault(j, []).append((i, witness))
+    parent: dict[int, Optional[tuple[int, Vector]]] = dict.fromkeys(sources)
+    queue = list(sources)
+    for i in queue:  # the loop reaches the pieces appended to the queue
+        for j, witness in neighbors.get(i, []):
+            if j not in parent:
+                parent[j] = (i, witness)
+                queue.append(j)
+    return parent
 
 
 @dataclass(frozen=True)
@@ -529,15 +535,13 @@ def components(
     if not pieces:
         return ()
     edges = _adjacency(pieces)
-    uf = _UnionFind(len(pieces))
-    for i, j in edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(pieces)):
-        groups.setdefault(uf.find(i), []).append(i)
     out = []
-    for root in sorted(groups):
-        members = sorted(groups[root])
+    placed: set[int] = set()
+    for first in range(len(pieces)):
+        if first in placed:
+            continue
+        members = sorted(_walk(edges, [first]))
+        placed.update(members)
         probe_points = [pieces[i].witness for i in members]
         probe_points += [
             w for (i, j), w in sorted(edges.items()) if i in members and j in members
@@ -580,30 +584,10 @@ def segment_path(
         raise OutsideDomain("end point is not a member of any piece")
     if set(z_home) & set(w_home):
         return _validated_path(pieces, (z, w) if z != w else (z,))
-    edges = _adjacency(pieces)
-    neighbors: dict[int, list[tuple[int, Vector]]] = {}
-    for (i, j), witness in sorted(edges.items()):
-        neighbors.setdefault(i, []).append((j, witness))
-        neighbors.setdefault(j, []).append((i, witness))
-    # multi-source BFS over pieces
-    parent: dict[int, Optional[tuple[int, Vector]]] = {
-        i: None for i in z_home
-    }
-    frontier = list(z_home)
-    reached = None
-    while frontier and reached is None:
-        new_frontier = []
-        for i in frontier:
-            for j, witness in neighbors.get(i, []):
-                if j not in parent:
-                    parent[j] = (i, witness)
-                    if j in w_home:
-                        reached = j
-                        break
-                    new_frontier.append(j)
-            if reached is not None:
-                break
-        frontier = new_frontier
+    parent = _walk(_adjacency(pieces), z_home)
+    # the first end piece reached; no source is one, as z_home and w_home
+    # are disjoint here
+    reached = next((j for j in parent if j in w_home), None)
     if reached is None:
         return None
     crossings = []

@@ -558,6 +558,35 @@ class TestSmallerSemiClosedLps:
         assert len(calls) <= 9  # 16 with every anchor, row and active piece
 
 
+class TestMembershipEvaluatesDomHOnce:
+    """`SemiClosedPiece.contains` reads dom h once per point of the closed
+    part, through the one evaluation of h at that point."""
+
+    def test_interval_grid(self, monkeypatch):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        prob = parse_problem(
+            (root / "problems" / "interval.json").read_text(encoding="utf-8")
+        )
+        pieces = local_pieces(prob)
+        assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
+        grid = [vec(F(-2) + F(k, 8)) for k in range(41)]  # [-2, 3] at 1/8
+        inside = sum(p.closed_part.contains(x) for x in grid for p in pieces)
+        calls = []
+        original = model.PolyhedralSet._tight_rows
+
+        def counting(self, x):
+            if self is prob.h.domain:
+                calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(model.PolyhedralSet, "_tight_rows", counting)
+        for x in grid:
+            for p in pieces:
+                p.contains(x)
+        assert inside == 43
+        assert len(calls) == inside  # 86 when dom h was checked twice
+
+
 class TestOneCheckOneLinearization:
     """solution_structure checks the hypotheses once and solves one epigraph
     LP per piece of h for both the global and the local part."""
