@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .exactlp import LpStatus, Vector, dot, lp_solve, vector
@@ -27,6 +28,7 @@ from .model import (
     PolydcError,
     PolyhedralSet,
     _check_dimension,
+    _scaled,
 )
 
 
@@ -204,10 +206,11 @@ def run(
     the LP value plus xi.x, so only h is evaluated there.
     """
     x = _check_dimension(x0, prob.dimension)
-    at_g = prob.g._at(x)
+    point = _scaled(x)  # x on integers, once per iterate
+    at_g = prob.g._at(point)
     if at_g is None:
         raise OutsideDomain("x0 is outside dom(g)")
-    if prob.C._tight_rows(x) is None:
+    if prob.C._tight_rows(point) is None:
         raise OutsideDomain("x0 is outside the constraint set C")
 
     g_plus = prob.g_plus_indicator
@@ -217,7 +220,7 @@ def run(
     step = 0
     g_value = at_g[0]  # (g + indicator(C))(x)
     while True:
-        at_h = prob.h._at(x)
+        at_h = prob.h._at(point)
         if at_h is None:
             # no subgradient of h here; the offending point is the output
             # of step `step` and is not recorded as an iterate
@@ -258,8 +261,11 @@ def run(
                 TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
             )
             break
-        # x lies in C ∩ dom(g), and at the LP's optimum t = g(x)
-        g_value = sub_value + dot(xi, x)
+        # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is
+        # taken on integers, like every evaluation at x
+        point = _scaled(x)
+        (X, d), (Xi, s) = point, _scaled(xi)
+        g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
         step += 1
     return DcaTrace(iterates=tuple(iterates), termination=termination)
 
@@ -299,7 +305,7 @@ def validate_trace(
     for k, x in enumerate(xs):
         subgradient_ok = None
         if k < len(xis):
-            at = prob.h._at(x)
+            at = prob.h._at(_scaled(x))
             subgradient_ok = at is not None and (
                 prob.h._subdifferential(at).contains(xis[k])
             )
@@ -319,8 +325,9 @@ def validate_trace(
 
 
 def _is_subproblem_minimizer(prob: DcProblem, xi: Vector, x_next: Vector) -> bool:
-    at = prob.g._at(x_next)
-    tight_C = prob.C._tight_rows(x_next)
+    point = _scaled(x_next)
+    at = prob.g._at(point)
+    tight_C = prob.C._tight_rows(point)
     if at is None or tight_C is None:
         return False
     # route 1: xi lies in the subdifferential of g + indicator(C) at x_next

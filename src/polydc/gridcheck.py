@@ -16,6 +16,7 @@ Everything is exact; a failure report carries the offending point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,10 +76,14 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
         for offs in itertools.product((-step, Fraction(0), step), repeat=prob.dimension)
         if any(o != 0 for o in offs)
     ]
+    # each grid point's rows of C and objective value, evaluated once per
+    # call: a point is reached again as a neighbour of up to eight others
+    tight_rows = functools.cache(prob.C.tight_rows)
+    objective_value = functools.cache(prob.objective_value)
     failures = []
     count = 0
     for point in _grid_points(prob, step):
-        tight = prob.C.tight_rows(point)  # the rows of C, once per point
+        tight = tight_rows(point)
         if tight is None:
             continue
         count += 1
@@ -92,12 +97,12 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
 
         # extended values keep neighbor comparisons total even when a
         # neighbor leaves dom(g) or dom(h)
-        value = prob.objective_value(point)
+        value = objective_value(point)
         neighbor_values = []
         for offs in offsets:
             nb = tuple(c + o for c, o in zip(point, offs))
-            if prob.C.contains(nb):
-                neighbor_values.append((nb, prob.objective_value(nb)))
+            if tight_rows(nb) is not None:
+                neighbor_values.append((nb, objective_value(nb)))
         if result.local is LocalStatus.YES:
             for nb, nb_value in neighbor_values:
                 if nb_value < value:

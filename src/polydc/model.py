@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactlp import (
@@ -32,7 +33,7 @@ from .exactlp import (
     Vector,
     ZERO,
     ONE,
-    dot,
+    _integer_multiple,
     frac,
     lp_feasible,
     lp_solve,
@@ -74,6 +75,27 @@ def _check_dimension(x: Sequence, dimension: int, what: str = "point") -> Vector
             f"{what} has length {len(x)}, expected {dimension}"
         )
     return x
+
+
+Scaled = tuple[list[int], int]
+
+
+def _scaled(x: Vector) -> Scaled:
+    """x as (X, d), integers over one positive denominator: x = X / d.
+
+    A point is scaled once and then evaluated on integers against the
+    integer rows of every set and function (`PolyhedralSet._tight_rows`,
+    `MaxAffine._at`).
+    """
+    X = _integer_multiple([*x, ONE])
+    d = X.pop()
+    return X, d
+
+
+def _integer_row(a: Vector, b: Fraction) -> tuple[tuple[int, ...], int]:
+    """(a, b) times the lcm of its denominators."""
+    A = _integer_multiple(a + (b,))
+    return tuple(A[:-1]), A[-1]
 
 
 @dataclass(frozen=True)
@@ -127,19 +149,31 @@ class PolyhedralSet:
         One pass over the rows: every equality and inequality row is
         evaluated once.
         """
-        return self._tight_rows(_check_dimension(x, self.dimension))
+        return self._tight_rows(_scaled(_check_dimension(x, self.dimension)))
 
-    def _tight_rows(self, x: Vector) -> Optional[list[Vector]]:
-        """`tight_rows` of a point already coerced by `_check_dimension`."""
-        for a, y in self.equalities:
-            if dot(a, x) != y:
+    @cached_property
+    def _integer_rows(self) -> tuple[list, list]:
+        """Each row once as integers, built on first use: (A, B) per
+        equality and (A, B, a) per inequality, where (A, B) is (a, b) times
+        the lcm of its denominators.  At x = X / d with d > 0, a.x <= b
+        exactly when A.X <= B * d, and likewise for =."""
+        equalities = [_integer_row(a, y) for a, y in self.equalities]
+        inequalities = [_integer_row(a, b) + (a,) for a, b in self.inequalities]
+        return equalities, inequalities
+
+    def _tight_rows(self, point: Scaled) -> Optional[list[Vector]]:
+        """`tight_rows` of a point already scaled by `_scaled`."""
+        X, d = point
+        equalities, inequalities = self._integer_rows
+        for A, B in equalities:
+            if sum(map(mul, A, X)) != B * d:
                 return None
         tight = []
-        for a, b in self.inequalities:
-            value = dot(a, x)
-            if value > b:
+        for A, B, a in inequalities:
+            value, bound = sum(map(mul, A, X)), B * d
+            if value > bound:
                 return None
-            if value == b:
+            if value == bound:
                 tight.append(a)
         return tight
 
@@ -452,29 +486,51 @@ class MaxAffine:
             raise IndexError(f"piece index {j} outside 1..{len(self.pieces)}")
         return self.pieces[j - 1]
 
-    def _at(self, x: Vector) -> Optional[tuple[Fraction, list[int], list[Vector]]]:
+    @cached_property
+    def _integer_pieces(self) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+        """The pieces once as integers over one common scale L, built on
+        first use: ([(U_j, A_j)], L) with u_j = U_j / L and alpha_j = A_j / L,
+        so at x = X / d the piece's value is (U_j.X + A_j * d) / (L * d)."""
+        flat = _integer_multiple(
+            [c for u, alpha in self.pieces for c in u + (alpha,)] + [ONE]
+        )
+        scale = flat.pop()
+        n = self.dimension
+        pieces = [
+            (tuple(flat[k : k + n]), flat[k + n]) for k in range(0, len(flat), n + 1)
+        ]
+        return pieces, scale
+
+    def _at(self, point: Scaled) -> Optional[tuple[Fraction, list[int], list[Vector]]]:
         """f(x), the 0-based positions (ascending) of the pieces attaining
-        it and the domain rows tight at x, for an x already coerced by
-        `_check_dimension`; None outside the domain.  Every row of the
-        domain and every piece is evaluated once: this is the one place a
-        max-affine function is evaluated at a point."""
-        tight = self.domain._tight_rows(x)
+        it and the domain rows tight at x, for an x already scaled by
+        `_scaled`; None outside the domain.  Every row of the domain and
+        every piece is evaluated once, on integers, and f(x) is the one
+        Fraction built: this is the one place a max-affine function is
+        evaluated at a point."""
+        tight = self.domain._tight_rows(point)
         if tight is None:
             return None
-        values = [dot(u, x) + alpha for u, alpha in self.pieces]
+        X, d = point
+        pieces, scale = self._integer_pieces
+        values = [sum(map(mul, U, X)) + A * d for U, A in pieces]
         top = max(values)
-        return top, [j for j, v in enumerate(values) if v == top], tight
+        return (
+            Fraction(top, scale * d),
+            [j for j, v in enumerate(values) if v == top],
+            tight,
+        )
 
     def _at_member(self, x: Sequence, message: str):
-        """`_at` of x coerced; raises OutsideDomain(message) outside the
-        domain."""
-        at = self._at(_check_dimension(x, self.dimension))
+        """`_at` of x coerced and scaled; raises OutsideDomain(message)
+        outside the domain."""
+        at = self._at(_scaled(_check_dimension(x, self.dimension)))
         if at is None:
             raise OutsideDomain(message)
         return at
 
     def value(self, x: Sequence) -> ExtendedRational:
-        at = self._at(_check_dimension(x, self.dimension))
+        at = self._at(_scaled(_check_dimension(x, self.dimension)))
         return PLUS_INF if at is None else ExtendedRational.finite(at[0])
 
     def finite_value(self, x: Sequence) -> Fraction:

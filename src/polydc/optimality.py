@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import ConvexBody, DcProblem, OutsideDomain, _check_dimension
+from .model import ConvexBody, DcProblem, OutsideDomain, _check_dimension, _scaled
 
 
 class LocalStatus(Enum):
@@ -57,10 +57,10 @@ class Classification:
 
 def _evaluate(prob: DcProblem, x: Sequence) -> tuple:
     """`MaxAffine._at` of g and of h and the tight rows of C at x, in that
-    order, each row and piece evaluated once; None for a set that x lies
-    outside."""
-    x = _check_dimension(x, prob.dimension)
-    return prob.g._at(x), prob.h._at(x), prob.C._tight_rows(x)
+    order, x scaled to integers once and each row and piece evaluated once;
+    None for a set that x lies outside."""
+    point = _scaled(_check_dimension(x, prob.dimension))
+    return prob.g._at(point), prob.h._at(point), prob.C._tight_rows(point)
 
 
 _OUTSIDE = ("dom(g)", "dom(h)", "the constraint set C")  # in `_evaluate` order

@@ -67,6 +67,7 @@ from .model import (
     PolyhedralSet,
     containment_violation,
     _check_dimension,
+    _scaled,
 )
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -145,10 +146,10 @@ class SemiClosedPiece:
     rows: PolyhedralSet = field(compare=False, repr=False)
 
     def contains(self, x: Sequence) -> bool:
-        x = _check_dimension(x, self.dimension)
-        if self.rows._tight_rows(x) is None:
+        point = _scaled(_check_dimension(x, self.dimension))
+        if self.rows._tight_rows(point) is None:
             return False
-        at = self.h._at(x)
+        at = self.h._at(point)
         return at is not None and all(j + 1 in self.J1 for j in at[1])
 
     @property

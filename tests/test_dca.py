@@ -251,6 +251,14 @@ class TestRunProperties:
         x_next, _ = solve_subproblem(prob.g, prob.C, trace.iterates[k + p].xi)
         assert x_next == trace.points[k + 1]
 
+        # a rule may return any sequence of rationals, such as a list of ints
+        class ListFlip(SelectionRule):
+            def choose(self, h, x, step):
+                return [1] if x == vec(0) else [-1]
+
+        listed = run(prob, vec(F(1, 2)), ListFlip(), max_iter=100)
+        assert (listed.points, listed.values) == (trace.points, trace.values)
+
     def test_fixed_points_are_critical(self):
         rng = random.Random(59)
         for _ in range(20):

@@ -1,5 +1,6 @@
 """Grid-oracle cross-checks, including problems outside the hypotheses."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from polydc import (
     PolydcError,
     PolyhedralSet,
     grid_cross_check,
+    parse_problem,
 )
 from polydc import gridcheck
 
@@ -82,3 +84,22 @@ def test_dimension_and_step_guards(interval_problem):
 def test_unbounded_set_is_rejected(abs_problem):
     with pytest.raises(PolydcError):
         grid_cross_check(abs_problem, F(1, 8))
+
+
+def test_each_grid_point_is_evaluated_once(monkeypatch):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    prob = parse_problem(
+        (root / "problems" / "two_dim_vee.json").read_text(encoding="utf-8")
+    )
+    calls = []
+    original = DcProblem.objective_value
+
+    def counting(self, x):
+        calls.append(tuple(x))
+        return original(self, x)
+
+    monkeypatch.setattr(DcProblem, "objective_value", counting)
+    report = grid_cross_check(prob, F(1, 8))
+    assert report.ok and report.points_in_set == 425
+    # 3,577 calls when every in-C neighbour was evaluated again
+    assert len(calls) == len(set(calls)) == 425

@@ -1,9 +1,11 @@
 """Model layer: evaluation, active sets, subdifferentials, cones, conjugates."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydc import (
     ConvexBody,
@@ -16,9 +18,10 @@ from polydc import (
     PLUS_INF,
     PolyhedralSet,
     contains_set,
+    local_pieces,
     restrict_sum,
 )
-from polydc import exactlp
+from polydc import exactlp, model
 from polydc.exactlp import ExtendedRational, dot
 
 import gens
@@ -387,3 +390,223 @@ class TestConvexBody:
         body = ConvexBody(2, points=(vec(0, 0),), lineality=(vec(1, 0),))
         assert body.contains(vec(-7, 0))
         assert not body.contains(vec(0, 1))
+
+
+# The Fraction evaluation that the integer kernel replaced, kept as the
+# reference the kernel must agree with: same values, same positions, same
+# tight rows in the same order.
+
+
+def reference_tight_rows(S, x):
+    for a, y in S.equalities:
+        if dot(a, x) != y:
+            return None
+    tight = []
+    for a, b in S.inequalities:
+        value = dot(a, x)
+        if value > b:
+            return None
+        if value == b:
+            tight.append(a)
+    return tight
+
+
+def reference_at(f, x):
+    tight = reference_tight_rows(f.domain, x)
+    if tight is None:
+        return None
+    values = [dot(u, x) + alpha for u, alpha in f.pieces]
+    top = max(values)
+    return top, [j for j, v in enumerate(values) if v == top], tight
+
+
+def reference_piece_contains(piece, x):
+    if reference_tight_rows(piece.rows, x) is None:
+        return False
+    at = reference_at(piece.h, x)
+    return at is not None and all(j + 1 in piece.J1 for j in at[1])
+
+
+def small_rational(rng, lo, hi):
+    """A rational in [lo, hi] with a denominator from 2 to 7."""
+    q = rng.randint(2, 7)
+    return F(rng.randint(lo * q, hi * q), q)
+
+
+def small_vector(rng, n, lo=-2, hi=2):
+    return tuple([small_rational(rng, lo, hi) for _ in range(n)])
+
+
+def rows_around(rng, center, equalities, inequalities):
+    """A set through `center`: every equality and about half of the
+    inequalities tight there, the others slack by a small rational."""
+    n = len(center)
+    eqs = []
+    for _ in range(equalities):
+        a = small_vector(rng, n)
+        eqs.append((a, dot(a, center)))
+    ineqs = []
+    for _ in range(inequalities):
+        a = small_vector(rng, n)
+        slack = F(0) if rng.random() < 0.5 else small_rational(rng, 0, 2)
+        ineqs.append((a, dot(a, center) + slack))
+    return PolyhedralSet(n, eqs, ineqs)
+
+
+def probe_points(rng, center):
+    """Points inside, on the boundary of and outside a set through
+    `center`, several with large denominators."""
+    n = len(center)
+    points = [center]
+    for step in (F(1, 7), F(-1, 3), F(3), F(1, 10007), F(-5, 999983), F(1, 2**61 - 1)):
+        direction = small_vector(rng, n)
+        points.append(tuple([c + step * v for c, v in zip(center, direction)]))
+    points.append(small_vector(rng, n, -3, 3))
+    points.append(tuple([F(rng.randint(-10**12, 10**12), 10**12 + 39) for _ in range(n)]))
+    return points
+
+
+def assert_same_evaluation(f, x):
+    point = model._scaled(x)
+    expected = reference_at(f, x)
+    got = f._at(point)
+    assert got == expected
+    if got is not None:
+        assert type(got[0]) is Fraction
+        # the tight rows are the set's own Fraction vectors
+        assert all(r is e for r, e in zip(got[2], expected[2]))
+    tight = f.domain._tight_rows(point)
+    assert tight == reference_tight_rows(f.domain, x)
+
+
+class TestIntegerKernel:
+    """`PolyhedralSet._tight_rows`, `MaxAffine._at` and
+    `SemiClosedPiece.contains` on integers agree with the Fraction
+    evaluation above."""
+
+    def test_seeded_rows_and_pieces(self):
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            center = small_vector(rng, n)
+            domain = rows_around(rng, center, rng.randint(0, n - 1), rng.randint(0, 4))
+            pieces = list(dict.fromkeys(
+                (small_vector(rng, n), small_rational(rng, -2, 2))
+                for _ in range(rng.randint(1, 4))
+            ))
+            if rng.random() < 0.3:  # a tie: two pieces agree at the center
+                u = small_vector(rng, n)
+                alpha = pieces[0][1] + dot(pieces[0][0], center) - dot(u, center)
+                if (u, alpha) not in pieces:
+                    pieces.append((u, alpha))
+            f = MaxAffine.from_pieces(pieces, n, domain=domain)
+            for x in probe_points(rng, center):
+                assert_same_evaluation(f, x)
+                at = reference_at(f, x)
+                outcomes.add(
+                    "outside" if at is None
+                    else ("tight" if at[2] else "inside", len(at[1]) > 1)
+                )
+        # the seeds reach every case: outside, boundary and interior points,
+        # with one and with several active pieces
+        assert outcomes >= {
+            "outside", ("tight", False), ("inside", False), ("tight", True), ("inside", True)
+        }
+
+    def test_whole_space_and_integer_data(self):
+        f = MaxAffine.from_pieces([(vec(1, 0), F(0)), (vec(0, 1), F(0))], 2)
+        for x in (vec(0, 0), vec(F(1, 3), F(1, 3)), vec(-5, F(7, 2))):
+            assert_same_evaluation(f, x)
+        assert f._at(model._scaled(vec(F(1, 3), F(1, 3)))) == (F(1, 3), [0, 1], [])
+
+    def test_semi_closed_pieces(self):
+        rng = random.Random(43)
+        pieces_seen = 0
+        for _ in range(12):
+            n = rng.randint(1, 2)
+            lower = small_vector(rng, n, -2, 0)
+            upper = tuple([l + small_rational(rng, 1, 2) for l in lower])
+            C = PolyhedralSet.box(lower, upper)
+            margin = small_rational(rng, 1, 2)
+            wide = PolyhedralSet.box(
+                [l - margin for l in lower], [u + margin for u in upper]
+            )
+            # dom h: a box around C with one slanted row through a corner of
+            # the wide box, strictly away from C
+            a = tuple([F(1, 2)] * n)
+            dom_h = wide.intersect(
+                PolyhedralSet(n, inequalities=((a, dot(a, upper) + margin / 2),))
+            )
+            dom_g = wide if rng.random() < 0.5 else PolyhedralSet.whole_space(n)
+            g = MaxAffine.from_pieces(
+                list(dict.fromkeys(
+                    (small_vector(rng, n), small_rational(rng, -1, 1))
+                    for _ in range(rng.randint(1, 2))
+                )),
+                n,
+                domain=dom_g,
+            )
+            h = MaxAffine.from_pieces(
+                list(dict.fromkeys(
+                    (small_vector(rng, n), small_rational(rng, -1, 1))
+                    for _ in range(rng.randint(2, 3))
+                )),
+                n,
+                domain=dom_h,
+            )
+            prob = DcProblem(g=g, h=h, C=C)
+            step = [(u - l) / 6 for l, u in zip(lower, upper)]
+            grid = [
+                tuple([l + k * s for l, k, s in zip(lower, ks, step)])
+                for ks in itertools.product(range(-1, 8), repeat=n)
+            ]
+            for piece in local_pieces(prob):
+                pieces_seen += 1
+                points = grid + probe_points(rng, piece.witness)
+                for x in points:
+                    assert piece.contains(x) == reference_piece_contains(piece, x)
+                    assert_same_evaluation(piece.h, x)
+        assert pieces_seen >= 12
+
+    def test_equality_rows(self):
+        line = PolyhedralSet(
+            2,
+            equalities=((vec(F(1, 3), F(-2, 5)), F(1, 7)),),
+            inequalities=((vec(1, 0), F(3, 2)), (vec(-1, 0), F(5, 3))),
+        )
+        f = MaxAffine.from_pieces(
+            [(vec(F(3, 2), F(1, 3)), F(1, 5)), (vec(F(-1, 2), 0), F(-2, 7))],
+            2,
+            domain=line,
+        )
+        on_line = vec(F(3, 7), 0)  # 1/3 * 3/7 = 1/7
+        assert line.contains(on_line)
+        for x in (on_line, vec(F(3, 2), F(25, 28)), vec(F(3, 7), F(1, 10**9)), vec(0, 0)):
+            assert_same_evaluation(f, x)
+        assert f._at(model._scaled(vec(F(3, 2), F(25, 28)))) is not None
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def functions_and_points(draw):
+    n = draw(st.integers(1, 3))
+    vectors = st.tuples(*[rationals] * n)
+    pieces = draw(st.lists(st.tuples(vectors, rationals), min_size=1, max_size=4))
+    equalities = draw(st.lists(st.tuples(vectors, rationals), max_size=1))
+    inequalities = draw(st.lists(st.tuples(vectors, rationals), max_size=4))
+    big = st.fractions(min_value=-4, max_value=4, max_denominator=10**15)
+    points = draw(st.lists(st.one_of(vectors, st.tuples(*[big] * n)), min_size=1, max_size=4))
+    domain = PolyhedralSet(n, equalities, inequalities)
+    f = MaxAffine.from_pieces(list(dict.fromkeys(pieces)), n, domain=domain)
+    return f, points
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(functions_and_points())
+def test_integer_kernel_matches_fractions(case):
+    f, points = case
+    for x in points:
+        assert_same_evaluation(f, tuple(x))
