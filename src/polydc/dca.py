@@ -27,6 +27,7 @@ from .model import (
     OutsideDomain,
     PolydcError,
     PolyhedralSet,
+    Scaled,
     _check_dimension,
     _scaled,
 )
@@ -41,7 +42,14 @@ class SubproblemUnboundedError(PolydcError):
 
 
 class SelectionRule:
-    """Base for subgradient selection rules; see the concrete rules."""
+    """Base for subgradient selection rules; see the concrete rules.
+
+    A rule that selects by the active set of h alone also has
+    `pick(active) -> j`: from the 1-based indices of the active pieces, in
+    ascending order, the index of the piece whose gradient it selects.
+    `run` hands such a rule the active set it has already evaluated and
+    falls back to `choose` for rules without `pick`.
+    """
 
     deterministic = True
 
@@ -49,41 +57,50 @@ class SelectionRule:
         raise NotImplementedError
 
 
+class _ActiveSetRule(SelectionRule):
+    """A rule given by `pick`; `choose` evaluates the active set at x."""
+
+    def pick(self, active: Sequence[int]) -> int:
+        raise NotImplementedError
+
+    def choose(self, h, x, step):
+        return h.piece(self.pick(sorted(h.active_indices(x))))[0]
+
+
 @dataclass(frozen=True)
-class MinIndexActive(SelectionRule):
+class MinIndexActive(_ActiveSetRule):
     """Gradient of the lowest-indexed active piece of h."""
 
-    def choose(self, h, x, step):
-        return h.piece(min(h.active_indices(x)))[0]
+    def pick(self, active):
+        return active[0]
 
 
 @dataclass(frozen=True)
-class MaxIndexActive(SelectionRule):
+class MaxIndexActive(_ActiveSetRule):
     """Gradient of the highest-indexed active piece of h."""
 
-    def choose(self, h, x, step):
-        return h.piece(max(h.active_indices(x)))[0]
+    def pick(self, active):
+        return active[-1]
 
 
 @dataclass(frozen=True)
-class ByActiveSetTable(SelectionRule):
+class ByActiveSetTable(_ActiveSetRule):
     """Explicit table from active sets to the chosen piece index."""
 
     table: Mapping[frozenset[int], int]
 
-    def choose(self, h, x, step):
-        active = h.active_indices(x)
-        chosen = self.table.get(active)
+    def pick(self, active):
+        chosen = self.table.get(frozenset(active))
         if chosen is None:
             raise InvalidSelection(
-                f"no table entry for active set {sorted(active)}"
+                f"no table entry for active set {list(active)}"
             )
         if chosen not in active:
             raise InvalidSelection(
                 f"table picks piece {chosen}, not active at this point "
-                f"(active set {sorted(active)})"
+                f"(active set {list(active)})"
             )
-        return h.piece(chosen)[0]
+        return chosen
 
 
 @dataclass(frozen=True)
@@ -203,7 +220,11 @@ def run(
 
     x0 is checked and g is evaluated there.  Every later iterate is the
     point of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to
-    the LP value plus xi.x, so only h is evaluated there.
+    the LP value plus xi.x, so only h is evaluated there; a rule with
+    `pick` selects from the active set of that one evaluation.  The
+    canonical minimizer is a function of xi alone, so each distinct xi of
+    the run poses one subproblem LP: a repeated xi, as at every fixed point,
+    takes the iterate the run already holds.
     """
     x = _check_dimension(x0, prob.dimension)
     point = _scaled(x)  # x on integers, once per iterate
@@ -215,8 +236,11 @@ def run(
 
     g_plus = prob.g_plus_indicator
     everywhere = PolyhedralSet.whole_space(prob.dimension)
+    pick = getattr(rule, "pick", None)
     iterates: list[Iterate] = []
     seen: dict[Vector, int] = {}
+    # xi -> (x, x scaled, g(x)) of its subproblem, for this run only
+    solved: dict[Vector, tuple[Vector, Scaled, Fraction]] = {}
     step = 0
     g_value = at_g[0]  # (g + indicator(C))(x)
     while True:
@@ -229,7 +253,10 @@ def run(
             )
             break
         try:
-            xi = rule.choose(prob.h, x, step)
+            if pick is None:
+                xi = rule.choose(prob.h, x, step)
+            else:
+                xi = prob.h.piece(pick([j + 1 for j in at_h[1]]))[0]
         except IndexError:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
@@ -254,18 +281,22 @@ def run(
         if step >= max_iter:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
-        try:
-            x, sub_value = solve_subproblem(g_plus, everywhere, xi)
-        except SubproblemUnboundedError:
-            termination = Termination(
-                TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
-            )
-            break
-        # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is
-        # taken on integers, like every evaluation at x
-        point = _scaled(x)
-        (X, d), (Xi, s) = point, _scaled(xi)
-        g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
+        key = _check_dimension(xi, prob.dimension, "subgradient")
+        if key not in solved:
+            try:
+                x, sub_value = solve_subproblem(g_plus, everywhere, key)
+            except SubproblemUnboundedError:
+                termination = Termination(
+                    TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
+                )
+                break
+            # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x
+            # is taken on integers, like every evaluation at x
+            point = _scaled(x)
+            (X, d), (Xi, s) = point, _scaled(key)
+            g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
+            solved[key] = x, point, g_value
+        x, point, g_value = solved[key]
         step += 1
     return DcaTrace(iterates=tuple(iterates), termination=termination)
 

@@ -6,11 +6,11 @@ programs share one optimal value (Toland-Singer duality).  Conjugate values
 are computed exactly by epigraph LPs; the dual objective uses the
 convention (+inf) - (+inf) = +inf.
 
-Attainment is searched over a finite candidate pool: the piece gradients of
-h plus every subgradient produced by a deterministic DCA run started at a
-global solution witness.  For polyhedral h a dual minimizer transports from
-a primal solution xbar into the gradients active at xbar, which is why the
-pool is principled; the check still reports rather than asserts attainment.
+For polyhedral h the dual value is attained at a piece gradient v_j of h,
+so the candidate pool of the check is exactly the distinct piece gradients.
+The conjugate of g + indicator(C) at v_j is read off the linearized
+subproblem of piece j (`structure._linearize`), which is the same epigraph
+LP; only h*(v_j) costs an LP of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .exactlp import ExtendedRational, Vector
 from .model import DcProblem, InternalCheckFailed, _check_dimension
-from . import dca, structure
+from . import structure
 
 
 @dataclass(frozen=True)
@@ -36,57 +36,58 @@ def dual_objective(prob: DcProblem, xi: Sequence) -> ExtendedRational:
     return prob.h.conjugate_value(xi) - prob.g_plus_indicator.conjugate_value(xi)
 
 
-def toland_singer_check(prob: DcProblem, max_iter: int = 200) -> DualReport:
-    """Compare the dual objective against the primal optimal value.
+def toland_singer_check(prob: DcProblem) -> DualReport:
+    """Compare the dual objective at every piece gradient of h against the
+    primal optimal value alpha_bar.
 
-    Every candidate must score at least the primal value (weak duality,
-    verified exactly); equality witnesses attainment.  Candidates whose
-    dual value dips below the primal value would indicate a bug and raise.
+    Every candidate must score at least alpha_bar (weak duality, verified
+    exactly); a dip below it would indicate a bug and raises.  Some piece
+    gradient attains alpha_bar:
+
+    * h >= h_j = v_j.x + beta_j on dom(h), so h*(v_j) <= -beta_j, and
+      (g + indicator(C))*(v_j) = -omega_j with omega_j the unshifted value
+      of piece j's linearized subproblem; the dual value at v_j is at most
+      omega_j - beta_j = alpha_j, and -inf when omega_j is;
+    * so the least dual value over the piece gradients is at most
+      min_j alpha_j = alpha_bar, the primal value;
+    * weak duality gives the reverse inequality.
+
+    A check in which no piece gradient attains alpha_bar raises.
     """
-    alpha_bar, _, global_pieces = structure.global_solutions(prob)
+    structure.check_structure_hypotheses(prob)
+    linearized = structure._linearize_all(prob)
+    alpha_bar, _, global_pieces = structure.global_solutions(prob, linearized)
 
-    candidates: list[Vector] = []
-
-    def add(xi: Vector) -> None:
-        if xi not in candidates:
-            candidates.append(xi)
-
-    for v, _ in prob.h.pieces:
-        add(v)
-    witnesses = [r.witness for r in global_pieces if r.witness is not None]
-    for witness in witnesses:
-        trace = dca.run(prob, witness, dca.MinIndexActive(), max_iter=max_iter)
-        for iterate in trace.iterates:
-            add(iterate.xi)
-
-    scored = []
-    for xi in candidates:
-        value = dual_objective(prob, xi)
+    scored: dict[Vector, ExtendedRational] = {}
+    for (v, _), (unshifted, _) in zip(prob.h.pieces, linearized):
+        if v in scored:
+            continue
+        # (g + indicator(C))*(v) is minus the minimum of its epigraph LP,
+        # +inf when that LP is unbounded
+        value = prob.h.conjugate_value(v) - (-unshifted.value)
         if value < alpha_bar:
             raise InternalCheckFailed(
-                f"weak duality violated at {xi}: {value} < {alpha_bar}"
+                f"weak duality violated at {v}: {value} < {alpha_bar}"
             )
-        scored.append((xi, value))
+        scored[v] = value
 
-    attained = None
-    # prefer gradients active at a global solution witness; every piece
-    # gradient of h is a candidate, so its value is already scored
-    values = dict(scored)
-    for witness in witnesses:
-        for j in sorted(prob.h.active_indices(witness)):
-            xi = prob.h.piece(j)[0]
-            if values[xi] == alpha_bar:
-                attained = xi
-                break
-        if attained is not None:
-            break
+    # prefer gradients active at a global solution witness
+    preferred = [
+        prob.h.piece(j)[0]
+        for r in global_pieces
+        if r.witness is not None
+        for j in sorted(prob.h.active_indices(r.witness))
+    ]
+    attained = next(
+        (xi for xi in preferred + list(scored) if scored[xi] == alpha_bar), None
+    )
     if attained is None:
-        for xi, value in scored:
-            if value == alpha_bar:
-                attained = xi
-                break
+        raise InternalCheckFailed(
+            f"no piece gradient of h attains the primal value "
+            f"alpha_bar = {alpha_bar}"
+        )
     return DualReport(
         primal_value=alpha_bar,
-        candidates=tuple(scored),
+        candidates=tuple(scored.items()),
         attained_at=attained,
     )

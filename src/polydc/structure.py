@@ -207,14 +207,22 @@ def solve_linearization(
 
 
 def check_structure_hypotheses(prob: DcProblem) -> None:
-    reason = containment_violation(prob.g.domain, prob.C, strictly=False)
-    if reason is not None:
-        raise HypothesisNotMet(f"dom(g) does not contain C: {reason}")
-    reason = containment_violation(prob.h.domain, prob.C, strictly=True)
-    if reason is not None:
-        raise HypothesisNotMet(
-            f"the interior of dom(h) does not contain C: {reason}"
-        )
+    """Raise HypothesisNotMet unless dom(g) ⊇ C and int(dom(h)) ⊇ C.
+
+    A domain without rows is the whole space, which contains C and is its
+    own interior; C is nonempty, as `DcProblem` proved dom(g) ∩ C nonempty
+    at load, so such a containment holds and poses no LP.
+    """
+    if not prob.g.domain.is_whole_space:
+        reason = containment_violation(prob.g.domain, prob.C, strictly=False)
+        if reason is not None:
+            raise HypothesisNotMet(f"dom(g) does not contain C: {reason}")
+    if not prob.h.domain.is_whole_space:
+        reason = containment_violation(prob.h.domain, prob.C, strictly=True)
+        if reason is not None:
+            raise HypothesisNotMet(
+                f"the interior of dom(h) does not contain C: {reason}"
+            )
 
 
 def _linearize_all(prob: DcProblem) -> tuple[_Pair, ...]:

@@ -9,9 +9,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
-from polydc import DcProblem, LinearProgram, MaxAffine, PolyhedralSet
+from polydc import DcProblem, LinearProgram, MaxAffine, PolyhedralSet, parse_problem
 from polydc.exactlp import dot
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def vec(*values):
@@ -38,6 +41,14 @@ def abs_problem() -> DcProblem:
     g = MaxAffine.constant(0, 1)
     h = MaxAffine.from_pieces([(vec(1), Fraction(0)), (vec(-1), Fraction(0))], 1)
     return DcProblem(g=g, h=h, C=PolyhedralSet.whole_space(1))
+
+
+def bundled_problems() -> list[DcProblem]:
+    """The example documents in problems/, parsed, in file-name order."""
+    return [
+        parse_problem(path.read_text(encoding="utf-8"))
+        for path in sorted(PROBLEMS.glob("*.json"))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,23 @@ class TestSelectSubgradient:
         with pytest.raises(InvalidSelection, match="not active"):
             select_subgradient(interval_problem.h, vec(0), bad)
 
+    def test_runs_hand_rules_the_active_set_they_evaluated(
+        self, interval_problem, monkeypatch
+    ):
+        # rules with `pick` select from run's own evaluation of h: no
+        # second active-set evaluation per iterate, same traces as `choose`
+        table = ByActiveSetTable(
+            {frozenset(s): max(s) for s in ({1}, {1, 2}, {2}, {2, 3}, {3})}
+        )
+        for rule in (MinIndexActive(), MaxIndexActive(), table):
+            for x0 in (vec(-2), vec(-1), vec(F(1, 2)), vec(3)):
+                expected = reference_run(interval_problem, x0, rule)
+                monkeypatch.setattr(
+                    MaxAffine, "active_indices", lambda h, x: pytest.fail()
+                )
+                assert run(interval_problem, x0, rule) == expected
+                monkeypatch.undo()
+
     def test_outside_domain(self):
         h = MaxAffine.from_pieces(
             [(vec(0), F(0))],
@@ -685,14 +702,16 @@ class TestSharedEpigraphStart:
         for module in (exactlp, model, dca, structure):
             monkeypatch.setattr(module, "lp_solve", counting_solve)
         monkeypatch.setattr(exactlp, "_eliminate_equalities", counting_eliminate)
-        x0 = vec(F(1, 4), F(1, 4))
-        for x, rule in (
-            (x0, MinIndexActive()),
-            (x0, MaxIndexActive()),
-            (vec(1, F(-1, 2)), MinIndexActive()),
-            (vec(F(-1, 2), 1), MaxIndexActive()),
+        # each run poses one LP per distinct subgradient, so eight runs and
+        # the duality check drive at least 15 epigraph solves
+        for x in (
+            vec(F(1, 4), F(1, 4)),
+            vec(1, F(-1, 2)),
+            vec(F(-1, 2), 1),
+            vec(F(3, 2), -1),
         ):
-            run(prob, x, rule)
+            for rule in (MinIndexActive(), MaxIndexActive()):
+                run(prob, x, rule)
         report = toland_singer_check(prob)
         monkeypatch.undo()
         assert report.attained_at is not None
@@ -724,3 +743,36 @@ class TestSharedEpigraphStart:
                     kinds.add(trace.termination.kind)
         assert TerminationKind.FIXED_POINT in kinds
         assert TerminationKind.SUBPROBLEM_UNBOUNDED in kinds
+
+
+# ---------------------------------------------------------------------------
+# one subproblem LP per distinct subgradient of a run
+
+
+def test_runs_pose_one_subproblem_per_distinct_subgradient(monkeypatch):
+    """On 200 seeded instances and the bundled problems, every run equals
+    the reference and poses each distinct xi of its trace at most once."""
+    rng = random.Random(89)
+    problems = gens.bundled_problems()
+    problems += [gens.random_dc_instance(rng) for _ in range(200)]
+    posed = []
+
+    def counting(lp, **kwargs):
+        posed.append(lp.objective)
+        return lp_solve(lp, **kwargs)
+
+    reused = 0
+    for prob in problems:
+        lo, hi = prob.C.bounding_box()
+        centre = tuple((a + b) / 2 for a, b in zip(lo, hi))
+        for x0 in (lo, centre):
+            for rule in (MinIndexActive(), MaxIndexActive()):
+                monkeypatch.setattr(dca, "lp_solve", counting)
+                del posed[:]
+                trace = run(prob, x0, rule)
+                monkeypatch.undo()
+                assert trace == reference_run(prob, x0, rule)
+                distinct = {it.xi for it in trace.iterates}
+                assert len(set(posed)) == len(posed) <= len(distinct)
+                reused += len(trace.iterates) - 1 - len(posed)
+    assert reused > 0

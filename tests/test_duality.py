@@ -3,10 +3,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from polydc import (
     DcProblem,
+    DualReport,
     MaxAffine,
     MaxIndexActive,
+    MinIndexActive,
     MINUS_INF,
     PLUS_INF,
     PolyhedralSet,
@@ -14,8 +18,9 @@ from polydc import (
     run,
     toland_singer_check,
 )
-from polydc import duality
-from polydc.exactlp import ExtendedRational, dot
+from polydc import exactlp, model, structure
+from polydc.exactlp import ExtendedRational, dot, lp_solve
+from polydc.model import InternalCheckFailed
 
 import gens
 from gens import vec
@@ -105,19 +110,82 @@ class TestTolandSinger:
 
 
     def test_each_candidate_is_scored_once(self, interval_problem, monkeypatch):
-        scored = []
-        original = duality.dual_objective
+        # one h* LP per candidate; the conjugate of g + indicator(C) comes
+        # from the q linearizations, each of which is one LP on its rows
+        conjugates, epigraph_solves = [], []
+        conjugate_value = MaxAffine.conjugate_value
 
-        def counting(prob, xi):
-            scored.append(xi)
-            return original(prob, xi)
+        def counting_conjugate(f, xi):
+            conjugates.append((f, xi))
+            return conjugate_value(f, xi)
 
-        monkeypatch.setattr(duality, "dual_objective", counting)
+        def counting_solve(lp, **kwargs):
+            epigraph_solves.append(lp._rows)
+            return lp_solve(lp, **kwargs)
+
+        monkeypatch.setattr(MaxAffine, "conjugate_value", counting_conjugate)
+        for module in (exactlp, model, structure):
+            monkeypatch.setattr(module, "lp_solve", counting_solve)
         rng = random.Random(61)
-        for prob in [interval_problem] + [gens.random_dc_instance(rng) for _ in range(6)]:
-            scored.clear()
+        problems = [interval_problem] + [gens.random_dc_instance(rng) for _ in range(6)]
+        for prob in problems:
+            g_plus_rows = prob.g_plus_indicator._epigraph._rows
+            del conjugates[:], epigraph_solves[:]
             report = toland_singer_check(prob)
-            assert scored == [xi for xi, _ in report.candidates]
+            assert conjugates == [(prob.h, xi) for xi, _ in report.candidates]
+            q = len(prob.h.pieces)
+            assert sum(rows is g_plus_rows for rows in epigraph_solves) == q
+
+    def test_report_matches_the_dca_and_dual_objective_reference(self):
+        """On 200 seeded instances, the bundled problems and the worked
+        ones, the report equals that of the pool of piece gradients plus
+        every subgradient of a DCA run from a global solution witness, each
+        scored by `dual_objective`."""
+        rng = random.Random(97)
+        problems = gens.bundled_problems()
+        problems += [gens.interval_problem(), gens.abs_problem()]
+        problems += [gens.random_dc_instance(rng) for _ in range(200)]
+        for prob in problems:
+            assert toland_singer_check(prob) == _reference_report(prob)
+
+    def test_unattained_primal_value_is_named(self, interval_problem, monkeypatch):
+        # raising h* lifts every dual value above the finite alpha_bar = -2
+        conjugate_value = MaxAffine.conjugate_value
+
+        def raised(f, xi):
+            value = conjugate_value(f, xi)
+            return value + ExtendedRational.finite(1) if f is prob.h else value
+
+        prob = interval_problem
+        monkeypatch.setattr(MaxAffine, "conjugate_value", raised)
+        with pytest.raises(InternalCheckFailed, match="alpha_bar = -2"):
+            toland_singer_check(prob)
+
+
+def _reference_report(prob, max_iter=200):
+    """The check as a search over piece gradients and DCA subgradients."""
+    alpha_bar, _, global_pieces = structure.global_solutions(prob)
+    candidates = []
+    for xi in [v for v, _ in prob.h.pieces]:
+        if xi not in candidates:
+            candidates.append(xi)
+    witnesses = [r.witness for r in global_pieces if r.witness is not None]
+    for witness in witnesses:
+        trace = run(prob, witness, MinIndexActive(), max_iter=max_iter)
+        for iterate in trace.iterates:
+            if iterate.xi not in candidates:
+                candidates.append(iterate.xi)
+    scored = [(xi, dual_objective(prob, xi)) for xi in candidates]
+    values = dict(scored)
+    active = [
+        prob.h.piece(j)[0]
+        for witness in witnesses
+        for j in sorted(prob.h.active_indices(witness))
+    ]
+    attained = next(
+        (xi for xi in active + candidates if values[xi] == alpha_bar), None
+    )
+    return DualReport(alpha_bar, tuple(scored), attained)
 
 
 class TestConjugateIdentities:

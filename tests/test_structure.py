@@ -15,6 +15,7 @@ from polydc import (
     OutsideDomain,
     PolyhedralSet,
     is_stationary,
+    toland_singer_check,
 )
 from polydc import exactlp, model, structure
 from polydc.cli import parse_problem
@@ -25,6 +26,7 @@ from polydc.structure import (
     _piece_subset,
     _strict_witness,
     build_piece,
+    check_structure_hypotheses,
     components,
     global_solutions,
     local_pieces,
@@ -145,9 +147,46 @@ class TestGlobalSolutions:
         prob = DcProblem(
             g=MaxAffine.constant(0, 1), h=h, C=PolyhedralSet.box([F(-2)], [F(3)])
         )
-        for entry in (global_solutions, local_pieces, solution_structure):
+        for entry in (
+            global_solutions,
+            local_pieces,
+            solution_structure,
+            toland_singer_check,
+        ):
             with pytest.raises(HypothesisNotMet, match="interior of dom\\(h\\)"):
                 entry(prob)
+
+    def test_only_domains_with_rows_pose_containment_lps(
+        self, interval_problem, monkeypatch
+    ):
+        # a domain without rows is the whole space, which contains C; a
+        # domain with rows keeps the full check
+        posed = []
+        for name in ("lp_solve", "lp_feasible"):
+            original = getattr(model, name)
+
+            def counting(*args, original=original, **kwargs):
+                posed.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counting)
+        check_structure_hypotheses(interval_problem)
+        assert posed == []
+        C = PolyhedralSet.box([F(-2)], [F(3)])
+        for lower, holds in ((F(-3), True), (F(0), False)):
+            g = MaxAffine.from_pieces(
+                [(vec(0), F(0))], 1, domain=PolyhedralSet.box([lower], [F(5)])
+            )
+            prob = DcProblem(g=g, h=MaxAffine.constant(0, 1), C=C)
+            del posed[:]
+            if holds:
+                check_structure_hypotheses(prob)
+                toland_singer_check(prob)
+            else:
+                for entry in (check_structure_hypotheses, toland_singer_check):
+                    with pytest.raises(HypothesisNotMet, match="dom\\(g\\)"):
+                        entry(prob)
+            assert posed
 
     def test_objective_constant_on_faces(self, interval_problem):
         alpha_bar, _, pieces = global_solutions(interval_problem)
