@@ -379,6 +379,10 @@ def _cmd_classify(prob: DcProblem, args) -> tuple[dict, int]:
 
 
 def _cmd_dca(prob: DcProblem, args) -> tuple[dict, int]:
+    if args.max_iter < 0:
+        raise ProblemFormatError(
+            f"--max-iter: expected a count >= 0, got {args.max_iter}"
+        )
     x0 = parse_csv_vector(args.x0, prob.dimension)
     rule = _parse_rule(args.rule)
     trace = dca.run(prob, x0, rule, max_iter=args.max_iter)
@@ -425,11 +429,7 @@ def _cmd_dual(prob: DcProblem, args) -> tuple[dict, int]:
                 {"xi": fmt_vector(xi), "value": str(value)}
                 for xi, value in result.candidates
             ],
-            "attained_at": (
-                None
-                if result.attained_at is None
-                else fmt_vector(result.attained_at)
-            ),
+            "attained_at": fmt_vector(result.attained_at),
         }
     return report, 0
 

@@ -16,7 +16,7 @@ LP; only h*(v_j) costs an LP of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactlp import ExtendedRational, Vector
 from .model import DcProblem, InternalCheckFailed, _check_dimension
@@ -27,7 +27,7 @@ from . import structure
 class DualReport:
     primal_value: ExtendedRational
     candidates: tuple[tuple[Vector, ExtendedRational], ...]
-    attained_at: Optional[Vector]
+    attained_at: Vector
 
 
 def dual_objective(prob: DcProblem, xi: Sequence) -> ExtendedRational:
@@ -50,13 +50,18 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
       omega_j - beta_j = alpha_j, and -inf when omega_j is;
     * so the least dual value over the piece gradients is at most
       min_j alpha_j = alpha_bar, the primal value;
-    * weak duality gives the reverse inequality.
+    * weak duality gives the reverse inequality, so v_j attains alpha_bar
+      for every j in J*.
 
-    A check in which no piece gradient attains alpha_bar raises.
+    The report names v_j0 for j0 = min J*, a subgradient of h at every
+    point w of j0's optimal face: by the lemma of `structure`, read at w,
+    g(w) - h_i(w) = alpha_bar holds exactly for the pieces i active at w,
+    and j0 is one of them; each such i has alpha_i <= alpha_bar, so it
+    lies in J*.  A check in which v_j0 misses alpha_bar raises.
     """
     structure.check_structure_hypotheses(prob)
     linearized = structure._linearize_all(prob)
-    alpha_bar, _, global_pieces = structure.global_solutions(prob, linearized)
+    alpha_bar, J_star, _ = structure.global_solutions(prob, linearized)
 
     scored: dict[Vector, ExtendedRational] = {}
     for (v, _), (unshifted, _) in zip(prob.h.pieces, linearized):
@@ -71,20 +76,11 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
             )
         scored[v] = value
 
-    # prefer gradients active at a global solution witness
-    preferred = [
-        prob.h.piece(j)[0]
-        for r in global_pieces
-        if r.witness is not None
-        for j in sorted(prob.h.active_indices(r.witness))
-    ]
-    attained = next(
-        (xi for xi in preferred + list(scored) if scored[xi] == alpha_bar), None
-    )
-    if attained is None:
+    attained = prob.h.piece(min(J_star))[0]
+    if scored[attained] != alpha_bar:
         raise InternalCheckFailed(
-            f"no piece gradient of h attains the primal value "
-            f"alpha_bar = {alpha_bar}"
+            f"the gradient of piece {min(J_star)} of J* does not attain the "
+            f"primal value alpha_bar = {alpha_bar}"
         )
     return DualReport(
         primal_value=alpha_bar,

@@ -150,6 +150,8 @@ class ExtendedRational:
         return hash(self._key())
 
     def __lt__(self, other):
+        if not isinstance(other, ExtendedRational):
+            return NotImplemented
         return self._key() < other._key()
 
     def __sub__(self, other: "ExtendedRational") -> "ExtendedRational":

@@ -20,21 +20,23 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   and the closed part adds C again.  A repeated row cuts out nothing
   more, and unless it could change a pivot (see `_lp_rows`) it is
   dropped: from a piece's system once, when the piece is built, and from
-  the joined system of two branches once per adjacency LP.  Every LP
+  the joined system of two pieces once per adjacency LP.  Every LP
   pivots as over the whole system, so every witness is the one the whole
   system gives.
-* Anchors ruled out by alpha.  A branch anchored at j0 asks for a member
-  where h_j0 is a maximizer of h.  On the closed part of J1, every x has
-  g(x) - v_j.x equal to the unshifted value of j for each j in J1, so
-  h_j(x) - h_k(x) = alpha_k - alpha_j with alpha the shifted values; an
-  anchor that does not attain the least alpha over J1 is below another
-  piece of J1 everywhere, and `local_pieces` poses no LP for it.
-* Active pieces read from live anchors.  A member of P where a piece j
-  outside Q.J1 is active is exactly a point of P's branch anchored at j,
-  so P ⊆ Q fails at once when such a branch is live.  Otherwise
-  containment asks, per live branch of P, whether a member of P violates
-  a closed row of Q; a row that is already in the branch's own system (a
-  row of C, of dom g, or of a face shared by both J1 sets) holds at every
+* One system per piece (the lemma).  On the closed part of J1 every x
+  lies in the optimal face of each j in J1, so g(x) - v_j.x is the
+  unshifted value of j there and h_j(x) = g(x) - alpha_j, with alpha the
+  shifted values.  Among J1 the largest pieces of h at x are thus those of
+  least alpha, A*(J1), at every x of the closed part, and every member of
+  the piece has the active set A*(J1).  A piece is stored as the one
+  strict system of its anchor, the first index of A*(J1): h_anchor is at
+  least every h_j of J1 and above every excluded piece.  Another index of
+  A*(J1) gives the same member set, and an index outside it none.
+* Containment read from the witness.  Every member of P has the active
+  set of P's witness, so no member of P has a piece outside Q.J1 active
+  once Q holds that witness.  Then P ⊆ Q asks whether a member of P
+  violates a closed row of Q; a row that is already in P's system (a row
+  of C, of dom g, or of a face shared by both J1 sets) holds at every
   member, so only the other rows of Q cost an LP.
 """
 
@@ -96,20 +98,6 @@ class LinearizationResult:
 _Pair = tuple[LinearizationResult, LinearizationResult]
 
 
-@dataclass(frozen=True)
-class _Branch:
-    """One anchor's system for a semi-closed piece: the anchor piece is a
-    maximizer of h and every excluded piece is strictly below it."""
-
-    anchor: int
-    equalities: tuple[Row, ...]
-    weak: tuple[Row, ...]
-    strict: tuple[Row, ...]
-
-    def weakened(self) -> "_Branch":
-        return _Branch(self.anchor, self.equalities, self.weak + self.strict, ())
-
-
 def _positive(slack: ExtendedRational) -> bool:
     return not slack.is_finite or slack.as_fraction() > 0
 
@@ -128,12 +116,12 @@ def _strict_witness(
 class SemiClosedPiece:
     """Member set: {x in closed_part : active pieces of h within J1}.
 
-    The semi-closed piece is convex; its members are exactly the points of
-    the closed part where every excluded piece of h is strictly inactive.
-    `rows` is the closed part without the repeated rows that cannot change
-    a pivot (see `_lp_rows`), the system that the branches and `contains`
-    work on; `branches` holds one branch per anchor tried, and
-    `branch_witnesses` the live ones.
+    The semi-closed piece is convex; by the lemma (module docstring) its
+    members are exactly the points of its anchor's system.  `rows` is the
+    closed part without the repeated rows that cannot change a pivot (see
+    `_lp_rows`); the system is its equalities, the `weak` rows (those of
+    `rows`, then h_j <= h_anchor for the other j in J1) and the `strict`
+    rows h_j < h_anchor for the excluded j.
     """
 
     J1: frozenset[int]
@@ -141,9 +129,10 @@ class SemiClosedPiece:
     excluded: frozenset[int]
     h: MaxAffine
     witness: Vector
-    branches: tuple[_Branch, ...]
-    branch_witnesses: tuple[tuple[int, Vector], ...]
+    anchor: int
     rows: PolyhedralSet = field(compare=False, repr=False)
+    weak: tuple[Row, ...] = field(compare=False, repr=False)
+    strict: tuple[Row, ...] = field(compare=False, repr=False)
 
     def contains(self, x: Sequence) -> bool:
         point = _scaled(_check_dimension(x, self.dimension))
@@ -282,114 +271,79 @@ def _lp_rows(
     return kept_equalities, tuple(kept)
 
 
-def _branch_for(
-    h: MaxAffine, closed_part: PolyhedralSet, J1: frozenset[int], anchor: int
-) -> _Branch:
-    v0, beta0 = h.piece(anchor)
-    weak = list(closed_part.inequalities)
-    strict = []
-    for j in h.indices:
-        if j == anchor:
-            continue
-        vj, betaj = h.piece(j)
-        row = (vsub(vj, v0), beta0 - betaj)  # h_j(x) <= h_anchor(x)
-        if j in J1:
-            weak.append(row)
-        else:
-            strict.append(row)
-    return _Branch(anchor, closed_part.equalities, tuple(weak), tuple(strict))
-
-
 def build_piece(
-    h: MaxAffine,
-    closed_part: PolyhedralSet,
-    J1: frozenset[int],
-    anchors: Optional[Sequence[int]] = None,
+    h: MaxAffine, closed_part: PolyhedralSet, J1: frozenset[int], anchor: int
 ) -> Optional[SemiClosedPiece]:
     """Assemble the semi-closed piece for J1, or None when it has no members.
 
-    Nonemptiness is decided anchor by anchor: the piece has a member with
-    anchor j0 active iff the j0 branch's strict rows admit positive margin.
-    Every anchor of J1 is tried unless `anchors` names those that can be
-    live, in ascending order; the others have no members and get no LP.
-    The repeated rows that cannot change a pivot are dropped once, here.
+    Precondition: `closed_part` lies in the optimal face of every j in J1,
+    and `anchor` has the least alpha over J1.  By the lemma (module
+    docstring) the piece is then the one system of `anchor`, which has a
+    member iff its strict rows admit positive margin: one LP.  The repeated
+    rows that cannot change a pivot are dropped once, here.
     """
     rows = PolyhedralSet(
         closed_part.dimension,
         *_lp_rows(closed_part.equalities, closed_part.inequalities),
     )
-    if anchors is None:
-        anchors = sorted(J1)
-    # a tuple from a list, not a generator: see exactlp.vector
-    branches = tuple([_branch_for(h, rows, J1, j0) for j0 in anchors])
-    witnesses = []
-    for branch in branches:
-        w = _strict_witness(
-            branch.equalities, branch.weak, branch.strict, closed_part.dimension
-        )
-        if w is not None:
-            witnesses.append((branch.anchor, w))
-    if not witnesses:
+    v0, beta0 = h.piece(anchor)
+    weak = list(rows.inequalities)
+    strict = []
+    for j in h.indices:
+        if j != anchor:
+            vj, betaj = h.piece(j)
+            row = (vsub(vj, v0), beta0 - betaj)  # h_j(x) <= h_anchor(x)
+            (weak if j in J1 else strict).append(row)
+    witness = _strict_witness(rows.equalities, weak, strict, closed_part.dimension)
+    if witness is None:
         return None
     return SemiClosedPiece(
         J1=J1,
         closed_part=closed_part,
         excluded=frozenset(h.indices) - J1,
         h=h,
-        witness=witnesses[0][1],
-        branches=branches,
-        branch_witnesses=tuple(witnesses),
+        witness=witness,
+        anchor=anchor,
         rows=rows,
+        weak=tuple(weak),
+        strict=tuple(strict),
     )
 
 
 def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     """Exact containment of member sets of two semi-closed pieces.
 
-    A member of P where a piece j outside Q.J1 is active is a point of P's
-    branch anchored at j, so such a member exists iff that branch is live.
-    Otherwise P ⊆ Q iff no member of P violates a closed row of Q.  A
-    member of P satisfies every row of its branch's system, so a closed
-    row of Q that is already a row of that system cannot be violated and
-    needs no LP; each remaining row of Q is tested once.
+    P's witness is a member of P, so P ⊄ Q when Q does not hold it.  Every
+    member of P has the witness's active set (the lemma), so once Q holds
+    the witness, P ⊆ Q iff no member of P violates a closed row of Q.  A
+    member of P satisfies every row of P's system, so a closed row of Q
+    that is already one needs no LP; each remaining row of Q is tested once.
     """
-    n = P.dimension
-    live = {anchor for anchor, _ in P.branch_witnesses}
-    if live & (P.J1 - Q.J1):
+    if not Q.contains(P.witness):
         return False
-    for branch in P.branches:
-        if branch.anchor not in live:
-            continue
-        # a member of P violating a closed constraint of Q
-        own_equalities = set(branch.equalities)
-        settled = set(branch.weak)  # rows every member satisfies, or tested
-        violations = []
-        for a, y in Q.rows.equalities:
-            if (a, y) not in own_equalities:
-                violations += [(a, y), (vneg(a), -y)]  # a.x < y or a.x > y
-        for a, b in Q.rows.inequalities:
-            if (a, b) not in settled:
-                settled.add((a, b))
-                violations.append((vneg(a), -b))
-        for violation in violations:
-            if (
-                _strict_witness(
-                    branch.equalities,
-                    branch.weak,
-                    branch.strict + (violation,),
-                    n,
-                )
-                is not None
-            ):
-                return False
-    return True
+    own_equalities = set(P.rows.equalities)
+    settled = set(P.weak)  # rows every member satisfies, or tested
+    violations = []
+    for a, y in Q.rows.equalities:
+        if (a, y) not in own_equalities:
+            violations += [(a, y), (vneg(a), -y)]  # a.x < y or a.x > y
+    for a, b in Q.rows.inequalities:
+        if (a, b) not in settled:
+            settled.add((a, b))
+            violations.append((vneg(a), -b))
+    return not any(
+        _strict_witness(
+            P.rows.equalities, P.weak, P.strict + (violation,), P.dimension
+        )
+        is not None
+        for violation in violations
+    )
 
 
 def _same_member_set(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
-    # cheap witness screen before the full containment LPs
-    if not (Q.contains(P.witness) and P.contains(Q.witness)):
-        return False
-    return _piece_subset(P, Q) and _piece_subset(Q, P)
+    # no containment LP runs before P holds Q's witness and Q holds P's,
+    # the check that opens _piece_subset
+    return P.contains(Q.witness) and _piece_subset(P, Q) and _piece_subset(Q, P)
 
 
 def local_pieces(
@@ -400,11 +354,11 @@ def local_pieces(
     """All nonempty semi-closed pieces of the local solution set.
 
     Every nonempty subset J1 of h's piece indices is tried, with one LP
-    per anchor of least alpha over J1 (see the module docstring); pieces
-    whose member sets are provably equal are merged, keeping the smallest
-    J1.  Equality is containment both ways, and each containment LP tests
-    one row of the other piece's closed part that the branch does not
-    already impose, so faces shared by the two J1 sets cost nothing.
+    for the system of its anchor (see the module docstring); pieces whose
+    member sets are provably equal are merged, keeping the smallest J1.
+    Equality is containment both ways, and each containment LP tests one
+    row of the other piece's closed part that the piece's own system does
+    not already impose, so faces shared by the two J1 sets cost nothing.
     Under the containment hypotheses the union of the returned pieces is
     exactly the local solution set.  `linearized` is as in
     `global_solutions`.
@@ -428,9 +382,9 @@ def local_pieces(
             if any(face is None for face in faces):
                 continue
             closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
-            least = min(alpha[j] for j in combo)  # finite: every face exists
-            anchors = [j for j in combo if alpha[j] == least]
-            piece = build_piece(prob.h, closed_part, J1, anchors)
+            # the first index of least alpha; finite, as every face exists
+            anchor = min(combo, key=alpha.__getitem__)
+            piece = build_piece(prob.h, closed_part, J1, anchor)
             if piece is not None:
                 kept.append(piece)
     # merge duplicates, keeping the smallest J1 of each equivalence class
@@ -448,30 +402,17 @@ def _closure_meets(
 ) -> Optional[Vector]:
     """A point of cl(closing) ∩ other, or None.
 
-    The closure of a nonempty semi-closed branch is the same system with
-    the strict rows weakened; empty branches contribute nothing.
+    The closure of a nonempty semi-closed system is the same system with
+    the strict rows weakened.
     """
-    n = closing.dimension
-    live = {anchor for anchor, _ in closing.branch_witnesses}
-    live_other = {anchor for anchor, _ in other.branch_witnesses}
-    for branch in closing.branches:
-        if branch.anchor not in live:
-            continue
-        closed = branch.weakened()
-        for other_branch in other.branches:
-            if other_branch.anchor not in live_other:
-                continue
-            witness = _strict_witness(
-                *_lp_rows(
-                    closed.equalities + other_branch.equalities,
-                    closed.weak + other_branch.weak,
-                ),
-                other_branch.strict,
-                n,
-            )
-            if witness is not None:
-                return witness
-    return None
+    return _strict_witness(
+        *_lp_rows(
+            closing.rows.equalities + other.rows.equalities,
+            closing.weak + closing.strict + other.weak,
+        ),
+        other.strict,
+        closing.dimension,
+    )
 
 
 def pieces_adjacent(

@@ -244,6 +244,15 @@ class TestCommands:
         assert code == 2
         assert "not a subgradient" in capsys.readouterr().err
 
+    def test_negative_max_iter_exits_2(self, problem_file, capsys):
+        args = ["dca", "--problem", problem_file, "--x0", "2", "--max-iter"]
+        assert main(args + ["-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --max-iter: expected a count >= 0, got -3" in captured.err
+        assert main(args + ["0"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_iter"] == 0
+
     def test_incomplete_table_exits_2(self, problem_file, tmp_path, capsys):
         table = tmp_path / "table.json"
         table.write_text(

@@ -669,6 +669,20 @@ class TestExtendedRational:
         assert MINUS_INF < three < PLUS_INF
         assert sorted([PLUS_INF, three, MINUS_INF]) == [MINUS_INF, three, PLUS_INF]
 
+    def test_order_against_other_types_raises_type_error(self):
+        one = ExtendedRational.finite(1)
+        for compare in (
+            lambda: one < Fraction(2),
+            lambda: one <= 2,
+            lambda: one > 2,
+            lambda: one >= Fraction(2),
+            lambda: Fraction(2) < one,
+            lambda: 2 > one,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        assert one != 1 and one != Fraction(1)
+
     def test_subtraction_convention(self):
         assert PLUS_INF - PLUS_INF == PLUS_INF
         assert ExtendedRational.finite(1) - PLUS_INF == MINUS_INF

@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -238,11 +239,16 @@ class TestLocalPieces:
             local_pieces(interval_problem, cap=2)
 
     def test_piece_convexity_via_midpoints(self):
+        # the piece's witness and those of the reference's live anchors
         rng = random.Random(43)
         for _ in range(8):
             prob = gens.random_grid_instance(rng)
             for piece in local_pieces(prob):
-                witnesses = [w for _, w in piece.branch_witnesses]
+                reference = _reference_build_piece(
+                    prob.h, piece.closed_part, piece.J1
+                )
+                witnesses = [piece.witness]
+                witnesses += [w for _, w in reference.branch_witnesses]
                 for a, b in itertools.combinations(witnesses, 2):
                     mid = tuple((p + q) / 2 for p, q in zip(a, b))
                     assert piece.contains(mid)
@@ -282,20 +288,22 @@ class TestLocalPieces:
 
 
 def _full_row_piece_subset(P, Q):
-    """Reference containment test: one strict-margin LP per closed row of
-    Q, duplicates and rows P already imposes included."""
+    """Reference containment test of two reference pieces: per live anchor
+    of P, one strict-margin LP per closed row of Q, duplicates and rows P
+    already imposes included, and one per piece outside Q.J1 being
+    active."""
     n = P.dimension
     live = {anchor for anchor, _ in P.branch_witnesses}
-    for branch in P.branches:
-        if branch.anchor not in live:
+    for anchor, equalities, weak, strict in P.branches:
+        if anchor not in live:
             continue
 
         def meets(extra_weak=(), extra_strict=()):
             return (
                 _strict_witness(
-                    branch.equalities,
-                    branch.weak + tuple(extra_weak),
-                    branch.strict + tuple(extra_strict),
+                    equalities,
+                    weak + tuple(extra_weak),
+                    strict + tuple(extra_strict),
                     n,
                 )
                 is not None
@@ -319,28 +327,40 @@ def _full_row_piece_subset(P, Q):
     return True
 
 
-def _lattice_pieces(prob):
-    """Every nonempty build_piece result over the J1 lattice, in the order
-    local_pieces tries them (by size, then lexicographic)."""
-    omega = {
-        j: solve_linearization(prob, j, shifted=False) for j in prob.h.indices
-    }
-    out = []
+def _lattice(prob):
+    """(J1, closed part, alpha) for every J1 of the lattice whose faces all
+    exist, in the order local_pieces tries them (by size, then
+    lexicographic)."""
+    linearized = structure._linearize_all(prob)
+    alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     for size in range(1, len(prob.h.pieces) + 1):
         for combo in itertools.combinations(prob.h.indices, size):
-            if any(omega[j].face is None for j in combo):
+            faces = [linearized[j - 1][0].face for j in combo]
+            if any(face is None for face in faces):
                 continue
-            faces = [omega[j].face for j in combo]
             closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
-            piece = build_piece(prob.h, closed_part, frozenset(combo))
-            if piece is not None:
-                out.append(piece)
+            yield frozenset(combo), closed_part, alpha
+
+
+def _lattice_pieces(prob):
+    """Every nonempty piece over the J1 lattice, as (build_piece result
+    for the first anchor of least alpha, reference piece)."""
+    out = []
+    for J1, closed_part, alpha in _lattice(prob):
+        anchor = min(sorted(J1), key=alpha.__getitem__)
+        piece = build_piece(prob.h, closed_part, J1, anchor)
+        reference = _reference_build_piece(prob.h, closed_part, J1)
+        assert (piece is None) == (reference is None), (prob, J1)
+        if piece is not None:
+            out.append((piece, reference))
     return out
 
 
 class TestPieceContainment:
-    """The containment test skips rows a branch already imposes; the
-    reference tests every row.  Both must decide every pair alike."""
+    """The containment test reads the active set from P's witness and
+    skips rows P's system already imposes; the reference tests every row
+    and every piece outside Q.J1 on every live anchor.  Both must decide
+    every pair alike."""
 
     def _instances(self):
         rng = random.Random(60221)
@@ -351,10 +371,13 @@ class TestPieceContainment:
     def test_agrees_with_full_row_reference(self):
         decisions = {True: 0, False: 0}
         for prob in self._instances():
-            lattice = _lattice_pieces(prob)
+            pairs = _lattice_pieces(prob)
+            lattice = [piece for piece, _ in pairs]
             subset = {}
-            for (i, P), (k, Q) in itertools.permutations(enumerate(lattice), 2):
-                subset[i, k] = _full_row_piece_subset(P, Q)
+            for (i, (P, P_ref)), (k, (Q, Q_ref)) in itertools.permutations(
+                enumerate(pairs), 2
+            ):
+                subset[i, k] = _full_row_piece_subset(P_ref, Q_ref)
                 assert _piece_subset(P, Q) == subset[i, k], (prob, P.J1, Q.J1)
                 decisions[subset[i, k]] += 1
             # merge equal member sets, keeping the first of each class
@@ -380,10 +403,20 @@ class TestPieceContainment:
         h = MaxAffine.constant(0, 1)
         one = frozenset({1})
         at_one = ((vec(1), F(1)),)
-        P = build_piece(h, PolyhedralSet.box([F(0)], [F(1)]), one)
-        S = build_piece(h, PolyhedralSet.box([F(1)], [F(2)]), one)
-        Q = build_piece(h, PolyhedralSet(1, equalities=at_one), one)
-        R = build_piece(h, PolyhedralSet(1, at_one, at_one), one)
+        closed_parts = {
+            "P": PolyhedralSet.box([F(0)], [F(1)]),
+            "S": PolyhedralSet.box([F(1)], [F(2)]),
+            "Q": PolyhedralSet(1, equalities=at_one),
+            "R": PolyhedralSet(1, at_one, at_one),
+        }
+        built = {
+            name: (
+                build_piece(h, part, one, anchor=1),
+                _reference_build_piece(h, part, one),
+            )
+            for name, part in closed_parts.items()
+        }
+        P, S, Q, R = "PSQR"
         cases = [
             (P, Q, False),
             (S, Q, False),
@@ -395,8 +428,8 @@ class TestPieceContainment:
             (R, Q, True),
         ]
         for A, B, verdict in cases:
-            assert _full_row_piece_subset(A, B) is verdict
-            assert _piece_subset(A, B) is verdict
+            assert _full_row_piece_subset(built[A][1], built[B][1]) is verdict
+            assert _piece_subset(built[A][0], built[B][0]) is verdict
 
     def test_interval_lp_budget(self, monkeypatch):
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -417,9 +450,30 @@ class TestPieceContainment:
         assert len(calls) <= 22
 
 
+@dataclass(frozen=True)
+class _ReferencePiece:
+    """A semi-closed piece as the reference builds it: one system
+    (anchor, equalities, weak, strict) per anchor of J1, in which the
+    anchor is a maximizer of h and every excluded piece is below it."""
+
+    J1: frozenset
+    closed_part: PolyhedralSet
+    h: MaxAffine
+    witness: tuple
+    branches: tuple
+    branch_witnesses: tuple  # (anchor, witness) of each live branch
+
+    @property
+    def dimension(self):
+        return self.closed_part.dimension
+
+    def contains(self, x):
+        return self.closed_part.contains(x) and self.h.active_indices(x) <= self.J1
+
+
 def _reference_build_piece(h, closed_part, J1):
     """build_piece as it was before repeated rows were dropped and anchors
-    ruled out by alpha: one branch per anchor of J1, over every row of the
+    ruled out by alpha: one system per anchor of J1, over every row of the
     closed part as given."""
     branches = []
     for anchor in sorted(J1):
@@ -431,47 +485,28 @@ def _reference_build_piece(h, closed_part, J1):
                 row = (vsub(vj, v0), beta0 - betaj)
                 (weak if j in J1 else strict).append(row)
         branches.append(
-            structure._Branch(
-                anchor, closed_part.equalities, tuple(weak), tuple(strict)
-            )
+            (anchor, closed_part.equalities, tuple(weak), tuple(strict))
         )
     witnesses = []
-    for branch in branches:
-        w = _strict_witness(
-            branch.equalities, branch.weak, branch.strict, closed_part.dimension
-        )
+    for anchor, *system in branches:
+        w = _strict_witness(*system, closed_part.dimension)
         if w is not None:
-            witnesses.append((branch.anchor, w))
+            witnesses.append((anchor, w))
     if not witnesses:
         return None
-    return structure.SemiClosedPiece(
-        J1=J1,
-        closed_part=closed_part,
-        excluded=frozenset(h.indices) - J1,
-        h=h,
-        witness=witnesses[0][1],
-        branches=tuple(branches),
-        branch_witnesses=tuple(witnesses),
-        rows=closed_part,
+    return _ReferencePiece(
+        J1, closed_part, h, witnesses[0][1], tuple(branches), tuple(witnesses)
     )
 
 
 def _reference_local_pieces(prob):
     """local_pieces with the reference pieces, merged by the full-row
     containment test and its LP per active piece outside Q.J1."""
-    omega = {
-        j: solve_linearization(prob, j, shifted=False) for j in prob.h.indices
-    }
     kept = []
-    for size in range(1, len(prob.h.pieces) + 1):
-        for combo in itertools.combinations(prob.h.indices, size):
-            if any(omega[j].face is None for j in combo):
-                continue
-            faces = [omega[j].face for j in combo]
-            closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
-            piece = _reference_build_piece(prob.h, closed_part, frozenset(combo))
-            if piece is not None:
-                kept.append(piece)
+    for J1, closed_part, _ in _lattice(prob):
+        piece = _reference_build_piece(prob.h, closed_part, J1)
+        if piece is not None:
+            kept.append(piece)
     representatives = []
     for P in kept:
         if not any(
@@ -486,21 +521,23 @@ def _reference_local_pieces(prob):
 
 
 def _reference_closure_meets(closing, other):
-    """A point of cl(closing) ∩ other from the two branches' systems joined
-    as they are, repeated rows included."""
+    """A point of cl(closing) ∩ other from each pair of live systems of the
+    two reference pieces joined as they are, repeated rows included; the
+    closure of a live system weakens its strict rows."""
     live = {anchor for anchor, _ in closing.branch_witnesses}
     live_other = {anchor for anchor, _ in other.branch_witnesses}
-    for branch in closing.branches:
-        if branch.anchor not in live:
+    for anchor, equalities, weak, strict in closing.branches:
+        if anchor not in live:
             continue
-        closed = branch.weakened()
-        for other_branch in other.branches:
-            if other_branch.anchor not in live_other:
+        for other_anchor, other_equalities, other_weak, other_strict in (
+            other.branches
+        ):
+            if other_anchor not in live_other:
                 continue
             witness = _strict_witness(
-                closed.equalities + other_branch.equalities,
-                closed.weak + other_branch.weak,
-                other_branch.strict,
+                equalities + other_equalities,
+                weak + strict + other_weak,
+                other_strict,
                 closing.dimension,
             )
             if witness is not None:
@@ -565,10 +602,7 @@ class TestSmallerSemiClosedLps:
             pieces = local_pieces(prob)
 
             def summary(ps):
-                return [
-                    (p.J1, p.closed_part, p.witness, p.branch_witnesses)
-                    for p in ps
-                ]
+                return [(p.J1, p.closed_part, p.witness) for p in ps]
 
             assert summary(pieces) == summary(expected), prob
             edges = structure._adjacency(pieces)
@@ -595,6 +629,70 @@ class TestSmallerSemiClosedLps:
         pieces = local_pieces(interval_problem, linearized=linearized)
         assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
         assert len(calls) <= 9  # 16 with every anchor, row and active piece
+
+
+class TestLinearizationLemma:
+    """On the closed part of J1 each h_j of J1 equals g - alpha_j, so every
+    member of the piece has the active set A*(J1) of least alpha over J1.
+    The reference, which tries every anchor of J1 over every row, finds
+    exactly A*(J1) live or no anchor at all; build_piece decides the piece
+    with one LP, and the dual optimum is the gradient of min J*."""
+
+    def _instances(self):
+        rng = random.Random(2024)
+        dc = [gens.random_dc_instance(rng, n_max=3) for _ in range(120)]
+        grid = [gens.random_grid_instance(rng) for _ in range(90)]
+        shaped = [_shaped_instance(rng) for _ in range(90)]
+        return dc + grid + shaped + gens.bundled_problems()
+
+    def test_live_anchors_are_the_least_alpha_set(self, monkeypatch):
+        slack_calls = []
+        max_slack = structure.max_slack
+
+        def counting(*args):
+            slack_calls.append(args)
+            return max_slack(*args)
+
+        monkeypatch.setattr(structure, "max_slack", counting)
+        instances = self._instances()
+        assert len(instances) >= 300
+        nonempty, tied = 0, 0
+        for prob in instances:
+            check_structure_hypotheses(prob)
+            for J1, closed_part, alpha in _lattice(prob):
+                least = min(alpha[j] for j in J1)
+                A_star = [j for j in sorted(J1) if alpha[j] == least]
+                reference = _reference_build_piece(prob.h, closed_part, J1)
+                live = [] if reference is None else reference.branch_witnesses
+                assert [anchor for anchor, _ in live] in ([], A_star), (prob, J1)
+                del slack_calls[:]
+                piece = build_piece(prob.h, closed_part, J1, A_star[0])
+                assert len(slack_calls) == 1
+                assert (piece is None) == (reference is None)
+                if piece is None:
+                    continue
+                assert piece.witness == reference.witness
+                for _, witness in live:
+                    assert prob.h.active_indices(witness) == frozenset(A_star)
+                nonempty += 1
+                tied += len(A_star) >= 2
+        assert nonempty > 0 and tied > 0, (nonempty, tied)
+
+    def test_dual_optimum_is_the_gradient_of_min_J_star(self):
+        instances = self._instances() + [gens.abs_problem()]
+        unbounded = 0
+        for prob in instances:
+            _, J_star, faces = global_solutions(prob)
+            j0 = min(J_star)
+            assert toland_singer_check(prob).attained_at == prob.h.piece(j0)[0]
+            if faces[0].witness is None:
+                unbounded += 1
+                continue
+            # the active set at the witness of j0's face starts at j0 and
+            # lies in J*: the first gradient active at a global solution
+            active = prob.h.active_indices(faces[0].witness)
+            assert min(active) == j0 and active <= J_star
+        assert unbounded > 0
 
 
 class TestMembershipEvaluatesDomHOnce:
@@ -710,10 +808,10 @@ class TestComponents:
         C = PolyhedralSet.box([F(-1)], [F(1)])
         prob = DcProblem(g=g, h=h, C=C)
         left = build_piece(
-            h, PolyhedralSet.box([F(-1)], [F(0)]), frozenset({3})
+            h, PolyhedralSet.box([F(-1)], [F(0)]), frozenset({3}), anchor=3
         )
         right = build_piece(
-            h, PolyhedralSet.box([F(0)], [F(1)]), frozenset({2})
+            h, PolyhedralSet.box([F(0)], [F(1)]), frozenset({2}), anchor=2
         )
         assert left is not None and right is not None
         assert left.contains(vec(F(-1, 2))) and not left.contains(vec(0))
@@ -723,17 +821,25 @@ class TestComponents:
         assert len(comps) == 2
 
     def test_overlapping_pieces_merge(self):
-        # pieces [-1, 1) and [0, 2] overlap, hence one component
-        h = MaxAffine.from_pieces([(vec(0), F(0)), (vec(1), F(-1))], 1)
-        g = MaxAffine.constant(0, 1)
-        C = PolyhedralSet.box([F(-1)], [F(2)])
-        prob = DcProblem(g=g, h=h, C=C)
-        left = build_piece(h, PolyhedralSet.box([F(-1)], [F(1)]), frozenset({1}))
-        both = build_piece(h, PolyhedralSet.box([F(0)], [F(2)]), frozenset({1, 2}))
-        assert left is not None and both is not None
+        # [-1, 1) and {1} touch at 1, which {1} holds: one component
+        prob = _flat_kink_problem()
+        pieces = local_pieces(prob)
+        left, both, right = pieces
+        assert [sorted(p.J1) for p in pieces] == [[1], [1, 2], [2]]
+        assert left.contains(vec(F(-1))) and not left.contains(vec(1))
+        assert both.contains(vec(1)) and not both.contains(vec(F(3, 2)))
+        assert right.contains(vec(2)) and not right.contains(vec(1))
         witness = pieces_adjacent(left, both)
         assert witness is not None
         assert left.contains(witness) or both.contains(witness)
+        assert [c.pieces for c in components(prob, pieces)] == [(0, 1, 2)]
+
+
+def _flat_kink_problem():
+    """g = h = max(0, x - 1) on C = [-1, 2]: f = 0, and the pieces are
+    [-1, 1), {1} (J1 = {1, 2}, both anchors of least alpha) and (1, 2]."""
+    h = MaxAffine.from_pieces([(vec(0), F(0)), (vec(1), F(-1))], 1)
+    return DcProblem(g=h, h=h, C=PolyhedralSet.box([F(-1)], [F(2)]))
 
 
 class TestSegmentPath:
@@ -749,16 +855,12 @@ class TestSegmentPath:
         assert segment_path(interval_problem, pieces, vec(-2), vec(3)) is None
 
     def test_through_an_adjacency_witness(self):
-        h = MaxAffine.from_pieces([(vec(0), F(0)), (vec(1), F(-1))], 1)
-        g = MaxAffine.constant(0, 1)
-        C = PolyhedralSet.box([F(-1)], [F(2)])
-        prob = DcProblem(g=g, h=h, C=C)
-        left = build_piece(h, PolyhedralSet.box([F(-1)], [F(1)]), frozenset({1}))
-        both = build_piece(h, PolyhedralSet.box([F(0)], [F(2)]), frozenset({1, 2}))
-        path = segment_path(prob, (left, both), vec(-1), vec(2))
+        prob = _flat_kink_problem()
+        path = segment_path(prob, local_pieces(prob), vec(-1), vec(2))
         assert path is not None
         assert path[0] == vec(-1) and path[-1] == vec(2)
-        assert len(path) == 3  # crosses through the shared region
+        assert len(path) == 3  # crosses through the shared point
+        assert path == (vec(-1), vec(1), vec(2))
 
     def test_endpoints_must_be_members(self, interval_problem):
         pieces = local_pieces(interval_problem)
