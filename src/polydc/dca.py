@@ -224,8 +224,11 @@ def run(
     `pick` selects from the active set of that one evaluation.  The
     canonical minimizer is a function of xi alone, so each distinct xi of
     the run poses one subproblem LP: a repeated xi, as at every fixed point,
-    takes the iterate the run already holds.
+    takes the iterate the run already holds.  A negative `max_iter` raises
+    ValueError.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x = _check_dimension(x0, prob.dimension)
     point = _scaled(x)  # x on integers, once per iterate
     at_g = prob.g._at(point)

@@ -8,10 +8,14 @@ exact equality or inequality of rationals.
 `lp_solve` works on Python integers from the input rows to the basic
 solution:
 
-* Each row is scaled by the lcm of its denominators.  The equalities are
-  brought to reduced row echelon form without fractions, and every
-  inequality is rewritten as an integer row over the free coordinates,
-  which are split into nonnegative pairs.
+* Each row is scaled once, where it is made: `integer_row` multiplies it by
+  the lcm of its denominators and keeps that scale.  A `LinearProgram`
+  built from rational rows scales them in its constructor; `PolyhedralSet`
+  keeps its rows' integer forms, and `max_slack` poses its LP from them.
+  From there on the core sees integers only.  The equalities are brought
+  to reduced row echelon form without fractions, and every inequality is
+  rewritten as an integer row over the free coordinates, which are split
+  into nonnegative pairs.
 * Each inequality row `a.z <= b` gets a slack with coefficient 1.  A row
   with b >= 0 starts with its slack basic; only a row with b < 0 is negated
   and gets an artificial, and phase 1 runs only if there is one.
@@ -62,6 +66,10 @@ from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Row = tuple[Vector, Fraction]  # (coefficients, right-hand side)
+# a row in integers, (A, B): the row of an LP once scaled
+LpRow = tuple[tuple[int, ...], int]
+# (A, B, s): the row (a, b) times its scale s, the lcm of its denominators
+IntegerRow = tuple[tuple[int, ...], int, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -193,24 +201,40 @@ PLUS_INF = ExtendedRational(1, None)
 MINUS_INF = ExtendedRational(-1, None)
 
 
+def integer_row(a: Sequence, b) -> IntegerRow:
+    """(A, B, s): the row `a.x <= b` (or `= b`), its entries coerced by
+    `frac`, times s, the lcm of its denominators.  Integers with the row's
+    signs; equal rows give equal integer rows, and distinct rows distinct
+    ones."""
+    a, b = [frac(v) for v in a], frac(b)
+    # Fraction's own slots: its numerator and denominator properties are
+    # Python calls, and every LP row passes here once
+    s = math.lcm(*[v._denominator for v in a], b._denominator)
+    A = tuple([v._numerator * (s // v._denominator) for v in a])  # see vector
+    return A, b._numerator * (s // b._denominator), s
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize <objective, x> subject to equality and `row . x <= rhs` rows.
 
-    The rows are held with their prepared start (see `lp_solve`), which
-    every LP made by `with_objective` shares.
+    The constructor scales each rational row once (`integer_row`) and holds
+    the integer rows, (A, B) each, with their prepared start (see
+    `lp_solve`), which every LP made by `with_objective` shares.
     """
 
     objective: Vector
-    equalities: tuple[Row, ...]
-    inequalities: tuple[Row, ...]
+    equalities: tuple[LpRow, ...]
+    inequalities: tuple[LpRow, ...]
     dimension: int
     _rows: Optional["_Rows"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         rows = self._rows
         if rows is None or not rows.holds(self):
-            rows = _Rows(self.equalities, self.inequalities, self.dimension)
+            rows = _Rows(
+                _scale(self.equalities), _scale(self.inequalities), self.dimension
+            )
             object.__setattr__(self, "_rows", rows)
             object.__setattr__(self, "equalities", rows.equalities)
             object.__setattr__(self, "inequalities", rows.inequalities)
@@ -227,17 +251,17 @@ class LinearProgram:
 
 
 class _Rows:
-    """The normalized rows of an LP and their prepared start, which
-    `start` builds on first use; after that it is only read.  Two threads
-    that ask at once may both build it and keep equal starts."""
+    """The integer rows of an LP and their prepared start, which `start`
+    builds on first use; after that it is only read.  Two threads that ask
+    at once may both build it and keep equal starts."""
 
     __slots__ = ("equalities", "inequalities", "dimension", "_start")
 
     def __init__(self, equalities, inequalities, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        self.equalities = _normalize_rows(equalities)
-        self.inequalities = _normalize_rows(inequalities)
+        self.equalities = equalities
+        self.inequalities = inequalities
         self.dimension = dimension
         for coeffs, _ in itertools.chain(self.equalities, self.inequalities):
             if len(coeffs) != dimension:
@@ -262,8 +286,15 @@ class _Rows:
             return self._start
 
 
-def _normalize_rows(rows) -> tuple[Row, ...]:
-    return tuple([(vector(coeffs), frac(rhs)) for coeffs, rhs in rows])  # see vector
+def _scale(rows) -> tuple[LpRow, ...]:
+    """Each rational row scaled once, as (A, B)."""
+    return tuple([integer_row(a, b)[:2] for a, b in rows])  # see vector
+
+
+def _integer_lp(objective, equalities, inequalities, dimension) -> LinearProgram:
+    """The LP over integer rows (A, B), which are taken as they are."""
+    rows = _Rows(tuple(equalities), tuple(inequalities), dimension)
+    return LinearProgram(objective, rows.equalities, rows.inequalities, dimension, rows)
 
 
 class LpStatus(Enum):
@@ -288,12 +319,6 @@ INFEASIBLE = LpOutcome(LpStatus.INFEASIBLE)
 UNBOUNDED = LpOutcome(LpStatus.UNBOUNDED)
 
 
-def _integer_multiple(values: Sequence[Fraction]) -> list[int]:
-    """`values` times the lcm of their denominators: integers, same signs."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _bareiss(line: list[int], pivot_row: list[int], col: int, det: int) -> list[int]:
     """`line` after a fraction-free pivot on p = pivot_row[col]:
     (line * p - line[col] * pivot_row) // det.  The division is exact when
@@ -307,16 +332,17 @@ def _bareiss(line: list[int], pivot_row: list[int], col: int, det: int) -> list[
 
 
 def _rref(
-    rows: Sequence[Sequence[Fraction]], width: int
+    rows: Sequence[Sequence[int]], width: int
 ) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination over the first `width` columns.
+    """Fraction-free Gauss-Jordan elimination of integer rows over the
+    first `width` columns.
 
-    Each row is scaled to integers first.  Returns (matrix, pivots, det)
-    with matrix = det * RREF in integers and det > 0: row k has det in
-    column pivots[k] and every other row a 0 there, and the rows from
-    len(pivots) on are zero in the first `width` columns.
+    Returns (matrix, pivots, det) with matrix = det * RREF in integers and
+    det > 0: row k has det in column pivots[k] and every other row a 0
+    there, and the rows from len(pivots) on are zero in the first `width`
+    columns.
     """
-    matrix = [_integer_multiple(row) for row in rows]
+    matrix = list(rows)
     pivots: list[int] = []
     det = 1
     for col in range(width):
@@ -354,20 +380,18 @@ def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     for r in rows:
         if len(r) != width:
             raise ValueError("rows of unequal length")
-    matrix, pivots, det = _rref(rows, width)
+    matrix, pivots, det = _rref([integer_row(r, ZERO)[0] for r in rows], width)
     return [tuple(Fraction(x, det) for x in line) for line in matrix[: len(pivots)]]
 
 
-def _eliminate_equalities(equalities: Sequence[Row], dimension: int):
-    """Integer Gauss-Jordan form of A x = b, or None when it is inconsistent.
+def _eliminate_equalities(equalities: Sequence[LpRow], dimension: int):
+    """Integer Gauss-Jordan form of A x = B, or None when it is inconsistent.
 
     Returns (pivots, solved, det): the solutions are the x whose coordinates
     outside `pivots` are free and det * x[pivots[r]] = solved[r][-1] minus
     the sum of solved[r][j] * x[j] over those free coordinates j.
     """
-    matrix, pivots, det = _rref(
-        [coeffs + (rhs,) for coeffs, rhs in equalities], dimension
-    )
+    matrix, pivots, det = _rref([A + (B,) for A, B in equalities], dimension)
     if any(line[dimension] != 0 for line in matrix[len(pivots):]):
         return None  # 0 = nonzero
     return pivots, matrix[: len(pivots)], det
@@ -525,10 +549,10 @@ class _Tableau:
 class _Start:
     """Everything `lp_solve` does before it reads the objective.
 
-    The rows are scaled to integers and the equalities eliminated (`pivots`,
-    `solved` and `det` as `_eliminate_equalities` returns them); every
-    inequality is substituted into an integer row over the `free`
-    coordinates, and phase 1 finds a feasible basis of those rows.  `tight`
+    The integer equalities are eliminated (`pivots`, `solved` and `det` as
+    `_eliminate_equalities` returns them); every integer inequality is
+    substituted into a row over the `free` coordinates, and phase 1 finds a
+    feasible basis of those rows.  `tight`
     holds the inequalities that substitution leaves as 0 <= 0 and `projected`
     the indices of the others, one slack column each.  `tableau` is None
     when the equalities fix the point.  A solve works on a copy of the
@@ -551,15 +575,14 @@ class _Start:
         self.tight: set[int] = set()
         self.tableau: Optional[_Tableau] = None
 
-    def substitute(self, coeffs: Vector, rhs: Fraction) -> list[int]:
-        """`coeffs . x <= rhs` over the free coordinates, rhs last, times a
-        positive integer: `det` times the lcm of the row's denominators."""
-        a = _integer_multiple(coeffs + (rhs,))
+    def substitute(self, A: Sequence[int], B: int) -> list[int]:
+        """The integer row `A . x <= B` over the free coordinates, rhs last,
+        times `det`."""
         kept = self.kept
-        row = [self.det * a[j] for j in kept]
+        row = [self.det * A[j] for j in self.free] + [self.det * B]
         for p, equation in zip(self.pivots, self.solved):
-            if a[p] != 0:
-                row = [x - a[p] * equation[j] for x, j in zip(row, kept)]
+            if A[p] != 0:
+                row = [x - A[p] * equation[j] for x, j in zip(row, kept)]
         return row
 
     def lift(self, numerators, denominator) -> Vector:
@@ -575,10 +598,10 @@ class _Start:
             point[p] = Fraction(numerator, self.det * denominator)
         return tuple(point)
 
-    def split(self, coeffs: Vector) -> list[int]:
-        """`coeffs . x <= 0` as `c . y <= b` over the tableau's columns,
-        c + [b]."""
-        *cost, b = self.substitute(coeffs, ZERO)
+    def split(self, A: Sequence[int]) -> list[int]:
+        """The integer row `A . x <= 0` as `c . y <= b` over the tableau's
+        columns, c + [b]."""
+        *cost, b = self.substitute(A, 0)
         return cost + [-c for c in cost] + [0] * len(self.projected) + [b]
 
     def solve(self, objective: Vector, lexmin: int) -> LpOutcome:
@@ -591,8 +614,8 @@ class _Start:
         det_e * s * objective.x = c . y - b, and phase 2 ends with
         c . y = -reduced[-1] / det.
         """
-        scale = math.lcm(*(v.denominator for v in objective))
-        line = self.split(objective)
+        A, _, scale = integer_row(objective, ZERO)
+        line = self.split(A)
         if self.tableau is None:  # the equalities fix the point
             value = Fraction(-line[-1], self.det * scale)
             return LpOutcome(
@@ -612,9 +635,9 @@ class _Start:
             # the optimal face: the columns of zero reduced cost, the others at 0
             columns = [j for j in range(n) if tableau.reduced[j] == 0]
             for k in range(lexmin):
-                unit = [ZERO] * self.dimension
-                unit[k] = ONE
-                columns = tableau.lexmin_step(self.split(tuple(unit)), columns)
+                unit = [0] * self.dimension
+                unit[k] = 1
+                columns = tableau.lexmin_step(self.split(unit), columns)
 
         z = [0] * f  # numerators over tableau.det
         loose = set()  # rows whose slack is basic and positive
@@ -634,7 +657,7 @@ class _Start:
 
 
 def _prepare(
-    equalities: Sequence[Row], inequalities: Sequence[Row], dimension: int
+    equalities: Sequence[LpRow], inequalities: Sequence[LpRow], dimension: int
 ) -> Optional[_Start]:
     """The start of every LP over these rows, or None when they have no
     solution."""
@@ -643,8 +666,8 @@ def _prepare(
         return None
     start = _Start(dimension, *eliminated)
     projected = []  # rows over z and their rhs
-    for i, (coeffs, rhs) in enumerate(inequalities):
-        *row, b = start.substitute(coeffs, rhs)
+    for i, (A, B) in enumerate(inequalities):
+        *row, b = start.substitute(A, B)
         if any(row):
             start.projected.append(i)
             projected.append((row, b))
@@ -717,9 +740,9 @@ def lp_feasible(
 
 
 def max_slack(
-    equalities: Sequence[Row],
-    weak_inequalities: Sequence[Row],
-    strict_inequalities: Sequence[Row],
+    equalities: Sequence[IntegerRow],
+    weak_inequalities: Sequence[IntegerRow],
+    strict_inequalities: Sequence[IntegerRow],
     dimension: int,
 ) -> tuple[ExtendedRational, Optional[Vector]]:
     """Largest margin by which the strict rows can hold simultaneously.
@@ -730,39 +753,24 @@ def max_slack(
     solution iff slack > 0.  Slack 0 with witness None means even the weak
     system is empty; slack may be +inf, in which case the witness has
     margin 1.
+
+    Every row is an integer row (A, B, s), as `integer_row` makes it.  The
+    LP is over (x, eps), and eps gets the coefficient s in a strict row and
+    0 in any other, so each LP row is its rational row times the lcm of
+    its denominators, without scaling anything again.
     """
-
-    def embed(rows, strict):
-        out = []
-        for coeffs, rhs in rows:
-            out.append((tuple(coeffs) + (ONE if strict else ZERO,), rhs))
-        return out
-
-    eq = embed(equalities, False)
-    weak = embed(weak_inequalities, False)
-    strict = embed(strict_inequalities, True)
-    eps_nonneg = ((zero_vector(dimension) + (-ONE,)), ZERO)
+    eq = [(A + (0,), B) for A, B, _ in equalities]
+    ineq = [(A + (0,), B) for A, B, _ in weak_inequalities]
+    ineq += [(A + (s,), B) for A, B, s in strict_inequalities]
+    ineq.append(((0,) * dimension + (-1,), 0))  # eps >= 0
     objective = zero_vector(dimension) + (-ONE,)  # maximize eps
-
-    lp = LinearProgram(
-        objective=objective,
-        equalities=tuple(eq),
-        inequalities=tuple(weak + strict + [eps_nonneg]),
-        dimension=dimension + 1,
-    )
-    outcome = lp_solve(lp)
+    outcome = lp_solve(_integer_lp(objective, eq, ineq, dimension + 1))
     if outcome.status is LpStatus.INFEASIBLE:
         return ExtendedRational.finite(0), None
     if outcome.status is LpStatus.UNBOUNDED:
-        cap = ((zero_vector(dimension) + (ONE,)), ONE)  # eps <= 1
-        capped = LinearProgram(
-            objective=objective,
-            equalities=tuple(eq),
-            inequalities=tuple(weak + strict + [eps_nonneg, cap]),
-            dimension=dimension + 1,
-        )
-        witness = lp_solve(capped).point
-        return PLUS_INF, witness[:dimension]
+        ineq.append(((0,) * dimension + (1,), 1))  # eps <= 1
+        capped = _integer_lp(objective, eq, ineq, dimension + 1)
+        return PLUS_INF, lp_solve(capped).point[:dimension]
     return ExtendedRational.finite(-outcome.value), outcome.point[:dimension]
 
 

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .exactlp import (
     ExtendedRational,
+    IntegerRow,
     LinearProgram,
     LpStatus,
     PLUS_INF,
@@ -33,13 +34,14 @@ from .exactlp import (
     Vector,
     ZERO,
     ONE,
-    _integer_multiple,
     frac,
+    integer_row,
     lp_feasible,
     lp_solve,
     row_space_basis,
     vector,
     vneg,
+    vsub,
     zero_vector,
 )
 
@@ -77,7 +79,7 @@ def _check_dimension(x: Sequence, dimension: int, what: str = "point") -> Vector
     return x
 
 
-Scaled = tuple[list[int], int]
+Scaled = tuple[tuple[int, ...], int]
 
 
 def _scaled(x: Vector) -> Scaled:
@@ -87,15 +89,8 @@ def _scaled(x: Vector) -> Scaled:
     integer rows of every set and function (`PolyhedralSet._tight_rows`,
     `MaxAffine._at`).
     """
-    X = _integer_multiple([*x, ONE])
-    d = X.pop()
+    X, d, _ = integer_row(x, ONE)
     return X, d
-
-
-def _integer_row(a: Vector, b: Fraction) -> tuple[tuple[int, ...], int]:
-    """(a, b) times the lcm of its denominators."""
-    A = _integer_multiple(a + (b,))
-    return tuple(A[:-1]), A[-1]
 
 
 @dataclass(frozen=True)
@@ -122,6 +117,17 @@ class PolyhedralSet:
                 )
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "inequalities", ineqs)
+
+    @classmethod
+    def _of(cls, dimension: int, equalities, inequalities, **known) -> "PolyhedralSet":
+        """The set over rows that are already coerced, taken as they are;
+        `known` seeds what is derived from them (`_integer_rows`, or the
+        `_operands` whose integer rows it joins)."""
+        S = object.__new__(cls)
+        S.__dict__.update(
+            known, dimension=dimension, equalities=equalities, inequalities=inequalities
+        )
+        return S
 
     @classmethod
     def whole_space(cls, dimension: int) -> "PolyhedralSet":
@@ -152,24 +158,31 @@ class PolyhedralSet:
         return self._tight_rows(_scaled(_check_dimension(x, self.dimension)))
 
     @cached_property
-    def _integer_rows(self) -> tuple[list, list]:
-        """Each row once as integers, built on first use: (A, B) per
-        equality and (A, B, a) per inequality, where (A, B) is (a, b) times
-        the lcm of its denominators.  At x = X / d with d > 0, a.x <= b
-        exactly when A.X <= B * d, and likewise for =."""
-        equalities = [_integer_row(a, y) for a, y in self.equalities]
-        inequalities = [_integer_row(a, b) + (a,) for a, b in self.inequalities]
-        return equalities, inequalities
+    def _integer_rows(self) -> tuple[tuple[IntegerRow, ...], ...]:
+        """Each row once as integers with its scale, built on first use:
+        (equalities, inequalities), each row (A, B, s) as `integer_row` makes
+        it.  At x = X / d with d > 0, a.x <= b exactly when A.X <= B * d,
+        and likewise for =.  An intersection joins the integer rows of its
+        operands, so a row is scaled once per set that first holds it."""
+        operands = self.__dict__.pop("_operands", None)
+        if operands is not None:
+            first, second = (S._integer_rows for S in operands)
+            return first[0] + second[0], first[1] + second[1]
+        # tuples from lists, not generators: see exactlp.vector
+        return (
+            tuple([integer_row(a, y) for a, y in self.equalities]),
+            tuple([integer_row(a, b) for a, b in self.inequalities]),
+        )
 
     def _tight_rows(self, point: Scaled) -> Optional[list[Vector]]:
         """`tight_rows` of a point already scaled by `_scaled`."""
         X, d = point
         equalities, inequalities = self._integer_rows
-        for A, B in equalities:
+        for A, B, _ in equalities:
             if sum(map(mul, A, X)) != B * d:
                 return None
         tight = []
-        for A, B, a in inequalities:
+        for (A, B, _), (a, _) in zip(inequalities, self.inequalities):
             value, bound = sum(map(mul, A, X)), B * d
             if value > bound:
                 return None
@@ -206,12 +219,15 @@ class PolyhedralSet:
         return self.feasible_point() is None
 
     def intersect(self, other: "PolyhedralSet") -> "PolyhedralSet":
+        """The rows of this set, then those of `other`; the integer rows,
+        when first asked for, are the operands' joined."""
         if other.dimension != self.dimension:
             raise DimensionMismatch("cannot intersect sets of different dimensions")
-        return PolyhedralSet(
+        return PolyhedralSet._of(
             self.dimension,
             self.equalities + other.equalities,
             self.inequalities + other.inequalities,
+            _operands=(self, other),
         )
 
     def normal_cone(self, x: Sequence) -> "ConvexBody":
@@ -338,6 +354,9 @@ def _weights(target: Vector, *parts) -> Optional[Vector]:
     return lp_feasible(equalities, inequalities, width)
 
 
+_FRACTION = {Fraction}
+
+
 @dataclass(frozen=True)
 class ConvexBody:
     """conv(points) + cone(rays) + span(lineality); empty iff no points."""
@@ -348,12 +367,14 @@ class ConvexBody:
     lineality: tuple[Vector, ...] = ()
 
     def __post_init__(self):
+        # a generator that is a tuple of Fractions already is kept as it is;
         # tuples from lists, not generators: see exactlp.vector
-        object.__setattr__(self, "points", tuple([vector(p) for p in self.points]))
-        object.__setattr__(self, "rays", tuple([vector(r) for r in self.rays]))
-        object.__setattr__(
-            self, "lineality", tuple([vector(l) for l in self.lineality])
-        )
+        for name in ("points", "rays", "lineality"):
+            generators = [
+                g if type(g) is tuple and set(map(type, g)) <= _FRACTION else vector(g)
+                for g in getattr(self, name)
+            ]
+            object.__setattr__(self, name, tuple(generators))
         for gen in itertools.chain(self.points, self.rays, self.lineality):
             if len(gen) != self.dimension:
                 raise DimensionMismatch(
@@ -491,15 +512,27 @@ class MaxAffine:
         """The pieces once as integers over one common scale L, built on
         first use: ([(U_j, A_j)], L) with u_j = U_j / L and alpha_j = A_j / L,
         so at x = X / d the piece's value is (U_j.X + A_j * d) / (L * d)."""
-        flat = _integer_multiple(
-            [c for u, alpha in self.pieces for c in u + (alpha,)] + [ONE]
+        flat, scale, _ = integer_row(
+            [c for u, alpha in self.pieces for c in u + (alpha,)], ONE
         )
-        scale = flat.pop()
         n = self.dimension
         pieces = [
             (tuple(flat[k : k + n]), flat[k + n]) for k in range(0, len(flat), n + 1)
         ]
         return pieces, scale
+
+    @cached_property
+    def _below(self) -> dict[int, tuple[tuple[int, IntegerRow], ...]]:
+        """For each piece k, the rows u_j.x + alpha_j <= u_k.x + alpha_k of
+        the other pieces j in order, as (j, integer row), built on first
+        use."""
+        pieces = list(zip(self.indices, self.pieces))
+        return {  # tuples from lists, not generators: see exactlp.vector
+            k: tuple(
+                [(j, integer_row(vsub(u, v), b - a)) for j, (u, a) in pieces if j != k]
+            )
+            for k, (v, b) in pieces
+        }
 
     def _at(self, point: Scaled) -> Optional[tuple[Fraction, list[int], list[Vector]]]:
         """f(x), the 0-based positions (ascending) of the pieces attaining

@@ -16,6 +16,11 @@ containment, adjacency of closures) are made exactly by maximizing the
 margin of the strict rows with an LP; a semi-closed system has a point iff
 the margin is positive.  Each LP is posed as small as the proof allows:
 
+* Rows scaled once.  Each row is held as the integer row of the set or
+  function that makes it (`integer_row`): a face's and C's rows by their
+  `PolyhedralSet`, which an intersection joins without scaling again, and
+  the rows h_j <= h_k by h.  Every margin LP is posed from these integers
+  (`max_slack`), and rows are compared as integers.
 * Repeated rows dropped.  Every face repeats the rows of C and dom g,
   and the closed part adds C again.  A repeated row cuts out nothing
   more, and unless it could change a pivot (see `_lp_rows`) it is
@@ -45,19 +50,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 from .exactlp import (
     ExtendedRational,
+    IntegerRow,
     LpStatus,
     MINUS_INF,
-    Row,
     Vector,
     lp_solve,
     max_slack,
     midpoint,
-    vneg,
     vsub,
 )
 from .model import (
@@ -96,6 +100,8 @@ class LinearizationResult:
 
 # the unshifted and the shifted result of one piece of h
 _Pair = tuple[LinearizationResult, LinearizationResult]
+# a semi-closed system as integer rows: (equalities, weak, strict)
+_System = tuple[tuple[IntegerRow, ...], ...]
 
 
 def _positive(slack: ExtendedRational) -> bool:
@@ -103,9 +109,9 @@ def _positive(slack: ExtendedRational) -> bool:
 
 
 def _strict_witness(
-    equalities: Sequence[Row],
-    weak: Sequence[Row],
-    strict: Sequence[Row],
+    equalities: Sequence[IntegerRow],
+    weak: Sequence[IntegerRow],
+    strict: Sequence[IntegerRow],
     dimension: int,
 ) -> Optional[Vector]:
     slack, witness = max_slack(equalities, weak, strict, dimension)
@@ -119,9 +125,7 @@ class SemiClosedPiece:
     The semi-closed piece is convex; by the lemma (module docstring) its
     members are exactly the points of its anchor's system.  `rows` is the
     closed part without the repeated rows that cannot change a pivot (see
-    `_lp_rows`); the system is its equalities, the `weak` rows (those of
-    `rows`, then h_j <= h_anchor for the other j in J1) and the `strict`
-    rows h_j < h_anchor for the excluded j.
+    `_lp_rows`); the system, `_system`, is derived from the fields.
     """
 
     J1: frozenset[int]
@@ -131,8 +135,10 @@ class SemiClosedPiece:
     witness: Vector
     anchor: int
     rows: PolyhedralSet = field(compare=False, repr=False)
-    weak: tuple[Row, ...] = field(compare=False, repr=False)
-    strict: tuple[Row, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def _system(self) -> _System:
+        return _anchor_system(self.h, self.rows, self.J1, self.anchor)
 
     def contains(self, x: Sequence) -> bool:
         point = _scaled(_check_dimension(x, self.dimension))
@@ -242,10 +248,11 @@ def global_solutions(
 
 
 def _lp_rows(
-    equalities: Sequence[Row], inequalities: Sequence[Row]
-) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
-    """The system in its order, without the repeated rows that cannot
-    change a pivot of `lp_solve`.
+    equalities: Sequence[IntegerRow], inequalities: Sequence[IntegerRow]
+) -> tuple[list[int], list[int]]:
+    """The positions of the rows kept, in order: the system without the
+    repeated rows that cannot change a pivot of `lp_solve`.  Integer rows
+    are equal exactly when the rows they scale are.
 
     A repeated equality only adds a zero row to the elimination.  Without
     equalities, an inequality with rhs >= 0 starts with its slack basic;
@@ -257,18 +264,32 @@ def _lp_rows(
     equalities a row's rhs after substitution may be negative, so those
     repeats are kept.
     """
-    kept_equalities = tuple(dict.fromkeys(equalities))
+    first: dict[IntegerRow, int] = {}
+    kept_equalities = [
+        k for k, row in enumerate(equalities) if first.setdefault(row, k) == k
+    ]
     if equalities:
-        return kept_equalities, tuple(inequalities)
-    seen = set()
-    kept = []
-    for row in inequalities:
-        if row[1] < 0:
-            kept.append(row)
-        elif row not in seen:
-            seen.add(row)
-            kept.append(row)
-    return kept_equalities, tuple(kept)
+        return kept_equalities, list(range(len(inequalities)))
+    kept = [
+        k
+        for k, row in enumerate(inequalities)
+        if row[1] < 0 or first.setdefault(row, k) == k
+    ]
+    return kept_equalities, kept
+
+
+def _anchor_system(
+    h: MaxAffine, rows: PolyhedralSet, J1: frozenset[int], anchor: int
+) -> _System:
+    """The strict system of `anchor` over `rows`, as integer rows: the
+    equalities of `rows`; the weak rows, those of `rows` and then
+    h_j <= h_anchor for the other j in J1; and the strict rows
+    h_j < h_anchor for the excluded j."""
+    equalities, inequalities = rows._integer_rows
+    weak, strict = list(inequalities), []
+    for j, row in h._below[anchor]:
+        (weak if j in J1 else strict).append(row)
+    return equalities, tuple(weak), tuple(strict)
 
 
 def build_piece(
@@ -282,19 +303,19 @@ def build_piece(
     member iff its strict rows admit positive margin: one LP.  The repeated
     rows that cannot change a pivot are dropped once, here.
     """
-    rows = PolyhedralSet(
+    equalities, inequalities = closed_part._integer_rows
+    kept_equalities, kept = _lp_rows(equalities, inequalities)
+    rows = PolyhedralSet._of(
         closed_part.dimension,
-        *_lp_rows(closed_part.equalities, closed_part.inequalities),
+        tuple([closed_part.equalities[k] for k in kept_equalities]),
+        tuple([closed_part.inequalities[k] for k in kept]),
+        _integer_rows=(
+            tuple([equalities[k] for k in kept_equalities]),
+            tuple([inequalities[k] for k in kept]),
+        ),
     )
-    v0, beta0 = h.piece(anchor)
-    weak = list(rows.inequalities)
-    strict = []
-    for j in h.indices:
-        if j != anchor:
-            vj, betaj = h.piece(j)
-            row = (vsub(vj, v0), beta0 - betaj)  # h_j(x) <= h_anchor(x)
-            (weak if j in J1 else strict).append(row)
-    witness = _strict_witness(rows.equalities, weak, strict, closed_part.dimension)
+    system = _anchor_system(h, rows, J1, anchor)
+    witness = _strict_witness(*system, closed_part.dimension)
     if witness is None:
         return None
     return SemiClosedPiece(
@@ -305,9 +326,13 @@ def build_piece(
         witness=witness,
         anchor=anchor,
         rows=rows,
-        weak=tuple(weak),
-        strict=tuple(strict),
     )
+
+
+def _negated(row: IntegerRow) -> IntegerRow:
+    """The integer row of -a.x <= -b, for that of a.x <= b."""
+    A, B, s = row
+    return tuple([-c for c in A]), -B, s
 
 
 def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
@@ -321,20 +346,20 @@ def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     """
     if not Q.contains(P.witness):
         return False
-    own_equalities = set(P.rows.equalities)
-    settled = set(P.weak)  # rows every member satisfies, or tested
+    equalities, weak, strict = P._system
+    own_equalities = set(equalities)
+    settled = set(weak)  # rows every member satisfies, or tested
     violations = []
-    for a, y in Q.rows.equalities:
-        if (a, y) not in own_equalities:
-            violations += [(a, y), (vneg(a), -y)]  # a.x < y or a.x > y
-    for a, b in Q.rows.inequalities:
-        if (a, b) not in settled:
-            settled.add((a, b))
-            violations.append((vneg(a), -b))
+    Q_equalities, Q_inequalities = Q.rows._integer_rows
+    for row in Q_equalities:
+        if row not in own_equalities:
+            violations += [row, _negated(row)]  # a.x < y or a.x > y
+    for row in Q_inequalities:
+        if row not in settled:
+            settled.add(row)
+            violations.append(_negated(row))
     return not any(
-        _strict_witness(
-            P.rows.equalities, P.weak, P.strict + (violation,), P.dimension
-        )
+        _strict_witness(equalities, weak, strict + (violation,), P.dimension)
         is not None
         for violation in violations
     )
@@ -405,12 +430,15 @@ def _closure_meets(
     The closure of a nonempty semi-closed system is the same system with
     the strict rows weakened.
     """
+    equalities, weak, strict = closing._system
+    other_equalities, other_weak, other_strict = other._system
+    equalities += other_equalities
+    inequalities = weak + strict + other_weak
+    kept_equalities, kept = _lp_rows(equalities, inequalities)
     return _strict_witness(
-        *_lp_rows(
-            closing.rows.equalities + other.rows.equalities,
-            closing.weak + closing.strict + other.weak,
-        ),
-        other.strict,
+        [equalities[k] for k in kept_equalities],
+        [inequalities[k] for k in kept],
+        other_strict,
         closing.dimension,
     )
 

@@ -12,13 +12,19 @@ from fractions import Fraction
 from pathlib import Path
 
 from polydc import DcProblem, LinearProgram, MaxAffine, PolyhedralSet, parse_problem
-from polydc.exactlp import dot
+from polydc.exactlp import dot, integer_row
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def vec(*values):
     return tuple(Fraction(v) for v in values)
+
+
+def integer_rows(rows):
+    """Rational rows (a, b) as the integer rows (A, B, s) that
+    `exactlp.max_slack` takes."""
+    return [integer_row(a, b) for a, b in rows]
 
 
 def interval_problem() -> DcProblem:

@@ -171,6 +171,10 @@ class TestRun:
         assert trace.termination.kind is TerminationKind.MAX_ITERATIONS
         assert len(trace.points) == 1
 
+    def test_negative_budget_is_rejected(self, interval_problem):
+        with pytest.raises(ValueError, match="max_iter"):
+            run(interval_problem, vec(2), MinIndexActive(), max_iter=-3)
+
     def test_subproblem_unbounded_stops(self):
         prob = DcProblem(
             g=MaxAffine.constant(0, 1),

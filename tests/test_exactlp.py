@@ -7,6 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydc import (
     ExtendedRational,
@@ -24,7 +25,7 @@ from polydc import exactlp
 from polydc.exactlp import dot
 
 import gens
-from gens import vec
+from gens import integer_rows, vec
 
 
 def interval_lp(objective):
@@ -608,7 +609,7 @@ class TestMaxSlack:
                 )
                 for _ in range(rng.randint(1, 3))
             ]
-            slack, witness = max_slack((), box, strict, n)
+            slack, witness = max_slack((), integer_rows(box), integer_rows(strict), n)
             if not slack.is_finite or slack.as_fraction() == 0:
                 continue
             checked += 1
@@ -623,25 +624,27 @@ class TestMaxSlack:
         weak = [(vec(-1), Fraction(2)), (vec(1), Fraction(3))]
         oracle = max(Fraction(1) - x for x in (Fraction(-2), Fraction(3)))
         assert oracle == 3
-        slack, witness = max_slack((), weak, [(vec(1), Fraction(1))], 1)
+        slack, witness = max_slack(
+            (), integer_rows(weak), integer_rows([(vec(1), Fraction(1))]), 1
+        )
         assert slack == ExtendedRational.finite(3)
         assert witness == vec(-2)
 
     def test_zero_slack_means_empty_strict_system(self):
         slack, witness = max_slack(
-            (), [], [(vec(1), Fraction(0)), (vec(-1), Fraction(0))], 1
+            (), [], integer_rows([(vec(1), Fraction(0)), (vec(-1), Fraction(0))]), 1
         )
         assert slack == ExtendedRational.finite(0)
         assert witness == vec(0)
 
     def test_unconstrained_strict_row(self):
-        slack, witness = max_slack((), [], [(vec(1), Fraction(5))], 1)
+        slack, witness = max_slack((), [], integer_rows([(vec(1), Fraction(5))]), 1)
         assert slack == PLUS_INF
         assert witness is not None and witness[0] < 5
 
     def test_infeasible_weak_system(self):
         slack, witness = max_slack(
-            (), [(vec(1), Fraction(-2)), (vec(-1), Fraction(-3))], [], 1
+            (), integer_rows([(vec(1), Fraction(-2)), (vec(-1), Fraction(-3))]), [], 1
         )
         assert slack == ExtendedRational.finite(0)
         assert witness is None
@@ -695,3 +698,47 @@ class TestExtendedRational:
         b = ExtendedRational.finite(Fraction(1, 6))
         assert (a - b).as_fraction() == Fraction(1, 6)
         assert (a + b).as_fraction() == Fraction(1, 2)
+
+
+def rational_max_slack(equalities, weak, strict, dimension):
+    """max_slack as it was posed from rational rows: the LP over (x, eps)
+    built by the public constructor, eps with coefficient 1 in a strict
+    row and 0 elsewhere."""
+    def embed(rows, eps):
+        return [(tuple(a) + (Fraction(eps),), b) for a, b in rows]
+
+    zero = (Fraction(0),) * dimension
+    objective = zero + (Fraction(-1),)
+    inequalities = embed(weak, 0) + embed(strict, 1) + [(objective, Fraction(0))]
+    lp = LinearProgram(objective, embed(equalities, 0), inequalities, dimension + 1)
+    out = lp_solve(lp)
+    if out.status is LpStatus.INFEASIBLE:
+        return ExtendedRational.finite(0), None
+    if out.status is LpStatus.UNBOUNDED:
+        cap = (zero + (Fraction(1),), Fraction(1))
+        capped = dataclasses.replace(lp, inequalities=lp.inequalities + (cap,))
+        return PLUS_INF, lp_solve(capped).point[:dimension]
+    return ExtendedRational.finite(-out.value), out.point[:dimension]
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def strict_systems(draw):
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.tuples(*[small] * n), small)
+    return (
+        draw(st.lists(row, max_size=1)),
+        draw(st.lists(row, max_size=5)),
+        draw(st.lists(row, max_size=3)),
+        n,
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(strict_systems())
+def test_max_slack_from_integer_rows_matches_rational_rows(system):
+    *rows, n = system
+    expected = rational_max_slack(*rows, n)
+    assert max_slack(*(integer_rows(r) for r in rows), n) == expected

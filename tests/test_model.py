@@ -391,6 +391,20 @@ class TestConvexBody:
         assert body.contains(vec(-7, 0))
         assert not body.contains(vec(0, 1))
 
+    def test_fraction_generators_are_kept_others_coerced(self):
+        point, ray = vec(1, F(-1, 2)), vec(0, 1)
+        body = ConvexBody(2, points=(point,), rays=(ray,), lineality=[[1, "1/3"]])
+        assert body.points[0] is point and body.rays[0] is ray
+        assert body.lineality == (vec(1, F(1, 3)),)
+        assert all(type(c) is Fraction for c in body.lineality[0])
+        mixed = (F(1), 2)  # a tuple with an int in it is coerced too
+        coerced = ConvexBody(2, points=((2, "3/4"), ["1", F(5)], mixed))
+        assert coerced.points == (vec(2, F(3, 4)), vec(1, 5), vec(1, 2))
+        assert [type(c) for g in coerced.points for c in g] == [Fraction] * 6
+        for floats in ((0.5,), (Fraction(1), 0.5)):
+            with pytest.raises(TypeError):
+                ConvexBody(len(floats), points=(floats,))
+
 
 # The Fraction evaluation that the integer kernel replaced, kept as the
 # reference the kernel must agree with: same values, same positions, same
@@ -610,3 +624,43 @@ def test_integer_kernel_matches_fractions(case):
     f, points = case
     for x in points:
         assert_same_evaluation(f, tuple(x))
+
+
+@st.composite
+def sets_to_intersect(draw):
+    """Two to four sets of one dimension, rows with denominators up to 12,
+    and for each whether its integer rows are asked for before joining."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.tuples(*[rationals] * n), rationals)
+    sets = [
+        PolyhedralSet(
+            n,
+            draw(st.lists(row, max_size=2)),
+            draw(st.lists(row, max_size=4)),
+        )
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    return sets, draw(st.lists(st.booleans(), min_size=len(sets), max_size=len(sets)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sets_to_intersect())
+def test_intersection_joins_the_integer_rows_of_its_operands(case):
+    sets, scaled_first = case
+    for S, first in zip(sets, scaled_first):
+        if first:
+            S._integer_rows
+    joined = sets[0]
+    for S in sets[1:]:
+        joined = joined.intersect(S)
+        assert "_integer_rows" not in joined.__dict__  # nothing scaled yet
+    recomputed = tuple(
+        tuple([exactlp.integer_row(a, b) for a, b in rows])
+        for rows in (joined.equalities, joined.inequalities)
+    )
+    assert joined._integer_rows == recomputed
+    assert joined == PolyhedralSet(
+        joined.dimension, joined.equalities, joined.inequalities
+    )
+    for A, B, s in recomputed[0] + recomputed[1]:
+        assert s >= 1 and all(type(c) is int for c in A + (B,))

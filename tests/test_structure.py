@@ -15,6 +15,7 @@ from polydc import (
     MINUS_INF,
     OutsideDomain,
     PolyhedralSet,
+    SemiClosedPiece,
     is_stationary,
     toland_singer_check,
 )
@@ -287,6 +288,13 @@ class TestLocalPieces:
             x += step
 
 
+def _rational_witness(equalities, weak, strict, dimension):
+    """`_strict_witness` of a system of rational rows, each scaled once."""
+    return _strict_witness(
+        *(gens.integer_rows(rows) for rows in (equalities, weak, strict)), dimension
+    )
+
+
 def _full_row_piece_subset(P, Q):
     """Reference containment test of two reference pieces: per live anchor
     of P, one strict-margin LP per closed row of Q, duplicates and rows P
@@ -300,7 +308,7 @@ def _full_row_piece_subset(P, Q):
 
         def meets(extra_weak=(), extra_strict=()):
             return (
-                _strict_witness(
+                _rational_witness(
                     equalities,
                     weak + tuple(extra_weak),
                     strict + tuple(extra_strict),
@@ -489,7 +497,7 @@ def _reference_build_piece(h, closed_part, J1):
         )
     witnesses = []
     for anchor, *system in branches:
-        w = _strict_witness(*system, closed_part.dimension)
+        w = _rational_witness(*system, closed_part.dimension)
         if w is not None:
             witnesses.append((anchor, w))
     if not witnesses:
@@ -534,7 +542,7 @@ def _reference_closure_meets(closing, other):
         ):
             if other_anchor not in live_other:
                 continue
-            witness = _strict_witness(
+            witness = _rational_witness(
                 equalities + other_equalities,
                 weak + strict + other_weak,
                 other_strict,
@@ -577,6 +585,29 @@ def _shaped_instance(rng):
     )
 
 
+def _fractional_instance(rng, q_max=6):
+    """A random instance whose rows have denominators 2 to 6, so that each
+    row is scaled by more than 1: a box with rational bounds, and g and h
+    (up to q_max pieces) with rational gradients and offsets."""
+    n = rng.randint(1, 2)
+
+    def rational(lo, hi):
+        q = rng.randint(2, 6)
+        return F(rng.randint(lo * q, hi * q), q)
+
+    def pieces(count):
+        drawn = {(tuple(rational(-2, 2) for _ in range(n)), rational(-2, 2))}
+        while len(drawn) < count:
+            drawn.add((tuple(rational(-2, 2) for _ in range(n)), rational(-2, 2)))
+        return sorted(drawn)
+
+    lo = [rational(-3, 0) for _ in range(n)]
+    C = PolyhedralSet.box(lo, [l + rational(1, 3) for l in lo])
+    g = MaxAffine.from_pieces(pieces(rng.randint(1, 3)), n)
+    h = MaxAffine.from_pieces(pieces(rng.randint(3, q_max)), n)
+    return DcProblem(g=g, h=h, C=C)
+
+
 class TestSmallerSemiClosedLps:
     """local_pieces drops the repeated rows that cannot change a pivot,
     poses no LP for an anchor that does not attain the least alpha, and
@@ -593,7 +624,9 @@ class TestSmallerSemiClosedLps:
         # part, and dropping a copy of it, which has its own phase-1
         # artificial, would move the witness of the piece J1 = {1}
         steered = gens.random_dc_instance(random.Random(37), n_max=3)
-        return plain + grid + shaped + [steered]
+        # rows scaled by more than 1, and h with up to six pieces
+        scaled = [_fractional_instance(random.Random(90 + k)) for k in range(10)]
+        return plain + grid + shaped + [steered] + scaled
 
     def test_agrees_with_reference(self, monkeypatch):
         saw = {"merged": False, "edge": False, "equality": False}
@@ -615,6 +648,32 @@ class TestSmallerSemiClosedLps:
             saw["edge"] |= bool(edges)
             saw["equality"] |= bool(prob.C.equalities) and bool(pieces)
         assert all(saw.values()), saw
+
+    def test_instances_have_scaled_rows(self):
+        def scaled_by_more_than_1(prob):
+            systems = [p._system for p in local_pieces(prob)]
+            return any(s > 1 for system in systems for rows in system for *_, s in rows)
+
+        scaled = [prob for prob in self._instances() if scaled_by_more_than_1(prob)]
+        assert max(len(prob.h.pieces) for prob in scaled) == 6
+
+    def test_piece_built_by_hand_derives_its_system(self):
+        # rows = the whole closed part, repeated rows included: the system
+        # is derived from the fields and decides as the built piece does
+        for prob in self._instances()[-10:]:
+            pieces = local_pieces(prob)
+            by_hand = [
+                SemiClosedPiece(
+                    p.J1, p.closed_part, p.excluded, p.h, p.witness, p.anchor,
+                    rows=p.closed_part,
+                )
+                for p in pieces
+            ]
+            for P, mine in zip(pieces, by_hand):
+                assert mine._system[2] == P._system[2]  # the strict rows
+                for Q in pieces:
+                    assert _piece_subset(mine, Q) == _piece_subset(P, Q)
+                    assert pieces_adjacent(mine, Q) == pieces_adjacent(P, Q)
 
     def test_interval_lp_count(self, interval_problem, monkeypatch):
         linearized = structure._linearize_all(interval_problem)
