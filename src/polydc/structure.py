@@ -17,10 +17,12 @@ margin of the strict rows with an LP; a semi-closed system has a point iff
 the margin is positive.  Each LP is posed as small as the proof allows:
 
 * Rows scaled once.  Each row is held as the integer row of the set or
-  function that makes it (`integer_row`): a face's and C's rows by their
-  `PolyhedralSet`, which an intersection joins without scaling again, and
-  the rows h_j <= h_k by h.  Every margin LP is posed from these integers
-  (`max_slack`), and rows are compared as integers.
+  function that makes it (`integer_row`): the rows of C and dom g by the
+  problem's C ∩ dom g, a face's cuts by the face, and the rows
+  h_j <= h_k by h.  An intersection joins its operands' integer rows
+  without scaling them again, so faces and closed parts cost no scaling
+  of C.  Every margin LP is posed from these integers (`max_slack`), and
+  rows are compared as integers.
 * Repeated rows dropped.  Every face repeats the rows of C and dom g,
   and the closed part adds C again.  A repeated row cuts out nothing
   more, and unless it could change a pivot (see `_lp_rows`) it is
@@ -159,13 +161,14 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
     beta_j as well.  The LP, the optimal face and the witness do not depend
     on the shift, so both results share them.  The optimal face is written
     down without projection by substituting the epigraph variable: at any
-    optimum t equals g(x), so the face is cut out by
-    u_i.x + alpha_i <= v_j.x + value for every piece i of g, where value is
-    the unshifted one.
+    optimum t equals g(x), so the face is C ∩ dom(g), whose rows it joins
+    as they are, cut by u_i.x + alpha_i <= v_j.x + value for every piece i
+    of g, where value is the unshifted one.
     """
     v, beta = prob.h.piece(j)
     n = prob.dimension
-    outcome = lp_solve(prob.g_plus_indicator.epigraph_lp(v))
+    g_plus = prob.g_plus_indicator
+    outcome = lp_solve(g_plus.epigraph_lp(v))
     if outcome.status is LpStatus.INFEASIBLE:
         raise InternalCheckFailed(
             "linearized subproblem infeasible despite the standing assumption"
@@ -175,14 +178,8 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
             LinearizationResult(j, False, MINUS_INF, None, None),
             LinearizationResult(j, True, MINUS_INF, None, None),
         )
-    face_rows = list(prob.C.inequalities) + list(prob.g.domain.inequalities)
-    for u, alpha in prob.g.pieces:
-        face_rows.append((vsub(u, v), outcome.value - alpha))
-    face = PolyhedralSet(
-        n,
-        equalities=prob.C.equalities + prob.g.domain.equalities,
-        inequalities=tuple(face_rows),
-    )
+    cuts = [(vsub(u, v), outcome.value - alpha) for u, alpha in prob.g.pieces]
+    face = g_plus.domain.intersect(PolyhedralSet(n, inequalities=cuts))
     witness = outcome.point[:n]
     return (
         LinearizationResult(
