@@ -216,7 +216,8 @@ def run(
     rules the state is the iterate itself, so the first exact revisit
     closes the run: period 1 is a fixed point, larger periods are cycles.
     Scripted rules are step-dependent; they run until the script or the
-    iteration budget is exhausted.
+    iteration budget is exhausted.  An error a rule raises while it
+    selects propagates.
 
     x0 is checked and g is evaluated there.  Every later iterate is the
     point of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to
@@ -255,14 +256,13 @@ def run(
                 TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step
             )
             break
-        try:
-            if pick is None:
-                xi = rule.choose(prob.h, x, step)
-            else:
-                xi = prob.h.piece(pick([j + 1 for j in at_h[1]]))[0]
-        except IndexError:
+        if isinstance(rule, Scripted) and step >= len(rule.subgradients):
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
+        if pick is None:
+            xi = rule.choose(prob.h, x, step)
+        else:
+            xi = prob.h.piece(pick([j + 1 for j in at_h[1]]))[0]
         value = g_value - at_h[0]
         iterates.append(Iterate(x, xi, value))
         if len(iterates) >= 2 and iterates[-2].value < value:

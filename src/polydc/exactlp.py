@@ -19,6 +19,11 @@ solution:
 * Each inequality row `a.z <= b` gets a slack with coefficient 1.  A row
   with b >= 0 starts with its slack basic; only a row with b < 0 is negated
   and gets an artificial, and phase 1 runs only if there is one.
+* A later copy of an inequality row whose rhs after substitution is >= 0
+  cannot change a pivot, so it gets no row of the tableau and is tight
+  exactly when its first copy is (proof in `_prepare`).  Every LP over rows
+  that repeat, such as a face of C cut again by C, pivots as over all of
+  them.
 * The simplex tableau keeps one common denominator `det > 0` (initially
   1): entries are `det * B^-1 [A | b]`, integers because each is a minor
   of the integer system.  A pivot updates every row with one exact integer
@@ -220,7 +225,9 @@ class LinearProgram:
 
     The constructor scales each rational row once (`integer_row`) and holds
     the integer rows, (A, B) each, with their prepared start (see
-    `lp_solve`), which every LP made by `with_objective` shares.
+    `lp_solve`), which every LP made by `with_objective` shares.  Whatever
+    reads `equalities` and `inequalities`, `optimality_certificate` among
+    them, reads these integer rows, not the rows the caller passed.
     """
 
     objective: Vector
@@ -553,15 +560,16 @@ class _Start:
     `_eliminate_equalities` returns them); every integer inequality is
     substituted into a row over the `free` coordinates, and phase 1 finds a
     feasible basis of those rows.  `tight`
-    holds the inequalities that substitution leaves as 0 <= 0 and `projected`
-    the indices of the others, one slack column each.  `tableau` is None
-    when the equalities fix the point.  A solve works on a copy of the
-    tableau, so the start is only read once it is built.
+    holds the inequalities that substitution leaves as 0 <= 0, `projected`
+    the indices of the others, one slack column each, and `copies` the pairs
+    (i, first) of a row i that `_prepare` left out as a copy of row first.
+    `tableau` is None when the equalities fix the point.  A solve works on a
+    copy of the tableau, so the start is only read once it is built.
     """
 
     __slots__ = (
         "dimension", "pivots", "solved", "det", "free", "kept",
-        "projected", "tight", "tableau",
+        "projected", "tight", "copies", "tableau",
     )
 
     def __init__(self, dimension, pivots, solved, det):
@@ -573,6 +581,7 @@ class _Start:
         self.kept = self.free + [dimension]  # the free coordinates and the rhs
         self.projected: list[int] = []
         self.tight: set[int] = set()
+        self.copies: list[tuple[int, int]] = []
         self.tableau: Optional[_Tableau] = None
 
     def substitute(self, A: Sequence[int], B: int) -> list[int]:
@@ -619,7 +628,7 @@ class _Start:
         if self.tableau is None:  # the equalities fix the point
             value = Fraction(-line[-1], self.det * scale)
             return LpOutcome(
-                LpStatus.OPTIMAL, value, self.lift((), 1), frozenset(self.tight)
+                LpStatus.OPTIMAL, value, self.lift((), 1), self._with_copies(self.tight)
             )
         tableau = self.tableau.copy()
         f = len(self.free)
@@ -652,22 +661,49 @@ class _Start:
             i for k, i in enumerate(self.projected) if k not in loose
         )
         return LpOutcome(
-            LpStatus.OPTIMAL, value, self.lift(z, tableau.det), frozenset(tight)
+            LpStatus.OPTIMAL, value, self.lift(z, tableau.det), self._with_copies(tight)
         )
+
+    def _with_copies(self, tight: set[int]) -> frozenset[int]:
+        """The tight rows `tight` and each copy whose first copy is one."""
+        return frozenset(tight.union(i for i, first in self.copies if first in tight))
 
 
 def _prepare(
     equalities: Sequence[LpRow], inequalities: Sequence[LpRow], dimension: int
 ) -> Optional[_Start]:
     """The start of every LP over these rows, or None when they have no
-    solution."""
+    solution.
+
+    An inequality equal to an earlier row whose rhs after substitution is
+    b >= 0 is left out.  The two rows are the same row over z, and the
+    first starts with its slack s basic; so would the copy, with its slack
+    s'.  No pivot ever separates them.  While both slacks are basic, their
+    rows agree off s and s', so the copy ties with the first in every ratio
+    test it could win and loses on Bland's rule, as s' has the higher index.
+    Once s has left, the copy's row reads s' = s: its only entry off the
+    basis is -det in column s, so it wins no ratio test, and when s enters
+    again the two rows agree once more.  So s' is always basic and equal to
+    s, every other pivot is the one taken without the copy, with the
+    columns in the same order, and the copy is tight exactly when its first
+    copy is (`_Start.solve`).  A copy of a row with b < 0 has an artificial
+    of its own, which weighs in phase 1, and is kept.  A repeated equality
+    needs no rule: the elimination turns it into a zero row.
+    """
     eliminated = _eliminate_equalities(equalities, dimension)
     if eliminated is None:
         return None
     start = _Start(dimension, *eliminated)
     projected = []  # rows over z and their rhs
-    for i, (A, B) in enumerate(inequalities):
-        *row, b = start.substitute(A, B)
+    first: dict[LpRow, int] = {}  # each row kept with b >= 0, to its index
+    for i, lp_row in enumerate(inequalities):
+        k = first.get(lp_row)
+        if k is not None:
+            start.copies.append((i, k))
+            continue
+        *row, b = start.substitute(*lp_row)
+        if b >= 0:
+            first[lp_row] = i
         if any(row):
             start.projected.append(i)
             projected.append((row, b))
@@ -783,6 +819,9 @@ def optimality_certificate(
     multipliers nonnegative, supported on the tight rows, and satisfying
     objective + E^T mu + A^T lam = 0 exactly; then
     -mu.e - lam.b equals the optimal value (verified by the caller's tests).
+    E, e, A and b are the integer rows `lp` holds: each row (a, b) the
+    caller passed times its scale s (`integer_row(a, b)[2]`).  A multiplier
+    y of the integer row is y * s for the caller's row.
     """
     if not outcome.is_optimal:
         raise ValueError("certificate requires an Optimal outcome")

@@ -3,10 +3,19 @@
 On a rational grid over a bounding box of C (dimension at most 2), each
 in-C grid point is classified and compared against neighborhood evidence:
 
-* a point classified as a local solution must minimize f among its grid
-  neighbors inside C;
+* a point classified as a local solution must not be beaten along the
+  segment to any grid neighbor inside C.  f is compared at the segment's
+  first breakpoint, where a piece of g or h overtakes the one leading
+  along the segment or a row of dom g or dom h is reached, or at the
+  neighbor when there is none; f is affine up to there, so a local
+  solution is never beaten there, while a neighbor past a kink may be;
 * an interior point that is not stationary must have a strictly better
-  grid neighbor inside C;
+  point within one grid step: a grid neighbor inside C, or else the point
+  one step along the segment from x to y_j, for an active piece j of h
+  whose optimal face Omega_j (of g + indicator(C) - v_j.x) misses x, with
+  y_j the minimizer of its linearization.  g - h_j is convex and below
+  f(x) at y_j, and f <= g - h_j, so every point of that segment but x
+  beats x, even when no grid direction descends;
 * the classifier chain (local => stationary => critical) must hold;
 * when the solution-structure hypotheses hold, stationarity must agree
   with membership in the union of the semi-closed local pieces.
@@ -21,8 +30,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlp import Vector, frac
-from .model import DcProblem, PolydcError
+from .exactlp import ONE, Vector, dot, frac, vsub
+from .model import DcProblem, MaxAffine, PolydcError
 from .optimality import LocalStatus, classify
 from . import structure
 
@@ -56,6 +65,40 @@ def _grid_points(prob: DcProblem, step: Fraction):
     return itertools.product(*axes)
 
 
+def _first_breakpoint(f: MaxAffine, x: Vector, d: Vector) -> Fraction:
+    """The largest t <= 1 such that f is affine on the segment from x, a
+    point of dom f, to x + t d: the first t at which a piece of f
+    overtakes the one leading along d or a row of dom f is reached."""
+    values = [dot(u, x) + alpha for u, alpha in f.pieces]
+    slopes = [dot(u, d) for u, _ in f.pieces]
+    top = max(values)
+    lead = max(s for s, v in zip(slopes, values) if v == top)
+    t = ONE
+    for s, v in zip(slopes, values):
+        if s > lead:
+            t = min(t, (top - v) / (s - lead))
+    for a, b in f.domain.inequalities:
+        rate = dot(a, d)
+        if rate > 0:
+            t = min(t, (b - dot(a, x)) / rate)
+    if any(dot(a, d) != 0 for a, _ in f.domain.equalities):
+        t = Fraction(0)
+    return t
+
+
+def _toward_minimizers(prob: DcProblem, linearized, x: Vector, step: Fraction):
+    """For each active piece j of h at x whose optimal face misses x, the
+    point one grid step (in the max norm) from x toward y_j, or y_j itself
+    when it is nearer."""
+    for j in sorted(prob.h.active_indices(x)):
+        unshifted = linearized[j - 1][0]
+        if unshifted.face is None or unshifted.face.contains(x):
+            continue
+        d = vsub(unshifted.witness, x)
+        t = min(ONE, step / max(abs(c) for c in d))
+        yield tuple(c + t * e for c, e in zip(x, d))
+
+
 def grid_cross_check(prob: DcProblem, step) -> GridReport:
     """Run every grid check on one problem; C must be bounded, n <= 2."""
     step = frac(step)
@@ -64,8 +107,10 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
     if prob.dimension > 2:
         raise PolydcError("grid cross-checks support dimension 1 and 2 only")
 
+    linearized = structure._linearize_all(prob)
     try:
-        pieces = structure.local_pieces(prob)
+        structure.check_structure_hypotheses(prob)
+        pieces = structure.local_pieces(prob, linearized=linearized)
         pieces_checked = True
     except structure.HypothesisNotMet:
         pieces = ()
@@ -102,20 +147,32 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
         for offs in offsets:
             nb = tuple(c + o for c, o in zip(point, offs))
             if tight_rows(nb) is not None:
-                neighbor_values.append((nb, objective_value(nb)))
+                neighbor_values.append((nb, offs, objective_value(nb)))
         if result.local is LocalStatus.YES:
-            for nb, nb_value in neighbor_values:
+            for nb, offs, nb_value in neighbor_values:
+                t = min(
+                    _first_breakpoint(prob.g, point, offs),
+                    _first_breakpoint(prob.h, point, offs),
+                )
+                if t < 1:  # f is affine up to the breakpoint, not beyond
+                    nb = tuple(c + t * o for c, o in zip(point, offs))
+                    nb_value = objective_value(nb)
                 if nb_value < value:
                     failures.append(
                         GridFailure(
                             point,
                             "local-minimum",
-                            f"neighbor {nb} has a smaller objective",
+                            f"{nb}, toward a grid neighbor, has a smaller objective",
                         )
                     )
                     break
         if prob.C._is_interior(tight) and not result.stationary:
-            if not any(nb_value < value for _, nb_value in neighbor_values):
+            if not any(
+                nb_value < value for *_, nb_value in neighbor_values
+            ) and not any(
+                objective_value(z) < value
+                for z in _toward_minimizers(prob, linearized, point, step)
+            ):
                 failures.append(
                     GridFailure(
                         point,

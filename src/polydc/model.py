@@ -119,17 +119,6 @@ class PolyhedralSet:
         object.__setattr__(self, "inequalities", ineqs)
 
     @classmethod
-    def _of(cls, dimension: int, equalities, inequalities, **known) -> "PolyhedralSet":
-        """The set over rows that are already coerced, taken as they are;
-        `known` seeds what is derived from them (`_integer_rows`, or the
-        `_operands` whose integer rows it joins)."""
-        S = object.__new__(cls)
-        S.__dict__.update(
-            known, dimension=dimension, equalities=equalities, inequalities=inequalities
-        )
-        return S
-
-    @classmethod
     def whole_space(cls, dimension: int) -> "PolyhedralSet":
         return cls(dimension)
 
@@ -219,16 +208,19 @@ class PolyhedralSet:
         return self.feasible_point() is None
 
     def intersect(self, other: "PolyhedralSet") -> "PolyhedralSet":
-        """The rows of this set, then those of `other`; the integer rows,
-        when first asked for, are the operands' joined."""
+        """The rows of this set, then those of `other`, taken as they are
+        (both are coerced already); the integer rows, when first asked for,
+        are the operands' joined."""
         if other.dimension != self.dimension:
             raise DimensionMismatch("cannot intersect sets of different dimensions")
-        return PolyhedralSet._of(
-            self.dimension,
-            self.equalities + other.equalities,
-            self.inequalities + other.inequalities,
+        S = object.__new__(PolyhedralSet)
+        S.__dict__.update(
+            dimension=self.dimension,
+            equalities=self.equalities + other.equalities,
+            inequalities=self.inequalities + other.inequalities,
             _operands=(self, other),
         )
+        return S
 
     def normal_cone(self, x: Sequence) -> "ConvexBody":
         """Normal cone at a member point, in generator form.

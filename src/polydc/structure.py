@@ -23,13 +23,9 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   without scaling them again, so faces and closed parts cost no scaling
   of C.  Every margin LP is posed from these integers (`max_slack`), and
   rows are compared as integers.
-* Repeated rows dropped.  Every face repeats the rows of C and dom g,
-  and the closed part adds C again.  A repeated row cuts out nothing
-  more, and unless it could change a pivot (see `_lp_rows`) it is
-  dropped: from a piece's system once, when the piece is built, and from
-  the joined system of two pieces once per adjacency LP.  Every LP
-  pivots as over the whole system, so every witness is the one the whole
-  system gives.
+* Repeated rows left to the LP core.  Every face repeats the rows of C
+  and dom g, and the closed part adds C again; each LP is posed over them
+  as they are, and `exactlp._prepare` decides which copies it needs.
 * One system per piece (the lemma).  On the closed part of J1 every x
   lies in the optimal face of each j in J1, so g(x) - v_j.x is the
   unshifted value of j there and h_j(x) = g(x) - alpha_j, with alpha the
@@ -50,7 +46,7 @@ the margin is positive.  Each LP is posed as small as the proof allows:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Optional, Sequence
@@ -125,9 +121,8 @@ class SemiClosedPiece:
     """Member set: {x in closed_part : active pieces of h within J1}.
 
     The semi-closed piece is convex; by the lemma (module docstring) its
-    members are exactly the points of its anchor's system.  `rows` is the
-    closed part without the repeated rows that cannot change a pivot (see
-    `_lp_rows`); the system, `_system`, is derived from the fields.
+    members are exactly the points of its anchor's system, `_system`, which
+    is derived from the fields.
     """
 
     J1: frozenset[int]
@@ -136,15 +131,14 @@ class SemiClosedPiece:
     h: MaxAffine
     witness: Vector
     anchor: int
-    rows: PolyhedralSet = field(compare=False, repr=False)
 
     @cached_property
     def _system(self) -> _System:
-        return _anchor_system(self.h, self.rows, self.J1, self.anchor)
+        return _anchor_system(self.h, self.closed_part, self.J1, self.anchor)
 
     def contains(self, x: Sequence) -> bool:
         point = _scaled(_check_dimension(x, self.dimension))
-        if self.rows._tight_rows(point) is None:
+        if self.closed_part._tight_rows(point) is None:
             return False
         at = self.h._at(point)
         return at is not None and all(j + 1 in self.J1 for j in at[1])
@@ -244,45 +238,14 @@ def global_solutions(
     return alpha_bar, J_star, pieces
 
 
-def _lp_rows(
-    equalities: Sequence[IntegerRow], inequalities: Sequence[IntegerRow]
-) -> tuple[list[int], list[int]]:
-    """The positions of the rows kept, in order: the system without the
-    repeated rows that cannot change a pivot of `lp_solve`.  Integer rows
-    are equal exactly when the rows they scale are.
-
-    A repeated equality only adds a zero row to the elimination.  Without
-    equalities, an inequality with rhs >= 0 starts with its slack basic;
-    a later copy ties with the first in every ratio test it could win and
-    loses on Bland's lowest-index rule, so it never leaves the basis.
-    Both are dropped: an LP over the result pivots as over the whole
-    system and gives the same point.  A repeated inequality with rhs < 0
-    gets an artificial of its own that weighs in phase 1, and with
-    equalities a row's rhs after substitution may be negative, so those
-    repeats are kept.
-    """
-    first: dict[IntegerRow, int] = {}
-    kept_equalities = [
-        k for k, row in enumerate(equalities) if first.setdefault(row, k) == k
-    ]
-    if equalities:
-        return kept_equalities, list(range(len(inequalities)))
-    kept = [
-        k
-        for k, row in enumerate(inequalities)
-        if row[1] < 0 or first.setdefault(row, k) == k
-    ]
-    return kept_equalities, kept
-
-
 def _anchor_system(
-    h: MaxAffine, rows: PolyhedralSet, J1: frozenset[int], anchor: int
+    h: MaxAffine, closed_part: PolyhedralSet, J1: frozenset[int], anchor: int
 ) -> _System:
-    """The strict system of `anchor` over `rows`, as integer rows: the
-    equalities of `rows`; the weak rows, those of `rows` and then
-    h_j <= h_anchor for the other j in J1; and the strict rows
+    """The strict system of `anchor` over `closed_part`, as integer rows:
+    the equalities of `closed_part`; the weak rows, those of `closed_part`
+    and then h_j <= h_anchor for the other j in J1; and the strict rows
     h_j < h_anchor for the excluded j."""
-    equalities, inequalities = rows._integer_rows
+    equalities, inequalities = closed_part._integer_rows
     weak, strict = list(inequalities), []
     for j, row in h._below[anchor]:
         (weak if j in J1 else strict).append(row)
@@ -297,21 +260,9 @@ def build_piece(
     Precondition: `closed_part` lies in the optimal face of every j in J1,
     and `anchor` has the least alpha over J1.  By the lemma (module
     docstring) the piece is then the one system of `anchor`, which has a
-    member iff its strict rows admit positive margin: one LP.  The repeated
-    rows that cannot change a pivot are dropped once, here.
+    member iff its strict rows admit positive margin: one LP.
     """
-    equalities, inequalities = closed_part._integer_rows
-    kept_equalities, kept = _lp_rows(equalities, inequalities)
-    rows = PolyhedralSet._of(
-        closed_part.dimension,
-        tuple([closed_part.equalities[k] for k in kept_equalities]),
-        tuple([closed_part.inequalities[k] for k in kept]),
-        _integer_rows=(
-            tuple([equalities[k] for k in kept_equalities]),
-            tuple([inequalities[k] for k in kept]),
-        ),
-    )
-    system = _anchor_system(h, rows, J1, anchor)
+    system = _anchor_system(h, closed_part, J1, anchor)
     witness = _strict_witness(*system, closed_part.dimension)
     if witness is None:
         return None
@@ -322,7 +273,6 @@ def build_piece(
         h=h,
         witness=witness,
         anchor=anchor,
-        rows=rows,
     )
 
 
@@ -344,12 +294,13 @@ def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     if not Q.contains(P.witness):
         return False
     equalities, weak, strict = P._system
-    own_equalities = set(equalities)
-    settled = set(weak)  # rows every member satisfies, or tested
+    # rows every member satisfies, or tested
+    settled_equalities, settled = set(equalities), set(weak)
     violations = []
-    Q_equalities, Q_inequalities = Q.rows._integer_rows
+    Q_equalities, Q_inequalities = Q.closed_part._integer_rows
     for row in Q_equalities:
-        if row not in own_equalities:
+        if row not in settled_equalities:
+            settled_equalities.add(row)
             violations += [row, _negated(row)]  # a.x < y or a.x > y
     for row in Q_inequalities:
         if row not in settled:
@@ -429,12 +380,9 @@ def _closure_meets(
     """
     equalities, weak, strict = closing._system
     other_equalities, other_weak, other_strict = other._system
-    equalities += other_equalities
-    inequalities = weak + strict + other_weak
-    kept_equalities, kept = _lp_rows(equalities, inequalities)
     return _strict_witness(
-        [equalities[k] for k in kept_equalities],
-        [inequalities[k] for k in kept],
+        equalities + other_equalities,
+        weak + strict + other_weak,
         other_strict,
         closing.dimension,
     )

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from polydc import DcProblem, LinearProgram, MaxAffine, PolyhedralSet, parse_problem
+from polydc import exactlp
 from polydc.exactlp import dot, integer_row
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -119,6 +120,52 @@ def vertex_enumeration_minimum(lp: LinearProgram):
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def prepare_every_row(equalities, inequalities, dimension):
+    """`exactlp._prepare` as it was before it left out repeated rows: every
+    inequality that substitution leaves nonzero gets a row of the tableau,
+    copies included.  A reference for the rule that leaves them out."""
+    eliminated = exactlp._eliminate_equalities(equalities, dimension)
+    if eliminated is None:
+        return None
+    start = exactlp._Start(dimension, *eliminated)
+    projected = []
+    for i, (A, B) in enumerate(inequalities):
+        *row, b = start.substitute(A, B)
+        if any(row):
+            start.projected.append(i)
+            projected.append((row, b))
+        elif b < 0:
+            return None
+        elif b == 0:
+            start.tight.add(i)
+    f = len(start.free)
+    if f == 0:
+        return start
+    m = len(projected)
+    n = 2 * f + m
+    rows, basis = [], []
+    for k, (row, b) in enumerate(projected):
+        line = row + [-c for c in row] + [0] * m + [b]
+        line[2 * f + k] = 1
+        if b < 0:
+            rows.append([-x for x in line])
+            basis.append(n + k)
+        else:
+            rows.append(line)
+            basis.append(2 * f + k)
+    tableau = exactlp._Tableau(rows, basis)
+    if not tableau.phase_one(range(n)):
+        return None
+    start.tableau = tableau
+    return start
+
+
+def solve_every_row(lp: LinearProgram, lexmin: int = 0):
+    """`lp_solve(lp, lexmin)` over a start from `prepare_every_row`."""
+    start = prepare_every_row(lp.equalities, lp.inequalities, lp.dimension)
+    return exactlp.INFEASIBLE if start is None else start.solve(lp.objective, lexmin)
 
 
 # ---------------------------------------------------------------------------

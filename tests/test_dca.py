@@ -20,6 +20,7 @@ from polydc import (
     OutsideDomain,
     PolyhedralSet,
     Scripted,
+    SelectionRule,
     Termination,
     TerminationKind,
     is_critical,
@@ -165,6 +166,24 @@ class TestRun:
         trace = run(interval_problem, vec(-1), Scripted((vec(0),)))
         assert trace.points == (vec(-1),)
         assert trace.termination.kind is TerminationKind.MAX_ITERATIONS
+        assert trace.termination.step == 1
+
+    def test_selection_errors_propagate(self, interval_problem):
+        # only an exhausted script ends a run; an IndexError from any other
+        # rule is a fault of the rule, not the end of the iteration
+        class PicksPieceSix(dca._ActiveSetRule):
+            def pick(self, active):
+                return 6
+
+        class Faulty(SelectionRule):
+            def choose(self, h, x, step):
+                return [][step]
+
+        for rule in (PicksPieceSix(), Faulty()):
+            with pytest.raises(IndexError):
+                run(interval_problem, (0,), rule)
+            with pytest.raises(IndexError):
+                select_subgradient(interval_problem.h, (0,), rule)
 
     def test_zero_budget(self, interval_problem):
         trace = run(interval_problem, vec(2), MinIndexActive(), max_iter=0)

@@ -568,6 +568,56 @@ class TestCertificate:
                 assert dual == out.value
                 checked += 1
 
+    def test_multipliers_scaled_to_the_callers_rows(self):
+        # the LP holds each row times its scale s, and the multipliers are
+        # those of the held rows: times s, they certify the caller's rows
+        lp = LinearProgram(
+            vec(1, 1),
+            ((vec(Fraction(1, 2), Fraction(1, 3)), Fraction(1)),),
+            ((vec(-1, 0), Fraction(0)), (vec(0, Fraction(-1, 4)), Fraction(0))),
+            2,
+        )
+        assert optimality_certificate(lp, lp_solve(lp)) == (
+            vec(Fraction(-1, 3)),
+            vec(0, Fraction(1, 3)),
+        )
+        rng = random.Random(19)
+
+        def draw(lo, hi):
+            q = rng.randint(2, 12)
+            return Fraction(rng.randint(lo * q, hi * q), q)
+
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 3)
+            inequalities = []
+            for i in range(n):
+                e = [Fraction(0)] * n
+                e[i] = draw(1, 3)
+                inequalities.append((tuple(e), draw(0, 4)))
+                inequalities.append((tuple(-c for c in e), draw(0, 4)))
+            for _ in range(rng.randint(0, 3)):
+                inequalities.append((tuple(draw(-3, 3) for _ in range(n)), draw(-2, 4)))
+            equalities = []
+            if n > 1 and rng.random() < 0.5:
+                equalities.append((tuple(draw(-2, 2) for _ in range(n)), draw(-2, 2)))
+            objective = tuple(draw(-3, 3) for _ in range(n))
+            lp = LinearProgram(objective, tuple(equalities), tuple(inequalities), n)
+            out = lp_solve(lp)
+            if not out.is_optimal:
+                continue
+            mu, lam = optimality_certificate(lp, out)
+            rows = equalities + inequalities
+            multipliers = [
+                y * exactlp.integer_row(a, b)[2] for y, (a, b) in zip(mu + lam, rows)
+            ]
+            for d in range(n):
+                assert objective[d] + sum(
+                    y * a[d] for y, (a, _) in zip(multipliers, rows)
+                ) == 0
+            assert -sum(y * b for y, (_, b) in zip(multipliers, rows)) == out.value
+            checked += 1
+
 
 class TestFeasible:
     def test_witness(self):
@@ -742,3 +792,92 @@ def test_max_slack_from_integer_rows_matches_rational_rows(system):
     *rows, n = system
     expected = rational_max_slack(*rows, n)
     assert max_slack(*(integer_rows(r) for r in rows), n) == expected
+
+
+@st.composite
+def lps_with_copies(draw):
+    """An LP, with or without equalities, whose inequalities repeat: each
+    drawn copy is inserted somewhere after its original; and a lexmin
+    from 0 to n."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.tuples(*[small] * n), small)
+    drawn = draw(st.lists(row, min_size=1, max_size=6))
+    rows = list(drawn)
+    if draw(st.booleans()):  # a box, so that most LPs have an optimum
+        for j in range(n):
+            unit = tuple(Fraction(int(i == j)) for i in range(n))
+            rows += [(unit, Fraction(2)), (tuple(-c for c in unit), Fraction(2))]
+    for copied in draw(st.lists(st.sampled_from(rows), max_size=4)):
+        after = rows.index(copied) + 1
+        rows.insert(draw(st.integers(after, len(rows))), copied)
+    equalities = draw(st.lists(row, max_size=2))
+    # a zero objective reads the point phase 1 ends at
+    objective = draw(st.just((Fraction(0),) * n) | st.tuples(*[small] * n))
+    lp = LinearProgram(objective, tuple(equalities), tuple(rows), n)
+    return lp, draw(st.integers(0, n))
+
+
+def without_copies(full, start):
+    """The tableau of the every-row start `full` without the rows and the
+    slack columns of the copies that `start` left out, as (rows, basis,
+    det) over the columns renumbered."""
+    f = len(full.free)
+    copies = {i for i, _ in start.copies}
+    dropped = {2 * f + k for k, i in enumerate(full.projected) if i in copies}
+    tableau = full.tableau
+    width = 2 * f + len(full.projected) + 1  # the rhs last
+    columns = [j for j in range(width) if j not in dropped]
+    renumbered = {j: k for k, j in enumerate(columns)}
+    kept = [r for r, col in enumerate(tableau.basis) if col not in dropped]
+    return (
+        [[tableau.rows[r][j] for j in columns] for r in kept],
+        [renumbered[tableau.basis[r]] for r in kept],
+        tableau.det,
+    )
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(lps_with_copies())
+def test_repeated_rows_pivot_as_every_row(case):
+    lp, lexmin = case
+    # phase 1 ends on the every-row tableau without the copies' rows
+    full = gens.prepare_every_row(lp.equalities, lp.inequalities, lp.dimension)
+    start = lp._rows.start()
+    assert (start is None) == (full is None)
+    if start is not None and start.tableau is not None:
+        tableau = start.tableau
+        assert without_copies(full, start) == (tableau.rows, tableau.basis, tableau.det)
+    out = lp_solve(lp, lexmin=lexmin)
+    assert out == gens.solve_every_row(lp, lexmin)
+    if out.is_optimal:
+        for i, row in enumerate(lp.inequalities):
+            first = lp.inequalities.index(row)
+            assert (i in out.tight_inequalities) == (first in out.tight_inequalities)
+
+
+class TestRepeatedRows:
+    """`_prepare` leaves out a later copy of a row whose rhs after
+    substitution is >= 0, and keeps one whose rhs is < 0."""
+
+    def test_copy_with_nonnegative_rhs_gets_no_tableau_row(self):
+        # x <= 3 twice, -x <= -1 twice: only the second copy of -x <= -1,
+        # which starts on an artificial, stays in the tableau
+        rows = ((vec(1), Fraction(3)), (vec(-1), Fraction(-1))) * 2
+        lp = LinearProgram(vec(1), (), rows, 1)
+        start = lp._rows.start()
+        assert start.copies == [(2, 0)]
+        assert start.projected == [0, 1, 3]
+        assert len(start.tableau.rows) == 3
+        assert lp_solve(lp).tight_inequalities == {1, 3}
+        assert lp_solve(lp.with_objective(vec(-1))).tight_inequalities == {0, 2}
+
+    def test_copies_under_equalities(self):
+        # with x1 = 1 - x2 the rows read x2 <= 1 and -x2 <= 2, rhs >= 0
+        rows = ((vec(0, 1), Fraction(1)), (vec(1, 0), Fraction(3))) * 2
+        lp = LinearProgram(vec(-1, 0), ((vec(1, 1), Fraction(1)),), rows, 2)
+        start = lp._rows.start()
+        assert start.copies == [(2, 0), (3, 1)]
+        out = lp_solve(lp)
+        assert out.point == vec(3, -2)
+        assert out.tight_inequalities == {1, 3}
+        assert out == gens.solve_every_row(lp)

@@ -1,5 +1,6 @@
 """Grid-oracle cross-checks, including problems outside the hypotheses."""
 
+import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from polydc import (
     parse_problem,
 )
 from polydc import gridcheck
+from polydc.optimality import LocalStatus
 
 import gens
 from gens import vec
@@ -103,3 +105,69 @@ def test_each_grid_point_is_evaluated_once(monkeypatch):
     assert report.ok and report.points_in_set == 425
     # 3,577 calls when every in-C neighbour was evaluated again
     assert len(calls) == len(set(calls)) == 425
+
+
+def test_descent_off_the_grid_directions_is_found(capsys):
+    # f = 2|x1 - 2 x2| - x1 descends along (2, 1) only, which is no grid
+    # direction: on the kink line no grid neighbour is better, and the
+    # evidence is the point one step toward the minimizer of g - h_1
+    from polydc.cli import main
+
+    path = gens.PROBLEMS / "narrow_cone.json"
+    report = grid_cross_check(parse_problem(path.read_text(encoding="utf-8")), F(1, 8))
+    assert report.ok, report.failures[:3]
+    assert report.points_in_set == 289
+    assert main(["verify", "--problem", str(path), "--grid-step", "1/8"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+
+
+def test_general_instances_check_out():
+    # kinks of g and h at any angle: a better neighbour past a breakpoint
+    # of f is no evidence against a local solution, and a descent cone may
+    # hold no grid direction; among these, both showed as false failures
+    rng = random.Random(5)
+    for _ in range(80):
+        prob = gens.random_dc_instance(rng, n_max=2)
+        report = grid_cross_check(prob, F(1, 4))
+        assert report.ok, (prob, report.failures[:3])
+
+
+def _patched(monkeypatch, wrong):
+    """gridcheck's classifier with `wrong(point, result)` applied."""
+    original = gridcheck.classify
+
+    def patched(prob, point):
+        return wrong(point, original(prob, point))
+
+    monkeypatch.setattr(gridcheck, "classify", patched)
+
+
+def test_wrong_local_verdict_fails(interval_problem, monkeypatch):
+    # every point called a stationary local solution, the chain intact:
+    # at x = 2, where f = 1 - x, the segment to 2 + 1/8 descends
+    def local_everywhere(point, result):
+        return dataclasses.replace(
+            result, critical=True, stationary=True, local=LocalStatus.YES
+        )
+
+    _patched(monkeypatch, local_everywhere)
+    report = grid_cross_check(interval_problem, F(1, 8))
+    flagged = {f.point for f in report.failures if f.check == "local-minimum"}
+    assert (F(2),) in flagged
+    assert (F(0),) not in flagged  # f is flat on [-1, 1]
+
+
+def test_wrong_stationary_verdict_fails(interval_problem, monkeypatch):
+    # 0 is stationary (f is flat on [-1, 1]); called non-stationary, it has
+    # no better neighbour and lies in the optimal face of its active piece
+    def not_stationary_at_0(point, result):
+        if point != (F(0),):
+            return result
+        return dataclasses.replace(result, stationary=False, local=LocalStatus.NO)
+
+    _patched(monkeypatch, not_stationary_at_0)
+    report = grid_cross_check(interval_problem, F(1, 8))
+    assert {(f.point, f.check) for f in report.failures} == {
+        ((F(0),), "descent"),
+        ((F(0),), "piece-union"),
+    }

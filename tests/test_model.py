@@ -435,7 +435,7 @@ def reference_at(f, x):
 
 
 def reference_piece_contains(piece, x):
-    if reference_tight_rows(piece.rows, x) is None:
+    if reference_tight_rows(piece.closed_part, x) is None:
         return False
     at = reference_at(piece.h, x)
     return at is not None and all(j + 1 in piece.J1 for j in at[1])

@@ -609,11 +609,12 @@ def _fractional_instance(rng, q_max=6):
 
 
 class TestSmallerSemiClosedLps:
-    """local_pieces drops the repeated rows that cannot change a pivot,
-    poses no LP for an anchor that does not attain the least alpha, and
-    none for a piece outside Q.J1 being active in P; the pieces, their
-    witnesses and the adjacency witnesses must be those of the reference,
-    which does none of this."""
+    """local_pieces poses no LP for an anchor that does not attain the
+    least alpha, and none for a piece outside Q.J1 being active in P, and
+    the LP core leaves out the repeated rows of each closed part that
+    cannot change a pivot; the pieces, their witnesses and the adjacency
+    witnesses must be those of the reference, which does none of this:
+    its LPs keep every row (`gens.prepare_every_row`)."""
 
     def _instances(self):
         rng = random.Random(80)
@@ -630,8 +631,12 @@ class TestSmallerSemiClosedLps:
 
     def test_agrees_with_reference(self, monkeypatch):
         saw = {"merged": False, "edge": False, "equality": False}
-        for prob in self._instances():
-            expected = _reference_local_pieces(prob)
+        # the reference solves on instances of its own, so that it shares
+        # no prepared start with the pieces it checks
+        for prob, reference in zip(self._instances(), self._instances()):
+            with monkeypatch.context() as patch:
+                patch.setattr(exactlp, "_prepare", gens.prepare_every_row)
+                expected = _reference_local_pieces(reference)
             pieces = local_pieces(prob)
 
             def summary(ps):
@@ -639,8 +644,9 @@ class TestSmallerSemiClosedLps:
 
             assert summary(pieces) == summary(expected), prob
             edges = structure._adjacency(pieces)
-            assert edges == _reference_adjacency(expected), prob
             with monkeypatch.context() as patch:
+                patch.setattr(exactlp, "_prepare", gens.prepare_every_row)
+                assert edges == _reference_adjacency(expected), prob
                 patch.setattr(structure, "_adjacency", _reference_adjacency)
                 expected_components = components(prob, expected)
             assert components(prob, pieces) == expected_components, prob
@@ -658,14 +664,13 @@ class TestSmallerSemiClosedLps:
         assert max(len(prob.h.pieces) for prob in scaled) == 6
 
     def test_piece_built_by_hand_derives_its_system(self):
-        # rows = the whole closed part, repeated rows included: the system
-        # is derived from the fields and decides as the built piece does
+        # the system is derived from the fields, so a piece built by hand
+        # decides as the built piece does
         for prob in self._instances()[-10:]:
             pieces = local_pieces(prob)
             by_hand = [
                 SemiClosedPiece(
-                    p.J1, p.closed_part, p.excluded, p.h, p.witness, p.anchor,
-                    rows=p.closed_part,
+                    p.J1, p.closed_part, p.excluded, p.h, p.witness, p.anchor
                 )
                 for p in pieces
             ]
