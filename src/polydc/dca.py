@@ -242,9 +242,11 @@ def run(
     everywhere = PolyhedralSet.whole_space(prob.dimension)
     pick = getattr(rule, "pick", None)
     iterates: list[Iterate] = []
-    seen: dict[Vector, int] = {}
-    # xi -> (x, x scaled, g(x)) of its subproblem, for this run only
-    solved: dict[Vector, tuple[Vector, Scaled, Fraction]] = {}
+    # both memos are keyed by scaled points, which are equal exactly when
+    # the points are and hash as integers: x scaled -> its step, and
+    # xi scaled -> (x, x scaled, g(x)) of its subproblem, for this run only
+    seen: dict[Scaled, int] = {}
+    solved: dict[Scaled, tuple[Vector, Scaled, Fraction]] = {}
     step = 0
     g_value = at_g[0]  # (g + indicator(C))(x)
     while True:
@@ -270,7 +272,7 @@ def run(
                 "objective increased along a DCA run"
             )
         if rule.deterministic:
-            first = seen.get(x)
+            first = seen.get(point)
             if first is not None:
                 period = step - first
                 kind = (
@@ -280,14 +282,15 @@ def run(
                 )
                 termination = Termination(kind, step=first, period=period)
                 break
-            seen[x] = step
+            seen[point] = step
         if step >= max_iter:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
-        key = _check_dimension(xi, prob.dimension, "subgradient")
+        xi = _check_dimension(xi, prob.dimension, "subgradient")
+        key = _scaled(xi)
         if key not in solved:
             try:
-                x, sub_value = solve_subproblem(g_plus, everywhere, key)
+                x, sub_value = solve_subproblem(g_plus, everywhere, xi)
             except SubproblemUnboundedError:
                 termination = Termination(
                     TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
@@ -296,7 +299,7 @@ def run(
             # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x
             # is taken on integers, like every evaluation at x
             point = _scaled(x)
-            (X, d), (Xi, s) = point, _scaled(key)
+            (X, d), (Xi, s) = point, key
             g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
             solved[key] = x, point, g_value
         x, point, g_value = solved[key]

@@ -47,7 +47,9 @@ lexmin=k)` restricts it to the optimal face by fixing every nonbasic column
 of nonzero reduced cost at 0, then loads each of the first k coordinates in
 turn as the objective, minimizes it over the columns still allowed and
 fixes again: the lexicographic simplex of Dantzig, Orden and Wolfe (1955).
-A coordinate that has no minimum on the face is pinned with one new
+A face whose every column of zero reduced cost is basic, or the mirror of
+a basic column of a split coordinate, is one point and is not walked.  A
+coordinate that has no minimum on the face is pinned with one new
 primitive, `_Tableau.add_equality`: the row is written in the current basis
 (`det * a - sum of a[basis[i]] * rows[i]`), made basic on a new artificial,
 and phase 1 over the allowed columns drives that artificial to 0 and out.
@@ -641,12 +643,21 @@ class _Start:
             tableau.det * self.det * scale,
         )
         if lexmin:
-            # the optimal face: the columns of zero reduced cost, the others at 0
+            # the optimal face: the columns of zero reduced cost, the others
+            # at 0.  The mirror of a basic z+ or z- column is one of them
+            # whatever the objective, and moves no coordinate of x.  When
+            # every other one is basic the face is one point of x, where
+            # each step would load its objective and pivot nowhere.
             columns = [j for j in range(n) if tableau.reduced[j] == 0]
-            for k in range(lexmin):
-                unit = [0] * self.dimension
-                unit[k] = 1
-                columns = tableau.lexmin_step(self.split(unit), columns)
+            basic = set(tableau.basis)
+            if any(
+                j not in basic and (j >= 2 * f or (j + f) % (2 * f) not in basic)
+                for j in columns
+            ):
+                for k in range(lexmin):
+                    unit = [0] * self.dimension
+                    unit[k] = 1
+                    columns = tableau.lexmin_step(self.split(unit), columns)
 
         z = [0] * f  # numerators over tableau.det
         loose = set()  # rows whose slack is basic and positive
@@ -775,6 +786,48 @@ def lp_feasible(
     return outcome.point if outcome.is_optimal else None
 
 
+def _margin_lp(
+    equalities: Sequence[IntegerRow],
+    weak_inequalities: Sequence[IntegerRow],
+    strict_inequalities: Sequence[IntegerRow],
+    dimension: int,
+) -> LinearProgram:
+    """The LP over (x, eps) that maximizes the margin eps >= 0 of the
+    strict rows (see `max_slack`).
+
+    Every row is an integer row (A, B, s), as `integer_row` makes it, and
+    eps gets the coefficient s in a strict row and 0 in any other, so each
+    LP row is its rational row times the lcm of its denominators, without
+    scaling anything again.  The eps >= 0 slice of the LP, projected on x,
+    is the closure of the strict system whenever that system has a point.
+    """
+    eq = [(A + (0,), B) for A, B, _ in equalities]
+    ineq = [(A + (0,), B) for A, B, _ in weak_inequalities]
+    ineq += [(A + (s,), B) for A, B, s in strict_inequalities]
+    ineq.append(((0,) * dimension + (-1,), 0))  # eps >= 0
+    objective = zero_vector(dimension) + (-ONE,)  # maximize eps
+    return _integer_lp(objective, eq, ineq, dimension + 1)
+
+
+def _solve_margin(
+    lp: LinearProgram,
+) -> tuple[ExtendedRational, Optional[Vector], LinearProgram]:
+    """`max_slack` of the margin LP `lp`, and the LP the witness comes
+    from: `lp`, or when the margin is unbounded the same rows capped at
+    eps <= 1."""
+    dimension = lp.dimension - 1
+    outcome = lp_solve(lp)
+    if outcome.status is LpStatus.INFEASIBLE:
+        return ExtendedRational.finite(0), None, lp
+    if outcome.status is LpStatus.UNBOUNDED:
+        cap = ((0,) * dimension + (1,), 1)  # eps <= 1
+        capped = _integer_lp(
+            lp.objective, lp.equalities, lp.inequalities + (cap,), lp.dimension
+        )
+        return PLUS_INF, lp_solve(capped).point[:dimension], capped
+    return ExtendedRational.finite(-outcome.value), outcome.point[:dimension], lp
+
+
 def max_slack(
     equalities: Sequence[IntegerRow],
     weak_inequalities: Sequence[IntegerRow],
@@ -788,26 +841,26 @@ def max_slack(
     `r.x <= b` tightened to `r.x <= b - eps`.  The strict system has a
     solution iff slack > 0.  Slack 0 with witness None means even the weak
     system is empty; slack may be +inf, in which case the witness has
-    margin 1.
-
-    Every row is an integer row (A, B, s), as `integer_row` makes it.  The
-    LP is over (x, eps), and eps gets the coefficient s in a strict row and
-    0 in any other, so each LP row is its rational row times the lcm of
-    its denominators, without scaling anything again.
+    margin 1.  Every row is an integer row (A, B, s); the LP is
+    `_margin_lp`'s.
     """
-    eq = [(A + (0,), B) for A, B, _ in equalities]
-    ineq = [(A + (0,), B) for A, B, _ in weak_inequalities]
-    ineq += [(A + (s,), B) for A, B, s in strict_inequalities]
-    ineq.append(((0,) * dimension + (-1,), 0))  # eps >= 0
-    objective = zero_vector(dimension) + (-ONE,)  # maximize eps
-    outcome = lp_solve(_integer_lp(objective, eq, ineq, dimension + 1))
-    if outcome.status is LpStatus.INFEASIBLE:
-        return ExtendedRational.finite(0), None
-    if outcome.status is LpStatus.UNBOUNDED:
-        ineq.append(((0,) * dimension + (1,), 1))  # eps <= 1
-        capped = _integer_lp(objective, eq, ineq, dimension + 1)
-        return PLUS_INF, lp_solve(capped).point[:dimension]
-    return ExtendedRational.finite(-outcome.value), outcome.point[:dimension]
+    return _solve_margin(
+        _margin_lp(equalities, weak_inequalities, strict_inequalities, dimension)
+    )[:2]
+
+
+def _margin_exceeds(lp: LinearProgram, row: IntegerRow) -> bool:
+    """Whether some point x of a feasible margin LP's eps >= 0 slice has
+    A.x > B, for the integer row (A, B, s).
+
+    One phase 2 on the prepared start that `lp` shares: the maximum of A.x
+    over the slice, the closure of the strict system, is above B or
+    unbounded.  When the strict system has a point, its members are dense
+    in the closure, so some member then has A.x > B as well.
+    """
+    A, B, _ = row
+    outcome = lp_solve(lp.with_objective(tuple([-c for c in A]) + (0,)))
+    return outcome.status is LpStatus.UNBOUNDED or -outcome.value > B
 
 
 def optimality_certificate(

@@ -40,13 +40,29 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   once Q holds that witness.  Then P ⊆ Q asks whether a member of P
   violates a closed row of Q; a row that is already in P's system (a row
   of C, of dom g, or of a face shared by both J1 sets) holds at every
-  member, so only the other rows of Q cost an LP.
+  member, so only the other rows of Q are tested.
+* Containment by phase 2 alone.  Every member of a nonempty P satisfies
+  a.x <= b iff the maximum of a.x over cl(P) is at most b, as P is convex
+  and contains the relative interior of cl(P).  The eps >= 0 slice of P's
+  own margin LP is cl(P), so each row test is one phase 2 on the prepared
+  start that P's witness came from, which the piece keeps.  Only an LP
+  that yields a witness (a piece, a closure test) is posed afresh.
+* Sub-pieces skipped (the skip lemma).  Let K ⊂ J1 with a nonempty piece
+  whose every member lies in the face of each j in J1 - K.  Then
+  piece(J1) = piece(K).  A member of piece(K) lies in the closed part of
+  J1 with active set inside K ⊆ J1, so it is a member of piece(J1), and
+  A*(J1), the active set of every member of piece(J1), lies in K.  So a
+  member of piece(J1), in the closed part of J1 and thus of K, is a member
+  of piece(K).  Conversely piece(J1) = piece(K) puts every member of K in
+  the closed part of J1, so J1 is skipped exactly when its piece would be
+  merged into K's.  Two necessary conditions cost no LP and are checked
+  first: A*(J1) ⊆ K, read from alpha, and K's witness in J1's closed part.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Optional, Sequence
@@ -54,6 +70,7 @@ from typing import Optional, Sequence
 from .exactlp import (
     ExtendedRational,
     IntegerRow,
+    LinearProgram,
     LpStatus,
     MINUS_INF,
     Vector,
@@ -61,6 +78,9 @@ from .exactlp import (
     max_slack,
     midpoint,
     vsub,
+    _margin_exceeds,
+    _margin_lp,
+    _solve_margin,
 )
 from .model import (
     DcProblem,
@@ -122,7 +142,8 @@ class SemiClosedPiece:
 
     The semi-closed piece is convex; by the lemma (module docstring) its
     members are exactly the points of its anchor's system, `_system`, which
-    is derived from the fields.
+    is derived from the fields.  `_lp` is the margin LP of that system that
+    `build_piece` solved; a piece built without it poses it on first use.
     """
 
     J1: frozenset[int]
@@ -131,10 +152,19 @@ class SemiClosedPiece:
     h: MaxAffine
     witness: Vector
     anchor: int
+    _lp: Optional[LinearProgram] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _system(self) -> _System:
         return _anchor_system(self.h, self.closed_part, self.J1, self.anchor)
+
+    @cached_property
+    def _margin(self) -> LinearProgram:
+        """The margin LP of `_system` (`exactlp._margin_lp`), whose prepared
+        start every containment test of the piece continues."""
+        if self._lp is not None:
+            return self._lp
+        return _margin_lp(*self._system, self.dimension)
 
     def contains(self, x: Sequence) -> bool:
         point = _scaled(_check_dimension(x, self.dimension))
@@ -260,11 +290,12 @@ def build_piece(
     Precondition: `closed_part` lies in the optimal face of every j in J1,
     and `anchor` has the least alpha over J1.  By the lemma (module
     docstring) the piece is then the one system of `anchor`, which has a
-    member iff its strict rows admit positive margin: one LP.
+    member iff its strict rows admit positive margin: one LP, which the
+    piece keeps.
     """
     system = _anchor_system(h, closed_part, J1, anchor)
-    witness = _strict_witness(*system, closed_part.dimension)
-    if witness is None:
+    slack, witness, lp = _solve_margin(_margin_lp(*system, closed_part.dimension))
+    if not _positive(slack):
         return None
     return SemiClosedPiece(
         J1=J1,
@@ -273,6 +304,7 @@ def build_piece(
         h=h,
         witness=witness,
         anchor=anchor,
+        _lp=lp,
     )
 
 
@@ -282,41 +314,68 @@ def _negated(row: IntegerRow) -> IntegerRow:
     return tuple([-c for c in A]), -B, s
 
 
+def _satisfies(P: SemiClosedPiece, S: PolyhedralSet) -> bool:
+    """Whether every member of P lies in S.
+
+    A member of P satisfies every row of P's system, so a row of S that is
+    already one needs no LP.  Each other row a.x <= b of S holds at every
+    member iff its maximum over cl(P) is at most b, since the members are
+    dense in cl(P); an equality is tested as a.x <= y and -a.x <= -y.  That
+    maximum is one phase 2 on the prepared start of P's margin LP, whose
+    eps >= 0 slice is cl(P) (`exactlp._margin_exceeds`); each row of S is
+    tested once.
+    """
+    equalities, weak, _ = P._system
+    # rows every member satisfies, or tested
+    settled_equalities, settled = set(equalities), set(weak)
+    tests = []
+    S_equalities, S_inequalities = S._integer_rows
+    for row in S_equalities:
+        if row not in settled_equalities:
+            settled_equalities.add(row)
+            tests += [row, _negated(row)]  # a.x > y or a.x < y
+    for row in S_inequalities:
+        if row not in settled:
+            settled.add(row)
+            tests.append(row)
+    lp = P._margin
+    return not any(_margin_exceeds(lp, row) for row in tests)
+
+
 def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     """Exact containment of member sets of two semi-closed pieces.
 
     P's witness is a member of P, so P ⊄ Q when Q does not hold it.  Every
     member of P has the witness's active set (the lemma), so once Q holds
-    the witness, P ⊆ Q iff no member of P violates a closed row of Q.  A
-    member of P satisfies every row of P's system, so a closed row of Q
-    that is already one needs no LP; each remaining row of Q is tested once.
+    the witness, P ⊆ Q iff every member of P lies in Q's closed part.
     """
-    if not Q.contains(P.witness):
-        return False
-    equalities, weak, strict = P._system
-    # rows every member satisfies, or tested
-    settled_equalities, settled = set(equalities), set(weak)
-    violations = []
-    Q_equalities, Q_inequalities = Q.closed_part._integer_rows
-    for row in Q_equalities:
-        if row not in settled_equalities:
-            settled_equalities.add(row)
-            violations += [row, _negated(row)]  # a.x < y or a.x > y
-    for row in Q_inequalities:
-        if row not in settled:
-            settled.add(row)
-            violations.append(_negated(row))
-    return not any(
-        _strict_witness(equalities, weak, strict + (violation,), P.dimension)
-        is not None
-        for violation in violations
-    )
+    return Q.contains(P.witness) and _satisfies(P, Q.closed_part)
 
 
 def _same_member_set(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     # no containment LP runs before P holds Q's witness and Q holds P's,
     # the check that opens _piece_subset
     return P.contains(Q.witness) and _piece_subset(P, Q) and _piece_subset(Q, P)
+
+
+def _equals_sub_piece(
+    K: SemiClosedPiece,
+    J1: frozenset[int],
+    least: frozenset[int],
+    closed_part: PolyhedralSet,
+) -> bool:
+    """Whether the piece of J1 has the member set of the nonempty piece K,
+    decided without an LP for J1 (the skip lemma, module docstring): every
+    member of K must lie in `closed_part`, J1's.  `least` is A*(J1), which
+    must lie in K.J1, and K's witness, a member of K, in `closed_part`; both
+    are necessary, and neither costs an LP.
+    """
+    return (
+        K.J1 < J1
+        and least <= K.J1
+        and closed_part._tight_rows(_scaled(K.witness)) is not None
+        and _satisfies(K, closed_part)
+    )
 
 
 def local_pieces(
@@ -326,15 +385,18 @@ def local_pieces(
 ) -> tuple[SemiClosedPiece, ...]:
     """All nonempty semi-closed pieces of the local solution set.
 
-    Every nonempty subset J1 of h's piece indices is tried, with one LP
-    for the system of its anchor (see the module docstring); pieces whose
-    member sets are provably equal are merged, keeping the smallest J1.
-    Equality is containment both ways, and each containment LP tests one
-    row of the other piece's closed part that the piece's own system does
-    not already impose, so faces shared by the two J1 sets cost nothing.
-    Under the containment hypotheses the union of the returned pieces is
-    exactly the local solution set.  `linearized` is as in
-    `global_solutions`.
+    The nonempty subsets J1 of h's piece indices are tried by size, then
+    lexicographically, and pieces whose member sets are provably equal are
+    merged, keeping the smallest J1.  A J1 whose piece equals that of an
+    earlier kept K ⊂ J1 is skipped without an LP of its own (the skip
+    lemma); any other costs one LP for the system of its anchor (see the
+    module docstring), and a nonempty piece is kept unless it has the
+    member set of a kept one.  Equality is containment both ways, and each
+    containment test is one phase 2 per row of the other piece's closed
+    part that the piece's own system does not already impose, so faces
+    shared by the two J1 sets cost nothing.  Under the containment
+    hypotheses the union of the returned pieces is exactly the local
+    solution set.  `linearized` is as in `global_solutions`.
     """
     if linearized is None:
         check_structure_hypotheses(prob)
@@ -347,7 +409,8 @@ def local_pieces(
         linearized = _linearize_all(prob)
     omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
-    kept: list[SemiClosedPiece] = []
+    # one piece per member set, with the smallest J1 that gives it
+    representatives: list[SemiClosedPiece] = []
     for size in range(1, q + 1):
         for combo in itertools.combinations(prob.h.indices, size):
             J1 = frozenset(combo)
@@ -357,14 +420,16 @@ def local_pieces(
             closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
             # the first index of least alpha; finite, as every face exists
             anchor = min(combo, key=alpha.__getitem__)
+            least = frozenset([j for j in combo if alpha[j] == alpha[anchor]])
+            if any(
+                _equals_sub_piece(K, J1, least, closed_part) for K in representatives
+            ):
+                continue
             piece = build_piece(prob.h, closed_part, J1, anchor)
-            if piece is not None:
-                kept.append(piece)
-    # merge duplicates, keeping the smallest J1 of each equivalence class
-    representatives: list[SemiClosedPiece] = []
-    for piece in kept:  # kept is ordered by (|J1|, lexicographic)
-        if not any(_same_member_set(piece, rep) for rep in representatives):
-            representatives.append(piece)
+            if piece is not None and not any(
+                _same_member_set(piece, rep) for rep in representatives
+            ):
+                representatives.append(piece)
     return tuple(
         sorted(representatives, key=lambda p: tuple(sorted(p.J1)))
     )

@@ -6,13 +6,14 @@ Gaussian elimination over Fractions) used to cross-check the simplex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 from polydc import DcProblem, LinearProgram, MaxAffine, PolyhedralSet, parse_problem
-from polydc import exactlp
+from polydc import exactlp, structure
 from polydc.exactlp import dot, integer_row
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -166,6 +167,126 @@ def solve_every_row(lp: LinearProgram, lexmin: int = 0):
     """`lp_solve(lp, lexmin)` over a start from `prepare_every_row`."""
     start = prepare_every_row(lp.equalities, lp.inequalities, lp.dimension)
     return exactlp.INFEASIBLE if start is None else start.solve(lp.objective, lexmin)
+
+
+def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
+    """`lp_solve(lp, lexmin)` as it was before `_Start.solve` skipped the
+    lexmin walk on an optimal face that is one vertex: every step is
+    walked.  Returns the outcome and the final tableau as (rows, basis,
+    det), None when the start has no tableau."""
+    start = lp._rows.start()
+    if start is None:
+        return exactlp.INFEASIBLE, None
+    A, _, scale = integer_row(lp.objective, 0)
+    line = start.split(A)
+    if start.tableau is None:
+        value = Fraction(-line[-1], start.det * scale)
+        outcome = exactlp.LpOutcome(
+            exactlp.LpStatus.OPTIMAL,
+            value,
+            start.lift((), 1),
+            start._with_copies(start.tight),
+        )
+        return outcome, None
+    tableau = start.tableau.copy()
+    f = len(start.free)
+    n = 2 * f + len(start.projected)
+    tableau.load(line)
+    if not tableau.minimize(range(n)):
+        return exactlp.UNBOUNDED, (tableau.rows, tableau.basis, tableau.det)
+    value = Fraction(
+        -tableau.reduced[-1] - line[-1] * tableau.det,
+        tableau.det * start.det * scale,
+    )
+    if lexmin:
+        columns = [j for j in range(n) if tableau.reduced[j] == 0]
+        for k in range(lexmin):
+            unit = [0] * lp.dimension
+            unit[k] = 1
+            columns = tableau.lexmin_step(start.split(unit), columns)
+    z = [0] * f
+    loose = set()
+    for row, col in zip(tableau.rows, tableau.basis):
+        if col < f:
+            z[col] += row[n]
+        elif col < 2 * f:
+            z[col - f] -= row[n]
+        elif row[n] != 0:
+            loose.add(col - 2 * f)
+    tight = start.tight.union(
+        i for k, i in enumerate(start.projected) if k not in loose
+    )
+    outcome = exactlp.LpOutcome(
+        exactlp.LpStatus.OPTIMAL,
+        value,
+        start.lift(z, tableau.det),
+        start._with_copies(tight),
+    )
+    return outcome, (tableau.rows, tableau.basis, tableau.det)
+
+
+# ---------------------------------------------------------------------------
+# the local solution set as it was built before sub-pieces were skipped
+
+
+def reference_piece_subset(P, Q) -> bool:
+    """`structure._piece_subset` as it was before containment ran on P's
+    own margin LP: once Q holds P's witness, one fresh margin LP per row of
+    Q's closed part that P's system does not impose, with the row's
+    violation as one more strict row."""
+    if not Q.contains(P.witness):
+        return False
+    equalities, weak, strict = P._system
+    settled_equalities, settled = set(equalities), set(weak)
+    violations = []
+    Q_equalities, Q_inequalities = Q.closed_part._integer_rows
+    for row in Q_equalities:
+        if row not in settled_equalities:
+            settled_equalities.add(row)
+            violations += [row, structure._negated(row)]
+    for row in Q_inequalities:
+        if row not in settled:
+            settled.add(row)
+            violations.append(structure._negated(row))
+    return not any(
+        structure._strict_witness(equalities, weak, strict + (v,), P.dimension)
+        is not None
+        for v in violations
+    )
+
+
+def reference_local_pieces(prob: DcProblem):
+    """`structure.local_pieces` as it was before it skipped the J1 whose
+    piece equals an earlier one's: a piece is built for every J1, and the
+    pieces are then merged pairwise by `reference_piece_subset`, keeping
+    the first of each member set."""
+    linearized = structure._linearize_all(prob)
+    omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
+    alpha = {shifted.piece: shifted.value for _, shifted in linearized}
+    kept = []
+    for size in range(1, len(prob.h.pieces) + 1):
+        for combo in itertools.combinations(prob.h.indices, size):
+            faces = [omega[j].face for j in combo]
+            if any(face is None for face in faces):
+                continue
+            closed_part = functools.reduce(PolyhedralSet.intersect, faces)
+            closed_part = closed_part.intersect(prob.C)
+            anchor = min(combo, key=alpha.__getitem__)
+            piece = structure.build_piece(
+                prob.h, closed_part, frozenset(combo), anchor
+            )
+            if piece is not None:
+                kept.append(piece)
+    representatives = []
+    for P in kept:
+        if not any(
+            P.contains(Q.witness)
+            and reference_piece_subset(P, Q)
+            and reference_piece_subset(Q, P)
+            for Q in representatives
+        ):
+            representatives.append(P)
+    return tuple(sorted(representatives, key=lambda p: tuple(sorted(p.J1))))
 
 
 # ---------------------------------------------------------------------------

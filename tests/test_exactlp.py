@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -881,3 +882,57 @@ class TestRepeatedRows:
         assert out.point == vec(3, -2)
         assert out.tight_inequalities == {1, 3}
         assert out == gens.solve_every_row(lp)
+
+
+def solved_with_tableau(lp, lexmin):
+    """`lp_solve(lp, lexmin)` and the tableau it ends with, as (rows,
+    basis, det), None when the start has no tableau: each solve works on
+    one copy of the start's tableau."""
+    copies = []
+    copy = exactlp._Tableau.copy
+
+    def recording(tableau):
+        copies.append(copy(tableau))
+        return copies[-1]
+
+    with mock.patch.object(exactlp._Tableau, "copy", recording):
+        out = lp_solve(lp, lexmin=lexmin)
+    if not copies:
+        return out, None
+    (tableau,) = copies
+    return out, (tableau.rows, tableau.basis, tableau.det)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(lps_with_copies())
+def test_lexmin_walk_skipped_on_a_vertex_face_changes_nothing(case):
+    lp, lexmin = case
+    assert solved_with_tableau(lp, lexmin) == gens.solve_always_walking(lp, lexmin)
+
+
+def test_lexmin_walk_runs_only_off_a_vertex_face():
+    """With every column of zero reduced cost basic, the optimal face is one
+    vertex and `_Start.solve` takes no lexmin step; else it walks.  Both
+    occur, and every outcome and final tableau is the always-walking one."""
+    rng = random.Random(1505)
+    steps = []
+    lexmin_step = exactlp._Tableau.lexmin_step
+
+    def counting(tableau, line, columns):
+        steps.append(line)
+        return lexmin_step(tableau, line, columns)
+
+    walked = {True: 0, False: 0}
+    for _ in range(150):
+        lp = gens.random_bounded_lp(rng, fractional=rng.random() < 0.3)
+        for objective in (lp.objective, (Fraction(0),) * lp.dimension):
+            lp = lp.with_objective(objective)
+            del steps[:]
+            with mock.patch.object(exactlp._Tableau, "lexmin_step", counting):
+                got = solved_with_tableau(lp, lp.dimension)
+            assert got == gens.solve_always_walking(lp, lp.dimension)
+            out, tableau = got
+            if out.is_optimal and tableau is not None:
+                walked[bool(steps)] += 1
+                assert len(steps) in (0, lp.dimension)
+    assert walked[True] > 0 and walked[False] > 0, walked

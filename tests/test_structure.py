@@ -26,6 +26,7 @@ from polydc.structure import (
     EnumerationCapExceeded,
     HypothesisNotMet,
     _piece_subset,
+    _same_member_set,
     _strict_witness,
     build_piece,
     check_structure_hypotheses,
@@ -711,13 +712,13 @@ class TestLinearizationLemma:
 
     def test_live_anchors_are_the_least_alpha_set(self, monkeypatch):
         slack_calls = []
-        max_slack = structure.max_slack
+        solve_margin = structure._solve_margin
 
-        def counting(*args):
-            slack_calls.append(args)
-            return max_slack(*args)
+        def counting(lp):  # each margin LP build_piece solves
+            slack_calls.append(lp)
+            return solve_margin(lp)
 
-        monkeypatch.setattr(structure, "max_slack", counting)
+        monkeypatch.setattr(structure, "_solve_margin", counting)
         instances = self._instances()
         assert len(instances) >= 300
         nonempty, tied = 0, 0
@@ -757,6 +758,112 @@ class TestLinearizationLemma:
             active = prob.h.active_indices(faces[0].witness)
             assert min(active) == j0 and active <= J_star
         assert unbounded > 0
+
+
+class TestSkippedSubPieces:
+    """local_pieces skips a J1 whose piece equals that of a kept K ⊂ J1,
+    and tests containment by phase 2 on the start of the piece's own margin
+    LP.  The parent algorithm (`gens.reference_local_pieces`) builds every
+    J1 and merges by a fresh margin LP per row; both must give the same
+    pieces, witnesses, adjacency witnesses and components."""
+
+    def test_agrees_with_building_every_piece(self, monkeypatch):
+        skips = []
+        equals_sub_piece = structure._equals_sub_piece
+
+        def counting(*args):
+            skips.append(equals_sub_piece(*args))
+            return skips[-1]
+
+        monkeypatch.setattr(structure, "_equals_sub_piece", counting)
+        rng = random.Random(1515)
+        merged = 0
+        for _ in range(300):
+            prob = gens.random_dc_instance(rng, n_max=3)
+            pieces = local_pieces(prob)
+            expected = gens.reference_local_pieces(prob)
+
+            def summary(ps):
+                return [(p.J1, p.closed_part, p.witness, p.anchor) for p in ps]
+
+            assert summary(pieces) == summary(expected), prob
+            assert pieces == expected
+            edges = structure._adjacency(pieces)
+            assert edges == structure._adjacency(expected), prob
+            assert components(prob, pieces) == components(prob, expected), prob
+            merged += len(pieces) < len(_lattice_pieces(prob))
+        assert any(skips) and not all(skips) and merged > 0
+
+    def test_skip_verdict_is_equality_of_member_sets(self):
+        # K ⊂ J1 with K nonempty: the skip holds exactly when J1's piece is
+        # nonempty and has K's member set
+        rng = random.Random(1516)
+        instances = [gens.random_dc_instance(rng, n_max=3) for _ in range(40)]
+        instances += [_shaped_instance(rng) for _ in range(30)]
+        verdicts = {True: 0, False: 0}
+        for prob in instances:
+            check_structure_hypotheses(prob)
+            built = []
+            for J1, closed_part, alpha in _lattice(prob):
+                anchor = min(sorted(J1), key=alpha.__getitem__)
+                least = frozenset(j for j in J1 if alpha[j] == alpha[anchor])
+                piece = build_piece(prob.h, closed_part, J1, anchor)
+                for K in built:
+                    if not K.J1 < J1:
+                        continue
+                    verdict = structure._equals_sub_piece(K, J1, least, closed_part)
+                    expected = piece is not None and _same_member_set(piece, K)
+                    assert verdict == expected, (prob, K.J1, J1)
+                    verdicts[verdict] += 1
+                if piece is not None:
+                    built.append(piece)
+        assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+
+    def _counting_prepares(self, monkeypatch):
+        prepared = []
+        prepare = exactlp._prepare
+
+        def counting(*args):
+            prepared.append(args)
+            return prepare(*args)
+
+        monkeypatch.setattr(exactlp, "_prepare", counting)
+        return prepared
+
+    def test_interval_prepares_five_starts(self, interval_problem, monkeypatch):
+        linearized = structure._linearize_all(interval_problem)
+        prepared = self._counting_prepares(monkeypatch)
+        pieces = local_pieces(interval_problem, linearized=linearized)
+        assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
+        # the pieces of {1}, {2}, {3}, and the two empty ones of {1, 3} and
+        # {1, 2, 3}; 9 when every J1 was built and each containment test
+        # posed a margin LP of its own
+        assert len(prepared) == 5
+
+    def test_no_margin_lp_is_prepared_twice(self, monkeypatch):
+        rng = random.Random(1517)
+        instances = [gens.random_dc_instance(rng, n_max=2) for _ in range(15)]
+        instances += [_shaped_instance(rng) for _ in range(15)]
+        prepared = self._counting_prepares(monkeypatch)
+        for prob in instances:
+            pieces = local_pieces(prob)
+            by_hand = [
+                SemiClosedPiece(
+                    p.J1, p.closed_part, p.excluded, p.h, p.witness, p.anchor
+                )
+                for p in pieces
+            ]
+            # a built piece keeps the LP it was decided by, whose start is
+            # prepared; a piece built by hand poses and prepares it once
+            del prepared[:]
+            for P, Q in itertools.product(pieces, repeat=2):
+                _piece_subset(P, Q)
+            assert prepared == []
+            for _ in range(2):
+                for mine, P in zip(by_hand, pieces):
+                    for Q in pieces:
+                        assert _piece_subset(mine, Q) == _piece_subset(P, Q)
+            assert len(prepared) <= len(by_hand)
 
 
 class TestMembershipEvaluatesDomHOnce:
