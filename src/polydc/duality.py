@@ -10,7 +10,8 @@ For polyhedral h the dual value is attained at a piece gradient v_j of h,
 so the candidate pool of the check is exactly the distinct piece gradients.
 The conjugate of g + indicator(C) at v_j is read off the linearized
 subproblem of piece j (`structure._linearize`), which is the same epigraph
-LP; only h*(v_j) costs an LP of its own.
+LP and which the problem poses once (`DcProblem._linearized`); only h*(v_j)
+costs an LP of its own.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
     lies in J*.  A check in which v_j0 misses alpha_bar raises.
     """
     structure.check_structure_hypotheses(prob)
-    linearized = structure._linearize_all(prob)
+    linearized = prob._linearized
     alpha_bar, J_star, _ = structure.global_solutions(prob, linearized)
 
     scored: dict[Vector, ExtendedRational] = {}

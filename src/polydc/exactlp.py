@@ -10,7 +10,9 @@ solution:
 
 * Each row is scaled once, where it is made: `integer_row` multiplies it by
   the lcm of its denominators and keeps that scale.  A `LinearProgram`
-  built from rational rows scales them in its constructor; `PolyhedralSet`
+  built from rational rows scales its equalities in its constructor and its
+  inequalities when they are first read, which for an LP whose equalities
+  have no solution is never; `PolyhedralSet`
   keeps its rows' integer forms, and `max_slack` poses its LP from them.
   From there on the core sees integers only.  The equalities are brought
   to reduced row echelon form without fractions, and every inequality is
@@ -221,32 +223,47 @@ def integer_row(a: Sequence, b) -> IntegerRow:
     return A, b._numerator * (s // b._denominator), s
 
 
+class _ScaledOnRead:
+    """`LinearProgram.inequalities`: the rows the caller passes are held by
+    the LP's `_Rows` as given, and every read returns them as integer rows,
+    scaled on the first read (`_Rows.inequalities`)."""
+
+    def __get__(self, lp, owner=None):
+        if lp is None:
+            raise AttributeError("inequalities")  # the field has no default
+        return lp._rows.inequalities
+
+    def __set__(self, lp, rows):
+        lp.__dict__["_given"] = rows  # taken by `__post_init__`
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize <objective, x> subject to equality and `row . x <= rhs` rows.
 
-    The constructor scales each rational row once (`integer_row`) and holds
-    the integer rows, (A, B) each, with their prepared start (see
-    `lp_solve`), which every LP made by `with_objective` shares.  Whatever
-    reads `equalities` and `inequalities`, `optimality_certificate` among
-    them, reads these integer rows, not the rows the caller passed.
+    The constructor scales each rational equality once (`integer_row`) and
+    holds the integer rows, (A, B) each, with their prepared start (see
+    `lp_solve`), which every LP made by `with_objective` shares.  The
+    inequalities are scaled on their first read: `_prepare` reads them only
+    once the equalities have a solution, so an LP whose equalities have none
+    scales no inequality.  Whatever reads `equalities` and `inequalities`,
+    `optimality_certificate` among them, reads these integer rows, not the
+    rows the caller passed.
     """
 
     objective: Vector
     equalities: tuple[LpRow, ...]
-    inequalities: tuple[LpRow, ...]
+    inequalities: tuple[LpRow, ...] = _ScaledOnRead()
     dimension: int
     _rows: Optional["_Rows"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        given = self.__dict__.pop("_given")
         rows = self._rows
-        if rows is None or not rows.holds(self):
-            rows = _Rows(
-                _scale(self.equalities), _scale(self.inequalities), self.dimension
-            )
+        if rows is None or not rows.holds(self.equalities, given, self.dimension):
+            rows = _Rows(_scale(self.equalities), given, self.dimension, scaled=False)
             object.__setattr__(self, "_rows", rows)
             object.__setattr__(self, "equalities", rows.equalities)
-            object.__setattr__(self, "inequalities", rows.inequalities)
         object.__setattr__(self, "objective", vector(self.objective))
         if len(self.objective) != self.dimension:
             raise ValueError("objective length does not match dimension")
@@ -261,29 +278,44 @@ class LinearProgram:
 
 class _Rows:
     """The integer rows of an LP and their prepared start, which `start`
-    builds on first use; after that it is only read.  Two threads that ask
-    at once may both build it and keep equal starts."""
+    builds on first use; after that it is only read.  Inequalities given as
+    rational rows (`scaled=False`) are scaled on the first read of
+    `inequalities`.  Two threads that ask at once may both build the start,
+    or scale the rows, and keep equal ones."""
 
-    __slots__ = ("equalities", "inequalities", "dimension", "_start")
+    __slots__ = ("equalities", "_inequalities", "_given", "dimension", "_start")
 
-    def __init__(self, equalities, inequalities, dimension: int):
+    def __init__(self, equalities, inequalities, dimension: int, scaled: bool = True):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.equalities = equalities
-        self.inequalities = inequalities
+        self._given = inequalities
+        if scaled:
+            self._inequalities = inequalities
         self.dimension = dimension
-        for coeffs, _ in itertools.chain(self.equalities, self.inequalities):
+        for coeffs, _ in itertools.chain(equalities, inequalities):
             if len(coeffs) != dimension:
                 raise ValueError(
                     f"row of length {len(coeffs)} in LP of dimension {dimension}"
                 )
 
-    def holds(self, lp: "LinearProgram") -> bool:
-        """Whether these are `lp`'s rows, the very same tuples."""
+    @property
+    def inequalities(self) -> tuple[LpRow, ...]:
+        try:
+            return self._inequalities
+        except AttributeError:
+            self._inequalities = _scale(self._given)
+            return self._inequalities
+
+    def holds(self, equalities, inequalities, dimension: int) -> bool:
+        """Whether these are the rows given, the very same tuples."""
         return (
-            lp.equalities is self.equalities
-            and lp.inequalities is self.inequalities
-            and lp.dimension == self.dimension
+            equalities is self.equalities
+            and dimension == self.dimension
+            and (
+                inequalities is self._given
+                or inequalities is getattr(self, "_inequalities", None)
+            )
         )
 
     def start(self) -> Optional["_Start"]:
@@ -291,8 +323,12 @@ class _Rows:
         try:
             return self._start
         except AttributeError:
-            self._start = _prepare(self.equalities, self.inequalities, self.dimension)
+            self._start = _prepare(self.equalities, self._read(), self.dimension)
             return self._start
+
+    def _read(self):
+        """The inequalities, scaled only once `_prepare` reads them."""
+        yield from self.inequalities
 
 
 def _scale(rows) -> tuple[LpRow, ...]:
@@ -681,10 +717,11 @@ class _Start:
 
 
 def _prepare(
-    equalities: Sequence[LpRow], inequalities: Sequence[LpRow], dimension: int
+    equalities: Sequence[LpRow], inequalities: Iterable[LpRow], dimension: int
 ) -> Optional[_Start]:
     """The start of every LP over these rows, or None when they have no
-    solution.
+    solution.  The inequalities are read once, in order, and only when the
+    equalities have a solution.
 
     An inequality equal to an earlier row whose rhs after substitution is
     b >= 0 is left out.  The two rows are the same row over z, and the

@@ -107,7 +107,7 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
     if prob.dimension > 2:
         raise PolydcError("grid cross-checks support dimension 1 and 2 only")
 
-    linearized = structure._linearize_all(prob)
+    linearized = prob._linearized
     try:
         structure.check_structure_hypotheses(prob)
         pieces = structure.local_pieces(prob, linearized=linearized)

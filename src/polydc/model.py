@@ -684,6 +684,17 @@ class DcProblem:
         once per problem."""
         return MaxAffine(pieces=self.g.pieces, domain=self._domain)
 
+    @cached_property
+    def _linearized(self) -> tuple:
+        """The `structure._linearize` pair of every piece of h, in order,
+        built on first use: the q epigraph LPs of the problem are posed once,
+        and the values and optimal faces they give are only read after that
+        (by `structure`, `duality`, `optimality` and `gridcheck`)."""
+        from .structure import _linearize  # deferred: structure sits above this module
+
+        # a tuple from a list, not a generator: see exactlp.vector
+        return tuple([_linearize(self, j) for j in self.h.indices])
+
     def objective_value(self, x: Sequence) -> ExtendedRational:
         """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""
         return self.g_plus_indicator.value(x) - self.h.value(x)

@@ -9,11 +9,27 @@ Three nested conditions are decided exactly at a feasible point x:
                without that interiority the classifier refuses to assert
                local optimality (stationarity failing still means "no").
 
-All three are decided on one pair of subdifferentials, built once per
-point by `_subdifferentials` from one evaluation of g, h and C (`_evaluate`);
-`classify`, `is_critical`, `is_stationary` and `is_local_solution` (which
-returns `classify`'s verdict) share that one path.  All set comparisons reduce to rational LPs over generator
-weights.
+All three are decided from one evaluation of g, h and C at x (`_evaluate`)
+and the shifted values alpha_j of the linearized subproblems, which the
+problem computes once (`DcProblem._linearized`), by this lemma.  Write
+phi = g + indicator(C).  For a piece j of h active at x, h(x) = h_j(x), so
+f(x) = phi(x) - v_j.x - beta_j >= alpha_j, the least value of
+phi - v_j.x - beta_j; equality holds exactly when x minimizes phi - v_j.x,
+that is when x lies in the optimal face Omega_j, that is when v_j is in the
+subdifferential of phi at x.  And v_j is in that of h for every active j.
+So, with no LP:
+
+* x is critical when f(x) = alpha_j for some active j;
+* at a point interior to dom(h), the subdifferential of h is the hull of
+  the active v_j, and a convex set holds a hull exactly when it holds its
+  points: x is stationary exactly when f(x) = alpha_j for every active j.
+
+f(x) is compared with alpha_j on integers (`_on_faces`).  Every other case
+(no active face holds x, or stationarity on the boundary of dom(h)) is
+decided on one pair of subdifferentials, built by `_subdifferentials` from
+the same evaluation, by rational LPs over generator weights.  `classify`,
+`is_critical`, `is_stationary` and `is_local_solution` (which returns
+`classify`'s verdict) share that one path.
 """
 
 from __future__ import annotations
@@ -78,31 +94,73 @@ def _subdifferentials(prob: DcProblem, at: tuple) -> tuple[ConvexBody, ConvexBod
     )
 
 
-def _classifiable(prob: DcProblem, x: Sequence) -> tuple[ConvexBody, ConvexBody]:
-    """`_subdifferentials` at x; raises OutsideDomain naming the first of
-    dom g, dom h and C that x is outside."""
+def _feasible_at(prob: DcProblem, x: Sequence) -> tuple:
+    """`_evaluate` at x; raises OutsideDomain naming the first of dom g,
+    dom h and C that x is outside."""
     at = _evaluate(prob, x)
     for part, name in zip(at, _OUTSIDE):
         if part is None:
             raise OutsideDomain(f"point is outside {name}")
-    return _subdifferentials(prob, at)
+    return at
 
 
-def is_critical(prob: DcProblem, x: Sequence) -> bool:
-    dh, dgc = _classifiable(prob, x)
+def _on_faces(prob: DcProblem, at: tuple) -> list[bool]:
+    """For each piece j of h active at a feasible point, in order, whether
+    the point lies in the optimal face of j: f(x) = alpha_j (the lemma).
+
+    With g(x) = a / b and h(x) = c / e as `_evaluate` gives them,
+    f(x) = p / q exactly when (a e - c b) q = p b e; the test reads the
+    integers of the Fractions it has and builds none.  An unbounded
+    subproblem (alpha_j = -inf) has no face.
+    """
+    (g, _, _), (h, active, _), _ = at
+    b, e = g._denominator, h._denominator
+    numerator, denominator = g._numerator * e - h._numerator * b, b * e
+    linearized = prob._linearized
+    verdicts = []
+    for j in active:
+        alpha = linearized[j][1].value
+        verdicts.append(
+            alpha.sign == 0
+            and numerator * alpha.value._denominator
+            == alpha.value._numerator * denominator
+        )
+    return verdicts
+
+
+def _critical(prob: DcProblem, at: tuple, on_face: list[bool]) -> bool:
+    """Critical by the lemma when a face holds the point, else by the
+    weight LP of the two subdifferentials."""
+    if any(on_face):
+        return True
+    dh, dgc = _subdifferentials(prob, at)
     return dh.intersection_witness(dgc) is not None
 
 
-def is_stationary(prob: DcProblem, x: Sequence) -> bool:
-    dh, dgc = _classifiable(prob, x)
+def _stationary(prob: DcProblem, at: tuple, on_face: list[bool]) -> bool:
+    """Stationary by the lemma at a point interior to dom h, else by the
+    weight LPs of containment."""
+    if prob.h.domain._is_interior(at[1][2]):
+        return all(on_face)
+    dh, dgc = _subdifferentials(prob, at)
     return dh.issubset(dgc)
+
+
+def is_critical(prob: DcProblem, x: Sequence) -> bool:
+    at = _feasible_at(prob, x)
+    return _critical(prob, at, _on_faces(prob, at))
+
+
+def is_stationary(prob: DcProblem, x: Sequence) -> bool:
+    at = _feasible_at(prob, x)
+    return _stationary(prob, at, _on_faces(prob, at))
 
 
 def is_local_solution(prob: DcProblem, x: Sequence) -> LocalStatus:
     """The `local` verdict of `classify`; raises at an infeasible point."""
     result = classify(prob, x)
     if not result.feasible:
-        _classifiable(prob, x)  # raises, naming the set x is outside
+        _feasible_at(prob, x)  # raises, naming the set x is outside
     return result.local
 
 
@@ -114,8 +172,9 @@ def classify(
     """Aggregate classification of one point.
 
     x is coerced once, every row of C, dom g and dom h and every piece of
-    g and h is evaluated once, and critical and stationary are decided on
-    the one pair of subdifferentials this gives.
+    g and h is evaluated once, and critical and stationary are decided
+    from that evaluation: by the lemma (module docstring) where it
+    applies, else on the one pair of subdifferentials it gives.
 
     With compute_global the global solution value is obtained from the
     solution-set decomposition and compared with f(x); a point achieving
@@ -141,9 +200,9 @@ def classify(
             global_=global_,
             hypothesis_flags=flags,
         )
-    dh, dgc = _subdifferentials(prob, at)
-    critical = dh.intersection_witness(dgc) is not None
-    stationary = critical and dh.issubset(dgc)
+    on_face = _on_faces(prob, at)
+    critical = _critical(prob, at, on_face)
+    stationary = critical and _stationary(prob, at, on_face)
     if not stationary:
         local = LocalStatus.NO
     elif flags.interior_dom_h:

@@ -2,8 +2,9 @@
 
 Fixing one affine piece h_j of h and minimizing (g + indicator(C)) - h_j is
 a convex program; its value alpha_j and optimal face S^j are computed by a
-single epigraph LP per piece, which `solution_structure` solves once for
-both constructions below.  The smallest alpha_j is the optimal value of
+single epigraph LP per piece, which the problem poses once, on first use
+(`DcProblem._linearized`), for both constructions below and for every
+other reader of the faces.  The smallest alpha_j is the optimal value of
 the DC program and the union of the minimizing faces is the global solution
 set.  The local solution set is a finite union of semi-closed pieces, one
 per subset J1 of piece indices: a closed polyhedron (the intersection of the
@@ -57,6 +58,15 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   the closed part of J1, so J1 is skipped exactly when its piece would be
   merged into K's.  Two necessary conditions cost no LP and are checked
   first: A*(J1) ⊆ K, read from alpha, and K's witness in J1's closed part.
+* Levels do not touch.  On a piece f = alpha_anchor: every member x lies
+  in the optimal face of the anchor and has it active, so
+  f(x) = g(x) - v_anchor.x - beta_anchor, the anchor's shifted value.
+  Under the hypotheses f is continuous on C, as g is on dom g ⊇ C and h on
+  int(dom h) ⊇ C, and the closure of a piece lies in the closed set C; so
+  f = alpha_anchor on the closure too.  A point of cl(P) ∩ Q or of
+  P ∩ cl(Q) thus has f equal to both anchors' values, and two pieces whose
+  anchors have different alpha are never adjacent: `_adjacency` poses no
+  closure LP for them.
 """
 
 from __future__ import annotations
@@ -142,8 +152,9 @@ class SemiClosedPiece:
 
     The semi-closed piece is convex; by the lemma (module docstring) its
     members are exactly the points of its anchor's system, `_system`, which
-    is derived from the fields.  `_lp` is the margin LP of that system that
-    `build_piece` solved; a piece built without it poses it on first use.
+    is derived from the fields; `build_piece` hands over the system it
+    built.  `_lp` is the margin LP of that system that `build_piece`
+    solved; a piece built without it poses it on first use.
     """
 
     J1: frozenset[int]
@@ -218,8 +229,10 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
 def solve_linearization(
     prob: DcProblem, j: int, shifted: bool = True
 ) -> LinearizationResult:
-    """Minimize (g + indicator(C))(x) - v_j.x (- beta_j when shifted)."""
-    return _linearize(prob, j)[shifted]
+    """Minimize (g + indicator(C))(x) - v_j.x (- beta_j when shifted); the
+    result the problem holds (`DcProblem._linearized`)."""
+    prob.h.piece(j)  # raises IndexError outside 1..q
+    return prob._linearized[j - 1][shifted]
 
 
 def check_structure_hypotheses(prob: DcProblem) -> None:
@@ -241,11 +254,6 @@ def check_structure_hypotheses(prob: DcProblem) -> None:
             )
 
 
-def _linearize_all(prob: DcProblem) -> tuple[_Pair, ...]:
-    # a tuple from a list, not a generator: see exactlp.vector
-    return tuple([_linearize(prob, j) for j in prob.h.indices])
-
-
 def global_solutions(
     prob: DcProblem,
     linearized: Optional[Sequence[_Pair]] = None,
@@ -255,12 +263,12 @@ def global_solutions(
     When some linearized subproblem is unbounded the DC program is
     unbounded: the value is -inf and the solution set is empty.
     `linearized`, the `_linearize` pairs of every piece of h, comes from a
-    caller that has checked the hypotheses already; without it both the
-    check and the LPs run here.
+    caller that has checked the hypotheses already; without it the check
+    runs here and the pairs are the problem's own (`DcProblem._linearized`).
     """
     if linearized is None:
         check_structure_hypotheses(prob)
-        linearized = _linearize_all(prob)
+        linearized = prob._linearized
     results = [shifted for _, shifted in linearized]
     alpha_bar = min(r.value for r in results)
     J_star = frozenset(r.piece for r in results if r.value == alpha_bar)
@@ -291,13 +299,13 @@ def build_piece(
     and `anchor` has the least alpha over J1.  By the lemma (module
     docstring) the piece is then the one system of `anchor`, which has a
     member iff its strict rows admit positive margin: one LP, which the
-    piece keeps.
+    piece keeps together with the system.
     """
     system = _anchor_system(h, closed_part, J1, anchor)
     slack, witness, lp = _solve_margin(_margin_lp(*system, closed_part.dimension))
     if not _positive(slack):
         return None
-    return SemiClosedPiece(
+    piece = SemiClosedPiece(
         J1=J1,
         closed_part=closed_part,
         excluded=frozenset(h.indices) - J1,
@@ -306,6 +314,8 @@ def build_piece(
         anchor=anchor,
         _lp=lp,
     )
+    piece.__dict__["_system"] = system  # the value `_system` would derive
+    return piece
 
 
 def _negated(row: IntegerRow) -> IntegerRow:
@@ -406,7 +416,7 @@ def local_pieces(
             f"h has {q} pieces; subset enumeration is capped at {cap}"
         )
     if linearized is None:
-        linearized = _linearize_all(prob)
+        linearized = prob._linearized
     omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     # one piece per member set, with the smallest J1 that gives it
@@ -468,11 +478,17 @@ def pieces_adjacent(
 
 
 def _adjacency(
-    pieces: Sequence[SemiClosedPiece],
+    prob: DcProblem, pieces: Sequence[SemiClosedPiece]
 ) -> dict[tuple[int, int], Vector]:
+    """The edges of the pieces' adjacency graph with their witnesses; a
+    pair whose anchors have different alpha is no edge (levels do not
+    touch, module docstring) and is not tested."""
+    alpha = [prob._linearized[p.anchor - 1][1].value for p in pieces]
     edges = {}
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
+            if alpha[i] != alpha[j]:
+                continue
             witness = pieces_adjacent(pieces[i], pieces[j])
             if witness is not None:
                 edges[(i, j)] = witness
@@ -522,7 +538,7 @@ def components(
     """
     if not pieces:
         return ()
-    edges = _adjacency(pieces)
+    edges = _adjacency(prob, pieces)
     out = []
     placed: set[int] = set()
     for first in range(len(pieces)):
@@ -572,7 +588,7 @@ def segment_path(
         raise OutsideDomain("end point is not a member of any piece")
     if set(z_home) & set(w_home):
         return _validated_path(pieces, (z, w) if z != w else (z,))
-    parent = _walk(_adjacency(pieces), z_home)
+    parent = _walk(_adjacency(prob, pieces), z_home)
     # the first end piece reached; no source is one, as z_home and w_home
     # are disjoint here
     reached = next((j for j in parent if j in w_home), None)
@@ -622,7 +638,7 @@ def solution_structure(
     prob: DcProblem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SolutionStructure:
     check_structure_hypotheses(prob)
-    linearized = _linearize_all(prob)
+    linearized = prob._linearized
     alpha_bar, J_star, global_pieces = global_solutions(prob, linearized)
     pieces = local_pieces(prob, cap, linearized)
     comps = components(prob, pieces)

@@ -12,9 +12,20 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from polydc import DcProblem, LinearProgram, MaxAffine, PolyhedralSet, parse_problem
+from polydc import (
+    Classification,
+    ConvexBody,
+    DcProblem,
+    GlobalStatus,
+    HypothesisFlags,
+    LinearProgram,
+    LocalStatus,
+    MaxAffine,
+    PolyhedralSet,
+    parse_problem,
+)
 from polydc import exactlp, structure
-from polydc.exactlp import dot, integer_row
+from polydc.exactlp import dot, integer_row, row_space_basis
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -260,7 +271,7 @@ def reference_local_pieces(prob: DcProblem):
     piece equals an earlier one's: a piece is built for every J1, and the
     pieces are then merged pairwise by `reference_piece_subset`, keeping
     the first of each member set."""
-    linearized = structure._linearize_all(prob)
+    linearized = prob._linearized
     omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     kept = []
@@ -287,6 +298,69 @@ def reference_local_pieces(prob: DcProblem):
         ):
             representatives.append(P)
     return tuple(sorted(representatives, key=lambda p: tuple(sorted(p.J1))))
+
+
+# ---------------------------------------------------------------------------
+# the point classifier by weight LPs alone
+
+
+def reference_classify(prob, x):
+    """`optimality.classify` by generator-weight LPs alone, the route it
+    took before it read the optimal faces: each set and function evaluated
+    row by row and piece by piece on its own, the subdifferential of g plus
+    the normal cone of C by `minkowski_sum`, critical by one intersection
+    LP and stationary by containment LPs.  It reads no linearization, so
+    it is an oracle independent of the lemma the classifiers use."""
+    n = prob.dimension
+    x = tuple(Fraction(c) for c in x)
+
+    def member(S):
+        return all(dot(a, x) == y for a, y in S.equalities) and all(
+            dot(a, x) <= b for a, b in S.inequalities
+        )
+
+    def interior(S):
+        return (
+            member(S)
+            and not any(any(c != 0 for c in a) for a, _ in S.equalities)
+            and all(dot(a, x) < b for a, b in S.inequalities)
+        )
+
+    def normal_cone(S):
+        return ConvexBody(
+            n,
+            points=(tuple([Fraction(0)] * n),),
+            rays=tuple(a for a, b in S.inequalities if dot(a, x) == b),
+            lineality=tuple(row_space_basis([a for a, _ in S.equalities])),
+        )
+
+    def subdifferential(f):
+        cone = normal_cone(f.domain)
+        return ConvexBody(
+            n,
+            points=tuple(f.pieces[j - 1][0] for j in sorted(f.active_indices(x))),
+            rays=cone.rays,
+            lineality=cone.lineality,
+        )
+
+    flags = HypothesisFlags(interior(prob.g.domain), interior(prob.h.domain))
+    if not (member(prob.C) and member(prob.g.domain) and member(prob.h.domain)):
+        return Classification(
+            False, False, False, LocalStatus.NO, GlobalStatus.NOT_COMPUTED, flags
+        )
+    dh = subdifferential(prob.h)
+    dgc = subdifferential(prob.g).minkowski_sum(normal_cone(prob.C))
+    critical = dh.intersection_witness(dgc) is not None
+    stationary = critical and dh.issubset(dgc)
+    if not stationary:
+        local = LocalStatus.NO
+    elif flags.interior_dom_h:
+        local = LocalStatus.YES
+    else:
+        local = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+    return Classification(
+        True, critical, stationary, local, GlobalStatus.NOT_COMPUTED, flags
+    )
 
 
 # ---------------------------------------------------------------------------

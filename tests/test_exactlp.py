@@ -936,3 +936,48 @@ def test_lexmin_walk_runs_only_off_a_vertex_face():
                 walked[bool(steps)] += 1
                 assert len(steps) in (0, lp.dimension)
     assert walked[True] > 0 and walked[False] > 0, walked
+
+
+class TestInequalitiesScaledOnRead:
+    """An LP scales its rational inequalities when they are first read:
+    `_prepare` reads them only once the equalities have a solution."""
+
+    def _counting(self, monkeypatch):
+        scaled = []
+        integer_row = exactlp.integer_row
+
+        def counting(a, b):
+            scaled.append(tuple(a))
+            return integer_row(a, b)
+
+        monkeypatch.setattr(exactlp, "integer_row", counting)
+        return scaled
+
+    def test_inconsistent_equalities_scale_no_inequality(self, monkeypatch):
+        scaled = self._counting(monkeypatch)
+        lp = LinearProgram(
+            objective=vec(1, 1),
+            equalities=((vec(1, 1), Fraction(1)), (vec(2, 2), Fraction(3))),
+            inequalities=((vec(Fraction(1, 2), 0), Fraction(1)), (vec(0, -1), Fraction(0))),
+            dimension=2,
+        )
+        assert scaled == [vec(1, 1), vec(2, 2)]
+        assert lp_solve(lp).status is LpStatus.INFEASIBLE
+        assert len(scaled) == 2
+        # a read scales them, once
+        assert lp.inequalities == (((1, 0), 2), ((0, -1), 0))
+        assert lp.inequalities is lp.inequalities
+        assert len(scaled) == 4
+
+    def test_consistent_equalities_scale_every_inequality_once(self, monkeypatch):
+        scaled = self._counting(monkeypatch)
+        rows = ((vec(Fraction(1, 2), 0), Fraction(1)), (vec(0, -1), Fraction(0)))
+        lp = LinearProgram(vec(1, 1), ((vec(1, 1), Fraction(1)),), rows, 2)
+        outcome = lp_solve(lp)
+        assert outcome.is_optimal and outcome.value == 1
+        assert scaled.count(rows[0][0]) == scaled.count(rows[1][0]) == 1
+        again = lp_solve(lp.with_objective(vec(-1, 0)))
+        assert again.is_optimal and again.value == -1  # y >= 0 caps x at 1
+        assert scaled.count(rows[0][0]) == 1
+        assert lp == LinearProgram(vec(1, 1), ((vec(1, 1), Fraction(1)),), rows, 2)
+

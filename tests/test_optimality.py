@@ -7,21 +7,26 @@ from fractions import Fraction
 import pytest
 
 from polydc import (
-    Classification,
+    MINUS_INF,
     ConvexBody,
     DcProblem,
     GlobalStatus,
-    HypothesisFlags,
     LocalStatus,
     MaxAffine,
+    MaxIndexActive,
+    MinIndexActive,
     OutsideDomain,
+    PolydcError,
     PolyhedralSet,
+    TerminationKind,
     classify,
     is_critical,
     is_local_solution,
     is_stationary,
+    run,
+    solve_linearization,
 )
-from polydc import exactlp, model
+from polydc import exactlp, model, structure
 from polydc.exactlp import dot, row_space_basis
 
 import gens
@@ -281,62 +286,6 @@ class TestTwoRouteEquivalence:
         assert basis == [vec(1, 0)]
 
 
-def _reference_classify(prob, x):
-    """`classify` along the route it took before it was one pass: each set
-    and function evaluated row by row and piece by piece on its own,
-    subdifferential of g plus normal cone of C by `minkowski_sum`."""
-    n = prob.dimension
-    x = tuple(F(c) for c in x)
-
-    def member(S):
-        return all(dot(a, x) == y for a, y in S.equalities) and all(
-            dot(a, x) <= b for a, b in S.inequalities
-        )
-
-    def interior(S):
-        return (
-            member(S)
-            and not any(any(c != 0 for c in a) for a, _ in S.equalities)
-            and all(dot(a, x) < b for a, b in S.inequalities)
-        )
-
-    def normal_cone(S):
-        return ConvexBody(
-            n,
-            points=(tuple([F(0)] * n),),
-            rays=tuple(a for a, b in S.inequalities if dot(a, x) == b),
-            lineality=tuple(row_space_basis([a for a, _ in S.equalities])),
-        )
-
-    def subdifferential(f):
-        cone = normal_cone(f.domain)
-        return ConvexBody(
-            n,
-            points=tuple(f.pieces[j - 1][0] for j in sorted(f.active_indices(x))),
-            rays=cone.rays,
-            lineality=cone.lineality,
-        )
-
-    flags = HypothesisFlags(interior(prob.g.domain), interior(prob.h.domain))
-    if not (member(prob.C) and member(prob.g.domain) and member(prob.h.domain)):
-        return Classification(
-            False, False, False, LocalStatus.NO, GlobalStatus.NOT_COMPUTED, flags
-        )
-    dh = subdifferential(prob.h)
-    dgc = subdifferential(prob.g).minkowski_sum(normal_cone(prob.C))
-    critical = dh.intersection_witness(dgc) is not None
-    stationary = critical and dh.issubset(dgc)
-    if not stationary:
-        local = LocalStatus.NO
-    elif flags.interior_dom_h:
-        local = LocalStatus.YES
-    else:
-        local = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
-    return Classification(
-        True, critical, stationary, local, GlobalStatus.NOT_COMPUTED, flags
-    )
-
-
 def _probes(prob):
     """Points of C's bounding box at quarter steps, one step beyond it on
     each side: interior, boundary and outside points."""
@@ -427,6 +376,17 @@ def _hand_instances():
     yield DcProblem(g=MaxAffine(g2.pieces, diagonal), h=h2_full, C=segment)
 
 
+def _face_holds(prob, x):
+    """Whether x attains the least value of (g + indicator(C)) - v_j.x for
+    some piece j of h active at x: the optimal face of j holds x."""
+    value = prob.g_plus_indicator.finite_value(x)
+    for j in prob.h.active_indices(x):
+        least = solve_linearization(prob, j, shifted=False).value
+        if least.is_finite and value - dot(prob.h.piece(j)[0], x) == least.as_fraction():
+            return True
+    return False
+
+
 class TestOnePassClassifier:
     """`classify` evaluates each row and piece once and builds one pair of
     subdifferentials; it must give the verdicts of the old route and pose
@@ -454,13 +414,26 @@ class TestOnePassClassifier:
         seen = set()
         instances = self._instances()
         assert len(instances) >= 50
+        decided = set()
         for prob in instances:
+            prob._linearized  # the problem's own LPs, posed before any point
             for x in _probes(prob):
                 posed.clear()
-                expected = _reference_classify(prob, x)
+                expected = gens.reference_classify(prob, x)
                 reference_lps = list(posed)
                 posed.clear()
                 assert classify(prob, x) == expected, (prob, x)
+                # the reference's first LP is its intersection test, the
+                # others containment tests.  The lemma poses none where a
+                # face holds x, and none for stationarity interior to dom h
+                if expected.feasible:
+                    on_face = _face_holds(prob, x)
+                    interior = expected.hypothesis_flags.interior_dom_h
+                    if on_face:
+                        reference_lps = [] if interior else reference_lps[1:]
+                    elif interior:
+                        reference_lps = reference_lps[:1]
+                    decided.add((on_face, interior))
                 assert posed == reference_lps, (prob, x)
                 seen.add(
                     (
@@ -471,6 +444,7 @@ class TestOnePassClassifier:
                         expected.hypothesis_flags.interior_dom_h,
                     )
                 )
+        assert decided == {(True, True), (True, False), (False, True), (False, False)}
         no, yes = LocalStatus.NO, LocalStatus.YES
         unknown = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
         for verdict in [
@@ -494,3 +468,146 @@ class TestOnePassClassifier:
                 assert is_critical(prob, x) == c.critical
                 assert is_stationary(prob, x) == c.stationary
                 assert is_local_solution(prob, x) is c.local
+
+
+def _with_bounded_dom_h(rng, prob):
+    """`prob` with dom h a box around C's centre whose sides sit on probe
+    coordinates, a quarter of C's box inside it, on it or outside it."""
+    lo, hi = prob.C.bounding_box()
+    lows = [l + F(rng.randint(-1, 1), 4) * (u - l) for l, u in zip(lo, hi)]
+    highs = [l + F(rng.randint(3, 5), 4) * (u - l) for l, u in zip(lo, hi)]
+    h = MaxAffine(prob.h.pieces, PolyhedralSet.box(lows, highs))
+    return DcProblem(g=prob.g, h=h, C=prob.C)
+
+
+def _unbounded_instance(rng):
+    """C = {x >= lo}, with an upper bound on the first coordinate half of
+    the time, so some linearized subproblems are unbounded; returns the
+    problem and probes at quarter steps from one step below lo."""
+    n = rng.randint(1, 2)
+    lo = [F(rng.randint(-2, 0)) for _ in range(n)]
+    rows = []
+    for i in range(n):
+        e = [F(0)] * n
+        e[i] = F(-1)
+        rows.append((tuple(e), -lo[i]))
+    if rng.random() < 0.5:
+        rows.append((tuple([F(1)] + [F(0)] * (n - 1)), lo[0] + rng.randint(1, 3)))
+
+    def pieces(count):
+        drawn = set()
+        while len(drawn) < count:
+            u = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            drawn.add((u, F(rng.randint(-4, 4), 2)))
+        return sorted(drawn)
+
+    prob = DcProblem(
+        g=MaxAffine.from_pieces(pieces(rng.randint(1, 3)), n),
+        h=MaxAffine.from_pieces(pieces(rng.randint(1, 4)), n),
+        C=PolyhedralSet(n, inequalities=tuple(rows)),
+    )
+    axes = [[l + F(k, 4) for k in range(-1, 10)] for l in lo]
+    return prob, list(itertools.product(*axes))
+
+
+class TestFaceLemma:
+    """`classify`, `is_critical` and `is_stationary` decide by the optimal
+    faces where the lemma of `optimality` applies.  The weight-LP
+    classifier `gens.reference_classify` reads no face; they must agree
+    with it at every point."""
+
+    def _instances(self):
+        rng = random.Random(1601)
+        problems = [gens.random_dc_instance(rng, n_max=2) for _ in range(25)]
+        problems += [
+            _with_domains(rng, gens.random_dc_instance(rng, n_max=2))
+            for _ in range(25)
+        ]
+        problems += [
+            _with_bounded_dom_h(rng, gens.random_dc_instance(rng, n_max=2))
+            for _ in range(20)
+        ]
+        problems += list(_hand_instances())
+        instances = [(prob, _probes(prob)) for prob in problems]
+        return instances + [_unbounded_instance(rng) for _ in range(25)]
+
+    def test_agrees_with_the_weight_lp_reference(self):
+        saw = dict.fromkeys(
+            [
+                "face",
+                "weight-lp critical",
+                "not critical",
+                "stationary",
+                "unbounded subproblem",
+                "kink",
+                "boundary of dom g",
+                "boundary of a bounded dom h",
+                "equality in C",
+            ],
+            0,
+        )
+        for prob, probes in self._instances():
+            try:
+                prob.h.domain.bounding_box()
+                bounded_dom_h = True
+            except PolydcError:
+                bounded_dom_h = False
+            for x in probes:
+                expected = gens.reference_classify(prob, x)
+                assert classify(prob, x) == expected, (prob, x)
+                if not expected.feasible:
+                    for single in (is_critical, is_stationary):
+                        with pytest.raises(OutsideDomain):
+                            single(prob, x)
+                    continue
+                assert is_critical(prob, x) == expected.critical, (prob, x)
+                assert is_stationary(prob, x) == expected.stationary, (prob, x)
+                active = prob.h.active_indices(x)
+                on_face = _face_holds(prob, x)
+                saw["face"] += on_face
+                saw["weight-lp critical"] += expected.critical and not on_face
+                saw["not critical"] += not expected.critical
+                saw["stationary"] += expected.stationary
+                saw["unbounded subproblem"] += any(
+                    solve_linearization(prob, j).value == MINUS_INF for j in active
+                )
+                saw["kink"] += len(active) > 1
+                flags = expected.hypothesis_flags
+                saw["boundary of dom g"] += not flags.interior_dom_g
+                saw["boundary of a bounded dom h"] += (
+                    bounded_dom_h and not flags.interior_dom_h
+                )
+                saw["equality in C"] += bool(prob.C.equalities)
+        assert all(saw.values()), saw
+
+    def test_is_critical_poses_no_lp_at_dca_fixed_points(self, monkeypatch):
+        posed = []
+
+        def recording(original):
+            def solve(lp, **kwargs):
+                posed.append(lp)
+                return original(lp, **kwargs)
+
+            return solve
+
+        for module in (exactlp, model, structure):
+            monkeypatch.setattr(module, "lp_solve", recording(module.lp_solve))
+        rng = random.Random(1602)
+        traces = fixed = 0
+        for _ in range(130):
+            prob = gens.random_dc_instance(rng, n_max=3)
+            lo, hi = prob.C.bounding_box()
+            centre = tuple((a + b) / 2 for a, b in zip(lo, hi))
+            corner = tuple(rng.choice(pair) for pair in zip(lo, hi))
+            prob._linearized  # the problem's own LPs, posed once
+            for rule in (MinIndexActive(), MaxIndexActive()):
+                for x0 in (lo, hi, centre, corner):
+                    trace = run(prob, x0, rule)
+                    traces += 1
+                    if trace.termination.kind is not TerminationKind.FIXED_POINT:
+                        continue
+                    fixed += 1
+                    posed.clear()
+                    assert is_critical(prob, trace.final_point), prob
+                    assert posed == [], (prob, x0)
+        assert traces >= 1000 and fixed >= 1000

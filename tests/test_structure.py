@@ -16,6 +16,9 @@ from polydc import (
     OutsideDomain,
     PolyhedralSet,
     SemiClosedPiece,
+    classify,
+    grid_cross_check,
+    is_critical,
     is_stationary,
     toland_singer_check,
 )
@@ -340,7 +343,7 @@ def _lattice(prob):
     """(J1, closed part, alpha) for every J1 of the lattice whose faces all
     exist, in the order local_pieces tries them (by size, then
     lexicographic)."""
-    linearized = structure._linearize_all(prob)
+    linearized = prob._linearized
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     for size in range(1, len(prob.h.pieces) + 1):
         for combo in itertools.combinations(prob.h.indices, size):
@@ -644,11 +647,15 @@ class TestSmallerSemiClosedLps:
                 return [(p.J1, p.closed_part, p.witness) for p in ps]
 
             assert summary(pieces) == summary(expected), prob
-            edges = structure._adjacency(pieces)
+            edges = structure._adjacency(prob, pieces)
             with monkeypatch.context() as patch:
                 patch.setattr(exactlp, "_prepare", gens.prepare_every_row)
                 assert edges == _reference_adjacency(expected), prob
-                patch.setattr(structure, "_adjacency", _reference_adjacency)
+                patch.setattr(
+                    structure,
+                    "_adjacency",
+                    lambda prob, pieces: _reference_adjacency(pieces),
+                )
                 expected_components = components(prob, expected)
             assert components(prob, pieces) == expected_components, prob
             saw["merged"] |= len(pieces) < len(_lattice_pieces(prob))
@@ -682,7 +689,7 @@ class TestSmallerSemiClosedLps:
                     assert pieces_adjacent(mine, Q) == pieces_adjacent(P, Q)
 
     def test_interval_lp_count(self, interval_problem, monkeypatch):
-        linearized = structure._linearize_all(interval_problem)
+        linearized = interval_problem._linearized
         calls = []
         original = exactlp.lp_solve
 
@@ -788,8 +795,8 @@ class TestSkippedSubPieces:
 
             assert summary(pieces) == summary(expected), prob
             assert pieces == expected
-            edges = structure._adjacency(pieces)
-            assert edges == structure._adjacency(expected), prob
+            edges = structure._adjacency(prob, pieces)
+            assert edges == structure._adjacency(prob, expected), prob
             assert components(prob, pieces) == components(prob, expected), prob
             merged += len(pieces) < len(_lattice_pieces(prob))
         assert any(skips) and not all(skips) and merged > 0
@@ -831,7 +838,7 @@ class TestSkippedSubPieces:
         return prepared
 
     def test_interval_prepares_five_starts(self, interval_problem, monkeypatch):
-        linearized = structure._linearize_all(interval_problem)
+        linearized = interval_problem._linearized
         prepared = self._counting_prepares(monkeypatch)
         pieces = local_pieces(interval_problem, linearized=linearized)
         assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
@@ -896,8 +903,9 @@ class TestMembershipEvaluatesDomHOnce:
 
 
 class TestOneCheckOneLinearization:
-    """solution_structure checks the hypotheses once and solves one epigraph
-    LP per piece of h for both the global and the local part."""
+    """solution_structure checks the hypotheses once, and one epigraph LP
+    per piece of h is solved once per problem, for the global and the local
+    part and for separate calls alike."""
 
     def _counting(self, monkeypatch):
         counts = {"checks": 0, "linearizations": 0}
@@ -932,8 +940,8 @@ class TestOneCheckOneLinearization:
         counts = self._counting(monkeypatch)
         global_solutions(interval_problem)
         assert counts == {"checks": 1, "linearizations": 3}
-        local_pieces(interval_problem)
-        assert counts == {"checks": 2, "linearizations": 6}
+        local_pieces(interval_problem)  # the problem's linearizations, posed once
+        assert counts == {"checks": 2, "linearizations": 3}
 
     def test_both_results_of_a_piece_share_face_and_witness(self):
         rng = random.Random(59)
@@ -946,6 +954,98 @@ class TestOneCheckOneLinearization:
                 assert plain.value.as_fraction() == shifted.value.as_fraction() + beta
                 assert (plain.face, plain.witness) == (shifted.face, shifted.witness)
                 assert (plain.shifted, shifted.shifted) == (False, True)
+
+    def test_posed_once_per_problem_across_readers(self, monkeypatch):
+        # classify, toland_singer_check, solution_structure and
+        # grid_cross_check all read the problem's one set of linearizations
+        calls = []
+        linearize = structure._linearize
+
+        def counting(prob, j):
+            calls.append(j)
+            return linearize(prob, j)
+
+        monkeypatch.setattr(structure, "_linearize", counting)
+        rng = random.Random(1605)
+        for _ in range(8):
+            prob = gens.random_grid_instance(rng)
+            del calls[:]
+            lo, hi = prob.C.bounding_box()
+            for x in (lo, hi):
+                classify(prob, x)
+                classify(prob, x, compute_global=True)
+                is_critical(prob, x)
+                is_stationary(prob, x)
+            toland_singer_check(prob)
+            solution_structure(prob)
+            global_solutions(prob)
+            local_pieces(prob)
+            solve_linearization(prob, 1)
+            assert grid_cross_check(prob, F(1, 2)).ok
+            assert calls == list(prob.h.indices)
+
+
+class TestLevelsDoNotTouch:
+    """Two pieces whose anchors have different alpha are never adjacent
+    (structure's module docstring), so `_adjacency` tests only pairs of one
+    level; every pair is tested here and no edge may join two levels."""
+
+    def test_no_edge_joins_two_levels(self):
+        rng = random.Random(1604)
+        pairs = across = 0
+        for _ in range(300):
+            prob = gens.random_dc_instance(rng, n_max=3)
+            pieces = local_pieces(prob)
+            alpha = [solve_linearization(prob, p.anchor).value for p in pieces]
+            edges = {}
+            for i, j in itertools.combinations(range(len(pieces)), 2):
+                witness = pieces_adjacent(pieces[i], pieces[j])
+                pairs += 1
+                if alpha[i] != alpha[j]:
+                    across += 1
+                    assert witness is None, (prob, i, j)
+                elif witness is not None:
+                    edges[(i, j)] = witness
+            assert structure._adjacency(prob, pieces) == edges, prob
+        assert pairs > across > 0
+
+    def test_no_closure_lp_between_levels(self, interval_problem, monkeypatch):
+        # the interval's three pieces lie on three levels, -1, 0 and -2
+        tested = []
+        adjacent = structure.pieces_adjacent
+
+        def counting(P, Q):
+            tested.append((P.J1, Q.J1))
+            return adjacent(P, Q)
+
+        monkeypatch.setattr(structure, "pieces_adjacent", counting)
+        result = solution_structure(interval_problem)
+        assert [c.value for c in result.components] == [F(-1), F(0), F(-2)]
+        assert tested == []
+
+
+class TestPieceKeepsItsSystem:
+    def test_anchor_system_built_once_per_piece(self, monkeypatch):
+        systems, built = [], []
+        anchor_system, build = structure._anchor_system, structure.build_piece
+
+        def counting_system(*args):
+            systems.append(args)
+            return anchor_system(*args)
+
+        def counting_build(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(structure, "_anchor_system", counting_system)
+        monkeypatch.setattr(structure, "build_piece", counting_build)
+        rng = random.Random(1606)
+        for _ in range(20):
+            prob = gens.random_dc_instance(rng, n_max=2)
+            pieces = solution_structure(prob).local_pieces
+            for p in pieces:
+                assert p._system == anchor_system(p.h, p.closed_part, p.J1, p.anchor)
+        assert built and len(systems) == len(built)
 
 
 class TestComponents:
