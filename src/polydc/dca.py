@@ -41,6 +41,10 @@ class SubproblemUnboundedError(PolydcError):
     pass
 
 
+class EmptyTrace(PolydcError):
+    """A DCA trace with no iterates has no final point."""
+
+
 class SelectionRule:
     """Base for subgradient selection rules; see the concrete rules.
 
@@ -200,6 +204,17 @@ class DcaTrace:
 
     @property
     def final_point(self) -> Vector:
+        """The last iterate; raises EmptyTrace when the run recorded none."""
+        if not self.iterates:
+            kind = self.termination.kind
+            where = (
+                "outside dom(h)"
+                if kind is TerminationKind.SUBDIFFERENTIAL_EMPTY
+                else f"({kind.value})"
+            )
+            raise EmptyTrace(
+                f"the run stopped at step 0 {where}: the trace has no iterates"
+            )
         return self.iterates[-1].x
 
 
@@ -223,10 +238,12 @@ def run(
     point of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to
     the LP value plus xi.x, so only h is evaluated there; a rule with
     `pick` selects from the active set of that one evaluation.  The
-    canonical minimizer is a function of xi alone, so each distinct xi of
-    the run poses one subproblem LP: a repeated xi, as at every fixed point,
-    takes the iterate the run already holds.  A negative `max_iter` raises
-    ValueError.
+    canonical minimizer is a function of xi alone, so the problem keeps it
+    (`DcProblem._subproblems`), and every rule reads and fills that one
+    memo: one LP per distinct xi per problem, over all runs on it.  A
+    repeated xi, as at every fixed point or in a later run, takes the
+    iterate already held; an unbounded subproblem is held too and ends
+    each run that reaches it.  A negative `max_iter` raises ValueError.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -243,10 +260,10 @@ def run(
     pick = getattr(rule, "pick", None)
     iterates: list[Iterate] = []
     # both memos are keyed by scaled points, which are equal exactly when
-    # the points are and hash as integers: x scaled -> its step, and
-    # xi scaled -> (x, x scaled, g(x)) of its subproblem, for this run only
+    # the points are and hash as integers: x scaled -> its step, for this
+    # run, and the problem's xi scaled -> (x, x scaled, g(x)) or None
     seen: dict[Scaled, int] = {}
-    solved: dict[Scaled, tuple[Vector, Scaled, Fraction]] = {}
+    solved = prob._subproblems
     step = 0
     g_value = at_g[0]  # (g + indicator(C))(x)
     while True:
@@ -289,22 +306,31 @@ def run(
         xi = _check_dimension(xi, prob.dimension, "subgradient")
         key = _scaled(xi)
         if key not in solved:
-            try:
-                x, sub_value = solve_subproblem(g_plus, everywhere, xi)
-            except SubproblemUnboundedError:
-                termination = Termination(
-                    TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
-                )
-                break
-            # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x
-            # is taken on integers, like every evaluation at x
-            point = _scaled(x)
-            (X, d), (Xi, s) = point, key
-            g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
-            solved[key] = x, point, g_value
-        x, point, g_value = solved[key]
+            solved[key] = _subproblem_entry(g_plus, everywhere, xi, key)
+        entry = solved[key]
+        if entry is None:
+            termination = Termination(
+                TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
+            )
+            break
+        x, point, g_value = entry
         step += 1
     return DcaTrace(iterates=tuple(iterates), termination=termination)
+
+
+def _subproblem_entry(
+    g_plus: MaxAffine, everywhere: PolyhedralSet, xi: Vector, key: Scaled
+) -> Optional[tuple[Vector, Scaled, Fraction]]:
+    """(x, x scaled, g(x)) of the subproblem at xi, None when unbounded."""
+    try:
+        x, sub_value = solve_subproblem(g_plus, everywhere, xi)
+    except SubproblemUnboundedError:
+        return None
+    # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is taken
+    # on integers, like every evaluation at x
+    point = _scaled(x)
+    (X, d), (Xi, s) = point, key
+    return x, point, sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
 
 
 @dataclass(frozen=True)

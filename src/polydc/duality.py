@@ -10,8 +10,11 @@ For polyhedral h the dual value is attained at a piece gradient v_j of h,
 so the candidate pool of the check is exactly the distinct piece gradients.
 The conjugate of g + indicator(C) at v_j is read off the linearized
 subproblem of piece j (`structure._linearize`), which is the same epigraph
-LP and which the problem poses once (`DcProblem._linearized`); only h*(v_j)
-costs an LP of its own.
+LP and which the problem poses once (`DcProblem._linearized`).  h*(v_j) is
+a fact of h alone: it is solved once per function, one LP per distinct
+piece gradient (`MaxAffine._conjugate_at_gradients`), and the hypotheses
+are decided once per problem, so a repeated check poses no LP.  The public
+`dual_objective` poses its two conjugate LPs on every call.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
     linearized = prob._linearized
     alpha_bar, J_star, _ = structure.global_solutions(prob, linearized)
 
+    conjugate = prob.h._conjugate_at_gradients
     scored: dict[Vector, ExtendedRational] = {}
     for (v, _), (unshifted, _) in zip(prob.h.pieces, linearized):
         if v in scored:
             continue
         # (g + indicator(C))*(v) is minus the minimum of its epigraph LP,
         # +inf when that LP is unbounded
-        value = prob.h.conjugate_value(v) - (-unshifted.value)
+        value = conjugate[v] - (-unshifted.value)
         if value < alpha_bar:
             raise InternalCheckFailed(
                 f"weak duality violated at {v}: {value} < {alpha_bar}"

@@ -626,8 +626,8 @@ class MaxAffine:
         )
 
     def conjugate_value(self, xi: Sequence) -> ExtendedRational:
-        """sup of xi.x - f(x), evaluated by one epigraph LP: +inf when the
-        LP is unbounded.  Raises on an empty domain."""
+        """sup of xi.x - f(x), evaluated by one epigraph LP per call: +inf
+        when the LP is unbounded.  Raises on an empty domain."""
         xi = _check_dimension(xi, self.dimension, "dual vector")
         outcome = lp_solve(self.epigraph_lp(xi))
         if outcome.status is LpStatus.INFEASIBLE:
@@ -635,6 +635,16 @@ class MaxAffine:
         if outcome.status is LpStatus.UNBOUNDED:
             return PLUS_INF
         return ExtendedRational.finite(-outcome.value)
+
+    @cached_property
+    def _conjugate_at_gradients(self) -> dict[Vector, ExtendedRational]:
+        """f*(u) at each distinct piece gradient u, in piece order, built on
+        first use: one `conjugate_value` LP per gradient per function."""
+        values: dict[Vector, ExtendedRational] = {}
+        for u, _ in self.pieces:
+            if u not in values:
+                values[u] = self.conjugate_value(u)
+        return values
 
 
 def restrict_sum(g: MaxAffine, C: PolyhedralSet) -> MaxAffine:
@@ -694,6 +704,25 @@ class DcProblem:
 
         # a tuple from a list, not a generator: see exactlp.vector
         return tuple([_linearize(self, j) for j in self.h.indices])
+
+    @cached_property
+    def _hypothesis_violation(self) -> Optional[str]:
+        """The `HypothesisNotMet` message of `structure`'s hypotheses
+        dom(g) ⊇ C and int(dom(h)) ⊇ C, or None when both hold, decided
+        once per problem on first use."""
+        from .structure import _hypothesis_violation  # deferred, as above
+
+        return _hypothesis_violation(self)
+
+    @cached_property
+    def _subproblems(self) -> dict[Scaled, Optional[tuple[Vector, Scaled, Fraction]]]:
+        """The DCA subproblem answers of this problem, filled by `dca.run`:
+        a subgradient xi, scaled by `_scaled`, maps to (x, x scaled, g(x))
+        of the canonical minimizer of g - xi.x over C, or to None when that
+        subproblem is unbounded.  An entry is a function of xi alone, so
+        each distinct xi poses one LP per problem, and two runs that fill
+        one key at once write equal entries."""
+        return {}
 
     def objective_value(self, x: Sequence) -> ExtendedRational:
         """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""

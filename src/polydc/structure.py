@@ -238,6 +238,18 @@ def solve_linearization(
 def check_structure_hypotheses(prob: DcProblem) -> None:
     """Raise HypothesisNotMet unless dom(g) ⊇ C and int(dom(h)) ⊇ C.
 
+    The verdict is a fact of the problem, decided once on first use
+    (`DcProblem._hypothesis_violation`); every later call raises the same
+    message, or returns, without an LP.
+    """
+    reason = prob._hypothesis_violation
+    if reason is not None:
+        raise HypothesisNotMet(reason)
+
+
+def _hypothesis_violation(prob: DcProblem) -> Optional[str]:
+    """The message `check_structure_hypotheses` raises, or None.
+
     A domain without rows is the whole space, which contains C and is its
     own interior; C is nonempty, as `DcProblem` proved dom(g) ∩ C nonempty
     at load, so such a containment holds and poses no LP.
@@ -245,13 +257,12 @@ def check_structure_hypotheses(prob: DcProblem) -> None:
     if not prob.g.domain.is_whole_space:
         reason = containment_violation(prob.g.domain, prob.C, strictly=False)
         if reason is not None:
-            raise HypothesisNotMet(f"dom(g) does not contain C: {reason}")
+            return f"dom(g) does not contain C: {reason}"
     if not prob.h.domain.is_whole_space:
         reason = containment_violation(prob.h.domain, prob.C, strictly=True)
         if reason is not None:
-            raise HypothesisNotMet(
-                f"the interior of dom(h) does not contain C: {reason}"
-            )
+            return f"the interior of dom(h) does not contain C: {reason}"
+    return None
 
 
 def global_solutions(

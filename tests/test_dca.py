@@ -1,6 +1,7 @@
 """DCA runs: selection rules, canonical subproblem solutions, cycles."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from polydc import (
     DcaTrace,
     DcProblem,
     EmptyIntersection,
+    EmptyTrace,
     Iterate,
     LinearProgram,
     LpStatus,
@@ -18,6 +20,7 @@ from polydc import (
     MaxIndexActive,
     MinIndexActive,
     OutsideDomain,
+    PolydcError,
     PolyhedralSet,
     Scripted,
     SelectionRule,
@@ -26,8 +29,10 @@ from polydc import (
     is_critical,
     lp_feasible,
     lp_solve,
+    parse_problem,
     run,
     select_subgradient,
+    serialize_problem,
     solve_subproblem,
     toland_singer_check,
     validate_trace,
@@ -35,6 +40,7 @@ from polydc import (
 from polydc import dca, exactlp, model, structure
 from polydc.dca import InvalidSelection, SubproblemUnboundedError
 from polydc.model import InternalCheckFailed
+from polydc.structure import HypothesisNotMet
 
 import gens
 from gens import vec
@@ -220,6 +226,25 @@ class TestRun:
         assert trace.termination.step == 0
         assert trace.iterates == ()
 
+    def test_a_trace_without_iterates_has_no_final_point(self):
+        h = MaxAffine.from_pieces(
+            [(vec(0), F(0))], 1, domain=PolyhedralSet.box([F(0)], [F(1)])
+        )
+        prob = DcProblem(
+            g=MaxAffine.constant(0, 1), h=h, C=PolyhedralSet.box([F(-2)], [F(2)])
+        )
+        trace = run(prob, vec(-2), MinIndexActive())
+        assert trace.termination == Termination(
+            TerminationKind.SUBDIFFERENTIAL_EMPTY, step=0
+        )
+        with pytest.raises(EmptyTrace, match="step 0 outside dom\\(h\\)"):
+            trace.final_point
+        # an empty script stops before the first iterate as well
+        trace = run(prob, vec(F(1, 2)), Scripted(()))
+        assert trace.iterates == ()
+        with pytest.raises(EmptyTrace, match="step 0 \\(max-iterations\\)"):
+            trace.final_point
+
     def test_x0_validation(self, interval_problem):
         with pytest.raises(OutsideDomain):
             run(interval_problem, vec(4), MinIndexActive())
@@ -268,18 +293,8 @@ class TestRunProperties:
         # genuine subgradient selections cannot cycle (see above), so the
         # cycle bookkeeping is exercised with a synthetic deterministic
         # state map bouncing between the endpoints of a flat problem
-        from polydc import SelectionRule
-
-        class EndpointFlip(SelectionRule):
-            def choose(self, h, x, step):
-                return vec(1) if x == vec(0) else vec(-1)
-
-        prob = DcProblem(
-            g=MaxAffine.constant(0, 1),
-            h=MaxAffine.constant(0, 1),
-            C=PolyhedralSet.box([F(0)], [F(1)]),
-        )
-        trace = run(prob, vec(F(1, 2)), EndpointFlip(), max_iter=100)
+        prob = _flat_problem(1)
+        trace = run(prob, vec(F(1, 2)), _EndpointFlip(), max_iter=100)
         t = trace.termination
         assert t.kind is TerminationKind.CYCLE
         k, p = t.step, t.period
@@ -597,8 +612,10 @@ class TestOneTableauSubproblem:
             )
             for rule in (MinIndexActive(), MaxIndexActive()):
                 trace = run(prob, x0, rule, max_iter=50)
+                # a new problem object: prob keeps its subproblem answers
+                fresh = DcProblem(g=prob.g, h=prob.h, C=prob.C)
                 monkeypatch.setattr(dca, "solve_subproblem", reference_subproblem)
-                assert run(prob, x0, rule, max_iter=50) == trace
+                assert run(fresh, x0, rule, max_iter=50) == trace
                 monkeypatch.undo()
 
 
@@ -725,8 +742,9 @@ class TestSharedEpigraphStart:
         for module in (exactlp, model, dca, structure):
             monkeypatch.setattr(module, "lp_solve", counting_solve)
         monkeypatch.setattr(exactlp, "_eliminate_equalities", counting_eliminate)
-        # each run poses one LP per distinct subgradient, so eight runs and
-        # the duality check drive at least 15 epigraph solves
+        # the runs pose one LP per distinct subgradient of the problem, and
+        # solve_subproblem, which keeps no memo, one per call: with the
+        # duality check they drive at least 15 epigraph solves
         for x in (
             vec(F(1, 4), F(1, 4)),
             vec(1, F(-1, 2)),
@@ -735,6 +753,9 @@ class TestSharedEpigraphStart:
         ):
             for rule in (MinIndexActive(), MaxIndexActive()):
                 run(prob, x, rule)
+        everywhere = PolyhedralSet.whole_space(2)
+        for xi in itertools.product(range(-1, 2), repeat=2):
+            solve_subproblem(prob.g_plus_indicator, everywhere, xi)
         report = toland_singer_check(prob)
         monkeypatch.undo()
         assert report.attained_at is not None
@@ -799,3 +820,172 @@ def test_runs_pose_one_subproblem_per_distinct_subgradient(monkeypatch):
                 assert len(set(posed)) == len(posed) <= len(distinct)
                 reused += len(trace.iterates) - 1 - len(posed)
     assert reused > 0
+
+
+# ---------------------------------------------------------------------------
+# the problem keeps each subproblem answer across runs
+
+
+class _EndpointFlip(SelectionRule):
+    """A deterministic state map, not a subgradient selection: on a flat
+    problem over the unit box it bounces between two corners, so its runs
+    cycle."""
+
+    def choose(self, h, x, step):
+        one = (ONE,) * len(x)
+        return one if all(c == 0 for c in x) else tuple(-c for c in one)
+
+
+def _flat_problem(n):
+    return DcProblem(
+        g=MaxAffine.constant(0, n),
+        h=MaxAffine.constant(0, n),
+        C=PolyhedralSet.box((ZERO,) * n, (ONE,) * n),
+    )
+
+
+def _half_space_instance(rng):
+    """A random instance over C = {x >= lo}: its subproblems at gradients
+    outside those of g are unbounded."""
+    prob = gens.random_dc_instance(rng, n_max=2)
+    lo, _ = prob.C.bounding_box()
+    n = prob.dimension
+    rows = tuple(
+        (tuple(-ONE if k == i else ZERO for k in range(n)), -lo[i]) for i in range(n)
+    )
+    return DcProblem(g=prob.g, h=prob.h, C=PolyhedralSet(n, inequalities=rows))
+
+
+def _starts(rng, prob, count):
+    """`count` points of C ∩ dom g on the quarter grid of a box around C."""
+    n = prob.dimension
+    try:
+        lo, hi = prob.C.bounding_box()
+    except PolydcError:  # an unbounded C: a box at its lower corner
+        lo = lp_feasible(prob.C.equalities, prob.C.inequalities, n)
+        hi = tuple(c + 2 for c in lo)
+    axes = [[a + F(k, 4) for k in range(int(4 * (b - a)) + 1)] for a, b in zip(lo, hi)]
+    grid = [
+        x
+        for x in itertools.product(*axes)
+        if prob.C.contains(x) and prob.g.domain.contains(x)
+    ]
+    return [rng.choice(grid) for _ in range(count)]
+
+
+def _rules(rng, prob, x0):
+    """Both index rules, a random complete table, and a script replaying a
+    prefix of the table's run."""
+    indices = list(prob.h.indices)
+    table = ByActiveSetTable(
+        {
+            frozenset(s): rng.choice(s)
+            for r in range(1, len(indices) + 1)
+            for s in itertools.combinations(indices, r)
+        }
+    )
+    replayed = run(_copy(prob), x0, table)
+    prefix = rng.randint(0, len(replayed.iterates))
+    script = Scripted(tuple(it.xi for it in replayed.iterates[:prefix]))
+    return [MinIndexActive(), MaxIndexActive(), table, script]
+
+
+def _copy(prob):
+    """The problem freshly parsed from its document: no answers kept."""
+    copy = parse_problem(serialize_problem(prob))
+    assert copy == prob and "_subproblems" not in copy.__dict__
+    return copy
+
+
+def test_shared_problem_runs_equal_runs_on_fresh_copies():
+    """1,000 seeded runs on shared problems, in shuffled order, equal the
+    same runs each on a freshly parsed copy of its problem."""
+    rng = random.Random(1701)
+    problems = gens.bundled_problems()
+    problems += [gens.random_dc_instance(rng) for _ in range(6)]
+    problems += [_half_space_instance(rng) for _ in range(4)]
+    cases = []
+    for prob in problems:
+        for x0 in _starts(rng, prob, 20):
+            for rule in _rules(rng, prob, x0):
+                cases.append((prob, x0, rule, rng.choice((0, 1, 2, 1000))))
+    for prob in (_flat_problem(1), _flat_problem(2)):
+        for x0 in _starts(rng, prob, 10):
+            cases.append((prob, x0, _EndpointFlip(), rng.choice((2, 3, 1000))))
+    expected = [run(_copy(prob), *args) for prob, *args in cases]
+    order = list(range(len(cases)))
+    rng.shuffle(order)
+    shared = {}
+    for k in order:
+        prob, *args = cases[k]
+        shared[k] = run(prob, *args)
+    assert [shared[k] for k in range(len(cases))] == expected
+    assert len(cases) >= 1000
+    kinds = {trace.termination.kind for trace in expected}
+    assert kinds >= {
+        TerminationKind.FIXED_POINT,
+        TerminationKind.CYCLE,
+        TerminationKind.MAX_ITERATIONS,
+        TerminationKind.SUBPROBLEM_UNBOUNDED,
+    }
+    # an unbounded subproblem is kept like any other answer
+    assert any(None in prob._subproblems.values() for prob in problems)
+
+
+def _counting_lps(monkeypatch):
+    """A list that gets one entry per LP posed, by any module."""
+    posed = []
+    start = exactlp._Rows.start
+
+    def counting(rows):
+        posed.append(rows)
+        return start(rows)
+
+    monkeypatch.setattr(exactlp._Rows, "start", counting)
+    return posed
+
+
+def test_repeated_runs_and_checks_pose_no_lp(monkeypatch):
+    """The runs on a problem pose one subproblem LP per distinct xi of the
+    problem.  Running them again poses no subproblem LP, and with the rules
+    keyed on the active set no LP at all; nor does a repeated duality
+    check.  (A script validates each of its vectors by a weight LP.)"""
+    rng = random.Random(1703)
+    problems = gens.bundled_problems()
+    problems += [gens.random_dc_instance(rng) for _ in range(20)]
+    problems += [_half_space_instance(rng) for _ in range(5)]
+    solved = []
+
+    def counting_solve(lp, **kwargs):
+        solved.append(lp.objective)
+        return lp_solve(lp, **kwargs)
+
+    for prob in problems:
+        starts = _starts(rng, prob, 3)
+        runs = [(x0, rule) for x0 in starts for rule in _rules(rng, prob, x0)]
+        del solved[:]
+        monkeypatch.setattr(dca, "lp_solve", counting_solve)
+        first = [run(prob, x0, rule) for x0, rule in runs]
+        monkeypatch.undo()
+        assert len(set(solved)) == len(solved) == len(prob._subproblems)
+        try:
+            report = toland_singer_check(prob)
+        except HypothesisNotMet as exc:
+            report = str(exc)
+        del solved[:]
+        monkeypatch.setattr(dca, "lp_solve", counting_solve)
+        posed = _counting_lps(monkeypatch)
+        again = []
+        for x0, rule in runs:
+            before = len(posed)
+            again.append(run(prob, x0, rule))
+            if isinstance(rule, Scripted):
+                del posed[before:]  # the script's own weight LPs
+        try:
+            report_again = toland_singer_check(prob)
+        except HypothesisNotMet as exc:
+            report_again = str(exc)
+        monkeypatch.undo()
+        assert again == first
+        assert report_again == report
+        assert solved == posed == []

@@ -136,6 +136,25 @@ class TestTolandSinger:
             q = len(prob.h.pieces)
             assert sum(rows is g_plus_rows for rows in epigraph_solves) == q
 
+    def test_h_conjugate_at_its_gradients_is_kept_per_function(self):
+        # h*(v) at each distinct piece gradient v, in piece order, built
+        # once; a repeated gradient and a bounded dom h are included
+        boxed = MaxAffine.from_pieces(
+            [(vec(1), F(0)), (vec(-1), F(0)), (vec(1), F(1)), (vec(0), F(-1))],
+            1,
+            domain=PolyhedralSet.box([F(-4)], [F(4)]),
+        )
+        rng = random.Random(1709)
+        functions = [boxed] + [prob.h for prob in gens.bundled_problems()]
+        functions += [gens.random_dc_instance(rng).h for _ in range(30)]
+        for h in functions:
+            cached = h._conjugate_at_gradients
+            gradients = [u for u, _ in h.pieces]
+            assert list(cached) == list(dict.fromkeys(gradients))
+            assert all(cached[u] == h.conjugate_value(u) for u in gradients)
+            assert h._conjugate_at_gradients is cached
+        assert len(boxed._conjugate_at_gradients) == 3
+
     def test_report_matches_the_dca_and_dual_objective_reference(self):
         """On 200 seeded instances, the bundled problems and the worked
         ones, the report equals that of the pool of piece gradients plus

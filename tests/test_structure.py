@@ -194,6 +194,58 @@ class TestGlobalSolutions:
                         entry(prob)
             assert posed
 
+    def test_the_verdict_is_decided_once_per_problem(self, monkeypatch):
+        # 1-D, with box domains for g and h: every containment LP is posed
+        # by the first call, and later calls raise or pass without an LP
+        C = PolyhedralSet.box([F(-2)], [F(3)])
+        h = MaxAffine.from_pieces(
+            [(vec(1), F(0)), (vec(-1), F(1))],
+            1,
+            domain=PolyhedralSet.box([F(-4)], [F(4)]),
+        )
+        prepared = []
+        prepare = exactlp._prepare
+
+        def counting(*args):
+            prepared.append(args)
+            return prepare(*args)
+
+        monkeypatch.setattr(exactlp, "_prepare", counting)
+        for lower, holds in ((F(-3), True), (F(0), False)):
+            g = MaxAffine.from_pieces(
+                [(vec(1), F(0)), (vec(-1), F(0))],
+                1,
+                domain=PolyhedralSet.box([lower], [F(5)]),
+            )
+            prob = DcProblem(g=g, h=h, C=C)
+            del prepared[:]
+            if holds:
+                report = toland_singer_check(prob)
+                assert prepared
+                del prepared[:]
+                assert toland_singer_check(prob) == report
+                check_structure_hypotheses(prob)
+                global_solutions(prob)
+                assert prepared == []
+                continue
+            messages = []
+            for entry in (
+                toland_singer_check,
+                check_structure_hypotheses,
+                toland_singer_check,
+                global_solutions,
+                local_pieces,
+                solution_structure,
+            ):
+                with pytest.raises(HypothesisNotMet, match="dom\\(g\\)") as info:
+                    entry(prob)
+                messages.append(str(info.value))
+                if len(messages) == 1:
+                    assert prepared
+                    del prepared[:]
+            assert prepared == []
+            assert len(set(messages)) == 1
+
     def test_objective_constant_on_faces(self, interval_problem):
         alpha_bar, _, pieces = global_solutions(interval_problem)
         for r in pieces:
