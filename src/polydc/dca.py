@@ -42,7 +42,8 @@ class SubproblemUnboundedError(PolydcError):
 
 
 class EmptyTrace(PolydcError):
-    """A DCA trace with no iterates has no final point."""
+    """A DCA trace with no iterates has no final point: the run stopped at
+    step 0, where `subdifferential-empty` means x0 lies outside dom(h)."""
 
 
 class SelectionRule:
@@ -206,14 +207,9 @@ class DcaTrace:
     def final_point(self) -> Vector:
         """The last iterate; raises EmptyTrace when the run recorded none."""
         if not self.iterates:
-            kind = self.termination.kind
-            where = (
-                "outside dom(h)"
-                if kind is TerminationKind.SUBDIFFERENTIAL_EMPTY
-                else f"({kind.value})"
-            )
+            kind = self.termination.kind.value
             raise EmptyTrace(
-                f"the run stopped at step 0 {where}: the trace has no iterates"
+                f"the run stopped at step 0 ({kind}): the trace has no iterates"
             )
         return self.iterates[-1].x
 
@@ -243,7 +239,11 @@ def run(
     memo: one LP per distinct xi per problem, over all runs on it.  A
     repeated xi, as at every fixed point or in a later run, takes the
     iterate already held; an unbounded subproblem is held too and ends
-    each run that reaches it.  A negative `max_iter` raises ValueError.
+    each run that reaches it.  The memo keeps one entry per distinct xi for
+    as long as the problem lives: under `pick` rules the keys are piece
+    gradients of h, at most q, but a script or a custom `choose` may
+    return any point of the subdifferential, and each new one adds an
+    entry.  A negative `max_iter` raises ValueError.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")

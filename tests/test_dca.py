@@ -237,7 +237,7 @@ class TestRun:
         assert trace.termination == Termination(
             TerminationKind.SUBDIFFERENTIAL_EMPTY, step=0
         )
-        with pytest.raises(EmptyTrace, match="step 0 outside dom\\(h\\)"):
+        with pytest.raises(EmptyTrace, match="step 0 \\(subdifferential-empty\\)"):
             trace.final_point
         # an empty script stops before the first iterate as well
         trace = run(prob, vec(F(1, 2)), Scripted(()))
