@@ -110,7 +110,12 @@ class ByActiveSetTable(_ActiveSetRule):
 
 @dataclass(frozen=True)
 class Scripted(SelectionRule):
-    """Fixed list of subgradients, one per step; each is validated."""
+    """Fixed list of subgradients, one per step; each is validated.
+
+    A vector that is the gradient of a piece of h active at x lies in
+    dh(x), whose normal-cone part contains 0, and is taken as it is; any
+    other vector is validated by a generator-weight LP.
+    """
 
     subgradients: tuple[Vector, ...]
     deterministic = False
@@ -124,6 +129,9 @@ class Scripted(SelectionRule):
         if step >= len(self.subgradients):
             raise IndexError("script exhausted")
         xi = self.subgradients[step]
+        at = h._at(_scaled(x))
+        if at is not None and any(h.pieces[j][0] == xi for j in at[1]):
+            return xi
         if not h.subdifferential(x).contains(xi):
             raise InvalidSelection(
                 f"scripted vector at step {step} is not a subgradient of h "

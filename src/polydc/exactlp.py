@@ -50,7 +50,8 @@ of nonzero reduced cost at 0, then loads each of the first k coordinates in
 turn as the objective, minimizes it over the columns still allowed and
 fixes again: the lexicographic simplex of Dantzig, Orden and Wolfe (1955).
 A face whose every column of zero reduced cost is basic, or the mirror of
-a basic column of a split coordinate, is one point and is not walked.  A
+a basic column of a split coordinate, is one point and is not walked;
+`lp_solve(lp, unique=True)` reports the same test on the outcome.  A
 coordinate that has no minimum on the face is pinned with one new
 primitive, `_Tableau.add_equality`: the row is written in the current basis
 (`det * a - sum of a[basis[i]] * rows[i]`), made basic on a new artificial,
@@ -354,6 +355,9 @@ class LpOutcome:
     value: Optional[Fraction] = None
     point: Optional[Vector] = None
     tight_inequalities: Optional[frozenset[int]] = None
+    # asked for by `lp_solve(lp, unique=True)`: whether the final tableau
+    # proves `point` the only optimal point (`_Start.proves_unique`)
+    unique: Optional[bool] = None
 
     @property
     def is_optimal(self) -> bool:
@@ -651,23 +655,36 @@ class _Start:
         *cost, b = self.substitute(A, 0)
         return cost + [-c for c in cost] + [0] * len(self.projected) + [b]
 
-    def solve(self, objective: Vector, lexmin: int) -> LpOutcome:
+    def solve(
+        self, objective: Vector, lexmin: int, unique: bool = False
+    ) -> LpOutcome:
         """Phase 2 for `objective` on a copy of the tableau, then the lexmin
-        walk and the point.
+        walk and the point; with `unique` the outcome also reports
+        `proves_unique` of the final tableau.
 
         The value is read from the tableau: with s the lcm of the
         objective's denominators, det_e = `self.det` and (c, b) =
         `split(objective)`, every solution x of the equalities has
         det_e * s * objective.x = c . y - b, and phase 2 ends with
         c . y = -reduced[-1] / det.
+
+        One point: the optimal face is the feasible y whose nonbasic
+        columns of nonzero reduced cost are 0.  The mirror of a basic z+ or
+        z- column has zero reduced cost whatever the objective, and moving
+        it moves that basic column by as much and no coordinate of x.  So
+        when every other nonbasic column has nonzero reduced cost, the face
+        is the basic point of x (`proves_unique`).  The test is sufficient
+        only, as a degenerate tableau may hide a one-point face.  Its two
+        uses: the lexmin walk is skipped on such a face, where each step
+        would load its objective and pivot nowhere, and `unique` reports it.
         """
         A, _, scale = integer_row(objective, ZERO)
         line = self.split(A)
         if self.tableau is None:  # the equalities fix the point
             value = Fraction(-line[-1], self.det * scale)
-            return LpOutcome(
-                LpStatus.OPTIMAL, value, self.lift((), 1), self._with_copies(self.tight)
-            )
+            point, tight = self.lift((), 1), self._with_copies(self.tight)
+            # the only point there is
+            return LpOutcome(LpStatus.OPTIMAL, value, point, tight, unique or None)
         tableau = self.tableau.copy()
         f = len(self.free)
         n = 2 * f + len(self.projected)
@@ -678,22 +695,13 @@ class _Start:
             -tableau.reduced[-1] - line[-1] * tableau.det,
             tableau.det * self.det * scale,
         )
-        if lexmin:
-            # the optimal face: the columns of zero reduced cost, the others
-            # at 0.  The mirror of a basic z+ or z- column is one of them
-            # whatever the objective, and moves no coordinate of x.  When
-            # every other one is basic the face is one point of x, where
-            # each step would load its objective and pivot nowhere.
+        one_point = self.proves_unique(tableau) if lexmin or unique else None
+        if lexmin and not one_point:
             columns = [j for j in range(n) if tableau.reduced[j] == 0]
-            basic = set(tableau.basis)
-            if any(
-                j not in basic and (j >= 2 * f or (j + f) % (2 * f) not in basic)
-                for j in columns
-            ):
-                for k in range(lexmin):
-                    unit = [0] * self.dimension
-                    unit[k] = 1
-                    columns = tableau.lexmin_step(self.split(unit), columns)
+            for k in range(lexmin):
+                unit = [0] * self.dimension
+                unit[k] = 1
+                columns = tableau.lexmin_step(self.split(unit), columns)
 
         z = [0] * f  # numerators over tableau.det
         loose = set()  # rows whose slack is basic and positive
@@ -707,8 +715,22 @@ class _Start:
         tight = self.tight.union(
             i for k, i in enumerate(self.projected) if k not in loose
         )
+        point, tight = self.lift(z, tableau.det), self._with_copies(tight)
         return LpOutcome(
-            LpStatus.OPTIMAL, value, self.lift(z, tableau.det), self._with_copies(tight)
+            LpStatus.OPTIMAL, value, point, tight, one_point if unique else None
+        )
+
+    def proves_unique(self, tableau: _Tableau) -> bool:
+        """Whether the solved `tableau` of this start proves its optimal
+        face one point of x, by the test in `solve`."""
+        f = len(self.free)
+        reduced = tableau.reduced
+        basic = set(tableau.basis)
+        return not any(
+            reduced[j] == 0
+            and j not in basic
+            and (j >= 2 * f or (j + f) % (2 * f) not in basic)
+            for j in range(2 * f + len(self.projected))
         )
 
     def _with_copies(self, tight: set[int]) -> frozenset[int]:
@@ -784,7 +806,7 @@ def _prepare(
     return start
 
 
-def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
+def lp_solve(lp: LinearProgram, lexmin: int = 0, unique: bool = False) -> LpOutcome:
     """Exact optimum of `lp` with an optimal point, deterministically.
 
     Equalities are eliminated by substitution first; the remaining free
@@ -797,14 +819,17 @@ def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
     face instead: the value is unchanged, and the point's first k
     coordinates are the lexicographic minimum of the face, where a
     coordinate unbounded below is pinned to its maximum if that is finite
-    and negative, else to 0.
+    and negative, else to 0.  With `unique=True` an optimal outcome also
+    says whether its final tableau proves the point the only optimal one
+    (`_Start.proves_unique`); any other LP leaves `unique` None and pays
+    no scan.
     """
     if not 0 <= lexmin <= lp.dimension:
         raise ValueError(f"lexmin={lexmin} in an LP of dimension {lp.dimension}")
     start = lp._rows.start()
     if start is None:
         return INFEASIBLE
-    return start.solve(lp.objective, lexmin)
+    return start.solve(lp.objective, lexmin, unique)
 
 
 def lp_feasible(

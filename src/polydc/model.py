@@ -555,7 +555,12 @@ class MaxAffine:
         return at
 
     def value(self, x: Sequence) -> ExtendedRational:
-        at = self._at(_scaled(_check_dimension(x, self.dimension)))
+        return self._value_at(_scaled(_check_dimension(x, self.dimension)))
+
+    def _value_at(self, point: Scaled) -> ExtendedRational:
+        """f(x) for an x already scaled by `_scaled`; +inf outside the
+        domain."""
+        at = self._at(point)
         return PLUS_INF if at is None else ExtendedRational.finite(at[0])
 
     def finite_value(self, x: Sequence) -> Fraction:
@@ -725,8 +730,10 @@ class DcProblem:
         return {}
 
     def objective_value(self, x: Sequence) -> ExtendedRational:
-        """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""
-        return self.g_plus_indicator.value(x) - self.h.value(x)
+        """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf;
+        x is coerced and scaled once for both."""
+        point = _scaled(_check_dimension(x, self.dimension))
+        return self.g_plus_indicator._value_at(point) - self.h._value_at(point)
 
     def finite_objective(self, x: Sequence) -> Fraction:
         value = self.objective_value(x)

@@ -58,6 +58,18 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   the closed part of J1, so J1 is skipped exactly when its piece would be
   merged into K's.  Two necessary conditions cost no LP and are checked
   first: A*(J1) ⊆ K, read from alpha, and K's witness in J1's closed part.
+* Point faces.  When the final tableau of j's linearization proves the
+  optimal face of j the one point y (`exactlp._Start.solve`), the closed
+  part of every J1 holding j lies in {y}, so its piece is {y} or empty:
+  nonempty exactly when y is in the closed part and every piece of h
+  active at y is in J1, which `SemiClosedPiece.contains(y)` decides.  Its
+  margin LP would have only y in its x-projection, so y is the witness
+  that LP would return, and none is posed (`_point_piece`).  A point piece
+  P lies in a set S iff y does.  cl(P) ∩ Q is {y} ∩ Q, and cl(Q) ∩ P is
+  {y} when y is in Q's closed part with Q's anchor active there: the weak
+  and the weakened strict rows of the anchor system say h_j <= h_anchor
+  for every j, and they describe cl(Q).  No containment or closure test
+  on a point piece poses an LP.
 * Levels do not touch.  On a piece f = alpha_anchor: every member x lies
   in the optimal face of the anchor and has it active, so
   f(x) = g(x) - v_anchor.x - beta_anchor, the anchor's shifted value.
@@ -117,13 +129,19 @@ class EnumerationCapExceeded(PolydcError):
 
 @dataclass(frozen=True)
 class LinearizationResult:
-    """Value and optimal face of the one-piece convex subproblem."""
+    """Value and optimal face of the one-piece convex subproblem.
+
+    `one_point` says that the LP's final tableau proves the face the one
+    point `witness` (`exactlp.lp_solve` with `unique`); False when it does
+    not, or when the subproblem is unbounded.
+    """
 
     piece: int
     shifted: bool
     value: ExtendedRational
     face: Optional[PolyhedralSet]
     witness: Optional[Vector]
+    one_point: bool = False
 
 
 # the unshifted and the shifted result of one piece of h
@@ -154,7 +172,9 @@ class SemiClosedPiece:
     members are exactly the points of its anchor's system, `_system`, which
     is derived from the fields; `build_piece` hands over the system it
     built.  `_lp` is the margin LP of that system that `build_piece`
-    solved; a piece built without it poses it on first use.
+    solved; a piece built without it poses it on first use.  `_point` says
+    that the closed part is the one point `witness` (`_point_piece`), so
+    the piece is that point and its tests need no LP.
     """
 
     J1: frozenset[int]
@@ -164,6 +184,7 @@ class SemiClosedPiece:
     witness: Vector
     anchor: int
     _lp: Optional[LinearProgram] = field(default=None, compare=False, repr=False)
+    _point: bool = field(default=False, compare=False, repr=False)
 
     @cached_property
     def _system(self) -> _System:
@@ -203,7 +224,7 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
     v, beta = prob.h.piece(j)
     n = prob.dimension
     g_plus = prob.g_plus_indicator
-    outcome = lp_solve(g_plus.epigraph_lp(v))
+    outcome = lp_solve(g_plus.epigraph_lp(v), unique=True)
     if outcome.status is LpStatus.INFEASIBLE:
         raise InternalCheckFailed(
             "linearized subproblem infeasible despite the standing assumption"
@@ -216,13 +237,11 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
     cuts = [(vsub(u, v), outcome.value - alpha) for u, alpha in prob.g.pieces]
     face = g_plus.domain.intersect(PolyhedralSet(n, inequalities=cuts))
     witness = outcome.point[:n]
+    value = ExtendedRational.finite(outcome.value)
+    shifted = ExtendedRational.finite(outcome.value - beta)
     return (
-        LinearizationResult(
-            j, False, ExtendedRational.finite(outcome.value), face, witness
-        ),
-        LinearizationResult(
-            j, True, ExtendedRational.finite(outcome.value - beta), face, witness
-        ),
+        LinearizationResult(j, False, value, face, witness, outcome.unique),
+        LinearizationResult(j, True, shifted, face, witness, outcome.unique),
     )
 
 
@@ -329,6 +348,21 @@ def build_piece(
     return piece
 
 
+def _point_piece(
+    h: MaxAffine,
+    closed_part: PolyhedralSet,
+    J1: frozenset[int],
+    anchor: int,
+    point: Vector,
+) -> Optional[SemiClosedPiece]:
+    """`build_piece` without an LP when `closed_part` lies in a one-point
+    optimal face {point} of some j in J1 (point faces, module docstring):
+    the piece is {point} when `point` is a member, else empty."""
+    excluded = frozenset(h.indices) - J1
+    piece = SemiClosedPiece(J1, closed_part, excluded, h, point, anchor, _point=True)
+    return piece if piece.contains(point) else None
+
+
 def _negated(row: IntegerRow) -> IntegerRow:
     """The integer row of -a.x <= -b, for that of a.x <= b."""
     A, B, s = row
@@ -344,8 +378,10 @@ def _satisfies(P: SemiClosedPiece, S: PolyhedralSet) -> bool:
     dense in cl(P); an equality is tested as a.x <= y and -a.x <= -y.  That
     maximum is one phase 2 on the prepared start of P's margin LP, whose
     eps >= 0 slice is cl(P) (`exactlp._margin_exceeds`); each row of S is
-    tested once.
+    tested once.  A point piece is tested at its point.
     """
+    if P._point:
+        return S._tight_rows(_scaled(P.witness)) is not None
     equalities, weak, _ = P._system
     # rows every member satisfies, or tested
     settled_equalities, settled = set(equalities), set(weak)
@@ -408,16 +444,18 @@ def local_pieces(
 
     The nonempty subsets J1 of h's piece indices are tried by size, then
     lexicographically, and pieces whose member sets are provably equal are
-    merged, keeping the smallest J1.  A J1 whose piece equals that of an
-    earlier kept K ⊂ J1 is skipped without an LP of its own (the skip
-    lemma); any other costs one LP for the system of its anchor (see the
-    module docstring), and a nonempty piece is kept unless it has the
-    member set of a kept one.  Equality is containment both ways, and each
-    containment test is one phase 2 per row of the other piece's closed
-    part that the piece's own system does not already impose, so faces
-    shared by the two J1 sets cost nothing.  Under the containment
-    hypotheses the union of the returned pieces is exactly the local
-    solution set.  `linearized` is as in `global_solutions`.
+    merged, keeping the smallest J1.  A J1 that holds a piece whose
+    optimal face is one point is decided at that point, without an LP
+    (point faces).  Otherwise a J1 whose piece equals that of an earlier
+    kept K ⊂ J1 is skipped without an LP of its own (the skip lemma); any
+    other costs one LP for the system of its anchor (see the module
+    docstring).  A nonempty piece is kept unless it has the member set of
+    a kept one.  Equality is containment both ways, and each containment
+    test is one phase 2 per row of the other piece's closed part that the
+    piece's own system does not already impose, so faces shared by the
+    two J1 sets cost nothing; a point piece is tested at its point.  Under
+    the containment hypotheses the union of the returned pieces is exactly
+    the local solution set.  `linearized` is as in `global_solutions`.
     """
     if linearized is None:
         check_structure_hypotheses(prob)
@@ -441,12 +479,17 @@ def local_pieces(
             closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
             # the first index of least alpha; finite, as every face exists
             anchor = min(combo, key=alpha.__getitem__)
-            least = frozenset([j for j in combo if alpha[j] == alpha[anchor]])
-            if any(
-                _equals_sub_piece(K, J1, least, closed_part) for K in representatives
-            ):
-                continue
-            piece = build_piece(prob.h, closed_part, J1, anchor)
+            point = next((omega[j].witness for j in combo if omega[j].one_point), None)
+            if point is not None:
+                piece = _point_piece(prob.h, closed_part, J1, anchor, point)
+            else:
+                least = frozenset([j for j in combo if alpha[j] == alpha[anchor]])
+                if any(
+                    _equals_sub_piece(K, J1, least, closed_part)
+                    for K in representatives
+                ):
+                    continue
+                piece = build_piece(prob.h, closed_part, J1, anchor)
             if piece is not None and not any(
                 _same_member_set(piece, rep) for rep in representatives
             ):
@@ -462,8 +505,19 @@ def _closure_meets(
     """A point of cl(closing) ∩ other, or None.
 
     The closure of a nonempty semi-closed system is the same system with
-    the strict rows weakened.
+    the strict rows weakened.  A point piece is its own closure; a point y
+    of a point piece lies in cl(closing) iff y is in closing's closed part
+    and closing's anchor is active at y (point faces, module docstring).
     """
+    if closing._point:
+        return closing.witness if other.contains(closing.witness) else None
+    if other._point:
+        point = _scaled(other.witness)
+        at = closing.h._at(point)
+        anchor_active = at is not None and closing.anchor - 1 in at[1]
+        if anchor_active and closing.closed_part._tight_rows(point) is not None:
+            return other.witness
+        return None
     equalities, weak, strict = closing._system
     other_equalities, other_weak, other_strict = other._system
     return _strict_witness(

@@ -72,6 +72,25 @@ class TestSelectSubgradient:
         with pytest.raises(InvalidSelection, match="step 0"):
             select_subgradient(interval_problem.h, vec(0), rule, 0)
 
+    def test_scripted_active_gradient_poses_no_weight_lp(
+        self, interval_problem, monkeypatch
+    ):
+        # at the kink -1 the gradients -1 and 0 of the active pieces 1 and
+        # 2 lie in dh(-1) by definition; -1/2 between them is validated by
+        # a weight LP, as is 1 at 0, which is rejected
+        h = interval_problem.h
+        posed = _counting_lps(monkeypatch)
+        for xi in (vec(-1), vec(0)):
+            assert select_subgradient(h, vec(-1), Scripted((xi,))) == xi
+        assert posed == []
+        half = vec(F(-1, 2))
+        assert select_subgradient(h, vec(-1), Scripted((half,))) == half
+        assert len(posed) >= 1
+        del posed[:]
+        with pytest.raises(InvalidSelection, match="step 0"):
+            select_subgradient(h, vec(0), Scripted((vec(1),)))
+        assert len(posed) >= 1
+
     def test_table_rule(self, interval_problem):
         rule = ByActiveSetTable({frozenset({1, 2}): 2, frozenset({2}): 2})
         assert select_subgradient(interval_problem.h, vec(-1), rule) == vec(0)
@@ -947,9 +966,9 @@ def _counting_lps(monkeypatch):
 
 def test_repeated_runs_and_checks_pose_no_lp(monkeypatch):
     """The runs on a problem pose one subproblem LP per distinct xi of the
-    problem.  Running them again poses no subproblem LP, and with the rules
-    keyed on the active set no LP at all; nor does a repeated duality
-    check.  (A script validates each of its vectors by a weight LP.)"""
+    problem.  Running them again poses no LP at all, also under a script,
+    whose vectors here are active piece gradients and need no weight LP;
+    nor does a repeated duality check."""
     rng = random.Random(1703)
     problems = gens.bundled_problems()
     problems += [gens.random_dc_instance(rng) for _ in range(20)]
@@ -975,12 +994,7 @@ def test_repeated_runs_and_checks_pose_no_lp(monkeypatch):
         del solved[:]
         monkeypatch.setattr(dca, "lp_solve", counting_solve)
         posed = _counting_lps(monkeypatch)
-        again = []
-        for x0, rule in runs:
-            before = len(posed)
-            again.append(run(prob, x0, rule))
-            if isinstance(rule, Scripted):
-                del posed[before:]  # the script's own weight LPs
+        again = [run(prob, x0, rule) for x0, rule in runs]
         try:
             report_again = toland_singer_check(prob)
         except HypothesisNotMet as exc:

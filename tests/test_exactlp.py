@@ -289,6 +289,71 @@ def lexmin_cases(rng, fractional):
     return LinearProgram(objective, lp.equalities, tuple(inequalities), n)
 
 
+def _degenerate_at(rng, lp, point):
+    """`lp` with one more row tight at `point`: the sum of up to two rows
+    tight there, so that the vertex is degenerate."""
+    tight = [(a, b) for a, b in lp.inequalities if dot(a, point) == b]
+    if not tight:
+        return lp
+    rows = [a for a, _ in rng.sample(tight, min(2, len(tight)))]
+    a = tuple(sum(c) for c in zip(*rows))
+    extra = (a, dot(a, point))
+    return LinearProgram(
+        lp.objective, lp.equalities, lp.inequalities + (extra,), lp.dimension
+    )
+
+
+class TestUniqueReport:
+    """`lp_solve(lp, unique=True)` reports whether the final tableau proves
+    the optimal point the only one; no other LP computes the report."""
+
+    def test_a_flagged_point_is_the_whole_optimal_face(self):
+        rng = random.Random(1803)
+        seen = {"flagged": 0, "unflagged": 0, "degenerate flagged": 0}
+        for fractional in (False, True):
+            for _ in range(150):
+                lp = lexmin_cases(rng, fractional)
+                degenerate = False
+                plain = lp_solve(lp)
+                if plain.is_optimal and rng.random() < 0.5:
+                    lp, degenerate = _degenerate_at(rng, lp, plain.point), True
+                    plain = lp_solve(lp)
+                out = lp_solve(lp, unique=True)
+                assert plain.unique is None
+                assert dataclasses.replace(out, unique=None) == plain
+                if not out.is_optimal:
+                    assert out.unique is None
+                    continue
+                if not out.unique:
+                    seen["unflagged"] += 1
+                    continue
+                seen["flagged"] += 1
+                seen["degenerate flagged"] += degenerate
+                # the least and the greatest value of each coordinate over
+                # the optimal face are the point's
+                n = lp.dimension
+                face = list(lp.equalities) + [(lp.objective, out.value)]
+                for c in range(n):
+                    for sign in (1, -1):
+                        unit = [Fraction(sign * int(j == c)) for j in range(n)]
+                        at = LinearProgram(unit, face, lp.inequalities, n)
+                        extreme = lp_solve(at)
+                        assert extreme.is_optimal, lp
+                        assert sign * extreme.value == out.point[c], lp
+        assert min(seen.values()) >= 20, seen
+
+    def test_equalities_that_fix_the_point_are_one_point(self):
+        lp = LinearProgram(
+            objective=vec(1, -1),
+            equalities=((vec(1, 1), Fraction(1)), (vec(1, -1), Fraction(0))),
+            inequalities=((vec(1, 0), Fraction(5)),),
+            dimension=2,
+        )
+        assert lp._rows.start().tableau is None
+        assert lp_solve(lp, unique=True).unique is True
+        assert lp_solve(lp).unique is None
+
+
 class TestLexmin:
     """lp_solve(lp, lexmin=k) continues the solved tableau along the optimal
     face; the reference walks the face with fresh LPs."""

@@ -66,6 +66,41 @@ class TestEval:
             assert 2 * f.finite_value(mid) <= f.finite_value(a) + f.finite_value(b)
 
 
+class TestObjectiveValue:
+    def test_scales_the_point_once_with_the_values_of_g_and_h(self, monkeypatch):
+        # dom g and dom h are boxes, so the grid around C reaches points
+        # outside either domain and outside C: +inf, -inf and finite values
+        g = MaxAffine(
+            (((F(1), F(0)), F(0)), ((F(-1), F(1)), F(1))),
+            PolyhedralSet.box([F(-1), F(-1)], [F(2), F(1)]),
+        )
+        h = MaxAffine(
+            (((F(0), F(1)), F(0)), ((F(1), F(-1)), F(-1, 2))),
+            PolyhedralSet.box([F(-2), F(-1, 2)], [F(1), F(2)]),
+        )
+        C = PolyhedralSet.box([F(-1), F(-1)], [F(1), F(1)])
+        prob = DcProblem(g=g, h=h, C=C)
+        grid = [vec(F(a, 2), F(b, 2)) for a in range(-5, 6) for b in range(-5, 6)]
+        expected = [prob.g_plus_indicator.value(x) - prob.h.value(x) for x in grid]
+        scaled = []
+        original = model._scaled
+
+        def counting(x):
+            scaled.append(x)
+            return original(x)
+
+        monkeypatch.setattr(model, "_scaled", counting)
+        assert [prob.objective_value(x) for x in grid] == expected
+        assert len(scaled) == len(grid)
+        signs = {value.sign for value in expected}
+        assert signs == {-1, 0, 1}
+        outside = next(x for x, v in zip(grid, expected) if not v.is_finite)
+        with pytest.raises(OutsideDomain, match="^objective is not finite"):
+            prob.finite_objective(outside)
+        with pytest.raises(DimensionMismatch, match="point has length 1, expected 2"):
+            prob.objective_value(vec(0))
+
+
 class TestActiveIndices:
     def test_kink_by_evaluating_all_pieces(self, interval_problem):
         h = interval_problem.h

@@ -1,5 +1,6 @@
 """Solution-set decomposition: linearizations, pieces, components, paths."""
 
+import collections
 import itertools
 import pathlib
 import random
@@ -503,9 +504,9 @@ class TestPieceContainment:
         calls = []
         original = exactlp.lp_solve
 
-        def counting(lp):
+        def counting(lp, **kwargs):
             calls.append(lp)
-            return original(lp)
+            return original(lp, **kwargs)
 
         for module in (exactlp, model, structure):
             monkeypatch.setattr(module, "lp_solve", counting)
@@ -889,15 +890,19 @@ class TestSkippedSubPieces:
         monkeypatch.setattr(exactlp, "_prepare", counting)
         return prepared
 
-    def test_interval_prepares_five_starts(self, interval_problem, monkeypatch):
+    def test_interval_prepares_one_start(self, interval_problem, monkeypatch):
         linearized = interval_problem._linearized
         prepared = self._counting_prepares(monkeypatch)
         pieces = local_pieces(interval_problem, linearized=linearized)
         assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
-        # the pieces of {1}, {2}, {3}, and the two empty ones of {1, 3} and
-        # {1, 2, 3}; 9 when every J1 was built and each containment test
-        # posed a margin LP of its own
-        assert len(prepared) == 5
+        # the optimal faces of pieces 1 and 3 are the single points -2 and
+        # 3, so every J1 holding 1 or 3 is decided at that point; only the
+        # piece of {2}, whose face is all of C, poses its margin LP.  5 when
+        # every nonempty J1 posed one (the pieces of {1}, {2}, {3}, and the
+        # two empty ones of {1, 3} and {1, 2, 3}), 9 when every J1 was
+        # built and each containment test posed a margin LP of its own
+        assert [r.one_point for r, _ in linearized] == [True, False, True]
+        assert len(prepared) == 1
 
     def test_no_margin_lp_is_prepared_twice(self, monkeypatch):
         rng = random.Random(1517)
@@ -967,9 +972,9 @@ class TestOneCheckOneLinearization:
             counts["checks"] += 1
             return check(prob)
 
-        def counting_solve(lp):  # structure poses only the epigraph LPs
+        def counting_solve(lp, **kwargs):  # structure poses only the epigraph LPs
             counts["linearizations"] += 1
-            return solve(lp)
+            return solve(lp, **kwargs)
 
         monkeypatch.setattr(structure, "check_structure_hypotheses", counting_check)
         monkeypatch.setattr(structure, "lp_solve", counting_solve)
@@ -1076,28 +1081,114 @@ class TestLevelsDoNotTouch:
         assert tested == []
 
 
+class TestPointFaces:
+    """A J1 that holds a piece j whose linearization proves its optimal face
+    one point is decided at that point, and the containment and closure
+    tests of such a piece pose no LP.  The reference
+    (`gens.reference_local_pieces`) builds every J1 by `build_piece`'s
+    margin LP, and its pieces take the LP route in every test."""
+
+    def test_agrees_with_building_every_piece_by_lp(self, monkeypatch):
+        decided = []
+        point_piece = structure._point_piece
+
+        def recording(*args):
+            decided.append(point_piece(*args))
+            return decided[-1]
+
+        monkeypatch.setattr(structure, "_point_piece", recording)
+        rng = random.Random(1801)
+        instances = [gens.random_dc_instance(rng, n_max=3) for _ in range(600)]
+        instances += [gens.random_grid_instance(rng) for _ in range(250)]
+        instances += [_shaped_instance(rng) for _ in range(150)]
+        faces = set()
+        for prob in instances:
+            check_structure_hypotheses(prob)
+            pieces = local_pieces(prob)
+            expected = gens.reference_local_pieces(prob)
+            assert [(p.J1, p.witness) for p in pieces] == [
+                (p.J1, p.witness) for p in expected
+            ], prob
+            assert pieces == expected
+            edges = structure._adjacency(prob, pieces)
+            assert edges == structure._adjacency(prob, expected), prob
+            assert list(edges) == list(structure._adjacency(prob, expected))
+            assert components(prob, pieces) == components(prob, expected), prob
+            faces.update(r.one_point for r, _ in prob._linearized if r.face)
+        assert faces == {True, False}
+        assert None in decided and any(p is not None for p in decided)
+
+    def test_point_pieces_pose_no_lp(self, monkeypatch):
+        # every containment test of a point piece and every closure test
+        # with one reads no LP, and each verdict is the one a copy of the
+        # piece built by hand, which takes the LP route, reaches
+        rng = random.Random(1802)
+        posed = []
+        start = exactlp._Rows.start
+
+        def counting(rows):
+            posed.append(rows)
+            return start(rows)
+
+        verdicts = set()
+        for _ in range(60):
+            prob = gens.random_dc_instance(rng, n_max=2)
+            pieces = local_pieces(prob)
+            points = [p for p in pieces if p._point]
+            pairs = list(itertools.product(points, pieces))
+            monkeypatch.setattr(exactlp._Rows, "start", counting)
+            read = [
+                (
+                    pieces_adjacent(P, Q),
+                    pieces_adjacent(Q, P),
+                    _piece_subset(P, Q),
+                    structure._satisfies(P, Q.closed_part),
+                )
+                for P, Q in pairs
+            ]
+            monkeypatch.undo()
+            for (P, Q), verdict in zip(pairs, read):
+                mine = SemiClosedPiece(
+                    P.J1, P.closed_part, P.excluded, P.h, P.witness, P.anchor
+                )
+                assert verdict == (
+                    pieces_adjacent(mine, Q),
+                    pieces_adjacent(Q, mine),
+                    _piece_subset(mine, Q),
+                    structure._satisfies(mine, Q.closed_part),
+                )
+                verdicts.add(verdict[3])
+        assert posed == [] and verdicts == {True, False}
+
+
 class TestPieceKeepsItsSystem:
     def test_anchor_system_built_once_per_piece(self, monkeypatch):
-        systems, built = [], []
-        anchor_system, build = structure._anchor_system, structure.build_piece
+        # at most once per piece object: `build_piece` builds it and hands
+        # it over, and a point piece builds it only when it is read.  The
+        # closed part is a new object per J1, so it names the piece; each
+        # is kept alive, so that no two share an id.
+        systems, alive = collections.Counter(), []
+        anchor_system = structure._anchor_system
 
-        def counting_system(*args):
-            systems.append(args)
-            return anchor_system(*args)
-
-        def counting_build(*args):
-            built.append(args)
-            return build(*args)
+        def counting_system(h, closed_part, J1, anchor):
+            systems[id(closed_part)] += 1
+            alive.append(closed_part)
+            return anchor_system(h, closed_part, J1, anchor)
 
         monkeypatch.setattr(structure, "_anchor_system", counting_system)
-        monkeypatch.setattr(structure, "build_piece", counting_build)
         rng = random.Random(1606)
+        built = points = 0
         for _ in range(20):
             prob = gens.random_dc_instance(rng, n_max=2)
+            systems.clear()
             pieces = solution_structure(prob).local_pieces
+            assert all(count == 1 for count in systems.values())
             for p in pieces:
                 assert p._system == anchor_system(p.h, p.closed_part, p.J1, p.anchor)
-        assert built and len(systems) == len(built)
+                assert systems[id(p.closed_part)] == 1
+                built += not p._point
+                points += p._point
+        assert built and points
 
 
 class TestComponents:
