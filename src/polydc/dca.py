@@ -130,9 +130,11 @@ class Scripted(SelectionRule):
             raise IndexError("script exhausted")
         xi = self.subgradients[step]
         at = h._at(_scaled(x))
-        if at is not None and any(h.pieces[j][0] == xi for j in at[1]):
+        if at is None:
+            raise OutsideDomain("active set requested outside the domain")
+        if any(h.pieces[j][0] == xi for j in at[1]):
             return xi
-        if not h.subdifferential(x).contains(xi):
+        if not h._subdifferential(at).contains(xi):
             raise InvalidSelection(
                 f"scripted vector at step {step} is not a subgradient of h "
                 "at the current iterate"

@@ -51,7 +51,7 @@ turn as the objective, minimizes it over the columns still allowed and
 fixes again: the lexicographic simplex of Dantzig, Orden and Wolfe (1955).
 A face whose every column of zero reduced cost is basic, or the mirror of
 a basic column of a split coordinate, is one point and is not walked;
-`lp_solve(lp, unique=True)` reports the same test on the outcome.  A
+every optimal outcome reports the same test (`LpOutcome.unique`).  A
 coordinate that has no minimum on the face is pinned with one new
 primitive, `_Tableau.add_equality`: the row is written in the current basis
 (`det * a - sum of a[basis[i]] * rows[i]`), made basic on a new artificial,
@@ -355,9 +355,9 @@ class LpOutcome:
     value: Optional[Fraction] = None
     point: Optional[Vector] = None
     tight_inequalities: Optional[frozenset[int]] = None
-    # asked for by `lp_solve(lp, unique=True)`: whether the final tableau
-    # proves `point` the only optimal point (`_Start.proves_unique`)
-    unique: Optional[bool] = None
+    # whether the final tableau proves `point` the only optimal point
+    # (`_Start.proves_unique`); a report on the solve, not on the optimum
+    unique: bool = field(default=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -655,12 +655,10 @@ class _Start:
         *cost, b = self.substitute(A, 0)
         return cost + [-c for c in cost] + [0] * len(self.projected) + [b]
 
-    def solve(
-        self, objective: Vector, lexmin: int, unique: bool = False
-    ) -> LpOutcome:
+    def solve(self, objective: Vector, lexmin: int) -> LpOutcome:
         """Phase 2 for `objective` on a copy of the tableau, then the lexmin
-        walk and the point; with `unique` the outcome also reports
-        `proves_unique` of the final tableau.
+        walk and the point; the outcome also reports `proves_unique` of the
+        final tableau.
 
         The value is read from the tableau: with s the lcm of the
         objective's denominators, det_e = `self.det` and (c, b) =
@@ -676,7 +674,8 @@ class _Start:
         is the basic point of x (`proves_unique`).  The test is sufficient
         only, as a degenerate tableau may hide a one-point face.  Its two
         uses: the lexmin walk is skipped on such a face, where each step
-        would load its objective and pivot nowhere, and `unique` reports it.
+        would load its objective and pivot nowhere, and `LpOutcome.unique`
+        reports it.
         """
         A, _, scale = integer_row(objective, ZERO)
         line = self.split(A)
@@ -684,7 +683,7 @@ class _Start:
             value = Fraction(-line[-1], self.det * scale)
             point, tight = self.lift((), 1), self._with_copies(self.tight)
             # the only point there is
-            return LpOutcome(LpStatus.OPTIMAL, value, point, tight, unique or None)
+            return LpOutcome(LpStatus.OPTIMAL, value, point, tight, True)
         tableau = self.tableau.copy()
         f = len(self.free)
         n = 2 * f + len(self.projected)
@@ -695,8 +694,8 @@ class _Start:
             -tableau.reduced[-1] - line[-1] * tableau.det,
             tableau.det * self.det * scale,
         )
-        one_point = self.proves_unique(tableau) if lexmin or unique else None
-        if lexmin and not one_point:
+        unique = self.proves_unique(tableau)
+        if lexmin and not unique:
             columns = [j for j in range(n) if tableau.reduced[j] == 0]
             for k in range(lexmin):
                 unit = [0] * self.dimension
@@ -716,9 +715,7 @@ class _Start:
             i for k, i in enumerate(self.projected) if k not in loose
         )
         point, tight = self.lift(z, tableau.det), self._with_copies(tight)
-        return LpOutcome(
-            LpStatus.OPTIMAL, value, point, tight, one_point if unique else None
-        )
+        return LpOutcome(LpStatus.OPTIMAL, value, point, tight, unique)
 
     def proves_unique(self, tableau: _Tableau) -> bool:
         """Whether the solved `tableau` of this start proves its optimal
@@ -806,7 +803,7 @@ def _prepare(
     return start
 
 
-def lp_solve(lp: LinearProgram, lexmin: int = 0, unique: bool = False) -> LpOutcome:
+def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:
     """Exact optimum of `lp` with an optimal point, deterministically.
 
     Equalities are eliminated by substitution first; the remaining free
@@ -819,17 +816,15 @@ def lp_solve(lp: LinearProgram, lexmin: int = 0, unique: bool = False) -> LpOutc
     face instead: the value is unchanged, and the point's first k
     coordinates are the lexicographic minimum of the face, where a
     coordinate unbounded below is pinned to its maximum if that is finite
-    and negative, else to 0.  With `unique=True` an optimal outcome also
-    says whether its final tableau proves the point the only optimal one
-    (`_Start.proves_unique`); any other LP leaves `unique` None and pays
-    no scan.
+    and negative, else to 0.  An optimal outcome also says whether its
+    final tableau proves the point the only optimal one (`LpOutcome.unique`).
     """
     if not 0 <= lexmin <= lp.dimension:
         raise ValueError(f"lexmin={lexmin} in an LP of dimension {lp.dimension}")
     start = lp._rows.start()
     if start is None:
         return INFEASIBLE
-    return start.solve(lp.objective, lexmin, unique)
+    return start.solve(lp.objective, lexmin)
 
 
 def lp_feasible(

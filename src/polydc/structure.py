@@ -132,8 +132,8 @@ class LinearizationResult:
     """Value and optimal face of the one-piece convex subproblem.
 
     `one_point` says that the LP's final tableau proves the face the one
-    point `witness` (`exactlp.lp_solve` with `unique`); False when it does
-    not, or when the subproblem is unbounded.
+    point `witness` (`LpOutcome.unique`); False when it does not, or when
+    the subproblem is unbounded.
     """
 
     piece: int
@@ -224,7 +224,7 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
     v, beta = prob.h.piece(j)
     n = prob.dimension
     g_plus = prob.g_plus_indicator
-    outcome = lp_solve(g_plus.epigraph_lp(v), unique=True)
+    outcome = lp_solve(g_plus.epigraph_lp(v))
     if outcome.status is LpStatus.INFEASIBLE:
         raise InternalCheckFailed(
             "linearized subproblem infeasible despite the standing assumption"

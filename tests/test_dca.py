@@ -125,6 +125,9 @@ class TestSelectSubgradient:
         )
         with pytest.raises(OutsideDomain):
             select_subgradient(h, vec(-1), MinIndexActive())
+        # called directly, a script checks the domain itself
+        with pytest.raises(OutsideDomain, match="outside the domain"):
+            Scripted((vec(0),)).choose(h, vec(-1), 0)
 
 
 class TestSolveSubproblem:

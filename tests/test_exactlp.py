@@ -304,8 +304,8 @@ def _degenerate_at(rng, lp, point):
 
 
 class TestUniqueReport:
-    """`lp_solve(lp, unique=True)` reports whether the final tableau proves
-    the optimal point the only one; no other LP computes the report."""
+    """Every optimal outcome reports whether the final tableau proves the
+    optimal point the only one (`LpOutcome.unique`)."""
 
     def test_a_flagged_point_is_the_whole_optimal_face(self):
         rng = random.Random(1803)
@@ -314,15 +314,12 @@ class TestUniqueReport:
             for _ in range(150):
                 lp = lexmin_cases(rng, fractional)
                 degenerate = False
-                plain = lp_solve(lp)
-                if plain.is_optimal and rng.random() < 0.5:
-                    lp, degenerate = _degenerate_at(rng, lp, plain.point), True
-                    plain = lp_solve(lp)
-                out = lp_solve(lp, unique=True)
-                assert plain.unique is None
-                assert dataclasses.replace(out, unique=None) == plain
+                out = lp_solve(lp)
+                if out.is_optimal and rng.random() < 0.5:
+                    lp, degenerate = _degenerate_at(rng, lp, out.point), True
+                    out = lp_solve(lp)
                 if not out.is_optimal:
-                    assert out.unique is None
+                    assert out.unique is False
                     continue
                 if not out.unique:
                     seen["unflagged"] += 1
@@ -350,8 +347,13 @@ class TestUniqueReport:
             dimension=2,
         )
         assert lp._rows.start().tableau is None
-        assert lp_solve(lp, unique=True).unique is True
-        assert lp_solve(lp).unique is None
+        assert lp_solve(lp).unique is True
+
+    def test_the_report_is_not_part_of_the_outcome(self):
+        out = lp_solve(LinearProgram(vec(1), (), ((vec(-1), Fraction(0)),), 1))
+        assert out.unique is True
+        assert out == dataclasses.replace(out, unique=False)
+        assert hash(out) == hash(dataclasses.replace(out, unique=False))
 
 
 class TestLexmin:

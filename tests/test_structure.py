@@ -504,9 +504,9 @@ class TestPieceContainment:
         calls = []
         original = exactlp.lp_solve
 
-        def counting(lp, **kwargs):
+        def counting(lp):
             calls.append(lp)
-            return original(lp, **kwargs)
+            return original(lp)
 
         for module in (exactlp, model, structure):
             monkeypatch.setattr(module, "lp_solve", counting)
@@ -972,9 +972,9 @@ class TestOneCheckOneLinearization:
             counts["checks"] += 1
             return check(prob)
 
-        def counting_solve(lp, **kwargs):  # structure poses only the epigraph LPs
+        def counting_solve(lp):  # structure poses only the epigraph LPs
             counts["linearizations"] += 1
-            return solve(lp, **kwargs)
+            return solve(lp)
 
         monkeypatch.setattr(structure, "check_structure_hypotheses", counting_check)
         monkeypatch.setattr(structure, "lp_solve", counting_solve)
