@@ -282,7 +282,10 @@ def _load_problem(path: str) -> DcProblem:
     return parse_problem(text)
 
 
-def _parse_rule(text: str) -> dca.SelectionRule:
+def _parse_rule(text: str, prob: DcProblem) -> dca.SelectionRule:
+    """The rule `--rule` names; a table or script that cannot fit the
+    problem's h (its piece count q and dimension n) is rejected with the
+    location of the first entry at fault."""
     if text == "min-index":
         return dca.MinIndexActive()
     if text == "max-index":
@@ -295,7 +298,8 @@ def _parse_rule(text: str) -> dca.SelectionRule:
                 "table file: expected {\"entries\": [{\"active\": [...], "
                 "\"choose\": j}, ...]}"
             )
-        table = {}
+        table, first = {}, {}
+        q = len(prob.h.pieces)
         for k, entry in enumerate(entries):
             if (
                 not isinstance(entry, dict)
@@ -317,7 +321,28 @@ def _parse_rule(text: str) -> dca.SelectionRule:
                 raise ProblemFormatError(
                     f"table entry #{k}.choose: expected an integer, got {choose!r}"
                 )
-            table[frozenset(active)] = choose
+            for where, j in [("active", j) for j in active] + [("choose", choose)]:
+                if not 1 <= j <= q:
+                    raise ProblemFormatError(
+                        f"table entry #{k}.{where}: piece {j}, but h has {q} pieces"
+                    )
+            key = frozenset(active)
+            if len(key) < len(active):
+                raise ProblemFormatError(
+                    f"table entry #{k}.active: {active!r} repeats a piece"
+                )
+            if choose not in key:
+                raise ProblemFormatError(
+                    f"table entry #{k}.choose: piece {choose} is not in its "
+                    f"active set {sorted(key)}"
+                )
+            if key in first:
+                raise ProblemFormatError(
+                    f"table entry #{k}.active: the active set {sorted(key)} "
+                    f"is given by entry #{first[key]} already"
+                )
+            first[key] = k
+            table[key] = choose
         return dca.ByActiveSetTable(table)
     if text.startswith("script:"):
         doc = _load_json(text[len("script:"):])
@@ -330,6 +355,11 @@ def _parse_rule(text: str) -> dca.SelectionRule:
         for k, entry in enumerate(subgradients):
             if not isinstance(entry, list):
                 raise ProblemFormatError(f"script entry #{k}: expected a list")
+            if len(entry) != prob.dimension:
+                raise ProblemFormatError(
+                    f"script entry #{k}: length {len(entry)}, "
+                    f"expected {prob.dimension}"
+                )
             vectors.append(
                 tuple(
                     parse_rational(c, f"script entry #{k}[{i}]")
@@ -384,7 +414,7 @@ def _cmd_dca(prob: DcProblem, args) -> tuple[dict, int]:
             f"--max-iter: expected a count >= 0, got {args.max_iter}"
         )
     x0 = parse_csv_vector(args.x0, prob.dimension)
-    rule = _parse_rule(args.rule)
+    rule = _parse_rule(args.rule, prob)
     trace = dca.run(prob, x0, rule, max_iter=args.max_iter)
     report = {
         "command": "dca",

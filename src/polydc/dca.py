@@ -8,7 +8,9 @@ Selection rules keyed on the active set of h take finitely many values,
 which makes every run on a bounded problem eventually periodic: the first
 revisited iterate closes a fixed point (period 1) or a cycle.  Objective
 values never increase along a run; exact arithmetic lets the cycle test be
-literal equality of rational vectors.
+literal equality of rational vectors.  Under such a rule step j always
+leads to the same node y_j, so `transition_graph` describes every run of
+the rule on a problem at once.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ class SelectionRule:
     """Base for subgradient selection rules; see the concrete rules.
 
     A rule that selects by the active set of h alone also has
-    `pick(active) -> j`: from the 1-based indices of the active pieces, in
-    ascending order, the index of the piece whose gradient it selects.
-    `run` hands such a rule the active set it has already evaluated and
-    falls back to `choose` for rules without `pick`.
+    `pick(active) -> j`: from the 1-based indices of the active pieces, an
+    ascending tuple, the index of the piece whose gradient it selects.
+    `run` hands such a rule the active set it already holds and falls back
+    to `choose` for rules without `pick`; `transition_graph` needs `pick`.
     """
 
     deterministic = True
@@ -240,17 +242,19 @@ def run(
     iteration budget is exhausted.  An error a rule raises while it
     selects propagates.
 
-    x0 is checked and g is evaluated there.  Every later iterate is the
-    point of a subproblem LP, which puts it in C ∩ dom(g) with g(x) equal to
-    the LP value plus xi.x, so only h is evaluated there; a rule with
-    `pick` selects from the active set of that one evaluation.  The
-    canonical minimizer is a function of xi alone, so the problem keeps it
-    (`DcProblem._subproblems`), and every rule reads and fills that one
-    memo: one LP per distinct xi per problem, over all runs on it.  A
-    repeated xi, as at every fixed point or in a later run, takes the
-    iterate already held; an unbounded subproblem is held too and ends
-    each run that reaches it.  The memo keeps one entry per distinct xi for
-    as long as the problem lives: under `pick` rules the keys are piece
+    x0 is checked, and g, C and h are evaluated there.  Every later
+    iterate is a node: the canonical minimizer y of the subproblem at the
+    selected xi, a function of xi alone.  The problem keeps each node
+    (`DcProblem._subproblems`) with f(y) and h's active set at y, computed
+    once, when its LP is solved: every run and rule reads and fills that
+    one memo, so each distinct xi poses one LP and one evaluation of h per
+    problem.  No later step evaluates a function or scales an iterate: a
+    rule with `pick` selects from the active set the node holds, and its
+    piece's scaled gradient is the node's key; a rule without `pick` is
+    asked `choose(h, x, step)`, and its xi is scaled to find the key.  An
+    unbounded subproblem is kept too and ends each run that reaches it, as
+    a node outside dom(h) does.  The memo keeps one entry per distinct xi
+    for as long as the problem lives: under `pick` rules the keys are piece
     gradients of h, at most q, but a script or a custom `choose` may
     return any point of the subdifferential, and each new one adds an
     entry.  A negative `max_iter` raises ValueError.
@@ -258,27 +262,25 @@ def run(
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x = _check_dimension(x0, prob.dimension)
-    point = _scaled(x)  # x on integers, once per iterate
+    point = _scaled(x)  # x on integers, once
     at_g = prob.g._at(point)
     if at_g is None:
         raise OutsideDomain("x0 is outside dom(g)")
     if prob.C._tight_rows(point) is None:
         raise OutsideDomain("x0 is outside the constraint set C")
+    value, active = _on_h(prob.h, point, at_g[0])
 
-    g_plus = prob.g_plus_indicator
-    everywhere = PolyhedralSet.whole_space(prob.dimension)
+    h = prob.h
     pick = getattr(rule, "pick", None)
     iterates: list[Iterate] = []
     # both memos are keyed by scaled points, which are equal exactly when
     # the points are and hash as integers: x scaled -> its step, for this
-    # run, and the problem's xi scaled -> (x, x scaled, g(x)) or None
+    # run, and the problem's xi scaled -> its node, or None when unbounded
     seen: dict[Scaled, int] = {}
     solved = prob._subproblems
     step = 0
-    g_value = at_g[0]  # (g + indicator(C))(x)
     while True:
-        at_h = prob.h._at(point)
-        if at_h is None:
+        if active is None:
             # no subgradient of h here; the offending point is the output
             # of step `step` and is not recorded as an iterate
             termination = Termination(
@@ -289,10 +291,10 @@ def run(
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
         if pick is None:
-            xi = rule.choose(prob.h, x, step)
+            xi = rule.choose(h, x, step)
         else:
-            xi = prob.h.piece(pick([j + 1 for j in at_h[1]]))[0]
-        value = g_value - at_h[0]
+            j = pick(active)
+            xi = h.piece(j)[0]
         iterates.append(Iterate(x, xi, value))
         if len(iterates) >= 2 and iterates[-2].value < value:
             raise InternalCheckFailed(
@@ -313,34 +315,123 @@ def run(
         if step >= max_iter:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
-        xi = _check_dimension(xi, prob.dimension, "subgradient")
-        key = _scaled(xi)
-        if key not in solved:
-            solved[key] = _subproblem_entry(g_plus, everywhere, xi, key)
-        entry = solved[key]
-        if entry is None:
+        if pick is None:
+            xi = _check_dimension(xi, prob.dimension, "subgradient")
+            key = _scaled(xi)
+        else:
+            key = h._scaled_gradients[j - 1]
+        node = solved[key] if key in solved else _solve_node(prob, xi, key)
+        if node is None:
             termination = Termination(
                 TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
             )
             break
-        x, point, g_value = entry
+        x, point, value, active = node
         step += 1
     return DcaTrace(iterates=tuple(iterates), termination=termination)
 
 
-def _subproblem_entry(
-    g_plus: MaxAffine, everywhere: PolyhedralSet, xi: Vector, key: Scaled
-) -> Optional[tuple[Vector, Scaled, Fraction]]:
-    """(x, x scaled, g(x)) of the subproblem at xi, None when unbounded."""
+def _on_h(
+    h: MaxAffine, point: Scaled, g_value: Fraction
+) -> tuple[Optional[Fraction], Optional[tuple[int, ...]]]:
+    """f(x) and h's active set at x (1-based, ascending), from g(x) and one
+    evaluation of h at x scaled; (None, None) outside dom(h)."""
+    at = h._at(point)
+    if at is None:
+        return None, None
+    return g_value - at[0], tuple([j + 1 for j in at[1]])
+
+
+def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
+    """The node at xi, kept in `prob._subproblems` under `key` (xi scaled):
+    one subproblem LP over g + indicator(C), which shares g's prepared
+    start, and one evaluation of h; None when the subproblem is
+    unbounded."""
     try:
-        x, sub_value = solve_subproblem(g_plus, everywhere, xi)
+        x, sub_value = solve_subproblem(
+            prob.g_plus_indicator, PolyhedralSet.whole_space(prob.dimension), xi
+        )
     except SubproblemUnboundedError:
-        return None
-    # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is taken
-    # on integers, like every evaluation at x
-    point = _scaled(x)
-    (X, d), (Xi, s) = point, key
-    return x, point, sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
+        node = None
+    else:
+        # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is
+        # taken on integers, like every evaluation at x
+        point = _scaled(x)
+        (X, d), (Xi, s) = point, key
+        g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
+        node = (x, point, *_on_h(prob.h, point, g_value))
+    prob._subproblems[key] = node
+    return node
+
+
+@dataclass(frozen=True)
+class DcaNode:
+    """The node y_j of one piece j of h: the canonical minimizer of
+    g - v_j.x over C (None when that subproblem is unbounded), with f and
+    h's active set there (None when unbounded or outside dom(h))."""
+
+    x: Optional[Vector]
+    value: Optional[Fraction]
+    active: Optional[tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class TransitionGraph:
+    """Every run of one `pick` rule on one problem at once.
+
+    `nodes[j - 1]` is the node of piece j, and `sigma[j - 1]` is
+    pick(active(y_j)), or None where y_j has no active set.  A run from
+    x0 visits x0, y_{j0}, y_{sigma(j0)}, ... with j0 = pick(active(x0)),
+    until a point repeats or it reaches a node without an active set.
+    `terminals` holds each cycle of sigma, in sigma order from its least
+    piece, ordered by that piece: a 1-tuple is a fixed point, and a run
+    that repeats a point has reached one of them, with its period the
+    cycle's length.
+    """
+
+    nodes: tuple[DcaNode, ...]
+    sigma: tuple[Optional[int], ...]
+    terminals: tuple[tuple[int, ...], ...]
+
+
+def transition_graph(prob: DcProblem, rule: SelectionRule) -> TransitionGraph:
+    """The transition graph of a rule with `pick` (see TransitionGraph).
+
+    It reads and fills the nodes `run` keeps (`DcProblem._subproblems`),
+    so it poses at most q subproblem LPs per problem over every rule and
+    run, and none once the nodes are kept.  An error the rule raises at
+    some node's active set propagates, as in `run`.  The cycles of sigma
+    are cycles of points too: sigma(j) depends on y_j alone, so two
+    pieces of one cycle never share their node.
+    """
+    pick = getattr(rule, "pick", None)
+    if pick is None:
+        raise TypeError("a transition graph needs a rule with pick(active)")
+    h, solved = prob.h, prob._subproblems
+    nodes, sigma = [], []
+    for key, (xi, _) in zip(h._scaled_gradients, h.pieces):
+        node = solved[key] if key in solved else _solve_node(prob, xi, key)
+        x, _, value, active = node if node is not None else (None,) * 4
+        nodes.append(DcaNode(x, value, active))
+        picked = None
+        if active is not None:
+            picked = pick(active)
+            h.piece(picked)  # an index outside 1..q raises, as in `run`
+        sigma.append(picked)
+    terminals = []
+    walked: dict[int, int] = {}  # piece -> the start of the walk that met it
+    for start in h.indices:
+        path, j = [], start
+        while j is not None and j not in walked:
+            walked[j] = start
+            path.append(j)
+            j = sigma[j - 1]
+        if j is not None and walked[j] == start:  # this walk closed a cycle
+            cycle = path[path.index(j):]
+            least = cycle.index(min(cycle))
+            terminals.append(tuple(cycle[least:] + cycle[:least]))
+    terminals.sort()
+    return TransitionGraph(tuple(nodes), tuple(sigma), tuple(terminals))
 
 
 @dataclass(frozen=True)

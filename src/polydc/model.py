@@ -514,6 +514,14 @@ class MaxAffine:
         return pieces, scale
 
     @cached_property
+    def _scaled_gradients(self) -> tuple[Scaled, ...]:
+        """Each piece gradient scaled by `_scaled`, in piece order, built on
+        first use: the key under which `DcProblem._subproblems` keeps the
+        subproblem at that gradient."""
+        # a tuple from a list, not a generator: see exactlp.vector
+        return tuple([_scaled(u) for u, _ in self.pieces])
+
+    @cached_property
     def _below(self) -> dict[int, tuple[tuple[int, IntegerRow], ...]]:
         """For each piece k, the rows u_j.x + alpha_j <= u_k.x + alpha_k of
         the other pieces j in order, as (j, integer row), built on first
@@ -720,13 +728,17 @@ class DcProblem:
         return _hypothesis_violation(self)
 
     @cached_property
-    def _subproblems(self) -> dict[Scaled, Optional[tuple[Vector, Scaled, Fraction]]]:
-        """The DCA subproblem answers of this problem, filled by `dca.run`:
-        a subgradient xi, scaled by `_scaled`, maps to (x, x scaled, g(x))
-        of the canonical minimizer of g - xi.x over C, or to None when that
-        subproblem is unbounded.  An entry is a function of xi alone, so
-        each distinct xi poses one LP per problem, and two runs that fill
-        one key at once write equal entries."""
+    def _subproblems(self) -> dict[Scaled, Optional[tuple]]:
+        """The DCA nodes of this problem, filled by `dca.run` and
+        `dca.transition_graph`: a subgradient xi, scaled by `_scaled`, maps
+        to None when the subproblem min g - xi.x over C is unbounded, and
+        else to (x, x scaled, f(x), active) at its canonical minimizer x,
+        with `active` h's active set there as a tuple of 1-based indices in
+        ascending order; both f(x) and `active` are None when x lies
+        outside dom(h).  An entry is a function of xi alone and is written
+        whole, once: each distinct xi poses one LP and one evaluation of h
+        per problem, and two runs that fill one key at once write equal
+        entries."""
         return {}
 
     def objective_value(self, x: Sequence) -> ExtendedRational:

@@ -15,16 +15,25 @@ from pathlib import Path
 from polydc import (
     Classification,
     ConvexBody,
+    DcaTrace,
     DcProblem,
     GlobalStatus,
     HypothesisFlags,
+    InternalCheckFailed,
+    Iterate,
     LinearProgram,
     LocalStatus,
     MaxAffine,
+    OutsideDomain,
     PolyhedralSet,
+    Scripted,
+    Termination,
+    TerminationKind,
     parse_problem,
+    solve_subproblem,
 )
-from polydc import exactlp, structure
+from polydc import exactlp, model, structure
+from polydc.dca import SubproblemUnboundedError
 from polydc.exactlp import dot, integer_row, row_space_basis
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -361,6 +370,68 @@ def reference_classify(prob, x):
     return Classification(
         True, critical, stationary, local, GlobalStatus.NOT_COMPUTED, flags
     )
+
+
+# ---------------------------------------------------------------------------
+# the DCA loop as it was before each node kept f and h's active set
+
+
+def reference_dca_run(prob, x0, rule, max_iter=1000):
+    """`dca.run` as it was before the problem kept f and h's active set
+    with each node: h is evaluated at every iterate, a `pick` rule's
+    gradient is looked up afresh, and every subproblem is solved on its
+    own LP over g and C (`solve_subproblem`), with no memo."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    x = model._check_dimension(x0, prob.dimension)
+    point = model._scaled(x)
+    at_g = prob.g._at(point)
+    if at_g is None:
+        raise OutsideDomain("x0 is outside dom(g)")
+    if prob.C._tight_rows(point) is None:
+        raise OutsideDomain("x0 is outside the constraint set C")
+    pick = getattr(rule, "pick", None)
+    iterates, seen, step = [], {}, 0
+    g_value = at_g[0]
+    while True:
+        at_h = prob.h._at(point)
+        if at_h is None:
+            termination = Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step)
+            break
+        if isinstance(rule, Scripted) and step >= len(rule.subgradients):
+            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
+            break
+        if pick is None:
+            xi = rule.choose(prob.h, x, step)
+        else:
+            xi = prob.h.piece(pick([j + 1 for j in at_h[1]]))[0]
+        value = g_value - at_h[0]
+        iterates.append(Iterate(x, xi, value))
+        if len(iterates) >= 2 and iterates[-2].value < value:
+            raise InternalCheckFailed("objective increased along a DCA run")
+        if rule.deterministic:
+            first = seen.get(point)
+            if first is not None:
+                period = step - first
+                kind = (
+                    TerminationKind.FIXED_POINT if period == 1 else TerminationKind.CYCLE
+                )
+                termination = Termination(kind, step=first, period=period)
+                break
+            seen[point] = step
+        if step >= max_iter:
+            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
+            break
+        xi = model._check_dimension(xi, prob.dimension, "subgradient")
+        try:
+            x, sub_value = solve_subproblem(prob.g, prob.C, xi)
+        except SubproblemUnboundedError:
+            termination = Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step)
+            break
+        point = model._scaled(x)
+        g_value = sub_value + dot(xi, x)
+        step += 1
+    return DcaTrace(iterates=tuple(iterates), termination=termination)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,47 @@ class TestCommands:
             assert code == 2
             assert location in capsys.readouterr().err
 
+    def test_table_entries_that_do_not_fit_h_exit_2(
+        self, problem_file, tmp_path, capsys
+    ):
+        # h has 3 pieces; each bad entry follows a valid one, as entry #1
+        table = tmp_path / "table.json"
+        for entry, message in (
+            ({"active": [0], "choose": 0}, "#1.active: piece 0, but h has 3 pieces"),
+            ({"active": [1, 2], "choose": 7}, "#1.choose: piece 7, but h has 3 pieces"),
+            ({"active": [2, 2], "choose": 2}, "#1.active: [2, 2] repeats a piece"),
+            (
+                {"active": [3, 2], "choose": 1},
+                "#1.choose: piece 1 is not in its active set [2, 3]",
+            ),
+            (
+                {"active": [1], "choose": 1},
+                "#1.active: the active set [1] is given by entry #0 already",
+            ),
+        ):
+            entries = [{"active": [1], "choose": 1}, entry]
+            table.write_text(json.dumps({"entries": entries}), "utf-8")
+            args = ["--x0", "2", "--rule", f"table:{table}"]
+            assert main(["dca", "--problem", problem_file, *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: table entry {message}\n"
+
+    def test_script_vectors_of_the_wrong_length_exit_2(
+        self, problem_file, tmp_path, capsys
+    ):
+        script = tmp_path / "script.json"
+        for vectors, message in (
+            ([["1", "2"]], "script entry #0: length 2, expected 1"),
+            ([["0"], ["0"], []], "script entry #2: length 0, expected 1"),
+        ):
+            script.write_text(json.dumps({"subgradients": vectors}), "utf-8")
+            args = ["--x0", "2", "--max-iter", "1", "--rule", f"script:{script}"]
+            assert main(["dca", "--problem", problem_file, *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
     def test_row_lists_that_are_not_lists_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         cases = []

@@ -1,5 +1,7 @@
 """DCA runs: selection rules, canonical subproblem solutions, cycles."""
 
+import collections
+import dataclasses
 import functools
 import itertools
 import random
@@ -35,6 +37,7 @@ from polydc import (
     serialize_problem,
     solve_subproblem,
     toland_singer_check,
+    transition_graph,
     validate_trace,
 )
 from polydc import dca, exactlp, model, structure
@@ -895,17 +898,22 @@ def _starts(rng, prob, count):
     return [rng.choice(grid) for _ in range(count)]
 
 
-def _rules(rng, prob, x0):
-    """Both index rules, a random complete table, and a script replaying a
-    prefix of the table's run."""
+def _table(rng, prob):
+    """A random complete `ByActiveSetTable` for the pieces of h."""
     indices = list(prob.h.indices)
-    table = ByActiveSetTable(
+    return ByActiveSetTable(
         {
             frozenset(s): rng.choice(s)
             for r in range(1, len(indices) + 1)
             for s in itertools.combinations(indices, r)
         }
     )
+
+
+def _rules(rng, prob, x0):
+    """Both index rules, a random complete table, and a script replaying a
+    prefix of the table's run."""
+    table = _table(rng, prob)
     replayed = run(_copy(prob), x0, table)
     prefix = rng.randint(0, len(replayed.iterates))
     script = Scripted(tuple(it.xi for it in replayed.iterates[:prefix]))
@@ -919,17 +927,34 @@ def _copy(prob):
     return copy
 
 
+def _mean_active_gradient(prob, x0):
+    """The mean of the active gradients of h at x0, a subgradient there
+    when x0 is interior to dom h, and no piece gradient at a kink."""
+    active = sorted(prob.h.active_indices(x0))
+    return tuple(
+        sum(prob.h.piece(j)[0][i] for j in active) / len(active)
+        for i in range(prob.dimension)
+    )
+
+
 def test_shared_problem_runs_equal_runs_on_fresh_copies():
     """1,000 seeded runs on shared problems, in shuffled order, equal the
-    same runs each on a freshly parsed copy of its problem."""
+    same runs each on a freshly parsed copy of its problem: under both
+    index rules, tables, scripts of piece gradients and of other
+    subgradients, and a state map; over problems with unbounded
+    subproblems and with nodes outside dom h."""
     rng = random.Random(1701)
     problems = gens.bundled_problems()
     problems += [gens.random_dc_instance(rng) for _ in range(6)]
     problems += [_half_space_instance(rng) for _ in range(4)]
+    problems += [_bounded_h_instance(rng) for _ in range(3)]
     cases = []
     for prob in problems:
         for x0 in _starts(rng, prob, 20):
-            for rule in _rules(rng, prob, x0):
+            rules = _rules(rng, prob, x0)
+            if prob.h.domain.is_interior_point(x0):
+                rules.append(Scripted((_mean_active_gradient(prob, x0),)))
+            for rule in rules:
                 cases.append((prob, x0, rule, rng.choice((0, 1, 2, 1000))))
     for prob in (_flat_problem(1), _flat_problem(2)):
         for x0 in _starts(rng, prob, 10):
@@ -944,14 +969,19 @@ def test_shared_problem_runs_equal_runs_on_fresh_copies():
     assert [shared[k] for k in range(len(cases))] == expected
     assert len(cases) >= 1000
     kinds = {trace.termination.kind for trace in expected}
-    assert kinds >= {
-        TerminationKind.FIXED_POINT,
-        TerminationKind.CYCLE,
-        TerminationKind.MAX_ITERATIONS,
-        TerminationKind.SUBPROBLEM_UNBOUNDED,
-    }
-    # an unbounded subproblem is kept like any other answer
+    assert kinds == set(TerminationKind)
+    # tables and scripts take steps, and read nodes other runs kept
+    for kind in (ByActiveSetTable, Scripted):
+        assert any(
+            isinstance(rule, kind) and len(trace.iterates) > 1
+            for (_, _, rule, _), trace in zip(cases, expected)
+        )
+    # an unbounded subproblem is kept like any other answer, and so is a
+    # subgradient that is no piece gradient
     assert any(None in prob._subproblems.values() for prob in problems)
+    assert any(
+        set(prob._subproblems) - set(prob.h._scaled_gradients) for prob in problems
+    )
 
 
 def _counting_lps(monkeypatch):
@@ -1006,3 +1036,301 @@ def test_repeated_runs_and_checks_pose_no_lp(monkeypatch):
         assert again == first
         assert report_again == report
         assert solved == posed == []
+
+
+# ---------------------------------------------------------------------------
+# every node evaluated once per problem; the transition graph of a pick rule
+
+
+@dataclasses.dataclass(frozen=True)
+class _NextPiece(SelectionRule):
+    """A `pick` that need not select a subgradient: the piece `shift`
+    places after the highest active one, cyclically.  Where f is constant
+    on C its runs cycle with any period."""
+
+    q: int
+    shift: int = 1
+
+    def pick(self, active):
+        return (active[-1] - 1 + self.shift) % self.q + 1
+
+
+def _bounded_h_instance(rng):
+    """A random instance with dom h the half of C where x_1 <= its middle:
+    some nodes lie outside dom h."""
+    prob = gens.random_dc_instance(rng, n_max=2)
+    lo, hi = prob.C.bounding_box()
+    n = prob.dimension
+    row = (tuple(ONE if k == 0 else ZERO for k in range(n)), (lo[0] + hi[0]) / 2)
+    h = MaxAffine(prob.h.pieces, PolyhedralSet(n, inequalities=(row,)))
+    return DcProblem(g=prob.g, h=h, C=prob.C)
+
+
+def _level_instance(rng):
+    """A random instance with g = h, so f = 0 on C: any pick keeps the
+    objective, and `_NextPiece` cycles."""
+    prob = gens.random_dc_instance(rng, n_max=2)
+    return DcProblem(g=prob.h, h=prob.h, C=prob.C)
+
+
+def _random_points(rng, prob, count):
+    """`count` random rational points of C (of a box at C's lower corner
+    when C is unbounded)."""
+    try:
+        lo, hi = prob.C.bounding_box()
+    except PolydcError:
+        lo = lp_feasible(prob.C.equalities, prob.C.inequalities, prob.dimension)
+        hi = tuple(c + 2 for c in lo)
+    points = []
+    for _ in range(count):
+        d = rng.randint(1, 9)
+        points.append(
+            tuple(a + (b - a) * F(rng.randint(0, d), d) for a, b in zip(lo, hi))
+        )
+    return points
+
+
+def _walk(graph, prob, x0, rule, max_iter):
+    """The run `graph` predicts from x0: x0's own pick, then sigma from node
+    to node.  Returns the trace and, when a point repeats, the picks around
+    the cycle."""
+    x = tuple(F(c) for c in x0)
+    if not prob.h.domain.contains(x):
+        return DcaTrace((), Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=0)), None
+    picks = [rule.pick(tuple(sorted(prob.h.active_indices(x))))]
+    iterates = [Iterate(x, prob.h.piece(picks[0])[0], prob.finite_objective(x))]
+    seen, step, cycle = {x: 0}, 0, None
+    while True:
+        if step >= max_iter:
+            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
+            break
+        node = graph.nodes[picks[-1] - 1]
+        if node.x is None:
+            termination = Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step)
+            break
+        step += 1
+        if node.active is None:
+            termination = Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step)
+            break
+        picks.append(graph.sigma[picks[-1] - 1])
+        iterates.append(Iterate(node.x, prob.h.piece(picks[-1])[0], node.value))
+        first = seen.get(node.x)
+        if first is not None:
+            period = step - first
+            kind = TerminationKind.FIXED_POINT if period == 1 else TerminationKind.CYCLE
+            termination = Termination(kind, step=first, period=period)
+            cycle = picks[first:step]
+            least = cycle.index(min(cycle))
+            cycle = tuple(cycle[least:] + cycle[:least])
+            break
+        seen[node.x] = step
+    return DcaTrace(tuple(iterates), termination), cycle
+
+
+def _replay_cases(rng):
+    """(problem, rule, selects, starts) for the replay test; `selects` says
+    whether the rule picks an active piece, so that its fixed points are
+    critical."""
+    problems = gens.bundled_problems() + [gens.interval_problem()]
+    problems += [gens.random_dc_instance(rng) for _ in range(24)]
+    problems += [_half_space_instance(rng) for _ in range(6)]
+    problems += [_bounded_h_instance(rng) for _ in range(8)]
+    levels = [_level_instance(rng) for _ in range(12)]
+    for prob in problems + levels:
+        starts = _starts(rng, prob, 3) + _random_points(rng, prob, 2)
+        rules = [(MinIndexActive(), True), (MaxIndexActive(), True)]
+        rules.append((_table(rng, prob), True))
+        if prob in levels:
+            q = len(prob.h.pieces)
+            rules += [(_NextPiece(q), False), (_NextPiece(q, q - 1), False)]
+        for rule, selects in rules:
+            yield prob, rule, selects, starts
+
+
+def test_runs_replay_their_transition_graph():
+    """Over 1,000 seeded runs under both index rules, random tables and a
+    cycling pick, each trace equals its walk on the rule's transition graph
+    and the loop that evaluates every iterate and solves every subproblem
+    afresh; every fixed point of a selecting rule's graph is critical by
+    the weight-LP classifier."""
+    rng = random.Random(1907)
+    traces = 0
+    seen = collections.Counter()
+    for prob, rule, selects, starts in _replay_cases(rng):
+        graph = transition_graph(prob, rule)
+        nodes = [node.x for node in graph.nodes if node.x is not None]
+        for j, node in enumerate(graph.nodes, 1):
+            if node.x is None:
+                continue
+            if prob.h.domain.contains(node.x):
+                assert node.active == tuple(sorted(prob.h.active_indices(node.x)))
+                assert node.value == prob.finite_objective(node.x)
+                assert graph.sigma[j - 1] == rule.pick(node.active)
+            else:
+                assert node.active is node.value is graph.sigma[j - 1] is None
+        assert list(graph.terminals) == sorted(graph.terminals)
+        assert all(cycle[0] == min(cycle) for cycle in graph.terminals)
+        for (j,) in (t for t in graph.terminals if len(t) == 1):
+            assert graph.sigma[j - 1] == j
+            if selects:
+                assert gens.reference_classify(prob, graph.nodes[j - 1].x).critical
+                seen["critical fixed point"] += 1
+        seen["shared node"] += len(nodes) > len(set(nodes))
+        for x0 in starts + nodes:
+            max_iter = rng.choice((0, 1, 2, 1000))
+            trace = run(prob, x0, rule, max_iter)
+            walked, cycle = _walk(graph, prob, x0, rule, max_iter)
+            assert trace == walked == gens.reference_dca_run(prob, x0, rule, max_iter)
+            if cycle is not None:
+                assert cycle in graph.terminals
+            kind, step = trace.termination.kind, trace.termination.step
+            seen[kind, max_iter if max_iter < 2 else None] += 1
+            seen["x0 a node"] += x0 in nodes
+            seen["left dom h"] += kind is TerminationKind.SUBDIFFERENTIAL_EMPTY and step > 0
+            traces += 1
+    assert traces >= 1000
+    assert seen[TerminationKind.SUBPROBLEM_UNBOUNDED, None] > 0
+    assert seen[TerminationKind.CYCLE, None] > 0
+    for max_iter in (0, 1):
+        assert seen[TerminationKind.MAX_ITERATIONS, max_iter] > 0
+    for case in ("critical fixed point", "shared node", "x0 a node", "left dom h"):
+        assert seen[case] > 0, case
+
+
+def test_a_graph_poses_at_most_q_lps_per_problem(monkeypatch):
+    """The graphs of every rule on one problem pose one LP per distinct
+    piece gradient between them, and runs after them pose none."""
+    rng = random.Random(1913)
+    problems = [gens.random_dc_instance(rng) for _ in range(10)]
+    problems += [_half_space_instance(rng) for _ in range(3)]
+    for prob in problems:
+        starts = _starts(rng, prob, 3)
+        posed = _counting_lps(monkeypatch)
+        graphs = [
+            transition_graph(prob, rule)
+            for rule in (MinIndexActive(), MaxIndexActive(), _table(rng, prob))
+        ]
+        assert len(posed) == len({u for u, _ in prob.h.pieces}) <= len(prob.h.pieces)
+        for x0 in starts:
+            for rule in (MinIndexActive(), MaxIndexActive()):
+                run(prob, x0, rule)
+        monkeypatch.undo()
+        assert len(posed) == len(prob._subproblems)
+        assert graphs[0] == transition_graph(_copy(prob), MinIndexActive())
+    with pytest.raises(TypeError, match="pick"):
+        transition_graph(problems[0], Scripted(()))
+
+
+def test_interval_graph():
+    prob = gens.interval_problem()
+    for rule in (MinIndexActive(), MaxIndexActive()):
+        graph = transition_graph(prob, rule)
+        assert [node.x for node in graph.nodes] == [vec(-2), vec(-2), vec(3)]
+        assert [node.active for node in graph.nodes] == [(1,), (1,), (3,)]
+        assert [node.value for node in graph.nodes] == [F(-1), F(-1), F(-2)]
+        assert graph.sigma == (1, 1, 3)
+        assert graph.terminals == ((1,), (3,))
+
+
+@dataclasses.dataclass(frozen=True)
+class _PickMap(SelectionRule):
+    """A `pick` by a fixed map from active sets to pieces, active or not."""
+
+    table: tuple
+
+    def pick(self, active):
+        return dict(self.table)[active]
+
+
+def test_a_cycle_entered_above_its_least_piece():
+    # g = h = max(-x, x - 4, -1) on [0, 4], so f = 0: the nodes are
+    # y = (0, 3, 1) with active sets {1}, {2, 3} and {1, 3}, and the map
+    # makes sigma = (3, 3, 2), which piece 1 enters at piece 3
+    h = MaxAffine.from_pieces([(vec(-1), F(0)), (vec(1), F(-4)), (vec(0), F(-1))], 1)
+    prob = DcProblem(g=h, h=h, C=PolyhedralSet.box(vec(0), vec(4)))
+    rule = _PickMap((((1,), 3), ((1, 3), 2), ((2, 3), 3)))
+    graph = transition_graph(prob, rule)
+    assert [node.x for node in graph.nodes] == [vec(0), vec(3), vec(1)]
+    assert graph.sigma == (3, 3, 2)
+    assert graph.terminals == ((2, 3),)
+    trace = run(prob, vec(0), rule)
+    assert trace.points == (vec(0), vec(1), vec(3), vec(1))
+    assert trace.termination == Termination(TerminationKind.CYCLE, step=1, period=2)
+    assert _walk(graph, prob, vec(0), rule, 1000) == (trace, (2, 3))
+
+
+def _counting_evaluations(monkeypatch, prob):
+    """Lists of the points at which h is evaluated and of every point or
+    vector scaled, filled while the patch holds."""
+    evaluated, scaled = [], []
+    at, scale = MaxAffine._at, model._scaled
+
+    def counting_at(f, point):
+        if f is prob.h:
+            evaluated.append(point)
+        return at(f, point)
+
+    def counting_scale(x):
+        scaled.append(x)
+        return scale(x)
+
+    monkeypatch.setattr(MaxAffine, "_at", counting_at)
+    for module in (model, dca):
+        monkeypatch.setattr(module, "_scaled", counting_scale)
+    return evaluated, scaled
+
+
+def test_a_run_evaluates_h_once_per_node(monkeypatch):
+    """A fresh run evaluates h at x0 and once per distinct node it solves;
+    a warm run evaluates h only at x0 and scales only x0, under every
+    `pick` rule."""
+    rng = random.Random(1931)
+    problems = gens.bundled_problems()
+    problems += [gens.random_dc_instance(rng) for _ in range(12)]
+    problems += [_half_space_instance(rng) for _ in range(3)]
+    problems += [_bounded_h_instance(rng) for _ in range(3)]
+    steps = 0
+    for prob in problems:
+        for x0 in _starts(rng, prob, 2):
+            rules = (MinIndexActive(), MaxIndexActive(), _table(rng, prob))
+            for rule in rules:
+                fresh = _copy(prob)
+                evaluated, scaled = _counting_evaluations(monkeypatch, fresh)
+                trace = run(fresh, x0, rule)
+                monkeypatch.undo()
+                bounded = [node for node in fresh._subproblems.values() if node]
+                assert evaluated[0] == model._scaled(tuple(x0))
+                assert sorted(evaluated[1:]) == sorted(node[1] for node in bounded)
+                assert trace == run(prob, x0, rule)
+                evaluated, scaled = _counting_evaluations(monkeypatch, prob)
+                assert run(prob, x0, rule) == trace
+                monkeypatch.undo()
+                assert evaluated == [model._scaled(tuple(x0))]
+                assert scaled == [tuple(x0)]
+                steps += len(trace.iterates) - 1
+    assert steps > 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Mutating(SelectionRule):
+    """A `pick` that tries to change the active set it is handed."""
+
+    def pick(self, active):
+        active.append(0)  # the kept active set is a tuple: this raises
+        return active[0]
+
+
+def test_a_pick_cannot_change_a_kept_node():
+    rng = random.Random(1933)
+    for prob in [gens.random_dc_instance(rng) for _ in range(10)]:
+        lo, _ = prob.C.bounding_box()
+        run(prob, lo, MinIndexActive())
+        kept = dict(prob._subproblems)
+        for node in filter(None, kept.values()):
+            with pytest.raises(AttributeError):
+                run(prob, node[0], _Mutating())
+        assert prob._subproblems == kept
+        for x0 in _starts(rng, prob, 3):
+            assert run(prob, x0, MaxIndexActive()) == run(
+                _copy(prob), x0, MaxIndexActive()
+            )
