@@ -92,21 +92,28 @@ class MaxIndexActive(_ActiveSetRule):
 
 @dataclass(frozen=True)
 class ByActiveSetTable(_ActiveSetRule):
-    """Explicit table from active sets to the chosen piece index."""
+    """Explicit table from active sets to the chosen piece index.
+
+    Every entry is checked when the table is built: its active set is
+    nonempty, its pieces are numbered from 1, and it holds the chosen
+    piece.  `run` and `transition_graph` reject an entry naming a piece
+    above h's piece count before step 0 (`_pick`).
+    """
 
     table: Mapping[frozenset[int], int]
+
+    def __post_init__(self):
+        for active, chosen in self.table.items():
+            if not active or min(active) < 1 or chosen not in active:
+                raise InvalidSelection(
+                    f"table entry {sorted(active)} -> {chosen}: expected a "
+                    "nonempty active set of pieces from 1 holding the chosen one"
+                )
 
     def pick(self, active):
         chosen = self.table.get(frozenset(active))
         if chosen is None:
-            raise InvalidSelection(
-                f"no table entry for active set {list(active)}"
-            )
-        if chosen not in active:
-            raise InvalidSelection(
-                f"table picks piece {chosen}, not active at this point "
-                f"(active set {list(active)})"
-            )
+            raise InvalidSelection(f"no table entry for active set {list(active)}")
         return chosen
 
 
@@ -226,6 +233,17 @@ class DcaTrace:
         return self.iterates[-1].x
 
 
+def _pick(rule: SelectionRule, h: MaxAffine):
+    """The rule's `pick`, or None for a rule without one; a table with an
+    entry naming a piece above h's piece count is rejected here, before
+    step 0."""
+    if isinstance(rule, ByActiveSetTable):
+        top, q = max(map(max, rule.table), default=0), len(h.pieces)
+        if top > q:
+            raise InvalidSelection(f"table names piece {top}, but h has {q} pieces")
+    return getattr(rule, "pick", None)
+
+
 def run(
     prob: DcProblem,
     x0: Sequence,
@@ -271,7 +289,7 @@ def run(
     value, active = _on_h(prob.h, point, at_g[0])
 
     h = prob.h
-    pick = getattr(rule, "pick", None)
+    pick = _pick(rule, h)
     iterates: list[Iterate] = []
     # both memos are keyed by scaled points, which are equal exactly when
     # the points are and hash as integers: x scaled -> its step, for this
@@ -404,7 +422,7 @@ def transition_graph(prob: DcProblem, rule: SelectionRule) -> TransitionGraph:
     are cycles of points too: sigma(j) depends on y_j alone, so two
     pieces of one cycle never share their node.
     """
-    pick = getattr(rule, "pick", None)
+    pick = _pick(rule, prob.h)
     if pick is None:
         raise TypeError("a transition graph needs a rule with pick(active)")
     h, solved = prob.h, prob._subproblems

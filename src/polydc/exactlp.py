@@ -871,17 +871,26 @@ def _solve_margin(
 ) -> tuple[ExtendedRational, Optional[Vector], LinearProgram]:
     """`max_slack` of the margin LP `lp`, and the LP the witness comes
     from: `lp`, or when the margin is unbounded the same rows capped at
-    eps <= 1."""
+    eps <= 1.
+
+    Without a strict row eps has no bound but eps >= 0, the last row, so
+    the margin is +inf exactly when the weak rows have a point: such an
+    LP is posed once, already capped, and `lp` itself is not solved.
+    """
     dimension = lp.dimension - 1
-    outcome = lp_solve(lp)
-    if outcome.status is LpStatus.INFEASIBLE:
-        return ExtendedRational.finite(0), None, lp
+    # eps has coefficient s > 0 in a strict row; the last row is eps >= 0
+    strict = any(A[-1] for A, _ in lp.inequalities[:-1])
+    outcome = lp_solve(lp) if strict else UNBOUNDED  # or infeasible
     if outcome.status is LpStatus.UNBOUNDED:
         cap = ((0,) * dimension + (1,), 1)  # eps <= 1
         capped = _integer_lp(
             lp.objective, lp.equalities, lp.inequalities + (cap,), lp.dimension
         )
-        return PLUS_INF, lp_solve(capped).point[:dimension], capped
+        outcome = lp_solve(capped)
+        if outcome.is_optimal:
+            return PLUS_INF, outcome.point[:dimension], capped
+    if outcome.status is LpStatus.INFEASIBLE:
+        return ExtendedRational.finite(0), None, lp
     return ExtendedRational.finite(-outcome.value), outcome.point[:dimension], lp
 
 
@@ -898,8 +907,9 @@ def max_slack(
     `r.x <= b` tightened to `r.x <= b - eps`.  The strict system has a
     solution iff slack > 0.  Slack 0 with witness None means even the weak
     system is empty; slack may be +inf, in which case the witness has
-    margin 1.  Every row is an integer row (A, B, s); the LP is
-    `_margin_lp`'s.
+    margin 1.  Without strict rows the slack is +inf exactly when the weak
+    system has a point, and one LP decides it (`_solve_margin`).  Every
+    row is an integer row (A, B, s); the LP is `_margin_lp`'s.
     """
     return _solve_margin(
         _margin_lp(equalities, weak_inequalities, strict_inequalities, dimension)

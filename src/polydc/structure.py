@@ -62,14 +62,25 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   optimal face of j the one point y (`exactlp._Start.solve`), the closed
   part of every J1 holding j lies in {y}, so its piece is {y} or empty:
   nonempty exactly when y is in the closed part and every piece of h
-  active at y is in J1, which `SemiClosedPiece.contains(y)` decides.  Its
-  margin LP would have only y in its x-projection, so y is the witness
-  that LP would return, and none is posed (`_point_piece`).  A point piece
-  P lies in a set S iff y does.  cl(P) ∩ Q is {y} ∩ Q, and cl(Q) ∩ P is
-  {y} when y is in Q's closed part with Q's anchor active there: the weak
-  and the weakened strict rows of the anchor system say h_j <= h_anchor
-  for every j, and they describe cl(Q).  No containment or closure test
-  on a point piece poses an LP.
+  active at y is in J1.  With A(y) the pieces active at y and F the
+  pieces whose optimal face holds y, y is in the closed part of J1 iff
+  J1 ⊆ F (every face lies in C), so the piece is {y} exactly when
+  A(y) ⊆ J1 ⊆ F: set algebra, and the closed part is built only then.
+  Its margin LP would have only y in its x-projection, so y is the
+  witness that LP would return, and none is posed (`_point_piece`).  Two
+  point pieces have the same member set iff their points are equal.  A
+  point piece P lies in a set S iff y does.  cl(P) ∩ Q is {y} ∩ Q, and
+  cl(Q) ∩ P is {y} when y is in Q's closed part with Q's anchor active
+  there: the weak and the weakened strict rows of the anchor system say
+  h_j <= h_anchor for every j, and they describe cl(Q).  No containment
+  or closure test on a point piece poses an LP.
+* Each point evaluated once.  A piece keeps the one evaluation of its
+  witness (`SemiClosedPiece._evaluation`): the point scaled, h's value
+  and h's active set there.  Membership of the witness in another piece,
+  the containment, merge, skip and closure tests, and f at the witness
+  in `components` read it.  `local_pieces` evaluates h once per distinct
+  point of the call, the point of each one-point face and each witness,
+  and `components` evaluates f once per distinct probe point.
 * Levels do not touch.  On a piece f = alpha_anchor: every member x lies
   in the optimal face of the anchor and has it active, so
   f(x) = g(x) - v_anchor.x - beta_anchor, the anchor's shifted value.
@@ -86,7 +97,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Optional, Sequence
 
 from .exactlp import (
@@ -174,7 +185,9 @@ class SemiClosedPiece:
     built.  `_lp` is the margin LP of that system that `build_piece`
     solved; a piece built without it poses it on first use.  `_point` says
     that the closed part is the one point `witness` (`_point_piece`), so
-    the piece is that point and its tests need no LP.
+    the piece is that point and its tests need no LP.  `_evaluation` is
+    the one evaluation of the witness (each point evaluated once, module
+    docstring).
     """
 
     J1: frozenset[int]
@@ -198,16 +211,41 @@ class SemiClosedPiece:
             return self._lp
         return _margin_lp(*self._system, self.dimension)
 
+    @cached_property
+    def _evaluation(self) -> tuple:
+        """(the witness scaled by `_scaled`, h's `MaxAffine._at` there);
+        `local_pieces` hands each piece it builds the evaluation it made,
+        and a piece built by hand makes it on first use."""
+        point = _scaled(_check_dimension(self.witness, self.dimension))
+        return point, self.h._at(point)
+
     def contains(self, x: Sequence) -> bool:
         point = _scaled(_check_dimension(x, self.dimension))
-        if self.closed_part._tight_rows(point) is None:
-            return False
-        at = self.h._at(point)
-        return at is not None and all(j + 1 in self.J1 for j in at[1])
+        inside = self.closed_part._tight_rows(point) is not None
+        return inside and _within(self.h._at(point), self.J1)
+
+    def _holds(self, other: SemiClosedPiece) -> bool:
+        """`contains(other.witness)`, from other's kept evaluation."""
+        point, at = other._evaluation
+        return self.closed_part._tight_rows(point) is not None and _within(at, self.J1)
+
+    def _objective(self, prob: DcProblem) -> Fraction:
+        """`prob.finite_objective(self.witness)`, with h's value read from
+        the kept evaluation."""
+        point, at = self._evaluation
+        at_g = prob.g_plus_indicator._at(point)
+        if at_g is None or at is None:
+            raise OutsideDomain("objective is not finite at this point")
+        return at_g[0] - at[0]
 
     @property
     def dimension(self) -> int:
         return self.closed_part.dimension
+
+
+def _within(at: Optional[tuple], J1: frozenset[int]) -> bool:
+    """Whether h's `_at` result `at` is in dom h with its active set in J1."""
+    return at is not None and all(j + 1 in J1 for j in at[1])
 
 
 def _linearize(prob: DcProblem, j: int) -> _Pair:
@@ -349,18 +387,21 @@ def build_piece(
 
 
 def _point_piece(
-    h: MaxAffine,
-    closed_part: PolyhedralSet,
-    J1: frozenset[int],
-    anchor: int,
-    point: Vector,
+    prob: DcProblem, faces: list, J1: frozenset[int], anchor: int, face_point: tuple
 ) -> Optional[SemiClosedPiece]:
-    """`build_piece` without an LP when `closed_part` lies in a one-point
-    optimal face {point} of some j in J1 (point faces, module docstring):
-    the piece is {point} when `point` is a member, else empty."""
-    excluded = frozenset(h.indices) - J1
-    piece = SemiClosedPiece(J1, closed_part, excluded, h, point, anchor, _point=True)
-    return piece if piece.contains(point) else None
+    """`build_piece` without an LP when some j in J1 has the one-point
+    optimal face {y} (point faces, module docstring).  `face_point` is
+    (y, h's evaluation at y, F), with F the pieces whose face holds y.
+    The piece is {y} exactly when A(y) ⊆ J1 ⊆ F, else empty; only a
+    nonempty piece builds its closed part, from `faces`, those of J1."""
+    y, evaluation, holding = face_point
+    if not (J1 <= holding and _within(evaluation[1], J1)):
+        return None
+    closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
+    excluded = frozenset(prob.h.indices) - J1
+    piece = SemiClosedPiece(J1, closed_part, excluded, prob.h, y, anchor, _point=True)
+    piece.__dict__["_evaluation"] = evaluation  # the value it would derive
+    return piece
 
 
 def _negated(row: IntegerRow) -> IntegerRow:
@@ -381,7 +422,7 @@ def _satisfies(P: SemiClosedPiece, S: PolyhedralSet) -> bool:
     tested once.  A point piece is tested at its point.
     """
     if P._point:
-        return S._tight_rows(_scaled(P.witness)) is not None
+        return S._tight_rows(P._evaluation[0]) is not None
     equalities, weak, _ = P._system
     # rows every member satisfies, or tested
     settled_equalities, settled = set(equalities), set(weak)
@@ -406,13 +447,15 @@ def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     member of P has the witness's active set (the lemma), so once Q holds
     the witness, P ⊆ Q iff every member of P lies in Q's closed part.
     """
-    return Q.contains(P.witness) and _satisfies(P, Q.closed_part)
+    return Q._holds(P) and _satisfies(P, Q.closed_part)
 
 
 def _same_member_set(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
+    if P._point and Q._point:  # the pieces are their points
+        return P.witness == Q.witness
     # no containment LP runs before P holds Q's witness and Q holds P's,
     # the check that opens _piece_subset
-    return P.contains(Q.witness) and _piece_subset(P, Q) and _piece_subset(Q, P)
+    return P._holds(Q) and _piece_subset(P, Q) and _piece_subset(Q, P)
 
 
 def _equals_sub_piece(
@@ -430,7 +473,7 @@ def _equals_sub_piece(
     return (
         K.J1 < J1
         and least <= K.J1
-        and closed_part._tight_rows(_scaled(K.witness)) is not None
+        and closed_part._tight_rows(K._evaluation[0]) is not None
         and _satisfies(K, closed_part)
     )
 
@@ -445,15 +488,17 @@ def local_pieces(
     The nonempty subsets J1 of h's piece indices are tried by size, then
     lexicographically, and pieces whose member sets are provably equal are
     merged, keeping the smallest J1.  A J1 that holds a piece whose
-    optimal face is one point is decided at that point, without an LP
-    (point faces).  Otherwise a J1 whose piece equals that of an earlier
-    kept K ⊂ J1 is skipped without an LP of its own (the skip lemma); any
-    other costs one LP for the system of its anchor (see the module
-    docstring).  A nonempty piece is kept unless it has the member set of
-    a kept one.  Equality is containment both ways, and each containment
-    test is one phase 2 per row of the other piece's closed part that the
-    piece's own system does not already impose, so faces shared by the
-    two J1 sets cost nothing; a point piece is tested at its point.  Under
+    optimal face is one point is decided at that point by set algebra,
+    without an LP (point faces), and h is evaluated once per distinct
+    point (each point evaluated once).  Otherwise a J1 whose piece equals
+    that of an earlier kept K ⊂ J1 is skipped without an LP of its own
+    (the skip lemma); any other costs one LP for the system of its anchor
+    (see the module docstring).  A nonempty piece is kept unless it has
+    the member set of a kept one.  Equality is containment both ways, and
+    each containment test is one phase 2 per row of the other piece's
+    closed part that the piece's own system does not already impose, so
+    faces shared by the two J1 sets cost nothing; a point piece is tested
+    at its point, and two point pieces are compared by their points.  Under
     the containment hypotheses the union of the returned pieces is exactly
     the local solution set.  `linearized` is as in `global_solutions`.
     """
@@ -466,23 +511,35 @@ def local_pieces(
         )
     if linearized is None:
         linearized = prob._linearized
-    omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
+    face_of = {r.piece: r.face for r, _ in linearized if r.face is not None}
+
+    @cache  # h once per distinct point of the call
+    def evaluate(x: Vector) -> tuple:  # as `SemiClosedPiece._evaluation`
+        point = _scaled(x)
+        return point, prob.h._at(point)
+
+    points = {}  # j of a one-point face {y}: (y, its evaluation, F)
+    for r, _ in linearized:
+        if r.one_point:
+            e = evaluate(r.witness)
+            F = [k for k, face in face_of.items() if face._tight_rows(e[0]) is not None]
+            points[r.piece] = r.witness, e, frozenset(F)
     # one piece per member set, with the smallest J1 that gives it
     representatives: list[SemiClosedPiece] = []
     for size in range(1, q + 1):
         for combo in itertools.combinations(prob.h.indices, size):
             J1 = frozenset(combo)
-            faces = [omega[j].face for j in sorted(J1)]
-            if any(face is None for face in faces):
+            if not J1 <= face_of.keys():
                 continue
-            closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
+            faces = [face_of[j] for j in combo]
             # the first index of least alpha; finite, as every face exists
             anchor = min(combo, key=alpha.__getitem__)
-            point = next((omega[j].witness for j in combo if omega[j].one_point), None)
-            if point is not None:
-                piece = _point_piece(prob.h, closed_part, J1, anchor, point)
+            j = next((j for j in combo if j in points), None)
+            if j is not None:
+                piece = _point_piece(prob, faces, J1, anchor, points[j])
             else:
+                closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
                 least = frozenset([j for j in combo if alpha[j] == alpha[anchor]])
                 if any(
                     _equals_sub_piece(K, J1, least, closed_part)
@@ -490,6 +547,8 @@ def local_pieces(
                 ):
                     continue
                 piece = build_piece(prob.h, closed_part, J1, anchor)
+                if piece is not None:
+                    piece.__dict__["_evaluation"] = evaluate(piece.witness)
             if piece is not None and not any(
                 _same_member_set(piece, rep) for rep in representatives
             ):
@@ -510,10 +569,9 @@ def _closure_meets(
     and closing's anchor is active at y (point faces, module docstring).
     """
     if closing._point:
-        return closing.witness if other.contains(closing.witness) else None
+        return closing.witness if other._holds(closing) else None
     if other._point:
-        point = _scaled(other.witness)
-        at = closing.h._at(point)
+        point, at = other._evaluation
         anchor_active = at is not None and closing.anchor - 1 in at[1]
         if anchor_active and closing.closed_part._tight_rows(point) is not None:
             return other.witness
@@ -599,23 +657,27 @@ def components(
 
     The objective is constant on every component; the value is verified at
     every piece witness and every adjacency witness inside the component,
-    exactly.
+    exactly, once per distinct point.  At a piece witness h's value is
+    read from the piece's kept evaluation.
     """
     if not pieces:
         return ()
     edges = _adjacency(prob, pieces)
     out = []
     placed: set[int] = set()
+    known: dict[Vector, Fraction] = {}  # f at each probe point
     for first in range(len(pieces)):
         if first in placed:
             continue
         members = sorted(_walk(edges, [first]))
         placed.update(members)
-        probe_points = [pieces[i].witness for i in members]
-        probe_points += [
-            w for (i, j), w in sorted(edges.items()) if i in members and j in members
-        ]
-        values = {prob.finite_objective(p) for p in probe_points}
+        probes = [(pieces[i].witness, pieces[i]) for i in members]
+        # an edge joins two members or none
+        probes += [(w, None) for (i, _), w in sorted(edges.items()) if i in members]
+        for x, piece in probes:
+            if x not in known:
+                known[x] = piece._objective(prob) if piece else prob.finite_objective(x)
+        values = {known[x] for x, _ in probes}
         if len(values) != 1:
             raise InternalCheckFailed(
                 f"objective is not constant on a component: values {sorted(values)}"

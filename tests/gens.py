@@ -245,6 +245,25 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
     return outcome, (tableau.rows, tableau.basis, tableau.det)
 
 
+def reference_solve_margin(lp: LinearProgram):
+    """`exactlp._solve_margin` as it was before a margin LP without strict
+    rows was posed once: `lp` is solved first, and when its margin is
+    unbounded the same rows capped at eps <= 1 are posed and solved as a
+    second LP.  Returns (slack, witness, the LP the witness comes from)."""
+    dimension = lp.dimension - 1
+    outcome = exactlp.lp_solve(lp)
+    if outcome.status is exactlp.LpStatus.INFEASIBLE:
+        return exactlp.ExtendedRational.finite(0), None, lp
+    if outcome.status is exactlp.LpStatus.UNBOUNDED:
+        cap = ((0,) * dimension + (1,), 1)  # eps <= 1
+        capped = exactlp._integer_lp(
+            lp.objective, lp.equalities, lp.inequalities + (cap,), lp.dimension
+        )
+        return exactlp.PLUS_INF, exactlp.lp_solve(capped).point[:dimension], capped
+    value = exactlp.ExtendedRational.finite(-outcome.value)
+    return value, outcome.point[:dimension], lp
+
+
 # ---------------------------------------------------------------------------
 # the local solution set as it was built before sub-pieces were skipped
 

@@ -99,9 +99,37 @@ class TestSelectSubgradient:
         assert select_subgradient(interval_problem.h, vec(-1), rule) == vec(0)
         with pytest.raises(InvalidSelection, match="no table entry"):
             select_subgradient(interval_problem.h, vec(1), rule)
-        bad = ByActiveSetTable({frozenset({2}): 3})
-        with pytest.raises(InvalidSelection, match="not active"):
-            select_subgradient(interval_problem.h, vec(0), bad)
+        # an entry whose choice lies outside its own active set is rejected
+        # when the table is built, not when a run reaches that set
+        with pytest.raises(InvalidSelection, match=r"\[2\] -> 3"):
+            ByActiveSetTable({frozenset({2}): 3})
+
+    def test_table_entries_checked_at_construction(self):
+        for table in (
+            {frozenset(): 1},  # an empty active set
+            {frozenset({0, 1}): 1},  # pieces are numbered from 1
+            {frozenset({1, 2}): 3},  # the choice outside its own set
+        ):
+            with pytest.raises(InvalidSelection, match="table entry"):
+                ByActiveSetTable(table)
+        assert ByActiveSetTable({}).table == {}
+
+    def test_a_piece_above_q_is_rejected_before_step_0(self, monkeypatch):
+        # piece 4 of the interval's 3-piece h, in an entry no run reaches:
+        # no step is taken and no subproblem is posed
+        prob = gens.interval_problem()
+        table = {frozenset({1}): 1, frozenset({2}): 2, frozenset({3}): 3}
+        bad = ByActiveSetTable({**table, frozenset({2, 4}): 4})
+        posed = _counting_lps(monkeypatch)
+        calls = (lambda: run(prob, vec(0), bad), lambda: transition_graph(prob, bad))
+        for call in calls:
+            with pytest.raises(InvalidSelection, match="piece 4, but h has 3"):
+                call()
+        assert posed == [] and prob._subproblems == {}
+        monkeypatch.undo()
+        assert run(prob, vec(0), ByActiveSetTable(table)).termination.kind is (
+            TerminationKind.FIXED_POINT
+        )
 
     def test_runs_hand_rules_the_active_set_they_evaluated(
         self, interval_problem, monkeypatch

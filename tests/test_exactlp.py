@@ -23,7 +23,7 @@ from polydc import (
     row_space_basis,
 )
 from polydc import exactlp
-from polydc.exactlp import dot
+from polydc.exactlp import dot, vneg
 
 import gens
 from gens import integer_rows, vec
@@ -766,6 +766,95 @@ class TestMaxSlack:
         )
         assert slack == ExtendedRational.finite(0)
         assert witness is None
+
+
+def strict_free_systems(rng, count):
+    """`count` seeded margin systems without strict rows, as integer rows
+    (equalities, weak, dimension): with or without a box, a fifth with a
+    pair of contradicting weak rows, so that the weak system is empty,
+    some with no weak row at all, and a quarter with an equality."""
+    systems = []
+    for k in range(count):
+        n = rng.randint(1, 3)
+
+        def row():
+            q = rng.choice((1, 1, 2, 3, 7))
+            a = tuple(Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(n))
+            return a, Fraction(rng.randint(-4 * q, 6 * q), q)
+
+        weak = [row() for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            for i in range(n):
+                e = tuple(Fraction(int(i == j)) for j in range(n))
+                weak += [(e, Fraction(rng.randint(0, 4))), (vneg(e), Fraction(2))]
+        if k % 5 == 0:
+            a, b = row()
+            weak += [(a, b), (vneg(a), -b - 1)]  # a.x <= b and a.x >= b + 1
+        if k % 7 == 3:
+            weak = []
+        equalities = [row()] if rng.random() < 0.25 else []
+        systems.append((integer_rows(equalities), integer_rows(weak), n))
+    return systems
+
+
+def lp_rows(lp):
+    return lp.objective, lp.equalities, lp.inequalities, lp.dimension
+
+
+class TestStrictFreeMargin:
+    """A margin LP without strict rows is posed once, already capped at
+    eps <= 1 (`exactlp._solve_margin`).  Slack, witness and the LP it
+    returns are those of the two-LP reference
+    (`gens.reference_solve_margin`), which solves the uncapped LP first."""
+
+    def _counting_prepares(self, monkeypatch):
+        prepared = []
+        prepare = exactlp._prepare
+
+        def counting(*args):
+            prepared.append(args)
+            return prepare(*args)
+
+        monkeypatch.setattr(exactlp, "_prepare", counting)
+        return prepared
+
+    def test_agrees_with_two_lp_reference(self, monkeypatch):
+        prepared = self._counting_prepares(monkeypatch)
+        outcomes = {"empty": 0, "unbounded": 0, "no weak row": 0}
+        for equalities, weak, n in strict_free_systems(random.Random(2001), 300):
+            del prepared[:]
+            expected = gens.reference_solve_margin(
+                exactlp._margin_lp(equalities, weak, (), n)
+            )
+            reference_starts = len(prepared)
+            del prepared[:]
+            slack, witness, lp = exactlp._solve_margin(
+                exactlp._margin_lp(equalities, weak, (), n)
+            )
+            assert len(prepared) == 1  # one LP, prepared once
+            assert (slack, witness) == expected[:2]
+            assert lp_rows(lp) == lp_rows(expected[2])
+            assert max_slack(equalities, weak, (), n) == expected[:2]
+            if witness is None:
+                assert slack == ExtendedRational.finite(0)
+                assert reference_starts == 1
+                outcomes["empty"] += 1
+                continue
+            assert slack == PLUS_INF and reference_starts == 2
+            assert all(dot(A, witness) == B for A, B, _ in equalities)
+            assert all(dot(A, witness) <= B for A, B, _ in weak)
+            outcomes["unbounded"] += 1
+            outcomes["no weak row"] += not weak
+        assert all(outcomes.values()), outcomes
+
+    def test_strict_rows_still_pose_the_uncapped_lp_first(self, monkeypatch):
+        # a strict row bounded by nothing: the uncapped LP is unbounded and
+        # the capped copy gives the witness, as before
+        prepared = self._counting_prepares(monkeypatch)
+        lp = exactlp._margin_lp((), [], integer_rows([(vec(1), Fraction(5))]), 1)
+        slack, witness, kept = exactlp._solve_margin(lp)
+        assert slack == PLUS_INF and len(prepared) == 2 and kept is not lp
+        assert (slack, witness) == gens.reference_solve_margin(lp)[:2]
 
 
 class TestRowSpaceBasis:

@@ -535,6 +535,11 @@ class _ReferencePiece:
     def contains(self, x):
         return self.closed_part.contains(x) and self.h.active_indices(x) <= self.J1
 
+    def _objective(self, prob):
+        # what `components` reads at the witness; the reference keeps no
+        # evaluation of it and evaluates f from scratch
+        return prob.finite_objective(self.witness)
+
 
 def _reference_build_piece(h, closed_part, J1):
     """build_piece as it was before repeated rows were dropped and anchors
@@ -1159,6 +1164,96 @@ class TestPointFaces:
                 )
                 verdicts.add(verdict[3])
         assert posed == [] and verdicts == {True, False}
+
+
+class TestEachPointEvaluatedOnce:
+    """On a warm problem `solution_structure` evaluates each max-affine
+    function at most once per distinct point (`MaxAffine._at`): the point
+    of each one-point face, each piece witness and each edge witness.  A
+    piece keeps its witness's evaluation, and every membership, merge,
+    skip, closure and component test reads it."""
+
+    def test_once_per_distinct_point(self, monkeypatch):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        interval = parse_problem(
+            (root / "problems" / "interval.json").read_text(encoding="utf-8")
+        )
+        rng = random.Random(2003)
+        instances = [interval]
+        instances += [gens.random_dc_instance(rng, n_max=3) for _ in range(150)]
+        instances += [gens.random_grid_instance(rng) for _ in range(60)]
+        instances += [_shaped_instance(rng) for _ in range(40)]
+        calls = collections.Counter()
+        at = MaxAffine._at
+
+        def counting(f, point):
+            calls[(id(f), point)] += 1
+            return at(f, point)
+
+        evaluated = points = edges = 0
+        for prob in instances:
+            expected = solution_structure(prob)  # the problem is warm after it
+            calls.clear()
+            monkeypatch.setattr(MaxAffine, "_at", counting)
+            result = solution_structure(prob)
+            monkeypatch.undo()
+            assert result == expected
+            assert all(count == 1 for count in calls.values()), prob
+            evaluated += len(calls)
+            points += sum(p._point for p in result.local_pieces)
+            edges += bool(structure._adjacency(prob, result.local_pieces))
+        # the interval example: h at -2, 3 (its one-point faces) and at the
+        # witness of {2}, and g + indicator(C) at the three witnesses
+        calls.clear()
+        monkeypatch.setattr(MaxAffine, "_at", counting)
+        solution_structure(interval)
+        monkeypatch.undo()
+        assert len(calls) == 6
+        assert evaluated and points and edges
+
+
+class TestStrictFreeClosureTests:
+    """A closure test whose other piece excludes no piece of h joins
+    systems without strict rows; `_strict_witness` poses that margin LP
+    once, capped, and answers as the two-LP reference
+    (`gens.reference_solve_margin`)."""
+
+    def test_agrees_with_two_lp_reference(self, monkeypatch):
+        prepared = []
+        prepare = exactlp._prepare
+
+        def counting(*args):
+            prepared.append(args)
+            return prepare(*args)
+
+        rng = random.Random(2004)
+        verdicts = set()
+        for _ in range(60):
+            prob = gens.random_dc_instance(rng, n_max=2)
+            pieces = [piece for piece, _ in _lattice_pieces(prob)]
+            for closing, other in itertools.permutations(pieces, 2):
+                equalities, weak, strict = closing._system
+                other_equalities, other_weak, other_strict = other._system
+                if other_strict:
+                    continue
+                system = (
+                    equalities + other_equalities,
+                    weak + strict + other_weak,
+                    (),
+                    closing.dimension,
+                )
+                slack, witness, _ = gens.reference_solve_margin(
+                    exactlp._margin_lp(*system)
+                )
+                expected = witness if structure._positive(slack) else None
+                monkeypatch.setattr(exactlp, "_prepare", counting)
+                del prepared[:]
+                assert _strict_witness(*system) == expected, prob
+                assert len(prepared) == 1
+                monkeypatch.undo()
+                assert structure._closure_meets(closing, other) == expected
+                verdicts.add(expected is None)
+        assert verdicts == {True, False}
 
 
 class TestPieceKeepsItsSystem:
