@@ -59,6 +59,9 @@ class SelectionRule:
     """
 
     deterministic = True
+    # the largest piece index the rule names; `run` and `transition_graph`
+    # reject a rule naming a piece above h's piece count before step 0
+    _top_piece = 0
 
     def choose(self, h: MaxAffine, x: Vector, step: int) -> Vector:
         raise NotImplementedError
@@ -96,8 +99,8 @@ class ByActiveSetTable(_ActiveSetRule):
 
     Every entry is checked when the table is built: its active set is
     nonempty, its pieces are numbered from 1, and it holds the chosen
-    piece.  `run` and `transition_graph` reject an entry naming a piece
-    above h's piece count before step 0 (`_pick`).
+    piece.  The table keeps the largest piece it names, so that `run` and
+    `transition_graph` reject one above h's piece count before step 0.
     """
 
     table: Mapping[frozenset[int], int]
@@ -109,6 +112,7 @@ class ByActiveSetTable(_ActiveSetRule):
                     f"table entry {sorted(active)} -> {chosen}: expected a "
                     "nonempty active set of pieces from 1 holding the chosen one"
                 )
+        object.__setattr__(self, "_top_piece", max(map(max, self.table), default=0))
 
     def pick(self, active):
         chosen = self.table.get(frozenset(active))
@@ -234,13 +238,11 @@ class DcaTrace:
 
 
 def _pick(rule: SelectionRule, h: MaxAffine):
-    """The rule's `pick`, or None for a rule without one; a table with an
-    entry naming a piece above h's piece count is rejected here, before
-    step 0."""
-    if isinstance(rule, ByActiveSetTable):
-        top, q = max(map(max, rule.table), default=0), len(h.pieces)
-        if top > q:
-            raise InvalidSelection(f"table names piece {top}, but h has {q} pieces")
+    """The rule's `pick`, or None for a rule without one; a rule naming a
+    piece above h's piece count is rejected here, before step 0."""
+    top, q = rule._top_piece, len(h.pieces)
+    if top > q:
+        raise InvalidSelection(f"table names piece {top}, but h has {q} pieces")
     return getattr(rule, "pick", None)
 
 

@@ -748,9 +748,13 @@ class DcProblem:
         return self.g_plus_indicator._value_at(point) - self.h._value_at(point)
 
     def finite_objective(self, x: Sequence) -> Fraction:
-        value = self.objective_value(x)
-        if not value.is_finite:
-            raise OutsideDomain(
-                "objective is not finite at this point"
-            )
-        return value.as_fraction()
+        point = _scaled(_check_dimension(x, self.dimension))
+        return self._finite_objective_at(point, self.h._at(point))
+
+    def _finite_objective_at(self, point: Scaled, at_h: Optional[tuple]) -> Fraction:
+        """`finite_objective` at x scaled by `_scaled`, given h's `_at`
+        there."""
+        at_g = self.g_plus_indicator._at(point)
+        if at_g is None or at_h is None:
+            raise OutsideDomain("objective is not finite at this point")
+        return at_g[0] - at_h[0]

@@ -97,7 +97,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from typing import Optional, Sequence
 
 from .exactlp import (
@@ -213,11 +213,10 @@ class SemiClosedPiece:
 
     @cached_property
     def _evaluation(self) -> tuple:
-        """(the witness scaled by `_scaled`, h's `MaxAffine._at` there);
-        `local_pieces` hands each piece it builds the evaluation it made,
-        and a piece built by hand makes it on first use."""
-        point = _scaled(_check_dimension(self.witness, self.dimension))
-        return point, self.h._at(point)
+        """`_evaluate` at the witness; `local_pieces` hands each piece it
+        builds the evaluation it made, and a piece built by hand makes it
+        on first use."""
+        return _evaluate(self.h, _check_dimension(self.witness, self.dimension))
 
     def contains(self, x: Sequence) -> bool:
         point = _scaled(_check_dimension(x, self.dimension))
@@ -229,18 +228,16 @@ class SemiClosedPiece:
         point, at = other._evaluation
         return self.closed_part._tight_rows(point) is not None and _within(at, self.J1)
 
-    def _objective(self, prob: DcProblem) -> Fraction:
-        """`prob.finite_objective(self.witness)`, with h's value read from
-        the kept evaluation."""
-        point, at = self._evaluation
-        at_g = prob.g_plus_indicator._at(point)
-        if at_g is None or at is None:
-            raise OutsideDomain("objective is not finite at this point")
-        return at_g[0] - at[0]
-
     @property
     def dimension(self) -> int:
         return self.closed_part.dimension
+
+
+def _evaluate(h: MaxAffine, x: Vector) -> tuple:
+    """(x scaled by `_scaled`, h's `MaxAffine._at` there): the one
+    evaluation of a point (each point evaluated once, module docstring)."""
+    point = _scaled(x)
+    return point, h._at(point)
 
 
 def _within(at: Optional[tuple], J1: frozenset[int]) -> bool:
@@ -399,9 +396,7 @@ def _point_piece(
         return None
     closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
     excluded = frozenset(prob.h.indices) - J1
-    piece = SemiClosedPiece(J1, closed_part, excluded, prob.h, y, anchor, _point=True)
-    piece.__dict__["_evaluation"] = evaluation  # the value it would derive
-    return piece
+    return SemiClosedPiece(J1, closed_part, excluded, prob.h, y, anchor, _point=True)
 
 
 def _negated(row: IntegerRow) -> IntegerRow:
@@ -514,10 +509,7 @@ def local_pieces(
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     face_of = {r.piece: r.face for r, _ in linearized if r.face is not None}
 
-    @cache  # h once per distinct point of the call
-    def evaluate(x: Vector) -> tuple:  # as `SemiClosedPiece._evaluation`
-        point = _scaled(x)
-        return point, prob.h._at(point)
+    evaluate = cache(partial(_evaluate, prob.h))  # once per distinct point
 
     points = {}  # j of a one-point face {y}: (y, its evaluation, F)
     for r, _ in linearized:
@@ -547,11 +539,10 @@ def local_pieces(
                 ):
                     continue
                 piece = build_piece(prob.h, closed_part, J1, anchor)
-                if piece is not None:
-                    piece.__dict__["_evaluation"] = evaluate(piece.witness)
-            if piece is not None and not any(
-                _same_member_set(piece, rep) for rep in representatives
-            ):
+            if piece is None:
+                continue
+            piece.__dict__["_evaluation"] = evaluate(piece.witness)  # its value
+            if not any(_same_member_set(piece, rep) for rep in representatives):
                 representatives.append(piece)
     return tuple(
         sorted(representatives, key=lambda p: tuple(sorted(p.J1)))
@@ -665,19 +656,17 @@ def components(
     edges = _adjacency(prob, pieces)
     out = []
     placed: set[int] = set()
-    known: dict[Vector, Fraction] = {}  # f at each probe point
     for first in range(len(pieces)):
         if first in placed:
             continue
         members = sorted(_walk(edges, [first]))
         placed.update(members)
-        probes = [(pieces[i].witness, pieces[i]) for i in members]
-        # an edge joins two members or none
-        probes += [(w, None) for (i, _), w in sorted(edges.items()) if i in members]
-        for x, piece in probes:
-            if x not in known:
-                known[x] = piece._objective(prob) if piece else prob.finite_objective(x)
-        values = {known[x] for x, _ in probes}
+        # each probe point with h's evaluation there, kept at a witness
+        probes = {pieces[i].witness: pieces[i]._evaluation for i in members}
+        for (i, _), w in edges.items():  # an edge joins two members or none
+            if i in members and w not in probes:
+                probes[w] = _evaluate(prob.h, w)
+        values = {prob._finite_objective_at(*e) for e in probes.values()}
         if len(values) != 1:
             raise InternalCheckFailed(
                 f"objective is not constant on a component: values {sorted(values)}"

@@ -535,10 +535,11 @@ class _ReferencePiece:
     def contains(self, x):
         return self.closed_part.contains(x) and self.h.active_indices(x) <= self.J1
 
-    def _objective(self, prob):
+    @property
+    def _evaluation(self):
         # what `components` reads at the witness; the reference keeps no
-        # evaluation of it and evaluates f from scratch
-        return prob.finite_objective(self.witness)
+        # evaluation and evaluates h there afresh
+        return structure._evaluate(self.h, self.witness)
 
 
 def _reference_build_piece(h, closed_part, J1):

@@ -1,12 +1,13 @@
 """Run the same CLI commands against two source trees and compare the output.
 
-    python tools/cli_sweep.py OLD_SRC NEW_SRC [--seed N] [--keep DIR]
+    python tools/cli_sweep.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a `polydc` package, such as
 the `src/` of two checkouts.  The sweep writes problem documents, table
 files and script files once, with the OLD_SRC package and the generators
-of `tests/gens.py`: the three bundled problems and 84 seeded documents
-(40 from `random_dc_instance`, 20 from `random_grid_instance`, 12 over a
+of `tests/gens.py`, into a temporary directory: the three bundled
+problems and 84 documents drawn from seed 20 (40 from
+`random_dc_instance`, 20 from `random_grid_instance`, 12 over a
 half-space C, whose subproblems can be unbounded, and 12 with box domains
 for g and h, some breaking the structure hypotheses and some putting DCA
 nodes outside dom h).  Per problem it runs `structure`, `dual`,
@@ -41,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RULES = ("min-index", "max-index", "table", "replay", "random")
+SEED = 20
 
 
 def _use(src: str) -> None:
@@ -109,13 +111,13 @@ def _write(path: Path, doc) -> str:
     return str(path)
 
 
-def make_cases(workdir: Path, seed: int) -> None:
+def make_cases(workdir: Path) -> None:
     """Write the documents and rule files under `workdir`, and the command
     lines to `workdir/cases.json`."""
     import gens
     import polydc as P
 
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     bundled = sorted(gens.PROBLEMS.glob("*.json"))
     documents = [(p.stem, p.read_text(encoding="utf-8")) for p in bundled]
     seeded = [gens.random_dc_instance(rng) for _ in range(40)]
@@ -238,8 +240,8 @@ def _difference(argv, old, new) -> list[str]:
     return lines
 
 
-def sweep(old_src: str, new_src: str, workdir: Path, seed: int) -> int:
-    maker = _child("--make-cases", old_src, str(workdir), "--seed", str(seed))
+def sweep(old_src: str, new_src: str, workdir: Path) -> int:
+    maker = _child("--make-cases", old_src, str(workdir))
     if maker.wait() != 0:
         print("writing the cases failed", file=sys.stderr)
         return 2
@@ -273,13 +275,11 @@ def main(argv: list[str]) -> int:
         )
     parser.add_argument("old_src", nargs="?")
     parser.add_argument("new_src", nargs="?")
-    parser.add_argument("--seed", type=int, default=20, help="seed of the documents")
-    parser.add_argument("--keep", metavar="DIR", help="keep the cases in DIR")
     args = parser.parse_args(argv)
     if args.make_cases:
         src, workdir = args.make_cases
         _use(src)
-        make_cases(Path(workdir), args.seed)
+        make_cases(Path(workdir))
         return 0
     if args.run:
         src, workdir = args.run
@@ -288,11 +288,8 @@ def main(argv: list[str]) -> int:
         return 0
     if not (args.old_src and args.new_src):
         parser.error("give the two source trees, OLD_SRC and NEW_SRC")
-    if args.keep:
-        Path(args.keep).mkdir(parents=True, exist_ok=True)
-        return sweep(args.old_src, args.new_src, Path(args.keep), args.seed)
     with tempfile.TemporaryDirectory() as workdir:
-        return sweep(args.old_src, args.new_src, Path(workdir), args.seed)
+        return sweep(args.old_src, args.new_src, Path(workdir))
 
 
 if __name__ == "__main__":
