@@ -31,6 +31,7 @@ from .model import (
     PolyhedralSet,
     Scaled,
     _check_dimension,
+    _Point,
     _scaled,
 )
 
@@ -54,8 +55,9 @@ class SelectionRule:
     A rule that selects by the active set of h alone also has
     `pick(active) -> j`: from the 1-based indices of the active pieces, an
     ascending tuple, the index of the piece whose gradient it selects.
-    `run` hands such a rule the active set it already holds and falls back
-    to `choose` for rules without `pick`; `transition_graph` needs `pick`.
+    `run` hands such a rule the active set it already holds, and any other
+    rule the point it holds (`_choose_at`); `transition_graph` needs
+    `pick`.
     """
 
     deterministic = True
@@ -65,6 +67,11 @@ class SelectionRule:
 
     def choose(self, h: MaxAffine, x: Vector, step: int) -> Vector:
         raise NotImplementedError
+
+    def _choose_at(self, h: MaxAffine, point: _Point, step: int) -> Vector:
+        """`choose` at a point of h (`model._Point`) whose evaluation a rule
+        that reads h there shares."""
+        return self.choose(h, point.x, step)
 
 
 class _ActiveSetRule(SelectionRule):
@@ -127,7 +134,9 @@ class Scripted(SelectionRule):
 
     A vector that is the gradient of a piece of h active at x lies in
     dh(x), whose normal-cone part contains 0, and is taken as it is; any
-    other vector is validated by a generator-weight LP.
+    other vector is validated by a generator-weight LP.  Both read h's
+    evaluation at the point the rule is handed: `run` hands it the point
+    it holds, and `choose` makes one of h alone.
     """
 
     subgradients: tuple[Vector, ...]
@@ -139,10 +148,13 @@ class Scripted(SelectionRule):
         )
 
     def choose(self, h, x, step):
+        return self._choose_at(h, _Point(x, h), step)
+
+    def _choose_at(self, h, point, step):
         if step >= len(self.subgradients):
             raise IndexError("script exhausted")
         xi = self.subgradients[step]
-        at = h._at(_scaled(x))
+        at = point.h
         if at is None:
             raise OutsideDomain("active set requested outside the domain")
         if any(h.pieces[j][0] == xi for j in at[1]):
@@ -262,17 +274,19 @@ def run(
     iteration budget is exhausted.  An error a rule raises while it
     selects propagates.
 
-    x0 is checked, and g, C and h are evaluated there.  Every later
-    iterate is a node: the canonical minimizer y of the subproblem at the
-    selected xi, a function of xi alone.  The problem keeps each node
-    (`DcProblem._subproblems`) with f(y) and h's active set at y, computed
-    once, when its LP is solved: every run and rule reads and fills that
-    one memo, so each distinct xi poses one LP and one evaluation of h per
-    problem.  No later step evaluates a function or scales an iterate: a
-    rule with `pick` selects from the active set the node holds, and its
-    piece's scaled gradient is the node's key; a rule without `pick` is
-    asked `choose(h, x, step)`, and its xi is scaled to find the key.  An
-    unbounded subproblem is kept too and ends each run that reaches it, as
+    x0 is checked, and g, C and h are evaluated there, on its point.
+    Every later iterate is a node: the canonical minimizer y of the
+    subproblem at the selected xi, a function of xi alone.  The problem
+    keeps each node (`DcProblem._subproblems`) with the point of y, h
+    evaluated there, and f(y) and h's active set at y, computed once, when
+    its LP is solved: every run and rule reads and fills that one memo, so
+    each distinct xi poses one LP and one evaluation of h per problem.  No
+    later step evaluates a function or scales an iterate, under any rule:
+    a rule with `pick` selects from the active set the node holds, and its
+    piece's scaled gradient is the node's key; a rule without `pick`, a
+    script among them, is handed the node's point (`_choose_at`), and its
+    xi is scaled to find the key.  An unbounded subproblem is kept too and
+    ends each run that reaches it, as
     a node outside dom(h) does.  The memo keeps one entry per distinct xi
     for as long as the problem lives: under `pick` rules the keys are piece
     gradients of h, at most q, but a script or a custom `choose` may
@@ -281,14 +295,12 @@ def run(
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    x = _check_dimension(x0, prob.dimension)
-    point = _scaled(x)  # x on integers, once
-    at_g = prob.g._at(point)
-    if at_g is None:
+    point = prob._point(x0)
+    if point.g is None:
         raise OutsideDomain("x0 is outside dom(g)")
-    if prob.C._tight_rows(point) is None:
+    if point.C is None:
         raise OutsideDomain("x0 is outside the constraint set C")
-    value, active = _on_h(prob.h, point, at_g[0])
+    point, value, active = _node(point, point.g[0])
 
     h = prob.h
     pick = _pick(rule, h)
@@ -303,25 +315,21 @@ def run(
         if active is None:
             # no subgradient of h here; the offending point is the output
             # of step `step` and is not recorded as an iterate
-            termination = Termination(
-                TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step
-            )
+            termination = Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step)
             break
         if isinstance(rule, Scripted) and step >= len(rule.subgradients):
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
         if pick is None:
-            xi = rule.choose(h, x, step)
+            xi = rule._choose_at(h, point, step)
         else:
             j = pick(active)
             xi = h.piece(j)[0]
-        iterates.append(Iterate(x, xi, value))
+        iterates.append(Iterate(point.x, xi, value))
         if len(iterates) >= 2 and iterates[-2].value < value:
-            raise InternalCheckFailed(
-                "objective increased along a DCA run"
-            )
+            raise InternalCheckFailed("objective increased along a DCA run")
         if rule.deterministic:
-            first = seen.get(point)
+            first = seen.get(point.scaled)
             if first is not None:
                 period = step - first
                 kind = (
@@ -331,7 +339,7 @@ def run(
                 )
                 termination = Termination(kind, step=first, period=period)
                 break
-            seen[point] = step
+            seen[point.scaled] = step
         if step >= max_iter:
             termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
             break
@@ -342,31 +350,27 @@ def run(
             key = h._scaled_gradients[j - 1]
         node = solved[key] if key in solved else _solve_node(prob, xi, key)
         if node is None:
-            termination = Termination(
-                TerminationKind.SUBPROBLEM_UNBOUNDED, step=step
-            )
+            termination = Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step)
             break
-        x, point, value, active = node
+        point, value, active = node
         step += 1
     return DcaTrace(iterates=tuple(iterates), termination=termination)
 
 
-def _on_h(
-    h: MaxAffine, point: Scaled, g_value: Fraction
-) -> tuple[Optional[Fraction], Optional[tuple[int, ...]]]:
-    """f(x) and h's active set at x (1-based, ascending), from g(x) and one
-    evaluation of h at x scaled; (None, None) outside dom(h)."""
-    at = h._at(point)
+def _node(point: _Point, g_value: Fraction) -> tuple:
+    """(point, f(x), h's active set at x, 1-based and ascending), read from
+    the point and g(x); f and the active set are None outside dom(h)."""
+    at = point.h
     if at is None:
-        return None, None
-    return g_value - at[0], tuple([j + 1 for j in at[1]])
+        return point, None, None
+    return point, g_value - at[0], tuple([j + 1 for j in at[1]])
 
 
 def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
     """The node at xi, kept in `prob._subproblems` under `key` (xi scaled):
     one subproblem LP over g + indicator(C), which shares g's prepared
-    start, and one evaluation of h; None when the subproblem is
-    unbounded."""
+    start, and one evaluation of h, on the point of its minimizer; None
+    when the subproblem is unbounded."""
     try:
         x, sub_value = solve_subproblem(
             prob.g_plus_indicator, PolyhedralSet.whole_space(prob.dimension), xi
@@ -376,10 +380,9 @@ def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
     else:
         # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is
         # taken on integers, like every evaluation at x
-        point = _scaled(x)
-        (X, d), (Xi, s) = point, key
-        g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
-        node = (x, point, *_on_h(prob.h, point, g_value))
+        point = prob._point(x)
+        (X, d), (Xi, s) = point.scaled, key
+        node = _node(point, sub_value + Fraction(sum(map(mul, Xi, X)), s * d))
     prob._subproblems[key] = node
     return node
 
@@ -431,8 +434,8 @@ def transition_graph(prob: DcProblem, rule: SelectionRule) -> TransitionGraph:
     nodes, sigma = [], []
     for key, (xi, _) in zip(h._scaled_gradients, h.pieces):
         node = solved[key] if key in solved else _solve_node(prob, xi, key)
-        x, _, value, active = node if node is not None else (None,) * 4
-        nodes.append(DcaNode(x, value, active))
+        point, value, active = node or (None,) * 3
+        nodes.append(DcaNode(point and point.x, value, active))
         picked = None
         if active is not None:
             picked = pick(active)
@@ -477,28 +480,29 @@ def validate_trace(
     Step k verifies that xi_k is a subgradient of h at x_k, that x_{k+1}
     minimizes g - xi_k.x over C (both as subdifferential membership of the
     conjugate pair and as LP optimality; the two must agree), and that the
-    objective did not increase.
+    objective did not increase.  Each distinct x is one point, evaluated
+    once for every check that reads it.
     """
-    xs = [_check_dimension(x, prob.dimension) for x in xs]
+    points: dict[Vector, _Point] = {}  # one point per distinct x
+    xs = [points.setdefault(point.x, point) for point in map(prob._point, xs)]
     xis = [_check_dimension(xi, prob.dimension, "subgradient") for xi in xis]
     if len(xis) not in (len(xs), len(xs) - 1):
         raise ValueError(
             "expected one subgradient per point (optionally omitting the last)"
         )
     steps = []
-    for k, x in enumerate(xs):
+    for k, point in enumerate(xs):
         subgradient_ok = None
         if k < len(xis):
-            at = prob.h._at(_scaled(x))
-            subgradient_ok = at is not None and (
-                prob.h._subdifferential(at).contains(xis[k])
+            subgradient_ok = point.h is not None and (
+                prob.h._subdifferential(point.h).contains(xis[k])
             )
         minimizer_ok = None
         if k + 1 < len(xs) and k < len(xis):
             minimizer_ok = _is_subproblem_minimizer(prob, xis[k], xs[k + 1])
         descent_ok = None
         if k + 1 < len(xs):
-            descent_ok = prob.objective_value(x) >= prob.objective_value(xs[k + 1])
+            descent_ok = point.objective >= xs[k + 1].objective
         steps.append(StepCheck(subgradient_ok, minimizer_ok, descent_ok))
     valid = all(
         check is not False
@@ -508,22 +512,19 @@ def validate_trace(
     return TraceValidation(steps=tuple(steps), valid=valid)
 
 
-def _is_subproblem_minimizer(prob: DcProblem, xi: Vector, x_next: Vector) -> bool:
-    point = _scaled(x_next)
-    at = prob.g._at(point)
-    tight_C = prob.C._tight_rows(point)
-    if at is None or tight_C is None:
+def _is_subproblem_minimizer(prob: DcProblem, xi: Vector, point: _Point) -> bool:
+    """Whether the point x_next minimizes g - xi.x over C, read from its
+    evaluations."""
+    if point.g is None or point.C is None:
         return False
     # route 1: xi lies in the subdifferential of g + indicator(C) at x_next
-    body = prob.g._subdifferential(at, tight_C, prob.C._lineality())
+    body = prob.g._subdifferential(point.g, point.C, prob.C._lineality())
     by_subdifferential = body.contains(xi)
     # route 2: x_next attains the subproblem optimum (feasible, as x_next
     # lies in C and dom(g))
     outcome = lp_solve(prob.g_plus_indicator.epigraph_lp(xi))
-    by_optimality = (
-        outcome.is_optimal
-        and at[0] - dot(xi, x_next) == outcome.value
-    )
+    value = point.g[0] - dot(xi, point.x)  # g - xi.x at x_next
+    by_optimality = outcome.is_optimal and value == outcome.value
     if by_subdifferential != by_optimality:
         raise InternalCheckFailed(
             "subdifferential and LP-optimality tests disagree on a DCA step"

@@ -25,14 +25,13 @@ Everything is exact; a failure report carries the offending point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlp import ONE, Vector, dot, frac, vsub
-from .model import DcProblem, MaxAffine, PolydcError
-from .optimality import LocalStatus, classify
+from .model import DcProblem, MaxAffine, PolydcError, _Point
+from .optimality import LocalStatus, _classify
 from . import structure
 
 
@@ -86,17 +85,18 @@ def _first_breakpoint(f: MaxAffine, x: Vector, d: Vector) -> Fraction:
     return t
 
 
-def _toward_minimizers(prob: DcProblem, linearized, x: Vector, step: Fraction):
-    """For each active piece j of h at x whose optimal face misses x, the
-    point one grid step (in the max norm) from x toward y_j, or y_j itself
-    when it is nearer."""
-    for j in sorted(prob.h.active_indices(x)):
-        unshifted = linearized[j - 1][0]
-        if unshifted.face is None or unshifted.face.contains(x):
+def _toward_minimizers(linearized, point: _Point, step: Fraction):
+    """For each active piece j of h at a point x of dom h whose optimal
+    face misses x, the point one grid step (in the max norm) from x toward
+    y_j, or y_j itself when it is nearer; h's active set and each face's
+    rows are read at the point."""
+    for j in point.h[1]:
+        r = linearized[j][0]  # the unshifted result of piece j + 1
+        if r.face is None or r.face._tight_rows(point.scaled) is not None:
             continue
-        d = vsub(unshifted.witness, x)
+        d = vsub(r.witness, point.x)
         t = min(ONE, step / max(abs(c) for c in d))
-        yield tuple(c + t * e for c, e in zip(x, d))
+        yield tuple(c + t * e for c, e in zip(point.x, d))
 
 
 def grid_cross_check(prob: DcProblem, step) -> GridReport:
@@ -121,18 +121,23 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
         for offs in itertools.product((-step, Fraction(0), step), repeat=prob.dimension)
         if any(o != 0 for o in offs)
     ]
-    # each grid point's rows of C and objective value, evaluated once per
-    # call: a point is reached again as a neighbour of up to eight others
-    tight_rows = functools.cache(prob.C.tight_rows)
-    objective_value = functools.cache(prob.objective_value)
+    # one point per distinct point of the call, its evaluations read by the
+    # classifier, the objective, the descent probes and the piece tests: a
+    # grid point is reached again as a neighbour of up to eight others, and
+    # a piece witness comes with the point its piece keeps
+    points = {p.witness: p._evaluation for p in pieces}
+
+    def at(x: Vector) -> _Point:
+        return points.get(x) or points.setdefault(x, prob._point(x))
+
     failures = []
     count = 0
     for point in _grid_points(prob, step):
-        tight = tight_rows(point)
-        if tight is None:
+        here = at(point)
+        if here.C is None:
             continue
         count += 1
-        result = classify(prob, point)
+        result = _classify(prob, here)
         if not result.feasible:  # outside dom(g) or dom(h)
             continue
         if result.local is LocalStatus.YES and not result.stationary:
@@ -142,12 +147,12 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
 
         # extended values keep neighbor comparisons total even when a
         # neighbor leaves dom(g) or dom(h)
-        value = objective_value(point)
+        value = here.objective
         neighbor_values = []
         for offs in offsets:
-            nb = tuple(c + o for c, o in zip(point, offs))
-            if tight_rows(nb) is not None:
-                neighbor_values.append((nb, offs, objective_value(nb)))
+            nb = at(tuple(c + o for c, o in zip(point, offs)))
+            if nb.C is not None:
+                neighbor_values.append((nb.x, offs, nb.objective))
         if result.local is LocalStatus.YES:
             for nb, offs, nb_value in neighbor_values:
                 t = min(
@@ -156,7 +161,7 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
                 )
                 if t < 1:  # f is affine up to the breakpoint, not beyond
                     nb = tuple(c + t * o for c, o in zip(point, offs))
-                    nb_value = objective_value(nb)
+                    nb_value = at(nb).objective
                 if nb_value < value:
                     failures.append(
                         GridFailure(
@@ -166,12 +171,12 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
                         )
                     )
                     break
-        if prob.C._is_interior(tight) and not result.stationary:
+        if prob.C._is_interior(here.C) and not result.stationary:
             if not any(
                 nb_value < value for *_, nb_value in neighbor_values
             ) and not any(
-                objective_value(z) < value
-                for z in _toward_minimizers(prob, linearized, point, step)
+                at(z).objective < value
+                for z in _toward_minimizers(linearized, here, step)
             ):
                 failures.append(
                     GridFailure(
@@ -181,7 +186,7 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
                     )
                 )
         if pieces_checked:
-            in_union = any(p.contains(point) for p in pieces)
+            in_union = any(p._holds(here) for p in pieces)
             if in_union != result.stationary:
                 failures.append(
                     GridFailure(

@@ -29,6 +29,7 @@ from .exactlp import (
     IntegerRow,
     LinearProgram,
     LpStatus,
+    MINUS_INF,
     PLUS_INF,
     Row,
     Vector,
@@ -85,9 +86,9 @@ Scaled = tuple[tuple[int, ...], int]
 def _scaled(x: Vector) -> Scaled:
     """x as (X, d), integers over one positive denominator: x = X / d.
 
-    A point is scaled once and then evaluated on integers against the
-    integer rows of every set and function (`PolyhedralSet._tight_rows`,
-    `MaxAffine._at`).
+    A point is scaled once, by its `_Point`, and then evaluated on
+    integers against the integer rows of every set and function
+    (`PolyhedralSet._tight_rows`, `MaxAffine._at`).
     """
     X, d, _ = integer_row(x, ONE)
     return X, d
@@ -555,20 +556,15 @@ class MaxAffine:
         )
 
     def _at_member(self, x: Sequence, message: str):
-        """`_at` of x coerced and scaled; raises OutsideDomain(message)
+        """`_at` of x, read from its point; raises OutsideDomain(message)
         outside the domain."""
-        at = self._at(_scaled(_check_dimension(x, self.dimension)))
+        at = _Point(x, self).h
         if at is None:
             raise OutsideDomain(message)
         return at
 
     def value(self, x: Sequence) -> ExtendedRational:
-        return self._value_at(_scaled(_check_dimension(x, self.dimension)))
-
-    def _value_at(self, point: Scaled) -> ExtendedRational:
-        """f(x) for an x already scaled by `_scaled`; +inf outside the
-        domain."""
-        at = self._at(point)
+        at = _Point(x, self).h
         return PLUS_INF if at is None else ExtendedRational.finite(at[0])
 
     def finite_value(self, x: Sequence) -> Fraction:
@@ -674,6 +670,64 @@ def restrict_sum(g: MaxAffine, C: PolyhedralSet) -> MaxAffine:
     return MaxAffine(pieces=g.pieces, domain=domain)
 
 
+_UNREAD = object()  # an evaluation of a `_Point` not made yet
+
+
+class _Point:
+    """One point x with the evaluations every layer reads there.
+
+    x is coerced once (`_check_dimension`) and scaled once (`_scaled`).
+    `h` and `g` are `MaxAffine._at` of the point's functions at x and `C`
+    is `PolyhedralSet._tight_rows` of its set there, each made on first
+    read and kept, so every reader of the point shares one evaluation of
+    each; `objective` is derived from them.  A point is bound to (h, g, C),
+    not to a problem, so a point kept with a DCA node or a piece keeps no
+    problem alive; a point of h alone serves the membership test of a
+    semi-closed piece and the step of a selection rule.
+    """
+
+    __slots__ = ("x", "scaled", "functions", "_h", "_g", "_C")
+
+    def __init__(self, x: Sequence, h: MaxAffine, g=None, C=None):
+        self.x = x = _check_dimension(x, h.dimension)
+        self.scaled = _scaled(x)
+        self.functions = h, g, C  # g and C are None for a point of h alone
+        self._h = self._g = self._C = _UNREAD
+
+    @property
+    def h(self) -> Optional[tuple]:
+        if self._h is _UNREAD:
+            self._h = self.functions[0]._at(self.scaled)
+        return self._h
+
+    @property
+    def g(self) -> Optional[tuple]:
+        if self._g is _UNREAD:
+            self._g = self.functions[1]._at(self.scaled)
+        return self._g
+
+    @property
+    def C(self) -> Optional[list[Vector]]:
+        if self._C is _UNREAD:
+            self._C = self.functions[2]._tight_rows(self.scaled)
+        return self._C
+
+    @property
+    def objective(self) -> ExtendedRational:
+        """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf:
+        h is not evaluated where g + indicator(C) is +inf."""
+        if self.C is None or self.g is None:
+            return PLUS_INF
+        h = self.h
+        return MINUS_INF if h is None else ExtendedRational.finite(self.g[0] - h[0])
+
+    def finite_objective(self) -> Fraction:
+        value = self.objective
+        if not value.is_finite:
+            raise OutsideDomain("objective is not finite at this point")
+        return value.value
+
+
 @dataclass(frozen=True)
 class DcProblem:
     """minimize f = g - h over C, with dom(g) meeting C (checked at load)."""
@@ -732,29 +786,24 @@ class DcProblem:
         """The DCA nodes of this problem, filled by `dca.run` and
         `dca.transition_graph`: a subgradient xi, scaled by `_scaled`, maps
         to None when the subproblem min g - xi.x over C is unbounded, and
-        else to (x, x scaled, f(x), active) at its canonical minimizer x,
-        with `active` h's active set there as a tuple of 1-based indices in
-        ascending order; both f(x) and `active` are None when x lies
-        outside dom(h).  An entry is a function of xi alone and is written
-        whole, once: each distinct xi poses one LP and one evaluation of h
-        per problem, and two runs that fill one key at once write equal
-        entries."""
+        else to (point, f(x), active) at its canonical minimizer x, with
+        `point` the `_Point` of x, h evaluated there, and `active` h's
+        active set there as a tuple of 1-based indices in ascending order;
+        both f(x) and `active` are None when x lies outside dom(h).  An
+        entry is a function of xi alone and is written whole, once: each
+        distinct xi poses one LP and one evaluation of h per problem, and
+        two runs that fill one key at once write equal entries.  A point
+        binds h, g and C, not the problem, so no entry refers back to the
+        problem that holds it."""
         return {}
 
+    def _point(self, x: Sequence) -> _Point:
+        """x as a point of this problem's h, g and C (`_Point`)."""
+        return _Point(x, self.h, self.g, self.C)
+
     def objective_value(self, x: Sequence) -> ExtendedRational:
-        """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf;
-        x is coerced and scaled once for both."""
-        point = _scaled(_check_dimension(x, self.dimension))
-        return self.g_plus_indicator._value_at(point) - self.h._value_at(point)
+        """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""
+        return self._point(x).objective
 
     def finite_objective(self, x: Sequence) -> Fraction:
-        point = _scaled(_check_dimension(x, self.dimension))
-        return self._finite_objective_at(point, self.h._at(point))
-
-    def _finite_objective_at(self, point: Scaled, at_h: Optional[tuple]) -> Fraction:
-        """`finite_objective` at x scaled by `_scaled`, given h's `_at`
-        there."""
-        at_g = self.g_plus_indicator._at(point)
-        if at_g is None or at_h is None:
-            raise OutsideDomain("objective is not finite at this point")
-        return at_g[0] - at_h[0]
+        return self._point(x).finite_objective()

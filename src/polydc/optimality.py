@@ -9,7 +9,8 @@ Three nested conditions are decided exactly at a feasible point x:
                without that interiority the classifier refuses to assert
                local optimality (stationarity failing still means "no").
 
-All three are decided from one evaluation of g, h and C at x (`_evaluate`)
+All three are decided from one evaluation of g, h and C at x, read from
+the point the problem makes there (`DcProblem._point`, `model._Point`),
 and the shifted values alpha_j of the linearized subproblems, which the
 problem computes once (`DcProblem._linearized`), by this lemma.  Write
 phi = g + indicator(C).  For a piece j of h active at x, h(x) = h_j(x), so
@@ -29,7 +30,8 @@ f(x) is compared with alpha_j on integers (`_on_faces`).  Every other case
 decided on one pair of subdifferentials, built by `_subdifferentials` from
 the same evaluation, by rational LPs over generator weights.  `classify`,
 `is_critical`, `is_stationary` and `is_local_solution` (which returns
-`classify`'s verdict) share that one path.
+`classify`'s verdict) share that one path, and a caller that holds the
+point already hands it to `_classify`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import ConvexBody, DcProblem, OutsideDomain, _check_dimension, _scaled
+from .model import ConvexBody, DcProblem, OutsideDomain, _Point
 
 
 class LocalStatus(Enum):
@@ -71,49 +73,39 @@ class Classification:
     hypothesis_flags: HypothesisFlags
 
 
-def _evaluate(prob: DcProblem, x: Sequence) -> tuple:
-    """`MaxAffine._at` of g and of h and the tight rows of C at x, in that
-    order, x scaled to integers once and each row and piece evaluated once;
-    None for a set that x lies outside."""
-    point = _scaled(_check_dimension(x, prob.dimension))
-    return prob.g._at(point), prob.h._at(point), prob.C._tight_rows(point)
-
-
-_OUTSIDE = ("dom(g)", "dom(h)", "the constraint set C")  # in `_evaluate` order
-
-
-def _subdifferentials(prob: DcProblem, at: tuple) -> tuple[ConvexBody, ConvexBody]:
+def _subdifferentials(prob: DcProblem, point: _Point) -> tuple[ConvexBody, ConvexBody]:
     """The subdifferentials of h and of g + indicator(C) at a point of
-    dom g ∩ dom h ∩ C, from its `_evaluate` result.  The second one is
+    dom g ∩ dom h ∩ C, read from its evaluations.  The second one is
     that of g plus the normal cone of C, with its generators in the order
     `ConvexBody.minkowski_sum` gives them, so every LP posed on the pair is
     the one the sum would pose."""
-    at_g, at_h, tight_C = at
-    return prob.h._subdifferential(at_h), prob.g._subdifferential(
-        at_g, tight_C, prob.C._lineality()
+    return prob.h._subdifferential(point.h), prob.g._subdifferential(
+        point.g, point.C, prob.C._lineality()
     )
 
 
-def _feasible_at(prob: DcProblem, x: Sequence) -> tuple:
-    """`_evaluate` at x; raises OutsideDomain naming the first of dom g,
-    dom h and C that x is outside."""
-    at = _evaluate(prob, x)
-    for part, name in zip(at, _OUTSIDE):
-        if part is None:
+_OUTSIDE = ("dom(g)", "dom(h)", "the constraint set C")  # in `_feasible` order
+
+
+def _feasible(point: _Point) -> _Point:
+    """The point; raises OutsideDomain naming the first of dom g, dom h and
+    C that it is outside, evaluating g, h and C in that order."""
+    for at, name in zip((point.g, point.h, point.C), _OUTSIDE):
+        if at is None:
             raise OutsideDomain(f"point is outside {name}")
-    return at
+    return point
 
 
-def _on_faces(prob: DcProblem, at: tuple) -> list[bool]:
+def _on_faces(prob: DcProblem, point: _Point) -> list[bool]:
     """For each piece j of h active at a feasible point, in order, whether
     the point lies in the optimal face of j: f(x) = alpha_j (the lemma).
 
-    With g(x) = a / b and h(x) = c / e as `_evaluate` gives them,
+    With g(x) = a / b and h(x) = c / e as the point holds them,
     f(x) = p / q exactly when (a e - c b) q = p b e; the test reads the
     integers of the Fractions it has and builds none.  An unbounded
     subproblem (alpha_j = -inf) has no face.
     """
-    (g, _, _), (h, active, _), _ = at
+    (g, _, _), (h, active, _) = point.g, point.h
     b, e = g._denominator, h._denominator
     numerator, denominator = g._numerator * e - h._numerator * b, b * e
     linearized = prob._linearized
@@ -128,40 +120,37 @@ def _on_faces(prob: DcProblem, at: tuple) -> list[bool]:
     return verdicts
 
 
-def _critical(prob: DcProblem, at: tuple, on_face: list[bool]) -> bool:
+def _critical(prob: DcProblem, point: _Point, on_face: list[bool]) -> bool:
     """Critical by the lemma when a face holds the point, else by the
     weight LP of the two subdifferentials."""
     if any(on_face):
         return True
-    dh, dgc = _subdifferentials(prob, at)
+    dh, dgc = _subdifferentials(prob, point)
     return dh.intersection_witness(dgc) is not None
 
 
-def _stationary(prob: DcProblem, at: tuple, on_face: list[bool]) -> bool:
+def _stationary(prob: DcProblem, point: _Point, on_face: list[bool]) -> bool:
     """Stationary by the lemma at a point interior to dom h, else by the
     weight LPs of containment."""
-    if prob.h.domain._is_interior(at[1][2]):
+    if prob.h.domain._is_interior(point.h[2]):
         return all(on_face)
-    dh, dgc = _subdifferentials(prob, at)
+    dh, dgc = _subdifferentials(prob, point)
     return dh.issubset(dgc)
 
 
 def is_critical(prob: DcProblem, x: Sequence) -> bool:
-    at = _feasible_at(prob, x)
-    return _critical(prob, at, _on_faces(prob, at))
+    point = _feasible(prob._point(x))
+    return _critical(prob, point, _on_faces(prob, point))
 
 
 def is_stationary(prob: DcProblem, x: Sequence) -> bool:
-    at = _feasible_at(prob, x)
-    return _stationary(prob, at, _on_faces(prob, at))
+    point = _feasible(prob._point(x))
+    return _stationary(prob, point, _on_faces(prob, point))
 
 
 def is_local_solution(prob: DcProblem, x: Sequence) -> LocalStatus:
     """The `local` verdict of `classify`; raises at an infeasible point."""
-    result = classify(prob, x)
-    if not result.feasible:
-        _feasible_at(prob, x)  # raises, naming the set x is outside
-    return result.local
+    return _classify(prob, _feasible(prob._point(x))).local
 
 
 def classify(
@@ -177,51 +166,39 @@ def classify(
     applies, else on the one pair of subdifferentials it gives.
 
     With compute_global the global solution value is obtained from the
-    solution-set decomposition and compared with f(x); a point achieving
-    the optimal value is upgraded to local=YES even when the interiority
-    hypothesis failed, since global minimizers are local minimizers
-    unconditionally.
+    solution-set decomposition and compared with f(x), read from the same
+    evaluation; a point achieving the optimal value is upgraded to
+    local=YES even when the interiority hypothesis failed, since global
+    minimizers are local minimizers unconditionally.
     """
+    return _classify(prob, prob._point(x), compute_global)
+
+
+def _classify(
+    prob: DcProblem, point: _Point, compute_global: bool = False
+) -> Classification:
+    """`classify` at a point of the problem, reading its evaluations."""
     from . import structure  # deferred: structure sits above this module
 
-    at = _evaluate(prob, x)
-    at_g, at_h, _ = at
+    at_g, at_h = point.g, point.h
     flags = HypothesisFlags(  # `_is_interior` of the tight rows, or of None
         interior_dom_g=prob.g.domain._is_interior(at_g and at_g[2]),
         interior_dom_h=prob.h.domain._is_interior(at_h and at_h[2]),
     )
-    if any(part is None for part in at):
-        global_ = GlobalStatus.NO if compute_global else GlobalStatus.NOT_COMPUTED
-        return Classification(
-            feasible=False,
-            critical=False,
-            stationary=False,
-            local=LocalStatus.NO,
-            global_=global_,
-            hypothesis_flags=flags,
-        )
-    on_face = _on_faces(prob, at)
-    critical = _critical(prob, at, on_face)
-    stationary = critical and _stationary(prob, at, on_face)
-    if not stationary:
-        local = LocalStatus.NO
-    elif flags.interior_dom_h:
+    feasible = not (at_g is None or at_h is None or point.C is None)
+    critical = stationary = False
+    local = LocalStatus.NO
+    if feasible:
+        on_face = _on_faces(prob, point)
+        critical = _critical(prob, point, on_face)
+        stationary = critical and _stationary(prob, point, on_face)
+    if stationary and flags.interior_dom_h:
         local = LocalStatus.YES
-    else:
+    elif stationary:
         local = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
-    global_ = GlobalStatus.NOT_COMPUTED
-    if compute_global:
+    global_ = GlobalStatus.NO if compute_global else GlobalStatus.NOT_COMPUTED
+    if compute_global and feasible:
         alpha_bar, _, _ = structure.global_solutions(prob)
-        if alpha_bar.is_finite and prob.objective_value(x) == alpha_bar:
-            global_ = GlobalStatus.YES
-            local = LocalStatus.YES
-        else:
-            global_ = GlobalStatus.NO
-    return Classification(
-        feasible=True,
-        critical=critical,
-        stationary=stationary,
-        local=local,
-        global_=global_,
-        hypothesis_flags=flags,
-    )
+        if alpha_bar.is_finite and point.objective == alpha_bar:
+            global_, local = GlobalStatus.YES, LocalStatus.YES
+    return Classification(feasible, critical, stationary, local, global_, flags)

@@ -74,13 +74,15 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   there: the weak and the weakened strict rows of the anchor system say
   h_j <= h_anchor for every j, and they describe cl(Q).  No containment
   or closure test on a point piece poses an LP.
-* Each point evaluated once.  A piece keeps the one evaluation of its
-  witness (`SemiClosedPiece._evaluation`): the point scaled, h's value
-  and h's active set there.  Membership of the witness in another piece,
-  the containment, merge, skip and closure tests, and f at the witness
-  in `components` read it.  `local_pieces` evaluates h once per distinct
-  point of the call, the point of each one-point face and each witness,
-  and `components` evaluates f once per distinct probe point.
+* Each point evaluated once.  A piece keeps the point of its witness
+  (`SemiClosedPiece._evaluation`, a `model._Point` of the problem): the
+  point scaled, with h's value and active set there.  Membership is one
+  test on a point (`SemiClosedPiece._holds`); membership of the witness
+  in another piece, the containment, merge, skip and closure tests, and
+  f at the witness in `components` read the kept point.  `local_pieces`
+  makes one point per distinct point of the call, the point of each
+  one-point face and each witness, and `components` one per distinct
+  probe point that no piece keeps.
 * Levels do not touch.  On a piece f = alpha_anchor: every member x lies
   in the optimal face of the anchor and has it active, so
   f(x) = g(x) - v_anchor.x - beta_anchor, the anchor's shifted value.
@@ -97,7 +99,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from typing import Optional, Sequence
 
 from .exactlp import (
@@ -123,8 +125,7 @@ from .model import (
     PolydcError,
     PolyhedralSet,
     containment_violation,
-    _check_dimension,
-    _scaled,
+    _Point,
 )
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -186,7 +187,7 @@ class SemiClosedPiece:
     solved; a piece built without it poses it on first use.  `_point` says
     that the closed part is the one point `witness` (`_point_piece`), so
     the piece is that point and its tests need no LP.  `_evaluation` is
-    the one evaluation of the witness (each point evaluated once, module
+    the point of the witness (each point evaluated once, module
     docstring).
     """
 
@@ -212,32 +213,24 @@ class SemiClosedPiece:
         return _margin_lp(*self._system, self.dimension)
 
     @cached_property
-    def _evaluation(self) -> tuple:
-        """`_evaluate` at the witness; `local_pieces` hands each piece it
-        builds the evaluation it made, and a piece built by hand makes it
-        on first use."""
-        return _evaluate(self.h, _check_dimension(self.witness, self.dimension))
+    def _evaluation(self) -> _Point:
+        """The point of the witness; `local_pieces` hands each piece it
+        builds the problem's point there, and a piece built by hand makes
+        one of h alone on first use."""
+        return _Point(self.witness, self.h)
 
     def contains(self, x: Sequence) -> bool:
-        point = _scaled(_check_dimension(x, self.dimension))
-        inside = self.closed_part._tight_rows(point) is not None
-        return inside and _within(self.h._at(point), self.J1)
+        return self._holds(_Point(x, self.h))
 
-    def _holds(self, other: SemiClosedPiece) -> bool:
-        """`contains(other.witness)`, from other's kept evaluation."""
-        point, at = other._evaluation
-        return self.closed_part._tight_rows(point) is not None and _within(at, self.J1)
+    def _holds(self, point: _Point) -> bool:
+        """Membership of a point of h: in the closed part, then in dom h
+        with its active set in J1, each read from the point."""
+        inside = self.closed_part._tight_rows(point.scaled) is not None
+        return inside and _within(point.h, self.J1)
 
     @property
     def dimension(self) -> int:
         return self.closed_part.dimension
-
-
-def _evaluate(h: MaxAffine, x: Vector) -> tuple:
-    """(x scaled by `_scaled`, h's `MaxAffine._at` there): the one
-    evaluation of a point (each point evaluated once, module docstring)."""
-    point = _scaled(x)
-    return point, h._at(point)
 
 
 def _within(at: Optional[tuple], J1: frozenset[int]) -> bool:
@@ -388,15 +381,15 @@ def _point_piece(
 ) -> Optional[SemiClosedPiece]:
     """`build_piece` without an LP when some j in J1 has the one-point
     optimal face {y} (point faces, module docstring).  `face_point` is
-    (y, h's evaluation at y, F), with F the pieces whose face holds y.
+    (the point of y, F), with F the pieces whose face holds y.
     The piece is {y} exactly when A(y) ⊆ J1 ⊆ F, else empty; only a
     nonempty piece builds its closed part, from `faces`, those of J1."""
-    y, evaluation, holding = face_point
-    if not (J1 <= holding and _within(evaluation[1], J1)):
+    y, holding = face_point
+    if not (J1 <= holding and _within(y.h, J1)):
         return None
     closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
     excluded = frozenset(prob.h.indices) - J1
-    return SemiClosedPiece(J1, closed_part, excluded, prob.h, y, anchor, _point=True)
+    return SemiClosedPiece(J1, closed_part, excluded, prob.h, y.x, anchor, _point=True)
 
 
 def _negated(row: IntegerRow) -> IntegerRow:
@@ -417,7 +410,7 @@ def _satisfies(P: SemiClosedPiece, S: PolyhedralSet) -> bool:
     tested once.  A point piece is tested at its point.
     """
     if P._point:
-        return S._tight_rows(P._evaluation[0]) is not None
+        return S._tight_rows(P._evaluation.scaled) is not None
     equalities, weak, _ = P._system
     # rows every member satisfies, or tested
     settled_equalities, settled = set(equalities), set(weak)
@@ -442,7 +435,7 @@ def _piece_subset(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
     member of P has the witness's active set (the lemma), so once Q holds
     the witness, P ⊆ Q iff every member of P lies in Q's closed part.
     """
-    return Q._holds(P) and _satisfies(P, Q.closed_part)
+    return Q._holds(P._evaluation) and _satisfies(P, Q.closed_part)
 
 
 def _same_member_set(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
@@ -450,7 +443,7 @@ def _same_member_set(P: SemiClosedPiece, Q: SemiClosedPiece) -> bool:
         return P.witness == Q.witness
     # no containment LP runs before P holds Q's witness and Q holds P's,
     # the check that opens _piece_subset
-    return P._holds(Q) and _piece_subset(P, Q) and _piece_subset(Q, P)
+    return P._holds(Q._evaluation) and _piece_subset(P, Q) and _piece_subset(Q, P)
 
 
 def _equals_sub_piece(
@@ -468,7 +461,7 @@ def _equals_sub_piece(
     return (
         K.J1 < J1
         and least <= K.J1
-        and closed_part._tight_rows(K._evaluation[0]) is not None
+        and closed_part._tight_rows(K._evaluation.scaled) is not None
         and _satisfies(K, closed_part)
     )
 
@@ -509,14 +502,14 @@ def local_pieces(
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     face_of = {r.piece: r.face for r, _ in linearized if r.face is not None}
 
-    evaluate = cache(partial(_evaluate, prob.h))  # once per distinct point
+    point_at = cache(prob._point)  # one point per distinct point of the call
 
-    points = {}  # j of a one-point face {y}: (y, its evaluation, F)
+    points = {}  # j of a one-point face {y}: (the point of y, F)
     for r, _ in linearized:
         if r.one_point:
-            e = evaluate(r.witness)
-            F = [k for k, face in face_of.items() if face._tight_rows(e[0]) is not None]
-            points[r.piece] = r.witness, e, frozenset(F)
+            y = point_at(r.witness)
+            F = [k for k, S in face_of.items() if S._tight_rows(y.scaled) is not None]
+            points[r.piece] = y, frozenset(F)
     # one piece per member set, with the smallest J1 that gives it
     representatives: list[SemiClosedPiece] = []
     for size in range(1, q + 1):
@@ -541,7 +534,7 @@ def local_pieces(
                 piece = build_piece(prob.h, closed_part, J1, anchor)
             if piece is None:
                 continue
-            piece.__dict__["_evaluation"] = evaluate(piece.witness)  # its value
+            piece.__dict__["_evaluation"] = point_at(piece.witness)  # its value
             if not any(_same_member_set(piece, rep) for rep in representatives):
                 representatives.append(piece)
     return tuple(
@@ -560,11 +553,11 @@ def _closure_meets(
     and closing's anchor is active at y (point faces, module docstring).
     """
     if closing._point:
-        return closing.witness if other._holds(closing) else None
+        return closing.witness if other._holds(closing._evaluation) else None
     if other._point:
-        point, at = other._evaluation
-        anchor_active = at is not None and closing.anchor - 1 in at[1]
-        if anchor_active and closing.closed_part._tight_rows(point) is not None:
+        point = other._evaluation
+        anchor_active = point.h is not None and closing.anchor - 1 in point.h[1]
+        if anchor_active and closing.closed_part._tight_rows(point.scaled) is not None:
             return other.witness
         return None
     equalities, weak, strict = closing._system
@@ -648,8 +641,9 @@ def components(
 
     The objective is constant on every component; the value is verified at
     every piece witness and every adjacency witness inside the component,
-    exactly, once per distinct point.  At a piece witness h's value is
-    read from the piece's kept evaluation.
+    exactly, once per distinct point.  At a piece witness f is read from
+    the point the piece keeps; a piece built by hand keeps a point of h
+    alone, and the problem's point is made there instead.
     """
     if not pieces:
         return ()
@@ -661,12 +655,14 @@ def components(
             continue
         members = sorted(_walk(edges, [first]))
         placed.update(members)
-        # each probe point with h's evaluation there, kept at a witness
-        probes = {pieces[i].witness: pieces[i]._evaluation for i in members}
+        probes = {}  # each probe point once, with its point
+        for i in members:  # a piece built by hand keeps a point of h alone
+            p = pieces[i]._evaluation
+            probes[p.x] = prob._point(p.x) if p.functions[1] is None else p
         for (i, _), w in edges.items():  # an edge joins two members or none
             if i in members and w not in probes:
-                probes[w] = _evaluate(prob.h, w)
-        values = {prob._finite_objective_at(*e) for e in probes.values()}
+                probes[w] = prob._point(w)
+        values = {point.finite_objective() for point in probes.values()}
         if len(values) != 1:
             raise InternalCheckFailed(
                 f"objective is not constant on a component: values {sorted(values)}"
@@ -694,12 +690,12 @@ def segment_path(
     relative closure, so every segment stays inside the union; across
     components no path exists and None is returned.
     """
-    z = _check_dimension(z, prob.dimension)
-    w = _check_dimension(w, prob.dimension)
-    z_home = [i for i, p in enumerate(pieces) if p.contains(z)]
+    z_point, w_point = prob._point(z), prob._point(w)
+    z, w = z_point.x, w_point.x
+    z_home = [i for i, p in enumerate(pieces) if p._holds(z_point)]
     if not z_home:
         raise OutsideDomain("start point is not a member of any piece")
-    w_home = [i for i, p in enumerate(pieces) if p.contains(w)]
+    w_home = [i for i, p in enumerate(pieces) if p._holds(w_point)]
     if not w_home:
         raise OutsideDomain("end point is not a member of any piece")
     if set(z_home) & set(w_home):

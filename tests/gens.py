@@ -6,6 +6,7 @@ Gaussian elimination over Fractions) used to cross-check the simplex.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
@@ -69,6 +70,27 @@ def abs_problem() -> DcProblem:
     g = MaxAffine.constant(0, 1)
     h = MaxAffine.from_pieces([(vec(1), Fraction(0)), (vec(-1), Fraction(0))], 1)
     return DcProblem(g=g, h=h, C=PolyhedralSet.whole_space(1))
+
+
+def count_evaluations(monkeypatch) -> collections.Counter:
+    """A Counter, filled while the patch holds, of the evaluations made by
+    `MaxAffine._at` and `PolyhedralSet._tight_rows` (the domain rows that
+    `_at` evaluates included), keyed by (id of the function or set, the
+    point as `model._scaled` gives it)."""
+    calls = collections.Counter()
+    at, tight_rows = MaxAffine._at, PolyhedralSet._tight_rows
+
+    def counting_at(f, point):
+        calls[(id(f), point)] += 1
+        return at(f, point)
+
+    def counting_tight_rows(S, point):
+        calls[(id(S), point)] += 1
+        return tight_rows(S, point)
+
+    monkeypatch.setattr(MaxAffine, "_at", counting_at)
+    monkeypatch.setattr(PolyhedralSet, "_tight_rows", counting_tight_rows)
+    return calls
 
 
 def bundled_problems() -> list[DcProblem]:

@@ -1310,17 +1310,24 @@ def _counting_evaluations(monkeypatch, prob):
 
 def test_a_run_evaluates_h_once_per_node(monkeypatch):
     """A fresh run evaluates h at x0 and once per distinct node it solves;
-    a warm run evaluates h only at x0 and scales only x0, under every
-    `pick` rule."""
+    a warm run evaluates h only at x0, under every `pick` rule and under
+    scripts: those replaying the index-rule runs, and one step of the mean
+    active gradient, which is validated by the weight LP at a kink.  A
+    warm run under a `pick` rule scales only x0; a script's vectors are
+    scaled as the keys of their nodes."""
     rng = random.Random(1931)
     problems = gens.bundled_problems()
     problems += [gens.random_dc_instance(rng) for _ in range(12)]
     problems += [_half_space_instance(rng) for _ in range(3)]
     problems += [_bounded_h_instance(rng) for _ in range(3)]
-    steps = 0
+    steps = weighed = 0
     for prob in problems:
         for x0 in _starts(rng, prob, 2):
-            rules = (MinIndexActive(), MaxIndexActive(), _table(rng, prob))
+            rules = [MinIndexActive(), MaxIndexActive(), _table(rng, prob)]
+            if prob.h.domain.is_interior_point(x0):
+                mean = _mean_active_gradient(prob, x0)
+                rules.append(Scripted((mean,)))
+                weighed += mean not in [u for u, _ in prob.h.pieces]
             for rule in rules:
                 fresh = _copy(prob)
                 evaluated, scaled = _counting_evaluations(monkeypatch, fresh)
@@ -1328,15 +1335,40 @@ def test_a_run_evaluates_h_once_per_node(monkeypatch):
                 monkeypatch.undo()
                 bounded = [node for node in fresh._subproblems.values() if node]
                 assert evaluated[0] == model._scaled(tuple(x0))
-                assert sorted(evaluated[1:]) == sorted(node[1] for node in bounded)
+                assert sorted(evaluated[1:]) == sorted(n[0].scaled for n in bounded)
                 assert trace == run(prob, x0, rule)
                 evaluated, scaled = _counting_evaluations(monkeypatch, prob)
                 assert run(prob, x0, rule) == trace
                 monkeypatch.undo()
                 assert evaluated == [model._scaled(tuple(x0))]
-                assert scaled == [tuple(x0)]
+                assert scaled[0] == tuple(x0)
+                if not isinstance(rule, Scripted):
+                    assert scaled == [tuple(x0)]
+                    # the loop goes on to a script replaying this run
+                    rules.append(Scripted(tuple(it.xi for it in trace.iterates)))
                 steps += len(trace.iterates) - 1
-    assert steps > 0
+    assert steps > 0 and weighed > 0
+
+
+def test_validate_trace_evaluates_each_point_once(monkeypatch):
+    """`validate_trace` makes one point per distinct x of the trace: each
+    function and set is evaluated at most once per point and call, also
+    at a fixed point, which the trace holds twice."""
+    rng = random.Random(1937)
+    repeated = 0
+    for prob in [gens.random_dc_instance(rng) for _ in range(15)]:
+        for x0 in _starts(rng, prob, 2):
+            trace = run(prob, x0, MinIndexActive())
+            xs, xis = trace.points, [it.xi for it in trace.iterates]
+            expected = validate_trace(prob, xs, xis)
+            with monkeypatch.context() as patch:
+                calls = gens.count_evaluations(patch)
+                assert validate_trace(prob, xs, xis) == expected
+            assert expected.valid and max(calls.values()) == 1
+            distinct = {model._scaled(x) for x in xs}
+            assert {point for _, point in calls} == distinct
+            repeated += len(distinct) < len(xs)
+    assert repeated > 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1356,7 +1388,7 @@ def test_a_pick_cannot_change_a_kept_node():
         kept = dict(prob._subproblems)
         for node in filter(None, kept.values()):
             with pytest.raises(AttributeError):
-                run(prob, node[0], _Mutating())
+                run(prob, node[0].x, _Mutating())
         assert prob._subproblems == kept
         for x0 in _starts(rng, prob, 3):
             assert run(prob, x0, MaxIndexActive()) == run(

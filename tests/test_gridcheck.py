@@ -1,7 +1,6 @@
 """Grid-oracle cross-checks, including problems outside the hypotheses."""
 
 import dataclasses
-import pathlib
 import random
 from fractions import Fraction
 
@@ -89,22 +88,23 @@ def test_unbounded_set_is_rejected(abs_problem):
 
 
 def test_each_grid_point_is_evaluated_once(monkeypatch):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    prob = parse_problem(
-        (root / "problems" / "two_dim_vee.json").read_text(encoding="utf-8")
-    )
-    calls = []
-    original = DcProblem.objective_value
-
-    def counting(self, x):
-        calls.append(tuple(x))
-        return original(self, x)
-
-    monkeypatch.setattr(DcProblem, "objective_value", counting)
-    report = grid_cross_check(prob, F(1, 8))
-    assert report.ok and report.points_in_set == 425
-    # 3,577 calls when every in-C neighbour was evaluated again
-    assert len(calls) == len(set(calls)) == 425
+    """Every function and set is evaluated at most once per distinct point
+    of a call (`MaxAffine._at`, `PolyhedralSet._tight_rows`): the
+    classifier, the objective, the descent probes and the piece tests read
+    one point."""
+    evaluated = {}
+    for name in ("interval", "two_dim_vee", "narrow_cone"):
+        path = gens.PROBLEMS / f"{name}.json"
+        prob = parse_problem(path.read_text(encoding="utf-8"))
+        with monkeypatch.context() as patch:
+            calls = gens.count_evaluations(patch)
+            report = grid_cross_check(prob, F(1, 8))
+        assert report.ok and max(calls.values()) == 1, name
+        evaluated[name] = sum(key[0] == id(prob.h) for key in calls)
+        if name == "two_dim_vee":
+            assert report.points_in_set == 425
+    # 127, 854 and 594 evaluations of h when each reader evaluated afresh
+    assert evaluated == {"interval": 41, "two_dim_vee": 425, "narrow_cone": 296}
 
 
 def test_descent_off_the_grid_directions_is_found(capsys):
@@ -133,13 +133,14 @@ def test_general_instances_check_out():
 
 
 def _patched(monkeypatch, wrong):
-    """gridcheck's classifier with `wrong(point, result)` applied."""
-    original = gridcheck.classify
+    """gridcheck's classifier with `wrong(x, result)` applied; it is handed
+    the point of x (`model._Point`)."""
+    original = gridcheck._classify
 
     def patched(prob, point):
-        return wrong(point, original(prob, point))
+        return wrong(point.x, original(prob, point))
 
-    monkeypatch.setattr(gridcheck, "classify", patched)
+    monkeypatch.setattr(gridcheck, "_classify", patched)
 
 
 def test_wrong_local_verdict_fails(interval_problem, monkeypatch):

@@ -14,6 +14,7 @@ from polydc import (
     EmptyIntersection,
     ImproperFunction,
     MaxAffine,
+    MINUS_INF,
     OutsideDomain,
     PLUS_INF,
     PolyhedralSet,
@@ -634,6 +635,69 @@ class TestIntegerKernel:
         for x in (on_line, vec(F(3, 2), F(25, 28)), vec(F(3, 7), F(1, 10**9)), vec(0, 0)):
             assert_same_evaluation(f, x)
         assert f._at(model._scaled(vec(F(3, 2), F(25, 28)))) is not None
+
+
+class TestPoint:
+    """`model._Point`: x coerced and scaled once, and g, h and C evaluated
+    on first read, equal to the Fraction references above."""
+
+    def test_seeded_points_match_the_references(self):
+        rng = random.Random(47)
+        outside = set()
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            center = small_vector(rng, n)
+
+            def function():
+                pieces = dict.fromkeys(
+                    (small_vector(rng, n), small_rational(rng, -2, 2))
+                    for _ in range(rng.randint(1, 3))
+                )
+                domain = rows_around(rng, center, rng.randint(0, 1), rng.randint(0, 3))
+                return MaxAffine.from_pieces(list(pieces), n, domain=domain)
+
+            g, h = function(), function()
+            C = rows_around(rng, center, rng.randint(0, n - 1), rng.randint(1, 4))
+            prob = DcProblem(g=g, h=h, C=C)
+            for x in probe_points(rng, center):
+                point = prob._point(x)
+                assert point.x == x and point.scaled == model._scaled(x)
+                at_g, at_h = reference_at(g, x), reference_at(h, x)
+                tight = reference_tight_rows(C, x)
+                assert (point.g, point.h, point.C) == (at_g, at_h, tight)
+                if tight is None or at_g is None:
+                    expected = PLUS_INF
+                elif at_h is None:
+                    expected = MINUS_INF
+                else:
+                    expected = ExtendedRational.finite(at_g[0] - at_h[0])
+                assert point.objective == expected == prob.objective_value(x)
+                assert expected == prob.g_plus_indicator.value(x) - h.value(x)
+                if expected.is_finite:
+                    assert prob.finite_objective(x) == expected.as_fraction()
+                else:
+                    with pytest.raises(OutsideDomain, match="^objective is not"):
+                        prob.finite_objective(x)
+                for name, at in zip(("dom(g)", "dom(h)", "C"), (at_g, at_h, tight)):
+                    if at is None:
+                        outside.add(name)
+        assert outside == {"dom(g)", "dom(h)", "C"}
+
+    def test_each_evaluation_made_once_on_first_read(self, monkeypatch):
+        prob = gens.interval_problem()
+        calls = gens.count_evaluations(monkeypatch)
+        point = prob._point(vec(F(1, 2)))
+        assert not calls  # nothing is evaluated before it is read
+        for _ in range(2):
+            assert point.h == (F(0), [1], [])
+        evaluated = {(id(S), point.scaled): 1 for S in (prob.h, prob.h.domain)}
+        assert calls == evaluated
+        assert point.objective == point.objective == ExtendedRational.finite(0)
+        for S in (prob.g, prob.g.domain, prob.C):
+            evaluated[(id(S), point.scaled)] = 1
+        assert calls == evaluated
+        alone = model._Point(vec(F(1, 2)), prob.h)  # a point of h alone
+        assert alone.h == point.h and alone.functions == (prob.h, None, None)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)

@@ -210,6 +210,35 @@ class TestClassify:
                 assert c.local is LocalStatus.YES
 
 
+    def test_global_reads_f_from_the_same_point(self, monkeypatch):
+        """With compute_global, f(x) is read from the point classified, so
+        each function and set is evaluated at most once per call, on seeded
+        points inside and outside C, including global solutions."""
+        rng = random.Random(39)
+        verdicts = set()
+        for _ in range(20):
+            prob = gens.random_dc_instance(rng)
+            lo, hi = prob.C.bounding_box()
+            points = [
+                tuple(l + F(rng.randint(-1, 5), 4) * (u - l) for l, u in zip(lo, hi))
+                for _ in range(4)
+            ]
+            alpha_bar, _, faces = structure.global_solutions(prob)
+            points += [face.witness for face in faces]
+            for x in points:
+                expected = classify(prob, x, compute_global=True)
+                with monkeypatch.context() as patch:
+                    calls = gens.count_evaluations(patch)
+                    assert classify(prob, x, compute_global=True) == expected
+                assert max(calls.values()) == 1
+                verdicts.add((expected.feasible, expected.global_))
+        assert verdicts == {
+            (False, GlobalStatus.NO),
+            (True, GlobalStatus.NO),
+            (True, GlobalStatus.YES),
+        }
+
+
 class TestConcurrentUse:
     def test_parallel_classification_is_consistent(self, interval_problem):
         # all operations are pure functions of immutable values

@@ -538,8 +538,8 @@ class _ReferencePiece:
     @property
     def _evaluation(self):
         # what `components` reads at the witness; the reference keeps no
-        # evaluation and evaluates h there afresh
-        return structure._evaluate(self.h, self.witness)
+        # point and makes one of h there afresh
+        return model._Point(self.witness, self.h)
 
 
 def _reference_build_piece(h, closed_part, J1):
