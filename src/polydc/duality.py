@@ -63,13 +63,11 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
     and j0 is one of them; each such i has alpha_i <= alpha_bar, so it
     lies in J*.  A check in which v_j0 misses alpha_bar raises.
     """
-    structure.check_structure_hypotheses(prob)
-    linearized = prob._linearized
-    alpha_bar, J_star, _ = structure.global_solutions(prob, linearized)
+    alpha_bar, J_star, _ = structure.global_solutions(prob)
 
     conjugate = prob.h._conjugate_at_gradients
     scored: dict[Vector, ExtendedRational] = {}
-    for (v, _), (unshifted, _) in zip(prob.h.pieces, linearized):
+    for (v, _), (unshifted, _) in zip(prob.h.pieces, prob._linearized):
         if v in scored:
             continue
         # (g + indicator(C))*(v) is minus the minimum of its epigraph LP,

@@ -9,11 +9,11 @@ exact equality or inequality of rationals.
 solution:
 
 * Each row is scaled once, where it is made: `integer_row` multiplies it by
-  the lcm of its denominators and keeps that scale.  A `LinearProgram`
-  built from rational rows scales its equalities in its constructor and its
-  inequalities when they are first read, which for an LP whose equalities
-  have no solution is never; `PolyhedralSet`
-  keeps its rows' integer forms, and `max_slack` poses its LP from them.
+  the lcm of its denominators and keeps that scale.  Every LP inside the
+  package is posed from integer rows (`_integer_lp`) that its set or
+  function already holds (`PolyhedralSet._integer_rows`), or that it
+  writes as the integers they are; rational rows enter only from a
+  caller, through the `LinearProgram` constructor, which scales them once.
   From there on the core sees integers only.  The equalities are brought
   to reduced row echelon form without fractions, and every inequality is
   rewritten as an integer row over the free coordinates, which are split
@@ -224,47 +224,32 @@ def integer_row(a: Sequence, b) -> IntegerRow:
     return A, b._numerator * (s // b._denominator), s
 
 
-class _ScaledOnRead:
-    """`LinearProgram.inequalities`: the rows the caller passes are held by
-    the LP's `_Rows` as given, and every read returns them as integer rows,
-    scaled on the first read (`_Rows.inequalities`)."""
-
-    def __get__(self, lp, owner=None):
-        if lp is None:
-            raise AttributeError("inequalities")  # the field has no default
-        return lp._rows.inequalities
-
-    def __set__(self, lp, rows):
-        lp.__dict__["_given"] = rows  # taken by `__post_init__`
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """minimize <objective, x> subject to equality and `row . x <= rhs` rows.
 
-    The constructor scales each rational equality once (`integer_row`) and
-    holds the integer rows, (A, B) each, with their prepared start (see
-    `lp_solve`), which every LP made by `with_objective` shares.  The
-    inequalities are scaled on their first read: `_prepare` reads them only
-    once the equalities have a solution, so an LP whose equalities have none
-    scales no inequality.  Whatever reads `equalities` and `inequalities`,
-    `optimality_certificate` among them, reads these integer rows, not the
-    rows the caller passed.
+    The constructor scales each rational row once (`integer_row`) and holds
+    the integer rows, (A, B) each, with their prepared start (see
+    `lp_solve`), which every LP made by `with_objective` shares.  Rational
+    rows come only from a caller outside the package; inside it every LP
+    is posed from integer rows by `_integer_lp`, which scales nothing.
+    Whatever reads `equalities` and `inequalities`, `optimality_certificate`
+    among them, reads these integer rows, not the rows the caller passed.
     """
 
     objective: Vector
     equalities: tuple[LpRow, ...]
-    inequalities: tuple[LpRow, ...] = _ScaledOnRead()
+    inequalities: tuple[LpRow, ...]
     dimension: int
     _rows: Optional["_Rows"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        given = self.__dict__.pop("_given")
-        rows = self._rows
-        if rows is None or not rows.holds(self.equalities, given, self.dimension):
-            rows = _Rows(_scale(self.equalities), given, self.dimension, scaled=False)
+        rows, given = self._rows, (self.equalities, self.inequalities)
+        if rows is None or not rows.holds(*given, self.dimension):
+            rows = _Rows(*map(_scale, given), self.dimension)
             object.__setattr__(self, "_rows", rows)
             object.__setattr__(self, "equalities", rows.equalities)
+            object.__setattr__(self, "inequalities", rows.inequalities)
         object.__setattr__(self, "objective", vector(self.objective))
         if len(self.objective) != self.dimension:
             raise ValueError("objective length does not match dimension")
@@ -279,20 +264,16 @@ class LinearProgram:
 
 class _Rows:
     """The integer rows of an LP and their prepared start, which `start`
-    builds on first use; after that it is only read.  Inequalities given as
-    rational rows (`scaled=False`) are scaled on the first read of
-    `inequalities`.  Two threads that ask at once may both build the start,
-    or scale the rows, and keep equal ones."""
+    builds on first use; after that it is only read.  Two threads that ask
+    at once may both build the start and keep equal ones."""
 
-    __slots__ = ("equalities", "_inequalities", "_given", "dimension", "_start")
+    __slots__ = ("equalities", "inequalities", "dimension", "_start")
 
-    def __init__(self, equalities, inequalities, dimension: int, scaled: bool = True):
+    def __init__(self, equalities, inequalities, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.equalities = equalities
-        self._given = inequalities
-        if scaled:
-            self._inequalities = inequalities
+        self.inequalities = inequalities
         self.dimension = dimension
         for coeffs, _ in itertools.chain(equalities, inequalities):
             if len(coeffs) != dimension:
@@ -300,23 +281,12 @@ class _Rows:
                     f"row of length {len(coeffs)} in LP of dimension {dimension}"
                 )
 
-    @property
-    def inequalities(self) -> tuple[LpRow, ...]:
-        try:
-            return self._inequalities
-        except AttributeError:
-            self._inequalities = _scale(self._given)
-            return self._inequalities
-
     def holds(self, equalities, inequalities, dimension: int) -> bool:
-        """Whether these are the rows given, the very same tuples."""
+        """Whether these are the rows held, the very same tuples."""
         return (
             equalities is self.equalities
+            and inequalities is self.inequalities
             and dimension == self.dimension
-            and (
-                inequalities is self._given
-                or inequalities is getattr(self, "_inequalities", None)
-            )
         )
 
     def start(self) -> Optional["_Start"]:
@@ -324,12 +294,8 @@ class _Rows:
         try:
             return self._start
         except AttributeError:
-            self._start = _prepare(self.equalities, self._read(), self.dimension)
+            self._start = _prepare(self.equalities, self.inequalities, self.dimension)
             return self._start
-
-    def _read(self):
-        """The inequalities, scaled only once `_prepare` reads them."""
-        yield from self.inequalities
 
 
 def _scale(rows) -> tuple[LpRow, ...]:
@@ -736,11 +702,10 @@ class _Start:
 
 
 def _prepare(
-    equalities: Sequence[LpRow], inequalities: Iterable[LpRow], dimension: int
+    equalities: Sequence[LpRow], inequalities: Sequence[LpRow], dimension: int
 ) -> Optional[_Start]:
     """The start of every LP over these rows, or None when they have no
-    solution.  The inequalities are read once, in order, and only when the
-    equalities have a solution.
+    solution.
 
     An inequality equal to an earlier row whose rhs after substitution is
     b >= 0 is left out.  The two rows are the same row over z, and the
@@ -952,22 +917,24 @@ def optimality_certificate(
         if any(c != 0 for c in lp.objective):
             raise ValueError("unconstrained LP with nonzero objective")
         return (), ()
-    equalities = []
-    for d in range(lp.dimension):
-        coeffs = [lp.equalities[e][0][d] for e in range(n_eq)]
-        coeffs += [lp.inequalities[i][0][d] for i in range(n_in)]
-        equalities.append((tuple(coeffs), -lp.objective[d]))
+    # one row per coordinate, scaled by its objective entry's denominator;
+    # the rows below are the integers 0 and +-1 they are
+    rows = lp.equalities + lp.inequalities
+    equalities = [
+        integer_row([A[d] for A, _ in rows], -lp.objective[d])[:2]
+        for d in range(lp.dimension)
+    ]
     for i in range(n_in):
         if i not in outcome.tight_inequalities:
-            row = [ZERO] * dim
-            row[n_eq + i] = ONE
-            equalities.append((tuple(row), ZERO))
+            row = [0] * dim
+            row[n_eq + i] = 1
+            equalities.append((tuple(row), 0))
     inequalities = []
     for i in range(n_in):
-        row = [ZERO] * dim
-        row[n_eq + i] = -ONE
-        inequalities.append((tuple(row), ZERO))
-    witness = lp_feasible(equalities, inequalities, dim)
-    if witness is None:
+        row = [0] * dim
+        row[n_eq + i] = -1
+        inequalities.append((tuple(row), 0))
+    found = lp_solve(_integer_lp(zero_vector(dim), equalities, inequalities, dim))
+    if not found.is_optimal:
         raise RuntimeError("no complementary-slack multipliers found")
-    return witness[:n_eq], witness[n_eq:]
+    return found.point[:n_eq], found.point[n_eq:]

@@ -109,8 +109,7 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
 
     linearized = prob._linearized
     try:
-        structure.check_structure_hypotheses(prob)
-        pieces = structure.local_pieces(prob, linearized=linearized)
+        pieces = structure.local_pieces(prob)
         pieces_checked = True
     except structure.HypothesisNotMet:
         pieces = ()

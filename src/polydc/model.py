@@ -33,17 +33,16 @@ from .exactlp import (
     PLUS_INF,
     Row,
     Vector,
-    ZERO,
     ONE,
     frac,
     integer_row,
-    lp_feasible,
     lp_solve,
     row_space_basis,
     vector,
     vneg,
     vsub,
     zero_vector,
+    _integer_lp,
 )
 
 
@@ -202,8 +201,21 @@ class PolyhedralSet:
         lineality space at every member point)."""
         return tuple(row_space_basis([a for a, _ in self.equalities]))
 
+    def _lp(self, objective: Vector) -> LinearProgram:
+        """The LP that minimizes `objective` over the set, posed from the
+        integer rows the set holds; each question about the set asks it
+        again with `with_objective`, which shares its prepared start."""
+        equalities, inequalities = self._integer_rows
+        return _integer_lp(
+            objective,
+            [(A, B) for A, B, _ in equalities],
+            [(A, B) for A, B, _ in inequalities],
+            self.dimension,
+        )
+
     def feasible_point(self) -> Optional[Vector]:
-        return lp_feasible(self.equalities, self.inequalities, self.dimension)
+        outcome = lp_solve(self._lp(zero_vector(self.dimension)))
+        return outcome.point if outcome.is_optimal else None
 
     def is_empty(self) -> bool:
         return self.feasible_point() is None
@@ -243,33 +255,35 @@ class PolyhedralSet:
     def support_value(self, direction: Sequence) -> ExtendedRational:
         """sup of direction . x over the set; raises on an empty set."""
         direction = _check_dimension(direction, self.dimension, "direction")
-        outcome = lp_solve(
-            LinearProgram(
-                objective=vneg(direction),
-                equalities=self.equalities,
-                inequalities=self.inequalities,
-                dimension=self.dimension,
-            )
-        )
-        if outcome.status is LpStatus.INFEASIBLE:
-            raise EmptyIntersection("support value of an empty set")
-        if outcome.status is LpStatus.UNBOUNDED:
-            return PLUS_INF
-        return ExtendedRational.finite(-outcome.value)
+        return _supremum(self._lp(vneg(direction)))
 
     def bounding_box(self) -> tuple[Vector, Vector]:
-        """Componentwise (min, max) over the set; raises if unbounded or empty."""
+        """Componentwise (min, max) over the set; raises if unbounded or
+        empty.  The 2n directions are asked of one LP (`_lp`)."""
+        lp = self._lp(zero_vector(self.dimension))
         lows, highs = [], []
         for i in range(self.dimension):
             e = list(zero_vector(self.dimension))
             e[i] = ONE
-            hi = self.support_value(tuple(e))
-            lo = self.support_value(vneg(tuple(e)))
+            hi = _supremum(lp.with_objective(vneg(tuple(e))))
+            lo = _supremum(lp.with_objective(tuple(e)))
             if not hi.is_finite or not lo.is_finite:
                 raise PolydcError("set is unbounded; no bounding box")
             lows.append(-lo.as_fraction())
             highs.append(hi.as_fraction())
         return tuple(lows), tuple(highs)
+
+
+def _supremum(lp: LinearProgram) -> ExtendedRational:
+    """sup of -objective over the rows of `lp`, a set's LP (`_lp`): the
+    support value of the set in the direction -objective; raises on an
+    empty set."""
+    outcome = lp_solve(lp)
+    if outcome.status is LpStatus.INFEASIBLE:
+        raise EmptyIntersection("support value of an empty set")
+    if outcome.status is LpStatus.UNBOUNDED:
+        return PLUS_INF
+    return ExtendedRational.finite(-outcome.value)
 
 
 def containment_violation(
@@ -279,17 +293,20 @@ def containment_violation(
 
     With strictly=True the target is inner ⊆ int(outer).  Each outer
     constraint is checked by maximizing its row over inner; an unbounded
-    maximum counts as a violation.  Inner must be nonempty.
+    maximum counts as a violation.  Inner must be nonempty.  Every row is
+    asked of one LP over inner (`PolyhedralSet._lp`), whose prepared start
+    the emptiness test builds.
     """
     if outer.dimension != inner.dimension:
         raise DimensionMismatch("containment of sets of different dimensions")
-    if inner.is_empty():
+    lp = inner._lp(zero_vector(inner.dimension))
+    if not lp_solve(lp).is_optimal:
         raise EmptyIntersection("containment test requires a nonempty inner set")
     for k, (a, y) in enumerate(outer.equalities):
         if strictly and any(c != 0 for c in a):
             return f"equality #{k} is a proper affine constraint (empty interior)"
-        hi = inner.support_value(a)
-        lo = inner.support_value(vneg(a))
+        hi = _supremum(lp.with_objective(vneg(a)))
+        lo = _supremum(lp.with_objective(a))
         if not hi.is_finite or not lo.is_finite:
             return f"equality #{k}: row is unbounded over the inner set"
         if hi.as_fraction() != y or -lo.as_fraction() != y:
@@ -298,7 +315,7 @@ def containment_violation(
                 f"[{-lo.as_fraction()}, {hi.as_fraction()}], not {{{y}}}"
             )
     for k, (a, b) in enumerate(outer.inequalities):
-        hi = inner.support_value(a)
+        hi = _supremum(lp.with_objective(vneg(a)))
         if not hi.is_finite:
             return f"inequality #{k}: row is unbounded over the inner set"
         if strictly and hi.as_fraction() >= b:
@@ -323,7 +340,8 @@ def _weights(target: Vector, *parts) -> Optional[Vector]:
     generators in the order given: per coordinate, the sum of sign *
     weight * generator equals `target`; then, for each part with points,
     its point weights sum to 1; then every point and ray weight is
-    nonnegative.
+    nonnegative.  Only the coordinate rows are scaled (`integer_row`); the
+    convexity and sign rows are the integers 0 and +-1 they are.
     """
     columns = []  # sign * generator, one per weight
     convex, nonnegative = [], []
@@ -334,17 +352,18 @@ def _weights(target: Vector, *parts) -> Optional[Vector]:
         columns += [g if sign > 0 else vneg(g) for g in points + rays + lineality]
     width = len(columns)
     equalities = [
-        (tuple([g[d] for g in columns]), target[d]) for d in range(len(target))
+        integer_row([g[d] for g in columns], target[d])[:2]
+        for d in range(len(target))
     ]
     for span in convex:
-        row = [ONE if k in span else ZERO for k in range(width)]
-        equalities.append((tuple(row), ONE))
+        equalities.append((tuple([1 if k in span else 0 for k in range(width)]), 1))
     inequalities = []
     for k in nonnegative:
-        row = [ZERO] * width
-        row[k] = -ONE
-        inequalities.append((tuple(row), ZERO))
-    return lp_feasible(equalities, inequalities, width)
+        row = [0] * width
+        row[k] = -1
+        inequalities.append((tuple(row), 0))
+    outcome = lp_solve(_integer_lp(zero_vector(width), equalities, inequalities, width))
+    return outcome.point if outcome.is_optimal else None
 
 
 _FRACTION = {Fraction}
@@ -623,16 +642,14 @@ class MaxAffine:
         return self._epigraph_over((self.domain,), zero_vector(self.dimension + 1))
 
     def _epigraph_over(self, sets, objective: Vector) -> LinearProgram:
-        equalities = [(a + (ZERO,), y) for S in sets for a, y in S.equalities]
-        inequalities = [(a + (ZERO,), b) for S in sets for a, b in S.inequalities]
+        """The epigraph rows over `sets`, posed from the integer rows the
+        sets hold, each with t's coefficient 0, and one row per piece."""
+        rows = [S._integer_rows for S in sets]
+        equalities = [(A + (0,), B) for eqs, _ in rows for A, B, _ in eqs]
+        inequalities = [(A + (0,), B) for _, ineqs in rows for A, B, _ in ineqs]
         for u, alpha in self.pieces:
-            inequalities.append((u + (-ONE,), -alpha))
-        return LinearProgram(
-            objective=objective,
-            equalities=tuple(equalities),
-            inequalities=tuple(inequalities),
-            dimension=self.dimension + 1,
-        )
+            inequalities.append(integer_row(u + (-ONE,), -alpha)[:2])
+        return _integer_lp(objective, equalities, inequalities, self.dimension + 1)
 
     def conjugate_value(self, xi: Sequence) -> ExtendedRational:
         """sup of xi.x - f(x), evaluated by one epigraph LP per call: +inf

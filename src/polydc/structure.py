@@ -183,12 +183,11 @@ class SemiClosedPiece:
     The semi-closed piece is convex; by the lemma (module docstring) its
     members are exactly the points of its anchor's system, `_system`, which
     is derived from the fields; `build_piece` hands over the system it
-    built.  `_lp` is the margin LP of that system that `build_piece`
-    solved; a piece built without it poses it on first use.  `_point` says
-    that the closed part is the one point `witness` (`_point_piece`), so
-    the piece is that point and its tests need no LP.  `_evaluation` is
-    the point of the witness (each point evaluated once, module
-    docstring).
+    built and the margin LP it solved, `_margin`, which a piece built by
+    hand poses on first use.  `_point` says that the closed part is the
+    one point `witness` (`_point_piece`), so the piece is that point and
+    its tests need no LP.  `_evaluation` is the point of the witness (each
+    point evaluated once, module docstring).
     """
 
     J1: frozenset[int]
@@ -197,7 +196,6 @@ class SemiClosedPiece:
     h: MaxAffine
     witness: Vector
     anchor: int
-    _lp: Optional[LinearProgram] = field(default=None, compare=False, repr=False)
     _point: bool = field(default=False, compare=False, repr=False)
 
     @cached_property
@@ -208,8 +206,6 @@ class SemiClosedPiece:
     def _margin(self) -> LinearProgram:
         """The margin LP of `_system` (`exactlp._margin_lp`), whose prepared
         start every containment test of the piece continues."""
-        if self._lp is not None:
-            return self._lp
         return _margin_lp(*self._system, self.dimension)
 
     @cached_property
@@ -314,20 +310,16 @@ def _hypothesis_violation(prob: DcProblem) -> Optional[str]:
 
 def global_solutions(
     prob: DcProblem,
-    linearized: Optional[Sequence[_Pair]] = None,
 ) -> tuple[ExtendedRational, frozenset[int], tuple[LinearizationResult, ...]]:
     """Optimal value, minimizing piece indices, and their optimal faces.
 
     When some linearized subproblem is unbounded the DC program is
-    unbounded: the value is -inf and the solution set is empty.
-    `linearized`, the `_linearize` pairs of every piece of h, comes from a
-    caller that has checked the hypotheses already; without it the check
-    runs here and the pairs are the problem's own (`DcProblem._linearized`).
+    unbounded: the value is -inf and the solution set is empty.  The
+    hypotheses and the linearizations are the problem's own, decided and
+    posed once (`DcProblem._hypothesis_violation`, `DcProblem._linearized`).
     """
-    if linearized is None:
-        check_structure_hypotheses(prob)
-        linearized = prob._linearized
-    results = [shifted for _, shifted in linearized]
+    check_structure_hypotheses(prob)
+    results = [shifted for _, shifted in prob._linearized]
     alpha_bar = min(r.value for r in results)
     J_star = frozenset(r.piece for r in results if r.value == alpha_bar)
     pieces = tuple([r for r in results if r.piece in J_star])  # see exactlp.vector
@@ -370,9 +362,9 @@ def build_piece(
         h=h,
         witness=witness,
         anchor=anchor,
-        _lp=lp,
     )
-    piece.__dict__["_system"] = system  # the value `_system` would derive
+    # the values `_system` would derive, and the LP the witness came from
+    piece.__dict__.update(_system=system, _margin=lp)
     return piece
 
 
@@ -467,9 +459,7 @@ def _equals_sub_piece(
 
 
 def local_pieces(
-    prob: DcProblem,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    linearized: Optional[Sequence[_Pair]] = None,
+    prob: DcProblem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[SemiClosedPiece, ...]:
     """All nonempty semi-closed pieces of the local solution set.
 
@@ -488,17 +478,16 @@ def local_pieces(
     faces shared by the two J1 sets cost nothing; a point piece is tested
     at its point, and two point pieces are compared by their points.  Under
     the containment hypotheses the union of the returned pieces is exactly
-    the local solution set.  `linearized` is as in `global_solutions`.
+    the local solution set.  The hypotheses and the linearizations are as
+    in `global_solutions`.
     """
-    if linearized is None:
-        check_structure_hypotheses(prob)
+    check_structure_hypotheses(prob)
     q = len(prob.h.pieces)
     if q > cap:
         raise EnumerationCapExceeded(
             f"h has {q} pieces; subset enumeration is capped at {cap}"
         )
-    if linearized is None:
-        linearized = prob._linearized
+    linearized = prob._linearized
     alpha = {shifted.piece: shifted.value for _, shifted in linearized}
     face_of = {r.piece: r.face for r, _ in linearized if r.face is not None}
 
@@ -749,9 +738,7 @@ class SolutionStructure:
 def solution_structure(
     prob: DcProblem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SolutionStructure:
-    check_structure_hypotheses(prob)
-    linearized = prob._linearized
-    alpha_bar, J_star, global_pieces = global_solutions(prob, linearized)
-    pieces = local_pieces(prob, cap, linearized)
+    alpha_bar, J_star, global_pieces = global_solutions(prob)
+    pieces = local_pieces(prob, cap)
     comps = components(prob, pieces)
     return SolutionStructure(alpha_bar, J_star, global_pieces, pieces, comps)

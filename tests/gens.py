@@ -414,6 +414,106 @@ def reference_classify(prob, x):
 
 
 # ---------------------------------------------------------------------------
+# the LPs of the package as they were posed from `Fraction` rows, which the
+# `LinearProgram` constructor scales (`exactlp.integer_row`); the package
+# poses each from integer rows, and must pose the same integer rows
+
+
+def record_integer_lps(monkeypatch, module) -> list:
+    """The LPs `module` poses through `exactlp._integer_lp` from here on,
+    in order."""
+    posed = []
+    original = exactlp._integer_lp
+
+    def record(*args):
+        posed.append(original(*args))
+        return posed[-1]
+
+    monkeypatch.setattr(module, "_integer_lp", record)
+    return posed
+
+
+def assert_same_lp(mine: LinearProgram, reference: LinearProgram):
+    """Equal objective and integer rows, every entry a Python int, and
+    equal outcomes; returns the outcome."""
+    assert mine == reference
+    for A, B in mine.equalities + mine.inequalities:
+        assert all(type(c) is int for c in A + (B,))
+    outcome, expected = exactlp.lp_solve(mine), exactlp.lp_solve(reference)
+    assert outcome == expected and outcome.unique == expected.unique
+    return outcome
+
+
+def _unit(width, k, value):
+    row = [Fraction(0)] * width
+    row[k] = Fraction(value)
+    return tuple(row)
+
+
+def reference_weights(target, *parts) -> LinearProgram:
+    """The LP of `model._weights(target, *parts)`: per coordinate, the sum
+    of sign * weight * generator equals `target`; the point weights of each
+    part with points sum to 1; every point and ray weight is >= 0."""
+    columns, convex, nonnegative = [], [], []
+    for sign, points, rays, lineality in parts:
+        if points:
+            convex.append(range(len(columns), len(columns) + len(points)))
+        nonnegative += range(len(columns), len(columns) + len(points) + len(rays))
+        columns += [tuple(sign * c for c in g) for g in points + rays + lineality]
+    width = len(columns)
+    equalities = [
+        (tuple(g[d] for g in columns), target[d]) for d in range(len(target))
+    ]
+    for span in convex:
+        row = tuple(Fraction(1 if k in span else 0) for k in range(width))
+        equalities.append((row, Fraction(1)))
+    inequalities = [(_unit(width, k, -1), Fraction(0)) for k in nonnegative]
+    return LinearProgram(
+        (Fraction(0),) * width, tuple(equalities), tuple(inequalities), width
+    )
+
+
+def reference_set_lp(S, objective) -> LinearProgram:
+    """The LP that minimizes `objective` over the set S."""
+    return LinearProgram(objective, S.equalities, S.inequalities, S.dimension)
+
+
+def reference_epigraph_lp(f, xi, C=None) -> LinearProgram:
+    """The LP of `f.epigraph_lp(xi, C)`: min t - xi.x over the rows of C,
+    then those of dom f, then t >= u.x + alpha for every piece."""
+    sets = (f.domain,) if C is None or C.is_whole_space else (C, f.domain)
+    zero, one = Fraction(0), Fraction(1)
+    equalities = [(a + (zero,), y) for S in sets for a, y in S.equalities]
+    inequalities = [(a + (zero,), b) for S in sets for a, b in S.inequalities]
+    inequalities += [(u + (-one,), -alpha) for u, alpha in f.pieces]
+    objective = tuple(-c for c in xi) + (one,)
+    return LinearProgram(
+        objective, tuple(equalities), tuple(inequalities), f.dimension + 1
+    )
+
+
+def reference_certificate_lp(lp, outcome) -> LinearProgram:
+    """The multiplier LP of `exactlp.optimality_certificate(lp, outcome)`:
+    objective + E^T mu + A^T lam = 0, lam = 0 off the tight rows, lam >= 0."""
+    n_eq, n_in = len(lp.equalities), len(lp.inequalities)
+    width = n_eq + n_in
+    rows = lp.equalities + lp.inequalities
+    equalities = [
+        (tuple(Fraction(A[d]) for A, _ in rows), -lp.objective[d])
+        for d in range(lp.dimension)
+    ]
+    equalities += [
+        (_unit(width, n_eq + i, 1), Fraction(0))
+        for i in range(n_in)
+        if i not in outcome.tight_inequalities
+    ]
+    inequalities = [(_unit(width, n_eq + i, -1), Fraction(0)) for i in range(n_in)]
+    return LinearProgram(
+        (Fraction(0),) * width, tuple(equalities), tuple(inequalities), width
+    )
+
+
+# ---------------------------------------------------------------------------
 # the DCA loop as it was before each node kept f and h's active set
 
 

@@ -686,6 +686,24 @@ class TestCertificate:
             assert -sum(y * b for y, (_, b) in zip(multipliers, rows)) == out.value
             checked += 1
 
+    def test_multiplier_lp_from_integer_rows(self, monkeypatch):
+        # the certificate scales its coordinate rows only; its LP has the
+        # integer rows of the one built from Fraction rows
+        posed = gens.record_integer_lps(monkeypatch, exactlp)
+        rng = random.Random(23)
+        checked = 0
+        while checked < 60:
+            lp = gens.random_bounded_lp(rng, fractional=checked % 2 == 1)
+            out = lp_solve(lp)
+            if not out.is_optimal:
+                continue
+            del posed[:]
+            mu, lam = optimality_certificate(lp, out)
+            (mine,) = posed
+            found = gens.assert_same_lp(mine, gens.reference_certificate_lp(lp, out))
+            assert mu + lam == found.point
+            checked += 1
+
 
 class TestFeasible:
     def test_witness(self):
@@ -1095,8 +1113,8 @@ def test_lexmin_walk_runs_only_off_a_vertex_face():
 
 
 class TestInequalitiesScaledOnRead:
-    """An LP scales its rational inequalities when they are first read:
-    `_prepare` reads them only once the equalities have a solution."""
+    """An LP built from rational rows scales each row once, in its
+    constructor; an LP made by `with_objective` scales none again."""
 
     def _counting(self, monkeypatch):
         scaled = []
@@ -1108,22 +1126,6 @@ class TestInequalitiesScaledOnRead:
 
         monkeypatch.setattr(exactlp, "integer_row", counting)
         return scaled
-
-    def test_inconsistent_equalities_scale_no_inequality(self, monkeypatch):
-        scaled = self._counting(monkeypatch)
-        lp = LinearProgram(
-            objective=vec(1, 1),
-            equalities=((vec(1, 1), Fraction(1)), (vec(2, 2), Fraction(3))),
-            inequalities=((vec(Fraction(1, 2), 0), Fraction(1)), (vec(0, -1), Fraction(0))),
-            dimension=2,
-        )
-        assert scaled == [vec(1, 1), vec(2, 2)]
-        assert lp_solve(lp).status is LpStatus.INFEASIBLE
-        assert len(scaled) == 2
-        # a read scales them, once
-        assert lp.inequalities == (((1, 0), 2), ((0, -1), 0))
-        assert lp.inequalities is lp.inequalities
-        assert len(scaled) == 4
 
     def test_consistent_equalities_scale_every_inequality_once(self, monkeypatch):
         scaled = self._counting(monkeypatch)

@@ -15,13 +15,24 @@ from polydc import (
     ImproperFunction,
     MaxAffine,
     MINUS_INF,
+    MinIndexActive,
     OutsideDomain,
     PLUS_INF,
     PolyhedralSet,
+    Scripted,
+    classify,
     contains_set,
+    dual_objective,
+    grid_cross_check,
     local_pieces,
+    optimality_certificate,
     restrict_sum,
+    run,
+    solution_structure,
+    toland_singer_check,
+    validate_trace,
 )
+from polydc.dca import InvalidSelection
 from polydc import exactlp, model
 from polydc.exactlp import ExtendedRational, dot
 
@@ -298,7 +309,7 @@ class TestLoadCheck:
             posed.append(lp)
             return original(lp, lexmin)
 
-        monkeypatch.setattr(exactlp, "lp_solve", counting)
+        monkeypatch.setattr(model, "lp_solve", counting)
         g = self._g()
         prob = DcProblem(g=g, h=MaxAffine.constant(0, 1), C=interval_set())
         f = prob.g_plus_indicator
@@ -763,3 +774,222 @@ def test_intersection_joins_the_integer_rows_of_its_operands(case):
     )
     for A, B, s in recomputed[0] + recomputed[1]:
         assert s >= 1 and all(type(c) is int for c in A + (B,))
+
+
+def random_parts(rng):
+    """A target and one or two generator parts, of random signs, for
+    `model._weights`; at least one generator in all."""
+    n = rng.randint(1, 3)
+    while True:
+        parts = []
+        for sign in rng.sample((1, -1), rng.randint(1, 2)):
+            points, rays, lineality = (
+                tuple([small_vector(rng, n) for _ in range(rng.randint(0, 2))])
+                for _ in range(3)
+            )
+            parts.append((sign, points, rays, lineality))
+        if any(any(part[1:]) for part in parts):
+            return small_vector(rng, n), parts
+
+
+class TestLpsFromIntegerRows:
+    """Every LP the package poses from the integer rows its sets and
+    functions hold has the objective, the integer rows and the outcome of
+    the LP the `LinearProgram` constructor builds from the same `Fraction`
+    rows (`gens.reference_*`), and none scales a rational row."""
+
+    def test_weight_lps(self, monkeypatch):
+        rng = random.Random(2207)
+        posed = gens.record_integer_lps(monkeypatch, model)
+        seen = set()
+        for _ in range(300):
+            target, parts = random_parts(rng)
+            del posed[:]
+            weights = model._weights(target, *parts)
+            (lp,) = posed
+            outcome = gens.assert_same_lp(lp, gens.reference_weights(target, *parts))
+            assert weights == (outcome.point if outcome.is_optimal else None)
+            consistent = exactlp._eliminate_equalities(lp.equalities, lp.dimension)
+            seen.add((consistent is not None, outcome.status))
+        # inconsistent equalities among them, which scale no sign row
+        assert seen >= {
+            (False, exactlp.LpStatus.INFEASIBLE),
+            (True, exactlp.LpStatus.INFEASIBLE),
+            (True, exactlp.LpStatus.OPTIMAL),
+        }, seen
+
+    def test_set_lps(self):
+        rng = random.Random(2208)
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            S = rows_around(
+                rng, small_vector(rng, n), rng.randint(0, 1), rng.randint(0, 4)
+            )
+            T = rows_around(rng, small_vector(rng, n), 0, rng.randint(0, 3))
+            for X in (S, T, S.intersect(T)):
+                objective = small_vector(rng, n)
+                reference = gens.reference_set_lp(X, objective)
+                outcome = gens.assert_same_lp(X._lp(objective), reference)
+                if outcome.status is exactlp.LpStatus.INFEASIBLE:
+                    assert X.is_empty()
+                    with pytest.raises(EmptyIntersection):
+                        X.support_value(objective)
+                else:
+                    assert X.feasible_point() is not None
+                    value = X.support_value(tuple(-c for c in objective))
+                    assert value == (
+                        PLUS_INF if outcome.value is None
+                        else ExtendedRational.finite(-outcome.value)
+                    )
+
+    def test_epigraph_lps(self):
+        rng = random.Random(2209)
+        for _ in range(100):
+            n = rng.randint(1, 3)
+            domain = rows_around(
+                rng, small_vector(rng, n), rng.randint(0, 1), rng.randint(0, 3)
+            )
+            pieces = {
+                (small_vector(rng, n), small_rational(rng, -2, 2)): None
+                for _ in range(rng.randint(1, 4))
+            }
+            f = MaxAffine.from_pieces(list(pieces), n, domain=domain)
+            C = rows_around(rng, small_vector(rng, n), 0, rng.randint(0, 3))
+            restricted = MaxAffine(f.pieces, C.intersect(domain))
+            xi = small_vector(rng, n)
+            for function, over in ((f, None), (f, C), (restricted, None)):
+                gens.assert_same_lp(
+                    function.epigraph_lp(xi, over),
+                    gens.reference_epigraph_lp(function, xi, over),
+                )
+
+    def test_no_layer_scales_rational_rows(self, monkeypatch):
+        scaled, weighed = [], []
+        scale, weights = exactlp._scale, model._weights
+
+        def counting_scale(rows):
+            scaled.append(rows)
+            return scale(rows)
+
+        def counting_weights(*args):
+            weighed.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(exactlp, "_scale", counting_scale)
+        monkeypatch.setattr(model, "_weights", counting_weights)
+        rng = random.Random(2210)
+        problems = [gens.random_grid_instance(rng) for _ in range(6)]
+        problems += [gens.random_dc_instance(rng, n_max=2) for _ in range(6)]
+        for prob in problems:
+            solution_structure(prob)
+            toland_singer_check(prob)
+            lo, hi = prob.C.bounding_box()
+            for x in (lo, hi, tuple((a + b) / 2 for a, b in zip(lo, hi))):
+                classify(prob, x, compute_global=True)
+                trace = run(prob, x, MinIndexActive())
+                xis = [it.xi for it in trace.iterates]
+                validate_trace(prob, trace.points, xis[:-1])
+                dual_objective(prob, xis[0])
+                # the mean of the gradients active at x: a weight LP
+                active = sorted(prob.h.active_indices(x))
+                mean = tuple(
+                    sum(prob.h.piece(j)[0][d] for j in active) / len(active)
+                    for d in range(prob.dimension)
+                )
+                try:
+                    run(prob, x, Scripted((mean, small_vector(rng, prob.dimension))))
+                except InvalidSelection:
+                    pass
+            grid_cross_check(prob, Fraction(1, 2))
+            box = PolyhedralSet.box(lo, hi)
+            for outer, inner in ((prob.C, box), (box, prob.C), (box, prob.g.domain)):
+                model.containment_violation(outer, inner)
+                model.containment_violation(outer, inner, strictly=True)
+            lp = prob.g.epigraph_lp(xis[0], prob.C)
+            optimality_certificate(lp, exactlp.lp_solve(lp))
+        assert scaled == []
+        assert weighed  # the weight-LP path was taken
+
+
+def reference_containment_violation(outer, inner, strictly=False):
+    """`model.containment_violation` with one LP per support value, as it
+    was before every row was asked of one LP over inner."""
+    if inner.is_empty():
+        raise EmptyIntersection("containment test requires a nonempty inner set")
+    for k, (a, y) in enumerate(outer.equalities):
+        if strictly and any(c != 0 for c in a):
+            return f"equality #{k} is a proper affine constraint (empty interior)"
+        hi, lo = inner.support_value(a), inner.support_value(tuple(-c for c in a))
+        if not hi.is_finite or not lo.is_finite:
+            return f"equality #{k}: row is unbounded over the inner set"
+        if hi.as_fraction() != y or -lo.as_fraction() != y:
+            return (
+                f"equality #{k}: row ranges over "
+                f"[{-lo.as_fraction()}, {hi.as_fraction()}], not {{{y}}}"
+            )
+    for k, (a, b) in enumerate(outer.inequalities):
+        hi = inner.support_value(a)
+        if not hi.is_finite:
+            return f"inequality #{k}: row is unbounded over the inner set"
+        if strictly and hi.as_fraction() >= b:
+            return f"inequality #{k}: max {hi.as_fraction()} is not < {b}"
+        if not strictly and hi.as_fraction() > b:
+            return f"inequality #{k}: max {hi.as_fraction()} exceeds {b}"
+    return None
+
+
+class TestOneStartPerSetQuestion:
+    """`bounding_box` and a containment check ask every direction and row
+    of one LP over the set, so each prepares one start (`exactlp._prepare`),
+    and their answers and messages are those of one LP per question."""
+
+    def _counting_prepares(self, monkeypatch):
+        prepared = []
+        prepare = exactlp._prepare
+
+        def counting(*args):
+            prepared.append(args)
+            return prepare(*args)
+
+        monkeypatch.setattr(exactlp, "_prepare", counting)
+        return prepared
+
+    def test_bounding_box_of_the_bundled_problems(self, monkeypatch):
+        problems = gens.bundled_problems()  # loading them poses their own LPs
+        prepared = self._counting_prepares(monkeypatch)
+        for prob in problems:
+            del prepared[:]
+            lows, highs = prob.C.bounding_box()
+            assert len(prepared) == 1  # 2n, one per direction, at the parent
+            n = prob.dimension
+            for i in range(n):
+                e = tuple(F(int(k == i)) for k in range(n))
+                assert prob.C.support_value(e).as_fraction() == highs[i]
+                assert prob.C.support_value(tuple(-c for c in e)) == (
+                    ExtendedRational.finite(-lows[i])
+                )
+
+    def test_containment_checks(self, monkeypatch):
+        rng = random.Random(2211)
+        prepared = self._counting_prepares(monkeypatch)
+        verdicts = set()
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            center = small_vector(rng, n)
+            inner = rows_around(rng, center, rng.randint(0, 1), rng.randint(0, 4))
+            near = tuple(c + small_rational(rng, -1, 1) for c in center)
+            outer = rows_around(
+                rng, rng.choice((center, near)), rng.randint(0, 1), rng.randint(0, 4)
+            )
+            for strictly in (False, True):
+                del prepared[:]
+                got = model.containment_violation(outer, inner, strictly)
+                assert len(prepared) == 1
+                assert got == reference_containment_violation(outer, inner, strictly)
+                verdicts.add(got and got.split(" #")[0])
+        assert verdicts == {None, "equality", "inequality"}, verdicts
+        empty = PolyhedralSet(1, inequalities=((vec(1), F(0)), (vec(-1), F(-1))))
+        with pytest.raises(EmptyIntersection, match="requires a nonempty inner set"):
+            model.containment_violation(interval_set(), empty)
+        with pytest.raises(EmptyIntersection, match="support value of an empty set"):
+            empty.bounding_box()

@@ -169,14 +169,13 @@ class TestGlobalSolutions:
         # a domain without rows is the whole space, which contains C; a
         # domain with rows keeps the full check
         posed = []
-        for name in ("lp_solve", "lp_feasible"):
-            original = getattr(model, name)
+        original = model.lp_solve
 
-            def counting(*args, original=original, **kwargs):
-                posed.append(args)
-                return original(*args, **kwargs)
+        def counting(*args, **kwargs):
+            posed.append(args)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(model, name, counting)
+        monkeypatch.setattr(model, "lp_solve", counting)
         check_structure_hypotheses(interval_problem)
         assert posed == []
         C = PolyhedralSet.box([F(-2)], [F(3)])
@@ -748,7 +747,7 @@ class TestSmallerSemiClosedLps:
                     assert pieces_adjacent(mine, Q) == pieces_adjacent(P, Q)
 
     def test_interval_lp_count(self, interval_problem, monkeypatch):
-        linearized = interval_problem._linearized
+        interval_problem._linearized  # the problem's own LPs, not counted
         calls = []
         original = exactlp.lp_solve
 
@@ -757,7 +756,7 @@ class TestSmallerSemiClosedLps:
             return original(lp)
 
         monkeypatch.setattr(exactlp, "lp_solve", counting)
-        pieces = local_pieces(interval_problem, linearized=linearized)
+        pieces = local_pieces(interval_problem)
         assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
         assert len(calls) <= 9  # 16 with every anchor, row and active piece
 
@@ -899,7 +898,7 @@ class TestSkippedSubPieces:
     def test_interval_prepares_one_start(self, interval_problem, monkeypatch):
         linearized = interval_problem._linearized
         prepared = self._counting_prepares(monkeypatch)
-        pieces = local_pieces(interval_problem, linearized=linearized)
+        pieces = local_pieces(interval_problem)
         assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
         # the optimal faces of pieces 1 and 3 are the single points -2 and
         # 3, so every J1 holding 1 or 3 is decided at that point; only the
@@ -970,9 +969,9 @@ class TestOneCheckOneLinearization:
     per piece of h is solved once per problem, for the global and the local
     part and for separate calls alike."""
 
-    def _counting(self, monkeypatch):
+    def _counting(self, monkeypatch, checks="check_structure_hypotheses"):
         counts = {"checks": 0, "linearizations": 0}
-        check, solve = structure.check_structure_hypotheses, structure.lp_solve
+        check, solve = getattr(structure, checks), structure.lp_solve
 
         def counting_check(prob):
             counts["checks"] += 1
@@ -982,14 +981,16 @@ class TestOneCheckOneLinearization:
             counts["linearizations"] += 1
             return solve(lp)
 
-        monkeypatch.setattr(structure, "check_structure_hypotheses", counting_check)
+        monkeypatch.setattr(structure, checks, counting_check)
         monkeypatch.setattr(structure, "lp_solve", counting_solve)
         return counts
 
     def test_solution_structure_shares_check_and_lps(
         self, interval_problem, monkeypatch
     ):
-        counts = self._counting(monkeypatch)
+        # the hypotheses are decided once per problem, however many entries
+        # ask for them
+        counts = self._counting(monkeypatch, "_hypothesis_violation")
         result = solution_structure(interval_problem)
         assert counts == {"checks": 1, "linearizations": 3}
         assert (result.alpha_bar, result.J_star, result.global_pieces) == (
