@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,19 +50,23 @@ class ProblemFormatError(PolydcError):
 # rationals and vectors
 
 
+# the text of a rational: "p" or "p/q" in decimal digits, no point or exponent
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError as exc:
+            raise ProblemFormatError(f"{where}: {exc}") from None
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, (bool, float, str)):
         raise ProblemFormatError(
             f"{where}: rationals must be strings like \"-3/2\" or integers, "
             f"got {value!r}"
         )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFormatError(f"{where}: {exc}") from None
     raise ProblemFormatError(f"{where}: expected a rational, got {value!r}")
 
 
@@ -273,13 +278,13 @@ def _structure_report(result: SolutionStructure) -> dict:
     }
 
 
-def _load_problem(path: str) -> DcProblem:
+def _read(path: str) -> str:
+    """The text of the file at `path`, or a located error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from None
-    return parse_problem(text)
 
 
 def _parse_rule(text: str, prob: DcProblem) -> dca.SelectionRule:
@@ -375,10 +380,7 @@ def _parse_rule(text: str, prob: DcProblem) -> dca.SelectionRule:
 
 def _load_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ProblemFormatError(f"cannot read {path}: {exc}") from None
+        return json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -534,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.func(_load_problem(args.problem), args)
+        report, code = args.func(parse_problem(_read(args.problem)), args)
     except PolydcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

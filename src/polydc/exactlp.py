@@ -54,8 +54,9 @@ a basic column of a split coordinate, is one point and is not walked;
 every optimal outcome reports the same test (`LpOutcome.unique`).  A
 coordinate that has no minimum on the face is pinned with one new
 primitive, `_Tableau.add_equality`: the row is written in the current basis
-(`det * a - sum of a[basis[i]] * rows[i]`), made basic on a new artificial,
-and phase 1 over the allowed columns drives that artificial to 0 and out.
+(`_Tableau._in_basis`, `det * a - sum of a[basis[i]] * rows[i]`, the
+rewrite that also loads an objective), made basic on a new artificial, and
+phase 1 over the allowed columns drives that artificial to 0 and out.
 
 Pivots follow Bland's anti-cycling rule (lowest-index entering column,
 lowest basic index on ratio ties, ratios compared by cross-multiplication).
@@ -66,7 +67,6 @@ deterministic, and reports must be byte-identical across runs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -124,22 +124,23 @@ def midpoint(a: Vector, b: Vector) -> Vector:
     return tuple((x + y) / 2 for x, y in zip(a, b))
 
 
-@functools.total_ordering
+@dataclass(order=True, unsafe_hash=True, slots=True, repr=False)
 class ExtendedRational:
     """A rational number extended with +infinity and -infinity.
 
-    Ordering is total; `<=`, `>` and `>=` come from `__lt__` and `__eq__`.
+    `sign` is -1 for -inf, 0 for a finite number and +1 for +inf; `value`
+    is the number, or None for an infinity.  Equality, the total order and
+    the hash are those of the pair (sign, value): an infinity always
+    carries None, so two infinities of one sign are equal and no None is
+    ever ordered against another value.
+
     Subtraction follows the convention (+inf) - (+inf) = +inf used by DC
     objective values; the symmetric case (-inf) - (-inf) never arises for
     proper data and raises.
     """
 
-    __slots__ = ("sign", "value")
-
-    def __init__(self, sign: int, value: Optional[Fraction]):
-        # sign: -1 for -inf, 0 for finite, +1 for +inf
-        self.sign = sign
-        self.value = value
+    sign: int
+    value: Optional[Fraction]
 
     @classmethod
     def finite(cls, value) -> "ExtendedRational":
@@ -153,24 +154,6 @@ class ExtendedRational:
         if self.sign != 0:
             raise ValueError(f"{self} is not finite")
         return self.value
-
-    def _key(self):
-        if self.sign != 0:
-            return (self.sign, ZERO)
-        return (0, self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __lt__(self, other):
-        if not isinstance(other, ExtendedRational):
-            return NotImplemented
-        return self._key() < other._key()
 
     def __sub__(self, other: "ExtendedRational") -> "ExtendedRational":
         if self.sign == 0 and other.sign == 0:
@@ -460,15 +443,21 @@ class _Tableau:
             if self.reduced is not None:
                 self.reduced = [-x for x in self.reduced]
 
+    def _in_basis(self, line: list[int]) -> list[int]:
+        """`line`, one integer per column and the rhs, written in the
+        current basis: `det * line - sum of line[basis[i]] * rows[i]`,
+        which is zero in every basic column."""
+        row = [self.det * x for x in line]
+        for r, col in zip(self.rows, self.basis):
+            if line[col] != 0:
+                row = [x - line[col] * y for x, y in zip(row, r)]
+        return row
+
     def load(self, costs: list[int]) -> None:
         """Make `costs`, one integer per column (and one more, ignored, in
-        the place of the rhs), the objective to minimize."""
-        reduced = [self.det * c for c in costs]
-        reduced[-1] = 0
-        for line, col in zip(self.rows, self.basis):
-            if costs[col] != 0:
-                reduced = [x - costs[col] * y for x, y in zip(reduced, line)]
-        self.reduced = reduced
+        the place of the rhs), the objective to minimize: the reduced row
+        is the costs with a rhs of 0 written in the basis (`_in_basis`)."""
+        self.reduced = self._in_basis(costs[:-1] + [0])
 
     def minimize(self, columns: Iterable[int]) -> bool:
         """Bland's rule over `columns` (ascending): False if unbounded,
@@ -524,16 +513,13 @@ class _Tableau:
     def add_equality(self, line: list[int], columns: Sequence[int]) -> None:
         """Add the row `line[:-1] . y = line[-1]` to the solved tableau.
 
-        The new row `det * line - sum of line[basis[i]] * rows[i]` is zero
-        in every basic column; it is basic on a new artificial (negated if
-        its rhs is negative, so the artificial starts nonnegative).
-        `phase_one` over `columns` then brings the artificial to 0, which it
-        must reach, and drives it out.
+        The new row is `line` written in the basis (`_in_basis`), zero in
+        every basic column; it is basic on a new artificial (negated if its
+        rhs is negative, so the artificial starts nonnegative).  `phase_one`
+        over `columns` then brings the artificial to 0, which it must reach,
+        and drives it out.
         """
-        row = [self.det * x for x in line]
-        for r, col in zip(self.rows, self.basis):
-            if line[col] != 0:
-                row = [x - line[col] * y for x, y in zip(row, r)]
+        row = self._in_basis(line)
         if row[-1] < 0:
             row = [-x for x in row]
         self.rows.append(row)

@@ -275,9 +275,10 @@ class PolyhedralSet:
 
 
 def _supremum(lp: LinearProgram) -> ExtendedRational:
-    """sup of -objective over the rows of `lp`, a set's LP (`_lp`): the
-    support value of the set in the direction -objective; raises on an
-    empty set."""
+    """sup of -objective over the rows of `lp`: for a set's LP (`_lp`) the
+    support value of the set in the direction -objective, for an epigraph
+    LP a conjugate value (`MaxAffine.conjugate_value`); raises on empty
+    rows."""
     outcome = lp_solve(lp)
     if outcome.status is LpStatus.INFEASIBLE:
         raise EmptyIntersection("support value of an empty set")
@@ -652,15 +653,14 @@ class MaxAffine:
         return _integer_lp(objective, equalities, inequalities, self.dimension + 1)
 
     def conjugate_value(self, xi: Sequence) -> ExtendedRational:
-        """sup of xi.x - f(x), evaluated by one epigraph LP per call: +inf
-        when the LP is unbounded.  Raises on an empty domain."""
+        """sup of xi.x - f(x), read by `_supremum` off one epigraph LP per
+        call: +inf when the LP is unbounded.  Raises on an empty domain."""
         xi = _check_dimension(xi, self.dimension, "dual vector")
-        outcome = lp_solve(self.epigraph_lp(xi))
-        if outcome.status is LpStatus.INFEASIBLE:
-            raise ImproperFunction("conjugate of a function with empty domain")
-        if outcome.status is LpStatus.UNBOUNDED:
-            return PLUS_INF
-        return ExtendedRational.finite(-outcome.value)
+        try:
+            return _supremum(self.epigraph_lp(xi))
+        except EmptyIntersection:
+            message = "conjugate of a function with empty domain"
+            raise ImproperFunction(message) from None
 
     @cached_property
     def _conjugate_at_gradients(self) -> dict[Vector, ExtendedRational]:

@@ -463,9 +463,10 @@ def local_pieces(
 ) -> tuple[SemiClosedPiece, ...]:
     """All nonempty semi-closed pieces of the local solution set.
 
-    The nonempty subsets J1 of h's piece indices are tried by size, then
-    lexicographically, and pieces whose member sets are provably equal are
-    merged, keeping the smallest J1.  A J1 that holds a piece whose
+    The nonempty subsets J1 of the indices of h's pieces whose
+    linearization has an optimal face (no other J1 has a piece) are tried
+    by size, then lexicographically, and pieces whose member sets are
+    provably equal are merged, keeping the smallest J1.  A J1 that holds a piece whose
     optimal face is one point is decided at that point by set algebra,
     without an LP (point faces), and h is evaluated once per distinct
     point (each point evaluated once).  Otherwise a J1 whose piece equals
@@ -501,11 +502,9 @@ def local_pieces(
             points[r.piece] = y, frozenset(F)
     # one piece per member set, with the smallest J1 that gives it
     representatives: list[SemiClosedPiece] = []
-    for size in range(1, q + 1):
-        for combo in itertools.combinations(prob.h.indices, size):
+    for size in range(1, len(face_of) + 1):
+        for combo in itertools.combinations(sorted(face_of), size):
             J1 = frozenset(combo)
-            if not J1 <= face_of.keys():
-                continue
             faces = [face_of[j] for j in combo]
             # the first index of least alpha; finite, as every face exists
             anchor = min(combo, key=alpha.__getitem__)

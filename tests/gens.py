@@ -287,6 +287,19 @@ def reference_solve_margin(lp: LinearProgram):
 
 
 # ---------------------------------------------------------------------------
+# the order of ExtendedRational as it was written out by hand
+
+
+def reference_extended_key(x: exactlp.ExtendedRational):
+    """The key `ExtendedRational` was compared, ordered and hashed by before
+    it was ordered as its (sign, value) pair: an infinity as (sign, 0), a
+    finite number as (0, value)."""
+    if x.sign != 0:
+        return (x.sign, Fraction(0))
+    return (0, x.value)
+
+
+# ---------------------------------------------------------------------------
 # the local solution set as it was built before sub-pieces were skipped
 
 
@@ -661,6 +674,19 @@ def random_dc_instance(rng: random.Random, n_max: int = 3) -> DcProblem:
         _distinct_pieces(rng, rng.randint(1, 4), gradients, offsets), n
     )
     return DcProblem(g=g, h=h, C=C)
+
+
+def random_half_space_instance(rng: random.Random, n_max: int = 2) -> DcProblem:
+    """`random_dc_instance` with C = {x >= lo}, lo the lower corner of its
+    box: C is unbounded above, so some linearizations are unbounded and
+    have no optimal face."""
+    prob = random_dc_instance(rng, n_max=n_max)
+    lo, _ = prob.C.bounding_box()
+    n = prob.dimension
+    rows = tuple(
+        (tuple(Fraction(-int(k == i)) for k in range(n)), -lo[i]) for i in range(n)
+    )
+    return DcProblem(g=prob.g, h=prob.h, C=PolyhedralSet(n, inequalities=rows))
 
 
 def random_grid_instance(rng: random.Random) -> DcProblem:

@@ -393,6 +393,263 @@ class TestCommands:
         assert "dimension" in capsys.readouterr().err
 
 
+_DELETE = object()  # a key taken out of the document
+
+
+def _edited(*edits):
+    """INTERVAL_DOC with each (path, value) edit made: the value at the
+    path of keys and indices is replaced, or deleted for `_DELETE`."""
+    doc = json.loads(INTERVAL_DOC)
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return doc
+
+
+_STRINGS = 'rationals must be strings like "-3/2" or integers, got'
+_PIECE = {"u": ["0"], "alpha": "0"}
+
+# (document, or a raw text; its command line after --problem; the rule
+# file's JSON text, written as {rule}, or None; the error line)
+_LOCATED_ERRORS = {
+    "zero denominator": (
+        _edited((("C", "ineq", 0, "b"), "1/0")),
+        ["structure"],
+        None,
+        "C.ineq[0].b: Fraction(1, 0)",
+    ),
+    "null rational": (
+        _edited((("g", "pieces", 0, "alpha"), None)),
+        ["structure"],
+        None,
+        "g.pieces[0].alpha: expected a rational, got None",
+    ),
+    "list rational": (
+        _edited((("C", "ineq", 1, "a"), [["1"]])),
+        ["structure"],
+        None,
+        "C.ineq[1].a[0]: expected a rational, got ['1']",
+    ),
+    "decimal rational": (
+        _edited((("C", "ineq", 1, "b"), "3.5")),
+        ["structure"],
+        None,
+        f"C.ineq[1].b: {_STRINGS} '3.5'",
+    ),
+    "exponent rational": (
+        _edited((("h", "pieces", 1, "u", 0), "1e0")),
+        ["structure"],
+        None,
+        f"h.pieces[1].u[0]: {_STRINGS} '1e0'",
+    ),
+    "huge exponent": (
+        _edited((("h", "pieces", 1, "alpha"), "1e1000000")),
+        ["structure"],
+        None,
+        f"h.pieces[1].alpha: {_STRINGS} '1e1000000'",
+    ),
+    "underscore digits": (
+        _edited((("C", "ineq", 1, "b"), "1_0")),
+        ["structure"],
+        None,
+        f"C.ineq[1].b: {_STRINGS} '1_0'",
+    ),
+    "not a rational": (
+        _edited((("C", "ineq", 1, "b"), "three")),
+        ["structure"],
+        None,
+        f"C.ineq[1].b: {_STRINGS} 'three'",
+    ),
+    "vector not a list": (
+        _edited((("C", "ineq", 0, "a"), "-1")),
+        ["structure"],
+        None,
+        "C.ineq[0].a: expected a list of rationals",
+    ),
+    "malformed row": (
+        _edited((("C", "ineq", 0), {"a": ["-1"]})),
+        ["structure"],
+        None,
+        'C.ineq[0]: expected {"a": [...], "b": r}',
+    ),
+    "set not an object": (
+        _edited((("C",), [])),
+        ["structure"],
+        None,
+        "C: expected an object or null",
+    ),
+    "unknown set keys": (
+        _edited((("C", "box"), 1)),
+        ["structure"],
+        None,
+        "C: unknown keys ['box']; expected 'eq'/'ineq'",
+    ),
+    "unknown function keys": (
+        _edited((("g", "shift"), "1")),
+        ["structure"],
+        None,
+        "g: unknown keys ['shift']; expected 'pieces'/'domain'",
+    ),
+    "function without pieces": (
+        _edited((("h", "pieces"), _DELETE)),
+        ["structure"],
+        None,
+        'h: expected {"pieces": [...], ...}',
+    ),
+    "empty pieces": (
+        _edited((("g", "pieces"), [])),
+        ["structure"],
+        None,
+        "g.pieces: expected a nonempty list",
+    ),
+    "duplicate pieces": (
+        _edited((("g", "pieces"), [_PIECE, _PIECE])),
+        ["structure"],
+        None,
+        "g: pieces must be duplicate-free",
+    ),
+    "top level not an object": (
+        "[]",
+        ["structure"],
+        None,
+        "top level: expected an object",
+    ),
+    "missing key": (
+        _edited((("h",), _DELETE)),
+        ["structure"],
+        None,
+        "top level: missing key 'h'",
+    ),
+    "decimal point": (
+        None,
+        ["classify", "--point", "0.5"],
+        None,
+        f"coordinate 0: {_STRINGS} '0.5'",
+    ),
+    "exponent x0": (
+        None,
+        ["dca", "--x0", "2e0"],
+        None,
+        f"coordinate 0: {_STRINGS} '2e0'",
+    ),
+    "decimal xi": (
+        None,
+        ["dual", "--xi", "1.0"],
+        None,
+        f"coordinate 0: {_STRINGS} '1.0'",
+    ),
+    "decimal grid step": (
+        None,
+        ["verify", "--grid-step", "0.25"],
+        None,
+        f"--grid-step: {_STRINGS} '0.25'",
+    ),
+    "table without entries": (
+        None,
+        ["dca", "--x0", "2", "--rule", "table:{rule}"],
+        '{"entries": {}}',
+        'table file: expected {"entries": [{"active": [...], "choose": j}, ...]}',
+    ),
+    "malformed table entry": (
+        None,
+        ["dca", "--x0", "2", "--rule", "table:{rule}"],
+        '{"entries": [{"active": [1]}]}',
+        "table entry #0: expected 'active' and 'choose'",
+    ),
+    "script without subgradients": (
+        None,
+        ["dca", "--x0", "2", "--rule", "script:{rule}"],
+        "[]",
+        'script file: expected {"subgradients": [[...], ...]}',
+    ),
+    "malformed script entry": (
+        None,
+        ["dca", "--x0", "2", "--rule", "script:{rule}"],
+        '{"subgradients": [["0"], "1"]}',
+        "script entry #1: expected a list",
+    ),
+    "decimal script entry": (
+        None,
+        ["dca", "--x0", "2", "--rule", "script:{rule}"],
+        '{"subgradients": [["0.5"]]}',
+        f"script entry #0[0]: {_STRINGS} '0.5'",
+    ),
+    "unknown rule": (
+        None,
+        ["dca", "--x0", "2", "--rule", "lowest"],
+        None,
+        "unknown rule 'lowest'; use min-index, max-index, table:FILE or "
+        "script:FILE",
+    ),
+    "unreadable rule file": (
+        None,
+        ["dca", "--x0", "2", "--rule", "table:{missing}"],
+        None,
+        "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'",
+    ),
+    "rule file syntax error": (
+        None,
+        ["dca", "--x0", "2", "--rule", "script:{rule}"],
+        '{"subgradients": [["0"],]}',
+        "{rule}: line 1, column 25: Expecting value",
+    ),
+}
+
+
+class TestLocatedErrors:
+    """Every malformed document, rational, flag value or rule file is
+    rejected with one located error line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "document, command, rule, message",
+        list(_LOCATED_ERRORS.values()),
+        ids=list(_LOCATED_ERRORS),
+    )
+    def test_exit_2_with_the_location(
+        self, tmp_path, capsys, document, command, rule, message
+    ):
+        files = {"rule": tmp_path / "rule.json", "missing": tmp_path / "none.json"}
+        if rule is not None:
+            files["rule"].write_text(rule, "utf-8")
+
+        def named(text):
+            for name, file in files.items():
+                text = text.replace(f"{{{name}}}", str(file))
+            return text
+
+        path = tmp_path / "problem.json"
+        if not isinstance(document, str):
+            document = json.dumps(_edited() if document is None else document)
+        path.write_text(document, "utf-8")
+        command, *flags = map(named, command)
+        assert main([command, "--problem", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named(message)}\n"
+
+    def test_json_integers_are_rationals(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        reports = []
+        for b in ("3", 3):
+            doc = _edited((("C", "ineq", 1, "b"), b), (("g", "pieces", 0, "u"), [0]))
+            path.write_text(json.dumps(doc), "utf-8")
+            assert main(["structure", "--problem", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert parse_problem(json.dumps(doc)) == parse_problem(INTERVAL_DOC)
+
+    def test_signs_and_spaces_around_a_rational(self):
+        doc = _edited(
+            (("C", "ineq", 0, "b"), " +2 "), (("C", "ineq", 1, "b"), "\t6/2\n")
+        )
+        assert parse_problem(json.dumps(doc)) == parse_problem(INTERVAL_DOC)
+
+
 class TestBundledProblems:
     """The sample documents shipped in problems/ stay valid and meaningful."""
 

@@ -1139,3 +1139,89 @@ class TestInequalitiesScaledOnRead:
         assert scaled.count(rows[0][0]) == 1
         assert lp == LinearProgram(vec(1, 1), ((vec(1, 1), Fraction(1)),), rows, 2)
 
+
+
+class TestExtendedRationalAsPair:
+    """`ExtendedRational` is compared, ordered and hashed as its pair
+    (sign, value); the reference is the key it was written out by hand
+    with (`gens.reference_extended_key`)."""
+
+    VALUES = [
+        PLUS_INF,
+        MINUS_INF,
+        ExtendedRational(1, None),
+        ExtendedRational(-1, None),
+        ExtendedRational.finite(0),
+        ExtendedRational.finite(Fraction(0)),
+        ExtendedRational.finite(-3),
+        ExtendedRational.finite(Fraction(-3)),
+        ExtendedRational.finite(Fraction(-1, 2)),
+        ExtendedRational.finite(Fraction(7, 3)),
+        ExtendedRational.finite(2),
+        ExtendedRational.finite("4/2"),
+    ]
+
+    def test_comparisons_and_hash_agree_with_the_reference(self):
+        key = gens.reference_extended_key
+        for a in self.VALUES:
+            for b in self.VALUES:
+                ka, kb = key(a), key(b)
+                assert (a == b) == (ka == kb), (a, b)
+                assert (a != b) == (ka != kb), (a, b)
+                assert (a < b) == (ka < kb), (a, b)
+                assert (a <= b) == (ka <= kb), (a, b)
+                assert (a > b) == (ka > kb), (a, b)
+                assert (a >= b) == (ka >= kb), (a, b)
+                assert (hash(a) == hash(b)) == (ka == kb), (a, b)
+
+    def test_sorted_and_min_agree_with_the_reference(self):
+        key = gens.reference_extended_key
+        rng = random.Random(23)
+        for _ in range(50):
+            values = rng.sample(self.VALUES, rng.randint(1, len(self.VALUES)))
+            assert [key(v) for v in sorted(values)] == sorted(map(key, values))
+            assert key(min(values)) == min(map(key, values))
+            assert key(max(values)) == max(map(key, values))
+        assert len(set(self.VALUES)) == len(set(map(key, self.VALUES))) == 7
+
+    def test_not_equal_to_other_types(self):
+        assert ExtendedRational.finite(1) != Fraction(1)
+        assert PLUS_INF != float("inf")
+        with pytest.raises(TypeError):
+            PLUS_INF < 1
+
+    def test_infinite_arithmetic(self):
+        one = ExtendedRational.finite(1)
+        assert PLUS_INF - PLUS_INF == PLUS_INF  # the DC convention
+        assert PLUS_INF - one == PLUS_INF
+        assert one - PLUS_INF == MINUS_INF
+        assert MINUS_INF - one == MINUS_INF
+        assert one - MINUS_INF == PLUS_INF
+        assert MINUS_INF - PLUS_INF == MINUS_INF
+        with pytest.raises(ArithmeticError, match=r"\(-inf\) - \(-inf\)"):
+            MINUS_INF - MINUS_INF
+        assert PLUS_INF + one == one + PLUS_INF == PLUS_INF
+        assert MINUS_INF + one == MINUS_INF + MINUS_INF == MINUS_INF
+        with pytest.raises(ArithmeticError, match=r"\(\+inf\) \+ \(-inf\)"):
+            PLUS_INF + MINUS_INF
+        assert -PLUS_INF == MINUS_INF and -MINUS_INF == PLUS_INF
+        assert -one == ExtendedRational.finite(-1)
+
+    def test_text_and_fraction(self):
+        assert (str(PLUS_INF), str(MINUS_INF)) == ("+inf", "-inf")
+        assert repr(PLUS_INF) == "ExtendedRational(+inf)"
+        assert repr(ExtendedRational.finite(Fraction(-1, 2))) == (
+            "ExtendedRational(-1/2)"
+        )
+        assert ExtendedRational.finite("-3/6").as_fraction() == Fraction(-1, 2)
+        for infinity in (PLUS_INF, MINUS_INF):
+            assert not infinity.is_finite
+            with pytest.raises(ValueError, match="is not finite"):
+                infinity.as_fraction()
+
+    def test_stays_mutable(self):
+        # not frozen: the constructor assigns its slots directly
+        x = ExtendedRational.finite(1)
+        x.value = Fraction(2)
+        assert x == ExtendedRational.finite(2)
+        assert not hasattr(x, "__dict__")

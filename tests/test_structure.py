@@ -859,6 +859,27 @@ class TestSkippedSubPieces:
             merged += len(pieces) < len(_lattice_pieces(prob))
         assert any(skips) and not all(skips) and merged > 0
 
+    def test_agrees_when_linearizations_are_unbounded(self):
+        # over a half-space C some linearizations have no optimal face;
+        # only the subsets of the pieces that have one are enumerated
+        rng = random.Random(2323)
+        saw = collections.Counter()
+        for _ in range(60):
+            prob = gens.random_half_space_instance(rng)
+            faces = [r.face is not None for r, _ in prob._linearized]
+            pieces = local_pieces(prob)
+            expected = gens.reference_local_pieces(prob)
+
+            def summary(ps):
+                return [(p.J1, p.closed_part, p.witness, p.anchor) for p in ps]
+
+            assert summary(pieces) == summary(expected), prob
+            assert all(faces[j - 1] for p in pieces for j in p.J1)
+            saw["unbounded"] += not all(faces)
+            saw["unbounded with pieces"] += not all(faces) and bool(pieces)
+            saw["none bounded"] += not any(faces)
+        assert all(saw[k] > 0 for k in ("unbounded with pieces", "none bounded"))
+
     def test_skip_verdict_is_equality_of_member_sets(self):
         # K ⊂ J1 with K nonempty: the skip holds exactly when J1's piece is
         # nonempty and has K's member set

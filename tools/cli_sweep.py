@@ -7,10 +7,10 @@ the `src/` of two checkouts.  The sweep writes problem documents, table
 files and script files once, with the OLD_SRC package and the generators
 of `tests/gens.py`, into a temporary directory: the three bundled
 problems and 84 documents drawn from seed 20 (40 from
-`random_dc_instance`, 20 from `random_grid_instance`, 12 over a
-half-space C, whose subproblems can be unbounded, and 12 with box domains
-for g and h, some breaking the structure hypotheses and some putting DCA
-nodes outside dom h).  Per problem it runs `structure`, `dual`,
+`random_dc_instance`, 20 from `random_grid_instance`, 12 from
+`random_half_space_instance`, whose subproblems can be unbounded, and 12
+with box domains for g and h, some breaking the structure hypotheses and
+some putting DCA nodes outside dom h).  Per problem it runs `structure`, `dual`,
 `dual --xi`, `verify --grid-step 1/4` (n <= 2 with C bounded) and, at
 three points, `classify` with and without `--global` and `dca` under
 min-index, max-index, a random complete table, a script replaying a
@@ -52,17 +52,6 @@ def _use(src: str) -> None:
 
 # ---------------------------------------------------------------------------
 # writing the cases (child process, OLD_SRC)
-
-
-def _half_space_instance(P, gens, rng):
-    """A random instance over C = {x >= lo}."""
-    prob = gens.random_dc_instance(rng, n_max=2)
-    lo, _ = prob.C.bounding_box()
-    n = prob.dimension
-    rows = tuple(
-        (tuple(Fraction(-int(k == i)) for k in range(n)), -lo[i]) for i in range(n)
-    )
-    return P.DcProblem(g=prob.g, h=prob.h, C=P.PolyhedralSet(n, inequalities=rows))
 
 
 def _box_domain_instance(P, gens, rng):
@@ -122,7 +111,7 @@ def make_cases(workdir: Path) -> None:
     documents = [(p.stem, p.read_text(encoding="utf-8")) for p in bundled]
     seeded = [gens.random_dc_instance(rng) for _ in range(40)]
     seeded += [gens.random_grid_instance(rng) for _ in range(20)]
-    seeded += [_half_space_instance(P, gens, rng) for _ in range(12)]
+    seeded += [gens.random_half_space_instance(rng) for _ in range(12)]
     seeded += [_box_domain_instance(P, gens, rng) for _ in range(12)]
     for k, prob in enumerate(seeded):
         documents.append((f"seeded{k:02d}", P.serialize_problem(prob)))
