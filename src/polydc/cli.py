@@ -58,8 +58,10 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
         try:
             return Fraction(value.strip())
-        except ZeroDivisionError as exc:
-            raise ProblemFormatError(f"{where}: {exc}") from None
+        except (ZeroDivisionError, ValueError) as exc:
+            # ValueError: more digits than Python converts (its guard
+            # against slow parsing); the hint after ";" is for programmers
+            raise ProblemFormatError(f"{where}: {str(exc).split(';')[0]}") from None
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, (bool, float, str)):
@@ -68,6 +70,16 @@ def parse_rational(value, where: str) -> Fraction:
             f"got {value!r}"
         )
     raise ProblemFormatError(f"{where}: expected a rational, got {value!r}")
+
+
+def _json_int(text: str):
+    """A JSON integer, or its text when it has more digits than `int`
+    converts: the reader of the value then rejects it with its location,
+    as `parse_rational` does any text of such a number."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _is_int(value) -> bool:
@@ -185,7 +197,7 @@ def _parse_function(node, dimension: int, where: str) -> MaxAffine:
 def parse_problem(text: str) -> DcProblem:
     """Parse a problem document; diagnostics carry line/column or JSON path."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -380,7 +392,7 @@ def _parse_rule(text: str, prob: DcProblem) -> dca.SelectionRule:
 
 def _load_json(path: str):
     try:
-        return json.loads(_read(path))
+        return json.loads(_read(path), parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -132,11 +132,9 @@ class ByActiveSetTable(_ActiveSetRule):
 class Scripted(SelectionRule):
     """Fixed list of subgradients, one per step; each is validated.
 
-    A vector that is the gradient of a piece of h active at x lies in
-    dh(x), whose normal-cone part contains 0, and is taken as it is; any
-    other vector is validated by a generator-weight LP.  Both read h's
-    evaluation at the point the rule is handed: `run` hands it the point
-    it holds, and `choose` makes one of h alone.
+    Each is validated by `_is_subgradient` on h's evaluation at the point
+    the rule is handed: `run` hands it the point it holds, and `choose`
+    makes one of h alone.
     """
 
     subgradients: tuple[Vector, ...]
@@ -154,17 +152,24 @@ class Scripted(SelectionRule):
         if step >= len(self.subgradients):
             raise IndexError("script exhausted")
         xi = self.subgradients[step]
-        at = point.h
-        if at is None:
+        if point.h is None:
             raise OutsideDomain("active set requested outside the domain")
-        if any(h.pieces[j][0] == xi for j in at[1]):
-            return xi
-        if not h._subdifferential(at).contains(xi):
+        if not _is_subgradient(h, point.h, xi):
             raise InvalidSelection(
                 f"scripted vector at step {step} is not a subgradient of h "
                 "at the current iterate"
             )
         return xi
+
+
+def _is_subgradient(h: MaxAffine, at, xi: Vector) -> bool:
+    """Whether xi lies in dh(x), for h's evaluation `at` at x (`_at`; None
+    outside dom h).  The gradient of a piece active at x does, as the
+    normal-cone part of dh(x) contains 0, and poses no LP; any other
+    vector is decided by a generator-weight LP."""
+    return at is not None and (
+        any(h.pieces[j][0] == xi for j in at[1]) or h._subdifferential(at).contains(xi)
+    )
 
 
 def select_subgradient(
@@ -494,9 +499,7 @@ def validate_trace(
     for k, point in enumerate(xs):
         subgradient_ok = None
         if k < len(xis):
-            subgradient_ok = point.h is not None and (
-                prob.h._subdifferential(point.h).contains(xis[k])
-            )
+            subgradient_ok = _is_subgradient(prob.h, point.h, xis[k])
         minimizer_ok = None
         if k + 1 < len(xs) and k < len(xis):
             minimizer_ok = _is_subproblem_minimizer(prob, xis[k], xs[k + 1])

@@ -22,18 +22,21 @@ solution:
   with b >= 0 starts with its slack basic; only a row with b < 0 is negated
   and gets an artificial, and phase 1 runs only if there is one.
 * A later copy of an inequality row whose rhs after substitution is >= 0
-  cannot change a pivot, so it gets no row of the tableau and is tight
-  exactly when its first copy is (proof in `_prepare`).  Every LP over rows
-  that repeat, such as a face of C cut again by C, pivots as over all of
-  them.
+  cannot change a pivot, so it gets no row of the tableau (proof in
+  `_prepare`).  Every LP over rows that repeat, such as a face of C cut
+  again by C, pivots as over all of them.
 * The simplex tableau keeps one common denominator `det > 0` (initially
   1): entries are `det * B^-1 [A | b]`, integers because each is a minor
   of the integer system.  A pivot updates every row with one exact integer
-  division by the old `det` (Bareiss 1968); no gcd is taken.
+  division by the old `det` (Bareiss 1968); no gcd is taken.  That pivot,
+  `_Tableau.pivot`, is the one row update of the module: the elimination
+  of the equalities (`_rref`) is Gauss-Jordan pivots on a tableau too.
 * Fractions appear again only when the basic solution is read off.  The
   optimal value is read from the tableau: the last entry of the reduced
   row over `det`, with the objective's scale and the constant of the
-  substitution undone.
+  substitution undone.  An outcome reports the point, not the rows tight
+  there: a reader that needs them evaluates the integer rows at the point,
+  which gives exactly the rows whose slack the tableau holds at 0.
 
 All of this up to the end of phase 1 depends on the rows alone.  It is the
 rows' prepared start, built on the first solve over them and only read
@@ -303,7 +306,6 @@ class LpOutcome:
     status: LpStatus
     value: Optional[Fraction] = None
     point: Optional[Vector] = None
-    tight_inequalities: Optional[frozenset[int]] = None
     # whether the final tableau proves `point` the only optimal point
     # (`_Start.proves_unique`); a report on the solve, not on the optimum
     unique: bool = field(default=False, compare=False)
@@ -339,31 +341,27 @@ def _rref(
     det > 0: row k has det in column pivots[k] and every other row a 0
     there, and the rows from len(pivots) on are zero in the first `width`
     columns.
+
+    Each column's pivot row is the first at or below the rows already
+    pivoted with a nonzero entry there; it is swapped up, its column joins
+    the basis and `_Tableau.pivot` updates every other row.  The Bareiss
+    update of rows and det all negated is the update negated, so negating
+    the tableau on each negative pivot, as `pivot` does, ends at the matrix
+    that negating once at the end would.
     """
-    matrix = list(rows)
-    pivots: list[int] = []
-    det = 1
+    tableau = _Tableau(list(rows), [])
     for col in range(width):
-        top = len(pivots)
-        if top == len(matrix):
-            break
+        matrix = tableau.rows
+        top = len(tableau.basis)
         pivot = next(
             (r for r in range(top, len(matrix)) if matrix[r][col] != 0), None
         )
         if pivot is None:
             continue
         matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
-        pivot_row = matrix[top]
-        matrix = [
-            line if r == top else _bareiss(line, pivot_row, col, det)
-            for r, line in enumerate(matrix)
-        ]
-        det = pivot_row[col]
-        pivots.append(col)
-    if det < 0:
-        matrix = [[-x for x in line] for line in matrix]
-        det = -det
-    return matrix, pivots, det
+        tableau.basis.append(col)
+        tableau.pivot(top, col)
+    return tableau.rows, tableau.basis, tableau.det
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
@@ -553,17 +551,15 @@ class _Start:
     The integer equalities are eliminated (`pivots`, `solved` and `det` as
     `_eliminate_equalities` returns them); every integer inequality is
     substituted into a row over the `free` coordinates, and phase 1 finds a
-    feasible basis of those rows.  `tight`
-    holds the inequalities that substitution leaves as 0 <= 0, `projected`
-    the indices of the others, one slack column each, and `copies` the pairs
-    (i, first) of a row i that `_prepare` left out as a copy of row first.
-    `tableau` is None when the equalities fix the point.  A solve works on a
-    copy of the tableau, so the start is only read once it is built.
+    feasible basis of those rows.  `projected` counts the rows that
+    substitution leaves nonzero and `_prepare` keeps, one slack column
+    each.  `tableau` is None when the equalities fix the point.  A solve
+    works on a copy of the tableau, so the start is only read once it is
+    built.
     """
 
     __slots__ = (
-        "dimension", "pivots", "solved", "det", "free", "kept",
-        "projected", "tight", "copies", "tableau",
+        "dimension", "pivots", "solved", "det", "free", "kept", "projected", "tableau",
     )
 
     def __init__(self, dimension, pivots, solved, det):
@@ -573,9 +569,7 @@ class _Start:
         self.det = det
         self.free = [j for j in range(dimension) if j not in pivots]
         self.kept = self.free + [dimension]  # the free coordinates and the rhs
-        self.projected: list[int] = []
-        self.tight: set[int] = set()
-        self.copies: list[tuple[int, int]] = []
+        self.projected = 0
         self.tableau: Optional[_Tableau] = None
 
     def substitute(self, A: Sequence[int], B: int) -> list[int]:
@@ -605,7 +599,7 @@ class _Start:
         """The integer row `A . x <= 0` as `c . y <= b` over the tableau's
         columns, c + [b]."""
         *cost, b = self.substitute(A, 0)
-        return cost + [-c for c in cost] + [0] * len(self.projected) + [b]
+        return cost + [-c for c in cost] + [0] * self.projected + [b]
 
     def solve(self, objective: Vector, lexmin: int) -> LpOutcome:
         """Phase 2 for `objective` on a copy of the tableau, then the lexmin
@@ -633,12 +627,11 @@ class _Start:
         line = self.split(A)
         if self.tableau is None:  # the equalities fix the point
             value = Fraction(-line[-1], self.det * scale)
-            point, tight = self.lift((), 1), self._with_copies(self.tight)
             # the only point there is
-            return LpOutcome(LpStatus.OPTIMAL, value, point, tight, True)
+            return LpOutcome(LpStatus.OPTIMAL, value, self.lift((), 1), True)
         tableau = self.tableau.copy()
         f = len(self.free)
-        n = 2 * f + len(self.projected)
+        n = 2 * f + self.projected
         tableau.load(line)
         if not tableau.minimize(range(n)):
             return UNBOUNDED
@@ -655,19 +648,12 @@ class _Start:
                 columns = tableau.lexmin_step(self.split(unit), columns)
 
         z = [0] * f  # numerators over tableau.det
-        loose = set()  # rows whose slack is basic and positive
         for row, col in zip(tableau.rows, tableau.basis):
             if col < f:
                 z[col] += row[n]
             elif col < 2 * f:
                 z[col - f] -= row[n]
-            elif row[n] != 0:
-                loose.add(col - 2 * f)
-        tight = self.tight.union(
-            i for k, i in enumerate(self.projected) if k not in loose
-        )
-        point, tight = self.lift(z, tableau.det), self._with_copies(tight)
-        return LpOutcome(LpStatus.OPTIMAL, value, point, tight, unique)
+        return LpOutcome(LpStatus.OPTIMAL, value, self.lift(z, tableau.det), unique)
 
     def proves_unique(self, tableau: _Tableau) -> bool:
         """Whether the solved `tableau` of this start proves its optimal
@@ -679,12 +665,8 @@ class _Start:
             reduced[j] == 0
             and j not in basic
             and (j >= 2 * f or (j + f) % (2 * f) not in basic)
-            for j in range(2 * f + len(self.projected))
+            for j in range(2 * f + self.projected)
         )
-
-    def _with_copies(self, tight: set[int]) -> frozenset[int]:
-        """The tight rows `tight` and each copy whose first copy is one."""
-        return frozenset(tight.union(i for i, first in self.copies if first in tight))
 
 
 def _prepare(
@@ -702,9 +684,8 @@ def _prepare(
     Once s has left, the copy's row reads s' = s: its only entry off the
     basis is -det in column s, so it wins no ratio test, and when s enters
     again the two rows agree once more.  So s' is always basic and equal to
-    s, every other pivot is the one taken without the copy, with the
-    columns in the same order, and the copy is tight exactly when its first
-    copy is (`_Start.solve`).  A copy of a row with b < 0 has an artificial
+    s, and every other pivot is the one taken without the copy, with the
+    columns in the same order.  A copy of a row with b < 0 has an artificial
     of its own, which weighs in phase 1, and is kept.  A repeated equality
     needs no rule: the elimination turns it into a zero row.
     """
@@ -713,22 +694,18 @@ def _prepare(
         return None
     start = _Start(dimension, *eliminated)
     projected = []  # rows over z and their rhs
-    first: dict[LpRow, int] = {}  # each row kept with b >= 0, to its index
-    for i, lp_row in enumerate(inequalities):
-        k = first.get(lp_row)
-        if k is not None:
-            start.copies.append((i, k))
+    first: set[LpRow] = set()  # each row kept with b >= 0
+    for lp_row in inequalities:
+        if lp_row in first:
             continue
         *row, b = start.substitute(*lp_row)
         if b >= 0:
-            first[lp_row] = i
+            first.add(lp_row)
         if any(row):
-            start.projected.append(i)
             projected.append((row, b))
         elif b < 0:
             return None
-        elif b == 0:
-            start.tight.add(i)
+    start.projected = len(projected)
 
     f = len(start.free)
     if f == 0:
@@ -887,7 +864,8 @@ def optimality_certificate(
     """Lagrange multipliers proving optimality of an Optimal outcome.
 
     Returns (eq_multipliers, ineq_multipliers) with the inequality
-    multipliers nonnegative, supported on the tight rows, and satisfying
+    multipliers nonnegative, supported on the rows tight at the outcome's
+    point (A.x = B on the integer row), and satisfying
     objective + E^T mu + A^T lam = 0 exactly; then
     -mu.e - lam.b equals the optimal value (verified by the caller's tests).
     E, e, A and b are the integer rows `lp` holds: each row (a, b) the
@@ -910,8 +888,8 @@ def optimality_certificate(
         integer_row([A[d] for A, _ in rows], -lp.objective[d])[:2]
         for d in range(lp.dimension)
     ]
-    for i in range(n_in):
-        if i not in outcome.tight_inequalities:
+    for i, (A, B) in enumerate(lp.inequalities):
+        if dot(A, outcome.point) != B:
             row = [0] * dim
             row[n_eq + i] = 1
             equalities.append((tuple(row), 0))

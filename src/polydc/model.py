@@ -124,8 +124,11 @@ class PolyhedralSet:
 
     @classmethod
     def box(cls, lower: Sequence, upper: Sequence) -> "PolyhedralSet":
-        lower, upper = vector(lower), vector(upper)
+        """{x : lower <= x <= upper}; bounds of unequal lengths raise
+        DimensionMismatch."""
+        lower = vector(lower)
         n = len(lower)
+        upper = _check_dimension(upper, n, "upper bound")
         rows = []
         for i in range(n):
             e = list(zero_vector(n))

@@ -165,6 +165,44 @@ def vertex_enumeration_minimum(lp: LinearProgram):
     return "optimal", best
 
 
+def reference_rref(rows, width):
+    """`exactlp._rref` as it was before it pivoted on a `_Tableau`: its own
+    loop of Bareiss updates, the sign of det left as it falls and fixed
+    once at the end.  Returns (matrix, pivots, det)."""
+    matrix = list(rows)
+    pivots = []
+    det = 1
+    for col in range(width):
+        top = len(pivots)
+        if top == len(matrix):
+            break
+        pivot = next(
+            (r for r in range(top, len(matrix)) if matrix[r][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
+        pivot_row = matrix[top]
+        matrix = [
+            line if r == top else exactlp._bareiss(line, pivot_row, col, det)
+            for r, line in enumerate(matrix)
+        ]
+        det = pivot_row[col]
+        pivots.append(col)
+    if det < 0:
+        matrix = [[-x for x in line] for line in matrix]
+        det = -det
+    return matrix, pivots, det
+
+
+def tight_rows(lp: LinearProgram, outcome) -> frozenset:
+    """The inequalities of `lp` tight at an optimal outcome's point: the
+    indices i with A.x = B on the integer row (A, B) that `lp` holds."""
+    return frozenset(
+        i for i, (A, B) in enumerate(lp.inequalities) if dot(A, outcome.point) == B
+    )
+
+
 def prepare_every_row(equalities, inequalities, dimension):
     """`exactlp._prepare` as it was before it left out repeated rows: every
     inequality that substitution leaves nonzero gets a row of the tableau,
@@ -174,15 +212,13 @@ def prepare_every_row(equalities, inequalities, dimension):
         return None
     start = exactlp._Start(dimension, *eliminated)
     projected = []
-    for i, (A, B) in enumerate(inequalities):
+    for A, B in inequalities:
         *row, b = start.substitute(A, B)
         if any(row):
-            start.projected.append(i)
             projected.append((row, b))
         elif b < 0:
             return None
-        elif b == 0:
-            start.tight.add(i)
+    start.projected = len(projected)
     f = len(start.free)
     if f == 0:
         return start
@@ -223,16 +259,11 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
     line = start.split(A)
     if start.tableau is None:
         value = Fraction(-line[-1], start.det * scale)
-        outcome = exactlp.LpOutcome(
-            exactlp.LpStatus.OPTIMAL,
-            value,
-            start.lift((), 1),
-            start._with_copies(start.tight),
-        )
+        outcome = exactlp.LpOutcome(exactlp.LpStatus.OPTIMAL, value, start.lift((), 1))
         return outcome, None
     tableau = start.tableau.copy()
     f = len(start.free)
-    n = 2 * f + len(start.projected)
+    n = 2 * f + start.projected
     tableau.load(line)
     if not tableau.minimize(range(n)):
         return exactlp.UNBOUNDED, (tableau.rows, tableau.basis, tableau.det)
@@ -247,22 +278,13 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
             unit[k] = 1
             columns = tableau.lexmin_step(start.split(unit), columns)
     z = [0] * f
-    loose = set()
     for row, col in zip(tableau.rows, tableau.basis):
         if col < f:
             z[col] += row[n]
         elif col < 2 * f:
             z[col - f] -= row[n]
-        elif row[n] != 0:
-            loose.add(col - 2 * f)
-    tight = start.tight.union(
-        i for k, i in enumerate(start.projected) if k not in loose
-    )
     outcome = exactlp.LpOutcome(
-        exactlp.LpStatus.OPTIMAL,
-        value,
-        start.lift(z, tableau.det),
-        start._with_copies(tight),
+        exactlp.LpStatus.OPTIMAL, value, start.lift(z, tableau.det)
     )
     return outcome, (tableau.rows, tableau.basis, tableau.det)
 
@@ -515,10 +537,11 @@ def reference_certificate_lp(lp, outcome) -> LinearProgram:
         (tuple(Fraction(A[d]) for A, _ in rows), -lp.objective[d])
         for d in range(lp.dimension)
     ]
+    tight = tight_rows(lp, outcome)
     equalities += [
         (_unit(width, n_eq + i, 1), Fraction(0))
         for i in range(n_in)
-        if i not in outcome.tight_inequalities
+        if i not in tight
     ]
     inequalities = [(_unit(width, n_eq + i, -1), Fraction(0)) for i in range(n_in)]
     return LinearProgram(

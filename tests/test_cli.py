@@ -1,6 +1,7 @@
 """Problem documents and the command-line surface."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -412,6 +413,13 @@ def _edited(*edits):
 
 
 _STRINGS = 'rationals must be strings like "-3/2" or integers, got'
+# a number of more digits than Python converts to an integer
+_LIMIT = sys.get_int_max_str_digits()
+_HUGE = "1" * (_LIMIT + 100)
+_TOO_LONG = (
+    f"Exceeds the limit ({_LIMIT} digits) for integer string conversion: "
+    f"value has {_LIMIT + 100} digits"
+)
 _PIECE = {"u": ["0"], "alpha": "0"}
 
 # (document, or a raw text; its command line after --problem; the rule
@@ -591,6 +599,58 @@ _LOCATED_ERRORS = {
         ["dca", "--x0", "2", "--rule", "table:{missing}"],
         None,
         "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'",
+    ),
+    "huge rational": (
+        _edited((("C", "ineq", 0, "b"), _HUGE)),
+        ["structure"],
+        None,
+        f"C.ineq[0].b: {_TOO_LONG}",
+    ),
+    "huge JSON integer": (
+        json.dumps(_edited((("h", "pieces", 2, "alpha"), 0))).replace(
+            '"alpha": 0', f'"alpha": -{_HUGE}'
+        ),
+        ["structure"],
+        None,
+        f"h.pieces[2].alpha: {_TOO_LONG}",
+    ),
+    "huge dimension": (
+        json.dumps(_edited((("dimension",), 0))).replace(
+            '"dimension": 0', f'"dimension": {_HUGE}'
+        ),
+        ["structure"],
+        None,
+        "dimension: expected a positive integer",
+    ),
+    "huge point": (
+        None,
+        ["classify", "--point", _HUGE],
+        None,
+        f"coordinate 0: {_TOO_LONG}",
+    ),
+    "huge denominator x0": (
+        None,
+        ["dca", "--x0", f"1/{_HUGE}"],
+        None,
+        f"coordinate 0: {_TOO_LONG}",
+    ),
+    "huge xi": (
+        None,
+        ["dual", "--xi", f"-{_HUGE}"],
+        None,
+        f"coordinate 0: {_TOO_LONG}",
+    ),
+    "huge grid step": (
+        None,
+        ["verify", "--grid-step", _HUGE],
+        None,
+        f"--grid-step: {_TOO_LONG}",
+    ),
+    "huge script entry": (
+        None,
+        ["dca", "--x0", "2", "--rule", "script:{rule}"],
+        '{"subgradients": [[%s]]}' % _HUGE,
+        f"script entry #0[0]: {_TOO_LONG}",
     ),
     "rule file syntax error": (
         None,

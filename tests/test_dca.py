@@ -409,6 +409,35 @@ class TestValidateTrace:
         with pytest.raises(ValueError):
             validate_trace(interval_problem, [vec(0)], [vec(0), vec(0)])
 
+    def test_active_gradients_pose_no_weight_lp(self, monkeypatch):
+        """A min-index trace selects active gradients only, so its
+        subgradient checks pose no generator-weight LP, as a script's
+        selections do not; the verdicts are those of the weight LPs."""
+        rng = random.Random(67)
+        checked = 0
+        for prob in [gens.random_dc_instance(rng) for _ in range(10)]:
+            lo, _ = prob.C.bounding_box()
+            trace = run(prob, lo, MinIndexActive(), max_iter=10000)
+            xs, xis = trace.points, [it.xi for it in trace.iterates]
+            weighed = []  # the subdifferentials of h made, one per weight LP
+            subdifferential = MaxAffine._subdifferential
+
+            def recording(f, at, *cone):
+                if f is prob.h:
+                    weighed.append(at)
+                return subdifferential(f, at, *cone)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(MaxAffine, "_subdifferential", recording)
+                steps = validate_trace(prob, xs, xis).steps
+            assert weighed == []
+            for point, xi, step in zip(xs, xis, steps):
+                at = prob.h._at(model._scaled(point))
+                assert step.subgradient_ok is True
+                assert prob.h._subdifferential(at).contains(xi)
+                checked += 1
+        assert checked >= 10
+
     def test_generated_traces_validate(self):
         rng = random.Random(61)
         for _ in range(10):

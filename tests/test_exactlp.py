@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polydc import (
     ExtendedRational,
@@ -41,11 +41,12 @@ def interval_lp(objective):
 
 class TestLpSolve:
     def test_interval_endpoint(self):
-        out = lp_solve(interval_lp(vec(1)))
+        lp = interval_lp(vec(1))
+        out = lp_solve(lp)
         assert out.status is LpStatus.OPTIMAL
         assert out.value == Fraction(-2)
         assert out.point == vec(-2)
-        assert out.tight_inequalities == frozenset({0})
+        assert gens.tight_rows(lp, out) == frozenset({0})
         # mixed-sign rhs: x <= 3 starts on its slack, -x <= -1 on an
         # artificial, so phase 1 runs before the endpoint is found
         for objective, endpoint, tight in ((vec(1), 1, {1}), (vec(-1), 3, {0})):
@@ -58,7 +59,7 @@ class TestLpSolve:
             out = lp_solve(lp)
             assert out.status is LpStatus.OPTIMAL
             assert out.point == vec(endpoint)
-            assert out.tight_inequalities == frozenset(tight)
+            assert gens.tight_rows(lp, out) == frozenset(tight)
         # the interval [1, 1] with a redundant negative-rhs row: phase 1
         # ends with an artificial basic at 0 whose row has a negative first
         # entry, so driving it out pivots on a negative integer
@@ -77,7 +78,7 @@ class TestLpSolve:
             assert out.status is LpStatus.OPTIMAL
             assert out.point == vec(1)
             assert out.value == objective[0]
-            assert out.tight_inequalities == frozenset({0, 1, 2})
+            assert gens.tight_rows(lp, out) == frozenset({0, 1, 2})
 
     def test_contradictory_bounds(self):
         lp = LinearProgram(
@@ -122,7 +123,7 @@ class TestLpSolve:
         assert out.status is LpStatus.OPTIMAL
         assert out.point == vec(1, 0)
         assert out.value == 0
-        assert out.tight_inequalities == frozenset({1})
+        assert gens.tight_rows(lp, out) == frozenset({1})
 
     def test_inconsistent_equalities(self):
         lp = LinearProgram(
@@ -161,7 +162,7 @@ class TestLpSolve:
         assert out.status is LpStatus.OPTIMAL
         assert out.point == vec(2, -1)
         assert out.value == 11
-        assert out.tight_inequalities == frozenset({0})
+        assert gens.tight_rows(lp, out) == frozenset({0})
         tight_violation = LinearProgram(
             objective=vec(0, 0),
             equalities=lp.equalities,
@@ -180,13 +181,8 @@ class TestLpSolve:
             assert dot(lp.objective, out.point) == out.value
             for row, rhs in lp.equalities:
                 assert dot(row, out.point) == rhs
-            tight = set()
-            for i, (row, rhs) in enumerate(lp.inequalities):
-                lhs = dot(row, out.point)
-                assert lhs <= rhs
-                if lhs == rhs:
-                    tight.add(i)
-            assert tight == set(out.tight_inequalities)
+            for row, rhs in lp.inequalities:
+                assert dot(row, out.point) <= rhs
 
     def test_determinism(self):
         rng = random.Random(11)
@@ -378,12 +374,6 @@ class TestLexmin:
                         lp, k
                     )
                     assert out.value == plain.value == dot(lp.objective, out.point)
-                    tight = {
-                        i
-                        for i, (row, rhs) in enumerate(lp.inequalities)
-                        if dot(row, out.point) == rhs
-                    }
-                    assert tight == set(out.tight_inequalities)
                 if plain.is_optimal and optimal_point_is_unique(lp, plain.value):
                     unique_seen += 1
                     assert lp_solve(lp, lexmin=lp.dimension) == plain
@@ -402,7 +392,7 @@ class TestLexmin:
             out = lp_solve(lp, lexmin=k)
             assert out == lp_solve(lp)
             assert out.point == vec(Fraction(1, 2), Fraction(1, 2))
-            assert out.tight_inequalities == frozenset({1})
+            assert gens.tight_rows(lp, out) == frozenset({1})
 
     def test_added_row_with_negative_rhs_runs_phase_one(self, monkeypatch):
         # x1 + x2 >= 1, x1 <= 5, objective 0: x1 has no minimum and its
@@ -433,7 +423,7 @@ class TestLexmin:
         monkeypatch.setattr(exactlp._Tableau, "pivot", recording_pivot)
         out = lp_solve(lp, lexmin=2)
         assert out.point == vec(0, 1)
-        assert out.tight_inequalities == frozenset({0})
+        assert gens.tight_rows(lp, out) == frozenset({0})
         assert len(added) == 1
         rhs, phase_one_pivots = added[0]
         assert rhs < 0 and phase_one_pivots >= 1
@@ -470,8 +460,7 @@ def start_state(lp):
         list(start.pivots),
         [list(row) for row in start.solved],
         start.det,
-        list(start.projected),
-        set(start.tight),
+        start.projected,
         None
         if tableau is None
         else ([list(row) for row in tableau.rows], list(tableau.basis), tableau.det),
@@ -617,7 +606,7 @@ class TestCertificate:
                 assert all(l >= 0 for l in lam)
                 # complementary slackness: multipliers vanish off the tight set
                 for i, l in enumerate(lam):
-                    if i not in out.tight_inequalities:
+                    if i not in gens.tight_rows(lp, out):
                         assert l == 0
                 # stationarity
                 for d in range(lp.dimension):
@@ -891,6 +880,53 @@ class TestRowSpaceBasis:
         assert basis == [vec(1, 0), vec(0, 1)]
 
 
+@st.composite
+def integer_systems(draw):
+    """Integer rows over `width` columns and a last one, the rhs: entries
+    of either sign, so that pivots can be negative; maybe a column of
+    zeros; and rows that combine two drawn ones, their rhs moved by -1, 0
+    or 1, so dependent rows and inconsistent ones both occur."""
+    width = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=width + 1, max_size=width + 1), max_size=4)
+    )
+    zero = draw(st.integers(0, width))  # width: no column is zeroed
+    for row in rows:
+        if zero < width:
+            row[zero] = 0
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c, d = draw(entry), draw(entry)
+        row = [c * x + d * y for x, y in zip(a, b)]
+        row[-1] += draw(st.integers(-1, 1))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return [tuple(row) for row in rows], width
+
+
+def rref_as_lists(result):
+    matrix, pivots, det = result
+    return [list(line) for line in matrix], list(pivots), det
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(integer_systems())
+@example(([(-2, 1, 3), (4, -2, 1), (1, 0, -1)], 2))  # a negative first pivot
+@example(([(0, -3, 1), (0, 6, -2), (0, 1, 1)], 2))  # a zero column, 2x a row
+@example(([(1, 1, 0), (2, 2, 1)], 2))  # 0 = 1 after elimination
+def test_rref_pivots_on_a_tableau_as_before(system):
+    """`_rref` runs `_Tableau.pivot` and ends at the integers of its own
+    former loop (`gens.reference_rref`), which fixed det's sign once at
+    the end; rows are compared as lists."""
+    rows, width = system
+    assert rref_as_lists(exactlp._rref(rows, width)) == rref_as_lists(
+        gens.reference_rref(rows, width)
+    )
+    assert rref_as_lists(exactlp._rref(rows, width + 1)) == rref_as_lists(
+        gens.reference_rref(rows, width + 1)
+    )
+
+
 class TestExtendedRational:
     def test_total_order(self):
         three = ExtendedRational.finite(3)
@@ -992,15 +1028,30 @@ def lps_with_copies(draw):
     return lp, draw(st.integers(0, n))
 
 
-def without_copies(full, start):
-    """The tableau of the every-row start `full` without the rows and the
-    slack columns of the copies that `start` left out, as (rows, basis,
-    det) over the columns renumbered."""
+def substituted_rows(lp, start):
+    """Each inequality of `lp` as (row, b, first): `row . z <= b` over the
+    free coordinates of `start`, and the index of the earlier row it
+    copies when `_prepare` leaves it out by the rule it documents (equal
+    rows, the earlier kept with b >= 0), else None."""
+    rows, first = [], {}
+    for i, lp_row in enumerate(lp.inequalities):
+        *row, b = start.substitute(*lp_row)
+        rows.append((row, b, first.get(lp_row)))
+        if b >= 0:
+            first.setdefault(lp_row, i)
+    return rows
+
+
+def without_copies(full, lp):
+    """The tableau of the every-row start `full` of `lp` without the rows
+    and the slack columns of the copies that `_prepare` leaves out, as
+    (rows, basis, det) over the columns renumbered."""
     f = len(full.free)
-    copies = {i for i, _ in start.copies}
-    dropped = {2 * f + k for k, i in enumerate(full.projected) if i in copies}
+    # every row left nonzero has a slack column in `full`, in order
+    nonzero = [first for row, _, first in substituted_rows(lp, full) if any(row)]
+    dropped = {2 * f + k for k, first in enumerate(nonzero) if first is not None}
     tableau = full.tableau
-    width = 2 * f + len(full.projected) + 1  # the rhs last
+    width = 2 * f + full.projected + 1  # the rhs last
     columns = [j for j in range(width) if j not in dropped]
     renumbered = {j: k for k, j in enumerate(columns)}
     kept = [r for r, col in enumerate(tableau.basis) if col not in dropped]
@@ -1021,13 +1072,60 @@ def test_repeated_rows_pivot_as_every_row(case):
     assert (start is None) == (full is None)
     if start is not None and start.tableau is not None:
         tableau = start.tableau
-        assert without_copies(full, start) == (tableau.rows, tableau.basis, tableau.det)
+        assert without_copies(full, lp) == (tableau.rows, tableau.basis, tableau.det)
     out = lp_solve(lp, lexmin=lexmin)
     assert out == gens.solve_every_row(lp, lexmin)
+
+
+def slack_tight_rows(lp, start, tableau):
+    """The inequalities that the final `tableau` (rows, basis, det; None
+    when the start has none) of a solve from `start` holds tight: a row
+    with a slack column that is nonbasic, or basic at 0; a row that
+    substitution leaves as 0 <= 0; and a copy `_prepare` leaves out whose
+    first row is tight."""
+    f = len(start.free)
+    loose = set()
+    if tableau is not None:
+        rows, basis, _ = tableau
+        loose = {col for row, col in zip(rows, basis) if col >= 2 * f and row[-1]}
+    tight, k = set(), 0
+    for i, (row, b, first) in enumerate(substituted_rows(lp, start)):
+        if first is not None:
+            if first in tight:
+                tight.add(i)
+        elif any(row):
+            if 2 * f + k not in loose:
+                tight.add(i)
+            k += 1
+        elif b == 0:
+            tight.add(i)
+    return tight
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(lps_with_copies())
+def test_rows_tight_at_the_point_are_those_the_tableau_holds_at_zero(case):
+    """Outcomes carry no tight set: a reader evaluates the rows at the
+    point (`gens.tight_rows`).  Those are exactly the rows the final
+    tableau proves tight, copies and rows substitution zeroes included."""
+    lp, lexmin = case
+    out, tableau = solved_with_tableau(lp, lexmin)
     if out.is_optimal:
-        for i, row in enumerate(lp.inequalities):
-            first = lp.inequalities.index(row)
-            assert (i in out.tight_inequalities) == (first in out.tight_inequalities)
+        start = lp._rows.start()
+        assert gens.tight_rows(lp, out) == slack_tight_rows(lp, start, tableau)
+
+
+def test_rows_tight_at_the_point_on_seeded_lps():
+    optimal = 0
+    for seed in range(400):
+        lp = gens.random_bounded_lp(random.Random(seed))
+        for lexmin in (0, lp.dimension):
+            out, tableau = solved_with_tableau(lp, lexmin)
+            if out.is_optimal:
+                start = lp._rows.start()
+                assert gens.tight_rows(lp, out) == slack_tight_rows(lp, start, tableau)
+                optimal += 1
+    assert optimal >= 350
 
 
 class TestRepeatedRows:
@@ -1040,21 +1138,20 @@ class TestRepeatedRows:
         rows = ((vec(1), Fraction(3)), (vec(-1), Fraction(-1))) * 2
         lp = LinearProgram(vec(1), (), rows, 1)
         start = lp._rows.start()
-        assert start.copies == [(2, 0)]
-        assert start.projected == [0, 1, 3]
+        assert start.projected == 3
         assert len(start.tableau.rows) == 3
-        assert lp_solve(lp).tight_inequalities == {1, 3}
-        assert lp_solve(lp.with_objective(vec(-1))).tight_inequalities == {0, 2}
+        assert gens.tight_rows(lp, lp_solve(lp)) == {1, 3}
+        assert gens.tight_rows(lp, lp_solve(lp.with_objective(vec(-1)))) == {0, 2}
 
     def test_copies_under_equalities(self):
         # with x1 = 1 - x2 the rows read x2 <= 1 and -x2 <= 2, rhs >= 0
         rows = ((vec(0, 1), Fraction(1)), (vec(1, 0), Fraction(3))) * 2
         lp = LinearProgram(vec(-1, 0), ((vec(1, 1), Fraction(1)),), rows, 2)
         start = lp._rows.start()
-        assert start.copies == [(2, 0), (3, 1)]
+        assert start.projected == 2
         out = lp_solve(lp)
         assert out.point == vec(3, -2)
-        assert out.tight_inequalities == {1, 3}
+        assert gens.tight_rows(lp, out) == {1, 3}
         assert out == gens.solve_every_row(lp)
 
 

@@ -239,6 +239,18 @@ class TestMembershipAndInterior:
             C.tight_rows(vec(0, 0))
 
 
+class TestBox:
+    def test_bounds(self):
+        box = PolyhedralSet.box([F(0), F(-1)], [F(1), F(2)])
+        assert box.contains(vec(1, -1)) and not box.contains(vec(0, 3))
+
+    def test_bounds_of_unequal_lengths(self):
+        with pytest.raises(DimensionMismatch, match="length 2, expected 1"):
+            PolyhedralSet.box((0,), (1, 2))
+        with pytest.raises(DimensionMismatch, match="length 1, expected 2"):
+            PolyhedralSet.box((0, 1), (1,))
+
+
 class TestContainsSet:
     def test_whole_line_strictly_contains_interval(self):
         assert contains_set(
