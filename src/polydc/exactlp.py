@@ -353,6 +353,8 @@ def _rref(
     for col in range(width):
         matrix = tableau.rows
         top = len(tableau.basis)
+        if top == len(matrix):
+            break
         pivot = next(
             (r for r in range(top, len(matrix)) if matrix[r][col] != 0), None
         )
@@ -422,24 +424,24 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         """Bareiss pivot on p = rows[row][col]: every other row, the reduced
-        row included, is updated by `_bareiss`; then det = p.  A negative p,
-        possible only while driving an artificial out, is absorbed by
-        negating everything."""
+        row included, is updated by `_bareiss`; then det = p.
+
+        A negative p, possible while driving an artificial out and in
+        `_rref`, is absorbed by negating everything: the pivot row is
+        negated first, and the update by the negated row is the update
+        negated, as each division in it is exact."""
         pivot_row = self.rows[row]
+        if pivot_row[col] < 0:
+            pivot_row = [-x for x in pivot_row]
         det = self.det
         self.rows = [
-            line if i == row else _bareiss(line, pivot_row, col, det)
+            pivot_row if i == row else _bareiss(line, pivot_row, col, det)
             for i, line in enumerate(self.rows)
         ]
         if self.reduced is not None:
             self.reduced = _bareiss(self.reduced, pivot_row, col, det)
         self.basis[row] = col
         self.det = pivot_row[col]
-        if self.det < 0:
-            self.det = -self.det
-            self.rows = [[-x for x in line] for line in self.rows]
-            if self.reduced is not None:
-                self.reduced = [-x for x in self.reduced]
 
     def _in_basis(self, line: list[int]) -> list[int]:
         """`line`, one integer per column and the rhs, written in the
