@@ -424,7 +424,7 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         """Bareiss pivot on p = rows[row][col]: every other row, the reduced
-        row included, is updated by `_bareiss`; then det = p.
+        row included, is updated by `_bareiss`; then det = |p|.
 
         A negative p, possible while driving an artificial out and in
         `_rref`, is absorbed by negating everything: the pivot row is
