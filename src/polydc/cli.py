@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -53,6 +54,11 @@ class ProblemFormatError(PolydcError):
 # the text of a rational: "p" or "p/q" in decimal digits, no point or exponent
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+# an offending value as an error message shows it: its repr, shortened past
+# 80 characters, as the message's location already says where it is
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = _SHOWN.maxlong = 80
+
 
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, str) and _RATIONAL.fullmatch(value.strip()):
@@ -67,9 +73,9 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, (bool, float, str)):
         raise ProblemFormatError(
             f"{where}: rationals must be strings like \"-3/2\" or integers, "
-            f"got {value!r}"
+            f"got {_SHOWN.repr(value)}"
         )
-    raise ProblemFormatError(f"{where}: expected a rational, got {value!r}")
+    raise ProblemFormatError(f"{where}: expected a rational, got {_SHOWN.repr(value)}")
 
 
 def _json_int(text: str):
@@ -109,8 +115,19 @@ def parse_csv_vector(text: str, dimension: int) -> Vector:
     return tuple(parse_rational(p, f"coordinate {k}") for k, p in enumerate(parts))
 
 
+def fmt_rational(value) -> str:
+    """The text of a rational (or extended rational) in a report, the one
+    formatter of every number a report prints.  A value of more digits than
+    Python converts (its guard against slow conversion, which stays) is a
+    PolydcError, reported as one error line with exit 2."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise PolydcError(f"report value: {str(exc).split(';')[0]}") from None
+
+
 def fmt_vector(v: Sequence[Fraction]) -> list[str]:
-    return [str(c) for c in v]
+    return [fmt_rational(c) for c in v]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +145,7 @@ def _row_list(node: dict, key: str, where: str) -> list:
         return []
     if not isinstance(rows, list):
         raise ProblemFormatError(
-            f"{where}.{key}: expected a list of rows or null, got {rows!r}"
+            f"{where}.{key}: expected a list of rows or null, got {_SHOWN.repr(rows)}"
         )
     return rows
 
@@ -155,7 +172,7 @@ def _parse_rows(rows: list, key: str, dimension: int, where: str) -> tuple:
 def _rows_document(rows, key: str) -> list:
     """The rows of kind `key` as document rows; inverse of `_parse_rows`."""
     vector_key, scalar_key = _ROW_KEYS[key]
-    return [{vector_key: fmt_vector(a), scalar_key: str(b)} for a, b in rows]
+    return [{vector_key: fmt_vector(a), scalar_key: fmt_rational(b)} for a, b in rows]
 
 
 def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
@@ -259,12 +276,12 @@ def emit_report(report: dict) -> str:
 def _structure_report(result: SolutionStructure) -> dict:
     return {
         "command": "structure",
-        "alpha_bar": str(result.alpha_bar),
+        "alpha_bar": fmt_rational(result.alpha_bar),
         "J_star": sorted(result.J_star),
         "global_pieces": [
             {
                 "j": r.piece,
-                "alpha": str(r.value),
+                "alpha": fmt_rational(r.value),
                 "face": None if r.face is None else _set_document(r.face),
                 "witness": None if r.witness is None else fmt_vector(r.witness),
             }
@@ -283,7 +300,7 @@ def _structure_report(result: SolutionStructure) -> dict:
             {
                 "pieces": list(c.pieces),
                 "representative": fmt_vector(c.representative),
-                "f": str(c.value),
+                "f": fmt_rational(c.value),
             }
             for c in result.components
         ],
@@ -332,21 +349,23 @@ def _parse_rule(text: str, prob: DcProblem) -> dca.SelectionRule:
             ):
                 raise ProblemFormatError(
                     f"table entry #{k}.active: expected a list of "
-                    f"nonnegative integers, got {active!r}"
+                    f"nonnegative integers, got {_SHOWN.repr(active)}"
                 )
             if not _is_int(choose):
                 raise ProblemFormatError(
-                    f"table entry #{k}.choose: expected an integer, got {choose!r}"
+                    f"table entry #{k}.choose: expected an integer, got "
+                    f"{_SHOWN.repr(choose)}"
                 )
             for where, j in [("active", j) for j in active] + [("choose", choose)]:
                 if not 1 <= j <= q:
                     raise ProblemFormatError(
-                        f"table entry #{k}.{where}: piece {j}, but h has {q} pieces"
+                        f"table entry #{k}.{where}: piece {_SHOWN.repr(j)}, but h has "
+                        f"{q} pieces"
                     )
             key = frozenset(active)
             if len(key) < len(active):
                 raise ProblemFormatError(
-                    f"table entry #{k}.active: {active!r} repeats a piece"
+                    f"table entry #{k}.active: {_SHOWN.repr(active)} repeats a piece"
                 )
             if choose not in key:
                 raise ProblemFormatError(
@@ -439,7 +458,7 @@ def _cmd_dca(prob: DcProblem, args) -> tuple[dict, int]:
             {
                 "x": fmt_vector(it.x),
                 "xi": fmt_vector(it.xi),
-                "f": str(it.value),
+                "f": fmt_rational(it.value),
             }
             for it in trace.iterates
         ],
@@ -462,15 +481,15 @@ def _cmd_dual(prob: DcProblem, args) -> tuple[dict, int]:
         report = {
             "command": "dual",
             "xi": fmt_vector(xi),
-            "dual_value": str(dual_objective(prob, xi)),
+            "dual_value": fmt_rational(dual_objective(prob, xi)),
         }
     else:
         result = toland_singer_check(prob)
         report = {
             "command": "dual",
-            "primal_value": str(result.primal_value),
+            "primal_value": fmt_rational(result.primal_value),
             "candidates": [
-                {"xi": fmt_vector(xi), "value": str(value)}
+                {"xi": fmt_vector(xi), "value": fmt_rational(value)}
                 for xi, value in result.candidates
             ],
             "attained_at": fmt_vector(result.attained_at),
@@ -483,7 +502,7 @@ def _cmd_verify(prob: DcProblem, args) -> tuple[dict, int]:
     result = grid_cross_check(prob, step)
     report = {
         "command": "verify",
-        "grid_step": str(result.step),
+        "grid_step": fmt_rational(result.step),
         "points_in_set": result.points_in_set,
         "pieces_checked": result.pieces_checked,
         "failures": [

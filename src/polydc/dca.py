@@ -279,13 +279,19 @@ def run(
     iteration budget is exhausted.  An error a rule raises while it
     selects propagates.
 
-    x0 is checked, and g, C and h are evaluated there, on its point.
+    x0 is checked, and g, C and h are evaluated there, on its point
+    (`DcProblem._point`): when x0 is a kept node that is the node's point,
+    and only what no reader has read there yet is evaluated.
     Every later iterate is a node: the canonical minimizer y of the
     subproblem at the selected xi, a function of xi alone.  The problem
     keeps each node (`DcProblem._subproblems`) with the point of y, h
     evaluated there, and f(y) and h's active set at y, computed once, when
     its LP is solved: every run and rule reads and fills that one memo, so
-    each distinct xi poses one LP and one evaluation of h per problem.  No
+    each distinct xi poses one LP per problem, and each distinct node one
+    evaluation of h.  The problem registers the node's point
+    (`DcProblem._nodes`), so every later reader of y, such as
+    `optimality.is_critical` at a fixed point, `classify` or
+    `validate_trace`, shares its evaluations.  No
     later step evaluates a function or scales an iterate, under any rule:
     a rule with `pick` selects from the active set the node holds, and its
     piece's scaled gradient is the node's key; a rule without `pick`, a
@@ -375,7 +381,9 @@ def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
     """The node at xi, kept in `prob._subproblems` under `key` (xi scaled):
     one subproblem LP over g + indicator(C), which shares g's prepared
     start, and one evaluation of h, on the point of its minimizer; None
-    when the subproblem is unbounded."""
+    when the subproblem is unbounded.  Every node is made here, and here
+    its point is registered in `prob._nodes`: a minimizer that another xi
+    reached already is that node's point, with h read from it."""
     try:
         x, sub_value = solve_subproblem(
             prob.g_plus_indicator, PolyhedralSet.whole_space(prob.dimension), xi
@@ -386,6 +394,7 @@ def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
         # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is
         # taken on integers, like every evaluation at x
         point = prob._point(x)
+        point = prob._nodes.setdefault(point.scaled, point)
         (X, d), (Xi, s) = point.scaled, key
         node = _node(point, sub_value + Fraction(sum(map(mul, Xi, X)), s * d))
     prob._subproblems[key] = node

@@ -811,15 +811,31 @@ class DcProblem:
         active set there as a tuple of 1-based indices in ascending order;
         both f(x) and `active` are None when x lies outside dom(h).  An
         entry is a function of xi alone and is written whole, once: each
-        distinct xi poses one LP and one evaluation of h per problem, and
-        two runs that fill one key at once write equal entries.  A point
-        binds h, g and C, not the problem, so no entry refers back to the
-        problem that holds it."""
+        distinct xi poses one LP per problem, and two runs that fill one
+        key at once write equal entries.  Two subgradients with one
+        minimizer share its point, registered in `_nodes`, so each distinct
+        node is one evaluation of h per problem.  A point binds h, g and C,
+        not the problem, so no entry refers back to the problem that holds
+        it."""
+        return {}
+
+    @cached_property
+    def _nodes(self) -> dict[Scaled, _Point]:
+        """The point of every bounded DCA node, keyed by the node scaled
+        (`_Point.scaled`); `dca._solve_node` registers each point as it
+        keeps the node in `_subproblems`.  It refers only to points that
+        `_subproblems` holds, so it adds no point and grows only with the
+        nodes."""
         return {}
 
     def _point(self, x: Sequence) -> _Point:
-        """x as a point of this problem's h, g and C (`_Point`)."""
-        return _Point(x, self.h, self.g, self.C)
+        """x as a point of this problem's h, g and C (`_Point`), the one
+        constructor of a problem's point: at a DCA node it is the node's
+        point (`_nodes`), so every reader there shares one evaluation per
+        problem, of h made when the node was solved and of g and C on
+        first read; anywhere else it is a new point."""
+        point = _Point(x, self.h, self.g, self.C)
+        return self._nodes.get(point.scaled, point)
 
     def objective_value(self, x: Sequence) -> ExtendedRational:
         """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""

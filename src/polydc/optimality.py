@@ -9,10 +9,13 @@ Three nested conditions are decided exactly at a feasible point x:
                without that interiority the classifier refuses to assert
                local optimality (stationarity failing still means "no").
 
-All three are decided from one evaluation of g, h and C at x, read from
-the point the problem makes there (`DcProblem._point`, `model._Point`),
-and the shifted values alpha_j of the linearized subproblems, which the
-problem computes once (`DcProblem._linearized`), by this lemma.  Write
+All three are decided from one evaluation of g, h and C at x and the
+shifted values alpha_j of the linearized subproblems, which the problem
+computes once (`DcProblem._linearized`), by the lemma below.  The
+evaluation is read from the point the problem makes at x
+(`DcProblem._point`, `model._Point`).  At a DCA node that is the node's
+point, kept with the node, so a check at a fixed point that DCA reached
+evaluates nothing again once g and C were read there.  Write
 phi = g + indicator(C).  For a piece j of h active at x, h(x) = h_j(x), so
 f(x) = phi(x) - v_j.x - beta_j >= alpha_j, the least value of
 phi - v_j.x - beta_j; equality holds exactly when x minimizes phi - v_j.x,

@@ -652,6 +652,32 @@ _LOCATED_ERRORS = {
         '{"subgradients": [[%s]]}' % _HUGE,
         f"script entry #0[0]: {_TOO_LONG}",
     ),
+    "huge table choice": (
+        None,
+        ["dca", "--x0", "2", "--rule", "table:{rule}"],
+        '{"entries": [{"active": [1], "choose": %s}]}' % _HUGE,
+        "table entry #0.choose: expected an integer, got "
+        f"'{'1' * 37}...{'1' * 38}'",
+    ),
+    "long table choice": (
+        None,
+        ["dca", "--x0", "2", "--rule", "table:{rule}"],
+        '{"entries": [{"active": [1], "choose": %s}]}' % ("1" * 200),
+        f"table entry #0.choose: piece {'1' * 38}...{'1' * 39}, but h has 3 pieces",
+    ),
+    "huge report value": (
+        _edited(
+            (("C",), None),
+            (
+                ("h", "pieces"),
+                [{"u": ["1000"], "alpha": "0"}, {"u": ["-1000"], "alpha": "0"}],
+            ),
+        ),
+        ["dca", "--x0", "1" + "0" * (_LIMIT - 1), "--max-iter", "0"],
+        None,
+        f"report value: Exceeds the limit ({_LIMIT} digits) for integer string "
+        "conversion",
+    ),
     "rule file syntax error": (
         None,
         ["dca", "--x0", "2", "--rule", "script:{rule}"],

@@ -28,7 +28,10 @@ from polydc import (
     SelectionRule,
     Termination,
     TerminationKind,
+    classify,
     is_critical,
+    is_local_solution,
+    is_stationary,
     lp_feasible,
     lp_solve,
     parse_problem,
@@ -1339,17 +1342,19 @@ def _counting_evaluations(monkeypatch, prob):
 
 def test_a_run_evaluates_h_once_per_node(monkeypatch):
     """A fresh run evaluates h at x0 and once per distinct node it solves;
-    a warm run evaluates h only at x0, under every `pick` rule and under
-    scripts: those replaying the index-rule runs, and one step of the mean
-    active gradient, which is validated by the weight LP at a kink.  A
-    warm run under a `pick` rule scales only x0; a script's vectors are
-    scaled as the keys of their nodes."""
+    a warm run evaluates h only at x0, and not even there when x0 is a
+    kept node, whose point the problem hands on (`DcProblem._point`),
+    under every `pick` rule and under scripts: those replaying the
+    index-rule runs, and one step of the mean active gradient, which is
+    validated by the weight LP at a kink.  A warm run under a `pick` rule
+    scales only x0; a script's vectors are scaled as the keys of their
+    nodes."""
     rng = random.Random(1931)
     problems = gens.bundled_problems()
     problems += [gens.random_dc_instance(rng) for _ in range(12)]
     problems += [_half_space_instance(rng) for _ in range(3)]
     problems += [_bounded_h_instance(rng) for _ in range(3)]
-    steps = weighed = 0
+    steps = weighed = at_node = 0
     for prob in problems:
         for x0 in _starts(rng, prob, 2):
             rules = [MinIndexActive(), MaxIndexActive(), _table(rng, prob)]
@@ -1364,27 +1369,32 @@ def test_a_run_evaluates_h_once_per_node(monkeypatch):
                 monkeypatch.undo()
                 bounded = [node for node in fresh._subproblems.values() if node]
                 assert evaluated[0] == model._scaled(tuple(x0))
-                assert sorted(evaluated[1:]) == sorted(n[0].scaled for n in bounded)
+                assert sorted(evaluated[1:]) == sorted({n[0].scaled for n in bounded})
                 assert trace == run(prob, x0, rule)
+                start = model._scaled(tuple(x0))
+                kept = {n[0].scaled for n in prob._subproblems.values() if n}
+                at_node += start in kept
                 evaluated, scaled = _counting_evaluations(monkeypatch, prob)
                 assert run(prob, x0, rule) == trace
                 monkeypatch.undo()
-                assert evaluated == [model._scaled(tuple(x0))]
+                assert evaluated == ([] if start in kept else [start])
                 assert scaled[0] == tuple(x0)
                 if not isinstance(rule, Scripted):
                     assert scaled == [tuple(x0)]
                     # the loop goes on to a script replaying this run
                     rules.append(Scripted(tuple(it.xi for it in trace.iterates)))
                 steps += len(trace.iterates) - 1
-    assert steps > 0 and weighed > 0
+    assert steps > 0 and weighed > 0 and at_node > 0
 
 
 def test_validate_trace_evaluates_each_point_once(monkeypatch):
     """`validate_trace` makes one point per distinct x of the trace: each
     function and set is evaluated at most once per point and call, also
-    at a fixed point, which the trace holds twice."""
+    at a fixed point, which the trace holds twice.  A point that is a kept
+    node is the node's point, evaluated by the first call that read it, so
+    a second call evaluates only the points that are not nodes."""
     rng = random.Random(1937)
-    repeated = 0
+    repeated = at_nodes = 0
     for prob in [gens.random_dc_instance(rng) for _ in range(15)]:
         for x0 in _starts(rng, prob, 2):
             trace = run(prob, x0, MinIndexActive())
@@ -1393,11 +1403,95 @@ def test_validate_trace_evaluates_each_point_once(monkeypatch):
             with monkeypatch.context() as patch:
                 calls = gens.count_evaluations(patch)
                 assert validate_trace(prob, xs, xis) == expected
-            assert expected.valid and max(calls.values()) == 1
+            assert expected.valid and set(calls.values()) <= {1}
             distinct = {model._scaled(x) for x in xs}
-            assert {point for _, point in calls} == distinct
+            kept = {n[0].scaled for n in prob._subproblems.values() if n}
+            assert {point for _, point in calls} == distinct - kept
             repeated += len(distinct) < len(xs)
-    assert repeated > 0
+            at_nodes += bool(distinct & kept)
+    assert repeated > 0 and at_nodes > 0
+
+
+def _warm_nodes(rng, prob):
+    """The bounded nodes of `prob` after runs from three starts under both
+    index rules, a script of mean active gradients where there is one, and
+    the graph of each index rule."""
+    for x0 in _starts(rng, prob, 3):
+        for rule in (MinIndexActive(), MaxIndexActive()):
+            run(prob, x0, rule)
+        if prob.h.domain.is_interior_point(x0):
+            run(prob, x0, Scripted((_mean_active_gradient(prob, x0),)))
+    for rule in (MinIndexActive(), MaxIndexActive()):
+        transition_graph(prob, rule)
+    return [node for node in prob._subproblems.values() if node]
+
+
+def test_the_registry_holds_the_points_of_the_bounded_nodes():
+    """`DcProblem._nodes` maps each bounded node, scaled, to the very point
+    `_subproblems` keeps for it, and to nothing else: two subgradients
+    with one minimizer share one point, and `_point` hands it on at the
+    node and makes a new point anywhere else."""
+    rng = random.Random(1939)
+    problems = gens.bundled_problems()
+    problems += [gens.random_dc_instance(rng) for _ in range(15)]
+    problems += [_half_space_instance(rng) for _ in range(3)]
+    shared = 0
+    for prob in problems:
+        bounded = _warm_nodes(rng, prob)
+        points = {id(node[0]): node[0] for node in bounded}
+        assert prob._nodes == {p.scaled: p for p in points.values()}
+        assert all(prob._nodes[node[0].scaled] is node[0] for node in bounded)
+        assert all(prob._point(p.x) is p for p in points.values())
+        shared += len(points) < len(bounded)
+        for x0 in _starts(rng, prob, 2):
+            point = prob._point(x0)
+            if point.scaled not in prob._nodes:
+                assert prob._point(x0) is not point
+        assert prob._nodes == {p.scaled: p for p in points.values()}
+    assert shared > 0
+
+
+def test_checks_at_warm_nodes_evaluate_nothing(monkeypatch):
+    """Once a node's point was read, `is_critical`, `is_stationary`,
+    `is_local_solution`, `classify` and the objective there make no
+    `MaxAffine._at` and no `PolyhedralSet._tight_rows` call, and give what
+    they give on a freshly parsed problem."""
+    rng = random.Random(1941)
+    checked = 0
+    for prob in [gens.random_dc_instance(rng) for _ in range(15)]:
+        nodes = [node[0].x for node in _warm_nodes(rng, prob) if node[2]]
+        checks = (
+            is_critical,
+            is_stationary,
+            is_local_solution,
+            classify,
+            DcProblem.objective_value,
+            DcProblem.finite_objective,
+        )
+        expected = [[check(prob, x) for check in checks] for x in nodes]
+        with monkeypatch.context() as patch:
+            calls = gens.count_evaluations(patch)
+            assert [[check(prob, x) for check in checks] for x in nodes] == expected
+        assert not calls
+        fresh = _copy(prob)
+        assert [[check(fresh, x) for check in checks] for x in nodes] == expected
+        checked += len(nodes)
+    assert checked > 0
+
+
+def test_least_node_value_is_the_global_value():
+    """For j in J*, the node y_j is a global minimizer: y_j lies in the
+    optimal face of j, inside C, and h >= h_j gives
+    f(y_j) <= alpha_j = alpha_bar, the least value of f on C.  So the
+    min-index graph's nodes of J* have value alpha_bar, and so has the
+    least node value, on every seeded problem."""
+    for seed in range(400):
+        prob = gens.random_dc_instance(random.Random(seed))
+        graph = transition_graph(prob, MinIndexActive())
+        alpha_bar, J_star, _ = structure.global_solutions(prob)
+        values = [node.value for node in graph.nodes]
+        assert {values[j - 1] for j in J_star} == {alpha_bar.value}
+        assert min(values) == alpha_bar.value
 
 
 @dataclasses.dataclass(frozen=True)
