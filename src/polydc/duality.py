@@ -13,8 +13,10 @@ subproblem of piece j (`structure._linearize`), which is the same epigraph
 LP and which the problem poses once (`DcProblem._linearized`).  h*(v_j) is
 a fact of h alone: it is solved once per function, one LP per distinct
 piece gradient (`MaxAffine._conjugate_at_gradients`), and the hypotheses
-are decided once per problem, so a repeated check poses no LP.  The public
-`dual_objective` poses its two conjugate LPs on every call.
+are decided once per problem.  The report itself is a fact of the problem
+(`DcProblem._dual_report`), built and checked once, so a repeated check
+poses no LP and does no arithmetic.  The public `dual_objective` poses its
+two conjugate LPs on every call.
 """
 
 from __future__ import annotations
@@ -44,9 +46,17 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
     """Compare the dual objective at every piece gradient of h against the
     primal optimal value alpha_bar.
 
-    Every candidate must score at least alpha_bar (weak duality, verified
-    exactly); a dip below it would indicate a bug and raises.  Some piece
-    gradient attains alpha_bar:
+    The report is the problem's own (`DcProblem._dual_report`), built and
+    checked once by `_dual_report`; a check that fails keeps nothing, so
+    `HypothesisNotMet` and `InternalCheckFailed` raise again on every call.
+    """
+    return prob._dual_report
+
+
+def _dual_report(prob: DcProblem) -> DualReport:
+    """The report of `toland_singer_check`, with every bound of the proof
+    below checked exactly for every piece j; a broken bound raises
+    `InternalCheckFailed` naming each piece that breaks one.
 
     * h >= h_j = v_j.x + beta_j on dom(h), so h*(v_j) <= -beta_j, and
       (g + indicator(C))*(v_j) = -omega_j with omega_j the unshifted value
@@ -54,39 +64,37 @@ def toland_singer_check(prob: DcProblem) -> DualReport:
       omega_j - beta_j = alpha_j, and -inf when omega_j is;
     * so the least dual value over the piece gradients is at most
       min_j alpha_j = alpha_bar, the primal value;
-    * weak duality gives the reverse inequality, so v_j attains alpha_bar
-      for every j in J*.
+    * weak duality gives the reverse inequality, so every candidate scores
+      at least alpha_bar and v_j attains alpha_bar for every j in J*.
 
     The report names v_j0 for j0 = min J*, a subgradient of h at every
     point w of j0's optimal face: by the lemma of `structure`, read at w,
     g(w) - h_i(w) = alpha_bar holds exactly for the pieces i active at w,
     and j0 is one of them; each such i has alpha_i <= alpha_bar, so it
-    lies in J*.  A check in which v_j0 misses alpha_bar raises.
+    lies in J*.
     """
     alpha_bar, J_star, _ = structure.global_solutions(prob)
 
     conjugate = prob.h._conjugate_at_gradients
     scored: dict[Vector, ExtendedRational] = {}
-    for (v, _), (unshifted, _) in zip(prob.h.pieces, prob._linearized):
-        if v in scored:
-            continue
+    broken = []
+    pieces = zip(prob.h.indices, prob.h.pieces, prob._linearized)
+    for j, (v, beta), (unshifted, shifted) in pieces:
         # (g + indicator(C))*(v) is minus the minimum of its epigraph LP,
         # +inf when that LP is unbounded
-        value = conjugate[v] - (-unshifted.value)
+        value = scored.setdefault(v, conjugate[v] - (-unshifted.value))
+        if conjugate[v] > ExtendedRational.finite(-beta):
+            broken.append(f"piece {j}: h*(v_j) = {conjugate[v]} > -beta_j = {-beta}")
         if value < alpha_bar:
-            raise InternalCheckFailed(
-                f"weak duality violated at {v}: {value} < {alpha_bar}"
-            )
-        scored[v] = value
-
-    attained = prob.h.piece(min(J_star))[0]
-    if scored[attained] != alpha_bar:
-        raise InternalCheckFailed(
-            f"the gradient of piece {min(J_star)} of J* does not attain the "
-            f"primal value alpha_bar = {alpha_bar}"
-        )
+            broken.append(f"piece {j}: weak duality violated, {value} < {alpha_bar}")
+        if value > shifted.value:
+            broken.append(f"piece {j}: dual value {value} > alpha_j = {shifted.value}")
+        if j in J_star and value != alpha_bar:
+            broken.append(f"piece {j} of J*: {value} misses alpha_bar = {alpha_bar}")
+    if broken:
+        raise InternalCheckFailed("; ".join(broken))
     return DualReport(
         primal_value=alpha_bar,
         candidates=tuple(scored.items()),
-        attained_at=attained,
+        attained_at=prob.h.piece(min(J_star))[0],
     )

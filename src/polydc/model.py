@@ -750,7 +750,11 @@ class _Point:
 
 @dataclass(frozen=True)
 class DcProblem:
-    """minimize f = g - h over C, with dom(g) meeting C (checked at load)."""
+    """minimize f = g - h over C, with dom(g) meeting C (checked at load).
+
+    The facts of the problem are kept on it, each decided on first use:
+    the linearizations, the hypotheses, the global solutions, the dual
+    report and the DCA nodes (the cached properties below)."""
 
     g: MaxAffine
     h: MaxAffine
@@ -800,6 +804,22 @@ class DcProblem:
         from .structure import _hypothesis_violation  # deferred, as above
 
         return _hypothesis_violation(self)
+
+    @cached_property
+    def _global_solutions(self) -> tuple:
+        """`structure.global_solutions` of this problem, decided once on first
+        use; a build that raises keeps nothing and raises again next call."""
+        from .structure import _global_solutions  # deferred, as above
+
+        return _global_solutions(self)
+
+    @cached_property
+    def _dual_report(self):
+        """`duality.toland_singer_check` of this problem, built once on first
+        use, as `_global_solutions`."""
+        from .duality import _dual_report  # deferred, as above
+
+        return _dual_report(self)
 
     @cached_property
     def _subproblems(self) -> dict[Scaled, Optional[tuple]]:

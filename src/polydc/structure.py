@@ -314,10 +314,19 @@ def global_solutions(
     """Optimal value, minimizing piece indices, and their optimal faces.
 
     When some linearized subproblem is unbounded the DC program is
-    unbounded: the value is -inf and the solution set is empty.  The
-    hypotheses and the linearizations are the problem's own, decided and
-    posed once (`DcProblem._hypothesis_violation`, `DcProblem._linearized`).
+    unbounded: the value is -inf and the solution set is empty.  The triple
+    is a fact of the problem (`DcProblem._global_solutions`), built once by
+    `_global_solutions` from the problem's own hypotheses and
+    linearizations (`DcProblem._hypothesis_violation`,
+    `DcProblem._linearized`); a later call poses no LP, and a problem that
+    breaks the hypotheses raises the same `HypothesisNotMet` on every call.
     """
+    return prob._global_solutions
+
+
+def _global_solutions(prob: DcProblem) -> tuple:
+    """The triple of `global_solutions`, decided from the problem's kept
+    verdicts and linearizations."""
     check_structure_hypotheses(prob)
     results = [shifted for _, shifted in prob._linearized]
     alpha_bar = min(r.value for r in results)

@@ -93,6 +93,25 @@ def count_evaluations(monkeypatch) -> collections.Counter:
     return calls
 
 
+def count_work(monkeypatch) -> collections.Counter:
+    """A Counter, filled while the patch holds, of the LPs posed (key
+    "lps", the `exactlp._Rows.start` calls every solve makes) and of the
+    calls of `MaxAffine._at` and `PolyhedralSet._tight_rows`."""
+    calls = collections.Counter()
+    for key, owner, name in (
+        ("lps", exactlp._Rows, "start"),
+        ("_at", MaxAffine, "_at"),
+        ("_tight_rows", PolyhedralSet, "_tight_rows"),
+    ):
+
+        def counting(*args, _original=getattr(owner, name), _key=key):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def bundled_problems() -> list[DcProblem]:
     """The example documents in problems/, parsed, in file-name order."""
     return [
@@ -710,6 +729,67 @@ def random_half_space_instance(rng: random.Random, n_max: int = 2) -> DcProblem:
         (tuple(Fraction(-int(k == i)) for k in range(n)), -lo[i]) for i in range(n)
     )
     return DcProblem(g=prob.g, h=prob.h, C=PolyhedralSet(n, inequalities=rows))
+
+
+def cell_instance(n: int, q: int) -> DcProblem:
+    """An instance whose optimal faces are mostly cells, not points.
+
+    Drawn from `random.Random(7)`, afresh for each (n, q): C = [-2, 2]^n;
+    h draws gradients with entries in -6..6 until q are distinct, sorts
+    them and then draws one offset in -2..2 for each, in order; g has one
+    piece per piece of h, with its gradient and its offset plus 0 or 1.
+    So g - h_j is flat where g's copy of v_j is active.
+    """
+    if q > 13**n:
+        raise ValueError(f"only {13**n} gradients have entries in -6..6")
+    rng = random.Random(7)
+    gradients = set()
+    while len(gradients) < q:
+        gradients.add(tuple(Fraction(rng.randint(-6, 6)) for _ in range(n)))
+    h = [(v, Fraction(rng.randint(-2, 2))) for v in sorted(gradients)]
+    g = [(v, beta + rng.randint(0, 1)) for v, beta in h]
+    return DcProblem(
+        g=MaxAffine.from_pieces(g, n),
+        h=MaxAffine.from_pieces(h, n),
+        C=PolyhedralSet.box([Fraction(-2)] * n, [Fraction(2)] * n),
+    )
+
+
+def reference_global_value(prob: DcProblem):
+    """(alpha_bar, minimizers): the least f over the vertices of g's cells
+    in C, and the vertices that attain it, in ascending order.
+
+    On the cell K_i = {x in C : g_i(x) >= g_k(x) for every k} of g,
+    f = g_i - h is concave, so over a bounded C its minimum on the cell is
+    reached at a vertex of the cell, and the cells cover C.  Each vertex
+    solves n of the cell's rows as equalities (`solve_square`) and
+    satisfies the others; f is evaluated piece by piece.  No LP is posed.
+    Needs a bounded C without equality rows and whole-space domains.
+    """
+    assert prob.g.domain.is_whole_space and prob.h.domain.is_whole_space
+    assert not prob.C.equalities
+    n = prob.dimension
+
+    def f(x):
+        def value(pieces):
+            return max(dot(u, x) + alpha for u, alpha in pieces)
+
+        return value(prob.g.pieces) - value(prob.h.pieces)
+
+    values = {}
+    for u, alpha in prob.g.pieces:
+        rows = list(prob.C.inequalities)  # and g_k <= g_i for each other k
+        rows += [
+            (tuple(a - b for a, b in zip(w, u)), alpha - beta)
+            for w, beta in prob.g.pieces
+            if (w, beta) != (u, alpha)
+        ]
+        for system in itertools.combinations(rows, n):
+            x = solve_square([a for a, _ in system], [b for _, b in system], n)
+            if x is not None and all(dot(a, x) <= b for a, b in rows):
+                values[x] = f(x)
+    alpha_bar = min(values.values())
+    return alpha_bar, sorted(x for x, value in values.items() if value == alpha_bar)
 
 
 def random_grid_instance(rng: random.Random) -> DcProblem:

@@ -19,8 +19,10 @@ from polydc import (
     toland_singer_check,
 )
 from polydc import exactlp, model, structure
+from polydc.cli import parse_problem, serialize_problem
 from polydc.exactlp import ExtendedRational, dot, lp_solve
 from polydc.model import InternalCheckFailed
+from polydc.structure import HypothesisNotMet, global_solutions, solve_linearization
 
 import gens
 from gens import vec
@@ -179,6 +181,101 @@ class TestTolandSinger:
         monkeypatch.setattr(MaxAffine, "conjugate_value", raised)
         with pytest.raises(InternalCheckFailed, match="alpha_bar = -2"):
             toland_singer_check(prob)
+
+
+class TestKeptReport:
+    """The report is a fact of the problem, built and checked once
+    (`DcProblem._dual_report`); a check that raises keeps nothing."""
+
+    def test_a_repeated_check_reads_the_kept_report(self, monkeypatch):
+        # the second check poses no LP and evaluates nothing, and the
+        # report equals that of a freshly parsed copy
+        rng = random.Random(2621)
+        problems = [gens.random_dc_instance(rng) for _ in range(40)]
+        reports = [toland_singer_check(prob) for prob in problems]
+        work = gens.count_work(monkeypatch)
+        for prob, report in zip(problems, reports):
+            assert toland_singer_check(prob) is report
+        assert not work
+        monkeypatch.undo()
+        for prob, report in zip(problems, reports):
+            copy = parse_problem(serialize_problem(prob))
+            assert toland_singer_check(copy) == report
+
+    def test_a_hypothesis_violation_raises_on_every_call(self):
+        # dom h = C: C is not inside the interior of dom h
+        C = PolyhedralSet.box([F(-2)], [F(3)])
+        h = MaxAffine.from_pieces(
+            [(vec(1), F(0)), (vec(-1), F(0))], 1, domain=C
+        )
+        prob = DcProblem(g=MaxAffine.constant(0, 1), h=h, C=C)
+        for entry in (toland_singer_check, global_solutions):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(HypothesisNotMet) as info:
+                    entry(prob)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+            assert "interior of dom(h)" in messages[0]
+        assert "_dual_report" not in vars(prob)
+        assert "_global_solutions" not in vars(prob)
+
+    def test_a_planted_violation_raises_on_every_call(
+        self, interval_problem, monkeypatch
+    ):
+        # h*(0) lowered by 10 puts the dual value at piece 2's gradient
+        # below alpha_bar = -2: the check names piece 2 on every call and
+        # keeps no report, and the true table gives the true report
+        prob = interval_problem
+        table = dict(prob.h._conjugate_at_gradients)
+        table[vec(0)] = table[vec(0)] - ExtendedRational.finite(10)
+        monkeypatch.setitem(vars(prob.h), "_conjugate_at_gradients", table)
+        for _ in range(2):
+            with pytest.raises(InternalCheckFailed) as info:
+                toland_singer_check(prob)
+            assert str(info.value) == "piece 2: weak duality violated, -10 < -2"
+        assert "_dual_report" not in vars(prob)
+        monkeypatch.undo()
+        copy = parse_problem(serialize_problem(prob))
+        assert toland_singer_check(prob) == toland_singer_check(copy)
+
+    def test_a_raised_conjugate_breaks_the_bounds_of_each_piece(
+        self, interval_problem, monkeypatch
+    ):
+        # h*(v_j) = -beta_j on every piece here, so raising it by 1 breaks
+        # h*(v_j) <= -beta_j and dual(v_j) <= alpha_j for each j, and J*'s
+        # attainment for j = 3; the message names every broken bound
+        prob = interval_problem
+        table = {
+            v: value + ExtendedRational.finite(1)
+            for v, value in prob.h._conjugate_at_gradients.items()
+        }
+        monkeypatch.setitem(vars(prob.h), "_conjugate_at_gradients", table)
+        with pytest.raises(InternalCheckFailed) as info:
+            toland_singer_check(prob)
+        broken = str(info.value).split("; ")
+        assert [b.split(":")[0] for b in broken] == [
+            "piece 1", "piece 1", "piece 2", "piece 2",
+            "piece 3", "piece 3", "piece 3 of J*",
+        ]
+        assert broken[-1] == "piece 3 of J*: -1 misses alpha_bar = -2"
+
+    def test_every_bound_of_the_proof_holds_on_seeded_instances(self):
+        # from outside, each conjugate by its own LP: h*(v_j) <= -beta_j
+        # and alpha_bar <= dual(v_j) <= alpha_j for every piece j, with
+        # equality on J*, and the report scores v_j with dual(v_j)
+        for s in range(1000):
+            prob = gens.random_dc_instance(random.Random(s))
+            alpha_bar, J_star, _ = global_solutions(prob)
+            scored = dict(toland_singer_check(prob).candidates)
+            for j in prob.h.indices:
+                v, beta = prob.h.piece(j)
+                h_star = prob.h.conjugate_value(v)
+                dual = h_star - prob.g_plus_indicator.conjugate_value(v)
+                assert h_star <= ExtendedRational.finite(-beta)
+                assert alpha_bar <= dual <= solve_linearization(prob, j).value
+                assert j not in J_star or dual == alpha_bar
+                assert scored[v] == dual
 
 
 def _reference_report(prob, max_iter=200):

@@ -12,7 +12,9 @@ import pytest
 
 from polydc import (
     DcProblem,
+    GlobalStatus,
     MaxAffine,
+    MinIndexActive,
     MINUS_INF,
     OutsideDomain,
     PolyhedralSet,
@@ -21,10 +23,11 @@ from polydc import (
     grid_cross_check,
     is_critical,
     is_stationary,
+    run,
     toland_singer_check,
 )
 from polydc import exactlp, model, structure
-from polydc.cli import parse_problem
+from polydc.cli import parse_problem, serialize_problem
 from polydc.exactlp import ExtendedRational, dot, vneg, vsub
 from polydc.structure import (
     EnumerationCapExceeded,
@@ -985,6 +988,57 @@ class TestMembershipEvaluatesDomHOnce:
         assert len(calls) == inside  # 86 when dom h was checked twice
 
 
+class TestKeptGlobalSolutions:
+    """The triple of `global_solutions` is a fact of the problem, decided
+    once (`DcProblem._global_solutions`), and `classify` reads it."""
+
+    def test_a_repeated_call_reads_the_kept_triple(self, monkeypatch):
+        # after a first call, global_solutions and classify with the
+        # global verdict at a DCA node (whose point the problem keeps) pose
+        # no LP and evaluate nothing; both equal a freshly parsed copy's
+        rng = random.Random(2612)
+        cases = []
+        for _ in range(40):
+            prob = gens.random_dc_instance(rng)
+            lo, _ = prob.C.bounding_box()
+            node = run(prob, lo, MinIndexActive()).final_point
+            first = global_solutions(prob), classify(prob, node, compute_global=True)
+            cases.append((prob, node, first))
+        work = gens.count_work(monkeypatch)
+        for prob, node, (triple, verdict) in cases:
+            assert global_solutions(prob) is triple
+            assert classify(prob, node, compute_global=True) == verdict
+        assert not work
+        monkeypatch.undo()
+        for prob, node, first in cases:
+            copy = parse_problem(serialize_problem(prob))
+            assert first == (
+                global_solutions(copy),
+                classify(copy, node, compute_global=True),
+            )
+
+    def test_the_global_verdict_adds_no_work_to_classify(self, monkeypatch):
+        # at C's corners and at the face witnesses, which are no DCA nodes,
+        # classify evaluates the point afresh, and the global verdict adds
+        # no LP and no evaluation to that
+        rng = random.Random(2613)
+        problems = [gens.random_dc_instance(rng) for _ in range(30)]
+        cases = []
+        for prob in problems:
+            triple = global_solutions(prob)
+            cases += [(prob, x) for x in prob.C.bounding_box()]
+            cases += [(prob, r.witness) for r in triple[2]]
+        work = gens.count_work(monkeypatch)
+        for prob, x in cases:
+            work.clear()
+            classify(prob, x)
+            without = dict(work)
+            work.clear()
+            verdict = classify(prob, x, compute_global=True)
+            assert dict(work) == without
+            assert verdict.global_ is not GlobalStatus.NOT_COMPUTED
+
+
 class TestOneCheckOneLinearization:
     """solution_structure checks the hypotheses once, and one epigraph LP
     per piece of h is solved once per problem, for the global and the local
@@ -1485,6 +1539,37 @@ class TestRandomConsistency:
                     path = segment_path(prob, pieces, witnesses[0], witnesses[-1])
                     assert path is not None
         assert saw_multi
+
+
+class TestGlobalValueFromCellVertices:
+    """alpha_bar by the paper's second case, g and C polyhedral: the least f
+    over the vertices of g's cells in C (`gens.reference_global_value`),
+    which shares no LP with the linearizations of h's pieces."""
+
+    def _check(self, prob):
+        """The value agrees, and every minimizing vertex is a global
+        solution whose active pieces of h lie in J* and whose face holds
+        it (the face lemma: f = alpha_j there)."""
+        alpha_bar, J_star, results = global_solutions(prob)
+        value, minimizers = gens.reference_global_value(prob)
+        assert alpha_bar == ExtendedRational.finite(value)
+        face_of = {r.piece: r.face for r in results}
+        for x in minimizers:
+            verdict = classify(prob, x, compute_global=True)
+            assert verdict.global_ is GlobalStatus.YES
+            active = prob.h.active_indices(x)
+            assert active <= J_star
+            assert all(face_of[j].contains(x) for j in active)
+
+    def test_seeded_instances(self):
+        for s in range(1000):
+            self._check(gens.random_dc_instance(random.Random(s)))
+
+    def test_cell_instances(self):
+        # most optimal faces are cells here, not points
+        for n, q_max in ((2, 16), (3, 14)):
+            for q in range(1, q_max + 1):
+                self._check(gens.cell_instance(n, q))
 
 
 class TestSolutionStructure:
