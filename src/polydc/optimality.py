@@ -4,10 +4,9 @@ Three nested conditions are decided exactly at a feasible point x:
 
 * critical:    the subdifferentials of h and of g + indicator(C) intersect;
 * stationary:  the subdifferential of h is contained in that of
-               g + indicator(C) (necessary for local optimality);
-* local:       equivalent to stationary when x is interior to dom(h);
-               without that interiority the classifier refuses to assert
-               local optimality (stationarity failing still means "no").
+               g + indicator(C);
+* local:       x is a local solution, which for polyhedral data is exactly
+               stationarity (the theorem below), at every feasible point.
 
 All three are decided from one evaluation of g, h and C at x and the
 shifted values alpha_j of the linearized subproblems, which the problem
@@ -16,25 +15,41 @@ evaluation is read from the point the problem makes at x
 (`DcProblem._point`, `model._Point`).  At a DCA node that is the node's
 point, kept with the node, so a check at a fixed point that DCA reached
 evaluates nothing again once g and C were read there.  Write
-phi = g + indicator(C).  For a piece j of h active at x, h(x) = h_j(x), so
-f(x) = phi(x) - v_j.x - beta_j >= alpha_j, the least value of
-phi - v_j.x - beta_j; equality holds exactly when x minimizes phi - v_j.x,
-that is when x lies in the optimal face Omega_j, that is when v_j is in the
-subdifferential of phi at x.  And v_j is in that of h for every active j.
-So, with no LP:
+phi = g + indicator(C) and D = dom phi = C ∩ dom g.  For a piece j of h
+active at x, h(x) = h_j(x), so f(x) = phi(x) - v_j.x - beta_j >= alpha_j,
+the least value of phi - v_j.x - beta_j; equality holds exactly when x
+minimizes phi - v_j.x, that is when x lies in the optimal face Omega_j,
+that is when v_j is in the subdifferential of phi at x.  And v_j is in
+that of h for every active j.  So:
 
 * x is critical when f(x) = alpha_j for some active j;
-* at a point interior to dom(h), the subdifferential of h is the hull of
-  the active v_j, and a convex set holds a hull exactly when it holds its
-  points: x is stationary exactly when f(x) = alpha_j for every active j.
+* the subdifferential of h at x is the hull of the active v_j plus the
+  normal cone N_{dom h}(x), and the subdifferential of phi, a polyhedral
+  function, has the recession cone N_D(x).  A convex set holds a hull
+  exactly when it holds its points, so x is stationary exactly when
+  f(x) = alpha_j for every active j and, off the interior of dom h, each
+  generator of N_{dom h}(x) (its tight rows and both signs of a basis of
+  its equality rows) lies in N_D(x): at most one recession LP per
+  generator, and none inside dom h or where a face misses x.
 
-f(x) is compared with alpha_j on integers (`_on_faces`).  Every other case
-(no active face holds x, or stationarity on the boundary of dom(h)) is
-decided on one pair of subdifferentials, built by `_subdifferentials` from
-the same evaluation, by rational LPs over generator weights.  `classify`,
-`is_critical`, `is_stationary` and `is_local_solution` (which returns
-`classify`'s verdict) share that one path, and a caller that holds the
-point already hands it to `_classify`.
+Theorem (the polyhedral case of Pham Dinh Tao and Le Thi Hoai An, 1997):
+x is a local solution exactly when it is stationary.  Local implies
+stationary for any convex g and h.  Conversely, let x be stationary and I
+its active pieces.  N_{dom h}(x) lies in N_D(x), so by polarity the
+tangent cone T_D(x) lies in T_{dom h}(x); a polyhedral set agrees with x
+plus its tangent cone near x, so near x, D lies in dom h and h is the
+maximum of h_j over j in I.  Each v_j is in the subdifferential of phi at
+x, so phi(y) - h_j(y) >= phi(x) - h_j(x) = f(x) for every y, and near x
+f(y) = min over j in I of (phi - h_j)(y) >= f(x).  No interiority
+hypothesis is used.
+
+f(x) is compared with alpha_j on integers (`_on_faces`).  Criticality
+where no active face holds x is decided on one pair of subdifferentials,
+built by `_subdifferentials` from the same evaluation, by an LP over
+generator weights; so are the recession tests of stationarity.
+`classify`, `is_critical`, `is_stationary` and `is_local_solution` (which
+returns `classify`'s verdict) share that one path, and a caller that
+holds the point already hands it to `_classify`.
 """
 
 from __future__ import annotations
@@ -43,13 +58,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .model import ConvexBody, DcProblem, OutsideDomain, _Point
+from .exactlp import vneg
+from .model import ConvexBody, DcProblem, InternalCheckFailed, OutsideDomain, _Point
 
 
 class LocalStatus(Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN_HYPOTHESIS_NOT_MET = "unknown-hypothesis-not-met"
 
 
 class GlobalStatus(Enum):
@@ -60,7 +75,8 @@ class GlobalStatus(Enum):
 
 @dataclass(frozen=True)
 class HypothesisFlags:
-    """Which interiority hypotheses held at the classified point."""
+    """Whether the classified point is interior to dom g and to dom h:
+    reported facts, on which no verdict depends."""
 
     interior_dom_g: bool
     interior_dom_h: bool
@@ -133,12 +149,14 @@ def _critical(prob: DcProblem, point: _Point, on_face: list[bool]) -> bool:
 
 
 def _stationary(prob: DcProblem, point: _Point, on_face: list[bool]) -> bool:
-    """Stationary by the lemma at a point interior to dom h, else by the
-    weight LPs of containment."""
-    if prob.h.domain._is_interior(point.h[2]):
+    """Stationary when every active face holds the point (the lemma) and,
+    off the interior of dom h, each generator of N_{dom h}(x) lies in the
+    recession cone of the subdifferential of g + indicator(C)."""
+    if not all(on_face) or prob.h.domain._is_interior(point.h[2]):
         return all(on_face)
     dh, dgc = _subdifferentials(prob, point)
-    return dh.issubset(dgc)
+    normals = dh.rays + tuple(r for l in dh.lineality for r in (l, vneg(l)))
+    return all(dgc.recession_contains(r) for r in normals)
 
 
 def is_critical(prob: DcProblem, x: Sequence) -> bool:
@@ -168,11 +186,12 @@ def classify(
     from that evaluation: by the lemma (module docstring) where it
     applies, else on the one pair of subdifferentials it gives.
 
+    local is YES exactly when x is stationary (module docstring); the
+    hypothesis flags are reported facts, on which no verdict depends.
     With compute_global the global solution value is obtained from the
     solution-set decomposition and compared with f(x), read from the same
-    evaluation; a point achieving the optimal value is upgraded to
-    local=YES even when the interiority hypothesis failed, since global
-    minimizers are local minimizers unconditionally.
+    evaluation; a global solution is local, so one that is not stationary
+    raises InternalCheckFailed.
     """
     return _classify(prob, prob._point(x), compute_global)
 
@@ -190,18 +209,16 @@ def _classify(
     )
     feasible = not (at_g is None or at_h is None or point.C is None)
     critical = stationary = False
-    local = LocalStatus.NO
     if feasible:
         on_face = _on_faces(prob, point)
         critical = _critical(prob, point, on_face)
-        stationary = critical and _stationary(prob, point, on_face)
-    if stationary and flags.interior_dom_h:
-        local = LocalStatus.YES
-    elif stationary:
-        local = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+        stationary = _stationary(prob, point, on_face)
+    local = LocalStatus.YES if stationary else LocalStatus.NO
     global_ = GlobalStatus.NO if compute_global else GlobalStatus.NOT_COMPUTED
-    if compute_global and feasible:
+    if compute_global and feasible:  # f(x) is finite here
         alpha_bar, _, _ = structure.global_solutions(prob)
-        if alpha_bar.is_finite and point.objective == alpha_bar:
-            global_, local = GlobalStatus.YES, LocalStatus.YES
+        global_ = GlobalStatus.YES if point.objective == alpha_bar else global_
+    if global_ is GlobalStatus.YES and not stationary:  # global => stationary
+        at = ", ".join(map(str, point.x))
+        raise InternalCheckFailed(f"global solution ({at}) is not stationary")
     return Classification(feasible, critical, stationary, local, global_, flags)

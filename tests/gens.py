@@ -405,16 +405,71 @@ def reference_local_pieces(prob: DcProblem):
 
 
 # ---------------------------------------------------------------------------
-# the point classifier by weight LPs alone
+# the point classifier by weight LPs and direction LPs alone
+
+_solve = exactlp.lp_solve  # as imported: see `reference_local`
+
+
+def reference_local(prob, x) -> bool:
+    """Whether x, a point of C, dom g and dom h, is a local solution, by
+    direction LPs over d in T_D(x) ∩ [-1, 1]^n, D = C ∩ dom g: the rows of
+    C and dom g tight at x, as equalities or inequalities through 0, and
+    the box.  Near x, x + t d stays in D exactly for such d (scaled), and
+    g, h and f move by t times their directional derivatives there, so x
+    is local exactly when
+    * no such d leaves dom h: for each generator of its normal cone at x
+      (each tight row, and each equality row with either sign), one LP
+      shows that the generator's maximum over those d is 0; and
+    * for each active piece j of h, one LP over (d, t) shows that the
+      least t - v_j.d with t >= u_i.d, for each active piece i of g, is 0.
+    It reads no optimal face and no weight LP.  Its LPs are solved by
+    `exactlp.lp_solve` as imported, so a test that records the package's
+    LPs by patching the module does not record them."""
+    n = prob.dimension
+    x = tuple(Fraction(c) for c in x)
+    origin = Fraction(0)
+    equalities = [(a, origin) for S in (prob.C, prob.g.domain) for a, _ in S.equalities]
+    inequalities = [
+        (a, origin)
+        for S in (prob.C, prob.g.domain)
+        for a, b in S.inequalities
+        if dot(a, x) == b
+    ]
+    for k in range(n):
+        inequalities += [(_unit(n, k, 1), Fraction(1)), (_unit(n, k, -1), Fraction(1))]
+    dom_h = prob.h.domain
+    normals = [a for a, b in dom_h.inequalities if dot(a, x) == b]
+    normals += [tuple(s * c for c in a) for a, _ in dom_h.equalities for s in (1, -1)]
+    for a in normals:  # max a.d is -(min -a.d)
+        lp = LinearProgram(tuple(-c for c in a), equalities, inequalities, n)
+        if _solve(lp).value != 0:
+            return False
+
+    def active(f):
+        values = [dot(u, x) + alpha for u, alpha in f.pieces]
+        return [u for (u, _), v in zip(f.pieces, values) if v == max(values)]
+
+    # the rows above with t's coefficient 0, then t >= u_i.d
+    lifted = [(a + (origin,), b) for a, b in inequalities]
+    lifted += [(u + (Fraction(-1),), origin) for u in active(prob.g)]
+    lifted_equalities = [(a + (origin,), b) for a, b in equalities]
+    for v in active(prob.h):
+        objective = tuple(-c for c in v) + (Fraction(1),)
+        lp = LinearProgram(objective, lifted_equalities, lifted, n + 1)
+        if _solve(lp).value != 0:
+            return False
+    return True
 
 
 def reference_classify(prob, x):
-    """`optimality.classify` by generator-weight LPs alone, the route it
-    took before it read the optimal faces: each set and function evaluated
-    row by row and piece by piece on its own, the subdifferential of g plus
-    the normal cone of C by `minkowski_sum`, critical by one intersection
-    LP and stationary by containment LPs.  It reads no linearization, so
-    it is an oracle independent of the lemma the classifiers use."""
+    """`optimality.classify` by generator-weight LPs and direction LPs
+    alone, the route it took before it read the optimal faces: each set
+    and function evaluated row by row and piece by piece on its own, the
+    subdifferential of g plus the normal cone of C by `minkowski_sum`,
+    critical by one intersection LP, stationary by containment LPs (posed
+    whether or not x is critical) and local by `reference_local`.  It
+    reads no linearization, so it is an oracle independent of the lemma
+    the classifiers use, and no verdict is derived from another."""
     n = prob.dimension
     x = tuple(Fraction(c) for c in x)
 
@@ -455,13 +510,8 @@ def reference_classify(prob, x):
     dh = subdifferential(prob.h)
     dgc = subdifferential(prob.g).minkowski_sum(normal_cone(prob.C))
     critical = dh.intersection_witness(dgc) is not None
-    stationary = critical and dh.issubset(dgc)
-    if not stationary:
-        local = LocalStatus.NO
-    elif flags.interior_dom_h:
-        local = LocalStatus.YES
-    else:
-        local = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+    stationary = dh.issubset(dgc)
+    local = LocalStatus.YES if reference_local(prob, x) else LocalStatus.NO
     return Classification(
         True, critical, stationary, local, GlobalStatus.NOT_COMPUTED, flags
     )
@@ -729,6 +779,51 @@ def random_half_space_instance(rng: random.Random, n_max: int = 2) -> DcProblem:
         (tuple(Fraction(-int(k == i)) for k in range(n)), -lo[i]) for i in range(n)
     )
     return DcProblem(g=prob.g, h=prob.h, C=PolyhedralSet(n, inequalities=rows))
+
+
+def probes(prob: DcProblem) -> list:
+    """Points of C's bounding box at quarter steps, one step beyond it on
+    each side: interior, boundary and outside points."""
+    lo, hi = prob.C.bounding_box()
+    axes = [
+        [l + Fraction(k, 4) * (u - l) for k in range(-1, 6)] for l, u in zip(lo, hi)
+    ]
+    return list(itertools.product(*axes))
+
+
+def with_domains(rng: random.Random, prob: DcProblem) -> DcProblem:
+    """`prob` with inequality and equality rows in dom g, dom h and C.
+
+    Each row passes through a probe point (`probes`), so some probes sit
+    on its boundary; dom g and C keep the centre of C's box, so they meet.
+    """
+    n = prob.dimension
+    points = probes(prob)
+    lo, hi = prob.C.bounding_box()
+    centre = tuple((l + u) / 2 for l, u in zip(lo, hi))
+
+    def halfspace():
+        a = tuple(Fraction(rng.randint(-1, 1)) for _ in range(n))
+        b = dot(a, rng.choice(points))
+        if dot(a, centre) > b:
+            a, b = tuple(-c for c in a), -b
+        return a, b
+
+    def equality():
+        a = tuple(Fraction(rng.randint(-1, 1)) for _ in range(n))
+        return a, dot(a, centre)
+
+    def domain():
+        rows = [halfspace() for _ in range(rng.randint(0, 2))]
+        eqs = [equality()] if n == 2 and rng.random() < 0.3 else []
+        return PolyhedralSet(n, equalities=tuple(eqs), inequalities=tuple(rows))
+
+    C = prob.C.intersect(domain())
+    return DcProblem(
+        g=MaxAffine(prob.g.pieces, domain()),
+        h=MaxAffine(prob.h.pieces, domain()),
+        C=C,
+    )
 
 
 def cell_instance(n: int, q: int) -> DcProblem:

@@ -132,6 +132,25 @@ def test_general_instances_check_out():
         assert report.ok, (prob, report.failures[:3])
 
 
+def test_proper_domains_check_out(monkeypatch):
+    # rows of dom g, dom h and C through quarter-grid points: the grid
+    # checks every verdict, and the local-minimum oracle meets points that
+    # are local solutions on the boundary of dom h
+    verdicts = []
+    _patched(monkeypatch, lambda x, result: verdicts.append(result) or result)
+    rng = random.Random(2703)
+    proper = 0  # problems whose dom g and dom h both have rows; C always has
+    while proper < 60:
+        prob = gens.with_domains(rng, gens.random_dc_instance(rng, n_max=2))
+        proper += not (prob.g.domain.is_whole_space or prob.h.domain.is_whole_space)
+        report = grid_cross_check(prob, F(1, 4))
+        assert report.ok, (prob, report.failures[:3])
+    assert any(
+        v.local is LocalStatus.YES and not v.hypothesis_flags.interior_dom_h
+        for v in verdicts
+    )
+
+
 def _patched(monkeypatch, wrong):
     """gridcheck's classifier with `wrong(x, result)` applied; it is handed
     the point of x (`model._Point`)."""

@@ -1,5 +1,7 @@
 """Classifiers: critical / stationary / local / global, and their chain."""
 
+import collections
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -26,7 +28,8 @@ from polydc import (
     run,
     solve_linearization,
 )
-from polydc import exactlp, model, structure
+from polydc import InternalCheckFailed, exactlp, model, optimality, structure
+from polydc.cli import main
 from polydc.exactlp import dot, row_space_basis
 
 import gens
@@ -135,9 +138,9 @@ class TestLocal:
         assert is_local_solution(interval_problem, vec(-2)) is LocalStatus.YES
         assert is_local_solution(interval_problem, vec(-1)) is LocalStatus.NO
 
-    def test_boundary_of_dom_h_gives_unknown(self):
-        # h finite only on [0, oo); at 0 stationarity holds but the
-        # interiority hypothesis fails, so no local claim is made
+    def test_boundary_of_dom_h_gives_a_definite_verdict(self):
+        # h finite only on [0, oo); at 0 stationarity holds although 0 is
+        # not interior to dom h, and f = 0 on C, so 0 is a local solution
         dom_h = PolyhedralSet(1, inequalities=((vec(-1), F(0)),))
         prob = DcProblem(
             g=MaxAffine.constant(0, 1),
@@ -145,7 +148,14 @@ class TestLocal:
             C=PolyhedralSet.box([F(0)], [F(1)]),
         )
         assert is_stationary(prob, vec(0))
-        assert is_local_solution(prob, vec(0)) is LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
+        assert is_local_solution(prob, vec(0)) is LocalStatus.YES
+        # on C = [-1, 1] the face of h's piece still holds 0, but f = -oo
+        # left of 0, outside dom h: the normal cone of dom h at 0 is not
+        # in that of C, so 0 is neither stationary nor local
+        wider = dataclasses.replace(prob, C=PolyhedralSet.box([F(-1)], [F(1)]))
+        assert is_critical(wider, vec(0))
+        assert not is_stationary(wider, vec(0))
+        assert is_local_solution(wider, vec(0)) is LocalStatus.NO
         # stationarity failing still yields a definite "no", even at a
         # boundary point of dom(h): here f = -x decreases through 0
         sloped = DcProblem(
@@ -208,6 +218,28 @@ class TestClassify:
             c = classify(prob, x, compute_global=True)
             if c.global_ is GlobalStatus.YES:
                 assert c.local is LocalStatus.YES
+
+    def test_a_global_solution_called_not_stationary_raises(self, monkeypatch, capsys):
+        # a planted defect: stationarity denied at the global solution 3 of
+        # the bundled interval problem.  global => local => stationary is
+        # checked, so the report names the point instead of upgrading it
+        path = gens.PROBLEMS / "interval.json"
+        prob = gens.parse_problem(path.read_text(encoding="utf-8"))
+        original = optimality._stationary
+
+        def denied_at_3(prob, point, on_face):
+            return point.x != vec(3) and original(prob, point, on_face)
+
+        monkeypatch.setattr(optimality, "_stationary", denied_at_3)
+        with pytest.raises(InternalCheckFailed, match=r"^global solution \(3\) is"):
+            classify(prob, vec(3), compute_global=True)
+        assert classify(prob, vec(3)).local is LocalStatus.NO  # no check asked
+        assert classify(prob, vec(-2), compute_global=True).local is LocalStatus.YES
+        argv = ["classify", "--problem", str(path), "--point", "3", "--global"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: global solution (3) is not stationary\n"
+        )
 
 
     def test_global_reads_f_from_the_same_point(self, monkeypatch):
@@ -315,51 +347,6 @@ class TestTwoRouteEquivalence:
         assert basis == [vec(1, 0)]
 
 
-def _probes(prob):
-    """Points of C's bounding box at quarter steps, one step beyond it on
-    each side: interior, boundary and outside points."""
-    lo, hi = prob.C.bounding_box()
-    axes = [
-        [l + F(k, 4) * (u - l) for k in range(-1, 6)] for l, u in zip(lo, hi)
-    ]
-    return list(itertools.product(*axes))
-
-
-def _with_domains(rng, prob):
-    """`prob` with inequality and equality rows in dom g, dom h and C.
-
-    Each row passes through a probe point, so some probes sit on its
-    boundary; dom g and C keep the centre of C's box, so they meet.
-    """
-    n = prob.dimension
-    probes = _probes(prob)
-    lo, hi = prob.C.bounding_box()
-    centre = tuple((l + u) / 2 for l, u in zip(lo, hi))
-
-    def halfspace():
-        a = tuple(F(rng.randint(-1, 1)) for _ in range(n))
-        b = dot(a, rng.choice(probes))
-        if dot(a, centre) > b:
-            a, b = tuple(-c for c in a), -b
-        return a, b
-
-    def equality():
-        a = tuple(F(rng.randint(-1, 1)) for _ in range(n))
-        return a, dot(a, centre)
-
-    def domain():
-        rows = [halfspace() for _ in range(rng.randint(0, 2))]
-        eqs = [equality()] if n == 2 and rng.random() < 0.3 else []
-        return PolyhedralSet(n, equalities=tuple(eqs), inequalities=tuple(rows))
-
-    C = prob.C.intersect(domain())
-    return DcProblem(
-        g=MaxAffine(prob.g.pieces, domain()),
-        h=MaxAffine(prob.h.pieces, domain()),
-        C=C,
-    )
-
-
 def _hand_instances():
     # 1-D: dom h = [-1, 5/2] ends inside C = [-2, 3]; dom g = (-oo, 4]
     h = MaxAffine(
@@ -405,27 +392,31 @@ def _hand_instances():
     yield DcProblem(g=MaxAffine(g2.pieces, diagonal), h=h2_full, C=segment)
 
 
-def _face_holds(prob, x):
-    """Whether x attains the least value of (g + indicator(C)) - v_j.x for
-    some piece j of h active at x: the optimal face of j holds x."""
+def _faces_holding(prob, x):
+    """For each piece j of h active at x, in order, whether x attains the
+    least value of (g + indicator(C)) - v_j.x: the optimal face of j holds
+    x."""
     value = prob.g_plus_indicator.finite_value(x)
-    for j in prob.h.active_indices(x):
+    holding = []
+    for j in sorted(prob.h.active_indices(x)):
         least = solve_linearization(prob, j, shifted=False).value
-        if least.is_finite and value - dot(prob.h.piece(j)[0], x) == least.as_fraction():
-            return True
-    return False
+        holding.append(
+            least.is_finite
+            and value - dot(prob.h.piece(j)[0], x) == least.as_fraction()
+        )
+    return holding
 
 
 class TestOnePassClassifier:
     """`classify` evaluates each row and piece once and builds one pair of
     subdifferentials; it must give the verdicts of the old route and pose
-    exactly its LPs."""
+    exactly the LPs of it that no face decides."""
 
     def _instances(self):
         rng = random.Random(53)
         plain = [gens.random_dc_instance(rng, n_max=2) for _ in range(30)]
         shaped = [
-            _with_domains(rng, gens.random_dc_instance(rng, n_max=2))
+            gens.with_domains(rng, gens.random_dc_instance(rng, n_max=2))
             for _ in range(30)
         ]
         return plain + shaped + list(_hand_instances())
@@ -446,23 +437,27 @@ class TestOnePassClassifier:
         decided = set()
         for prob in instances:
             prob._linearized  # the problem's own LPs, posed before any point
-            for x in _probes(prob):
+            for x in gens.probes(prob):
                 posed.clear()
                 expected = gens.reference_classify(prob, x)
                 reference_lps = list(posed)
                 posed.clear()
                 assert classify(prob, x) == expected, (prob, x)
-                # the reference's first LP is its intersection test, the
-                # others containment tests.  The lemma poses none where a
-                # face holds x, and none for stationarity interior to dom h
+                # the reference's first LP is its intersection test, then
+                # one containment test per active gradient, then one
+                # recession test per generator of the normal cone of dom h
+                # (its direction LPs are not recorded: `reference_local`).
+                # The lemma poses no intersection LP where a face holds x
+                # and no containment LP; the recession LPs are posed only
+                # off the interior of dom h where every face holds x
                 if expected.feasible:
-                    on_face = _face_holds(prob, x)
+                    holding = _faces_holding(prob, x)
                     interior = expected.hypothesis_flags.interior_dom_h
-                    if on_face:
-                        reference_lps = [] if interior else reference_lps[1:]
-                    elif interior:
-                        reference_lps = reference_lps[:1]
-                    decided.add((on_face, interior))
+                    lps = [] if any(holding) else reference_lps[:1]
+                    if all(holding) and not interior:
+                        lps += reference_lps[1 + len(holding) :]
+                    reference_lps = lps
+                    decided.add((any(holding), all(holding), interior))
                 assert posed == reference_lps, (prob, x)
                 seen.add(
                     (
@@ -473,21 +468,25 @@ class TestOnePassClassifier:
                         expected.hypothesis_flags.interior_dom_h,
                     )
                 )
-        assert decided == {(True, True), (True, False), (False, True), (False, False)}
+        assert decided == {
+            (some, every, interior)
+            for some, every in ((True, True), (True, False), (False, False))
+            for interior in (True, False)
+        }
         no, yes = LocalStatus.NO, LocalStatus.YES
-        unknown = LocalStatus.UNKNOWN_HYPOTHESIS_NOT_MET
         for verdict in [
             (False, False, False, no, False),  # outside
             (True, False, False, no, True),
             (True, True, False, no, True),
             (True, True, True, yes, True),
-            (True, True, True, unknown, False),  # on the boundary of dom h
+            (True, True, False, no, False),  # on the boundary of dom h
+            (True, True, True, yes, False),
         ]:
             assert verdict in seen
 
     def test_single_verdicts_agree_with_classify(self):
         for prob in list(_hand_instances()) + self._instances()[:10]:
-            for x in _probes(prob):
+            for x in gens.probes(prob):
                 c = classify(prob, x)
                 if not c.feasible:
                     for single in (is_critical, is_stationary, is_local_solution):
@@ -539,17 +538,77 @@ def _unbounded_instance(rng):
     return prob, list(itertools.product(*axes))
 
 
+class TestReferenceLocal:
+    """`classify`'s `local` verdict against `gens.reference_local`, which
+    decides local optimality by direction LPs and reads neither the faces
+    nor the weight LPs: they must agree at every feasible probe, on and off
+    the boundaries of dom g, dom h and C."""
+
+    def test_agrees_with_direction_lps_on_proper_domains(self):
+        rng = random.Random(2701)
+        count = dict.fromkeys(["feasible", "boundary of dom h", "local there"], 0)
+        for k in range(1000):
+            prob = gens.random_dc_instance(rng, n_max=2)
+            if k % 2:
+                prob = _with_bounded_dom_h(rng, prob)
+            else:
+                prob = gens.with_domains(rng, prob)
+            for x in gens.probes(prob):
+                c = classify(prob, x)
+                if not c.feasible:
+                    continue
+                local = gens.reference_local(prob, x)
+                assert (c.local is LocalStatus.YES) == local, (prob, x)
+                count["feasible"] += 1
+                if not c.hypothesis_flags.interior_dom_h:
+                    count["boundary of dom h"] += 1
+                    count["local there"] += local
+        assert count["local there"] >= 100, count
+        assert count["boundary of dom h"] >= 1000, count
+
+
+class TestChain:
+    """global => local => stationary => critical, each verdict from its own
+    oracle, so no implication is built into the check: global from the
+    vertices of g's cells (`gens.reference_global_value`), local from
+    direction LPs (`gens.reference_local`), stationary and critical from
+    the weight LPs of `gens.reference_classify`."""
+
+    def test_chain_from_independent_oracles(self):
+        rng = random.Random(2702)
+        seen = collections.Counter()
+        for _ in range(150):
+            prob = gens.random_dc_instance(rng, n_max=2)
+            alpha_bar, minimizers = gens.reference_global_value(prob)
+            for x in gens.probes(prob) + minimizers:
+                expected = gens.reference_classify(prob, x)
+                if not expected.feasible:
+                    continue
+                g, h = (
+                    max(dot(u, x) + a for u, a in f.pieces) for f in (prob.g, prob.h)
+                )
+                is_global = g - h == alpha_bar
+                local = gens.reference_local(prob, x)
+                chain = (is_global, local, expected.stationary, expected.critical)
+                for premise, conclusion in zip(chain, chain[1:]):
+                    assert conclusion or not premise, (prob, x, chain)
+                seen[sum(chain)] += 1
+        # every step of the chain is met and left, but for stationary to
+        # local: for polyhedral data the two are one (`optimality`)
+        assert set(seen) == {0, 1, 3, 4}, seen
+
+
 class TestFaceLemma:
     """`classify`, `is_critical` and `is_stationary` decide by the optimal
     faces where the lemma of `optimality` applies.  The weight-LP
-    classifier `gens.reference_classify` reads no face; they must agree
-    with it at every point."""
+    classifier `gens.reference_classify` reads no face, and takes `local`
+    from direction LPs; they must agree with it at every point."""
 
     def _instances(self):
         rng = random.Random(1601)
         problems = [gens.random_dc_instance(rng, n_max=2) for _ in range(25)]
         problems += [
-            _with_domains(rng, gens.random_dc_instance(rng, n_max=2))
+            gens.with_domains(rng, gens.random_dc_instance(rng, n_max=2))
             for _ in range(25)
         ]
         problems += [
@@ -557,7 +616,7 @@ class TestFaceLemma:
             for _ in range(20)
         ]
         problems += list(_hand_instances())
-        instances = [(prob, _probes(prob)) for prob in problems]
+        instances = [(prob, gens.probes(prob)) for prob in problems]
         return instances + [_unbounded_instance(rng) for _ in range(25)]
 
     def test_agrees_with_the_weight_lp_reference(self):
@@ -571,6 +630,7 @@ class TestFaceLemma:
                 "kink",
                 "boundary of dom g",
                 "boundary of a bounded dom h",
+                "local on the boundary of dom h",
                 "equality in C",
             ],
             0,
@@ -592,7 +652,7 @@ class TestFaceLemma:
                 assert is_critical(prob, x) == expected.critical, (prob, x)
                 assert is_stationary(prob, x) == expected.stationary, (prob, x)
                 active = prob.h.active_indices(x)
-                on_face = _face_holds(prob, x)
+                on_face = any(_faces_holding(prob, x))
                 saw["face"] += on_face
                 saw["weight-lp critical"] += expected.critical and not on_face
                 saw["not critical"] += not expected.critical
@@ -605,6 +665,9 @@ class TestFaceLemma:
                 saw["boundary of dom g"] += not flags.interior_dom_g
                 saw["boundary of a bounded dom h"] += (
                     bounded_dom_h and not flags.interior_dom_h
+                )
+                saw["local on the boundary of dom h"] += (
+                    expected.local is LocalStatus.YES and not flags.interior_dom_h
                 )
                 saw["equality in C"] += bool(prob.C.equalities)
         assert all(saw.values()), saw

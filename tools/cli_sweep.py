@@ -15,8 +15,10 @@ some putting DCA nodes outside dom h).  Per problem it runs `structure`, `dual`,
 three points, `classify` with and without `--global` and `dca` under
 min-index, max-index, a random complete table, a script replaying a
 min-index run and a script of random vectors, each with the default
-budget and with `--max-iter 1`; on the bundled problems also `dca` with
-two malformed tables.
+budget and with `--max-iter 1`; on the 12 documents with box domains also
+`classify` with and without `--global` at up to three quarter-grid points
+of C ∩ dom g on the boundary of dom h, drawn from their own seed; on the
+bundled problems also `dca` with two malformed tables.
 
 Each tree runs every command in one child process, in-process through
 `polydc.cli.main`, so no state is shared between the trees.  Every
@@ -72,8 +74,8 @@ def _box_domain_instance(P, gens, rng):
     return P.DcProblem(g=g, h=h, C=base.C)
 
 
-def _points(P, rng, prob, count):
-    """`count` points of C ∩ dom g on the quarter grid of a box around C."""
+def _grid(P, prob):
+    """The points of C ∩ dom g on the quarter grid of a box around C."""
     try:
         lo, hi = prob.C.bounding_box()
     except P.PolydcError:  # an unbounded C: a box at a point of it
@@ -83,12 +85,28 @@ def _points(P, rng, prob, count):
         [a + Fraction(k, 4) for k in range(int(4 * (b - a)) + 1)]
         for a, b in zip(lo, hi)
     ]
-    grid = [
+    return [
         x
         for x in itertools.product(*axes)
         if prob.C.contains(x) and prob.g.domain.contains(x)
     ]
+
+
+def _points(P, rng, prob, count):
+    """`count` points of `_grid`."""
+    grid = _grid(P, prob)
     return [rng.choice(grid) for _ in range(count)]
+
+
+def _boundary_points(P, rng, prob):
+    """Up to three distinct points of `_grid` on the boundary of dom h."""
+    dom_h = prob.h.domain
+    grid = [
+        x
+        for x in _grid(P, prob)
+        if dom_h.contains(x) and not dom_h.is_interior_point(x)
+    ]
+    return rng.sample(grid, min(3, len(grid)))
 
 
 def _csv(x) -> str:
@@ -112,7 +130,11 @@ def make_cases(workdir: Path) -> None:
     seeded = [gens.random_dc_instance(rng) for _ in range(40)]
     seeded += [gens.random_grid_instance(rng) for _ in range(20)]
     seeded += [gens.random_half_space_instance(rng) for _ in range(12)]
+    boxed = {f"seeded{k:02d}" for k in range(len(seeded), len(seeded) + 12)}
     seeded += [_box_domain_instance(P, gens, rng) for _ in range(12)]
+    # points on the boundary of dom h come from their own draws, so the
+    # draws of every other command and document are as they were
+    boundary_rng = random.Random(SEED + 1)
     for k, prob in enumerate(seeded):
         documents.append((f"seeded{k:02d}", P.serialize_problem(prob)))
     cases = []
@@ -164,6 +186,11 @@ def make_cases(workdir: Path) -> None:
             for rule in RULES:
                 for budget in ([], ["--max-iter", "1"]):
                     cases.append(["dca", *start, rules[rule], *budget])
+        if name in boxed:
+            for x in _boundary_points(P, boundary_rng, prob):
+                point = [f"--point={_csv(x)}"]
+                cases.append(["classify", *problem, *point])
+                cases.append(["classify", *problem, *point, "--global"])
         if not name.startswith("seeded"):
             # a choice outside its own active set, and a piece above q
             for kind, entries in (
