@@ -175,16 +175,31 @@ def _rows_document(rows, key: str) -> list:
     return [{vector_key: fmt_vector(a), scalar_key: fmt_rational(b)} for a, b in rows]
 
 
+def _known_keys(node: dict, keys: Sequence[str], where: str) -> None:
+    """Reject a key of `node` outside `keys`, naming the allowed keys in
+    order."""
+    unknown = sorted(set(node) - set(keys))
+    if unknown:
+        allowed = "/".join(f"'{key}'" for key in keys)
+        raise ProblemFormatError(f"{where}: unknown keys {unknown}; expected {allowed}")
+
+
+def _json(text: str, where: str = ""):
+    """The JSON document `text`, or an error located by line and column,
+    after the prefix `where`."""
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        at = f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        raise ProblemFormatError(where + at) from None
+
+
 def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
     if node is None:
         return PolyhedralSet.whole_space(dimension)
     if not isinstance(node, dict):
         raise ProblemFormatError(f"{where}: expected an object or null")
-    unknown = set(node) - {"eq", "ineq"}
-    if unknown:
-        raise ProblemFormatError(
-            f"{where}: unknown keys {sorted(unknown)}; expected 'eq'/'ineq'"
-        )
+    _known_keys(node, ("eq", "ineq"), where)
     equalities, inequalities = (
         _parse_rows(_row_list(node, key, where), key, dimension, where)
         for key in ("eq", "ineq")
@@ -195,11 +210,7 @@ def _parse_set(node, dimension: int, where: str) -> PolyhedralSet:
 def _parse_function(node, dimension: int, where: str) -> MaxAffine:
     if not isinstance(node, dict) or "pieces" not in node:
         raise ProblemFormatError(f"{where}: expected {{\"pieces\": [...], ...}}")
-    unknown = set(node) - {"pieces", "domain"}
-    if unknown:
-        raise ProblemFormatError(
-            f"{where}: unknown keys {sorted(unknown)}; expected 'pieces'/'domain'"
-        )
+    _known_keys(node, ("pieces", "domain"), where)
     raw = node["pieces"]
     if not isinstance(raw, list) or not raw:
         raise ProblemFormatError(f"{where}.pieces: expected a nonempty list")
@@ -213,24 +224,14 @@ def _parse_function(node, dimension: int, where: str) -> MaxAffine:
 
 def parse_problem(text: str) -> DcProblem:
     """Parse a problem document; diagnostics carry line/column or JSON path."""
-    try:
-        doc = json.loads(text, parse_int=_json_int)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _json(text)
     if not isinstance(doc, dict):
         raise ProblemFormatError("top level: expected an object")
     keys = ("dimension", "C", "g", "h")
     for key in keys:
         if key not in doc:
             raise ProblemFormatError(f"top level: missing key '{key}'")
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise ProblemFormatError(
-            f"top level: unknown keys {sorted(unknown)}; expected "
-            "'dimension'/'C'/'g'/'h'"
-        )
+    _known_keys(doc, keys, "top level")
     dimension = doc["dimension"]
     if not _is_int(dimension) or dimension < 1:
         raise ProblemFormatError("dimension: expected a positive integer")
@@ -410,12 +411,7 @@ def _parse_rule(text: str, prob: DcProblem) -> dca.SelectionRule:
 
 
 def _load_json(path: str):
-    try:
-        return json.loads(_read(path), parse_int=_json_int)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    return _json(_read(path), f"{path}: ")
 
 
 # ---------------------------------------------------------------------------

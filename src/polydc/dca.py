@@ -31,6 +31,7 @@ from .model import (
     PolyhedralSet,
     Scaled,
     _check_dimension,
+    kept,
     _Point,
     _scaled,
 )
@@ -284,8 +285,8 @@ def run(
     and only what no reader has read there yet is evaluated.
     Every later iterate is a node: the canonical minimizer y of the
     subproblem at the selected xi, a function of xi alone.  The problem
-    keeps each node (`DcProblem._subproblems`) with the point of y, h
-    evaluated there, and f(y) and h's active set at y, computed once, when
+    keeps each node (`_subproblems`) with the point of y, h evaluated
+    there, and f(y) and h's active set at y, computed once, when
     its LP is solved: every run and rule reads and fills that one memo, so
     each distinct xi poses one LP per problem, and each distinct node one
     evaluation of h.  The problem registers the node's point
@@ -320,7 +321,7 @@ def run(
     # the points are and hash as integers: x scaled -> its step, for this
     # run, and the problem's xi scaled -> its node, or None when unbounded
     seen: dict[Scaled, int] = {}
-    solved = prob._subproblems
+    solved = _subproblems(prob)
     step = 0
     while True:
         if active is None:
@@ -359,7 +360,7 @@ def run(
             key = _scaled(xi)
         else:
             key = h._scaled_gradients[j - 1]
-        node = solved[key] if key in solved else _solve_node(prob, xi, key)
+        node = solved[key] if key in solved else _solve_node(prob, solved, xi, key)
         if node is None:
             termination = Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step)
             break
@@ -377,13 +378,32 @@ def _node(point: _Point, g_value: Fraction) -> tuple:
     return point, g_value - at[0], tuple([j + 1 for j in at[1]])
 
 
-def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
-    """The node at xi, kept in `prob._subproblems` under `key` (xi scaled):
-    one subproblem LP over g + indicator(C), which shares g's prepared
-    start, and one evaluation of h, on the point of its minimizer; None
-    when the subproblem is unbounded.  Every node is made here, and here
-    its point is registered in `prob._nodes`: a minimizer that another xi
-    reached already is that node's point, with h read from it."""
+@kept
+def _subproblems(prob: DcProblem) -> dict[Scaled, Optional[tuple]]:
+    """The DCA nodes of the problem, filled by `run` and
+    `transition_graph`: a subgradient xi, scaled by `_scaled`, maps to None
+    when the subproblem min g - xi.x over C is unbounded, and else to
+    (point, f(x), active) at its canonical minimizer x, with `point` the
+    `_Point` of x, h evaluated there, and `active` h's active set there as
+    a tuple of 1-based indices in ascending order; both f(x) and `active`
+    are None when x lies outside dom(h).  An entry is a function of xi
+    alone and is written whole, once: each distinct xi poses one LP per
+    problem, and two runs that fill one key at once write equal entries.
+    Two subgradients with one minimizer share its point, registered in
+    `DcProblem._nodes`, so each distinct node is one evaluation of h per
+    problem.  A point binds h, g and C, not the problem, so no entry
+    refers back to the problem that holds it."""
+    return {}
+
+
+def _solve_node(prob: DcProblem, solved, xi: Vector, key: Scaled) -> Optional[tuple]:
+    """The node at xi, kept in `solved`, the problem's `_subproblems`,
+    under `key` (xi scaled): one subproblem LP over g + indicator(C), which
+    shares g's prepared start, and one evaluation of h, on the point of its
+    minimizer; None when the subproblem is unbounded.  Every node is made
+    here, and here its point is registered in `prob._nodes`: a minimizer
+    that another xi reached already is that node's point, with h read from
+    it."""
     try:
         x, sub_value = solve_subproblem(
             prob.g_plus_indicator, PolyhedralSet.whole_space(prob.dimension), xi
@@ -397,7 +417,7 @@ def _solve_node(prob: DcProblem, xi: Vector, key: Scaled) -> Optional[tuple]:
         point = prob._nodes.setdefault(point.scaled, point)
         (X, d), (Xi, s) = point.scaled, key
         node = _node(point, sub_value + Fraction(sum(map(mul, Xi, X)), s * d))
-    prob._subproblems[key] = node
+    solved[key] = node
     return node
 
 
@@ -434,7 +454,7 @@ class TransitionGraph:
 def transition_graph(prob: DcProblem, rule: SelectionRule) -> TransitionGraph:
     """The transition graph of a rule with `pick` (see TransitionGraph).
 
-    It reads and fills the nodes `run` keeps (`DcProblem._subproblems`),
+    It reads and fills the nodes `run` keeps (`_subproblems`),
     so it poses at most q subproblem LPs per problem over every rule and
     run, and none once the nodes are kept.  An error the rule raises at
     some node's active set propagates, as in `run`.  The cycles of sigma
@@ -444,10 +464,10 @@ def transition_graph(prob: DcProblem, rule: SelectionRule) -> TransitionGraph:
     pick = _pick(rule, prob.h)
     if pick is None:
         raise TypeError("a transition graph needs a rule with pick(active)")
-    h, solved = prob.h, prob._subproblems
+    h, solved = prob.h, _subproblems(prob)
     nodes, sigma = [], []
     for key, (xi, _) in zip(h._scaled_gradients, h.pieces):
-        node = solved[key] if key in solved else _solve_node(prob, xi, key)
+        node = solved[key] if key in solved else _solve_node(prob, solved, xi, key)
         point, value, active = node or (None,) * 3
         nodes.append(DcaNode(point and point.x, value, active))
         picked = None

@@ -10,13 +10,13 @@ For polyhedral h the dual value is attained at a piece gradient v_j of h,
 so the candidate pool of the check is exactly the distinct piece gradients.
 The conjugate of g + indicator(C) at v_j is read off the linearized
 subproblem of piece j (`structure._linearize`), which is the same epigraph
-LP and which the problem poses once (`DcProblem._linearized`).  h*(v_j) is
+LP and which the problem poses once (`structure._linearized`).  h*(v_j) is
 a fact of h alone: it is solved once per function, one LP per distinct
 piece gradient (`MaxAffine._conjugate_at_gradients`), and the hypotheses
 are decided once per problem.  The report itself is a fact of the problem
-(`DcProblem._dual_report`), built and checked once, so a repeated check
-poses no LP and does no arithmetic.  The public `dual_objective` poses its
-two conjugate LPs on every call.
+(`toland_singer_check` is kept, `model.kept`), built and checked once, so
+a repeated check poses no LP and does no arithmetic.  The public
+`dual_objective` poses its two conjugate LPs on every call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactlp import ExtendedRational, Vector
-from .model import DcProblem, InternalCheckFailed, _check_dimension
+from .model import DcProblem, InternalCheckFailed, _check_dimension, kept
 from . import structure
 
 
@@ -42,26 +42,22 @@ def dual_objective(prob: DcProblem, xi: Sequence) -> ExtendedRational:
     return prob.h.conjugate_value(xi) - prob.g_plus_indicator.conjugate_value(xi)
 
 
+@kept
 def toland_singer_check(prob: DcProblem) -> DualReport:
     """Compare the dual objective at every piece gradient of h against the
     primal optimal value alpha_bar.
 
-    The report is the problem's own (`DcProblem._dual_report`), built and
-    checked once by `_dual_report`; a check that fails keeps nothing, so
-    `HypothesisNotMet` and `InternalCheckFailed` raise again on every call.
-    """
-    return prob._dual_report
-
-
-def _dual_report(prob: DcProblem) -> DualReport:
-    """The report of `toland_singer_check`, with every bound of the proof
-    below checked exactly for every piece j; a broken bound raises
-    `InternalCheckFailed` naming each piece that breaks one.
+    The report is a fact of the problem, built and checked once; a check
+    that fails keeps nothing, so `HypothesisNotMet` and
+    `InternalCheckFailed` raise again on every call.  Every bound of the
+    proof below is checked exactly for every piece j, and a broken bound
+    raises `InternalCheckFailed` naming each piece that breaks one.
 
     * h >= h_j = v_j.x + beta_j on dom(h), so h*(v_j) <= -beta_j, and
-      (g + indicator(C))*(v_j) = -omega_j with omega_j the unshifted value
-      of piece j's linearized subproblem; the dual value at v_j is at most
-      omega_j - beta_j = alpha_j, and -inf when omega_j is;
+      (g + indicator(C))*(v_j) = -omega_j with omega_j = alpha_j + beta_j
+      the unshifted value of piece j's linearized subproblem; the dual
+      value at v_j is at most omega_j - beta_j = alpha_j, and -inf when
+      omega_j is;
     * so the least dual value over the piece gradients is at most
       min_j alpha_j = alpha_bar, the primal value;
     * weak duality gives the reverse inequality, so every candidate scores
@@ -78,11 +74,12 @@ def _dual_report(prob: DcProblem) -> DualReport:
     conjugate = prob.h._conjugate_at_gradients
     scored: dict[Vector, ExtendedRational] = {}
     broken = []
-    pieces = zip(prob.h.indices, prob.h.pieces, prob._linearized)
-    for j, (v, beta), (unshifted, shifted) in pieces:
-        # (g + indicator(C))*(v) is minus the minimum of its epigraph LP,
-        # +inf when that LP is unbounded
-        value = scored.setdefault(v, conjugate[v] - (-unshifted.value))
+    pieces = zip(prob.h.indices, prob.h.pieces, structure._linearized(prob))
+    for j, (v, beta), shifted in pieces:
+        # (g + indicator(C))*(v) is minus omega_j, the minimum of its
+        # epigraph LP, and +inf when that LP is unbounded
+        omega = shifted.value + ExtendedRational.finite(beta)
+        value = scored.setdefault(v, conjugate[v] - (-omega))
         if conjugate[v] > ExtendedRational.finite(-beta):
             broken.append(f"piece {j}: h*(v_j) = {conjugate[v]} > -beta_j = {-beta}")
         if value < alpha_bar:

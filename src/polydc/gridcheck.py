@@ -91,7 +91,7 @@ def _toward_minimizers(linearized, point: _Point, step: Fraction):
     y_j, or y_j itself when it is nearer; h's active set and each face's
     rows are read at the point."""
     for j in point.h[1]:
-        r = linearized[j][0]  # the unshifted result of piece j + 1
+        r = linearized[j]  # the result of piece j + 1
         if r.face is None or r.face._tight_rows(point.scaled) is not None:
             continue
         d = vsub(r.witness, point.x)
@@ -107,7 +107,7 @@ def grid_cross_check(prob: DcProblem, step) -> GridReport:
     if prob.dimension > 2:
         raise PolydcError("grid cross-checks support dimension 1 and 2 only")
 
-    linearized = prob._linearized
+    linearized = structure._linearized(prob)
     try:
         pieces = structure.local_pieces(prob)
         pieces_checked = True

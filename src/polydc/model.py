@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import mul
 from typing import Optional, Sequence
 
@@ -540,7 +540,7 @@ class MaxAffine:
     @cached_property
     def _scaled_gradients(self) -> tuple[Scaled, ...]:
         """Each piece gradient scaled by `_scaled`, in piece order, built on
-        first use: the key under which `DcProblem._subproblems` keeps the
+        first use: the key under which `dca._subproblems` keeps the
         subproblem at that gradient."""
         # a tuple from a list, not a generator: see exactlp.vector
         return tuple([_scaled(u) for u, _ in self.pieces])
@@ -752,14 +752,23 @@ class _Point:
 class DcProblem:
     """minimize f = g - h over C, with dom(g) meeting C (checked at load).
 
-    The facts of the problem are kept on it, each decided on first use:
-    the linearizations, the hypotheses, the global solutions, the dual
-    report and the DCA nodes (the cached properties below)."""
+    The facts of the problem are kept on it, in `_facts`, each decided on
+    first use by the one function of the module that decides it (`kept`):
+    the linearizations and the hypotheses (`structure._linearized`,
+    `structure._hypothesis_violation`), the global solutions
+    (`structure.global_solutions`), the dual report
+    (`duality.toland_singer_check`) and the DCA nodes (`dca._subproblems`).
+    `_nodes` maps the point of every bounded DCA node, scaled
+    (`_Point.scaled`), to that point; `dca._solve_node` registers each
+    point as it keeps the node, so `_nodes` refers only to points that the
+    nodes hold and grows only with them."""
 
     g: MaxAffine
     h: MaxAffine
     C: PolyhedralSet
     _domain: PolyhedralSet = field(init=False, repr=False, compare=False)
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.g.dimension == self.h.dimension == self.C.dimension):
@@ -785,69 +794,6 @@ class DcProblem:
         once per problem."""
         return MaxAffine(pieces=self.g.pieces, domain=self._domain)
 
-    @cached_property
-    def _linearized(self) -> tuple:
-        """The `structure._linearize` pair of every piece of h, in order,
-        built on first use: the q epigraph LPs of the problem are posed once,
-        and the values and optimal faces they give are only read after that
-        (by `structure`, `duality`, `optimality` and `gridcheck`)."""
-        from .structure import _linearize  # deferred: structure sits above this module
-
-        # a tuple from a list, not a generator: see exactlp.vector
-        return tuple([_linearize(self, j) for j in self.h.indices])
-
-    @cached_property
-    def _hypothesis_violation(self) -> Optional[str]:
-        """The `HypothesisNotMet` message of `structure`'s hypotheses
-        dom(g) ⊇ C and int(dom(h)) ⊇ C, or None when both hold, decided
-        once per problem on first use."""
-        from .structure import _hypothesis_violation  # deferred, as above
-
-        return _hypothesis_violation(self)
-
-    @cached_property
-    def _global_solutions(self) -> tuple:
-        """`structure.global_solutions` of this problem, decided once on first
-        use; a build that raises keeps nothing and raises again next call."""
-        from .structure import _global_solutions  # deferred, as above
-
-        return _global_solutions(self)
-
-    @cached_property
-    def _dual_report(self):
-        """`duality.toland_singer_check` of this problem, built once on first
-        use, as `_global_solutions`."""
-        from .duality import _dual_report  # deferred, as above
-
-        return _dual_report(self)
-
-    @cached_property
-    def _subproblems(self) -> dict[Scaled, Optional[tuple]]:
-        """The DCA nodes of this problem, filled by `dca.run` and
-        `dca.transition_graph`: a subgradient xi, scaled by `_scaled`, maps
-        to None when the subproblem min g - xi.x over C is unbounded, and
-        else to (point, f(x), active) at its canonical minimizer x, with
-        `point` the `_Point` of x, h evaluated there, and `active` h's
-        active set there as a tuple of 1-based indices in ascending order;
-        both f(x) and `active` are None when x lies outside dom(h).  An
-        entry is a function of xi alone and is written whole, once: each
-        distinct xi poses one LP per problem, and two runs that fill one
-        key at once write equal entries.  Two subgradients with one
-        minimizer share its point, registered in `_nodes`, so each distinct
-        node is one evaluation of h per problem.  A point binds h, g and C,
-        not the problem, so no entry refers back to the problem that holds
-        it."""
-        return {}
-
-    @cached_property
-    def _nodes(self) -> dict[Scaled, _Point]:
-        """The point of every bounded DCA node, keyed by the node scaled
-        (`_Point.scaled`); `dca._solve_node` registers each point as it
-        keeps the node in `_subproblems`.  It refers only to points that
-        `_subproblems` holds, so it adds no point and grows only with the
-        nodes."""
-        return {}
-
     def _point(self, x: Sequence) -> _Point:
         """x as a point of this problem's h, g and C (`_Point`), the one
         constructor of a problem's point: at a DCA node it is the node's
@@ -863,3 +809,21 @@ class DcProblem:
 
     def finite_objective(self, x: Sequence) -> Fraction:
         return self._point(x).finite_objective()
+
+
+def kept(build):
+    """`build(prob)` as a fact of the problem: built on the first call and
+    kept in `prob._facts` under the returned function, which returns the
+    kept value on every later call.  A build that raises keeps nothing, so
+    the next call builds again and raises the same error."""
+
+    @wraps(build)
+    def fact(prob: DcProblem):
+        try:
+            return prob._facts[fact]
+        except KeyError:
+            pass
+        value = prob._facts[fact] = build(prob)
+        return value
+
+    return fact

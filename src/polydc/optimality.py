@@ -10,7 +10,7 @@ Three nested conditions are decided exactly at a feasible point x:
 
 All three are decided from one evaluation of g, h and C at x and the
 shifted values alpha_j of the linearized subproblems, which the problem
-computes once (`DcProblem._linearized`), by the lemma below.  The
+computes once (`structure._linearized`), by the lemma below.  The
 evaluation is read from the point the problem makes at x
 (`DcProblem._point`, `model._Point`).  At a DCA node that is the node's
 point, kept with the node, so a check at a fixed point that DCA reached
@@ -60,6 +60,7 @@ from typing import Sequence
 
 from .exactlp import vneg
 from .model import ConvexBody, DcProblem, InternalCheckFailed, OutsideDomain, _Point
+from .structure import _linearized, global_solutions
 
 
 class LocalStatus(Enum):
@@ -127,10 +128,10 @@ def _on_faces(prob: DcProblem, point: _Point) -> list[bool]:
     (g, _, _), (h, active, _) = point.g, point.h
     b, e = g._denominator, h._denominator
     numerator, denominator = g._numerator * e - h._numerator * b, b * e
-    linearized = prob._linearized
+    linearized = _linearized(prob)
     verdicts = []
     for j in active:
-        alpha = linearized[j][1].value
+        alpha = linearized[j].value
         verdicts.append(
             alpha.sign == 0
             and numerator * alpha.value._denominator
@@ -200,8 +201,6 @@ def _classify(
     prob: DcProblem, point: _Point, compute_global: bool = False
 ) -> Classification:
     """`classify` at a point of the problem, reading its evaluations."""
-    from . import structure  # deferred: structure sits above this module
-
     at_g, at_h = point.g, point.h
     flags = HypothesisFlags(  # `_is_interior` of the tight rows, or of None
         interior_dom_g=prob.g.domain._is_interior(at_g and at_g[2]),
@@ -216,7 +215,7 @@ def _classify(
     local = LocalStatus.YES if stationary else LocalStatus.NO
     global_ = GlobalStatus.NO if compute_global else GlobalStatus.NOT_COMPUTED
     if compute_global and feasible:  # f(x) is finite here
-        alpha_bar, _, _ = structure.global_solutions(prob)
+        alpha_bar, _, _ = global_solutions(prob)
         global_ = GlobalStatus.YES if point.objective == alpha_bar else global_
     if global_ is GlobalStatus.YES and not stationary:  # global => stationary
         at = ", ".join(map(str, point.x))

@@ -3,10 +3,10 @@
 Fixing one affine piece h_j of h and minimizing (g + indicator(C)) - h_j is
 a convex program; its value alpha_j and optimal face S^j are computed by a
 single epigraph LP per piece, which the problem poses once, on first use
-(`DcProblem._linearized`), for both constructions below and for every
-other reader of the faces.  The smallest alpha_j is the optimal value of
-the DC program and the union of the minimizing faces is the global solution
-set.  The local solution set is a finite union of semi-closed pieces, one
+(`_linearized`, kept on the problem), for both constructions below and for
+every other reader of the faces.  The smallest alpha_j is the optimal value
+of the DC program and the union of the minimizing faces is the global
+solution set.  The local solution set is a finite union of semi-closed pieces, one
 per subset J1 of piece indices: a closed polyhedron (the intersection of the
 unshifted optimal faces for j in J1 with C) restricted by the relatively
 open condition "no piece outside J1 is active".
@@ -58,6 +58,12 @@ the margin is positive.  Each LP is posed as small as the proof allows:
   the closed part of J1, so J1 is skipped exactly when its piece would be
   merged into K's.  Two necessary conditions cost no LP and are checked
   first: A*(J1) ⊆ K, read from alpha, and K's witness in J1's closed part.
+* Pieces nest (the nesting lemma).  Write A = A*(J1).  Every member of
+  piece(J1) has the active set A and lies in the closed part of J1, which
+  lies in that of A, so piece(J1) ⊆ piece(A).  Likewise
+  piece(J1) ⊆ piece(J1 - {j}) for every j in J1 - A, since removing j
+  keeps A.  So a J1 other than A has an empty piece unless piece(A) and
+  every piece(J1 - {j}) are nonempty (the Apriori candidate rule).
 * Point faces.  When the final tableau of j's linearization proves the
   optimal face of j the one point y (`exactlp._Start.solve`), the closed
   part of every J1 holding j lies in {y}, so its piece is {y} or empty:
@@ -97,7 +103,7 @@ the margin is positive.  Each LP is posed as small as the proof allows:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from typing import Optional, Sequence
@@ -125,6 +131,7 @@ from .model import (
     PolydcError,
     PolyhedralSet,
     containment_violation,
+    kept,
     _Point,
 )
 
@@ -156,8 +163,6 @@ class LinearizationResult:
     one_point: bool = False
 
 
-# the unshifted and the shifted result of one piece of h
-_Pair = tuple[LinearizationResult, LinearizationResult]
 # a semi-closed system as integer rows: (equalities, weak, strict)
 _System = tuple[tuple[IntegerRow, ...], ...]
 
@@ -234,16 +239,17 @@ def _within(at: Optional[tuple], J1: frozenset[int]) -> bool:
     return at is not None and all(j + 1 in J1 for j in at[1])
 
 
-def _linearize(prob: DcProblem, j: int) -> _Pair:
-    """The unshifted and the shifted result for piece j, from one LP.
+def _linearize(prob: DcProblem, j: int) -> LinearizationResult:
+    """The shifted result for piece j, from one LP.
 
     Minimizes (g + indicator(C))(x) - v_j.x; the shifted value subtracts
     beta_j as well.  The LP, the optimal face and the witness do not depend
-    on the shift, so both results share them.  The optimal face is written
-    down without projection by substituting the epigraph variable: at any
-    optimum t equals g(x), so the face is C ∩ dom(g), whose rows it joins
-    as they are, cut by u_i.x + alpha_i <= v_j.x + value for every piece i
-    of g, where value is the unshifted one.
+    on the shift, so the unshifted result shares them
+    (`solve_linearization`).  The optimal face is written down without
+    projection by substituting the epigraph variable: at any optimum t
+    equals g(x), so the face is C ∩ dom(g), whose rows it joins as they
+    are, cut by u_i.x + alpha_i <= v_j.x + value for every piece i of g,
+    where value is the unshifted one.
     """
     v, beta = prob.h.piece(j)
     n = prob.dimension
@@ -254,42 +260,48 @@ def _linearize(prob: DcProblem, j: int) -> _Pair:
             "linearized subproblem infeasible despite the standing assumption"
         )
     if outcome.status is LpStatus.UNBOUNDED:
-        return (
-            LinearizationResult(j, False, MINUS_INF, None, None),
-            LinearizationResult(j, True, MINUS_INF, None, None),
-        )
+        return LinearizationResult(j, True, MINUS_INF, None, None)
     cuts = [(vsub(u, v), outcome.value - alpha) for u, alpha in prob.g.pieces]
     face = g_plus.domain.intersect(PolyhedralSet(n, inequalities=cuts))
-    witness = outcome.point[:n]
-    value = ExtendedRational.finite(outcome.value)
-    shifted = ExtendedRational.finite(outcome.value - beta)
-    return (
-        LinearizationResult(j, False, value, face, witness, outcome.unique),
-        LinearizationResult(j, True, shifted, face, witness, outcome.unique),
-    )
+    value = ExtendedRational.finite(outcome.value - beta)
+    return LinearizationResult(j, True, value, face, outcome.point[:n], outcome.unique)
+
+
+@kept
+def _linearized(prob: DcProblem) -> tuple[LinearizationResult, ...]:
+    """The shifted result of every piece of h, in order: the q epigraph LPs
+    of the problem are posed once, and the values and optimal faces they
+    give are only read after that (by this module, `duality`,
+    `optimality` and `gridcheck`)."""
+    # a tuple from a list, not a generator: see exactlp.vector
+    return tuple([_linearize(prob, j) for j in prob.h.indices])
 
 
 def solve_linearization(
     prob: DcProblem, j: int, shifted: bool = True
 ) -> LinearizationResult:
     """Minimize (g + indicator(C))(x) - v_j.x (- beta_j when shifted); the
-    result the problem holds (`DcProblem._linearized`)."""
-    prob.h.piece(j)  # raises IndexError outside 1..q
-    return prob._linearized[j - 1][shifted]
+    result the problem holds (`_linearized`), whose value the unshifted
+    result raises by beta_j."""
+    beta = prob.h.piece(j)[1]  # raises IndexError outside 1..q
+    result = _linearized(prob)[j - 1]
+    value = result.value + ExtendedRational.finite(beta)  # -inf stays -inf
+    return result if shifted else replace(result, shifted=False, value=value)
 
 
 def check_structure_hypotheses(prob: DcProblem) -> None:
     """Raise HypothesisNotMet unless dom(g) ⊇ C and int(dom(h)) ⊇ C.
 
     The verdict is a fact of the problem, decided once on first use
-    (`DcProblem._hypothesis_violation`); every later call raises the same
-    message, or returns, without an LP.
+    (`_hypothesis_violation`); every later call raises the same message,
+    or returns, without an LP.
     """
-    reason = prob._hypothesis_violation
+    reason = _hypothesis_violation(prob)
     if reason is not None:
         raise HypothesisNotMet(reason)
 
 
+@kept
 def _hypothesis_violation(prob: DcProblem) -> Optional[str]:
     """The message `check_structure_hypotheses` raises, or None.
 
@@ -308,6 +320,7 @@ def _hypothesis_violation(prob: DcProblem) -> Optional[str]:
     return None
 
 
+@kept
 def global_solutions(
     prob: DcProblem,
 ) -> tuple[ExtendedRational, frozenset[int], tuple[LinearizationResult, ...]]:
@@ -315,20 +328,13 @@ def global_solutions(
 
     When some linearized subproblem is unbounded the DC program is
     unbounded: the value is -inf and the solution set is empty.  The triple
-    is a fact of the problem (`DcProblem._global_solutions`), built once by
-    `_global_solutions` from the problem's own hypotheses and
-    linearizations (`DcProblem._hypothesis_violation`,
-    `DcProblem._linearized`); a later call poses no LP, and a problem that
-    breaks the hypotheses raises the same `HypothesisNotMet` on every call.
+    is a fact of the problem, decided once from the problem's own
+    hypotheses and linearizations (`_hypothesis_violation`,
+    `_linearized`); a later call poses no LP, and a problem that breaks
+    the hypotheses raises the same `HypothesisNotMet` on every call.
     """
-    return prob._global_solutions
-
-
-def _global_solutions(prob: DcProblem) -> tuple:
-    """The triple of `global_solutions`, decided from the problem's kept
-    verdicts and linearizations."""
     check_structure_hypotheses(prob)
-    results = [shifted for _, shifted in prob._linearized]
+    results = _linearized(prob)
     alpha_bar = min(r.value for r in results)
     J_star = frozenset(r.piece for r in results if r.value == alpha_bar)
     pieces = tuple([r for r in results if r.piece in J_star])  # see exactlp.vector
@@ -497,14 +503,14 @@ def local_pieces(
         raise EnumerationCapExceeded(
             f"h has {q} pieces; subset enumeration is capped at {cap}"
         )
-    linearized = prob._linearized
-    alpha = {shifted.piece: shifted.value for _, shifted in linearized}
-    face_of = {r.piece: r.face for r, _ in linearized if r.face is not None}
+    linearized = _linearized(prob)
+    alpha = {r.piece: r.value for r in linearized}
+    face_of = {r.piece: r.face for r in linearized if r.face is not None}
 
     point_at = cache(prob._point)  # one point per distinct point of the call
 
     points = {}  # j of a one-point face {y}: (the point of y, F)
-    for r, _ in linearized:
+    for r in linearized:
         if r.one_point:
             y = point_at(r.witness)
             F = [k for k, S in face_of.items() if S._tight_rows(y.scaled) is not None]
@@ -587,7 +593,8 @@ def _adjacency(
     """The edges of the pieces' adjacency graph with their witnesses; a
     pair whose anchors have different alpha is no edge (levels do not
     touch, module docstring) and is not tested."""
-    alpha = [prob._linearized[p.anchor - 1][1].value for p in pieces]
+    linearized = _linearized(prob)
+    alpha = [linearized[p.anchor - 1].value for p in pieces]
     edges = {}
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):

@@ -375,9 +375,9 @@ def reference_local_pieces(prob: DcProblem):
     piece equals an earlier one's: a piece is built for every J1, and the
     pieces are then merged pairwise by `reference_piece_subset`, keeping
     the first of each member set."""
-    linearized = prob._linearized
-    omega = {unshifted.piece: unshifted for unshifted, _ in linearized}
-    alpha = {shifted.piece: shifted.value for _, shifted in linearized}
+    linearized = structure._linearized(prob)
+    omega = {r.piece: r for r in linearized}
+    alpha = {r.piece: r.value for r in linearized}
     kept = []
     for size in range(1, len(prob.h.pieces) + 1):
         for combo in itertools.combinations(prob.h.indices, size):

@@ -128,7 +128,7 @@ class TestSelectSubgradient:
         for call in calls:
             with pytest.raises(InvalidSelection, match="piece 4, but h has 3"):
                 call()
-        assert posed == [] and prob._subproblems == {}
+        assert posed == [] and dca._subproblems(prob) == {}
         monkeypatch.undo()
         assert run(prob, vec(0), ByActiveSetTable(table)).termination.kind is (
             TerminationKind.FIXED_POINT
@@ -983,7 +983,7 @@ def _rules(rng, prob, x0):
 def _copy(prob):
     """The problem freshly parsed from its document: no answers kept."""
     copy = parse_problem(serialize_problem(prob))
-    assert copy == prob and "_subproblems" not in copy.__dict__
+    assert copy == prob and not copy._facts and not copy._nodes
     return copy
 
 
@@ -1038,9 +1038,9 @@ def test_shared_problem_runs_equal_runs_on_fresh_copies():
         )
     # an unbounded subproblem is kept like any other answer, and so is a
     # subgradient that is no piece gradient
-    assert any(None in prob._subproblems.values() for prob in problems)
+    assert any(None in dca._subproblems(prob).values() for prob in problems)
     assert any(
-        set(prob._subproblems) - set(prob.h._scaled_gradients) for prob in problems
+        set(dca._subproblems(prob)) - set(prob.h._scaled_gradients) for prob in problems
     )
 
 
@@ -1079,7 +1079,7 @@ def test_repeated_runs_and_checks_pose_no_lp(monkeypatch):
         monkeypatch.setattr(dca, "lp_solve", counting_solve)
         first = [run(prob, x0, rule) for x0, rule in runs]
         monkeypatch.undo()
-        assert len(set(solved)) == len(solved) == len(prob._subproblems)
+        assert len(set(solved)) == len(solved) == len(dca._subproblems(prob))
         try:
             report = toland_singer_check(prob)
         except HypothesisNotMet as exc:
@@ -1275,7 +1275,7 @@ def test_a_graph_poses_at_most_q_lps_per_problem(monkeypatch):
             for rule in (MinIndexActive(), MaxIndexActive()):
                 run(prob, x0, rule)
         monkeypatch.undo()
-        assert len(posed) == len(prob._subproblems)
+        assert len(posed) == len(dca._subproblems(prob))
         assert graphs[0] == transition_graph(_copy(prob), MinIndexActive())
     with pytest.raises(TypeError, match="pick"):
         transition_graph(problems[0], Scripted(()))
@@ -1367,12 +1367,12 @@ def test_a_run_evaluates_h_once_per_node(monkeypatch):
                 evaluated, scaled = _counting_evaluations(monkeypatch, fresh)
                 trace = run(fresh, x0, rule)
                 monkeypatch.undo()
-                bounded = [node for node in fresh._subproblems.values() if node]
+                bounded = [node for node in dca._subproblems(fresh).values() if node]
                 assert evaluated[0] == model._scaled(tuple(x0))
                 assert sorted(evaluated[1:]) == sorted({n[0].scaled for n in bounded})
                 assert trace == run(prob, x0, rule)
                 start = model._scaled(tuple(x0))
-                kept = {n[0].scaled for n in prob._subproblems.values() if n}
+                kept = {n[0].scaled for n in dca._subproblems(prob).values() if n}
                 at_node += start in kept
                 evaluated, scaled = _counting_evaluations(monkeypatch, prob)
                 assert run(prob, x0, rule) == trace
@@ -1405,7 +1405,7 @@ def test_validate_trace_evaluates_each_point_once(monkeypatch):
                 assert validate_trace(prob, xs, xis) == expected
             assert expected.valid and set(calls.values()) <= {1}
             distinct = {model._scaled(x) for x in xs}
-            kept = {n[0].scaled for n in prob._subproblems.values() if n}
+            kept = {n[0].scaled for n in dca._subproblems(prob).values() if n}
             assert {point for _, point in calls} == distinct - kept
             repeated += len(distinct) < len(xs)
             at_nodes += bool(distinct & kept)
@@ -1423,7 +1423,7 @@ def _warm_nodes(rng, prob):
             run(prob, x0, Scripted((_mean_active_gradient(prob, x0),)))
     for rule in (MinIndexActive(), MaxIndexActive()):
         transition_graph(prob, rule)
-    return [node for node in prob._subproblems.values() if node]
+    return [node for node in dca._subproblems(prob).values() if node]
 
 
 def test_the_registry_holds_the_points_of_the_bounded_nodes():
@@ -1508,11 +1508,11 @@ def test_a_pick_cannot_change_a_kept_node():
     for prob in [gens.random_dc_instance(rng) for _ in range(10)]:
         lo, _ = prob.C.bounding_box()
         run(prob, lo, MinIndexActive())
-        kept = dict(prob._subproblems)
+        kept = dict(dca._subproblems(prob))
         for node in filter(None, kept.values()):
             with pytest.raises(AttributeError):
                 run(prob, node[0].x, _Mutating())
-        assert prob._subproblems == kept
+        assert dca._subproblems(prob) == kept
         for x0 in _starts(rng, prob, 3):
             assert run(prob, x0, MaxIndexActive()) == run(
                 _copy(prob), x0, MaxIndexActive()

@@ -185,7 +185,8 @@ class TestTolandSinger:
 
 class TestKeptReport:
     """The report is a fact of the problem, built and checked once
-    (`DcProblem._dual_report`); a check that raises keeps nothing."""
+    (`toland_singer_check` is kept in `DcProblem._facts`); a check that
+    raises keeps nothing."""
 
     def test_a_repeated_check_reads_the_kept_report(self, monkeypatch):
         # the second check poses no LP and evaluates nothing, and the
@@ -217,8 +218,10 @@ class TestKeptReport:
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
             assert "interior of dom(h)" in messages[0]
-        assert "_dual_report" not in vars(prob)
-        assert "_global_solutions" not in vars(prob)
+        assert toland_singer_check not in prob._facts
+        assert global_solutions not in prob._facts
+        # the verdict on the hypotheses is kept: it returned a message
+        assert prob._facts[structure._hypothesis_violation] == messages[0]
 
     def test_a_planted_violation_raises_on_every_call(
         self, interval_problem, monkeypatch
@@ -234,10 +237,12 @@ class TestKeptReport:
             with pytest.raises(InternalCheckFailed) as info:
                 toland_singer_check(prob)
             assert str(info.value) == "piece 2: weak duality violated, -10 < -2"
-        assert "_dual_report" not in vars(prob)
+        assert toland_singer_check not in prob._facts
+        assert global_solutions in prob._facts  # it passed, so it is kept
         monkeypatch.undo()
         copy = parse_problem(serialize_problem(prob))
         assert toland_singer_check(prob) == toland_singer_check(copy)
+        assert prob._facts[toland_singer_check] == toland_singer_check(copy)
 
     def test_a_raised_conjugate_breaks_the_bounds_of_each_piece(
         self, interval_problem, monkeypatch

@@ -436,7 +436,7 @@ class TestOnePassClassifier:
         assert len(instances) >= 50
         decided = set()
         for prob in instances:
-            prob._linearized  # the problem's own LPs, posed before any point
+            structure._linearized(prob)  # the problem's own LPs, posed before any point
             for x in gens.probes(prob):
                 posed.clear()
                 expected = gens.reference_classify(prob, x)
@@ -691,7 +691,7 @@ class TestFaceLemma:
             lo, hi = prob.C.bounding_box()
             centre = tuple((a + b) / 2 for a, b in zip(lo, hi))
             corner = tuple(rng.choice(pair) for pair in zip(lo, hi))
-            prob._linearized  # the problem's own LPs, posed once
+            structure._linearized(prob)  # the problem's own LPs, posed once
             for rule in (MinIndexActive(), MaxIndexActive()):
                 for x0 in (lo, hi, centre, corner):
                     trace = run(prob, x0, rule)

@@ -398,11 +398,11 @@ def _lattice(prob):
     """(J1, closed part, alpha) for every J1 of the lattice whose faces all
     exist, in the order local_pieces tries them (by size, then
     lexicographic)."""
-    linearized = prob._linearized
-    alpha = {shifted.piece: shifted.value for _, shifted in linearized}
+    linearized = structure._linearized(prob)
+    alpha = {r.piece: r.value for r in linearized}
     for size in range(1, len(prob.h.pieces) + 1):
         for combo in itertools.combinations(prob.h.indices, size):
-            faces = [linearized[j - 1][0].face for j in combo]
+            faces = [linearized[j - 1].face for j in combo]
             if any(face is None for face in faces):
                 continue
             closed_part = reduce(PolyhedralSet.intersect, faces).intersect(prob.C)
@@ -750,7 +750,7 @@ class TestSmallerSemiClosedLps:
                     assert pieces_adjacent(mine, Q) == pieces_adjacent(P, Q)
 
     def test_interval_lp_count(self, interval_problem, monkeypatch):
-        interval_problem._linearized  # the problem's own LPs, not counted
+        structure._linearized(interval_problem)  # the problem's own LPs, not counted
         calls = []
         original = exactlp.lp_solve
 
@@ -869,7 +869,7 @@ class TestSkippedSubPieces:
         saw = collections.Counter()
         for _ in range(60):
             prob = gens.random_half_space_instance(rng)
-            faces = [r.face is not None for r, _ in prob._linearized]
+            faces = [r.face is not None for r in structure._linearized(prob)]
             pieces = local_pieces(prob)
             expected = gens.reference_local_pieces(prob)
 
@@ -920,7 +920,7 @@ class TestSkippedSubPieces:
         return prepared
 
     def test_interval_prepares_one_start(self, interval_problem, monkeypatch):
-        linearized = interval_problem._linearized
+        linearized = structure._linearized(interval_problem)
         prepared = self._counting_prepares(monkeypatch)
         pieces = local_pieces(interval_problem)
         assert [sorted(p.J1) for p in pieces] == [[1], [2], [3]]
@@ -930,7 +930,7 @@ class TestSkippedSubPieces:
         # every nonempty J1 posed one (the pieces of {1}, {2}, {3}, and the
         # two empty ones of {1, 3} and {1, 2, 3}), 9 when every J1 was
         # built and each containment test posed a margin LP of its own
-        assert [r.one_point for r, _ in linearized] == [True, False, True]
+        assert [r.one_point for r in linearized] == [True, False, True]
         assert len(prepared) == 1
 
     def test_no_margin_lp_is_prepared_twice(self, monkeypatch):
@@ -990,7 +990,8 @@ class TestMembershipEvaluatesDomHOnce:
 
 class TestKeptGlobalSolutions:
     """The triple of `global_solutions` is a fact of the problem, decided
-    once (`DcProblem._global_solutions`), and `classify` reads it."""
+    once (`global_solutions` is kept in `DcProblem._facts`), and `classify`
+    reads it."""
 
     def test_a_repeated_call_reads_the_kept_triple(self, monkeypatch):
         # after a first call, global_solutions and classify with the
@@ -1045,18 +1046,22 @@ class TestOneCheckOneLinearization:
     part and for separate calls alike."""
 
     def _counting(self, monkeypatch, checks="check_structure_hypotheses"):
+        """Count the calls of `checks`, or its builds when it is a kept fact
+        (`model.kept`), and the LPs structure solves."""
         counts = {"checks": 0, "linearizations": 0}
         check, solve = getattr(structure, checks), structure.lp_solve
+        build = getattr(check, "__wrapped__", None)
 
         def counting_check(prob):
             counts["checks"] += 1
-            return check(prob)
+            return (build or check)(prob)
 
         def counting_solve(lp):  # structure poses only the epigraph LPs
             counts["linearizations"] += 1
             return solve(lp)
 
-        monkeypatch.setattr(structure, checks, counting_check)
+        counted = counting_check if build is None else model.kept(counting_check)
+        monkeypatch.setattr(structure, checks, counted)
         monkeypatch.setattr(structure, "lp_solve", counting_solve)
         return counts
 
@@ -1064,7 +1069,7 @@ class TestOneCheckOneLinearization:
         self, interval_problem, monkeypatch
     ):
         # the hypotheses are decided once per problem, however many entries
-        # ask for them
+        # ask for them: the kept verdict is built once
         counts = self._counting(monkeypatch, "_hypothesis_violation")
         result = solution_structure(interval_problem)
         assert counts == {"checks": 1, "linearizations": 3}
@@ -1196,7 +1201,7 @@ class TestPointFaces:
             assert edges == structure._adjacency(prob, expected), prob
             assert list(edges) == list(structure._adjacency(prob, expected))
             assert components(prob, pieces) == components(prob, expected), prob
-            faces.update(r.one_point for r, _ in prob._linearized if r.face)
+            faces.update(r.one_point for r in structure._linearized(prob) if r.face)
         assert faces == {True, False}
         assert None in decided and any(p is not None for p in decided)
 

@@ -18,7 +18,11 @@ min-index run and a script of random vectors, each with the default
 budget and with `--max-iter 1`; on the 12 documents with box domains also
 `classify` with and without `--global` at up to three quarter-grid points
 of C ∩ dom g on the boundary of dom h, drawn from their own seed; on the
-bundled problems also `dca` with two malformed tables.
+bundled problems also `dca` with two malformed tables.  After all of
+these come the malformed documents, each run through one command: three
+copies of `interval.json` with an unknown key at the top level, in C and
+in g (`structure`), and a problem, a table and a script file that are not
+valid JSON (`structure`, and `dca` under `table:` and `script:`).
 
 Each tree runs every command in one child process, in-process through
 `polydc.cli.main`, so no state is shared between the trees.  Every
@@ -200,7 +204,27 @@ def make_cases(workdir: Path) -> None:
                 bad = _write(workdir / f"{name}.{kind}.json", {"entries": entries})
                 x0 = _csv(_points(P, rng, prob, 1)[0])
                 cases.append(["dca", *problem, f"--x0={x0}", "--rule", f"table:{bad}"])
+    cases += _malformed_cases(workdir, workdir / "interval.json")
     (workdir / "cases.json").write_text(json.dumps(cases), encoding="utf-8")
+
+
+def _malformed_cases(workdir: Path, source: Path) -> list:
+    """One command per malformed document, written from the problem at
+    `source`: an unknown key at the top level, in C and in g, and a
+    problem, a table and a script file cut off inside their JSON."""
+    cases = []
+    for where in ("top", "C", "g"):
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        (doc if where == "top" else doc[where])["extra"] = []
+        path = _write(workdir / f"unknown_{where}.json", doc)
+        cases.append(["structure", "--problem", path])
+    cut = workdir / "cut.json"
+    cut.write_text(source.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    problem = ["--problem", str(source), "--x0=0", "--rule"]
+    cases.append(["structure", "--problem", str(cut)])
+    cases.append(["dca", *problem, f"table:{cut}"])
+    cases.append(["dca", *problem, f"script:{cut}"])
+    return cases
 
 
 # ---------------------------------------------------------------------------
