@@ -20,17 +20,26 @@ solution:
   into nonnegative pairs.
 * Each inequality row `a.z <= b` gets a slack with coefficient 1.  A row
   with b >= 0 starts with its slack basic; only a row with b < 0 is negated
-  and gets an artificial, and phase 1 runs only if there is one.
+  and gets an artificial, its slack starting nonbasic, and phase 1 runs
+  only if there is one.
 * A later copy of an inequality row whose rhs after substitution is >= 0
   cannot change a pivot, so it gets no row of the tableau (proof in
   `_prepare`).  Every LP over rows that repeat, such as a face of C cut
   again by C, pivots as over all of them.
-* The simplex tableau keeps one common denominator `det > 0` (initially
-  1): entries are `det * B^-1 [A | b]`, integers because each is a minor
-  of the integer system.  A pivot updates every row with one exact integer
-  division by the old `det` (Bareiss 1968); no gcd is taken.  That pivot,
-  `_Tableau.pivot`, is the one row update of the module: the elimination
-  of the equalities (`_rref`) is Gauss-Jordan pivots on a tableau too.
+* The simplex tableau is a dictionary (Chvatal, Linear Programming, 1983,
+  ch. 2) kept fraction-free: it stores the nonbasic columns and the rhs
+  only, `det * B^-1 [N | b]` with one common denominator `det > 0`
+  (initially 1), integers because each is a minor of the integer system.
+  A basic column is det in its own row and 0 elsewhere, so it is not
+  stored.  A pivot updates every row with one exact integer division by
+  the old `det` (Bareiss 1968), no gcd taken, and hands the entering
+  column's slot to the leaving column.  Columns are chosen by their
+  original indices, so every pivot is the one the full tableau
+  `det * B^-1 [A | b]` takes.  That pivot, `_Tableau.pivot`, is the one
+  row update of the module: the elimination of the equalities (`_rref`)
+  is Gauss-Jordan pivots on a tableau too, which drops each eliminated
+  column, so the solved equalities come out over the free coordinates and
+  the rhs.
 * Fractions appear again only when the basic solution is read off.  The
   optimal value is read from the tableau: the last entry of the reduced
   row over `det`, with the objective's scale and the constant of the
@@ -75,7 +84,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Row = tuple[Vector, Fraction]  # (coefficients, right-hand side)
@@ -319,51 +328,40 @@ INFEASIBLE = LpOutcome(LpStatus.INFEASIBLE)
 UNBOUNDED = LpOutcome(LpStatus.UNBOUNDED)
 
 
-def _bareiss(line: list[int], pivot_row: list[int], col: int, det: int) -> list[int]:
-    """`line` after a fraction-free pivot on p = pivot_row[col]:
-    (line * p - line[col] * pivot_row) // det.  The division is exact when
-    det is the previous pivot, as every entry is then a minor of the
-    integer matrix (Bareiss 1968)."""
-    p = pivot_row[col]
-    factor = line[col]
-    if factor == 0:
-        return line if p == det else [x * p // det for x in line]
-    return [(x * p - factor * y) // det for x, y in zip(line, pivot_row)]
-
-
 def _rref(
     rows: Sequence[Sequence[int]], width: int
 ) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of integer rows over the
     first `width` columns.
 
-    Returns (matrix, pivots, det) with matrix = det * RREF in integers and
-    det > 0: row k has det in column pivots[k] and every other row a 0
-    there, and the rows from len(pivots) on are zero in the first `width`
-    columns.
+    Returns (matrix, pivots, det) with det > 0 and matrix = det * RREF in
+    integers without its pivot columns: row k has det in column pivots[k]
+    and every other row a 0 there, so each row keeps only the columns
+    outside `pivots`, in order, and the columns past `width`.  The rows
+    from len(pivots) on are zero in the first `width` columns.
 
     Each column's pivot row is the first at or below the rows already
-    pivoted with a nonzero entry there; it is swapped up, its column joins
-    the basis and `_Tableau.pivot` updates every other row.  The Bareiss
-    update of rows and det all negated is the update negated, so negating
-    the tableau on each negative pivot, as `pivot` does, ends at the matrix
-    that negating once at the end would.
+    pivoted with a nonzero entry there; it is swapped up and
+    `_Tableau.pivot` makes its column basic.  A row not yet pivoted is
+    basic on no column, as if on an artificial, so the slot it would hand
+    over is dropped.  The Bareiss update of rows and det all negated is
+    the update negated, so negating the tableau on each negative pivot, as
+    `pivot` does, ends at the matrix that negating once at the end would.
     """
-    tableau = _Tableau(list(rows), [])
+    tableau = _Tableau(list(rows), [width] * len(rows), list(range(width)), width)
+    top = 0
     for col in range(width):
         matrix = tableau.rows
-        top = len(tableau.basis)
         if top == len(matrix):
             break
-        pivot = next(
-            (r for r in range(top, len(matrix)) if matrix[r][col] != 0), None
-        )
+        k = col - top  # the columns pivoted so far are all before col
+        pivot = next((r for r in range(top, len(matrix)) if matrix[r][k] != 0), None)
         if pivot is None:
             continue
         matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
-        tableau.basis.append(col)
-        tableau.pivot(top, col)
-    return tableau.rows, tableau.basis, tableau.det
+        tableau.pivot(top, k)
+        top += 1
+    return tableau.rows, tableau.basis[:top], tableau.det
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
@@ -379,7 +377,10 @@ def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
         if len(r) != width:
             raise ValueError("rows of unequal length")
     matrix, pivots, det = _rref([integer_row(r, ZERO)[0] for r in rows], width)
-    return [tuple(Fraction(x, det) for x in line) for line in matrix[: len(pivots)]]
+    free = [j for j in range(width) if j not in pivots]
+    # each row with its pivot column put back: det there, 0 in the others
+    rows = [{p: det, **dict(zip(free, line))} for line, p in zip(matrix, pivots)]
+    return [tuple(Fraction(r.get(j, 0), det) for j in range(width)) for r in rows]
 
 
 def _eliminate_equalities(equalities: Sequence[LpRow], dimension: int):
@@ -387,70 +388,112 @@ def _eliminate_equalities(equalities: Sequence[LpRow], dimension: int):
 
     Returns (pivots, solved, det): the solutions are the x whose coordinates
     outside `pivots` are free and det * x[pivots[r]] = solved[r][-1] minus
-    the sum of solved[r][j] * x[j] over those free coordinates j.
+    the sum of solved[r][k] * x[j] over the k-th free coordinate j.
     """
     matrix, pivots, det = _rref([A + (B,) for A, B in equalities], dimension)
-    if any(line[dimension] != 0 for line in matrix[len(pivots):]):
+    if any(line[-1] != 0 for line in matrix[len(pivots):]):
         return None  # 0 = nonzero
     return pivots, matrix[: len(pivots)], det
 
 
 class _Tableau:
-    """Integer simplex tableau `rows = det * B^-1 [A | b]` (rhs last).
+    """Integer simplex tableau in dictionary form: `rows = det * B^-1 [N |
+    b]`, the nonbasic columns N and the rhs last, where `cols[k]` is the
+    original index of the column in slot k.
 
-    `det` is the common denominator of every entry and stays positive;
-    `reduced` is the reduced-cost row scaled by the same `det` (its last
-    entry is -det times the objective value), or None when no objective is
-    being minimized.  Artificial variables are basic under indices >= the
-    column count and have no stored column: they never enter, so one that
-    has left the basis stays at 0.
+    A basic column is not stored: it is det in its own row and 0 in every
+    other.  `n` is the number of columns; `basis[i] >= n` is an artificial
+    variable, which has no column at all: it never enters, so when it
+    leaves its slot is dropped.  `det` is the common denominator of every
+    entry and stays positive; `reduced` is the reduced-cost row over the
+    same slots, scaled by the same `det` (its last entry is -det times the
+    objective value), or None when no objective is being minimized.
+    Entering and leaving columns are chosen by their original indices, so
+    every pivot is the one the full tableau `det * B^-1 [A | b]` would
+    take, and its rows are these with the basic columns put back.
     """
 
-    __slots__ = ("rows", "basis", "det", "reduced")
+    __slots__ = ("rows", "basis", "cols", "n", "det", "reduced")
 
-    def __init__(self, rows: list[list[int]], basis: list[int]):
+    def __init__(self, rows: list, basis: list[int], cols: list[int], n: int):
         self.rows = rows
         self.basis = basis
+        self.cols = cols
+        self.n = n
         self.det = 1
         self.reduced: Optional[list[int]] = None
 
     def copy(self) -> "_Tableau":
         """A tableau that continues from this state and leaves it as it is.
         No method changes a row in place, so the rows are shared."""
-        clone = _Tableau(list(self.rows), list(self.basis))
+        clone = _Tableau(list(self.rows), list(self.basis), list(self.cols), self.n)
         clone.det = self.det
         clone.reduced = self.reduced
         return clone
 
-    def pivot(self, row: int, col: int) -> None:
-        """Bareiss pivot on p = rows[row][col]: every other row, the reduced
-        row included, is updated by `_bareiss`; then det = |p|.
+    def pivot(self, row: int, k: int) -> None:
+        """Bareiss pivot on p = rows[row][k]: column cols[k] enters and
+        basis[row] leaves.  Every other row, the reduced row included,
+        becomes (line * p - line[k] * pivot row) // det, with one exact
+        integer division by the old det, as every entry is a minor of the
+        integer system (Bareiss 1968); then det = |p|.
+
+        Slot k goes to the leaving column, whose entries are known: det in
+        the pivot row and 0 elsewhere before, so s * det in the pivot row
+        and -s times the old slot-k entry in every other row after, for the
+        sign s of p.  The update writes the latter itself when the pivot
+        row holds p + s * det in slot k.  An artificial that leaves has no
+        column, and its slot is dropped.
 
         A negative p, possible while driving an artificial out and in
         `_rref`, is absorbed by negating everything: the pivot row is
         negated first, and the update by the negated row is the update
         negated, as each division in it is exact."""
         pivot_row = self.rows[row]
-        if pivot_row[col] < 0:
-            pivot_row = [-x for x in pivot_row]
-        det = self.det
-        self.rows = [
-            pivot_row if i == row else _bareiss(line, pivot_row, col, det)
-            for i, line in enumerate(self.rows)
-        ]
-        if self.reduced is not None:
-            self.reduced = _bareiss(self.reduced, pivot_row, col, det)
-        self.basis[row] = col
-        self.det = pivot_row[col]
+        p = pivot_row[k]
+        s = 1 if p > 0 else -1
+        update = [-x for x in pivot_row] if s < 0 else list(pivot_row)
+        p, det = s * p, self.det
+        update[k] = p + s * det
+        leaving, self.basis[row] = self.basis[row], self.cols[k]
+        drop = leaving >= self.n
+        reduced = self.reduced
+        lines = self.rows if reduced is None else self.rows + [reduced]
+        rows = []
+        for i, line in enumerate(lines):
+            if i == row:
+                line = update
+            else:
+                factor = line[k]
+                if factor != 0:
+                    line = [(x * p - factor * y) // det for x, y in zip(line, update)]
+                elif p != det:
+                    line = [x * p // det for x in line]
+                elif drop:  # left as it was, and shared: copied to cut
+                    line = list(line)
+                if drop:
+                    del line[k]
+            rows.append(line)
+        if reduced is not None:
+            reduced = rows.pop()
+        if drop:
+            del update[k], self.cols[k]
+        else:
+            update[k] = s * det
+            self.cols[k] = leaving
+        self.rows, self.reduced, self.det = rows, reduced, p
 
     def _in_basis(self, line: list[int]) -> list[int]:
         """`line`, one integer per column and the rhs, written in the
-        current basis: `det * line - sum of line[basis[i]] * rows[i]`,
-        which is zero in every basic column."""
-        row = [self.det * x for x in line]
+        current basis over the stored columns and the rhs: `det * line -
+        sum of line[basis[i]] * rows[i]`, which is zero in every basic
+        column."""
+        det = self.det
+        row = [det * line[j] for j in self.cols] + [det * line[-1]]
         for r, col in zip(self.rows, self.basis):
-            if line[col] != 0:
-                row = [x - line[col] * y for x, y in zip(row, r)]
+            factor = line[col]
+            if factor != 0:
+                row = [x - factor * y for x, y in zip(row, r)]
         return row
 
     def load(self, costs: list[int]) -> None:
@@ -459,45 +502,45 @@ class _Tableau:
         is the costs with a rhs of 0 written in the basis (`_in_basis`)."""
         self.reduced = self._in_basis(costs[:-1] + [0])
 
-    def minimize(self, columns: Iterable[int]) -> bool:
-        """Bland's rule over `columns` (ascending): False if unbounded,
+    def minimize(self, columns: Container[int]) -> bool:
+        """Bland's rule over the columns in `columns`: False if unbounded,
         else True.
 
-        Entering: lowest column with a negative reduced cost.  Leaving: the
-        least ratio rhs / coefficient over positive coefficients, compared by
-        cross-multiplication, ties to the lowest basic index.
+        Entering: the lowest column with a negative reduced cost.  Leaving:
+        the least ratio rhs / coefficient over positive coefficients,
+        compared by cross-multiplication, ties to the lowest basic index.
         """
+        basis = self.basis
         while True:
-            reduced = self.reduced
-            col = next((j for j in columns if reduced[j] < 0), None)
-            if col is None:
+            cols = self.cols
+            entering = [j for j, x in zip(cols, self.reduced) if x < 0 and j in columns]
+            if not entering:
                 return True
+            k = cols.index(min(entering))
             row = None
             for i, line in enumerate(self.rows):
-                coeff = line[col]
+                coeff = line[k]
                 if coeff > 0:
                     if row is not None:
                         lhs = line[-1] * best_coeff
                         rhs = best_rhs * coeff
-                        if lhs > rhs or (
-                            lhs == rhs and self.basis[i] > self.basis[row]
-                        ):
+                        if lhs > rhs or (lhs == rhs and basis[i] > basis[row]):
                             continue
                     row, best_rhs, best_coeff = i, line[-1], coeff
             if row is None:
                 return False
-            self.pivot(row, col)
+            self.pivot(row, k)
 
-    def phase_one(self, columns: Sequence[int]) -> bool:
+    def phase_one(self, columns: Container[int]) -> bool:
         """Phase 1 over `columns`: minimize the sum of the basic artificials.
         False when it stays positive (the rows have no solution); else each
-        artificial, now at 0, is pivoted out on its first nonzero entry
-        among `columns` and the result is True.  That entry exists: either
-        `columns` are all the columns and every original row has its own
-        slack, or the row was added by `add_equality` and is not implied on
-        the face."""
-        width = len(self.rows[0]) - 1 if self.rows else 0
-        artificial = [line for line, col in zip(self.rows, self.basis) if col >= width]
+        artificial, now at 0, is pivoted out on its lowest column with a
+        nonzero entry among `columns` and the result is True.  That entry
+        exists: either `columns` are all the columns and every original row
+        has its own slack, or the row was added by `add_equality` and is
+        not implied on the face."""
+        n = self.n
+        artificial = [line for line, col in zip(self.rows, self.basis) if col >= n]
         if not artificial:
             return True
         self.reduced = [-sum(column) for column in zip(*artificial)]
@@ -506,35 +549,45 @@ class _Tableau:
             return False
         self.reduced = None
         for r in range(len(self.rows)):
-            if self.basis[r] >= width:
-                self.pivot(r, next(j for j in columns if self.rows[r][j] != 0))
+            if self.basis[r] >= n:
+                cols = self.cols
+                col = min(
+                    j for j, x in zip(cols, self.rows[r]) if x != 0 and j in columns
+                )
+                self.pivot(r, cols.index(col))
         return True
 
-    def add_equality(self, line: list[int], columns: Sequence[int]) -> None:
+    def add_equality(self, line: list[int], columns: Container[int]) -> None:
         """Add the row `line[:-1] . y = line[-1]` to the solved tableau.
 
-        The new row is `line` written in the basis (`_in_basis`), zero in
-        every basic column; it is basic on a new artificial (negated if its
-        rhs is negative, so the artificial starts nonnegative).  `phase_one`
-        over `columns` then brings the artificial to 0, which it must reach,
-        and drives it out.
+        The new row is `line` written in the basis (`_in_basis`); it is
+        basic on a new artificial (negated if its rhs is negative, so the
+        artificial starts nonnegative).  `phase_one` over `columns` then
+        brings the artificial to 0, which it must reach, and drives it out.
         """
         row = self._in_basis(line)
         if row[-1] < 0:
             row = [-x for x in row]
         self.rows.append(row)
-        self.basis.append(len(row) - 1 + len(self.rows))  # past every column
+        self.basis.append(self.n + len(self.rows))  # past every column
         if not self.phase_one(columns):
             raise ArithmeticError("added row misses the face it should cut")
 
-    def lexmin_step(self, line: list[int], columns: list[int]) -> list[int]:
+    def face(self, columns: Iterable[int]) -> set[int]:
+        """The columns of `columns` still allowed on the optimal face: all
+        but the stored ones of nonzero reduced cost."""
+        fixed = {j for j, x in zip(self.cols, self.reduced) if x != 0}
+        return {j for j in columns if j not in fixed}
+
+    def lexmin_step(self, line: list[int], columns: set[int]) -> set[int]:
         """Cut the face (the columns allowed to enter) down to where
         `c . y` is least, for `line = c + [b]` with `c . y - b` a positive
         multiple of one coordinate x_k; return the columns still allowed.
 
         A finite minimum, or a finite maximum below 0 when the minimum is
         unbounded, is fixed by dropping every column whose reduced cost is
-        nonzero.  Otherwise x_k = 0 lies on the face and is added as a row.
+        nonzero (`face`).  Otherwise x_k = 0 lies on the face and is added
+        as a row.
         """
         self.load(line)
         if not self.minimize(columns):
@@ -544,25 +597,23 @@ class _Tableau:
             ):
                 self.add_equality(line, columns)
                 return columns
-        return [j for j in columns if self.reduced[j] == 0]
+        return self.face(columns)
 
 
 class _Start:
     """Everything `lp_solve` does before it reads the objective.
 
     The integer equalities are eliminated (`pivots`, `solved` and `det` as
-    `_eliminate_equalities` returns them); every integer inequality is
-    substituted into a row over the `free` coordinates, and phase 1 finds a
-    feasible basis of those rows.  `projected` counts the rows that
-    substitution leaves nonzero and `_prepare` keeps, one slack column
-    each.  `tableau` is None when the equalities fix the point.  A solve
-    works on a copy of the tableau, so the start is only read once it is
-    built.
+    `_eliminate_equalities` returns them, each solved row over the free
+    coordinates and the rhs); every integer inequality is substituted into
+    a row over the `free` coordinates, and phase 1 finds a feasible basis
+    of those rows (`begin`).  `projected` counts the rows that substitution
+    leaves nonzero and `_prepare` keeps, one slack column each.  `tableau`
+    is None when the equalities fix the point.  A solve works on a copy of
+    the tableau, so the start is only read once it is built.
     """
 
-    __slots__ = (
-        "dimension", "pivots", "solved", "det", "free", "kept", "projected", "tableau",
-    )
+    __slots__ = ("dimension", "pivots", "solved", "det", "free", "projected", "tableau")
 
     def __init__(self, dimension, pivots, solved, det):
         self.dimension = dimension
@@ -570,18 +621,18 @@ class _Start:
         self.solved = solved
         self.det = det
         self.free = [j for j in range(dimension) if j not in pivots]
-        self.kept = self.free + [dimension]  # the free coordinates and the rhs
         self.projected = 0
         self.tableau: Optional[_Tableau] = None
 
     def substitute(self, A: Sequence[int], B: int) -> list[int]:
         """The integer row `A . x <= B` over the free coordinates, rhs last,
         times `det`."""
-        kept = self.kept
+        if not self.pivots:  # no equalities: det is 1 and every coordinate free
+            return [*A, B]
         row = [self.det * A[j] for j in self.free] + [self.det * B]
         for p, equation in zip(self.pivots, self.solved):
             if A[p] != 0:
-                row = [x - A[p] * equation[j] for x, j in zip(row, kept)]
+                row = [x - A[p] * y for x, y in zip(row, equation)]
         return row
 
     def lift(self, numerators, denominator) -> Vector:
@@ -592,7 +643,7 @@ class _Start:
             point[j] = Fraction(numerator, denominator)
         for p, equation in zip(self.pivots, self.solved):
             numerator = equation[-1] * denominator - sum(
-                equation[j] * z for j, z in zip(self.free, numerators)
+                x * z for x, z in zip(equation, numerators)
             )
             point[p] = Fraction(numerator, self.det * denominator)
         return tuple(point)
@@ -602,6 +653,37 @@ class _Start:
         columns, c + [b]."""
         *cost, b = self.substitute(A, 0)
         return cost + [-c for c in cost] + [0] * self.projected + [b]
+
+    def begin(self, projected: list[tuple[list[int], int]]) -> Optional["_Start"]:
+        """This start over the rows `projected`, each (row, b) for `row . z
+        <= b`, with phase 1 run; None when they have no solution.
+
+        The columns are z+ and z- (f each) and one slack per row, 2f + m in
+        all.  A row with b >= 0 starts with its slack basic.  A row with
+        b < 0 is negated and starts on an artificial, so its slack is a
+        stored column holding -1 in that row."""
+        self.projected = m = len(projected)
+        f = len(self.free)
+        if f == 0:
+            return self
+        n = 2 * f + m
+        rows, basis, cols = [], [], list(range(2 * f))
+        zeros = [0] * sum(b < 0 for _, b in projected)  # the stored slacks
+        for k, (row, b) in enumerate(projected):
+            if b < 0:
+                line = [-c for c in row] + row + zeros + [-b]
+                line[len(cols)] = -1
+                cols.append(2 * f + k)
+                basis.append(n + k)  # artificial
+            else:
+                line = row + [-c for c in row] + zeros + [b]
+                basis.append(2 * f + k)  # slack
+            rows.append(line)
+        tableau = _Tableau(rows, basis, cols, n)
+        if not tableau.phase_one(range(n)):
+            return None
+        self.tableau = tableau
+        return self
 
     def solve(self, objective: Vector, lexmin: int) -> LpOutcome:
         """Phase 2 for `objective` on a copy of the tableau, then the lexmin
@@ -633,9 +715,9 @@ class _Start:
             return LpOutcome(LpStatus.OPTIMAL, value, self.lift((), 1), True)
         tableau = self.tableau.copy()
         f = len(self.free)
-        n = 2 * f + self.projected
+        columns = range(tableau.n)
         tableau.load(line)
-        if not tableau.minimize(range(n)):
+        if not tableau.minimize(columns):
             return UNBOUNDED
         value = Fraction(
             -tableau.reduced[-1] - line[-1] * tableau.det,
@@ -643,7 +725,7 @@ class _Start:
         )
         unique = self.proves_unique(tableau)
         if lexmin and not unique:
-            columns = [j for j in range(n) if tableau.reduced[j] == 0]
+            columns = tableau.face(columns)
             for k in range(lexmin):
                 unit = [0] * self.dimension
                 unit[k] = 1
@@ -652,22 +734,20 @@ class _Start:
         z = [0] * f  # numerators over tableau.det
         for row, col in zip(tableau.rows, tableau.basis):
             if col < f:
-                z[col] += row[n]
+                z[col] += row[-1]
             elif col < 2 * f:
-                z[col - f] -= row[n]
+                z[col - f] -= row[-1]
         return LpOutcome(LpStatus.OPTIMAL, value, self.lift(z, tableau.det), unique)
 
     def proves_unique(self, tableau: _Tableau) -> bool:
         """Whether the solved `tableau` of this start proves its optimal
-        face one point of x, by the test in `solve`."""
+        face one point of x, by the test in `solve`: no stored column of
+        zero reduced cost other than the mirror of a basic split column."""
         f = len(self.free)
-        reduced = tableau.reduced
-        basic = set(tableau.basis)
+        stored = set(tableau.cols)
         return not any(
-            reduced[j] == 0
-            and j not in basic
-            and (j >= 2 * f or (j + f) % (2 * f) not in basic)
-            for j in range(2 * f + self.projected)
+            x == 0 and (j >= 2 * f or (j + f) % (2 * f) in stored)
+            for j, x in zip(tableau.cols, tableau.reduced)
         )
 
 
@@ -707,30 +787,7 @@ def _prepare(
             projected.append((row, b))
         elif b < 0:
             return None
-    start.projected = len(projected)
-
-    f = len(start.free)
-    if f == 0:
-        return start
-
-    m = len(projected)
-    # columns: z+ (f), z- (f), one slack per row (n in all), then the rhs
-    n = 2 * f + m
-    rows, basis = [], []
-    for k, (row, b) in enumerate(projected):
-        line = row + [-c for c in row] + [0] * m + [b]
-        line[2 * f + k] = 1
-        if b < 0:
-            rows.append([-x for x in line])
-            basis.append(n + k)  # artificial
-        else:
-            rows.append(line)
-            basis.append(2 * f + k)  # slack
-    tableau = _Tableau(rows, basis)
-    if not tableau.phase_one(range(n)):
-        return None
-    start.tableau = tableau
-    return start
+    return start.begin(projected)
 
 
 def lp_solve(lp: LinearProgram, lexmin: int = 0) -> LpOutcome:

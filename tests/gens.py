@@ -203,7 +203,7 @@ def reference_rref(rows, width):
         matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
         pivot_row = matrix[top]
         matrix = [
-            line if r == top else exactlp._bareiss(line, pivot_row, col, det)
+            line if r == top else full_bareiss(line, pivot_row, col, det)
             for r, line in enumerate(matrix)
         ]
         det = pivot_row[col]
@@ -212,6 +212,303 @@ def reference_rref(rows, width):
         matrix = [[-x for x in line] for line in matrix]
         det = -det
     return matrix, pivots, det
+
+
+def full_rref(result, width):
+    """The (matrix, pivots, det) of `exactlp._rref(rows, width)` with the
+    pivot columns put back: det in row k's column pivots[k], 0 in every
+    other row's."""
+    matrix, pivots, det = result
+    free = [j for j in range(width) if j not in pivots]
+    full = []
+    for r, line in enumerate(matrix):
+        row = [0] * width + list(line[len(free) :])
+        for j, x in zip(free, line):
+            row[j] = x
+        if r < len(pivots):
+            row[pivots[r]] = det
+        full.append(row)
+    return full, list(pivots), det
+
+
+def full_tableau(tableau):
+    """The dictionary-form `tableau` as the full tableau it stands for,
+    (rows, basis, det) with rows = det * B^-1 [A | b]: each stored column
+    in its own place, det in a basic column's own row and 0 in the others.
+    An artificial has no column in either form."""
+    n = tableau.n
+    rows = []
+    for line, col in zip(tableau.rows, tableau.basis):
+        row = [0] * n + [line[-1]]
+        for j, x in zip(tableau.cols, line):
+            row[j] = x
+        if col < n:
+            row[col] = tableau.det
+        rows.append(row)
+    return rows, list(tableau.basis), tableau.det
+
+
+# ---------------------------------------------------------------------------
+# the full integer simplex tableau, as `exactlp` kept it before the
+# dictionary form: every column stored, a reference for every pivot
+
+
+def full_bareiss(line, pivot_row, col, det):
+    """(line * p - line[col] * pivot_row) // det for p = pivot_row[col]."""
+    p = pivot_row[col]
+    factor = line[col]
+    if factor == 0:
+        return line if p == det else [x * p // det for x in line]
+    return [(x * p - factor * y) // det for x, y in zip(line, pivot_row)]
+
+
+class FullTableau:
+    """`exactlp._Tableau` as it was before it stored only the nonbasic
+    columns: `rows = det * B^-1 [A | b]` over every column, the rhs last;
+    artificials are basic under indices >= the column count and have no
+    column.  Methods take columns as original indices, ascending."""
+
+    def __init__(self, rows, basis):
+        self.rows = rows
+        self.basis = basis
+        self.det = 1
+        self.reduced = None
+
+    def copy(self):
+        clone = FullTableau(list(self.rows), list(self.basis))
+        clone.det = self.det
+        clone.reduced = self.reduced
+        return clone
+
+    def pivot(self, row, col):
+        pivot_row = self.rows[row]
+        if pivot_row[col] < 0:
+            pivot_row = [-x for x in pivot_row]
+        det = self.det
+        self.rows = [
+            pivot_row if i == row else full_bareiss(line, pivot_row, col, det)
+            for i, line in enumerate(self.rows)
+        ]
+        if self.reduced is not None:
+            self.reduced = full_bareiss(self.reduced, pivot_row, col, det)
+        self.basis[row] = col
+        self.det = pivot_row[col]
+
+    def in_basis(self, line):
+        row = [self.det * x for x in line]
+        for r, col in zip(self.rows, self.basis):
+            if line[col] != 0:
+                row = [x - line[col] * y for x, y in zip(row, r)]
+        return row
+
+    def load(self, costs):
+        self.reduced = self.in_basis(costs[:-1] + [0])
+
+    def minimize(self, columns):
+        while True:
+            reduced = self.reduced
+            col = next((j for j in columns if reduced[j] < 0), None)
+            if col is None:
+                return True
+            row = None
+            for i, line in enumerate(self.rows):
+                coeff = line[col]
+                if coeff > 0:
+                    if row is not None:
+                        lhs = line[-1] * best_coeff
+                        rhs = best_rhs * coeff
+                        if lhs > rhs or (
+                            lhs == rhs and self.basis[i] > self.basis[row]
+                        ):
+                            continue
+                    row, best_rhs, best_coeff = i, line[-1], coeff
+            if row is None:
+                return False
+            self.pivot(row, col)
+
+    def phase_one(self, columns):
+        width = len(self.rows[0]) - 1 if self.rows else 0
+        artificial = [line for line, col in zip(self.rows, self.basis) if col >= width]
+        if not artificial:
+            return True
+        self.reduced = [-sum(column) for column in zip(*artificial)]
+        self.minimize(columns)
+        if self.reduced[-1] != 0:
+            return False
+        self.reduced = None
+        for r in range(len(self.rows)):
+            if self.basis[r] >= width:
+                self.pivot(r, next(j for j in columns if self.rows[r][j] != 0))
+        return True
+
+    def add_equality(self, line, columns):
+        row = self.in_basis(line)
+        if row[-1] < 0:
+            row = [-x for x in row]
+        self.rows.append(row)
+        self.basis.append(len(row) - 1 + len(self.rows))
+        if not self.phase_one(columns):
+            raise ArithmeticError("added row misses the face it should cut")
+
+    def lexmin_step(self, line, columns):
+        self.load(line)
+        if not self.minimize(columns):
+            self.reduced = [-x for x in self.reduced]
+            if not (
+                self.minimize(columns) and self.reduced[-1] < line[-1] * self.det
+            ):
+                self.add_equality(line, columns)
+                return columns
+        return [j for j in columns if self.reduced[j] == 0]
+
+
+def full_eliminate(equalities, dimension):
+    """`exactlp._eliminate_equalities` on a `FullTableau`: (pivots, solved,
+    det) with each solved row over every column and the rhs, or None."""
+    tableau = FullTableau([list(A) + [B] for A, B in equalities], [])
+    for col in range(dimension):
+        matrix = tableau.rows
+        top = len(tableau.basis)
+        if top == len(matrix):
+            break
+        pivot = next((r for r in range(top, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
+        tableau.basis.append(col)
+        tableau.pivot(top, col)
+    matrix, pivots = tableau.rows, tableau.basis
+    if any(line[dimension] != 0 for line in matrix[len(pivots) :]):
+        return None
+    return pivots, matrix[: len(pivots)], tableau.det
+
+
+class FullStart:
+    """`exactlp._Start` over a `FullTableau`: the solved rows of the
+    equalities keep every column."""
+
+    def __init__(self, dimension, pivots, solved, det):
+        self.dimension = dimension
+        self.pivots = pivots
+        self.solved = solved
+        self.det = det
+        self.free = [j for j in range(dimension) if j not in pivots]
+        self.kept = self.free + [dimension]
+        self.projected = 0
+        self.tableau = None
+
+    def substitute(self, A, B):
+        row = [self.det * A[j] for j in self.free] + [self.det * B]
+        for p, equation in zip(self.pivots, self.solved):
+            if A[p] != 0:
+                row = [x - A[p] * equation[j] for x, j in zip(row, self.kept)]
+        return row
+
+    def lift(self, numerators, denominator):
+        point = [Fraction(0)] * self.dimension
+        for j, numerator in zip(self.free, numerators):
+            point[j] = Fraction(numerator, denominator)
+        for p, equation in zip(self.pivots, self.solved):
+            numerator = equation[-1] * denominator - sum(
+                equation[j] * z for j, z in zip(self.free, numerators)
+            )
+            point[p] = Fraction(numerator, self.det * denominator)
+        return tuple(point)
+
+    def split(self, A):
+        *cost, b = self.substitute(A, 0)
+        return cost + [-c for c in cost] + [0] * self.projected + [b]
+
+    def solve(self, objective, lexmin):
+        A, _, scale = integer_row(objective, 0)
+        line = self.split(A)
+        if self.tableau is None:
+            value = Fraction(-line[-1], self.det * scale)
+            return exactlp.LpOutcome(
+                exactlp.LpStatus.OPTIMAL, value, self.lift((), 1), True
+            )
+        tableau = self.tableau.copy()
+        f = len(self.free)
+        n = 2 * f + self.projected
+        tableau.load(line)
+        if not tableau.minimize(range(n)):
+            return exactlp.UNBOUNDED
+        value = Fraction(
+            -tableau.reduced[-1] - line[-1] * tableau.det,
+            tableau.det * self.det * scale,
+        )
+        unique = self.proves_unique(tableau)
+        if lexmin and not unique:
+            columns = [j for j in range(n) if tableau.reduced[j] == 0]
+            for k in range(lexmin):
+                unit = [0] * self.dimension
+                unit[k] = 1
+                columns = tableau.lexmin_step(self.split(unit), columns)
+        z = [0] * f
+        for row, col in zip(tableau.rows, tableau.basis):
+            if col < f:
+                z[col] += row[n]
+            elif col < 2 * f:
+                z[col - f] -= row[n]
+        point = self.lift(z, tableau.det)
+        return exactlp.LpOutcome(exactlp.LpStatus.OPTIMAL, value, point, unique)
+
+    def proves_unique(self, tableau):
+        f = len(self.free)
+        reduced = tableau.reduced
+        basic = set(tableau.basis)
+        return not any(
+            reduced[j] == 0
+            and j not in basic
+            and (j >= 2 * f or (j + f) % (2 * f) not in basic)
+            for j in range(2 * f + self.projected)
+        )
+
+
+def full_prepare(equalities, inequalities, dimension):
+    """`exactlp._prepare` over a `FullTableau`, with the same rule for
+    repeated rows."""
+    eliminated = full_eliminate(equalities, dimension)
+    if eliminated is None:
+        return None
+    start = FullStart(dimension, *eliminated)
+    projected, first = [], set()
+    for lp_row in inequalities:
+        if lp_row in first:
+            continue
+        *row, b = start.substitute(*lp_row)
+        if b >= 0:
+            first.add(lp_row)
+        if any(row):
+            projected.append((row, b))
+        elif b < 0:
+            return None
+    start.projected = m = len(projected)
+    f = len(start.free)
+    if f == 0:
+        return start
+    n = 2 * f + m
+    rows, basis = [], []
+    for k, (row, b) in enumerate(projected):
+        line = row + [-c for c in row] + [0] * m + [b]
+        line[2 * f + k] = 1
+        if b < 0:
+            rows.append([-x for x in line])
+            basis.append(n + k)
+        else:
+            rows.append(line)
+            basis.append(2 * f + k)
+    tableau = FullTableau(rows, basis)
+    if not tableau.phase_one(range(n)):
+        return None
+    start.tableau = tableau
+    return start
+
+
+def full_solve(lp: LinearProgram, lexmin: int = 0):
+    """`lp_solve(lp, lexmin)` on the full tableau, from scratch."""
+    start = full_prepare(lp.equalities, lp.inequalities, lp.dimension)
+    return exactlp.INFEASIBLE if start is None else start.solve(lp.objective, lexmin)
 
 
 def tight_rows(lp: LinearProgram, outcome) -> frozenset:
@@ -237,27 +534,7 @@ def prepare_every_row(equalities, inequalities, dimension):
             projected.append((row, b))
         elif b < 0:
             return None
-    start.projected = len(projected)
-    f = len(start.free)
-    if f == 0:
-        return start
-    m = len(projected)
-    n = 2 * f + m
-    rows, basis = [], []
-    for k, (row, b) in enumerate(projected):
-        line = row + [-c for c in row] + [0] * m + [b]
-        line[2 * f + k] = 1
-        if b < 0:
-            rows.append([-x for x in line])
-            basis.append(n + k)
-        else:
-            rows.append(line)
-            basis.append(2 * f + k)
-    tableau = exactlp._Tableau(rows, basis)
-    if not tableau.phase_one(range(n)):
-        return None
-    start.tableau = tableau
-    return start
+    return start.begin(projected)
 
 
 def solve_every_row(lp: LinearProgram, lexmin: int = 0):
@@ -270,7 +547,8 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
     """`lp_solve(lp, lexmin)` as it was before `_Start.solve` skipped the
     lexmin walk on an optimal face that is one vertex: every step is
     walked.  Returns the outcome and the final tableau as (rows, basis,
-    det), None when the start has no tableau."""
+    det) of the full tableau (`full_tableau`), None when the start has no
+    tableau."""
     start = lp._rows.start()
     if start is None:
         return exactlp.INFEASIBLE, None
@@ -282,16 +560,16 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
         return outcome, None
     tableau = start.tableau.copy()
     f = len(start.free)
-    n = 2 * f + start.projected
+    columns = range(tableau.n)
     tableau.load(line)
-    if not tableau.minimize(range(n)):
-        return exactlp.UNBOUNDED, (tableau.rows, tableau.basis, tableau.det)
+    if not tableau.minimize(columns):
+        return exactlp.UNBOUNDED, full_tableau(tableau)
     value = Fraction(
         -tableau.reduced[-1] - line[-1] * tableau.det,
         tableau.det * start.det * scale,
     )
     if lexmin:
-        columns = [j for j in range(n) if tableau.reduced[j] == 0]
+        columns = tableau.face(columns)
         for k in range(lexmin):
             unit = [0] * lp.dimension
             unit[k] = 1
@@ -299,13 +577,13 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
     z = [0] * f
     for row, col in zip(tableau.rows, tableau.basis):
         if col < f:
-            z[col] += row[n]
+            z[col] += row[-1]
         elif col < 2 * f:
-            z[col - f] -= row[n]
+            z[col - f] -= row[-1]
     outcome = exactlp.LpOutcome(
         exactlp.LpStatus.OPTIMAL, value, start.lift(z, tableau.det)
     )
-    return outcome, (tableau.rows, tableau.basis, tableau.det)
+    return outcome, full_tableau(tableau)
 
 
 def reference_solve_margin(lp: LinearProgram):
@@ -726,6 +1004,33 @@ def random_bounded_lp(rng: random.Random, fractional: bool = False) -> LinearPro
         inequalities=tuple(inequalities),
         dimension=n,
     )
+
+
+def medium_lps(n: int, count: int = 10) -> list[LinearProgram]:
+    """`count` linearization LPs of one seeded instance in dimension n, of
+    a size that the bundled problems do not reach: minimize t - v.x over
+    C = [-5, 5]^n and t >= u.x + alpha for each of 4n pieces of g, with
+    gradient entries in -4..4 and offsets in -10..10, for `count` random
+    gradients v of h.  They share their rows (`with_objective`), which are
+    posed afresh on every call."""
+    rng = random.Random(7000 + n)
+
+    def gradient():
+        return tuple(Fraction(rng.randint(-4, 4)) for _ in range(n))
+
+    rows = []
+    for k in range(n):
+        e = tuple(Fraction(int(j == k)) for j in range(n + 1))
+        rows += [(e, Fraction(5)), (tuple(-c for c in e), Fraction(5))]
+    pieces = set()
+    while len(pieces) < 4 * n:
+        pieces.add((gradient(), Fraction(rng.randint(-10, 10))))
+    rows += [(u + (Fraction(-1),), -alpha) for u, alpha in sorted(pieces)]
+    lp = LinearProgram((Fraction(0),) * (n + 1), (), tuple(rows), n + 1)
+    return [
+        lp.with_objective(tuple(-c for c in gradient()) + (Fraction(1),))
+        for _ in range(count)
+    ]
 
 
 def _distinct_pieces(rng: random.Random, count: int, gradients, offsets):

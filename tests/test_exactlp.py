@@ -1,5 +1,6 @@
 """Exact LP solver: golden cases, invariants, and the brute-force oracle."""
 
+import collections
 import dataclasses
 import random
 import sys
@@ -461,9 +462,7 @@ def start_state(lp):
         [list(row) for row in start.solved],
         start.det,
         start.projected,
-        None
-        if tableau is None
-        else ([list(row) for row in tableau.rows], list(tableau.basis), tableau.det),
+        None if tableau is None else gens.full_tableau(tableau),
     )
 
 
@@ -919,12 +918,12 @@ def test_rref_pivots_on_a_tableau_as_before(system):
     former loop (`gens.reference_rref`), which fixed det's sign once at
     the end; rows are compared as lists."""
     rows, width = system
-    assert rref_as_lists(exactlp._rref(rows, width)) == rref_as_lists(
-        gens.reference_rref(rows, width)
+    assert rref_as_lists(gens.full_rref(exactlp._rref(rows, width), width)) == (
+        rref_as_lists(gens.reference_rref(rows, width))
     )
-    assert rref_as_lists(exactlp._rref(rows, width + 1)) == rref_as_lists(
-        gens.reference_rref(rows, width + 1)
-    )
+    assert rref_as_lists(
+        gens.full_rref(exactlp._rref(rows, width + 1), width + 1)
+    ) == rref_as_lists(gens.reference_rref(rows, width + 1))
 
 
 class TestExtendedRational:
@@ -1050,15 +1049,15 @@ def without_copies(full, lp):
     # every row left nonzero has a slack column in `full`, in order
     nonzero = [first for row, _, first in substituted_rows(lp, full) if any(row)]
     dropped = {2 * f + k for k, first in enumerate(nonzero) if first is not None}
-    tableau = full.tableau
+    rows, basis, det = gens.full_tableau(full.tableau)
     width = 2 * f + full.projected + 1  # the rhs last
     columns = [j for j in range(width) if j not in dropped]
     renumbered = {j: k for k, j in enumerate(columns)}
-    kept = [r for r, col in enumerate(tableau.basis) if col not in dropped]
+    kept = [r for r, col in enumerate(basis) if col not in dropped]
     return (
-        [[tableau.rows[r][j] for j in columns] for r in kept],
-        [renumbered[tableau.basis[r]] for r in kept],
-        tableau.det,
+        [[rows[r][j] for j in columns] for r in kept],
+        [renumbered[basis[r]] for r in kept],
+        det,
     )
 
 
@@ -1071,8 +1070,7 @@ def test_repeated_rows_pivot_as_every_row(case):
     start = lp._rows.start()
     assert (start is None) == (full is None)
     if start is not None and start.tableau is not None:
-        tableau = start.tableau
-        assert without_copies(full, lp) == (tableau.rows, tableau.basis, tableau.det)
+        assert without_copies(full, lp) == gens.full_tableau(start.tableau)
     out = lp_solve(lp, lexmin=lexmin)
     assert out == gens.solve_every_row(lp, lexmin)
 
@@ -1157,8 +1155,9 @@ class TestRepeatedRows:
 
 def solved_with_tableau(lp, lexmin):
     """`lp_solve(lp, lexmin)` and the tableau it ends with, as (rows,
-    basis, det), None when the start has no tableau: each solve works on
-    one copy of the start's tableau."""
+    basis, det) of the full tableau (`gens.full_tableau`), None when the
+    start has no tableau: each solve works on one copy of the start's
+    tableau."""
     copies = []
     copy = exactlp._Tableau.copy
 
@@ -1171,7 +1170,7 @@ def solved_with_tableau(lp, lexmin):
     if not copies:
         return out, None
     (tableau,) = copies
-    return out, (tableau.rows, tableau.basis, tableau.det)
+    return out, gens.full_tableau(tableau)
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -1207,6 +1206,78 @@ def test_lexmin_walk_runs_only_off_a_vertex_face():
                 walked[bool(steps)] += 1
                 assert len(steps) in (0, lp.dimension)
     assert walked[True] > 0 and walked[False] > 0, walked
+
+
+def pivots_and_outcome(lp, lexmin):
+    """The outcome of `lp_solve(lp, lexmin)` over freshly posed rows, and
+    of `gens.full_solve`, each with its `unique` report and every pivot
+    taken, the elimination of the equalities included, as (row, entering
+    column)."""
+    results = []
+    for owner, solve, column in (
+        (exactlp._Tableau, lp_solve, lambda t, k: t.cols[k]),
+        (gens.FullTableau, gens.full_solve, lambda t, col: col),
+    ):
+        pivots, pivot = [], owner.pivot
+
+        def recording(tableau, row, k, _pivot=pivot, _pivots=pivots, _col=column):
+            _pivots.append((row, _col(tableau, k)))
+            _pivot(tableau, row, k)
+
+        with mock.patch.object(owner, "pivot", recording):
+            rows = (lp.equalities, lp.inequalities, lp.dimension)
+            out = solve(LinearProgram(lp.objective, *rows), lexmin)
+        results.append((out, out.unique, pivots))
+    return results
+
+
+class TestDictionaryTableau:
+    """The tableau stores only its nonbasic columns and takes the pivots
+    of the full tableau it stands for (`gens.FullTableau`, the tableau as
+    it was before): the same row and entering column at every pivot, so
+    the same outcome and `unique` report."""
+
+    def test_seeded_lps_pivot_as_the_full_tableau(self):
+        rng = random.Random(2903)
+        seen = collections.Counter()
+        for i in range(240):
+            lp = lexmin_cases(rng, fractional=i % 3 == 0)
+            plain = lp_solve(lp)
+            if plain.is_optimal and rng.random() < 0.5:
+                lp = _degenerate_at(rng, lp, plain.point)
+                seen["degenerate"] += 1
+            if lp.inequalities and rng.random() < 0.3:  # repeated rows
+                copies = rng.choices(lp.inequalities, k=rng.randint(1, 3))
+                rows = lp.inequalities + tuple(copies)
+                lp = LinearProgram(lp.objective, lp.equalities, rows, lp.dimension)
+                seen["repeated"] += 1
+            seen["equalities"] += bool(lp.equalities)
+            for k in range(lp.dimension + 1):
+                (mine, mine_unique, mine_pivots), reference = pivots_and_outcome(lp, k)
+                assert (mine, mine_unique, mine_pivots) == reference, (lp, k)
+                seen[mine.status] += 1
+                seen["walked"] += bool(k and mine.is_optimal and not mine_unique)
+                seen["pivots"] += len(mine_pivots)
+        assert all(seen[status] for status in LpStatus), seen
+        assert min(seen.values()) >= 20, seen
+
+    def test_negative_pivots_and_added_rows(self):
+        # x1 + x2 >= 1, x1 <= 5: phase 1 on an artificial, and the lexmin
+        # walk adds the row x1 = 0, whose phase 1 pivots again
+        lp = LinearProgram(
+            vec(0, 0), (), ((vec(-1, -1), Fraction(-1)), (vec(1, 0), Fraction(5))), 2
+        )
+        (out, unique, pivots), reference = pivots_and_outcome(lp, 2)
+        assert (out, unique, pivots) == reference
+        assert out.point == vec(0, 1) and len(pivots) >= 3
+        # elimination with negative pivots: the rows of `_rref` as before
+        lp = LinearProgram(
+            vec(1, 1, 1),
+            ((vec(-2, 1, 3), Fraction(1)), (vec(4, -2, 1), Fraction(-3))),
+            ((vec(-1, 0, 0), Fraction(4)), (vec(1, 0, 0), Fraction(4))),
+            3,
+        )
+        assert pivots_and_outcome(lp, 3)[0] == pivots_and_outcome(lp, 3)[1]
 
 
 class TestInequalitiesScaledOnRead:

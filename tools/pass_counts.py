@@ -13,7 +13,10 @@ left on the problems.  Per pass it counts the calls of
   outside as `perfbench/spans.py` rebinds it;
 * `exactlp._Rows.start` (`lps`: every LP posed) and `exactlp._prepare`
   (`prepared`: every prepared start built);
-* `MaxAffine._at` and `PolyhedralSet._tight_rows` (every evaluation),
+* `MaxAffine._at` and `PolyhedralSet._tight_rows` (every evaluation);
+* `exactlp._Tableau.pivot` (`pivots`, the row eliminations included),
+  with the largest tableau pivoted on (`largest_tableau`: rows and the
+  entries of a row before its rhs, which are the stored columns);
 
 and the CPU seconds of the pass, counting wrappers included.  The result
 is one JSON object keyed like `counts_per_pass` in the `BENCH_*.json`
@@ -42,35 +45,64 @@ COUNTED = (
     ("exactlp", "_prepare", "prepared"),
     ("model", "MaxAffine._at", "MaxAffine._at"),
     ("model", "PolyhedralSet._tight_rows", "PolyhedralSet._tight_rows"),
+    ("exactlp", "_Tableau.pivot", "pivots"),
 )
 
 
-def _counting(fn, counts: collections.Counter, key: str):
-    @functools.wraps(fn)
-    def counted(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
-
-    return counted
-
-
-def install(counts: collections.Counter) -> None:
-    """Wrap every counted function: a method on its class, a function
-    under each alias that a loaded polydc module holds."""
-    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "polydc"]
-    for module_name, qualname, key in COUNTED:
-        module = sys.modules[f"polydc.{module_name}"]
-        if "." in qualname:
-            owner, name = qualname.split(".")
-            owner = getattr(module, owner)
-            setattr(owner, name, _counting(owner.__dict__[name], counts, key))
-            continue
-        original = getattr(module, qualname)
-        wrapper = _counting(original, counts, key)
-        for m in modules:
+def rebind(module_name: str, qualname: str, wrap) -> None:
+    """Replace a polydc function by `wrap(function)`: a method on its
+    class, a function under each alias that a loaded polydc module holds."""
+    module = sys.modules[f"polydc.{module_name}"]
+    if "." in qualname:
+        owner, name = qualname.split(".")
+        owner = getattr(module, owner)
+        setattr(owner, name, wrap(owner.__dict__[name]))
+        return
+    original = getattr(module, qualname)
+    wrapper = wrap(original)
+    for key, m in list(sys.modules.items()):
+        if key.split(".")[0] == "polydc":
             for alias, value in list(vars(m).items()):
                 if value is original:
                     setattr(m, alias, wrapper)
+
+
+def _counting(counts: collections.Counter, key: str):
+    def wrap(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    return wrap
+
+
+def _measuring(largest: list):
+    """Keep in `largest` the (rows, columns) of the largest tableau that
+    `_Tableau.pivot` is called on, by rows times columns."""
+
+    def wrap(pivot):
+        @functools.wraps(pivot)
+        def measured(tableau, *args):
+            rows = tableau.rows
+            size = [len(rows), len(rows[0]) - 1]
+            if size[0] * size[1] > largest[0] * largest[1]:
+                largest[:] = size
+            return pivot(tableau, *args)
+
+        return measured
+
+    return wrap
+
+
+def install(counts: collections.Counter, largest: list) -> None:
+    """Wrap every counted function, and `_Tableau.pivot` once more to
+    measure the tableaus."""
+    for module_name, qualname, key in COUNTED:
+        rebind(module_name, qualname, _counting(counts, key))
+    rebind("exactlp", "_Tableau.pivot", _measuring(largest))
 
 
 def pass_counts(workload_name: str, seed: int) -> dict:
@@ -85,16 +117,19 @@ def pass_counts(workload_name: str, seed: int) -> dict:
     if batch.errors:
         raise SystemExit(f"error: set-up failed: {batch.errors[0]}")
     counts: collections.Counter = collections.Counter()
-    install(counts)
+    largest = [0, 0]
+    install(counts, largest)
     result = {}
     for name in ("fresh", "warm"):
         counts.clear()
+        largest[:] = [0, 0]
         start = time.process_time()
         for op in batch.ops:
             workload.call(P, op)
         result[f"{name}_pass_cpu_s"] = round(time.process_time() - start, 4)
         for _, _, key in COUNTED:
             result[f"{name}_pass_{key}"] = counts[key]
+        result[f"{name}_pass_largest_tableau"] = list(largest)
     return result
 
 
