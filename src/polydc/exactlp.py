@@ -36,10 +36,12 @@ solution:
   column's slot to the leaving column.  Columns are chosen by their
   original indices, so every pivot is the one the full tableau
   `det * B^-1 [A | b]` takes.  That pivot, `_Tableau.pivot`, is the one
-  row update of the module: the elimination of the equalities (`_rref`)
-  is Gauss-Jordan pivots on a tableau too, which drops each eliminated
-  column, so the solved equalities come out over the free coordinates and
-  the rhs.
+  row update of the module, and `_Tableau._in_basis` the one rewrite of a
+  row in a basis.  The elimination of the equalities (`_rref`) is
+  Gauss-Jordan pivots on a tableau too, which drops each eliminated
+  column, and the start keeps that tableau: its rows are the solved
+  equalities over the free coordinates and the rhs, and its `_in_basis`
+  substitutes every inequality and objective row.
 * Fractions appear again only when the basic solution is read off.  The
   optimal value is read from the tableau: the last entry of the reduced
   row over `det`, with the objective's scale and the constant of the
@@ -58,9 +60,11 @@ linearizations and conjugate values over it re-solve only the objective.
 
 A solved tableau can be continued instead of rebuilt.  `lp_solve(lp,
 lexmin=k)` restricts it to the optimal face by fixing every nonbasic column
-of nonzero reduced cost at 0, then loads each of the first k coordinates in
-turn as the objective, minimizes it over the columns still allowed and
-fixes again: the lexicographic simplex of Dantzig, Orden and Wolfe (1955).
+of nonzero reduced cost at 0, which drops the column from the tableau as a
+leaving artificial is dropped (`_Tableau.face`), then loads each of the
+first k coordinates in turn as the objective, minimizes it over the
+columns still stored and fixes again: the lexicographic simplex of
+Dantzig, Orden and Wolfe (1955).
 A face whose every column of zero reduced cost is basic, or the mirror of
 a basic column of a split coordinate, is one point and is not walked;
 every optimal outcome reports the same test (`LpOutcome.unique`).  A
@@ -68,7 +72,7 @@ coordinate that has no minimum on the face is pinned with one new
 primitive, `_Tableau.add_equality`: the row is written in the current basis
 (`_Tableau._in_basis`, `det * a - sum of a[basis[i]] * rows[i]`, the
 rewrite that also loads an objective), made basic on a new artificial, and
-phase 1 over the allowed columns drives that artificial to 0 and out.
+phase 1 over the stored columns drives that artificial to 0 and out.
 
 Pivots follow Bland's anti-cycling rule (lowest-index entering column,
 lowest basic index on ratio ties, ratios compared by cross-multiplication).
@@ -84,7 +88,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Container, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 Row = tuple[Vector, Fraction]  # (coefficients, right-hand side)
@@ -328,17 +332,16 @@ INFEASIBLE = LpOutcome(LpStatus.INFEASIBLE)
 UNBOUNDED = LpOutcome(LpStatus.UNBOUNDED)
 
 
-def _rref(
-    rows: Sequence[Sequence[int]], width: int
-) -> tuple[list[list[int]], list[int], int]:
+def _rref(rows: Sequence[Sequence[int]], width: int) -> "_Tableau":
     """Fraction-free Gauss-Jordan elimination of integer rows over the
-    first `width` columns.
+    first `width` columns, as the `_Tableau` it pivots.
 
-    Returns (matrix, pivots, det) with det > 0 and matrix = det * RREF in
-    integers without its pivot columns: row k has det in column pivots[k]
-    and every other row a 0 there, so each row keeps only the columns
-    outside `pivots`, in order, and the columns past `width`.  The rows
-    from len(pivots) on are zero in the first `width` columns.
+    Its rows are det * RREF in integers (det > 0) without the pivot
+    columns: row k is basic on its pivot column `basis[k]`, det there and
+    0 in every other row, so `cols` are the columns outside the pivots, in
+    order, and each row keeps those and the columns past `width`.  The
+    rows from the rank on are basic on `width`, an artificial, and zero in
+    the first `width` columns.
 
     Each column's pivot row is the first at or below the rows already
     pivoted with a nonzero entry there; it is swapped up and
@@ -361,7 +364,7 @@ def _rref(
         matrix[top], matrix[pivot] = matrix[pivot], matrix[top]
         tableau.pivot(top, k)
         top += 1
-    return tableau.rows, tableau.basis[:top], tableau.det
+    return tableau
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
@@ -376,24 +379,28 @@ def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
     for r in rows:
         if len(r) != width:
             raise ValueError("rows of unequal length")
-    matrix, pivots, det = _rref([integer_row(r, ZERO)[0] for r in rows], width)
-    free = [j for j in range(width) if j not in pivots]
+    # the rows as equalities with rhs 0, which are never inconsistent
+    t = _eliminate_equalities([integer_row(r, ZERO)[:2] for r in rows], width)
     # each row with its pivot column put back: det there, 0 in the others
-    rows = [{p: det, **dict(zip(free, line))} for line, p in zip(matrix, pivots)]
-    return [tuple(Fraction(r.get(j, 0), det) for j in range(width)) for r in rows]
+    rows = [{p: t.det, **dict(zip(t.cols, line))} for line, p in zip(t.rows, t.basis)]
+    return [tuple(Fraction(r.get(j, 0), t.det) for j in range(width)) for r in rows]
 
 
 def _eliminate_equalities(equalities: Sequence[LpRow], dimension: int):
-    """Integer Gauss-Jordan form of A x = B, or None when it is inconsistent.
+    """Integer Gauss-Jordan form of A x = B, the tableau `_rref` pivots
+    with its zero rows cut off, or None when one of them reads 0 = nonzero.
 
-    Returns (pivots, solved, det): the solutions are the x whose coordinates
-    outside `pivots` are free and det * x[pivots[r]] = solved[r][-1] minus
-    the sum of solved[r][k] * x[j] over the k-th free coordinate j.
+    The solutions are the x whose coordinates `cols` are free and whose
+    coordinate basis[r] is (rows[r][-1] minus the sum of rows[r][k] *
+    x[cols[k]]) / det: each row is a solved equality over the free
+    coordinates and the rhs.
     """
-    matrix, pivots, det = _rref([A + (B,) for A, B in equalities], dimension)
-    if any(line[-1] != 0 for line in matrix[len(pivots):]):
-        return None  # 0 = nonzero
-    return pivots, matrix[: len(pivots)], det
+    tableau = _rref([A + (B,) for A, B in equalities], dimension)
+    rank = dimension - len(tableau.cols)  # each pivot drops a slot
+    if any(line[-1] != 0 for line in tableau.rows[rank:]):
+        return None
+    del tableau.rows[rank:], tableau.basis[rank:]
+    return tableau
 
 
 class _Tableau:
@@ -404,13 +411,17 @@ class _Tableau:
     A basic column is not stored: it is det in its own row and 0 in every
     other.  `n` is the number of columns; `basis[i] >= n` is an artificial
     variable, which has no column at all: it never enters, so when it
-    leaves its slot is dropped.  `det` is the common denominator of every
-    entry and stays positive; `reduced` is the reduced-cost row over the
-    same slots, scaled by the same `det` (its last entry is -det times the
-    objective value), or None when no objective is being minimized.
-    Entering and leaving columns are chosen by their original indices, so
-    every pivot is the one the full tableau `det * B^-1 [A | b]` would
-    take, and its rows are these with the basic columns put back.
+    leaves its slot is dropped.  A column fixed at 0 on the optimal face
+    (`face`) never enters again either, and its slot is dropped the same
+    way.  `det` is the common denominator of every entry and stays
+    positive; `reduced` is the reduced-cost row over the same slots,
+    scaled by the same `det` (its last entry is -det times the objective
+    value), or None when no objective is being minimized.  Entering and
+    leaving columns are chosen by their original indices, so every pivot
+    is the one the full tableau `det * B^-1 [A | b]` would take over the
+    columns not dropped, and its rows are these with the basic columns put
+    back.  The elimination of the equalities (`_rref`) and the simplex run
+    on this one type.
     """
 
     __slots__ = ("rows", "basis", "cols", "n", "det", "reduced")
@@ -502,9 +513,9 @@ class _Tableau:
         is the costs with a rhs of 0 written in the basis (`_in_basis`)."""
         self.reduced = self._in_basis(costs[:-1] + [0])
 
-    def minimize(self, columns: Container[int]) -> bool:
-        """Bland's rule over the columns in `columns`: False if unbounded,
-        else True.
+    def minimize(self) -> bool:
+        """Bland's rule over the stored columns: False if unbounded, else
+        True.
 
         Entering: the lowest column with a negative reduced cost.  Leaving:
         the least ratio rhs / coefficient over positive coefficients,
@@ -513,7 +524,7 @@ class _Tableau:
         basis = self.basis
         while True:
             cols = self.cols
-            entering = [j for j, x in zip(cols, self.reduced) if x < 0 and j in columns]
+            entering = [j for j, x in zip(cols, self.reduced) if x < 0]
             if not entering:
                 return True
             k = cols.index(min(entering))
@@ -531,58 +542,62 @@ class _Tableau:
                 return False
             self.pivot(row, k)
 
-    def phase_one(self, columns: Container[int]) -> bool:
-        """Phase 1 over `columns`: minimize the sum of the basic artificials.
-        False when it stays positive (the rows have no solution); else each
-        artificial, now at 0, is pivoted out on its lowest column with a
-        nonzero entry among `columns` and the result is True.  That entry
-        exists: either `columns` are all the columns and every original row
-        has its own slack, or the row was added by `add_equality` and is
-        not implied on the face."""
+    def phase_one(self) -> bool:
+        """Phase 1: minimize the sum of the basic artificials.  False when
+        it stays positive (the rows have no solution); else each
+        artificial, now at 0, is pivoted out on its lowest stored column
+        with a nonzero entry and the result is True.  That entry exists:
+        either no column has been dropped and every original row has its
+        own slack, or the row was added by `add_equality` and is not
+        implied on the face."""
         n = self.n
         artificial = [line for line, col in zip(self.rows, self.basis) if col >= n]
         if not artificial:
             return True
         self.reduced = [-sum(column) for column in zip(*artificial)]
-        self.minimize(columns)
+        self.minimize()
         if self.reduced[-1] != 0:
             return False
         self.reduced = None
         for r in range(len(self.rows)):
             if self.basis[r] >= n:
                 cols = self.cols
-                col = min(
-                    j for j, x in zip(cols, self.rows[r]) if x != 0 and j in columns
-                )
+                col = min(j for j, x in zip(cols, self.rows[r]) if x != 0)
                 self.pivot(r, cols.index(col))
         return True
 
-    def add_equality(self, line: list[int], columns: Container[int]) -> None:
+    def add_equality(self, line: list[int]) -> None:
         """Add the row `line[:-1] . y = line[-1]` to the solved tableau.
 
         The new row is `line` written in the basis (`_in_basis`); it is
         basic on a new artificial (negated if its rhs is negative, so the
-        artificial starts nonnegative).  `phase_one` over `columns` then
-        brings the artificial to 0, which it must reach, and drives it out.
+        artificial starts nonnegative).  `phase_one` then brings the
+        artificial to 0, which it must reach, and drives it out.
         """
         row = self._in_basis(line)
         if row[-1] < 0:
             row = [-x for x in row]
         self.rows.append(row)
         self.basis.append(self.n + len(self.rows))  # past every column
-        if not self.phase_one(columns):
+        if not self.phase_one():
             raise ArithmeticError("added row misses the face it should cut")
 
-    def face(self, columns: Iterable[int]) -> set[int]:
-        """The columns of `columns` still allowed on the optimal face: all
-        but the stored ones of nonzero reduced cost."""
-        fixed = {j for j, x in zip(self.cols, self.reduced) if x != 0}
-        return {j for j in columns if j not in fixed}
+    def face(self) -> None:
+        """Restrict the solved tableau to its optimal face: drop every
+        stored column of nonzero reduced cost, as a leaving artificial's
+        slot is dropped.  Such a column is 0 on the face and can never
+        enter again, so it never becomes basic and never gets a slot back.
+        The rows are new lists: a row the tableau shares is left as it
+        was."""
+        keep = [k for k, x in enumerate(self.reduced[:-1]) if x == 0]
+        self.cols = [self.cols[k] for k in keep]
+        self.rows = [[line[k] for k in keep] + line[-1:] for line in self.rows]
+        self.reduced = [self.reduced[k] for k in keep] + self.reduced[-1:]
 
-    def lexmin_step(self, line: list[int], columns: set[int]) -> set[int]:
-        """Cut the face (the columns allowed to enter) down to where
-        `c . y` is least, for `line = c + [b]` with `c . y - b` a positive
-        multiple of one coordinate x_k; return the columns still allowed.
+    def lexmin_step(self, line: list[int]) -> None:
+        """Cut the face (the stored columns) down to where `c . y` is
+        least, for `line = c + [b]` with `c . y - b` a positive multiple
+        of one coordinate x_k.
 
         A finite minimum, or a finite maximum below 0 when the minimum is
         unbounded, is fixed by dropping every column whose reduced cost is
@@ -590,62 +605,55 @@ class _Tableau:
         as a row.
         """
         self.load(line)
-        if not self.minimize(columns):
+        if not self.minimize():
             self.reduced = [-x for x in self.reduced]  # maximize from here
-            if not (
-                self.minimize(columns) and self.reduced[-1] < line[-1] * self.det
-            ):
-                self.add_equality(line, columns)
-                return columns
-        return self.face(columns)
+            if not (self.minimize() and self.reduced[-1] < line[-1] * self.det):
+                self.add_equality(line)
+                return
+        self.face()
 
 
 class _Start:
     """Everything `lp_solve` does before it reads the objective.
 
-    The integer equalities are eliminated (`pivots`, `solved` and `det` as
-    `_eliminate_equalities` returns them, each solved row over the free
-    coordinates and the rhs); every integer inequality is substituted into
-    a row over the `free` coordinates, and phase 1 finds a feasible basis
-    of those rows (`begin`).  `projected` counts the rows that substitution
-    leaves nonzero and `_prepare` keeps, one slack column each.  `tableau`
-    is None when the equalities fix the point.  A solve works on a copy of
-    the tableau, so the start is only read once it is built.
+    The integer equalities are eliminated: `eliminated` is the tableau
+    `_eliminate_equalities` returns, one solved row per pivot column over
+    the `free` coordinates (its `cols`) and the rhs.  Every integer
+    inequality is written in that tableau's basis (`substitute`), a row
+    over the free coordinates, and phase 1 finds a feasible basis of those
+    rows (`begin`).  `projected` counts the rows that substitution leaves
+    nonzero and `_prepare` keeps, one slack column each; when the
+    equalities fix the point there are none, and `tableau` is empty.  A
+    solve works on a copy of the tableau, so the start is only read once
+    it is built.
     """
 
-    __slots__ = ("dimension", "pivots", "solved", "det", "free", "projected", "tableau")
+    __slots__ = ("dimension", "eliminated", "free", "projected", "tableau")
 
-    def __init__(self, dimension, pivots, solved, det):
+    def __init__(self, dimension: int, eliminated: _Tableau):
         self.dimension = dimension
-        self.pivots = pivots
-        self.solved = solved
-        self.det = det
-        self.free = [j for j in range(dimension) if j not in pivots]
-        self.projected = 0
-        self.tableau: Optional[_Tableau] = None
+        self.eliminated = eliminated
+        self.free = eliminated.cols
 
     def substitute(self, A: Sequence[int], B: int) -> list[int]:
         """The integer row `A . x <= B` over the free coordinates, rhs last,
-        times `det`."""
-        if not self.pivots:  # no equalities: det is 1 and every coordinate free
+        times the elimination's det: the row written in its basis."""
+        if not self.eliminated.rows:  # det is 1 and every coordinate free
             return [*A, B]
-        row = [self.det * A[j] for j in self.free] + [self.det * B]
-        for p, equation in zip(self.pivots, self.solved):
-            if A[p] != 0:
-                row = [x - A[p] * y for x, y in zip(row, equation)]
-        return row
+        return self.eliminated._in_basis([*A, B])
 
     def lift(self, numerators, denominator) -> Vector:
         """The solution of the equalities whose free coordinates are
         numerators / denominator."""
+        eliminated = self.eliminated
         point = [ZERO] * self.dimension
         for j, numerator in zip(self.free, numerators):
             point[j] = Fraction(numerator, denominator)
-        for p, equation in zip(self.pivots, self.solved):
+        for p, equation in zip(eliminated.basis, eliminated.rows):
             numerator = equation[-1] * denominator - sum(
                 x * z for x, z in zip(equation, numerators)
             )
-            point[p] = Fraction(numerator, self.det * denominator)
+            point[p] = Fraction(numerator, eliminated.det * denominator)
         return tuple(point)
 
     def split(self, A: Sequence[int]) -> list[int]:
@@ -664,8 +672,6 @@ class _Start:
         stored column holding -1 in that row."""
         self.projected = m = len(projected)
         f = len(self.free)
-        if f == 0:
-            return self
         n = 2 * f + m
         rows, basis, cols = [], [], list(range(2 * f))
         zeros = [0] * sum(b < 0 for _, b in projected)  # the stored slacks
@@ -680,7 +686,7 @@ class _Start:
                 basis.append(2 * f + k)  # slack
             rows.append(line)
         tableau = _Tableau(rows, basis, cols, n)
-        if not tableau.phase_one(range(n)):
+        if not tableau.phase_one():
             return None
         self.tableau = tableau
         return self
@@ -691,7 +697,7 @@ class _Start:
         final tableau.
 
         The value is read from the tableau: with s the lcm of the
-        objective's denominators, det_e = `self.det` and (c, b) =
+        objective's denominators, det_e the elimination's det and (c, b) =
         `split(objective)`, every solution x of the equalities has
         det_e * s * objective.x = c . y - b, and phase 2 ends with
         c . y = -reduced[-1] / det.
@@ -701,35 +707,31 @@ class _Start:
         z- column has zero reduced cost whatever the objective, and moving
         it moves that basic column by as much and no coordinate of x.  So
         when every other nonbasic column has nonzero reduced cost, the face
-        is the basic point of x (`proves_unique`).  The test is sufficient
-        only, as a degenerate tableau may hide a one-point face.  Its two
-        uses: the lexmin walk is skipped on such a face, where each step
-        would load its objective and pivot nowhere, and `LpOutcome.unique`
-        reports it.
+        is the basic point of x (`proves_unique`); a start whose
+        equalities fix the point has no column at all.  The test is
+        sufficient only, as a degenerate tableau may hide a one-point
+        face.  Its two uses: the lexmin walk is skipped on such a face,
+        where each step would load its objective and pivot nowhere, and
+        `LpOutcome.unique` reports it.
         """
         A, _, scale = integer_row(objective, ZERO)
         line = self.split(A)
-        if self.tableau is None:  # the equalities fix the point
-            value = Fraction(-line[-1], self.det * scale)
-            # the only point there is
-            return LpOutcome(LpStatus.OPTIMAL, value, self.lift((), 1), True)
         tableau = self.tableau.copy()
         f = len(self.free)
-        columns = range(tableau.n)
         tableau.load(line)
-        if not tableau.minimize(columns):
+        if not tableau.minimize():
             return UNBOUNDED
         value = Fraction(
             -tableau.reduced[-1] - line[-1] * tableau.det,
-            tableau.det * self.det * scale,
+            tableau.det * self.eliminated.det * scale,
         )
         unique = self.proves_unique(tableau)
         if lexmin and not unique:
-            columns = tableau.face(columns)
+            tableau.face()
             for k in range(lexmin):
                 unit = [0] * self.dimension
                 unit[k] = 1
-                columns = tableau.lexmin_step(self.split(unit), columns)
+                tableau.lexmin_step(self.split(unit))
 
         z = [0] * f  # numerators over tableau.det
         for row, col in zip(tableau.rows, tableau.basis):
@@ -774,7 +776,7 @@ def _prepare(
     eliminated = _eliminate_equalities(equalities, dimension)
     if eliminated is None:
         return None
-    start = _Start(dimension, *eliminated)
+    start = _Start(dimension, eliminated)
     projected = []  # rows over z and their rhs
     first: set[LpRow] = set()  # each row kept with b >= 0
     for lp_row in inequalities:

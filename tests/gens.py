@@ -214,34 +214,36 @@ def reference_rref(rows, width):
     return matrix, pivots, det
 
 
-def full_rref(result, width):
-    """The (matrix, pivots, det) of `exactlp._rref(rows, width)` with the
-    pivot columns put back: det in row k's column pivots[k], 0 in every
-    other row's."""
-    matrix, pivots, det = result
-    free = [j for j in range(width) if j not in pivots]
+def full_rref(tableau, width):
+    """The tableau `exactlp._rref(rows, width)` returns as (matrix, pivots,
+    det), with the pivot columns put back: det in row k's column
+    pivots[k], 0 in every other row's.  A row past the rank is basic on
+    `width`, no column."""
     full = []
-    for r, line in enumerate(matrix):
-        row = [0] * width + list(line[len(free) :])
-        for j, x in zip(free, line):
+    for line, col in zip(tableau.rows, tableau.basis):
+        row = [0] * width + list(line[len(tableau.cols) :])
+        for j, x in zip(tableau.cols, line):
             row[j] = x
-        if r < len(pivots):
-            row[pivots[r]] = det
+        if col < width:
+            row[col] = tableau.det
         full.append(row)
-    return full, list(pivots), det
+    return full, [col for col in tableau.basis if col < width], tableau.det
 
 
-def full_tableau(tableau):
+def full_tableau(tableau, cols=None):
     """The dictionary-form `tableau` as the full tableau it stands for,
     (rows, basis, det) with rows = det * B^-1 [A | b]: each stored column
     in its own place, det in a basic column's own row and 0 in the others.
-    An artificial has no column in either form."""
+    An artificial has no column in either form.  A column dropped from the
+    tableau reads 0, and so does every stored column outside `cols` when
+    `cols` is given."""
     n = tableau.n
     rows = []
     for line, col in zip(tableau.rows, tableau.basis):
         row = [0] * n + [line[-1]]
         for j, x in zip(tableau.cols, line):
-            row[j] = x
+            if cols is None or j in cols:
+                row[j] = x
         if col < n:
             row[col] = tableau.det
         rows.append(row)
@@ -526,7 +528,7 @@ def prepare_every_row(equalities, inequalities, dimension):
     eliminated = exactlp._eliminate_equalities(equalities, dimension)
     if eliminated is None:
         return None
-    start = exactlp._Start(dimension, *eliminated)
+    start = exactlp._Start(dimension, eliminated)
     projected = []
     for A, B in inequalities:
         *row, b = start.substitute(A, B)
@@ -546,34 +548,28 @@ def solve_every_row(lp: LinearProgram, lexmin: int = 0):
 def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
     """`lp_solve(lp, lexmin)` as it was before `_Start.solve` skipped the
     lexmin walk on an optimal face that is one vertex: every step is
-    walked.  Returns the outcome and the final tableau as (rows, basis,
-    det) of the full tableau (`full_tableau`), None when the start has no
-    tableau."""
+    walked.  Returns the outcome and the final `_Tableau`, None when the
+    rows have no solution."""
     start = lp._rows.start()
     if start is None:
         return exactlp.INFEASIBLE, None
     A, _, scale = integer_row(lp.objective, 0)
     line = start.split(A)
-    if start.tableau is None:
-        value = Fraction(-line[-1], start.det * scale)
-        outcome = exactlp.LpOutcome(exactlp.LpStatus.OPTIMAL, value, start.lift((), 1))
-        return outcome, None
     tableau = start.tableau.copy()
     f = len(start.free)
-    columns = range(tableau.n)
     tableau.load(line)
-    if not tableau.minimize(columns):
-        return exactlp.UNBOUNDED, full_tableau(tableau)
+    if not tableau.minimize():
+        return exactlp.UNBOUNDED, tableau
     value = Fraction(
         -tableau.reduced[-1] - line[-1] * tableau.det,
-        tableau.det * start.det * scale,
+        tableau.det * start.eliminated.det * scale,
     )
     if lexmin:
-        columns = tableau.face(columns)
+        tableau.face()
         for k in range(lexmin):
             unit = [0] * lp.dimension
             unit[k] = 1
-            columns = tableau.lexmin_step(start.split(unit), columns)
+            tableau.lexmin_step(start.split(unit))
     z = [0] * f
     for row, col in zip(tableau.rows, tableau.basis):
         if col < f:
@@ -583,7 +579,7 @@ def solve_always_walking(lp: LinearProgram, lexmin: int = 0):
     outcome = exactlp.LpOutcome(
         exactlp.LpStatus.OPTIMAL, value, start.lift(z, tableau.det)
     )
-    return outcome, full_tableau(tableau)
+    return outcome, tableau
 
 
 def reference_solve_margin(lp: LinearProgram):
@@ -1003,6 +999,56 @@ def random_bounded_lp(rng: random.Random, fractional: bool = False) -> LinearPro
         equalities=tuple(equalities),
         inequalities=tuple(inequalities),
         dimension=n,
+    )
+
+
+def random_open_lp(rng: random.Random, fractional: bool = False) -> LinearProgram:
+    """`random_bounded_lp` with half its inequality rows removed, so the
+    box no longer bounds it, and half the time a zero objective, so the
+    optimal face is the whole feasible set.  A lexmin solve over such a
+    face often meets a coordinate with no minimum and pins it
+    (`exactlp._Tableau.add_equality`), at times with a negative rhs."""
+    lp = random_bounded_lp(rng, fractional)
+    rows = lp.inequalities
+    removed = set(rng.sample(range(len(rows)), len(rows) - len(rows) // 2))
+    kept = tuple(row for i, row in enumerate(rows) if i not in removed)
+    objective = lp.objective
+    if rng.random() < 0.5:
+        objective = (Fraction(0),) * lp.dimension
+    return LinearProgram(objective, lp.equalities, kept, lp.dimension)
+
+
+def random_fixed_point_lp(
+    rng: random.Random, fractional: bool = False
+) -> LinearProgram:
+    """`random_bounded_lp` with n more equalities that fix the point, so
+    no coordinate is left free: a triangular system with a nonzero
+    diagonal, its columns permuted and its rows shuffled, and sometimes
+    one more row that adds two of them, its rhs sometimes moved by 1 (0 =
+    1 after elimination).  The point they fix is mostly the midpoint of
+    the points where `lp`'s objective is least and greatest, which
+    satisfies every row of `lp`, and else a point drawn from [-4, 7]^n."""
+    lp = random_bounded_lp(rng, fractional)
+    n = lp.dimension
+    point = [Fraction(rng.randint(-8, 14), 2) for _ in range(n)]
+    low = exactlp.lp_solve(lp)
+    if low.is_optimal and rng.random() < 0.8:
+        high = exactlp.lp_solve(lp.with_objective(tuple(-c for c in lp.objective)))
+        point = [(x + y) / 2 for x, y in zip(low.point, high.point)]
+    order = rng.sample(range(n), n)
+    rows = []
+    for i in range(n):
+        row = [0] * i + [rng.choice((-3, -2, -1, 1, 2, 3))]
+        row += [rng.randint(-2, 2) for _ in range(n - i - 1)]
+        rows.append(tuple(Fraction(row[order[j]]) for j in range(n)))
+    rng.shuffle(rows)
+    equalities = [(row, dot(row, point)) for row in rows]
+    if n >= 2 and rng.random() < 0.3:
+        (a, b), (c, d) = rng.sample(equalities, 2)
+        moved = rng.choice((0, 0, 1))
+        equalities.append((tuple(x + y for x, y in zip(a, c)), b + d + moved))
+    return LinearProgram(
+        lp.objective, lp.equalities + tuple(equalities), lp.inequalities, n
     )
 
 

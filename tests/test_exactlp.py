@@ -343,7 +343,8 @@ class TestUniqueReport:
             inequalities=((vec(1, 0), Fraction(5)),),
             dimension=2,
         )
-        assert lp._rows.start().tableau is None
+        tableau = lp._rows.start().tableau
+        assert not tableau.rows and not tableau.cols
         assert lp_solve(lp).unique is True
 
     def test_the_report_is_not_part_of_the_outcome(self):
@@ -408,12 +409,12 @@ class TestLexmin:
         added, pivots = [], []
         add_equality, pivot = exactlp._Tableau.add_equality, exactlp._Tableau.pivot
 
-        def recording_add(tableau, line, columns):
+        def recording_add(tableau, line):
             rhs = tableau.det * line[-1] - sum(
                 line[col] * row[-1] for row, col in zip(tableau.rows, tableau.basis)
             )
             before = len(pivots)
-            add_equality(tableau, line, columns)
+            add_equality(tableau, line)
             added.append((rhs, len(pivots) - before))
 
         def recording_pivot(tableau, row, col):
@@ -456,13 +457,10 @@ def start_state(lp):
     start = lp._rows.start()
     if start is None:
         return None
-    tableau = start.tableau
     return (
-        list(start.pivots),
-        [list(row) for row in start.solved],
-        start.det,
+        gens.full_tableau(start.eliminated),
         start.projected,
-        None if tableau is None else gens.full_tableau(tableau),
+        gens.full_tableau(start.tableau),
     )
 
 
@@ -1069,7 +1067,7 @@ def test_repeated_rows_pivot_as_every_row(case):
     full = gens.prepare_every_row(lp.equalities, lp.inequalities, lp.dimension)
     start = lp._rows.start()
     assert (start is None) == (full is None)
-    if start is not None and start.tableau is not None:
+    if start is not None:
         assert without_copies(full, lp) == gens.full_tableau(start.tableau)
     out = lp_solve(lp, lexmin=lexmin)
     assert out == gens.solve_every_row(lp, lexmin)
@@ -1153,10 +1151,9 @@ class TestRepeatedRows:
         assert out == gens.solve_every_row(lp)
 
 
-def solved_with_tableau(lp, lexmin):
-    """`lp_solve(lp, lexmin)` and the tableau it ends with, as (rows,
-    basis, det) of the full tableau (`gens.full_tableau`), None when the
-    start has no tableau: each solve works on one copy of the start's
+def final_tableau(lp, lexmin):
+    """`lp_solve(lp, lexmin)` and the `_Tableau` it ends with, None when
+    the rows have no solution: each solve works on one copy of the start's
     tableau."""
     copies = []
     copy = exactlp._Tableau.copy
@@ -1170,14 +1167,38 @@ def solved_with_tableau(lp, lexmin):
     if not copies:
         return out, None
     (tableau,) = copies
-    return out, gens.full_tableau(tableau)
+    return out, tableau
+
+
+def solved_with_tableau(lp, lexmin):
+    """`final_tableau(lp, lexmin)` with the tableau as (rows, basis, det)
+    of the full tableau (`gens.full_tableau`)."""
+    out, tableau = final_tableau(lp, lexmin)
+    return out, None if tableau is None else gens.full_tableau(tableau)
+
+
+def as_walked(solved, lp, lexmin):
+    """`solved`, the outcome and tableau of `final_tableau(lp, lexmin)`,
+    and those of `gens.solve_always_walking(lp, lexmin)`, each tableau as
+    (rows, basis, det) of the full tableau over the columns the walked one
+    still stores: a walk drops the columns it fixes, which a skipped walk
+    keeps."""
+    out, tableau = solved
+    walked_out, walked = gens.solve_always_walking(lp, lexmin)
+    if tableau is None or walked is None:
+        return (out, tableau), (walked_out, walked)
+    return (
+        (out, gens.full_tableau(tableau, walked.cols)),
+        (walked_out, gens.full_tableau(walked)),
+    )
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(lps_with_copies())
 def test_lexmin_walk_skipped_on_a_vertex_face_changes_nothing(case):
     lp, lexmin = case
-    assert solved_with_tableau(lp, lexmin) == gens.solve_always_walking(lp, lexmin)
+    skipped, walked = as_walked(final_tableau(lp, lexmin), lp, lexmin)
+    assert skipped == walked
 
 
 def test_lexmin_walk_runs_only_off_a_vertex_face():
@@ -1188,9 +1209,9 @@ def test_lexmin_walk_runs_only_off_a_vertex_face():
     steps = []
     lexmin_step = exactlp._Tableau.lexmin_step
 
-    def counting(tableau, line, columns):
+    def counting(tableau, line):
         steps.append(line)
-        return lexmin_step(tableau, line, columns)
+        return lexmin_step(tableau, line)
 
     walked = {True: 0, False: 0}
     for _ in range(150):
@@ -1199,8 +1220,9 @@ def test_lexmin_walk_runs_only_off_a_vertex_face():
             lp = lp.with_objective(objective)
             del steps[:]
             with mock.patch.object(exactlp._Tableau, "lexmin_step", counting):
-                got = solved_with_tableau(lp, lp.dimension)
-            assert got == gens.solve_always_walking(lp, lp.dimension)
+                solved = final_tableau(lp, lp.dimension)
+            got, reference = as_walked(solved, lp, lp.dimension)
+            assert got == reference
             out, tableau = got
             if out.is_optimal and tableau is not None:
                 walked[bool(steps)] += 1
@@ -1238,26 +1260,45 @@ class TestDictionaryTableau:
     the same outcome and `unique` report."""
 
     def test_seeded_lps_pivot_as_the_full_tableau(self):
+        """Beside `lexmin_cases`, LPs whose lexmin walk pins coordinates
+        (`gens.random_open_lp`) and LPs whose equalities fix the point
+        (`gens.random_fixed_point_lp`): the reference keeps a set of
+        allowed columns where the tableau drops the fixed ones, and solves
+        a fixed point without a tableau."""
         rng = random.Random(2903)
         seen = collections.Counter()
-        for i in range(240):
-            lp = lexmin_cases(rng, fractional=i % 3 == 0)
-            plain = lp_solve(lp)
-            if plain.is_optimal and rng.random() < 0.5:
-                lp = _degenerate_at(rng, lp, plain.point)
-                seen["degenerate"] += 1
-            if lp.inequalities and rng.random() < 0.3:  # repeated rows
-                copies = rng.choices(lp.inequalities, k=rng.randint(1, 3))
-                rows = lp.inequalities + tuple(copies)
-                lp = LinearProgram(lp.objective, lp.equalities, rows, lp.dimension)
-                seen["repeated"] += 1
-            seen["equalities"] += bool(lp.equalities)
-            for k in range(lp.dimension + 1):
-                (mine, mine_unique, mine_pivots), reference = pivots_and_outcome(lp, k)
-                assert (mine, mine_unique, mine_pivots) == reference, (lp, k)
-                seen[mine.status] += 1
-                seen["walked"] += bool(k and mine.is_optimal and not mine_unique)
-                seen["pivots"] += len(mine_pivots)
+        add_equality = exactlp._Tableau.add_equality
+
+        def pinning(tableau, line):
+            seen["pinned"] += 1
+            seen["pinned, rhs < 0"] += tableau._in_basis(line)[-1] < 0
+            add_equality(tableau, line)
+
+        makers = [lexmin_cases] * 240 + [gens.random_open_lp] * 100
+        makers += [gens.random_fixed_point_lp] * 80
+        with mock.patch.object(exactlp._Tableau, "add_equality", pinning):
+            for i, make in enumerate(makers):
+                lp = make(rng, i % 3 == 0)
+                plain = lp_solve(lp)
+                if plain.is_optimal and rng.random() < 0.5:
+                    lp = _degenerate_at(rng, lp, plain.point)
+                    seen["degenerate"] += 1
+                if lp.inequalities and rng.random() < 0.3:  # repeated rows
+                    copies = rng.choices(lp.inequalities, k=rng.randint(1, 3))
+                    rows = lp.inequalities + tuple(copies)
+                    lp = LinearProgram(lp.objective, lp.equalities, rows, lp.dimension)
+                    seen["repeated"] += 1
+                seen["equalities"] += bool(lp.equalities)
+                start = lp._rows.start()
+                seen["fixed point"] += start is not None and not start.free
+                for k in range(lp.dimension + 1):
+                    (mine, mine_unique, mine_pivots), reference = pivots_and_outcome(
+                        lp, k
+                    )
+                    assert (mine, mine_unique, mine_pivots) == reference, (lp, k)
+                    seen[mine.status] += 1
+                    seen["walked"] += bool(k and mine.is_optimal and not mine_unique)
+                    seen["pivots"] += len(mine_pivots)
         assert all(seen[status] for status in LpStatus), seen
         assert min(seen.values()) >= 20, seen
 

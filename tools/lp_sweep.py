@@ -15,7 +15,14 @@ wraps its counted functions, while these run:
   `random_bounded_lp`, each solved with lexmin 0 and n, and for 30
   problems from `random_dc_instance` the solution structure, `classify`
   at every probe point and one min-index DCA run from each probe in C;
-* the medium LPs, `gens.medium_lps(n)` for n = 6, 8 and 10.
+* the medium LPs, `gens.medium_lps(n)` for n = 6, 8 and 10;
+* 300 LPs from `gens.random_open_lp`, solved with lexmin n, whose walk
+  often pins a coordinate that has no minimum on the optimal face, and
+  100 from `gens.random_fixed_point_lp`, whose equalities fix the point,
+  each solved with lexmin 0 and n;
+* every command of `tools/cli_sweep.py` on its documents (the bundled
+  problems and its seeded ones), written by its `make_cases` and run
+  in-process by its `run_cases`.
 
 Each call is kept with its integer rows, its objective and its lexmin
 (for `max_slack`, its integer rows (A, B, s)); equal calls are kept once.
@@ -24,7 +31,11 @@ call is made again on rows posed afresh, and the pivots it takes are
 counted by wrapping `_Tableau.pivot`.  Every difference in status, value,
 point, `unique` (for a margin: slack and witness) or pivot count is
 printed with the call's rows; the exit code is 0 when there is none and 1
-otherwise.  Standard library and `tests/gens.py` only.
+otherwise.  The summary also counts, per tree, the calls that reach
+`_Tableau.add_equality` (a pinned coordinate), `_Tableau.face` (a face
+cut) and `_Start.solve` on a start with no free coordinate (a fixed-point
+start), each seen by wrapping the method from outside.  Standard library
+and `tests/gens.py` only.
 """
 
 from __future__ import annotations
@@ -94,6 +105,7 @@ def _recording(calls: dict, kind: str):
 
 def record(workdir: Path) -> None:
     import polydc as P
+    import cli_sweep
     import gens
     import workloads
     from pass_counts import rebind
@@ -124,6 +136,17 @@ def record(workdir: Path) -> None:
     for n in (6, 8, 10):
         for lp in gens.medium_lps(n):
             P.lp_solve(lp)
+    for _ in range(300):
+        lp = gens.random_open_lp(rng, fractional=rng.random() < 0.3)
+        P.lp_solve(lp, lexmin=lp.dimension)
+    for _ in range(100):
+        lp = gens.random_fixed_point_lp(rng, fractional=rng.random() < 0.3)
+        for lexmin in (0, lp.dimension):
+            P.lp_solve(lp, lexmin=lexmin)
+    cases = workdir / "cli"
+    cases.mkdir()
+    cli_sweep.make_cases(cases)
+    cli_sweep.run_cases(cases)
     (workdir / "calls.json").write_text("[" + ",\n".join(calls) + "]")
 
 
@@ -140,10 +163,35 @@ def _posing(P, fn, *args) -> None:
 # replaying the corpus (child process, one per tree)
 
 
+# the branches a call can reach: (method, key, whether a call reaches it)
+BRANCHES = (
+    ("_Tableau.add_equality", "add_equality", None),
+    ("_Tableau.face", "face cut", None),
+    ("_Start.solve", "fixed-point start", lambda start, *args: not start.free),
+)
+
+
+def _reaching(reached: set, key: str, test):
+    """A wrapper maker for `pass_counts.rebind` that adds `key` to
+    `reached` on every call the test passes; any signature."""
+
+    def wrap(method):
+        def wrapped(*args):
+            if test is None or test(*args):
+                reached.add(key)
+            return method(*args)
+
+        return wrapped
+
+    return wrap
+
+
 def replay(workdir: Path) -> list:
-    """[status, value, point, unique, pivots] of every recorded call; a
-    margin reports [slack, witness, pivots]."""
+    """[status, value, point, unique, pivots, reached] of every recorded
+    call; a margin reports [slack, witness, pivots, reached], where
+    reached lists the keys of the `BRANCHES` the call reached."""
     from polydc import exactlp
+    from pass_counts import rebind
 
     pivots = [0]
     pivot = exactlp._Tableau.pivot
@@ -153,6 +201,9 @@ def replay(workdir: Path) -> list:
         return pivot(*args)
 
     exactlp._Tableau.pivot = counting
+    reached: set = set()
+    for method, key, test in BRANCHES:
+        rebind("exactlp", method, _reaching(reached, key, test))
 
     def lp(objective, equalities, inequalities, dimension):
         return exactlp._integer_lp(
@@ -171,6 +222,7 @@ def replay(workdir: Path) -> list:
     results = []
     for kind, *data in json.loads((workdir / "calls.json").read_text()):
         pivots[0] = 0
+        reached.clear()
         if kind == "lp_solve":
             *rows, lexmin = data
             out = exactlp.lp_solve(lp(*rows), lexmin)
@@ -187,7 +239,7 @@ def replay(workdir: Path) -> list:
                 dimension,
             )
             result = [str(slack), text(witness)]
-        results.append(result + [pivots[0]])
+        results.append(result + [pivots[0], sorted(reached)])
     return results
 
 
@@ -226,8 +278,16 @@ def sweep(old_src: str, new_src: str, workdir: Path) -> int:
     )
     print(
         f"{len(calls)} calls ({kinds}), "
-        f"{sum(r[-1] for r in old)} and {sum(r[-1] for r in new)} pivots: "
+        f"{sum(r[-2] for r in old)} and {sum(r[-2] for r in new)} pivots: "
         f"{differences} with a difference"
+    )
+    print(
+        "calls reaching "
+        + ", ".join(
+            f"{key}: {sum(key in r[-1] for r in old)} and "
+            f"{sum(key in r[-1] for r in new)}"
+            for _, key, _ in BRANCHES
+        )
     )
     return 1 if differences else 0
 
