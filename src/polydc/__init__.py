@@ -6,7 +6,11 @@ linear programs: point classification (critical / stationary / local /
 global), decomposition of the local and global solution sets into
 (semi-closed) polyhedral pieces, DCA runs with cycle detection, and
 Toland-Singer duality checks.
+
+The public names are exactly the ones imported below.
 """
+
+import types
 
 from .exactlp import (
     ExtendedRational,
@@ -88,74 +92,7 @@ from .cli import parse_problem, serialize_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "ByActiveSetTable",
-    "Classification",
-    "Component",
-    "ConvexBody",
-    "DcProblem",
-    "DcaNode",
-    "DcaTrace",
-    "DimensionMismatch",
-    "DualReport",
-    "EmptyIntersection",
-    "EmptyTrace",
-    "EnumerationCapExceeded",
-    "ExtendedRational",
-    "GlobalStatus",
-    "GridReport",
-    "HypothesisFlags",
-    "HypothesisNotMet",
-    "ImproperFunction",
-    "InternalCheckFailed",
-    "Iterate",
-    "LinearProgram",
-    "LinearizationResult",
-    "LocalStatus",
-    "LpOutcome",
-    "LpStatus",
-    "MaxAffine",
-    "MaxIndexActive",
-    "MinIndexActive",
-    "MINUS_INF",
-    "OutsideDomain",
-    "PLUS_INF",
-    "PolydcError",
-    "PolyhedralSet",
-    "Scripted",
-    "SelectionRule",
-    "SemiClosedPiece",
-    "SolutionStructure",
-    "Termination",
-    "TerminationKind",
-    "TraceValidation",
-    "TransitionGraph",
-    "Vector",
-    "classify",
-    "components",
-    "contains_set",
-    "dual_objective",
-    "global_solutions",
-    "grid_cross_check",
-    "integer_row",
-    "is_critical",
-    "is_local_solution",
-    "is_stationary",
-    "local_pieces",
-    "lp_feasible",
-    "lp_solve",
-    "max_slack",
-    "optimality_certificate",
-    "parse_problem",
-    "restrict_sum",
-    "row_space_basis",
-    "run",
-    "segment_path",
-    "select_subgradient",
-    "serialize_problem",
-    "solution_structure",
-    "solve_linearization",
-    "solve_subproblem",
-    "toland_singer_check",
-    "transition_graph",
-    "validate_trace",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

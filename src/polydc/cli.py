@@ -262,7 +262,7 @@ def serialize_problem(prob: DcProblem) -> str:
         "g": _function_document(prob.g),
         "h": _function_document(prob.h),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return emit_report(doc)
 
 
 # ---------------------------------------------------------------------------

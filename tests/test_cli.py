@@ -130,6 +130,22 @@ class TestCommands:
         assert report["termination"]["kind"] == "fixed-point"
         assert report["iterates"][-1]["x"] == ["3"]
 
+    def test_dca_max_index_golden(self, problem_file, capsys):
+        # pieces 2 and 3 of h are active at 1: min-index takes xi = 0 and
+        # ends at -2, max-index takes xi = 1 and ends at 3
+        for rule, xi, f, end in (
+            ("min-index", "0", ["0", "-1", "-1"], "-2"),
+            ("max-index", "1", ["0", "-2", "-2"], "3"),
+        ):
+            code = main(["dca", "--problem", problem_file, "--x0", "1", "--rule", rule])
+            assert code == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["rule"] == rule
+            assert report["iterates"][0]["xi"] == [xi]
+            assert [it["f"] for it in report["iterates"]] == f
+            assert report["iterates"][-1]["x"] == [end]
+            assert report["termination"]["kind"] == "fixed-point"
+
     def test_dca_scripted_rule(self, problem_file, tmp_path, capsys):
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"subgradients": [["0"]]}), "utf-8")

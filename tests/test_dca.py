@@ -302,8 +302,12 @@ class TestRun:
             trace.final_point
 
     def test_x0_validation(self, interval_problem):
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(OutsideDomain, match="constraint set C"):
             run(interval_problem, vec(4), MinIndexActive())
+        g = MaxAffine(interval_problem.g.pieces, PolyhedralSet.box([-1], [1]))
+        prob = DcProblem(g=g, h=interval_problem.h, C=interval_problem.C)
+        with pytest.raises(OutsideDomain, match="dom\\(g\\)"):
+            run(prob, vec(2), MinIndexActive())
 
     def test_deterministic(self, interval_problem):
         a = run(interval_problem, vec(2), MaxIndexActive())
@@ -407,6 +411,12 @@ class TestValidateTrace:
         assert not report.valid
         assert report.steps[0].subgradient_ok is True
         assert report.steps[0].minimizer_ok is False
+        # nor is a next point outside C, or outside dom(g)
+        g = MaxAffine(interval_problem.g.pieces, PolyhedralSet.box([-1], [1]))
+        prob = DcProblem(g=g, h=interval_problem.h, C=interval_problem.C)
+        for p, x in ((interval_problem, vec(4)), (prob, vec(3))):
+            report = validate_trace(p, [vec(0), x], [vec(1)])
+            assert report.steps[0].minimizer_ok is False
 
     def test_length_mismatch(self, interval_problem):
         with pytest.raises(ValueError):

@@ -672,6 +672,15 @@ class TestCertificate:
             assert -sum(y * b for y, (_, b) in zip(multipliers, rows)) == out.value
             checked += 1
 
+    def test_lp_without_rows(self):
+        # no rows: no multipliers certify the zero objective, and nothing
+        # certifies another
+        lp = LinearProgram(vec(0, 0), (), (), 2)
+        out = lp_solve(lp)
+        assert optimality_certificate(lp, out) == ((), ())
+        with pytest.raises(ValueError, match="nonzero objective"):
+            optimality_certificate(lp.with_objective(vec(1, 0)), out)
+
     def test_multiplier_lp_from_integer_rows(self, monkeypatch):
         # the certificate scales its coordinate rows only; its LP has the
         # integer rows of the one built from Fraction rows

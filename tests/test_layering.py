@@ -2,8 +2,9 @@
 
 Each fact of a problem is decided in the module that owns it and kept on
 the problem (`model.kept`), so no module needs a deferred import of a
-module above it.  These tests read the sources with `ast` and import
-nothing of polydc.
+module above it.  These tests read the sources with `ast`; only the last
+one imports polydc, to check that its public names are the ones
+`__init__.py` imports.
 """
 
 import ast
@@ -75,3 +76,24 @@ def test_imports_follow_the_layers(path):
         if LAYER[name] >= layer
     ]
     assert upward == [], f"{path.name} (layer {layer}) imports {upward}"
+
+
+def test_the_public_names_are_the_imported_ones():
+    source = {
+        alias.asname or alias.name: node.module
+        for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    import polydc
+
+    public = polydc.__all__
+    assert len(public) == len(set(public))
+    assert not [name for name in public if name.startswith("_")]
+    assert set(public) == set(source)
+    namespace: dict = {}
+    exec("from polydc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(source)
+    for name, module in source.items():
+        owner = getattr(polydc, module)
+        assert getattr(polydc, name) is getattr(owner, name), name

@@ -445,6 +445,16 @@ class TestConvexBody:
         assert s.points == (vec(0),)
         assert s.rays == (vec(1),)
 
+    def test_body_without_points_is_empty(self):
+        # no points: empty, even with a ray
+        empty = ConvexBody(1, rays=(vec(1),))
+        segment = ConvexBody(1, points=(vec(0), vec(1)))
+        assert empty.is_empty and not empty.contains(vec(0))
+        assert empty.issubset(segment) and not segment.issubset(empty)
+        assert segment.intersection_witness(empty) is None
+        assert empty.intersection_witness(segment) is None
+        assert segment.minkowski_sum(empty) == ConvexBody(1)
+
     def test_recession_with_lineality(self):
         body = ConvexBody(2, points=(vec(0, 0),), lineality=(vec(1, 0),))
         assert body.contains(vec(-7, 0))

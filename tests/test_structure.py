@@ -1376,6 +1376,7 @@ class TestComponents:
         assert [c.value for c in comps] == [F(-1), F(0), F(-2)]
         # every piece sits in exactly one component
         assert sorted(i for c in comps for i in c.pieces) == [0, 1, 2]
+        assert components(interval_problem, ()) == ()
 
     def test_single_component(self):
         g = MaxAffine.from_pieces([(vec(1), F(0)), (vec(-1), F(0))], 1)
@@ -1455,8 +1456,10 @@ class TestSegmentPath:
 
     def test_endpoints_must_be_members(self, interval_problem):
         pieces = local_pieces(interval_problem)
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(OutsideDomain, match="start point"):
             segment_path(interval_problem, pieces, vec(2), vec(3))
+        with pytest.raises(OutsideDomain, match="end point"):
+            segment_path(interval_problem, pieces, vec(3), vec(2))
 
     def test_same_point(self, interval_problem):
         pieces = local_pieces(interval_problem)

@@ -25,7 +25,8 @@ in g (`structure`), and a problem, a table and a script file that are not
 valid JSON (`structure`, and `dca` under `table:` and `script:`).
 
 Each tree runs every command in one child process, in-process through
-`polydc.cli.main`, so no state is shared between the trees.  Every
+`polydc.cli.main`, so no state is shared between the trees
+(`tools/two_trees.py` drives the child processes).  Every
 difference in stdout, stderr or exit code is printed; the exit code is 0
 when there is none and 1 otherwise.  Standard library and `tests/gens.py`
 only.
@@ -33,18 +34,17 @@ only.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import difflib
 import io
 import itertools
 import json
 import random
-import subprocess
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+import two_trees
 
 ROOT = Path(__file__).resolve().parent.parent
 RULES = ("min-index", "max-index", "table", "replay", "random")
@@ -253,12 +253,6 @@ def run_cases(workdir: Path) -> list:
 # the sweep
 
 
-def _child(*args: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, __file__, *args], stdout=subprocess.PIPE, text=True
-    )
-
-
 def _difference(argv, old, new) -> list[str]:
     """The lines that report how one command's outputs differ, if they do:
     a unified diff of stdout or stderr (its first 40 lines), and both exit
@@ -280,17 +274,8 @@ def _difference(argv, old, new) -> list[str]:
     return lines
 
 
-def sweep(old_src: str, new_src: str, workdir: Path) -> int:
-    maker = _child("--make-cases", old_src, str(workdir))
-    if maker.wait() != 0:
-        print("writing the cases failed", file=sys.stderr)
-        return 2
-    runs = [_child("--run", src, str(workdir)) for src in (old_src, new_src)]
-    outputs = [run.communicate()[0] for run in runs]
-    if any(run.returncode != 0 for run in runs):
-        print("a run of the cases failed", file=sys.stderr)
-        return 2
-    old, new = (json.loads(text) for text in outputs)
+def compare(workdir: Path, old: list, new: list) -> int:
+    """Print each command whose outputs differ, then the summary."""
     cases = json.loads((workdir / "cases.json").read_text(encoding="utf-8"))
     differences = 0
     for argv, a, b in zip(cases, old, new):
@@ -306,31 +291,9 @@ def sweep(old_src: str, new_src: str, workdir: Path) -> int:
     return 1 if differences else 0
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    # the two child modes: write the cases with one tree, or run them
-    for mode in ("--make-cases", "--run"):
-        parser.add_argument(
-            mode, nargs=2, metavar=("SRC", "DIR"), help=argparse.SUPPRESS
-        )
-    parser.add_argument("old_src", nargs="?")
-    parser.add_argument("new_src", nargs="?")
-    args = parser.parse_args(argv)
-    if args.make_cases:
-        src, workdir = args.make_cases
-        _use(src)
-        make_cases(Path(workdir))
-        return 0
-    if args.run:
-        src, workdir = args.run
-        _use(src)
-        json.dump(run_cases(Path(workdir)), sys.stdout)
-        return 0
-    if not (args.old_src and args.new_src):
-        parser.error("give the two source trees, OLD_SRC and NEW_SRC")
-    with tempfile.TemporaryDirectory() as workdir:
-        return sweep(args.old_src, args.new_src, Path(workdir))
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(
+        two_trees.main(
+            sys.argv[1:], __file__, __doc__, _use, make_cases, run_cases, compare
+        )
+    )

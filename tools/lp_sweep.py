@@ -26,7 +26,8 @@ wraps its counted functions, while these run:
 
 Each call is kept with its integer rows, its objective and its lexmin
 (for `max_slack`, its integer rows (A, B, s)); equal calls are kept once.
-Then each tree replays the corpus in a child process of its own: every
+Then each tree replays the corpus in a child process of its own
+(`tools/two_trees.py` drives the child processes): every
 call is made again on rows posed afresh, and the pivots it takes are
 counted by wrapping `_Tableau.pivot`.  Every difference in status, value,
 point, `unique` (for a margin: slack and witness) or pivot count is
@@ -40,15 +41,14 @@ and `tests/gens.py` only.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import random
-import subprocess
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
+
+import two_trees
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -247,23 +247,8 @@ def replay(workdir: Path) -> list:
 # the sweep
 
 
-def _child(*args: str) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, __file__, *args], stdout=subprocess.PIPE, text=True
-    )
-
-
-def sweep(old_src: str, new_src: str, workdir: Path) -> int:
-    recorder = _child("--record", old_src, str(workdir))
-    if recorder.wait() != 0:
-        print("recording the corpus failed", file=sys.stderr)
-        return 2
-    runs = [_child("--replay", src, str(workdir)) for src in (old_src, new_src)]
-    outputs = [run.communicate()[0] for run in runs]
-    if any(run.returncode != 0 for run in runs):
-        print("a replay of the corpus failed", file=sys.stderr)
-        return 2
-    old, new = (json.loads(text) for text in outputs)
+def compare(workdir: Path, old: list, new: list) -> int:
+    """Print each call whose outcome differs, then the summary."""
     calls = json.loads((workdir / "calls.json").read_text())
     differences = 0
     for call, a, b in zip(calls, old, new):
@@ -292,31 +277,7 @@ def sweep(old_src: str, new_src: str, workdir: Path) -> int:
     return 1 if differences else 0
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    # the two child modes: record the corpus with one tree, or replay it
-    for mode in ("--record", "--replay"):
-        parser.add_argument(
-            mode, nargs=2, metavar=("SRC", "DIR"), help=argparse.SUPPRESS
-        )
-    parser.add_argument("old_src", nargs="?")
-    parser.add_argument("new_src", nargs="?")
-    args = parser.parse_args(argv)
-    if args.record:
-        src, workdir = args.record
-        _use(src)
-        record(Path(workdir))
-        return 0
-    if args.replay:
-        src, workdir = args.replay
-        _use(src)
-        json.dump(replay(Path(workdir)), sys.stdout)
-        return 0
-    if not (args.old_src and args.new_src):
-        parser.error("give the two source trees, OLD_SRC and NEW_SRC")
-    with tempfile.TemporaryDirectory() as workdir:
-        return sweep(args.old_src, args.new_src, Path(workdir))
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(
+        two_trees.main(sys.argv[1:], __file__, __doc__, _use, record, replay, compare)
+    )
