@@ -11,6 +11,13 @@ values never increase along a run; exact arithmetic lets the cycle test be
 literal equality of rational vectors.  Under such a rule step j always
 leads to the same node y_j, so `transition_graph` describes every run of
 the rule on a problem at once.
+
+`run` uses that too: after its step 0 picks j, a run under such a rule
+is the walk of j, the run from y_j on, whatever the start.  The problem
+keeps each walk (`_walks`) once a run has built it with the step loop
+(`_steps`), at most q per rule, each of at most q + 1 iterates.  A later
+run evaluates its start, picks j, checks descent to y_j and reads the
+walk, cut where the start recurs on it or the budget ends it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .exactlp import LpStatus, Vector, dot, lp_solve, vector
@@ -107,20 +115,29 @@ class ByActiveSetTable(_ActiveSetRule):
 
     Every entry is checked when the table is built: its active set is
     nonempty, its pieces are numbered from 1, and it holds the chosen
-    piece.  The table keeps the largest piece it names, so that `run` and
+    piece.  The rule keeps a read-only copy of the table, so a later
+    change to the caller's mapping changes nothing, and hashes by its
+    entries, so equal tables are one rule (`run` keeps walks per rule).
+    It keeps the largest piece it names, so that `run` and
     `transition_graph` reject one above h's piece count before step 0.
     """
 
     table: Mapping[frozenset[int], int]
 
     def __post_init__(self):
-        for active, chosen in self.table.items():
+        table = MappingProxyType(dict(self.table))
+        for active, chosen in table.items():
             if not active or min(active) < 1 or chosen not in active:
                 raise InvalidSelection(
                     f"table entry {sorted(active)} -> {chosen}: expected a "
                     "nonempty active set of pieces from 1 holding the chosen one"
                 )
-        object.__setattr__(self, "_top_piece", max(map(max, self.table), default=0))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_top_piece", max(map(max, table), default=0))
+        object.__setattr__(self, "_hash", hash(frozenset(table.items())))
+
+    def __hash__(self):
+        return self._hash
 
     def pick(self, active):
         chosen = self.table.get(frozenset(active))
@@ -152,7 +169,9 @@ class Scripted(SelectionRule):
     def _choose_at(self, h, point, step):
         if step >= len(self.subgradients):
             raise IndexError("script exhausted")
-        xi = self.subgradients[step]
+        xi = _check_dimension(
+            self.subgradients[step], h.dimension, f"scripted subgradient #{step}"
+        )
         if point.h is None:
             raise OutsideDomain("active set requested outside the domain")
         if not _is_subgradient(h, point.h, xi):
@@ -304,6 +323,18 @@ def run(
     gradients of h, at most q, but a script or a custom `choose` may
     return any point of the subdifferential, and each new one adds an
     entry.  A negative `max_iter` raises ValueError.
+
+    Under a deterministic, hashable rule with `pick` a run is x0's iterate
+    followed by the walk of the piece j0 = pick(active(x0)): the run from
+    y_{j0} on, the same for every start (`_walks`).  The first run that
+    picks j0 builds the walk with the step loop every run takes (`_steps`)
+    and keeps it unless `max_iter` ended it; each later one evaluates x0,
+    picks j0 and checks descent from x0 to y_{j0}, then reads the kept
+    walk, cut where x0 recurs on it or `max_iter` ends it (`_along`).
+    Traces, errors and LPs posed are those of the step loop from x0.  The
+    problem keeps at most q walks per rule, each of at most q + 1
+    iterates, for as long as it lives; a rule that hashes by identity is
+    kept with them.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
@@ -312,26 +343,40 @@ def run(
         raise OutsideDomain("x0 is outside dom(g)")
     if point.C is None:
         raise OutsideDomain("x0 is outside the constraint set C")
-    point, value, active = _node(point, point.g[0])
+    node = _node(point)
+    pick = _pick(rule, prob.h)
+    walks = _rule_walks(prob, rule, pick)
+    active = node[2]
+    if walks is None or active is None or max_iter == 0:
+        iterates: list[Iterate] = []
+        termination = _steps(prob, rule, pick, node, iterates, {}, max_iter)
+        return DcaTrace(iterates=tuple(iterates), termination=termination)
+    j = pick(active)
+    first = Iterate(point.x, prob.h.piece(j)[0], node[1])
+    walk = walks.get(j) or _walk(prob, rule, pick, walks, j, first, max_iter)
+    return _along(first, point.scaled, walk, max_iter)
 
-    h = prob.h
-    pick = _pick(rule, h)
-    iterates: list[Iterate] = []
-    # both memos are keyed by scaled points, which are equal exactly when
-    # the points are and hash as integers: x scaled -> its step, for this
-    # run, and the problem's xi scaled -> its node, or None when unbounded
-    seen: dict[Scaled, int] = {}
-    solved = _subproblems(prob)
-    step = 0
+
+def _steps(prob: DcProblem, rule, pick, node, iterates, seen, max_iter) -> Termination:
+    """The step loop of DCA: from `node`, the state at step
+    len(iterates), append each iterate to `iterates` and return how the
+    run ends.  `node` is (point, f(x), active), as `_node` gives it, or
+    None when the subproblem of the step before was unbounded.  `seen`
+    maps each point visited, scaled, to its step; its keys and the
+    problem's `_subproblems` are both scaled points, which are equal
+    exactly when the points are and hash as integers."""
+    h, solved = prob.h, _subproblems(prob)
+    step = len(iterates)
     while True:
+        if node is None:
+            return Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step - 1)
+        point, value, active = node
         if active is None:
             # no subgradient of h here; the offending point is the output
             # of step `step` and is not recorded as an iterate
-            termination = Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step)
-            break
+            return Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=step)
         if isinstance(rule, Scripted) and step >= len(rule.subgradients):
-            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
-            break
+            return Termination(TerminationKind.MAX_ITERATIONS, step=step)
         if pick is None:
             xi = rule._choose_at(h, point, step)
         else:
@@ -349,33 +394,26 @@ def run(
                     if period == 1
                     else TerminationKind.CYCLE
                 )
-                termination = Termination(kind, step=first, period=period)
-                break
+                return Termination(kind, step=first, period=period)
             seen[point.scaled] = step
         if step >= max_iter:
-            termination = Termination(TerminationKind.MAX_ITERATIONS, step=step)
-            break
+            return Termination(TerminationKind.MAX_ITERATIONS, step=step)
         if pick is None:
             xi = _check_dimension(xi, prob.dimension, "subgradient")
             key = _scaled(xi)
         else:
             key = h._scaled_gradients[j - 1]
-        node = solved[key] if key in solved else _solve_node(prob, solved, xi, key)
-        if node is None:
-            termination = Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=step)
-            break
-        point, value, active = node
+        node = _node_of(prob, solved, xi, key)
         step += 1
-    return DcaTrace(iterates=tuple(iterates), termination=termination)
 
 
-def _node(point: _Point, g_value: Fraction) -> tuple:
+def _node(point: _Point) -> tuple:
     """(point, f(x), h's active set at x, 1-based and ascending), read from
-    the point and g(x); f and the active set are None outside dom(h)."""
+    the point; f and the active set are None outside dom(h)."""
     at = point.h
     if at is None:
         return point, None, None
-    return point, g_value - at[0], tuple([j + 1 for j in at[1]])
+    return point, point.value, tuple([j + 1 for j in at[1]])
 
 
 @kept
@@ -396,14 +434,17 @@ def _subproblems(prob: DcProblem) -> dict[Scaled, Optional[tuple]]:
     return {}
 
 
-def _solve_node(prob: DcProblem, solved, xi: Vector, key: Scaled) -> Optional[tuple]:
+def _node_of(prob: DcProblem, solved, xi: Vector, key: Scaled) -> Optional[tuple]:
     """The node at xi, kept in `solved`, the problem's `_subproblems`,
-    under `key` (xi scaled): one subproblem LP over g + indicator(C), which
-    shares g's prepared start, and one evaluation of h, on the point of its
-    minimizer; None when the subproblem is unbounded.  Every node is made
-    here, and here its point is registered in `prob._nodes`: a minimizer
-    that another xi reached already is that node's point, with h read from
-    it."""
+    under `key` (xi scaled), and made on first request: one subproblem LP
+    over g + indicator(C), which shares g's prepared start, and one
+    evaluation of h, on the point of its minimizer; None when the
+    subproblem is unbounded.  Every node is made here, and here its point
+    is registered in `prob._nodes`, with f there (`_Point.value`) read off
+    the LP, so g is not evaluated: a minimizer that another xi reached
+    already is that node's point, with h and f read from it."""
+    if key in solved:
+        return solved[key]
     try:
         x, sub_value = solve_subproblem(
             prob.g_plus_indicator, PolyhedralSet.whole_space(prob.dimension), xi
@@ -411,14 +452,85 @@ def _solve_node(prob: DcProblem, solved, xi: Vector, key: Scaled) -> Optional[tu
     except SubproblemUnboundedError:
         node = None
     else:
-        # x lies in C ∩ dom(g), and at the LP's optimum t = g(x); xi.x is
-        # taken on integers, like every evaluation at x
         point = prob._point(x)
-        point = prob._nodes.setdefault(point.scaled, point)
-        (X, d), (Xi, s) = point.scaled, key
-        node = _node(point, sub_value + Fraction(sum(map(mul, Xi, X)), s * d))
+        if point.scaled not in prob._nodes:
+            prob._nodes[point.scaled] = point
+            if point.h is not None:
+                # x lies in C ∩ dom(g), and at the LP's optimum t = g(x);
+                # xi.x is taken on integers, like every evaluation at x
+                (X, d), (Xi, s) = point.scaled, key
+                g_value = sub_value + Fraction(sum(map(mul, Xi, X)), s * d)
+                point._value = g_value - point.h[0]
+        node = _node(point)
     solved[key] = node
     return node
+
+
+@kept
+def _walks(prob: DcProblem) -> dict:
+    """The DCA walks of the problem, filled by `run`: a deterministic,
+    hashable rule with `pick` maps to a dict from a piece j to its walk,
+    the steps of every run whose step 0 picked j.  A walk is (iterates,
+    seen, termination) of the run from the node y_j on, in the steps of
+    such a run: its iterates at steps 1, 2, ..., `seen` each of their
+    points, scaled, to the step of its first visit, and how the run ends
+    when x0 does not recur.  The walk depends on j alone: every run that
+    picks j at step 0 reaches y_j at step 1, and from there the rule
+    decides every step.  So a rule keeps at most q walks, each of at most
+    q + 1 iterates, one per distinct node and the repeated one."""
+    return {}
+
+
+def _rule_walks(prob: DcProblem, rule: SelectionRule, pick) -> Optional[dict]:
+    """The walks the problem keeps for `rule` (`_walks`), or None when a
+    run under it takes the step loop: a rule without `pick`, one that is
+    not deterministic, or one that cannot be hashed."""
+    if pick is None or not rule.deterministic:
+        return None
+    try:
+        return _walks(prob).setdefault(rule, {})
+    except TypeError:  # an unhashable rule
+        return None
+
+
+def _walk(
+    prob: DcProblem, rule, pick, walks: dict, j: int, first: Iterate, max_iter: int
+) -> tuple:
+    """The walk of piece j (`_walks`), built by the step loop from the node
+    y_j, after the iterate `first` of x0: only the descent check from x0
+    to y_j reads `first`, and x0 is not among the points seen, so the walk
+    does not depend on x0.  Kept in `walks` unless `max_iter` ended it."""
+    iterates = [first]
+    seen: dict[Scaled, int] = {}
+    node = _node_of(prob, _subproblems(prob), first.xi, prob.h._scaled_gradients[j - 1])
+    termination = _steps(prob, rule, pick, node, iterates, seen, max_iter)
+    walk = tuple(iterates[1:]), seen, termination
+    if termination.kind is not TerminationKind.MAX_ITERATIONS:
+        walks[j] = walk
+    return walk
+
+
+def _along(first: Iterate, start: Scaled, walk: tuple, max_iter: int) -> DcaTrace:
+    """The trace of the run from x0, scaled `start`, whose step 0 is the
+    iterate `first`, followed by the walk it picked: the trace the step
+    loop gives.  Descent from x0 to the walk's first node is checked.  When
+    x0 recurs on the walk, at step s <= max_iter, the run closes there with
+    period s; else when `max_iter` comes before the walk's end, the run
+    stops at that step; else the run is x0 then the whole walk."""
+    iterates, seen, termination = walk
+    if iterates and first.value < iterates[0].value:
+        raise InternalCheckFailed("objective increased along a DCA run")
+    s = seen.get(start)
+    if s is not None and s <= max_iter:
+        kind = TerminationKind.FIXED_POINT if s == 1 else TerminationKind.CYCLE
+        return DcaTrace((first,) + iterates[:s], Termination(kind, step=0, period=s))
+    # the step loop checks for a revisit at a step before it checks the
+    # budget, and for every other end after it; only a revisit has a period
+    n = len(iterates)
+    if max_iter < n or (max_iter == n and termination.period is None):
+        termination = Termination(TerminationKind.MAX_ITERATIONS, step=max_iter)
+        return DcaTrace((first,) + iterates[:max_iter], termination)
+    return DcaTrace((first,) + iterates, termination)
 
 
 @dataclass(frozen=True)
@@ -467,7 +579,7 @@ def transition_graph(prob: DcProblem, rule: SelectionRule) -> TransitionGraph:
     h, solved = prob.h, _subproblems(prob)
     nodes, sigma = [], []
     for key, (xi, _) in zip(h._scaled_gradients, h.pieces):
-        node = solved[key] if key in solved else _solve_node(prob, solved, xi, key)
+        node = _node_of(prob, solved, xi, key)
         point, value, active = node or (None,) * 3
         nodes.append(DcaNode(point and point.x, value, active))
         picked = None

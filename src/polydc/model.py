@@ -18,6 +18,7 @@ of g and h are numbered when writing a problem down.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -83,14 +84,26 @@ Scaled = tuple[tuple[int, ...], int]
 
 
 def _scaled(x: Vector) -> Scaled:
-    """x as (X, d), integers over one positive denominator: x = X / d.
+    """x, a tuple of Fractions, as (X, d), integers over one positive
+    denominator: x = X / d, with d the lcm of x's denominators.
 
     A point is scaled once, by its `_Point`, and then evaluated on
     integers against the integer rows of every set and function
-    (`PolyhedralSet._tight_rows`, `MaxAffine._at`).
+    (`PolyhedralSet._tight_rows`, `MaxAffine._at`).  Fraction's own slots
+    are read, as in `integer_row`: its properties are Python calls.
     """
-    X, d, _ = integer_row(x, ONE)
-    return X, d
+    d = math.lcm(*[v._denominator for v in x])
+    return tuple([v._numerator * (d // v._denominator) for v in x]), d  # see vector
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator, for a positive denominator, as the Fraction
+    in lowest terms made by one gcd: Fraction's constructor checks the
+    types of its arguments in Python first, which costs as much again."""
+    k = math.gcd(numerator, denominator)
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = numerator // k, denominator // k
+    return value
 
 
 @dataclass(frozen=True)
@@ -696,23 +709,27 @@ _UNREAD = object()  # an evaluation of a `_Point` not made yet
 class _Point:
     """One point x with the evaluations every layer reads there.
 
-    x is coerced once (`_check_dimension`) and scaled once (`_scaled`).
-    `h` and `g` are `MaxAffine._at` of the point's functions at x and `C`
-    is `PolyhedralSet._tight_rows` of its set there, each made on first
-    read and kept, so every reader of the point shares one evaluation of
-    each; `objective` is derived from them.  A point is bound to (h, g, C),
-    not to a problem, so a point kept with a DCA node or a piece keeps no
-    problem alive; a point of h alone serves the membership test of a
-    semi-closed piece and the step of a selection rule.
+    x is coerced once (`_check_dimension`) and scaled once (`_scaled`);
+    a caller that did both hands them in (`x`, `scaled`).  `h` and `g` are
+    `MaxAffine._at` of the point's functions at x and `C` is
+    `PolyhedralSet._tight_rows` of its set there, each made on first read
+    and kept, so every reader of the point shares one evaluation of each.
+    `value`, f(x) = g(x) - h(x), is formed once too, and `objective` is
+    read from it.  A point is bound to (h, g, C), not to a problem, so a
+    point kept with a DCA node or a piece keeps no problem alive; a point
+    of h alone serves the membership test of a semi-closed piece and the
+    step of a selection rule.
     """
 
-    __slots__ = ("x", "scaled", "functions", "_h", "_g", "_C")
+    __slots__ = ("x", "scaled", "functions", "_h", "_g", "_C", "_value")
 
-    def __init__(self, x: Sequence, h: MaxAffine, g=None, C=None):
-        self.x = x = _check_dimension(x, h.dimension)
-        self.scaled = _scaled(x)
+    def __init__(self, x: Sequence, h: MaxAffine, g=None, C=None, scaled=None):
+        if scaled is None:
+            x = _check_dimension(x, h.dimension)
+            scaled = _scaled(x)
+        self.x, self.scaled = x, scaled
         self.functions = h, g, C  # g and C are None for a point of h alone
-        self._h = self._g = self._C = _UNREAD
+        self._h = self._g = self._C = self._value = _UNREAD
 
     @property
     def h(self) -> Optional[tuple]:
@@ -733,13 +750,30 @@ class _Point:
         return self._C
 
     @property
+    def value(self) -> Optional[Fraction]:
+        """f(x) = g(x) - h(x) at a point of dom g, or None outside dom h,
+        formed on first read from the integers of the Fractions g(x) = a / b
+        and h(x) = c / e: (a e - c b) / (b e).  A DCA node sets it from its
+        subproblem's value instead (`dca._node_of`), which leaves g
+        unread."""
+        if self._value is _UNREAD:
+            at = self.h
+            if at is None:
+                self._value = None
+            else:
+                g, h = self.g[0], at[0]
+                b, e = g._denominator, h._denominator
+                self._value = _fraction(g._numerator * e - h._numerator * b, b * e)
+        return self._value
+
+    @property
     def objective(self) -> ExtendedRational:
         """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf:
         h is not evaluated where g + indicator(C) is +inf."""
         if self.C is None or self.g is None:
             return PLUS_INF
-        h = self.h
-        return MINUS_INF if h is None else ExtendedRational.finite(self.g[0] - h[0])
+        value = self.value
+        return MINUS_INF if value is None else ExtendedRational.finite(value)
 
     def finite_objective(self) -> Fraction:
         value = self.objective
@@ -757,9 +791,10 @@ class DcProblem:
     the linearizations and the hypotheses (`structure._linearized`,
     `structure._hypothesis_violation`), the global solutions
     (`structure.global_solutions`), the dual report
-    (`duality.toland_singer_check`) and the DCA nodes (`dca._subproblems`).
+    (`duality.toland_singer_check`), the DCA nodes (`dca._subproblems`)
+    and the DCA walks of the index rules (`dca._walks`).
     `_nodes` maps the point of every bounded DCA node, scaled
-    (`_Point.scaled`), to that point; `dca._solve_node` registers each
+    (`_Point.scaled`), to that point; `dca._node_of` registers each
     point as it keeps the node, so `_nodes` refers only to points that the
     nodes hold and grows only with them."""
 
@@ -799,9 +834,14 @@ class DcProblem:
         constructor of a problem's point: at a DCA node it is the node's
         point (`_nodes`), so every reader there shares one evaluation per
         problem, of h made when the node was solved and of g and C on
-        first read; anywhere else it is a new point."""
-        point = _Point(x, self.h, self.g, self.C)
-        return self._nodes.get(point.scaled, point)
+        first read; anywhere else it is a new point.  x is coerced and
+        scaled once, and the node is looked up before a point is built."""
+        x = _check_dimension(x, self.dimension)
+        scaled = _scaled(x)
+        point = self._nodes.get(scaled)
+        if point is None:
+            point = _Point(x, self.h, self.g, self.C, scaled)
+        return point
 
     def objective_value(self, x: Sequence) -> ExtendedRational:
         """(g + indicator of C)(x) - h(x), with (+inf) - (+inf) = +inf."""

@@ -43,10 +43,11 @@ x, so phi(y) - h_j(y) >= phi(x) - h_j(x) = f(x) for every y, and near x
 f(y) = min over j in I of (phi - h_j)(y) >= f(x).  No interiority
 hypothesis is used.
 
-f(x) is compared with alpha_j on integers (`_on_faces`).  Criticality
-where no active face holds x is decided on one pair of subdifferentials,
-built by `_subdifferentials` from the same evaluation, by an LP over
-generator weights; so are the recession tests of stationarity.
+f(x) is formed once per point and compared with alpha_j (`_on_faces`).
+Criticality where no active face holds x is decided on one pair of
+subdifferentials, built by `_subdifferentials` from the same evaluation,
+by an LP over generator weights; so are the recession tests of
+stationarity.
 `classify`, `is_critical`, `is_stationary` and `is_local_solution` (which
 returns `classify`'s verdict) share that one path, and a caller that
 holds the point already hands it to `_classify`.
@@ -118,24 +119,19 @@ def _feasible(point: _Point) -> _Point:
 
 def _on_faces(prob: DcProblem, point: _Point) -> list[bool]:
     """For each piece j of h active at a feasible point, in order, whether
-    the point lies in the optimal face of j: f(x) = alpha_j (the lemma).
-
-    With g(x) = a / b and h(x) = c / e as the point holds them,
-    f(x) = p / q exactly when (a e - c b) q = p b e; the test reads the
-    integers of the Fractions it has and builds none.  An unbounded
+    the point lies in the optimal face of j: f(x) = alpha_j (the lemma),
+    with f(x) the value the point holds (`_Point.value`).  An unbounded
     subproblem (alpha_j = -inf) has no face.
     """
-    (g, _, _), (h, active, _) = point.g, point.h
-    b, e = g._denominator, h._denominator
-    numerator, denominator = g._numerator * e - h._numerator * b, b * e
-    linearized = _linearized(prob)
+    value, linearized = point.value, _linearized(prob)
+    p, q = value._numerator, value._denominator  # both in lowest terms
     verdicts = []
-    for j in active:
+    for j in point.h[1]:
         alpha = linearized[j].value
         verdicts.append(
             alpha.sign == 0
-            and numerator * alpha.value._denominator
-            == alpha.value._numerator * denominator
+            and alpha.value._numerator == p
+            and alpha.value._denominator == q
         )
     return verdicts
 

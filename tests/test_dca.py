@@ -13,6 +13,7 @@ from polydc import (
     ByActiveSetTable,
     DcaTrace,
     DcProblem,
+    DimensionMismatch,
     EmptyIntersection,
     EmptyTrace,
     Iterate,
@@ -78,6 +79,19 @@ class TestSelectSubgradient:
         with pytest.raises(InvalidSelection, match="step 0"):
             select_subgradient(interval_problem.h, vec(0), rule, 0)
 
+    def test_scripted_entry_of_the_wrong_length_is_named(self, interval_problem):
+        for call in (
+            lambda: run(interval_problem, vec(3), Scripted((vec(1, 0),))),
+            lambda: run(interval_problem, vec(3), Scripted((vec(1), vec(0, 0)))),
+            lambda: select_subgradient(
+                interval_problem.h, vec(3), Scripted((vec(1, 0),))
+            ),
+        ):
+            with pytest.raises(DimensionMismatch, match=r"scripted subgradient #\d"):
+                call()
+        with pytest.raises(DimensionMismatch, match="#1 has length 2, expected 1"):
+            run(interval_problem, vec(3), Scripted((vec(1), vec(0, 0))))
+
     def test_scripted_active_gradient_poses_no_weight_lp(
         self, interval_problem, monkeypatch
     ):
@@ -106,6 +120,25 @@ class TestSelectSubgradient:
         # when the table is built, not when a run reaches that set
         with pytest.raises(InvalidSelection, match=r"\[2\] -> 3"):
             ByActiveSetTable({frozenset({2}): 3})
+
+    def test_a_table_keeps_its_own_copy(self):
+        # a later change to the caller's dict does not reach the rule: the
+        # run from 3, where the active set is {3}, still finds no entry
+        # instead of following the planted entry {3} -> 1 uphill
+        prob = gens.interval_problem()
+        table = {frozenset({1}): 1, frozenset({2}): 2}
+        rule = ByActiveSetTable(table)
+        table[frozenset({3})] = 1
+        with pytest.raises(InvalidSelection, match=r"active set \[3\]"):
+            run(prob, vec(3), rule)
+        assert rule.table == {frozenset({1}): 1, frozenset({2}): 2}
+        with pytest.raises(TypeError):
+            rule.table[frozenset({3})] = 3
+        # equal tables are equal rules with equal hashes, whatever the order
+        # of their entries, and a different table is a different rule
+        other = ByActiveSetTable({frozenset({2}): 2, frozenset({1}): 1})
+        assert other == rule and hash(other) == hash(rule)
+        assert len({rule, other, ByActiveSetTable({frozenset({1}): 1})}) == 2
 
     def test_table_entries_checked_at_construction(self):
         for table in (
@@ -1527,3 +1560,199 @@ def test_a_pick_cannot_change_a_kept_node():
             assert run(prob, x0, MaxIndexActive()) == run(
                 _copy(prob), x0, MaxIndexActive()
             )
+
+
+# ---------------------------------------------------------------------------
+# the walk an index rule keeps per piece
+
+
+class _Unhashable(SelectionRule):
+    """The `pick` of `rule` in a rule that cannot be hashed: its runs take
+    the step loop and keep no walk."""
+
+    __hash__ = None
+
+    def __init__(self, rule):
+        self.rule, self._top_piece = rule, rule._top_piece
+
+    def pick(self, active):
+        return self.rule.pick(active)
+
+
+def _result(call):
+    """The trace `call` returns, or the type and message of its error."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _counting_walks(monkeypatch):
+    """A Counter of the walks read (`_along`) and built (`_walk`)."""
+    calls = collections.Counter()
+    for name in ("_along", "_walk"):
+        function = getattr(dca, name)
+
+        def counting(*args, name=name, function=function):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(dca, name, counting)
+    return calls
+
+
+def test_walk_runs_equal_the_step_loop(monkeypatch):
+    """Under both index rules, random tables and cycling picks, every run
+    equals the run of the step loop, which an unhashable copy of the rule
+    takes, and poses no LP that the loop would not: with budgets 0 to 3
+    and 1000 in random order, so that walks are built, cut and read, from
+    random starts and from the nodes, where the start recurs on its walk."""
+    rng = random.Random(1951)
+    seen = collections.Counter()
+    copies = {}  # one copy per problem, which the loop runs warm as `run` warms it
+    for prob, rule, _, starts in _replay_cases(rng):
+        if id(prob) not in copies:
+            copies[id(prob)] = _copy(prob)
+        copy = copies[id(prob)]
+        graph = transition_graph(_copy(prob), rule)
+        nodes = [node.x for node in graph.nodes if node.x is not None]
+        loop = _Unhashable(rule)
+        for x0 in starts + nodes:
+            budgets = [0, 1, 2, 3, 1000]
+            rng.shuffle(budgets)
+            for max_iter in budgets:
+                posed = _counting_lps(monkeypatch)
+                calls = _counting_walks(monkeypatch)
+                walked = _result(lambda: run(prob, x0, rule, max_iter))
+                on_walk, kept = len(posed), calls["_along"] > calls["_walk"]
+                del posed[:]
+                looped = _result(lambda: run(copy, x0, loop, max_iter))
+                monkeypatch.undo()
+                assert walked == looped
+                assert on_walk == len(posed)
+                seen["kept", kept] += 1
+                if kept and isinstance(walked, DcaTrace):
+                    end = walked.termination
+                    seen["cut"] += end.kind is TerminationKind.MAX_ITERATIONS
+                    seen["recurs"] += end.step == 0 and end.period is not None
+                    seen["cycle"] += end.kind is TerminationKind.CYCLE
+        assert not dca._walks(copy)
+    for case in (("kept", True), ("kept", False), "cut", "recurs", "cycle"):
+        assert seen[case] > 0, case
+
+
+def test_a_rule_keeps_at_most_q_walks():
+    """After runs from many starts under both index rules, a table given
+    twice and a script, each hashable `pick` rule keeps at most q walks,
+    one per piece, each of at most q + 1 iterates and none cut by the
+    budget; equal tables share theirs, and a script and an unhashable rule
+    keep none.  The value of each iterate, read off its node's LP, is
+    g - h evaluated afresh there."""
+    rng = random.Random(1953)
+    problems = [gens.random_dc_instance(rng) for _ in range(16)]
+    problems += [_half_space_instance(rng) for _ in range(4)]
+    problems += [_bounded_h_instance(rng) for _ in range(4)]
+    kept = 0
+    for prob in problems:
+        q = len(prob.h.pieces)
+        table = _table(rng, prob)
+        rules = [MinIndexActive(), MaxIndexActive(), table]
+        rules += [ByActiveSetTable(dict(table.table)), _Unhashable(table)]
+        for x0 in _starts(rng, prob, 12) + _random_points(rng, prob, 12):
+            for rule in rules:
+                _result(lambda: run(prob, x0, rule, rng.choice((1, 2, 1000))))
+            _result(lambda: run(prob, x0, Scripted((prob.h.piece(1)[0],))))
+        walks = dca._walks(prob)
+        assert set(walks) <= {MinIndexActive(), MaxIndexActive(), table}
+        for rule_walks in walks.values():
+            assert set(rule_walks) <= set(prob.h.indices)
+            for iterates, seen, termination in rule_walks.values():
+                assert len(iterates) <= q + 1 and len(seen) <= q
+                assert termination.kind is not TerminationKind.MAX_ITERATIONS
+                for it in iterates:
+                    g, h = prob.g.finite_value(it.x), prob.h.finite_value(it.x)
+                    assert it.value == g - h
+            kept += len(rule_walks)
+    assert kept > 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _PicksOnlyAtStart(dca._ActiveSetRule):
+    """A `pick` that raises at every active set but `start`."""
+
+    start: tuple
+
+    def pick(self, active):
+        if active != self.start:
+            raise InvalidSelection(f"no pick at {list(active)}")
+        return active[0]
+
+
+def test_a_pick_that_raises_on_a_walk_keeps_nothing(monkeypatch):
+    # from 0, where h's active set is {2}, the rule picks 2; its node
+    # y_2 = -2 has the active set {1}, where the rule raises: the walk of
+    # piece 2 is not kept, so the next run builds it again and raises again,
+    # posing no LP as the node is kept
+    prob = gens.interval_problem()
+    rule = _PicksOnlyAtStart((2,))
+    for lps in (1, 0):
+        posed = _counting_lps(monkeypatch)
+        with pytest.raises(InvalidSelection, match=r"no pick at \[1\]"):
+            run(prob, vec(0), rule)
+        monkeypatch.undo()
+        assert len(posed) == lps
+        assert dca._walks(prob) == {rule: {}}
+
+
+def test_a_start_below_its_walk_still_raises():
+    # from 0 (f = 0, active set {2}) the min-index rule picks 2: a planted
+    # node at y_2 with a value above f(0) raises as the walk is built, and
+    # keeps no walk; a planted walk whose first value lies above f(0)
+    # raises when it is read
+    prob = gens.interval_problem()
+    planted = (prob._point(vec(1)), F(1), (2, 3))
+    dca._subproblems(prob)[prob.h._scaled_gradients[1]] = planted
+    with pytest.raises(InternalCheckFailed, match="objective increased"):
+        run(prob, vec(0), MinIndexActive())
+    assert dca._walks(prob) == {MinIndexActive(): {}}
+    prob = gens.interval_problem()
+    expected = run(prob, vec(0), MinIndexActive())
+    assert expected.values == (F(0), F(-1), F(-1))
+    walks = dca._walks(prob)[MinIndexActive()]
+    iterates, seen, termination = walks[2]
+    assert run(prob, vec(0), MinIndexActive()) == expected
+    raised = dataclasses.replace(iterates[0], value=F(1))
+    walks[2] = (raised,) + iterates[1:], seen, termination
+    with pytest.raises(InternalCheckFailed, match="objective increased"):
+        run(prob, vec(0), MinIndexActive())
+
+
+def test_a_walk_that_ends_without_a_revisit_is_cut_at_its_length():
+    # g = |x| and h = max(0, 2x): from -1, where only piece 1 is active,
+    # the max-index rule reaches y_1 = 0, where both are; it picks 2, whose
+    # subproblem is unbounded over x >= -1, and whose minimizer 3 over
+    # [-1, 3] lies outside dom h = {x <= 1}.  So the walk of piece 1 is the
+    # node 0 alone, and a budget of 1 ends the run at 0, before that step
+    g = MaxAffine.from_pieces([(vec(1), F(0)), (vec(-1), F(0))], 1)
+    pieces = [(vec(0), F(0)), (vec(2), F(0))]
+    half_line = PolyhedralSet(1, inequalities=((vec(-1), F(1)),))
+    bounded_h = MaxAffine.from_pieces(
+        pieces, 1, domain=PolyhedralSet(1, inequalities=((vec(1), F(1)),))
+    )
+    unbounded = DcProblem(g=g, h=MaxAffine.from_pieces(pieces, 1), C=half_line)
+    outside = DcProblem(g=g, h=bounded_h, C=PolyhedralSet.box(vec(-1), vec(3)))
+    cases = (
+        (unbounded, Termination(TerminationKind.SUBPROBLEM_UNBOUNDED, step=1)),
+        (outside, Termination(TerminationKind.SUBDIFFERENTIAL_EMPTY, step=2)),
+    )
+    rule = MaxIndexActive()
+    for prob, end in cases:
+        assert run(prob, vec(-1), rule).termination == end
+        iterates, _, termination = dca._walks(prob)[rule][1]
+        assert [it.x for it in iterates] == [vec(0)] and termination == end
+        for max_iter in (0, 1, 2, 1000):
+            trace = run(prob, vec(-1), rule, max_iter)
+            assert trace == gens.reference_dca_run(prob, vec(-1), rule, max_iter)
+            assert trace.points == (vec(-1), vec(0))[: max_iter + 1]
+        cut = Termination(TerminationKind.MAX_ITERATIONS, step=1)
+        assert run(prob, vec(-1), rule, 1).termination == cut

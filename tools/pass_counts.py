@@ -13,12 +13,17 @@ left on the problems.  Per pass it counts the calls of
   outside as `perfbench/spans.py` rebinds it;
 * `exactlp._Rows.start` (`lps`: every LP posed) and `exactlp._prepare`
   (`prepared`: every prepared start built);
-* `MaxAffine._at` and `PolyhedralSet._tight_rows` (every evaluation);
+* `MaxAffine._at` and `PolyhedralSet._tight_rows` (every evaluation)
+  and `model._scaled` (every point or vector scaled), under every alias;
+* `dca._along` (`walk_runs`: every DCA run answered from a walk) and
+  `dca._walk` (`walks_built`: every walk built), and their difference,
+  `kept_walk_runs`, the runs answered from a walk kept by an earlier run;
 * `exactlp._Tableau.pivot` (`pivots`, the row eliminations included),
   with the largest tableau pivoted on (`largest_tableau`: rows and the
   entries of a row before its rhs, which are the stored columns);
 
-and the CPU seconds of the pass, counting wrappers included.  The result
+and the CPU seconds of the pass, counting wrappers included.  A count
+of a function the source tree does not have is null.  The result
 is one JSON object keyed like `counts_per_pass` in the `BENCH_*.json`
 files.  SOURCE_DIR, the directory holding the `polydc` package, defaults
 to src/ next to this directory; the workloads are always this checkout's
@@ -45,26 +50,33 @@ COUNTED = (
     ("exactlp", "_prepare", "prepared"),
     ("model", "MaxAffine._at", "MaxAffine._at"),
     ("model", "PolyhedralSet._tight_rows", "PolyhedralSet._tight_rows"),
+    ("model", "_scaled", "model._scaled"),
+    ("dca", "_along", "walk_runs"),
+    ("dca", "_walk", "walks_built"),
     ("exactlp", "_Tableau.pivot", "pivots"),
 )
 
 
-def rebind(module_name: str, qualname: str, wrap) -> None:
+def rebind(module_name: str, qualname: str, wrap) -> bool:
     """Replace a polydc function by `wrap(function)`: a method on its
-    class, a function under each alias that a loaded polydc module holds."""
+    class, a function under each alias that a loaded polydc module holds.
+    False when the source tree has no such function."""
     module = sys.modules[f"polydc.{module_name}"]
     if "." in qualname:
         owner, name = qualname.split(".")
         owner = getattr(module, owner)
         setattr(owner, name, wrap(owner.__dict__[name]))
-        return
-    original = getattr(module, qualname)
+        return True
+    original = getattr(module, qualname, None)
+    if original is None:
+        return False
     wrapper = wrap(original)
     for key, m in list(sys.modules.items()):
         if key.split(".")[0] == "polydc":
             for alias, value in list(vars(m).items()):
                 if value is original:
                     setattr(m, alias, wrapper)
+    return True
 
 
 def _counting(counts: collections.Counter, key: str):
@@ -97,12 +109,17 @@ def _measuring(largest: list):
     return wrap
 
 
-def install(counts: collections.Counter, largest: list) -> None:
+def install(counts: collections.Counter, largest: list) -> set[str]:
     """Wrap every counted function, and `_Tableau.pivot` once more to
-    measure the tableaus."""
-    for module_name, qualname, key in COUNTED:
-        rebind(module_name, qualname, _counting(counts, key))
+    measure the tableaus; returns the keys of the counted functions that
+    the source tree does not have."""
+    missing = {
+        key
+        for module_name, qualname, key in COUNTED
+        if not rebind(module_name, qualname, _counting(counts, key))
+    }
     rebind("exactlp", "_Tableau.pivot", _measuring(largest))
+    return missing
 
 
 def pass_counts(workload_name: str, seed: int) -> dict:
@@ -118,7 +135,7 @@ def pass_counts(workload_name: str, seed: int) -> dict:
         raise SystemExit(f"error: set-up failed: {batch.errors[0]}")
     counts: collections.Counter = collections.Counter()
     largest = [0, 0]
-    install(counts, largest)
+    missing = install(counts, largest)
     result = {}
     for name in ("fresh", "warm"):
         counts.clear()
@@ -128,7 +145,10 @@ def pass_counts(workload_name: str, seed: int) -> dict:
             workload.call(P, op)
         result[f"{name}_pass_cpu_s"] = round(time.process_time() - start, 4)
         for _, _, key in COUNTED:
-            result[f"{name}_pass_{key}"] = counts[key]
+            result[f"{name}_pass_{key}"] = None if key in missing else counts[key]
+        kept_walk_runs = counts["walk_runs"] - counts["walks_built"]
+        walks = not {"walk_runs", "walks_built"} & missing
+        result[f"{name}_pass_kept_walk_runs"] = kept_walk_runs if walks else None
         result[f"{name}_pass_largest_tableau"] = list(largest)
     return result
 
